@@ -22,12 +22,11 @@ from . import __version__
 from .config import (ConfigError, RunConfig, build_alpha_schedule, build_domain,
                      build_problem, parse_config)
 from .discounted import check_barrier
-from .ergodic import (check_bar_w_bound, check_lambda_bound, expand_domain,
-                      vanishing_discount)
+from .ergodic import (_quadrature, check_bar_w_bound, check_lambda_bound,
+                      expand_domain, vanishing_discount)
 from .grid import build_grid
 from .lyapunov import evaluate_lyapunov_drift, fit_envelope
 from .problem import validate_problem
-from .quadrature import build_quadrature
 
 __all__ = ["main", "run", "convergence_study"]
 
@@ -66,8 +65,7 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> int:
         "lambda_trace_cauchy": bool(sol.converged),
     }
     if prob.lyapunov is not None and len(sol.alpha_trace) >= 2:
-        s = prob.kernel.s if prob.kernel is not None else 0.75
-        q = build_quadrature(grid, s, grid.R + domain.r_far_margin, domain.reg_radius)
+        q = _quadrature(prob, domain, grid)
         cert = fit_envelope(evaluate_lyapunov_drift(prob, grid, q), prob.lyapunov, grid)
         if cert.ok:
             lb = check_lambda_bound(sol.alpha_trace, prob, grid, cert.k0)
@@ -99,10 +97,9 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> int:
 
 def _run_discounted(cfg: RunConfig, outdir: Path) -> int:
     prob = build_problem(cfg)
-    g = cfg.grid
+    domain = build_domain(cfg)
     alpha = cfg.alpha.start if prob.zeroth is None else None
-    sol = expand_domain(prob, alpha, tuple(g.radii), cfg.solver.tol,
-                        d=g.d, hx=g.hx, r_far_margin=g.r_far_margin,
+    sol = expand_domain(prob, alpha, domain, cfg.solver.tol,
                         max_iter=cfg.solver.max_policy_iters)
     grid = sol.diagnostics["grid"]
     report = {
@@ -119,8 +116,7 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> int:
         "sup_norm": float(np.max(np.abs(sol.w))),
     }
     if prob.lyapunov is not None:
-        s = prob.kernel.s if prob.kernel is not None else 0.75
-        q = build_quadrature(grid, s, grid.R + g.r_far_margin, g.reg_radius)
+        q = _quadrature(prob, domain, grid)
         cert = fit_envelope(evaluate_lyapunov_drift(prob, grid, q), prob.lyapunov, grid)
         if cert.ok:
             br = check_barrier(sol, prob, grid, k0=cert.k0)
@@ -139,10 +135,8 @@ def _run_certify(cfg: RunConfig, outdir: Path) -> int:
     prob = build_problem(cfg)
     if prob.lyapunov is None:
         raise ConfigError("certify mode needs a problem family with Lyapunov data")
-    g = cfg.grid
-    grid = build_grid(g.d, g.hx, g.radii[-1])
-    s = prob.kernel.s if prob.kernel is not None else 0.75
-    q = build_quadrature(grid, s, grid.R + g.r_far_margin, g.reg_radius)
+    grid = build_grid(cfg.grid.d, cfg.grid.hx, cfg.grid.radii[-1])
+    q = _quadrature(prob, build_domain(cfg), grid)
     values = evaluate_lyapunov_drift(prob, grid, q)
     cert = fit_envelope(values, prob.lyapunov, grid)
     payload = cert.to_dict()
@@ -195,12 +189,8 @@ def convergence_study(cfg: RunConfig, outdir: Path) -> int:
     return 0 if all(s.converged for s in sols) else 2
 
 
-def run(cfg: RunConfig, output_dir: str | None = None, workers: int = 0) -> int:
-    """Execute one run config; returns the process exit status.
-
-    ``workers`` is recorded in the run metadata; the solvers are effectively
-    single-threaded apart from BLAS-level parallelism.
-    """
+def run(cfg: RunConfig, output_dir: str | None = None) -> int:
+    """Execute one run config; returns the process exit status."""
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -217,7 +207,6 @@ def run(cfg: RunConfig, output_dir: str | None = None, workers: int = 0) -> int:
     _write_json(outdir / "run_meta.json", {
         "wall_seconds": time.time() - t0,
         "nlhjb_version": __version__,
-        "workers": workers,
     })
     return code
 
@@ -229,15 +218,13 @@ def main(argv: list[str] | None = None) -> int:
                     "stable-like jump operators")
     ap.add_argument("config", help="path to the JSON run config")
     ap.add_argument("--output-dir", default=None, help="override config output_dir")
-    ap.add_argument("--workers", type=int, default=0,
-                    help="cap on worker threads (recorded; BLAS-level only)")
     ap.add_argument("-v", "--verbose", action="store_true")
     args = ap.parse_args(argv)
 
     try:
         raw = json.loads(Path(args.config).read_text())
         cfg = parse_config(raw)
-        code = run(cfg, output_dir=args.output_dir, workers=args.workers)
+        code = run(cfg, output_dir=args.output_dir)
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         block = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(block, sort_keys=True))

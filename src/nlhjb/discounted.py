@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid
-from .operators import DiscreteOperator, apply_control, apply_inf
+from .operators import DiscreteOperator, _stacked_inf, apply_inf
 from .problem import ControlProblem
 
 __all__ = [
@@ -53,13 +53,6 @@ class NormalizedSolution:
     trace: list[tuple[int, float, int]] = field(default_factory=list)
 
 
-def _stacked_values(op: DiscreteOperator, u: np.ndarray):
-    """Per-control values, their pointwise min and the argmin policy."""
-    vals = np.stack([apply_control(op, t, u) for t in range(len(op.controls))])
-    policy = np.argmin(vals, axis=0)
-    return vals, vals[policy, np.arange(u.shape[0])], policy
-
-
 def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
                         vmin: np.ndarray) -> float:
     """How much the greedy policy improves on the frozen one (>= 0)."""
@@ -68,17 +61,15 @@ def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
 
 
 def _policy_system(op: DiscreteOperator, policy: np.ndarray):
-    n = op.n_nodes
-    A = None
-    const = np.zeros(n)
-    for t in range(len(op.controls)):
-        ind = (policy == t).astype(float)
-        if not ind.any():
-            continue
-        part = sp.diags(ind) @ op.matrix(t)
-        A = part if A is None else A + part
-        const += ind * (op.gvals[t] + op.ext_const[t])
-    return A.tocsr(), const
+    """Frozen-policy matrix and constant: row i of control ``policy[i]``."""
+    controls = range(len(op.controls))
+    rows = [np.flatnonzero(policy == t) for t in controls]
+    A = sp.vstack([m[r] for m, r in zip(op.base, rows)],
+                  format="csr")[np.argsort(np.concatenate(rows))]
+    pick = (policy, np.arange(op.n_nodes))
+    A.setdiag(A.diagonal() + np.stack(op.cvals)[pick])
+    A.eliminate_zeros()
+    return A, np.stack([op.constant(t) for t in controls])[pick]
 
 
 def _solve_linear(A: sp.csr_matrix, rhs: np.ndarray, rtol: float,
@@ -98,6 +89,45 @@ def _solve_linear(A: sp.csr_matrix, rhs: np.ndarray, rtol: float,
     return spla.spsolve(A.tocsc(), rhs), "splu"
 
 
+def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
+            x0: np.ndarray | None, policy0: np.ndarray | None):
+    """Howard loop: frozen-policy solve, then greedy policy improvement.
+
+    ``solve(A, rhs, x)`` returns the frozen-policy solution and the scalar
+    shift m that the residual inf_tau(...) - m is measured against (0 for the
+    plain discounted problem).  Returns (x, m, policy, iterations, converged,
+    trace, monotone_violation).
+    """
+    n = op.n_nodes
+    policy = np.zeros(n, dtype=np.int64) if policy0 is None else policy0.copy()
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    trace: list[tuple[int, float, int]] = []
+    mono_violation = 0.0
+    prev_x = None
+    m = 0.0
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        A, const = _policy_system(op, policy)
+        x, m = solve(A, -const, x)
+        if not (np.all(np.isfinite(x)) and np.isfinite(m)):
+            raise ValueError("frozen-policy solve returned non-finite values; "
+                             "singular system or diagonal dominance violated")
+        vals_all, vmin, new_policy = _stacked_inf(op, x)
+        residual = float(np.max(np.abs(vmin - m)))
+        changes = int(np.count_nonzero(new_policy != policy))
+        improvement = _policy_improvement(vals_all, policy, vmin)
+        trace.append((it, residual, changes))
+        if prev_x is not None:
+            mono_violation = max(mono_violation, float(np.max(x - prev_x)))
+        prev_x = x.copy()
+        if residual <= tol and (changes == 0 or improvement <= 0.1 * tol):
+            converged = True
+            break
+        policy = new_policy
+    return x, m, policy, it, converged, trace, mono_violation
+
+
 def solve_policy_iteration(op: DiscreteOperator, tol: float,
                            max_iter: int = 60,
                            w0: np.ndarray | None = None,
@@ -112,40 +142,18 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
     if not (c_floor > 0):
         raise ValueError(
             f"policy iteration needs sup_tau c_tau < 0 (got c_floor={-c_floor:.3g})")
-    n = op.n_nodes
-    policy = np.zeros(n, dtype=np.int64) if policy0 is None else policy0.copy()
-    w = np.zeros(n) if w0 is None else np.asarray(w0, dtype=float).copy()
     lin_rtol = max(tol / 10.0, 1e-14)
-    trace: list[tuple[int, float, int]] = []
-    mono_violation = 0.0
-    prev_w = None
-    converged = False
     alpha = None
     if all(np.allclose(cv, cv[0]) for cv in op.cvals):
         common = {float(-cv[0]) for cv in op.cvals}
         if len(common) == 1:
             alpha = common.pop()
 
-    it = 0
-    for it in range(1, max_iter + 1):
-        A, const = _policy_system(op, policy)
-        w, _ = _solve_linear(A, -const, lin_rtol, x0=w)
-        if not np.all(np.isfinite(w)):
-            raise AssertionError(
-                "singular frozen-policy system; diagonal dominance violated")
-        vals_all, vmin, new_policy = _stacked_values(op, w)
-        residual = float(np.max(np.abs(vmin)))
-        changes = int(np.count_nonzero(new_policy != policy))
-        improvement = _policy_improvement(vals_all, policy, vmin)
-        trace.append((it, residual, changes))
-        if prev_w is not None:
-            mono_violation = max(mono_violation, float(np.max(w - prev_w)))
-        prev_w = w.copy()
-        if residual <= tol and (changes == 0 or improvement <= 0.1 * tol):
-            converged = True
-            break
-        policy = new_policy
+    def solve(A, rhs, x0):
+        return _solve_linear(A, rhs, lin_rtol, x0=x0)[0], 0.0
 
+    w, _, policy, it, converged, trace, mono_violation = _howard(
+        op, solve, tol, max_iter, w0, policy0)
     vals, _ = apply_inf(op, w)
     return DiscountedSolution(
         w=w, policy=policy, residual_inf_norm=float(np.max(np.abs(vals))),
@@ -192,34 +200,18 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     opa = op.with_alpha(alpha)
     n = op.n_nodes
     i0 = op.grid.origin_index
-    policy = np.zeros(n, dtype=np.int64) if policy0 is None else policy0.copy()
-    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
-    m = 0.0
-    trace: list[tuple[int, float, int]] = []
-    converged = False
-
     e0 = sp.csr_matrix((np.ones(1), (np.zeros(1, dtype=int), np.array([i0]))),
                        shape=(1, n))
     ones_col = sp.csr_matrix((-np.ones(n), (np.arange(n), np.zeros(n, dtype=int))),
                              shape=(n, 1))
 
-    it = 0
-    for it in range(1, max_iter + 1):
-        A, const = _policy_system(opa, policy)
+    def solve(A, rhs, x0):
         aug = sp.bmat([[A, ones_col], [e0, None]], format="csc")
-        rhs = np.concatenate([-const, [0.0]])
-        sol = spla.spsolve(aug, rhs)
-        v, m = sol[:n], float(sol[n])
-        vals_all, vmin, new_policy = _stacked_values(opa, v)
-        residual = float(np.max(np.abs(vmin - m)))
-        changes = int(np.count_nonzero(new_policy != policy))
-        improvement = _policy_improvement(vals_all, policy, vmin)
-        trace.append((it, residual, changes))
-        if residual <= tol and (changes == 0 or improvement <= 0.1 * tol):
-            converged = True
-            break
-        policy = new_policy
+        sol = spla.spsolve(aug, np.concatenate([rhs, [0.0]]))
+        return sol[:n], float(sol[n])
 
+    v, m, policy, it, converged, trace, _ = _howard(
+        opa, solve, tol, max_iter, v0, policy0)
     v = v - v[i0]  # exact origin normalisation
     vals, _ = apply_inf(opa, v)
     return NormalizedSolution(

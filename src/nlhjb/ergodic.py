@@ -19,7 +19,7 @@ import numpy as np
 from .discounted import (DiscountedSolution, NormalizedSolution,
                          solve_normalized, solve_policy_iteration)
 from .grid import ExteriorRule, Grid, build_grid
-from .operators import DiscreteOperator, apply_inf, assemble
+from .operators import apply_inf, assemble
 from .problem import ControlProblem
 from .quadrature import build_quadrature
 
@@ -123,75 +123,70 @@ def _window_indices(grid: Grid, radius: float) -> np.ndarray:
     return np.flatnonzero(grid.radii() <= radius * (1 + 1e-12))
 
 
-class _OperatorCache:
-    """Assembled zero-exterior operators per radius, shared across levels."""
+def _quadrature(p: ControlProblem, domain: DomainConfig, grid: Grid):
+    """Jump quadrature on ``grid`` with the domain's far margin and
+    regularisation radius (s = 0.75 for problems without a jump kernel)."""
+    s = p.kernel.s if p.kernel is not None else 0.75
+    return build_quadrature(grid, s, grid.R + domain.r_far_margin, domain.reg_radius)
 
-    def __init__(self, p: ControlProblem, domain: DomainConfig):
-        self.p, self.domain = p, domain
-        self._store: dict[float, tuple[Grid, DiscreteOperator]] = {}
 
-    def get(self, R: float) -> tuple[Grid, DiscreteOperator]:
-        if R not in self._store:
-            d, hx = self.domain.d, self.domain.hx
-            grid = build_grid(d, hx, R)
-            s = self.p.kernel.s if self.p.kernel is not None else 0.75
-            need_offsets = self.p.kernel is not None or (
-                self.p.mixed is not None and self.p.mixed.levy_kernel is not None)
-            q = build_quadrature(grid, s, R + self.domain.r_far_margin,
-                                 self.domain.reg_radius) if need_offsets else None
-            op = assemble(self.p, grid, q, ExteriorRule.zero())
-            self._store[R] = (grid, op)
-        return self._store[R]
+def _operator(p: ControlProblem, domain: DomainConfig, R: float,
+              ext: ExteriorRule, alpha: float | None = None):
+    """Grid of radius R and the operator assembled on it."""
+    grid = build_grid(domain.d, domain.hx, R)
+    need_q = p.kernel is not None or (
+        p.mixed is not None and p.mixed.levy_kernel is not None)
+    q = _quadrature(p, domain, grid) if need_q else None
+    return grid, assemble(p, grid, q, ext, alpha=alpha)
+
+
+def _prolong(grid: Grid, prev_grid: Grid, values: np.ndarray,
+             policy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Warm start on ``grid``: the smaller ball's (values, policy), zero outside."""
+    idx = grid.node_index_of_lattice(prev_grid.lattice)
+    v0 = np.zeros(grid.n_nodes)
+    v0[idx] = values
+    policy0 = np.zeros(grid.n_nodes, dtype=np.int64)
+    policy0[idx] = policy
+    return v0, policy0
+
+
+def _inner_change(grid: Grid, values: np.ndarray, prev_grid: Grid,
+                  prev_values: np.ndarray, radius: float) -> float:
+    """Sup change on the inner window B_radius between consecutive radii."""
+    win = _window_indices(prev_grid, radius)
+    idx = grid.node_index_of_lattice(prev_grid.lattice[win])
+    return float(np.max(np.abs(values[idx] - prev_values[win])))
 
 
 def expand_domain(p: ControlProblem, alpha: float | None,
-                  schedule: tuple[float, ...], tol: float, *,
-                  d: int, hx: float, r_far_margin: float = 1.0,
+                  domain: DomainConfig, tol: float, *,
                   ext: ExteriorRule | None = None,
                   max_iter: int = 60) -> DiscountedSolution:
-    """Solve the Dirichlet problem on each radius of ``schedule`` in order.
+    """Solve the Dirichlet problem on each radius of ``domain.radii`` in order.
 
-    Stops once the restriction to the inner window B_{R0} (R0 = first radius
-    over four) moves by at most ``tol`` between consecutive radii; exhaustion
-    without stabilisation is flagged in the diagnostics, not raised.
+    Stops once the restriction to the inner window (``domain.window_radius``)
+    moves by at most ``tol`` between consecutive radii; exhaustion without
+    stabilisation is flagged in the diagnostics, not raised.
     """
-    domain = DomainConfig(d=d, hx=hx, radii=tuple(schedule), r_far_margin=r_far_margin)
     ext = ext if ext is not None else ExteriorRule.zero()
-    r0 = domain.window_radius
     trace: list[tuple[float, float]] = []
     prev = None   # (grid, solution) from the preceding radius
-    sol = None
     stabilized = False
     for R in domain.radii:
-        grid = build_grid(d, hx, R)
-        s = p.kernel.s if p.kernel is not None else 0.75
-        need_offsets = p.kernel is not None or (
-            p.mixed is not None and p.mixed.levy_kernel is not None)
-        q = build_quadrature(grid, s, R + r_far_margin) if need_offsets else None
-        op = assemble(p, grid, q, ext, alpha=alpha)
+        grid, op = _operator(p, domain, R, ext, alpha)
         w0 = policy0 = None
         if prev is not None:
-            pgrid, psol = prev
-            idx = grid.node_index_of_lattice(pgrid.lattice)
-            w0 = np.zeros(grid.n_nodes)
-            w0[idx] = psol.w
-            policy0 = np.zeros(grid.n_nodes, dtype=np.int64)
-            policy0[idx] = psol.policy
+            w0, policy0 = _prolong(grid, prev[0], prev[1].w, prev[1].policy)
         sol = solve_policy_iteration(op, tol, max_iter=max_iter,
                                      w0=w0, policy0=policy0)
-        if prev is not None:
-            pgrid, psol = prev
-            win_small = _window_indices(pgrid, r0)
-            idx = grid.node_index_of_lattice(pgrid.lattice[win_small])
-            change = float(np.max(np.abs(sol.w[idx] - psol.w[win_small])))
-            trace.append((R, change))
-            if change <= tol:
-                stabilized = True
-                prev = (grid, sol)
-                break
-        else:
-            trace.append((R, np.inf))
+        change = np.inf if prev is None else _inner_change(
+            grid, sol.w, prev[0], prev[1].w, domain.window_radius)
+        trace.append((R, change))
         prev = (grid, sol)
+        if change <= tol:
+            stabilized = True
+            break
     sol.diagnostics["radius_trace"] = trace
     sol.diagnostics["radius_stabilized"] = stabilized
     sol.diagnostics["grid"] = prev[0]
@@ -210,43 +205,32 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     An exhausted schedule returns the flagged trace for inspection.
     """
     inner_tol = solver_tol if solver_tol is not None else tol
-    cache = _OperatorCache(p, domain)
-    final_R = domain.radii[-1]
+    ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}
     warm: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     levels: list[AlphaLevel] = []
     prev_level: AlphaLevel | None = None
     converged = False
-    final_grid, _ = cache.get(final_R)
+    final_grid, _ = ops[domain.radii[-1]]
     win = _window_indices(final_grid, domain.window_radius)
 
     for alpha in schedule.alphas():
         rtrace: list[tuple[float, float]] = []
         sol: NormalizedSolution | None = None
-        prev_r: tuple[Grid, NormalizedSolution] | None = None
+        prev: tuple[Grid, NormalizedSolution] | None = None
         for R in domain.radii:
-            grid, op = cache.get(R)
+            grid, op = ops[R]
             if R in warm:
                 v0, policy0 = warm[R]
-            elif prev_r is not None:
-                pg, ps = prev_r
-                idx = grid.node_index_of_lattice(pg.lattice)
-                v0 = np.zeros(grid.n_nodes)
-                v0[idx] = ps.v
-                policy0 = np.zeros(grid.n_nodes, dtype=np.int64)
-                policy0[idx] = ps.policy
+            elif prev is not None:
+                v0, policy0 = _prolong(grid, prev[0], prev[1].v, prev[1].policy)
             else:
                 v0 = policy0 = None
             sol = solve_normalized(op, alpha, inner_tol, max_iter=max_iter,
                                    v0=v0, policy0=policy0)
             warm[R] = (sol.v.copy(), sol.policy.copy())
-            if prev_r is not None:
-                pg, ps = prev_r
-                win_small = _window_indices(pg, domain.window_radius)
-                idx = grid.node_index_of_lattice(pg.lattice[win_small])
-                rtrace.append((R, float(np.max(np.abs(sol.v[idx] - ps.v[win_small])))))
-            else:
-                rtrace.append((R, np.inf))
-            prev_r = (grid, sol)
+            rtrace.append((R, np.inf if prev is None else _inner_change(
+                grid, sol.v, prev[0], prev[1].v, domain.window_radius)))
+            prev = (grid, sol)
 
         alpha_norm = alpha * float(np.max(np.abs(sol.v[win])))
         if prev_level is not None:
@@ -370,13 +354,7 @@ def verify_ergodic_pair(sol: ErgodicSolution, p: ControlProblem,
                         probe_factor: float = 0.8) -> PairVerification:
     """Recompute ||apply_inf(u) - lambda*|| on the inner window and probe
     uniqueness by re-running from a perturbed alpha schedule."""
-    grid = sol.grid
-    s = p.kernel.s if p.kernel is not None else 0.75
-    need_offsets = p.kernel is not None or (
-        p.mixed is not None and p.mixed.levy_kernel is not None)
-    q = build_quadrature(grid, s, grid.R + domain.r_far_margin,
-                         domain.reg_radius) if need_offsets else None
-    op = assemble(p, grid, q, ExteriorRule.zero())
+    grid, op = _operator(p, domain, sol.grid.R, ExteriorRule.zero())
     vals, _ = apply_inf(op, sol.u)
     win = _window_indices(grid, domain.window_radius)
     residual = float(np.max(np.abs(vals[win] - sol.lambda_star)))

@@ -171,16 +171,9 @@ def fit_envelope(values: np.ndarray, lyap: LyapunovData,
         inner = r <= 0.5 * r.max()
         k0 = max(1e-12, float(values[inner].max()) if inner.any() else 1e-12)
         k1 = 0.0
-        gap = k0 - k1 * shape - values
-        violations = tuple(int(i) for i in np.flatnonzero(gap < -1e-12))
-        return LyapunovCertificate(
-            values=values, k0=k0, k1=k1,
-            envelope_exponent=lyap.envelope_exponent, violations=violations,
-            worst_margin=float(gap.min()), tail_mode=tail_mode,
-            grid_d=grid.d, grid_hx=grid.hx, grid_R=grid.R)
-
-    k1 = 0.5 * k1_raw
-    k0 = max(1e-12, float((values + k1 * shape).max()))
+    else:
+        k1 = 0.5 * k1_raw
+        k0 = max(1e-12, float((values + k1 * shape).max()))
     gap = k0 - k1 * shape - values
     violations = tuple(int(i) for i in np.flatnonzero(gap < -1e-12))
     return LyapunovCertificate(

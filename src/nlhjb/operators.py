@@ -85,11 +85,20 @@ def apply_control(op: DiscreteOperator, tau, u: np.ndarray) -> np.ndarray:
     return op.base[t] @ u + op.cvals[t] * u + op.gvals[t] + op.ext_const[t]
 
 
-def apply_inf(op: DiscreteOperator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise infimum over controls plus the argmin policy (lowest index wins)."""
+def _stacked_inf(op: DiscreteOperator, u: np.ndarray):
+    """Per-control values, their pointwise min and the argmin policy.
+
+    ``np.argmin`` returns the first minimum, so ties go to the lowest index.
+    """
     vals = np.stack([apply_control(op, t, u) for t in range(len(op.controls))])
     policy = np.argmin(vals, axis=0)
-    return vals[policy, np.arange(vals.shape[1])], policy
+    return vals, vals[policy, np.arange(vals.shape[1])], policy
+
+
+def apply_inf(op: DiscreteOperator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise infimum over controls plus the argmin policy (lowest index wins)."""
+    _, vmin, policy = _stacked_inf(op, u)
+    return vmin, policy
 
 
 # ---------------------------------------------------------------------------

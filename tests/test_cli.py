@@ -120,6 +120,32 @@ class TestRuns:
         assert report["mode"] == "discounted"
         assert report["residual_inf_norm"] <= 1e-9
 
+    def test_discounted_mode_honours_domain_keys(self, tmp_path):
+        from nlhjb import DomainConfig, expand_domain, power_drift_problem
+        raw = {
+            "mode": "discounted",
+            "problem": {"family": "power_drift", "gamma": 1.6, "theta": 0.1,
+                        "s": 0.9},
+            "grid": {"d": 1, "hx": 0.5, "radii": [8.0, 16.0],
+                     "reg_radius": 1.0, "inner_radius": 1.0},
+            "solver": {"tol": 1e-9},
+            "alpha": {"start": 0.25},
+        }
+        run(parse_config(raw), output_dir=str(tmp_path))
+        rows = (tmp_path / "solution.csv").read_text().strip().splitlines()[1:]
+        w = np.array([float(r.split(",")[1]) for r in rows])
+        report = json.loads((tmp_path / "report.json").read_text())
+        p = power_drift_problem(1.6, 0.1, 1, 0.9)
+        domain = DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0), reg_radius=1.0,
+                              inner_radius=1.0)
+        sol = expand_domain(p, 0.25, domain, 1e-9)
+        assert np.array_equal(w, sol.w)
+        assert [t["inner_change"] for t in report["radius_trace"]] == [
+            None if np.isinf(c) else c for _, c in sol.diagnostics["radius_trace"]]
+        default = expand_domain(p, 0.25, DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0)),
+                                1e-9)
+        assert np.max(np.abs(default.w - sol.w)) > 1e-6
+
     def test_convergence_study_constant_cost_all_zero(self, tmp_path):
         cfg = parse_config({
             "mode": "convergence-study",
@@ -184,6 +210,18 @@ class TestMainEntry:
         block = json.loads(capsys.readouterr().out)
         assert "theta" in block["error"]["message"]
 
+    def test_exit_one_on_failed_linear_solve(self, tmp_path, capsys, monkeypatch):
+        import scipy.sparse.linalg as spla
+        monkeypatch.setattr(spla, "spsolve",
+                            lambda A, b, *a, **kw: np.full(np.shape(b), np.nan))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(constant_ergodic_config()))
+        code = main([str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"]["kind"] == "ValueError"
+        assert "non-finite" in block["error"]["message"]
+
     def test_happy_path_verbose(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(constant_ergodic_config()))
@@ -232,15 +270,6 @@ class TestMoreRuns:
         assert code == 2
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["converged"] is False
-
-    def test_workers_recorded_in_meta(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(constant_ergodic_config()))
-        code = main([str(path), "--output-dir", str(tmp_path / "o"),
-                     "--workers", "4"])
-        assert code == 0
-        meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
-        assert meta["workers"] == 4
 
     def test_custom_kernel_expression(self, tmp_path):
         cfg = parse_config({

@@ -2,8 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlhjb as nl
+from nlhjb.discounted import _policy_system
 from nlhjb.operators import apply_control
 from nlhjb.oracles import build_dense_oracles, dense_fixed_point
 
@@ -105,6 +110,73 @@ class TestPolicyIteration:
         _, _, _, _, op = setup(seed=9)
         sol = nl.solve_policy_iteration(op, 1e-13, max_iter=1)
         assert isinstance(sol.converged, bool)
+
+
+_FROZEN_OPS: dict = {}
+
+
+def _frozen_operator(name):
+    """Small operators for the frozen-policy property test, built once."""
+    if name not in _FROZEN_OPS:
+        if name == "power_drift_1d":
+            p, g = nl.power_drift_problem(1.6, 0.1, 1, 0.9), nl.build_grid(1, 0.25, 4.0)
+            q = nl.build_quadrature(g, 0.9, 5.0)
+        elif name == "power_drift_2d":
+            p, g = nl.power_drift_problem(1.6, 0.1, 2, 0.9), nl.build_grid(2, 0.5, 3.0)
+            q = nl.build_quadrature(g, 0.9, 4.0)
+        elif name == "local_identity_2d":
+            p = nl.constant_cost_problem(1.0, 2, local_identity=True)
+            g, q = nl.build_grid(2, 0.5, 3.0), None
+        else:  # three controls with control-dependent zeroth terms
+            p, g = random_problem(15, n_controls=3, c_floor=0.2), nl.build_grid(1, 0.25, 4.0)
+            q = nl.build_quadrature(g, 0.75, 5.0)
+        _FROZEN_OPS[name] = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.3)
+    return _FROZEN_OPS[name]
+
+
+def _policy_system_reference(op, policy):
+    """Sum over controls of diags(1[policy == t]) @ (B_t + diag(c_t))."""
+    A = sp.csr_matrix((op.n_nodes, op.n_nodes))
+    const = np.zeros(op.n_nodes)
+    for t in range(len(op.controls)):
+        ind = (policy == t).astype(float)
+        A = A + sp.diags(ind) @ op.matrix(t)
+        const += ind * op.constant(t)
+    A = A.tocsr()
+    A.eliminate_zeros()
+    return A, const
+
+
+class TestFrozenPolicySystem:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["power_drift_1d", "power_drift_2d",
+                                 "local_identity_2d", "random_zeroth_1d"]),
+           data=st.data())
+    def test_row_gather_matches_reference(self, name, data):
+        op = _frozen_operator(name)
+        policy = np.array(data.draw(st.lists(
+            st.integers(0, len(op.controls) - 1),
+            min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+        A, const = _policy_system(op, policy)
+        ref, ref_const = _policy_system_reference(op, policy)
+        A, ref = A.sorted_indices(), ref.sorted_indices()
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.data, ref.data)
+        assert np.array_equal(const, ref_const)
+
+
+class TestFailedSolve:
+    def test_non_finite_solve_raises_on_both_paths(self, monkeypatch):
+        def nan_like(b):
+            return np.full(np.shape(b), np.nan)
+        monkeypatch.setattr(spla, "spsolve", lambda A, b, *a, **kw: nan_like(b))
+        monkeypatch.setattr(spla, "bicgstab", lambda A, b, *a, **kw: (nan_like(b), 0))
+        p, g, q, ext, op = setup(seed=14)
+        with pytest.raises(ValueError, match="non-finite"):
+            nl.solve_policy_iteration(op, 1e-10)
+        with pytest.raises(ValueError, match="non-finite"):
+            nl.solve_normalized(nl.assemble(p, g, q, ext), 0.25, 1e-10)
 
 
 class TestValueIterationFallback:

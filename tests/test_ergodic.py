@@ -13,7 +13,8 @@ SCHED = nl.AlphaSchedule(start=0.5, factor=0.5, max_levels=20)
 class TestExpandDomain:
     def test_zero_cost_stabilizes_immediately(self):
         p = nl.constant_cost_problem(0.0, 1)
-        sol = nl.expand_domain(p, 0.4, (4.0, 8.0, 12.0), 1e-10, d=1, hx=0.25)
+        sol = nl.expand_domain(
+            p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(4.0, 8.0, 12.0)), 1e-10)
         assert sol.diagnostics["radius_stabilized"]
         trace = sol.diagnostics["radius_trace"]
         assert len(trace) == 2 and trace[1][1] <= 1e-10
@@ -22,14 +23,15 @@ class TestExpandDomain:
     def test_constant_cost_matching_exterior_zero_change(self):
         kappa, alpha = 2.0, 0.25
         p = nl.constant_cost_problem(kappa, 1)
-        sol = nl.expand_domain(p, alpha, (4.0, 8.0), 1e-8, d=1, hx=0.25,
+        sol = nl.expand_domain(p, alpha, DOM1, 1e-8,
                                ext=nl.ExteriorRule.constant(kappa / alpha))
         assert sol.diagnostics["radius_stabilized"]
         np.testing.assert_allclose(sol.w, kappa / alpha, atol=1e-7)
 
     def test_power_drift_changes_decrease(self):
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
-        sol = nl.expand_domain(p, 0.25, (8.0, 16.0, 32.0), 1e-12, d=1, hx=0.5)
+        sol = nl.expand_domain(
+            p, 0.25, nl.DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0, 32.0)), 1e-12)
         trace = sol.diagnostics["radius_trace"]
         changes = [c for _, c in trace[1:]]
         assert len(changes) == 2
@@ -38,9 +40,9 @@ class TestExpandDomain:
     def test_schedule_validation(self):
         p = nl.constant_cost_problem(0.0, 1)
         with pytest.raises(ValueError):
-            nl.expand_domain(p, 0.4, (8.0, 4.0), 1e-8, d=1, hx=0.25)
+            nl.expand_domain(p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(8.0, 4.0)), 1e-8)
         with pytest.raises(ValueError):
-            nl.expand_domain(p, 0.4, (0.5,), 1e-8, d=1, hx=0.25)
+            nl.expand_domain(p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(0.5,)), 1e-8)
 
 
 class TestVanishingDiscount:
