@@ -3,9 +3,11 @@
 Reads a JSON run config, executes the requested mode and writes artifacts:
 ``report.json`` (deterministic summary), ``solution.csv`` (node coordinates
 plus the solved field), ``certificate.json`` in certify mode and
-``run_meta.json`` (wall-clock metadata, excluded from determinism checks).
-Exit status: 0 on success, 1 for validation/config failures, 2 when a solve
-ends flagged non-converged.
+``run_meta.json`` (wall-clock metadata and, in discounted mode, the count of
+frozen-policy solves per linear solver; excluded from determinism checks).
+Exit status: 0 on success, 1 for validation/config failures, monotonicity
+violations and stencils over the size cap, 2 when a solve ends flagged
+non-converged.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .ergodic import (_quadrature, check_bar_w_bound, check_lambda_bound,
                       expand_domain, vanishing_discount)
 from .grid import build_grid
 from .lyapunov import evaluate_lyapunov_drift, fit_envelope
+from .operators import MonotonicityError
 from .problem import validate_problem
 
 __all__ = ["main", "run", "convergence_study"]
@@ -95,7 +98,7 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> int:
     return 0 if sol.converged else 2
 
 
-def _run_discounted(cfg: RunConfig, outdir: Path) -> int:
+def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     prob = build_problem(cfg)
     domain = build_domain(cfg)
     alpha = cfg.alpha.start if prob.zeroth is None else None
@@ -128,7 +131,7 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> int:
         fh.write("iteration,residual,policy_changes\n")
         for it, res, changes in sol.trace:
             fh.write(f"{it},{repr(float(res))},{changes}\n")
-    return 0 if sol.converged else 2
+    return 0 if sol.converged else 2, sol.diagnostics["linear_solves"]
 
 
 def _run_certify(cfg: RunConfig, outdir: Path) -> int:
@@ -194,20 +197,19 @@ def run(cfg: RunConfig, output_dir: str | None = None) -> int:
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
+    meta = {"nlhjb_version": __version__}
     if cfg.mode == "ergodic":
         code = _run_ergodic(cfg, outdir)
     elif cfg.mode == "discounted":
-        code = _run_discounted(cfg, outdir)
+        code, meta["linear_solves"] = _run_discounted(cfg, outdir)
     elif cfg.mode == "certify":
         code = _run_certify(cfg, outdir)
     elif cfg.mode == "convergence-study":
         code = convergence_study(cfg, outdir)
     else:  # pragma: no cover - parse_config already rejects this
         raise ConfigError(f"unknown mode {cfg.mode!r}")
-    _write_json(outdir / "run_meta.json", {
-        "wall_seconds": time.time() - t0,
-        "nlhjb_version": __version__,
-    })
+    meta["wall_seconds"] = time.time() - t0
+    _write_json(outdir / "run_meta.json", meta)
     return code
 
 
@@ -225,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         raw = json.loads(Path(args.config).read_text())
         cfg = parse_config(raw)
         code = run(cfg, output_dir=args.output_dir)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, OSError, json.JSONDecodeError,
+            MemoryError, MonotonicityError) as exc:
         block = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(block, sort_keys=True))
         return 1

@@ -60,8 +60,39 @@ def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
     return float(np.max(cur - vmin))
 
 
+class _MatrixFreeSystem(spla.LinearOperator):
+    """Frozen-policy system of an operator with an FFT jump part.
+
+    Row i is control ``policy[i]``'s: its jump part scaled by k_{policy[i]},
+    plus the row-gathered drift stencil with c on the diagonal (``local``).
+    ``diagonal`` and ``tocsc`` make it a drop-in for the CSR system in
+    :func:`_solve_linear`; ``tocsc`` builds that system from ``op.csr()``.
+    """
+
+    def __init__(self, op: DiscreteOperator, policy: np.ndarray,
+                 local: sp.csr_matrix):
+        super().__init__(dtype=float, shape=local.shape)
+        self.op, self.policy, self.local = op, policy, local
+        self.scale = op.jump.scale[policy]
+
+    def _matvec(self, x):
+        x = np.ravel(x)
+        return self.scale * self.op.jump.conv(x) + self.local @ x
+
+    def diagonal(self) -> np.ndarray:
+        diags = np.stack([self.op.diagonal(t) for t in range(len(self.op.controls))])
+        return diags[self.policy, np.arange(self.shape[0])]
+
+    def tocsc(self) -> sp.csc_matrix:
+        return _policy_system(self.op.csr(), self.policy)[0].tocsc()
+
+
 def _policy_system(op: DiscreteOperator, policy: np.ndarray):
-    """Frozen-policy matrix and constant: row i of control ``policy[i]``."""
+    """Frozen-policy system and constant: row i of control ``policy[i]``.
+
+    The system is a CSR matrix, or a :class:`_MatrixFreeSystem` when the
+    operator applies its jump part by FFT.
+    """
     controls = range(len(op.controls))
     rows = [np.flatnonzero(policy == t) for t in controls]
     A = sp.vstack([m[r] for m, r in zip(op.base, rows)],
@@ -69,12 +100,18 @@ def _policy_system(op: DiscreteOperator, policy: np.ndarray):
     pick = (policy, np.arange(op.n_nodes))
     A.setdiag(A.diagonal() + np.stack(op.cvals)[pick])
     A.eliminate_zeros()
+    if op.jump is not None:
+        A = _MatrixFreeSystem(op, policy, A)
     return A, np.stack([op.constant(t) for t in controls])[pick]
 
 
-def _solve_linear(A: sp.csr_matrix, rhs: np.ndarray, rtol: float,
+def _solve_linear(A, rhs: np.ndarray, rtol: float,
                   x0: np.ndarray | None = None) -> tuple[np.ndarray, str]:
-    """Iterative solve (Jacobi-preconditioned BiCGStab) with sparse-LU fallback."""
+    """Iterative solve (Jacobi-preconditioned BiCGStab) with sparse-LU fallback.
+
+    ``A`` is a CSR matrix or a :class:`_MatrixFreeSystem`; returns the
+    solution and the solver that produced it, ``"bicgstab"`` or ``"splu"``.
+    """
     d = A.diagonal()
     if np.any(d == 0):
         return spla.spsolve(A.tocsc(), rhs), "splu"
@@ -137,6 +174,8 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
     Requires strict diagonal dominance (sup_tau c_tau <= -c_floor < 0); the
     frozen-policy systems are solved iteratively to relative residual tol/10.
     Non-convergence is a flagged result, never an exception.
+    ``diagnostics["linear_solves"]`` counts the frozen-policy solves by the
+    solver that produced them (``"bicgstab"``, or ``"splu"`` on fallback).
     """
     c_floor = op.c_floor()
     if not (c_floor > 0):
@@ -149,8 +188,12 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
         if len(common) == 1:
             alpha = common.pop()
 
+    solves = {"bicgstab": 0, "splu": 0}
+
     def solve(A, rhs, x0):
-        return _solve_linear(A, rhs, lin_rtol, x0=x0)[0], 0.0
+        x, tag = _solve_linear(A, rhs, lin_rtol, x0=x0)
+        solves[tag] += 1
+        return x, 0.0
 
     w, _, policy, it, converged, trace, mono_violation = _howard(
         op, solve, tol, max_iter, w0, policy0)
@@ -158,7 +201,8 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
     return DiscountedSolution(
         w=w, policy=policy, residual_inf_norm=float(np.max(np.abs(vals))),
         iterations=it, alpha=alpha, converged=converged, trace=trace,
-        diagnostics={"monotone_violation": mono_violation, "c_floor": c_floor},
+        diagnostics={"monotone_violation": mono_violation, "c_floor": c_floor,
+                     "linear_solves": solves},
     )
 
 
@@ -168,8 +212,8 @@ def solve_value_iteration(op: DiscreteOperator, tol: float,
     """Damped pointwise fixed point u <- u + eta * apply_inf(u); fallback path."""
     n = op.n_nodes
     u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    dmax = max(float(np.max(np.abs(m.diagonal() + c)))
-               for m, c in zip(op.base, op.cvals))
+    dmax = max(float(np.max(np.abs(op.diagonal(t))))
+               for t in range(len(op.controls)))
     eta = 1.0 / dmax
     residual = np.inf
     it = 0
@@ -195,9 +239,10 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
 
     Solves inf_tau(L_tau v + g_tau) - alpha v - m = 0 with v = 0 exterior and
     v(origin) = 0; m plays the role of alpha * w_alpha(origin) of the
-    unnormalised problem (w_alpha = v + m/alpha).
+    unnormalised problem (w_alpha = v + m/alpha).  The bordered system is
+    solved by sparse LU, so this runs on the explicit stencils ``op.csr()``.
     """
-    opa = op.with_alpha(alpha)
+    opa = op.csr().with_alpha(alpha)
     n = op.n_nodes
     i0 = op.grid.origin_index
     e0 = sp.csr_matrix((np.ones(1), (np.zeros(1, dtype=int), np.array([i0]))),

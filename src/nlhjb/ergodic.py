@@ -167,10 +167,12 @@ def expand_domain(p: ControlProblem, alpha: float | None,
 
     Stops once the restriction to the inner window (``domain.window_radius``)
     moves by at most ``tol`` between consecutive radii; exhaustion without
-    stabilisation is flagged in the diagnostics, not raised.
+    stabilisation is flagged in the diagnostics, not raised.  The returned
+    ``diagnostics["linear_solves"]`` sums the solver counts over all radii.
     """
     ext = ext if ext is not None else ExteriorRule.zero()
     trace: list[tuple[float, float]] = []
+    solves = {"bicgstab": 0, "splu": 0}
     prev = None   # (grid, solution) from the preceding radius
     stabilized = False
     for R in domain.radii:
@@ -180,6 +182,8 @@ def expand_domain(p: ControlProblem, alpha: float | None,
             w0, policy0 = _prolong(grid, prev[0], prev[1].w, prev[1].policy)
         sol = solve_policy_iteration(op, tol, max_iter=max_iter,
                                      w0=w0, policy0=policy0)
+        for tag, count in sol.diagnostics["linear_solves"].items():
+            solves[tag] += count
         change = np.inf if prev is None else _inner_change(
             grid, sol.w, prev[0], prev[1].w, domain.window_radius)
         trace.append((R, change))
@@ -188,6 +192,7 @@ def expand_domain(p: ControlProblem, alpha: float | None,
             stabilized = True
             break
     sol.diagnostics["radius_trace"] = trace
+    sol.diagnostics["linear_solves"] = solves
     sol.diagnostics["radius_stabilized"] = stabilized
     sol.diagnostics["grid"] = prev[0]
     return sol

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .problem import constant_kernel
+
 __all__ = ["compile_scalar_field", "compile_kernel_field"]
 
 _FUNCS = {
@@ -42,15 +44,17 @@ def _validate(tree: ast.AST, names: set[str]) -> None:
 
 
 def _compile(expr: str, names: set[str]):
+    """Code object for ``expr`` and the coordinate names it reads."""
     tree = ast.parse(expr, mode="eval")
     _validate(tree, names)
-    return compile(tree, "<field-expression>", "eval")
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} - set(_FUNCS)
+    return compile(tree, "<field-expression>", "eval"), used
 
 
 def compile_scalar_field(expr: str, d: int) -> Callable[[np.ndarray], np.ndarray]:
     """Compile an expression of x1[,x2],r into a vectorised field over (n,d) points."""
     names = {"x1", "r"} | ({"x2"} if d == 2 else set())
-    code = _compile(expr, names)
+    code, _ = _compile(expr, names)
 
     def field(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -64,9 +68,15 @@ def compile_scalar_field(expr: str, d: int) -> Callable[[np.ndarray], np.ndarray
 
 
 def compile_kernel_field(expr: str, d: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compile an expression of x1[,x2],y1[,y2],r,ry into a kernel k(x, y)."""
+    """Compile an expression of x1[,x2],y1[,y2],r,ry into a kernel k(x, y).
+
+    An expression that reads no coordinate is evaluated once and returned as
+    a tagged :func:`~nlhjb.problem.constant_kernel`.
+    """
     names = {"x1", "y1", "r", "ry"} | ({"x2", "y2"} if d == 2 else set())
-    code = _compile(expr, names)
+    code, used = _compile(expr, names)
+    if not used:
+        return constant_kernel(eval(code, {"__builtins__": {}}, dict(_FUNCS)))
 
     def kern(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

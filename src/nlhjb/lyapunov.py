@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
+from .operators import _LatticeConvolution
 from .problem import ControlProblem, LyapunovData
 from .quadrature import JumpQuadrature
 
@@ -58,32 +59,39 @@ class LyapunovCertificate:
 
 def _jump_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndarray:
     x = grid.nodes
-    y = q.half_offsets
     Vx = np.asarray(ly.V(x), dtype=float)
-    kv = np.asarray(kern(x[:, None, :], y[None, :, :]), dtype=float)
-    dlt = (np.asarray(ly.V(x[:, None, :] + y[None, :, :]), dtype=float)
-           + np.asarray(ly.V(x[:, None, :] - y[None, :, :]), dtype=float)
-           - 2.0 * Vx[:, None])
-    out = np.einsum("nm,nm->n", kv, q.pair_weights[None, :] * dlt)
-    for axis in range(grid.d):
-        e = np.zeros((1, grid.d))
-        e[0, axis] = grid.hx
-        ka = np.asarray(kern(x, e), dtype=float)
-        da = (np.asarray(ly.V(x + e), dtype=float)
-              + np.asarray(ly.V(x - e), dtype=float) - 2.0 * Vx)
-        out += q.axis_coeff * ka * da
+    k = getattr(kern, "constant_value", None)
+    if k is not None:
+        # x-independent kernel: the offset and axis sums are one lattice
+        # convolution of V sampled on the box the offsets reach
+        conv = _LatticeConvolution(grid, q)
+        hw = grid._halfwidth + conv.far
+        Vbox = np.asarray(ly.V(conv.box(hw) * grid.hx), dtype=float)
+        out = k * (conv.sums(Vbox.reshape((2 * hw + 1,) * grid.d))
+                   - conv.weights.sum() * Vx)
+    else:
+        y = q.half_offsets
+        kv = np.asarray(kern(x[:, None, :], y[None, :, :]), dtype=float)
+        dlt = (np.asarray(ly.V(x[:, None, :] + y[None, :, :]), dtype=float)
+               + np.asarray(ly.V(x[:, None, :] - y[None, :, :]), dtype=float)
+               - 2.0 * Vx[:, None])
+        out = np.einsum("nm,nm->n", kv, q.pair_weights[None, :] * dlt)
+        for axis in range(grid.d):
+            e = np.zeros((1, grid.d))
+            e[0, axis] = grid.hx
+            ka = np.asarray(kern(x, e), dtype=float)
+            da = (np.asarray(ly.V(x + e), dtype=float)
+                  + np.asarray(ly.V(x - e), dtype=float) - 2.0 * Vx)
+            out += q.axis_coeff * ka * da
     # beyond R_far: exact power tail when the growth exponent is known
+    probe = np.zeros((1, grid.d))
+    probe[0, 0] = q.tail_probe_radius
+    kt = np.asarray(kern(x, probe), dtype=float)
     if ly.gamma is not None:
         s, d = q.s, grid.d
-        probe = np.zeros((1, grid.d))
-        probe[0, 0] = q.tail_probe_radius
-        kt = np.asarray(kern(x, probe), dtype=float)
         grow = _SURFACE[d] * q.R_far ** (ly.gamma - 2 * s) / (2 * s - ly.gamma)
         out += kt * (2.0 * grow - 2.0 * Vx * q.tail_mass)
     else:
-        probe = np.zeros((1, grid.d))
-        probe[0, 0] = q.tail_probe_radius
-        kt = np.asarray(kern(x, probe), dtype=float)
         vp = np.asarray(ly.V(x + probe), dtype=float)
         vm = np.asarray(ly.V(x - probe), dtype=float)
         out += kt * q.tail_mass * (vp + vm - 2.0 * Vx)
@@ -106,12 +114,17 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
     Vx = np.asarray(ly.V(x), dtype=float)
     gV = np.asarray(ly.grad_V(x), dtype=float).reshape(grid.n_nodes, grid.d)
     out = np.full(grid.n_nodes, -np.inf)
+    jumps: dict = {}   # jump part per kernel, shared by controls with one kernel
     for t in range(p.n_controls):
         val = np.zeros(grid.n_nodes)
         if p.kernel is not None:
             if q is None:
                 raise ValueError("jump kernel present but no quadrature given")
-            val += _jump_on_V(ly, grid, q, p.kernel.kernel_for(t))
+            kern = p.kernel.kernel_for(t)
+            key = getattr(kern, "constant_value", kern)
+            if key not in jumps:
+                jumps[key] = _jump_on_V(ly, grid, q, kern)
+            val += jumps[key]
         b = np.asarray(p.drift[t](x), dtype=float).reshape(grid.n_nodes, grid.d)
         val += np.einsum("nd,nd->n", b, gV)
         if p.mixed is not None:

@@ -9,14 +9,22 @@ Per control, the assembled stencil realises
 
 with nonnegative off-diagonal weights.  Exterior targets are folded into the
 constant term through the :class:`~nlhjb.grid.ExteriorRule`.
+
+When every control's kernel is a tagged constant and there is no mixed or
+Lévy part, the jump stencil is the same at every node, a lattice
+convolution.  ``assemble`` then keeps only the sparse drift stencils and
+applies the jump part by FFT; the explicit CSR stencils, the oracle for that
+path, are built on demand by :meth:`DiscreteOperator.csr`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .grid import Grid, ExteriorRule
 from .problem import ControlProblem
@@ -33,6 +41,86 @@ class MonotonicityError(RuntimeError):
     """A negative off-diagonal weight survived assembly."""
 
 
+class _LatticeConvolution:
+    """The jump quadrature of a kernel k ≡ 1 as a convolution on the lattice.
+
+    The pair weight of each offset ±z and the axis correction on the nearest
+    neighbours ±e_i sit on a (2F+1)^d weight image, F the far radius in
+    lattice steps; ``diag`` is the node's own weight (offsets, axis
+    correction and the lumped tail mass).  Sums over all targets of all nodes
+    are one real FFT convolution with the image.
+    """
+
+    def __init__(self, grid: Grid, q: JumpQuadrature):
+        d = grid.d
+        F = int(np.abs(q.half_lattice).max())
+        W = np.zeros((2 * F + 1,) * d)
+        for sign in (1, -1):
+            W[tuple((sign * q.half_lattice + F).T)] = q.pair_weights
+            for axis in range(d):
+                W[tuple(F + sign * _axis_unit(d, axis))] += q.axis_coeff
+        self.grid, self.q, self.far, self.weights = grid, q, F, W
+        self.diag = -(W.sum() + 2.0 * q.tail_mass)
+        self._hat: dict[int, np.ndarray] = {}
+        K = grid._halfwidth
+        self._at_nodes = tuple((grid.lattice + K).T)
+
+    def box(self, halfwidth: int) -> np.ndarray:
+        """Lattice points of the box |z|_inf <= halfwidth, C order, (n, d)."""
+        r = np.arange(-halfwidth, halfwidth + 1)
+        return np.stack(np.meshgrid(*[r] * self.grid.d, indexing="ij"),
+                        axis=-1).reshape(-1, self.grid.d)
+
+    def sums(self, image: np.ndarray) -> np.ndarray:
+        """Σ_z W[z] f(x + z·hx) at every node, f given on a centred box.
+
+        ``image`` holds f on the box of half-width A >= K (the grid's) in
+        :meth:`box` order.  The FFT length L >= A + K + F + 1 keeps the
+        cyclic wrap-around off every node.
+        """
+        d, F, K = self.grid.d, self.far, self.grid._halfwidth
+        A = (image.shape[0] - 1) // 2
+        L = next_fast_len(max(A + K + F + 1, 2 * F + 1, 2 * A + 1), real=True)
+        hat = self._hat.get(L)
+        if hat is None:
+            wrapped = np.zeros((L,) * d)
+            idx = np.arange(-F, F + 1) % L
+            wrapped[np.ix_(*[idx] * d)] = self.weights
+            hat = self._hat[L] = rfftn(wrapped)
+        conv = irfftn(rfftn(image, s=(L,) * d) * hat, s=(L,) * d)
+        return conv[tuple((self.grid.lattice + A).T)]
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Jump part with k ≡ 1 and zero exterior data, applied to ``u``."""
+        K = self.grid._halfwidth
+        image = np.zeros((2 * K + 1,) * self.grid.d)
+        image[self._at_nodes] = u
+        return self.sums(image) + self.diag * u
+
+    def exterior(self, ext: ExteriorRule) -> np.ndarray:
+        """Constant term of the k ≡ 1 jump part from exterior data."""
+        grid, q = self.grid, self.q
+        hw = grid._halfwidth + self.far
+        z = self.box(hw)
+        outside = grid.node_index_of_lattice(z) < 0
+        image = np.zeros(z.shape[0])
+        image[outside] = ext(z[outside] * grid.hx)
+        const = self.sums(image.reshape((2 * hw + 1,) * grid.d))
+        for tail in _tail_ext(grid, q, ext):
+            const += (q.tail_mass / grid.d) * tail
+        return const
+
+
+@dataclass(eq=False)
+class _MatrixFreeJump:
+    """FFT jump part of an operator: per-control scale k_tau on one convolution."""
+
+    conv: _LatticeConvolution
+    scale: np.ndarray                 # k_tau per control
+    ext: ExteriorRule                 # exterior rule of the CSR oracle
+    stencils: tuple | None = None     # (base, ext_const) of the CSR oracle
+
+
 @dataclass(eq=False)
 class DiscreteOperator:
     grid: Grid
@@ -43,6 +131,7 @@ class DiscreteOperator:
     gvals: list[np.ndarray]          # running cost per control
     ext_const: list[np.ndarray]      # exterior-data contribution per control
     problem: ControlProblem | None = None
+    jump: _MatrixFreeJump | None = None   # set: base holds the drift part only
 
     @property
     def n_nodes(self) -> int:
@@ -56,9 +145,31 @@ class DiscreteOperator:
         except ValueError:
             raise KeyError(f"unknown control label {tau!r}") from None
 
+    def csr(self) -> "DiscreteOperator":
+        """The same operator with explicit CSR stencils (built once, cached).
+
+        Returns ``self`` when the stencils are already explicit.  This is
+        where the stencil-size cap applies.
+        """
+        if self.jump is None:
+            return self
+        if self.jump.stencils is None:
+            self.jump.stencils = _stencils(self.problem, self.grid, self.quadrature,
+                                           self.jump.ext, matrix_free=False)
+        base, ext_const = self.jump.stencils
+        return dataclasses.replace(self, base=base, ext_const=ext_const, jump=None)
+
     def matrix(self, tau) -> sp.csr_matrix:
         t = self.control_index(tau)
-        return (self.base[t] + sp.diags(self.cvals[t])).tocsr()
+        return (self.csr().base[t] + sp.diags(self.cvals[t])).tocsr()
+
+    def diagonal(self, tau) -> np.ndarray:
+        """Diagonal of ``matrix(tau)``, without building CSR stencils."""
+        t = self.control_index(tau)
+        diag = self.base[t].diagonal() + self.cvals[t]
+        if self.jump is not None:
+            diag = diag + self.jump.scale[t] * self.jump.conv.diag
+        return diag
 
     def constant(self, tau) -> np.ndarray:
         t = self.control_index(tau)
@@ -67,22 +178,28 @@ class DiscreteOperator:
     def with_alpha(self, alpha: float) -> "DiscreteOperator":
         """Same dynamics with the discounted zeroth term c ≡ -alpha."""
         n = self.grid.n_nodes
-        return DiscreteOperator(
-            grid=self.grid, quadrature=self.quadrature, controls=self.controls,
-            base=self.base,
-            cvals=[np.full(n, -float(alpha)) for _ in self.controls],
-            gvals=self.gvals, ext_const=self.ext_const, problem=self.problem)
+        return dataclasses.replace(
+            self, cvals=[np.full(n, -float(alpha)) for _ in self.controls])
 
     def c_floor(self) -> float:
         """Largest c_floor with sup_tau c_tau <= -c_floor on the grid."""
         return float(-max(cv.max() for cv in self.cvals))
 
 
+def _apply(op: DiscreteOperator, t: int, u: np.ndarray,
+           ju: np.ndarray | None) -> np.ndarray:
+    """apply_control given ``ju``, the FFT jump part with k ≡ 1 (or None)."""
+    out = op.base[t] @ u + op.cvals[t] * u + op.gvals[t] + op.ext_const[t]
+    if ju is not None:
+        out += op.jump.scale[t] * ju
+    return out
+
+
 def apply_control(op: DiscreteOperator, tau, u: np.ndarray) -> np.ndarray:
     """Evaluate (L_tau u + c_tau u + g_tau) at every node."""
     t = op.control_index(tau)
     u = np.asarray(u, dtype=float)
-    return op.base[t] @ u + op.cvals[t] * u + op.gvals[t] + op.ext_const[t]
+    return _apply(op, t, u, None if op.jump is None else op.jump.conv(u))
 
 
 def _stacked_inf(op: DiscreteOperator, u: np.ndarray):
@@ -90,7 +207,9 @@ def _stacked_inf(op: DiscreteOperator, u: np.ndarray):
 
     ``np.argmin`` returns the first minimum, so ties go to the lowest index.
     """
-    vals = np.stack([apply_control(op, t, u) for t in range(len(op.controls))])
+    u = np.asarray(u, dtype=float)
+    ju = None if op.jump is None else op.jump.conv(u)   # shared by all controls
+    vals = np.stack([_apply(op, t, u, ju) for t in range(len(op.controls))])
     policy = np.argmin(vals, axis=0)
     return vals, vals[policy, np.arange(vals.shape[1])], policy
 
@@ -118,7 +237,6 @@ class _Workspace:
         self.grid, self.q, self.ext = grid, q, ext
         self.ax_idx_p, self.ax_idx_m = [], []
         self.ax_ext_p, self.ax_ext_m = [], []
-        self.tail_ext = []
         for axis in range(grid.d):
             e = _axis_unit(grid.d, axis)
             ip = grid.node_index_of_lattice(grid.lattice + e)
@@ -136,10 +254,7 @@ class _Workspace:
         self.idx_m = grid.node_index_of_lattice(z - q.half_lattice[None, :, :])
         self.extv_p = self._exterior_values(self.idx_p, +1.0)
         self.extv_m = self._exterior_values(self.idx_m, -1.0)
-        for axis in range(grid.d):
-            e = _axis_unit(grid.d, axis)
-            probe = q.tail_probe_radius * e.astype(float)
-            self.tail_ext.append(ext(grid.nodes + probe) + ext(grid.nodes - probe))
+        self.tail_ext = _tail_ext(grid, q, ext)
 
     def _exterior_values(self, idx: np.ndarray, sign: float) -> np.ndarray:
         mask = idx < 0
@@ -156,6 +271,15 @@ class _Workspace:
         if np.any(mask):
             out[mask] = self.ext(self.grid.nodes[mask] + e * self.grid.hx)
         return out
+
+
+def _tail_ext(grid: Grid, q: JumpQuadrature, ext: ExteriorRule) -> list[np.ndarray]:
+    """Exterior data at the two tail probes of each axis, summed per node."""
+    out = []
+    for axis in range(grid.d):
+        probe = q.tail_probe_radius * _axis_unit(grid.d, axis).astype(float)
+        out.append(ext(grid.nodes + probe) + ext(grid.nodes - probe))
+    return out
 
 
 class _StencilBuilder:
@@ -309,25 +433,28 @@ def _check_monotone(m: sp.csr_matrix, grid: Grid, label: str) -> None:
             f"at node {tuple(grid.nodes[i])}, offset {tuple(offset)}")
 
 
-def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
-             ext: ExteriorRule, alpha: float | None = None) -> DiscreteOperator:
-    """Assemble the per-control monotone stencils of L_tau + c_tau.
+def _constant_kernels(p: ControlProblem) -> np.ndarray | None:
+    """Per-control kernel constants when the FFT jump applies, else None."""
+    if p.kernel is None or p.mixed is not None:
+        return None
+    vals = [getattr(p.kernel.kernel_for(t), "constant_value", None)
+            for t in range(p.n_controls)]
+    return None if None in vals else np.array(vals, dtype=float)
 
-    ``alpha`` installs the discounted zeroth term c ≡ -alpha when the problem
-    does not carry its own; monotonicity violations raise with the offending
-    node, control and offset.  ``q`` may be ``None`` only for problems without
-    a jump kernel or Lévy part.
+
+def _stencils(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
+              ext: ExteriorRule, matrix_free: bool):
+    """Per-control CSR stencils (no zeroth term) and exterior constants.
+
+    With ``matrix_free`` the jump part is left out, so no per-offset index
+    maps are built.
     """
-    needs_q = p.kernel is not None or (
-        p.mixed is not None and p.mixed.levy_kernel is not None)
-    if needs_q and q is None:
-        raise ValueError("problem has jump terms but no quadrature was given")
-    ws = _Workspace(grid, q, ext)
+    ws = _Workspace(grid, None if matrix_free else q, ext)
     n = grid.n_nodes
-    base, cvals, gvals, ext_consts = [], [], [], []
+    base, consts = [], []
     for t, label in enumerate(p.controls):
         bld = _StencilBuilder(n)
-        if p.kernel is not None:
+        if p.kernel is not None and not matrix_free:
             _assemble_jump(bld, ws, p.kernel.kernel_for(t))
         b = np.asarray(p.drift[t](grid.nodes), dtype=float).reshape(n, grid.d)
         if p.mixed is not None:
@@ -340,6 +467,40 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
         m = bld.matrix()
         _check_monotone(m, grid, label)
         base.append(m)
+        consts.append(bld.const.copy())
+    return base, consts
+
+
+def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
+             ext: ExteriorRule, alpha: float | None = None) -> DiscreteOperator:
+    """Assemble the per-control monotone stencils of L_tau + c_tau.
+
+    ``alpha`` installs the discounted zeroth term c ≡ -alpha when the problem
+    does not carry its own; monotonicity violations raise with the offending
+    node, control and offset.  ``q`` may be ``None`` only for problems without
+    a jump kernel or Lévy part.  Constant kernels without mixed parts give an
+    operator with an FFT jump part (see the module docstring).
+    """
+    needs_q = p.kernel is not None or (
+        p.mixed is not None and p.mixed.levy_kernel is not None)
+    if needs_q and q is None:
+        raise ValueError("problem has jump terms but no quadrature was given")
+    kvals = _constant_kernels(p)
+    base, ext_consts = _stencils(p, grid, q, ext, matrix_free=kvals is not None)
+    jump = None
+    if kvals is not None:
+        conv = _LatticeConvolution(grid, q)
+        outside = conv.exterior(ext)
+        for t, label in enumerate(p.controls):
+            kw = kvals[t] * conv.weights
+            if kw.min() < -1e-12 * max(1.0, float(np.abs(kw).max())):
+                raise MonotonicityError(
+                    f"negative jump weight {kw.min():.3e} for control {label}")
+            ext_consts[t] = ext_consts[t] + kvals[t] * outside
+        jump = _MatrixFreeJump(conv=conv, scale=kvals, ext=ext)
+    n = grid.n_nodes
+    cvals, gvals = [], []
+    for t in range(p.n_controls):
         if p.zeroth is not None:
             cvals.append(np.asarray(p.zeroth[t](grid.nodes), dtype=float))
         elif alpha is not None:
@@ -347,10 +508,9 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
         else:
             cvals.append(np.zeros(n))
         gvals.append(np.asarray(p.cost[t](grid.nodes), dtype=float))
-        ext_consts.append(bld.const.copy())
     return DiscreteOperator(grid=grid, quadrature=q, controls=p.controls,
                             base=base, cvals=cvals, gvals=gvals,
-                            ext_const=ext_consts, problem=p)
+                            ext_const=ext_consts, problem=p, jump=jump)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +587,7 @@ def dump_stencils(op: DiscreteOperator, max_nodes: int = 64) -> dict:
     grid = op.grid
     if grid.n_nodes > max_nodes:
         raise ValueError(f"stencil dump capped at {max_nodes} nodes")
+    op = op.csr()
     out = {"d": grid.d, "hx": grid.hx, "R": grid.R,
            "controls": list(op.controls), "stencils": []}
     for t, label in enumerate(op.controls):

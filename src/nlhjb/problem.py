@@ -28,12 +28,18 @@ KernelField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def constant_kernel(value: float) -> KernelField:
+    """Kernel factor k(x, y) ≡ value, tagged with ``constant_value``.
+
+    The tag lets assembly and the Lyapunov certificate apply the jump part as
+    a lattice convolution instead of evaluating the kernel per (node, offset).
+    """
     v = float(value)
 
     def k(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         shape = np.broadcast_shapes(np.asarray(x).shape[:-1], np.asarray(y).shape[:-1])
         return np.full(shape, v)
 
+    k.constant_value = v
     return k
 
 

@@ -18,6 +18,28 @@ def constant_ergodic_config(kappa=1.0, outdir="out"):
     }
 
 
+def custom_discounted_config(kernels, hx=0.5, radii=(2.0, 3.0)):
+    """2-d custom discounted config, one control per kernel expression."""
+    drifts = (["-x1", "-x2"], ["-2*x1", "-0.5*x2"], ["-x1", "-2*x2"])
+    costs = ("exp(-r*r)", "0.5*exp(-x1*x1)", "0.3")
+    return {
+        "mode": "discounted",
+        "problem": {
+            "family": "custom", "s": 0.75, "lambda_ell": 0.9, "Lambda_ell": 1.1,
+            "controls": [{"drift": drifts[i], "cost": costs[i], "kernel": k}
+                         for i, k in enumerate(kernels)],
+        },
+        "grid": {"d": 2, "hx": hx, "radii": list(radii)},
+        "solver": {"tol": 1e-11},
+        "alpha": {"start": 0.5},
+    }
+
+
+def read_solution(outdir):
+    rows = (outdir / "solution.csv").read_text().strip().splitlines()[1:]
+    return np.array([[float(v) for v in r.split(",")] for r in rows])
+
+
 def certify_config(drift_sign=-1.0, outdir="out"):
     return {
         "mode": "certify",
@@ -187,6 +209,29 @@ class TestRuns:
         report = json.loads((tmp_path / "report.json").read_text())
         assert "wall_seconds" not in report
 
+    def test_discounted_linear_solver_counts_in_run_meta(self, tmp_path):
+        cfg = parse_config(custom_discounted_config(["0.5", "0.4"]))
+        assert run(cfg, output_dir=str(tmp_path)) == 0
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert meta["linear_solves"]["splu"] == 0
+        assert meta["linear_solves"]["bicgstab"] >= 2
+        assert "linear_solves" not in report
+
+    def test_constant_kernel_expression_matches_csr_path(self, tmp_path):
+        # "0.5" compiles to a tagged constant kernel (FFT jump part);
+        # "0.5+0*x1" reads x1 and so keeps the assembled CSR stencils
+        from nlhjb.expressions import compile_kernel_field
+        assert compile_kernel_field("0.5", 2).constant_value == 0.5
+        assert not hasattr(compile_kernel_field("0.5+0*x1", 2), "constant_value")
+        for name, kernel in (("fast", "0.5"), ("csr", "0.5+0*x1")):
+            cfg = parse_config(custom_discounted_config([kernel, kernel]))
+            assert run(cfg, output_dir=str(tmp_path / name)) == 0
+        fast, csr = read_solution(tmp_path / "fast"), read_solution(tmp_path / "csr")
+        assert np.array_equal(fast[:, :2], csr[:, :2])
+        assert np.max(np.abs(fast[:, 2] - csr[:, 2])) <= 1e-10 * max(
+            1.0, np.max(np.abs(csr[:, 2])))
+
 
 class TestMainEntry:
     def test_exit_one_names_unknown_key(self, tmp_path, capsys):
@@ -221,6 +266,27 @@ class TestMainEntry:
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "ValueError"
         assert "non-finite" in block["error"]["message"]
+
+    def test_exit_one_when_stencils_exceed_the_cap(self, tmp_path, capsys):
+        # x-dependent kernel: assembly needs the explicit stencils, which the
+        # N*M cap refuses at this size
+        cfg = custom_discounted_config(["0.5+0.04*cos(x1)*cos(x2)"],
+                                       hx=0.1, radii=(8.0,))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"]["kind"] == "MemoryError"
+
+    @pytest.mark.parametrize("kernel", ["-0.5", "-0.5+0*x1"])
+    def test_exit_one_on_monotonicity_violation(self, tmp_path, capsys, kernel):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(custom_discounted_config([kernel])))
+        code = main([str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"]["kind"] == "MonotonicityError"
 
     def test_happy_path_verbose(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

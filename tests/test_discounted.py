@@ -157,7 +157,7 @@ class TestFrozenPolicySystem:
         policy = np.array(data.draw(st.lists(
             st.integers(0, len(op.controls) - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
-        A, const = _policy_system(op, policy)
+        A, const = _policy_system(op.csr(), policy)
         ref, ref_const = _policy_system_reference(op, policy)
         A, ref = A.sorted_indices(), ref.sorted_indices()
         assert np.array_equal(A.indptr, ref.indptr)

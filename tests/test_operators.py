@@ -143,11 +143,28 @@ class TestAssembledInvariants:
         np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
     def test_memory_guard(self):
-        p = random_problem(1, vary_kernel=False)
+        p = random_problem(1, vary_kernel=True)
         g = nl.build_grid(1, 2.0**-7, 30.0)
         q = nl.build_quadrature(g, 0.75, 64.0)
         with pytest.raises(MemoryError):
             nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+
+    def test_constant_kernel_beyond_stencil_cap_builds_and_applies(self):
+        # same size as the memory guard: the FFT jump part needs no stencils,
+        # and only the explicit CSR oracle hits the cap
+        p = random_problem(1, vary_kernel=False)
+        g = nl.build_grid(1, 2.0**-7, 30.0)
+        q = nl.build_quadrature(g, 0.75, 64.0)
+        assert g.n_nodes * q.n_offsets > 3e7
+        op = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+        ones = np.ones(g.n_nodes)
+        vals = apply_control(op, 0, ones)
+        assert np.all(np.isfinite(vals))
+        # constants lose only the exterior mass, which is positive
+        extmass = op.cvals[0] + op.gvals[0] + op.ext_const[0] - vals
+        assert np.all(extmass > 0)
+        with pytest.raises(MemoryError):
+            op.csr()
 
 
 class TestApply:
