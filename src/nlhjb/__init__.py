@@ -9,8 +9,8 @@ from .discounted import (BarrierReport, DiscountedSolution, NormalizedSolution,
                          check_barrier, solve_normalized,
                          solve_policy_iteration, solve_value_iteration)
 from .ergodic import (AlphaSchedule, DomainConfig, ErgodicSolution,
-                      check_bar_w_bound, check_lambda_bound, expand_domain,
-                      normalize_at_origin, vanishing_discount,
+                      check_bar_w_bound, check_lambda_bound, convergence_study,
+                      expand_domain, normalize_at_origin, vanishing_discount,
                       verify_ergodic_pair)
 from .grid import ExteriorRule, Grid, build_grid, evaluate_extended
 from .lyapunov import (LyapunovCertificate, evaluate_lyapunov_drift,
@@ -38,7 +38,8 @@ __all__ = [
     "solve_policy_iteration", "solve_value_iteration", "solve_normalized",
     "check_barrier",
     "DomainConfig", "AlphaSchedule", "ErgodicSolution", "expand_domain",
-    "vanishing_discount", "normalize_at_origin", "check_bar_w_bound",
+    "vanishing_discount", "convergence_study", "normalize_at_origin",
+    "check_bar_w_bound",
     "check_lambda_bound", "verify_ergodic_pair",
     "LyapunovCertificate", "evaluate_lyapunov_drift", "fit_envelope",
     "with_certificate",

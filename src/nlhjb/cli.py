@@ -25,13 +25,13 @@ from .config import (ConfigError, RunConfig, build_alpha_schedule, build_domain,
                      build_problem, parse_config)
 from .discounted import check_barrier
 from .ergodic import (_quadrature, check_bar_w_bound, check_lambda_bound,
-                      expand_domain, vanishing_discount)
+                      convergence_study, expand_domain, vanishing_discount)
 from .grid import build_grid
 from .lyapunov import evaluate_lyapunov_drift, fit_envelope
 from .operators import MonotonicityError
 from .problem import validate_problem
 
-__all__ = ["main", "run", "convergence_study"]
+__all__ = ["main", "run"]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -154,42 +154,13 @@ def _run_certify(cfg: RunConfig, outdir: Path) -> int:
     return 0 if cert.ok else 2
 
 
-def convergence_study(cfg: RunConfig, outdir: Path) -> int:
-    """Ergodic solve at hx, hx/2, hx/4 with pairwise inner-window differences.
-
-    No extrapolation and no rate claims; deltas are recorded as observed.
-    """
-    import dataclasses
-
-    prob = build_problem(cfg)
-    schedule = build_alpha_schedule(cfg)
-    sols = []
-    for k in range(3):
-        g = dataclasses.replace(cfg.grid, hx=cfg.grid.hx / 2**k)
-        domain = build_domain(dataclasses.replace(cfg, grid=g))
-        sols.append(vanishing_discount(prob, domain, schedule, cfg.alpha.tol,
-                                       solver_tol=cfg.solver.tol,
-                                       max_iter=cfg.solver.max_policy_iters))
-    lam = [float(s.lambda_star) for s in sols]
-    coarse = sols[0].grid
-    win = np.flatnonzero(coarse.radii() <= build_domain(cfg).window_radius * (1 + 1e-12))
-    diffs = []
-    for a, b in ((0, 1), (1, 2)):
-        ga, gb = sols[a].grid, sols[b].grid
-        pts = coarse.nodes[win]
-        ia = ga.node_index_of_lattice(np.rint(pts / ga.hx).astype(np.int64))
-        ib = gb.node_index_of_lattice(np.rint(pts / gb.hx).astype(np.int64))
-        diffs.append(float(np.max(np.abs(sols[a].u[ia] - sols[b].u[ib]))))
-    report = {
-        "mode": "convergence-study",
-        "hx": [cfg.grid.hx / 2**k for k in range(3)],
-        "lambda_star": lam,
-        "lambda_deltas": [abs(lam[0] - lam[1]), abs(lam[1] - lam[2])],
-        "window_sup_diffs": diffs,
-        "converged": [bool(s.converged) for s in sols],
-    }
-    _write_json(outdir / "report.json", report)
-    return 0 if all(s.converged for s in sols) else 2
+def _run_convergence_study(cfg: RunConfig, outdir: Path) -> int:
+    report = convergence_study(build_problem(cfg), build_domain(cfg),
+                               build_alpha_schedule(cfg), cfg.alpha.tol,
+                               solver_tol=cfg.solver.tol,
+                               max_iter=cfg.solver.max_policy_iters)
+    _write_json(outdir / "report.json", {"mode": "convergence-study", **report})
+    return 0 if all(report["converged"]) else 2
 
 
 def run(cfg: RunConfig, output_dir: str | None = None) -> int:
@@ -205,7 +176,7 @@ def run(cfg: RunConfig, output_dir: str | None = None) -> int:
     elif cfg.mode == "certify":
         code = _run_certify(cfg, outdir)
     elif cfg.mode == "convergence-study":
-        code = convergence_study(cfg, outdir)
+        code = _run_convergence_study(cfg, outdir)
     else:  # pragma: no cover - parse_config already rejects this
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     meta["wall_seconds"] = time.time() - t0

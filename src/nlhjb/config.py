@@ -1,12 +1,15 @@
 """Run configuration: strict parsing of the JSON config tree.
 
-Unknown keys are rejected with the offending key named; every section is a
-plain dataclass so defaults live in one place.
+Every section is a plain dataclass, so defaults live in one place.  The
+problem section has one dataclass per family, picked by ``problem.family``.
+A key that the chosen family or mode never reads is rejected with the key
+named, and so is a key that another given key would override.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,18 +37,76 @@ class ControlFieldConfig:
 
 
 @dataclass(frozen=True)
-class ProblemConfig:
-    family: str
-    s: float | None = None
-    gamma: float | None = None
-    theta: float | None = None
-    kappa: float | None = None
+class PowerDriftConfig:
+    family: ClassVar[str] = "power_drift"
+    gamma: float
+    theta: float
+    s: float
     drift_sign: float = -1.0
+    cost_shift: float = 0.0
+
+    def build(self, d: int) -> ControlProblem:
+        return power_drift_problem(self.gamma, self.theta, d, self.s,
+                                   drift_sign=self.drift_sign)
+
+
+@dataclass(frozen=True)
+class ConstantCostConfig:
+    family: ClassVar[str] = "constant_cost"
+    kappa: float
+    s: float = 0.75
     local_identity: bool = False
+    cost_shift: float = 0.0
+
+    def build(self, d: int) -> ControlProblem:
+        return constant_cost_problem(self.kappa, d, self.s,
+                                     local_identity=self.local_identity)
+
+
+@dataclass(frozen=True)
+class CustomConfig:
+    family: ClassVar[str] = "custom"
+    s: float
+    controls: tuple[ControlFieldConfig, ...]
     lambda_ell: float = 1.0
     Lambda_ell: float = 1.0
-    controls: tuple[ControlFieldConfig, ...] = ()
     cost_shift: float = 0.0
+
+    def build(self, d: int) -> ControlProblem:
+        drifts, costs, zeroths, kernels = [], [], [], []
+        any_zeroth = any(c.zeroth is not None for c in self.controls)
+        for c in self.controls:
+            if len(c.drift) != d:
+                raise ConfigError(f"drift needs {d} component expressions")
+            comps = [compile_scalar_field(e, d) for e in c.drift]
+
+            def make_b(comps=comps):
+                def b(x):
+                    x = np.asarray(x, dtype=float)
+                    return np.stack([f(x) for f in comps], axis=-1)
+                return b
+
+            drifts.append(make_b())
+            costs.append(compile_scalar_field(c.cost, d))
+            if any_zeroth:
+                if c.zeroth is None:
+                    raise ConfigError("either all controls carry zeroth or none")
+                zeroths.append(compile_scalar_field(c.zeroth, d))
+            if c.kernel is not None:
+                kernels.append(compile_kernel_field(c.kernel, d))
+            else:
+                kernels.append(constant_kernel(2.0 - 2.0 * self.s))
+        kspec = KernelSpec(s=self.s, lambda_ell=self.lambda_ell,
+                           Lambda_ell=self.Lambda_ell, k=tuple(kernels))
+        return ControlProblem(
+            controls=tuple(f"tau{i}" for i in range(len(self.controls))),
+            kernel=kspec,
+            drift=tuple(drifts), cost=tuple(costs),
+            zeroth=tuple(zeroths) if any_zeroth else None)
+
+
+_FAMILIES = {cls.family: cls
+             for cls in (PowerDriftConfig, ConstantCostConfig, CustomConfig)}
 
 
 @dataclass(frozen=True)
@@ -76,7 +137,7 @@ class AlphaConfig:
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
-    problem: ProblemConfig
+    problem: PowerDriftConfig | ConstantCostConfig | CustomConfig
     grid: GridConfig
     solver: SolverConfig = field(default_factory=SolverConfig)
     alpha: AlphaConfig = field(default_factory=AlphaConfig)
@@ -84,40 +145,62 @@ class RunConfig:
 
 
 _SECTION_TYPES = {
-    "problem": ProblemConfig,
     "grid": GridConfig,
     "solver": SolverConfig,
     "alpha": AlphaConfig,
 }
 
 
-def _coerce(cls, raw: dict, path: str):
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+# Keys a mode never reads, per section; giving one is an error.
+_UNREAD_IN_MODE = {
+    "certify": {"solver": _names(SolverConfig), "alpha": _names(AlphaConfig),
+                "grid": ("inner_radius",)},
+    "discounted": {"alpha": ("factor", "max_levels", "values", "tol")},
+}
+
+
+def _coerce(cls, raw: dict, where: str):
     if not isinstance(raw, dict):
-        raise ConfigError(f"section '{path}' must be a mapping")
-    names = {f.name for f in cls.__dataclass_fields__.values()}
+        raise ConfigError(f"{where} must be a mapping")
+    names = _names(cls)
     for key in raw:
         if key not in names:
-            raise ConfigError(f"unknown key '{key}' in section '{path}'")
+            raise ConfigError(f"unknown key '{key}' in {where} "
+                              f"(it takes {', '.join(names)})")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key '{f.name}' in {where}")
     kwargs = {}
     for key, val in raw.items():
         if key == "controls":
-            val = tuple(_coerce(ControlFieldConfig, c, f"{path}.controls[{i}]")
+            val = tuple(_coerce(ControlFieldConfig, c, f"section 'problem.controls[{i}]'")
                         for i, c in enumerate(val))
-        elif key == "drift" and isinstance(val, list):
-            val = tuple(val)
         elif isinstance(val, list):
             val = tuple(val)
         kwargs[key] = val
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"section '{path}': {exc}") from None
+    return cls(**kwargs)
+
+
+def _coerce_problem(raw: dict):
+    if not isinstance(raw, dict):
+        raise ConfigError("section 'problem' must be a mapping")
+    family = raw.get("family")
+    if family not in _FAMILIES:
+        raise ConfigError(f"problem.family must be one of {tuple(_FAMILIES)}, "
+                          f"got {family!r}")
+    keys = {k: v for k, v in raw.items() if k != "family"}
+    return _coerce(_FAMILIES[family], keys,
+                   f"section 'problem' of family '{family}'")
 
 
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    known = {"mode", "output_dir"} | set(_SECTION_TYPES)
+    known = {"mode", "output_dir", "problem"} | set(_SECTION_TYPES)
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown key '{key}' at config root")
@@ -127,11 +210,36 @@ def parse_config(raw: dict) -> RunConfig:
     for required in ("problem", "grid"):
         if required not in raw:
             raise ConfigError(f"missing required section '{required}'")
-    sections = {name: _coerce(cls, raw.get(name, {}), name)
+    sections = {name: _coerce(cls, raw.get(name, {}), f"section '{name}'")
                 for name, cls in _SECTION_TYPES.items()}
-    cfg = RunConfig(mode=mode, output_dir=raw.get("output_dir", "out"), **sections)
+    cfg = RunConfig(mode=mode, output_dir=raw.get("output_dir", "out"),
+                    problem=_coerce_problem(raw["problem"]), **sections)
+    _check_given_keys(raw, cfg)
     _validate(cfg)
     return cfg
+
+
+def _check_given_keys(raw: dict, cfg: RunConfig) -> None:
+    """Reject keys, as given in ``raw``, that the run would not read."""
+    for section, unread in _UNREAD_IN_MODE.get(cfg.mode, {}).items():
+        for key in raw.get(section, {}):
+            if key in unread:
+                raise ConfigError(f"key '{section}.{key}' is not read in mode "
+                                  f"'{cfg.mode}'")
+    alpha = raw.get("alpha", {})
+    if "values" in alpha:
+        for key in ("start", "factor", "max_levels"):
+            if key in alpha:
+                raise ConfigError(f"key 'alpha.{key}' is not read when "
+                                  "'alpha.values' lists the levels")
+    p = cfg.problem
+    if isinstance(p, ConstantCostConfig) and p.local_identity and "s" in raw["problem"]:
+        raise ConfigError("key 'problem.s' is not read with 'local_identity': "
+                          "true, which drops the jump part")
+    if (cfg.mode == "discounted" and "start" in alpha and isinstance(p, CustomConfig)
+            and any(c.zeroth is not None for c in p.controls)):
+        raise ConfigError("key 'alpha.start' is not read when the controls carry "
+                          "'zeroth', which sets the discount")
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -146,33 +254,16 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("grid.radii[0] must be at least 4*hx")
     if cfg.solver.tol <= 0:
         raise ConfigError("solver.tol must be positive")
-    p = cfg.problem
-    if p.family not in ("power_drift", "constant_cost", "custom"):
-        raise ConfigError(f"unknown problem family '{p.family}'")
-    if p.family == "power_drift" and (p.gamma is None or p.theta is None or p.s is None):
-        raise ConfigError("power_drift needs gamma, theta and s")
-    if p.family == "constant_cost" and p.kappa is None:
-        raise ConfigError("constant_cost needs kappa")
-    if p.family == "custom" and not p.controls:
-        raise ConfigError("custom family needs a controls list")
-    if p.family == "custom" and p.s is None and not p.local_identity:
-        raise ConfigError("custom family needs s (or local_identity)")
+    if isinstance(cfg.problem, CustomConfig) and not cfg.problem.controls:
+        raise ConfigError("problem.controls must be a non-empty list")
 
 
 def build_problem(cfg: RunConfig) -> ControlProblem:
-    p, d = cfg.problem, cfg.grid.d
-    if p.family == "power_drift":
-        prob = power_drift_problem(p.gamma, p.theta, d, p.s, drift_sign=p.drift_sign)
-    elif p.family == "constant_cost":
-        prob = constant_cost_problem(p.kappa, d, p.s if p.s is not None else 0.75,
-                                     local_identity=p.local_identity)
-    else:
-        prob = _build_custom(p, d)
+    p = cfg.problem
+    prob = p.build(cfg.grid.d)
     if p.cost_shift != 0.0:
         shift = float(p.cost_shift)
-        costs = tuple(_shifted(g, shift) for g in prob.cost)
-        import dataclasses
-        prob = dataclasses.replace(prob, cost=costs)
+        prob = replace(prob, cost=tuple(_shifted(g, shift) for g in prob.cost))
     return prob
 
 
@@ -180,39 +271,6 @@ def _shifted(g, shift: float):
     def gg(x):
         return np.asarray(g(x), dtype=float) + shift
     return gg
-
-
-def _build_custom(p: ProblemConfig, d: int) -> ControlProblem:
-    drifts, costs, zeroths, kernels = [], [], [], []
-    any_zeroth = any(c.zeroth is not None for c in p.controls)
-    for c in p.controls:
-        if len(c.drift) != d:
-            raise ConfigError(f"drift needs {d} component expressions")
-        comps = [compile_scalar_field(e, d) for e in c.drift]
-
-        def make_b(comps=comps):
-            def b(x):
-                x = np.asarray(x, dtype=float)
-                return np.stack([f(x) for f in comps], axis=-1)
-            return b
-
-        drifts.append(make_b())
-        costs.append(compile_scalar_field(c.cost, d))
-        if any_zeroth:
-            if c.zeroth is None:
-                raise ConfigError("either all controls carry zeroth or none")
-            zeroths.append(compile_scalar_field(c.zeroth, d))
-        if c.kernel is not None:
-            kernels.append(compile_kernel_field(c.kernel, d))
-        else:
-            kernels.append(constant_kernel(2.0 - 2.0 * p.s))
-    kspec = KernelSpec(s=p.s, lambda_ell=p.lambda_ell, Lambda_ell=p.Lambda_ell,
-                      k=tuple(kernels))
-    return ControlProblem(
-        controls=tuple(f"tau{i}" for i in range(len(p.controls))),
-        kernel=kspec,
-        drift=tuple(drifts), cost=tuple(costs),
-        zeroth=tuple(zeroths) if any_zeroth else None)
 
 
 def build_domain(cfg: RunConfig) -> DomainConfig:

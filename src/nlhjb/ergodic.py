@@ -12,7 +12,7 @@ not stabilise are recorded, not forced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +25,9 @@ from .quadrature import build_quadrature
 
 __all__ = [
     "DomainConfig", "AlphaSchedule", "AlphaLevel", "ErgodicSolution",
-    "expand_domain", "vanishing_discount", "normalize_at_origin",
-    "check_bar_w_bound", "check_lambda_bound", "verify_ergodic_pair",
+    "expand_domain", "vanishing_discount", "convergence_study",
+    "normalize_at_origin", "check_bar_w_bound", "check_lambda_bound",
+    "verify_ergodic_pair",
 ]
 
 
@@ -258,6 +259,39 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
         u=u, lambda_star=levels[-1].lam, grid=final_grid, alpha_trace=levels,
         growth_report=_growth_report(u, final_grid, p),
         converged=converged, tol=tol, domain=domain)
+
+
+def convergence_study(p: ControlProblem, domain: DomainConfig,
+                      schedule: AlphaSchedule, tol: float, *,
+                      solver_tol: float | None = None,
+                      max_iter: int = 60) -> dict:
+    """Ergodic solve at hx, hx/2, hx/4 with pairwise inner-window differences.
+
+    Returns the spacings, lambda* per spacing, the two consecutive lambda*
+    deltas, the sup differences on the coarse grid's inner window and the
+    convergence flags.  No extrapolation and no rate claims; deltas are
+    recorded as observed.
+    """
+    hx = [domain.hx / 2**k for k in range(3)]
+    sols = [vanishing_discount(p, replace(domain, hx=h), schedule, tol,
+                               solver_tol=solver_tol, max_iter=max_iter)
+            for h in hx]
+    lam = [float(s.lambda_star) for s in sols]
+    coarse = sols[0].grid
+    pts = coarse.nodes[_window_indices(coarse, domain.window_radius)]
+    diffs = []
+    for a, b in ((0, 1), (1, 2)):
+        ga, gb = sols[a].grid, sols[b].grid
+        ia = ga.node_index_of_lattice(np.rint(pts / ga.hx).astype(np.int64))
+        ib = gb.node_index_of_lattice(np.rint(pts / gb.hx).astype(np.int64))
+        diffs.append(float(np.max(np.abs(sols[a].u[ia] - sols[b].u[ib]))))
+    return {
+        "hx": hx,
+        "lambda_star": lam,
+        "lambda_deltas": [abs(lam[0] - lam[1]), abs(lam[1] - lam[2])],
+        "window_sup_diffs": diffs,
+        "converged": [bool(s.converged) for s in sols],
+    }
 
 
 def _growth_report(u: np.ndarray, grid: Grid, p: ControlProblem) -> dict:

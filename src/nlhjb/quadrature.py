@@ -61,9 +61,6 @@ class JumpQuadrature:
     def n_offsets(self) -> int:
         return self.half_offsets.shape[0]
 
-    def offset_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.half_offsets, axis=1)
-
 
 def _half_lattice(d: int, kmax: int) -> np.ndarray:
     """Lattice vectors z with z > 0 lexicographically (one per ± pair)."""

@@ -1,4 +1,7 @@
+import copy
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +53,77 @@ def certify_config(drift_sign=-1.0, outdir="out"):
     }
 
 
+def zeroth_discounted_config():
+    return {
+        "mode": "discounted",
+        "problem": {
+            "family": "custom", "s": 0.75,
+            "lambda_ell": 0.9, "Lambda_ell": 1.1,
+            "controls": [
+                {"drift": ["-x1"], "cost": "exp(-x1*x1)",
+                 "zeroth": "-0.5 - 0.1*cos(x1)"},
+                {"drift": ["-2*x1"], "cost": "0.5*exp(-x1*x1)",
+                 "zeroth": "-0.5"},
+            ],
+        },
+        "grid": {"d": 1, "hx": 0.25, "radii": [4.0]},
+        "solver": {"tol": 1e-9},
+    }
+
+
+def with_problem(problem):
+    cfg = constant_ergodic_config()
+    cfg["problem"] = problem
+    return cfg
+
+
+FAMILY_BASES = {
+    "power_drift": {"family": "power_drift", "gamma": 1.6, "theta": 0.1, "s": 0.9},
+    "constant_cost": {"family": "constant_cost", "kappa": 1.0},
+    "custom": {"family": "custom", "s": 0.75,
+               "controls": [{"drift": ["-x1"], "cost": "1.0"}]},
+}
+# A value for every problem key; each family is given those it never reads.
+PROBLEM_VALUES = {"gamma": 1.6, "theta": 0.1, "kappa": 1.0, "drift_sign": 1.0,
+                  "local_identity": True, "lambda_ell": 0.5, "Lambda_ell": 2.0,
+                  "controls": [{"drift": ["-x1"], "cost": "1.0"}]}
+UNREAD_PROBLEM_KEYS = {
+    "power_drift": ("kappa", "local_identity", "lambda_ell", "Lambda_ell", "controls"),
+    "constant_cost": ("gamma", "theta", "drift_sign", "lambda_ell", "Lambda_ell",
+                      "controls"),
+    "custom": ("gamma", "theta", "kappa", "drift_sign", "local_identity"),
+}
+SECTION_VALUES = {"solver": {"tol": 1e-9, "max_policy_iters": 30},
+                  "alpha": {"start": 0.25, "factor": 0.5, "max_levels": 4,
+                            "values": [0.5, 0.25], "tol": 1e-6},
+                  "grid": {"inner_radius": 1.0}}
+MODE_BASES = {"certify": certify_config(),
+              "discounted": dict(custom_discounted_config(["0.5"], radii=(2.0,)),
+                                 alpha={})}
+UNREAD_MODE_KEYS = {
+    "certify": (("solver", "tol"), ("solver", "max_policy_iters"),
+                ("alpha", "start"), ("alpha", "factor"), ("alpha", "max_levels"),
+                ("alpha", "values"), ("alpha", "tol"), ("grid", "inner_radius")),
+    "discounted": (("alpha", "factor"), ("alpha", "max_levels"),
+                   ("alpha", "values"), ("alpha", "tol")),
+}
+VALUES_BASE = dict(constant_ergodic_config(), alpha={"values": [0.5, 0.25], "tol": 1e-10})
+# (id, accepted base config, section, key, value, key name in the error)
+REJECTED = (
+    [("grid.meshiness", constant_ergodic_config(), "grid", "meshiness", 3, "meshiness")]
+    + [(f"{f}-{k}", with_problem(FAMILY_BASES[f]), "problem", k, PROBLEM_VALUES[k], k)
+       for f, keys in UNREAD_PROBLEM_KEYS.items() for k in keys]
+    + [(f"{m}-{sec}.{k}", MODE_BASES[m], sec, k, SECTION_VALUES[sec][k], f"{sec}.{k}")
+       for m, keys in UNREAD_MODE_KEYS.items() for sec, k in keys]
+    + [(f"alpha.values-with-{k}", VALUES_BASE, "alpha", k, SECTION_VALUES["alpha"][k],
+        f"alpha.{k}") for k in ("start", "factor", "max_levels")]
+    + [("local_identity-with-s",
+        with_problem({"family": "constant_cost", "kappa": 1.0, "local_identity": True}),
+        "problem", "s", 0.75, "problem.s"),
+       ("zeroth-with-alpha.start", zeroth_discounted_config(), "alpha", "start", 0.5,
+        "alpha.start")])
+
+
 class TestParsing:
     def test_unknown_root_key(self):
         cfg = constant_ergodic_config()
@@ -57,11 +131,29 @@ class TestParsing:
         with pytest.raises(ConfigError, match="surprise"):
             parse_config(cfg)
 
-    def test_unknown_section_key(self):
-        cfg = constant_ergodic_config()
-        cfg["grid"]["meshiness"] = 3
-        with pytest.raises(ConfigError, match="meshiness"):
-            parse_config(cfg)
+    @pytest.mark.parametrize("base,section,key,value,name",
+                             [case[1:] for case in REJECTED],
+                             ids=[case[0] for case in REJECTED])
+    def test_unknown_section_key(self, tmp_path, capsys, base, section, key,
+                                 value, name):
+        parse_config(base)
+        raw = copy.deepcopy(base)
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"'{name}'")):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"]["kind"] == "ConfigError"
+        assert f"'{name}'" in block["error"]["message"]
+
+    def test_readme_configs_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) >= 2
+        for block in blocks:
+            parse_config(json.loads(block))
 
     def test_bad_mode(self):
         cfg = constant_ergodic_config()
@@ -183,21 +275,7 @@ class TestRuns:
         assert report["window_sup_diffs"] == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_custom_family_with_expressions(self, tmp_path):
-        cfg = parse_config({
-            "mode": "discounted",
-            "problem": {
-                "family": "custom", "s": 0.75,
-                "lambda_ell": 0.9, "Lambda_ell": 1.1,
-                "controls": [
-                    {"drift": ["-x1"], "cost": "exp(-x1*x1)",
-                     "zeroth": "-0.5 - 0.1*cos(x1)"},
-                    {"drift": ["-2*x1"], "cost": "0.5*exp(-x1*x1)",
-                     "zeroth": "-0.5"},
-                ],
-            },
-            "grid": {"d": 1, "hx": 0.25, "radii": [4.0]},
-            "solver": {"tol": 1e-9},
-        })
+        cfg = parse_config(zeroth_discounted_config())
         code = run(cfg, output_dir=str(tmp_path))
         assert code == 0
 
@@ -244,6 +322,19 @@ class TestMainEntry:
         out = capsys.readouterr().out
         block = json.loads(out)
         assert "turbo" in block["error"]["message"]
+
+    def test_custom_without_s_but_local_identity_exits_one(self, tmp_path, capsys):
+        # custom problems have no local_identity; without s this config
+        # used to end in a TypeError traceback
+        raw = constant_ergodic_config()
+        raw["problem"] = {"family": "custom", "local_identity": True,
+                          "controls": [{"drift": ["-x1"], "cost": "1.0"}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"]["kind"] == "ConfigError"
+        assert "'local_identity'" in block["error"]["message"]
 
     def test_exit_one_on_family_constraint_violation(self, tmp_path, capsys):
         cfg = certify_config()

@@ -162,6 +162,23 @@ class TestSolves:
         assert s2.converged
         assert np.max(np.abs(s1.w - s2.w)) <= 1e-8
 
+    def test_policy_iteration_does_not_stall_on_large_exterior_data(self):
+        # Exterior constants near 20: a BiCGStab stop relative to max|rhs|
+        # left the Howard residual at 1.9e-9 > tol with no policy change, and
+        # the loop re-solved the same system until max_iter on both paths.
+        s = 0.5625
+        p = constant_kernel_problem(2, 1, s, [k * (2 - 2 * s) for k in (0.6, 0.9, 1.3)])
+        g = nl.build_grid(1, 0.125, 0.75)
+        q = nl.build_quadrature(g, s, 2.25)
+        op = nl.assemble(p, g, q, exterior_rule("function", 2, 1), alpha=0.4)
+        assert float(np.max(np.abs(op.ext_const))) > 10.0
+        for o in (op, op.csr()):
+            sol = nl.solve_policy_iteration(o, 1e-9)
+            assert sol.converged
+            assert sol.iterations <= 5
+            assert sol.residual_inf_norm <= 1e-9
+            assert sol.diagnostics["linear_solves"]["splu"] == 0
+
     def test_bicgstab_failure_falls_back_to_splu_on_csr(self, monkeypatch):
         p = constant_kernel_problem(7, 2, 0.8, [0.3, 0.5])
         g = nl.build_grid(2, 0.5, 2.5)
