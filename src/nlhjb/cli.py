@@ -88,7 +88,7 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> int:
         ],
         "radius_trace": [
             {"R": R, "inner_change": None if np.isinf(c) else c}
-            for R, c in sol.alpha_trace[-1].radius_trace
+            for R, c in sol.radius_trace
         ],
         "growth_report": sol.growth_report,
         "invariants": invariants,
@@ -104,7 +104,8 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     alpha = cfg.alpha.start if prob.zeroth is None else None
     sol = expand_domain(prob, alpha, domain, cfg.solver.tol,
                         max_iter=cfg.solver.max_policy_iters)
-    grid = sol.diagnostics["grid"]
+    op = sol.diagnostics["operator"]
+    grid = op.grid
     report = {
         "mode": "discounted",
         "alpha": alpha,
@@ -119,8 +120,8 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         "sup_norm": float(np.max(np.abs(sol.w))),
     }
     if prob.lyapunov is not None:
-        q = _quadrature(prob, domain, grid)
-        cert = fit_envelope(evaluate_lyapunov_drift(prob, grid, q), prob.lyapunov, grid)
+        cert = fit_envelope(evaluate_lyapunov_drift(prob, grid, op.quadrature),
+                            prob.lyapunov, grid)
         if cert.ok:
             br = check_barrier(sol, prob, grid, k0=cert.k0)
             report["barrier"] = {"ok": br.ok, "n_violations": br.n_violations,

@@ -3,13 +3,15 @@
 Every section is a plain dataclass, so defaults live in one place.  The
 problem section has one dataclass per family, picked by ``problem.family``.
 A key that the chosen family or mode never reads is rejected with the key
-named, and so is a key that another given key would override.
+named, and so is a key that another given key would override or a value of
+the wrong JSON type.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import ClassVar
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -163,6 +165,33 @@ _UNREAD_IN_MODE = {
 }
 
 
+_KINDS = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
+          float: ("a number", "numbers"), str: ("a string", "strings")}
+
+
+def _kind(tp, plural: bool = False) -> str:
+    """The JSON type a field annotation accepts, in words."""
+    args = get_args(tp)
+    if type(None) in args:
+        return _kind(args[0]) + " or null"
+    if get_origin(tp) is tuple:
+        return "a list of " + _kind(args[0], plural=True)
+    return _KINDS.get(tp, ("a mapping", "mappings"))[plural]
+
+
+def _fits(tp, val) -> bool:
+    """Whether a JSON value fits a field annotation; booleans are not numbers."""
+    args = get_args(tp)
+    if type(None) in args:
+        return val is None or _fits(args[0], val)
+    if get_origin(tp) is tuple:
+        return isinstance(val, (list, tuple)) and all(_fits(args[0], v) for v in val)
+    if tp in (int, float):
+        number = numbers.Integral if tp is int else numbers.Real
+        return isinstance(val, number) and not isinstance(val, bool)
+    return isinstance(val, tp if tp in _KINDS else dict)
+
+
 def _coerce(cls, raw: dict, where: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a mapping")
@@ -174,8 +203,12 @@ def _coerce(cls, raw: dict, where: str):
     for f in fields(cls):
         if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing key '{f.name}' in {where}")
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, val in raw.items():
+        if not _fits(hints[key], val):
+            raise ConfigError(f"key '{key}' in {where} must be {_kind(hints[key])}, "
+                              f"got {val!r}")
         if key == "controls":
             val = tuple(_coerce(ControlFieldConfig, c, f"section 'problem.controls[{i}]'")
                         for i, c in enumerate(val))
@@ -210,6 +243,8 @@ def parse_config(raw: dict) -> RunConfig:
     for required in ("problem", "grid"):
         if required not in raw:
             raise ConfigError(f"missing required section '{required}'")
+    if not isinstance(raw.get("output_dir", ""), str):
+        raise ConfigError(f"key 'output_dir' must be a string, got {raw['output_dir']!r}")
     sections = {name: _coerce(cls, raw.get(name, {}), f"section '{name}'")
                 for name, cls in _SECTION_TYPES.items()}
     cfg = RunConfig(mode=mode, output_dir=raw.get("output_dir", "out"),
@@ -240,6 +275,12 @@ def _check_given_keys(raw: dict, cfg: RunConfig) -> None:
             and any(c.zeroth is not None for c in p.controls)):
         raise ConfigError("key 'alpha.start' is not read when the controls carry "
                           "'zeroth', which sets the discount")
+    if cfg.mode in ("ergodic", "convergence-study") and isinstance(p, CustomConfig):
+        for i, c in enumerate(p.controls):
+            if c.zeroth is not None:
+                raise ConfigError(f"key 'problem.controls[{i}].zeroth' is not read in "
+                                  f"mode '{cfg.mode}', where the discount sets the "
+                                  "zeroth-order term")
 
 
 def _validate(cfg: RunConfig) -> None:

@@ -1,13 +1,14 @@
-"""Two-limit ergodic driver: domain expansion inside each discount level,
-then vanishing discount across levels.
+"""Two-limit ergodic driver: vanishing discount on the largest ball, then
+one radius ladder at the last discount.
 
-Each level solves the origin-normalised pair (v, m) on a growing sequence of
-truncated balls (zero exterior for v); the trace of m plays the role of
-lambda_alpha = alpha * w_alpha(origin).  The alpha loop terminates when the
-lambda trace and the normalised potentials are Cauchy on the inner window and
-alpha * ||v|| has dropped below tolerance, so the returned pair satisfies the
-ergodic equation on the window to the same tolerance.  Radius traces that do
-not stabilise are recorded, not forced.
+Each alpha level solves the origin-normalised pair (v, m) on the largest
+truncated ball (zero exterior for v), warm-started from the previous level;
+m plays the role of lambda_alpha = alpha * w_alpha(origin).  The alpha loop
+terminates when the lambda trace and the normalised potentials are Cauchy on
+the inner window and alpha * ||v|| has dropped below tolerance, so the
+returned pair satisfies the ergodic equation on the window to the same
+tolerance.  The radius trace, from the smaller balls solved once at the last
+alpha, is recorded and not forced to stabilise.
 """
 
 from __future__ import annotations
@@ -94,12 +95,10 @@ class AlphaLevel:
     alpha: float
     lam: float
     wbar: np.ndarray
-    policy: np.ndarray
     lam_change: float
     wbar_change: float
     alpha_norm: float
     residual: float
-    radius_trace: list[tuple[float, float]]
 
 
 @dataclass(eq=False)
@@ -108,10 +107,9 @@ class ErgodicSolution:
     lambda_star: float
     grid: Grid
     alpha_trace: list[AlphaLevel]
+    radius_trace: list[tuple[float, float]]
     growth_report: dict
     converged: bool
-    tol: float
-    domain: DomainConfig
 
 
 def normalize_at_origin(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -168,8 +166,9 @@ def expand_domain(p: ControlProblem, alpha: float | None,
 
     Stops once the restriction to the inner window (``domain.window_radius``)
     moves by at most ``tol`` between consecutive radii; exhaustion without
-    stabilisation is flagged in the diagnostics, not raised.  The returned
-    ``diagnostics["linear_solves"]`` sums the solver counts over all radii.
+    stabilisation is flagged in the diagnostics, not raised.  There,
+    ``"linear_solves"`` sums the solver counts over all radii and
+    ``"operator"`` is the operator on the last radius solved.
     """
     ext = ext if ext is not None else ExteriorRule.zero()
     trace: list[tuple[float, float]] = []
@@ -178,9 +177,8 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     stabilized = False
     for R in domain.radii:
         grid, op = _operator(p, domain, R, ext, alpha)
-        w0 = policy0 = None
-        if prev is not None:
-            w0, policy0 = _prolong(grid, prev[0], prev[1].w, prev[1].policy)
+        w0, policy0 = (None, None) if prev is None else _prolong(
+            grid, prev[0], prev[1].w, prev[1].policy)
         sol = solve_policy_iteration(op, tol, max_iter=max_iter,
                                      w0=w0, policy0=policy0)
         for tag, count in sol.diagnostics["linear_solves"].items():
@@ -195,7 +193,7 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     sol.diagnostics["radius_trace"] = trace
     sol.diagnostics["linear_solves"] = solves
     sol.diagnostics["radius_stabilized"] = stabilized
-    sol.diagnostics["grid"] = prev[0]
+    sol.diagnostics["operator"] = op
     return sol
 
 
@@ -205,60 +203,61 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
                        max_iter: int = 60) -> ErgodicSolution:
     """Vanishing-discount sweep producing the ergodic pair (u, lambda*).
 
-    Terminates when consecutive levels satisfy |Δlambda| <= tol,
-    ||Δ w_bar|| <= tol on the inner window, and alpha * ||w_bar|| <= tol on
-    the window (so the pair solves the ergodic equation there at tolerance).
-    An exhausted schedule returns the flagged trace for inspection.
+    Each alpha level is one normalised solve on the largest radius, warm-
+    started from the previous level (the first starts cold).  Terminates when
+    consecutive levels satisfy |Δlambda| <= tol, ||Δ w_bar|| <= tol on the
+    inner window, and alpha * ||w_bar|| <= tol on the window (so the pair
+    solves the ergodic equation there at tolerance).  An exhausted schedule
+    returns the flagged trace for inspection.  ``radius_trace`` comes from one
+    ladder at the last alpha: the smaller radii in order, each warm-started
+    from the ball below, topped by the sweep's last solve.
     """
     inner_tol = solver_tol if solver_tol is not None else tol
     ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}
-    warm: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    levels: list[AlphaLevel] = []
-    prev_level: AlphaLevel | None = None
-    converged = False
-    final_grid, _ = ops[domain.radii[-1]]
+    final_grid, final_op = ops[domain.radii[-1]]
     win = _window_indices(final_grid, domain.window_radius)
+    levels: list[AlphaLevel] = []
+    sol: NormalizedSolution | None = None
+    converged = False
 
     for alpha in schedule.alphas():
-        rtrace: list[tuple[float, float]] = []
-        sol: NormalizedSolution | None = None
-        prev: tuple[Grid, NormalizedSolution] | None = None
-        for R in domain.radii:
-            grid, op = ops[R]
-            if R in warm:
-                v0, policy0 = warm[R]
-            elif prev is not None:
-                v0, policy0 = _prolong(grid, prev[0], prev[1].v, prev[1].policy)
-            else:
-                v0 = policy0 = None
-            sol = solve_normalized(op, alpha, inner_tol, max_iter=max_iter,
-                                   v0=v0, policy0=policy0)
-            warm[R] = (sol.v.copy(), sol.policy.copy())
-            rtrace.append((R, np.inf if prev is None else _inner_change(
-                grid, sol.v, prev[0], prev[1].v, domain.window_radius)))
-            prev = (grid, sol)
-
+        prev = sol
+        v0, policy0 = (None, None) if prev is None else (prev.v, prev.policy)
+        sol = solve_normalized(final_op, alpha, inner_tol, max_iter=max_iter,
+                               v0=v0, policy0=policy0)
         alpha_norm = alpha * float(np.max(np.abs(sol.v[win])))
-        if prev_level is not None:
-            lam_change = abs(sol.m - prev_level.lam)
-            wbar_change = float(np.max(np.abs(sol.v[win] - prev_level.wbar[win])))
+        if prev is not None:
+            lam_change = abs(sol.m - prev.m)
+            wbar_change = float(np.max(np.abs(sol.v[win] - prev.v[win])))
         else:
             lam_change = wbar_change = np.inf
-        level = AlphaLevel(alpha=alpha, lam=sol.m, wbar=sol.v.copy(),
-                           policy=sol.policy.copy(), lam_change=lam_change,
-                           wbar_change=wbar_change, alpha_norm=alpha_norm,
-                           residual=sol.residual_inf_norm, radius_trace=rtrace)
-        levels.append(level)
-        prev_level = level
+        levels.append(AlphaLevel(alpha=alpha, lam=sol.m, wbar=sol.v,
+                                 lam_change=lam_change, wbar_change=wbar_change,
+                                 alpha_norm=alpha_norm,
+                                 residual=sol.residual_inf_norm))
         if lam_change <= tol and wbar_change <= tol and alpha_norm <= tol:
             converged = True
             break
 
-    u = normalize_at_origin(levels[-1].wbar, final_grid)
+    trace: list[tuple[float, float]] = []
+    below: tuple[Grid, NormalizedSolution] | None = None
+    for R in domain.radii:
+        grid, op = ops[R]
+        rung = sol
+        if R != domain.radii[-1]:
+            v0, policy0 = (None, None) if below is None else _prolong(
+                grid, below[0], below[1].v, below[1].policy)
+            rung = solve_normalized(op, sol.alpha, inner_tol, max_iter=max_iter,
+                                    v0=v0, policy0=policy0)
+        trace.append((R, np.inf if below is None else _inner_change(
+            grid, rung.v, below[0], below[1].v, domain.window_radius)))
+        below = (grid, rung)
+
+    u = normalize_at_origin(sol.v, final_grid)
     return ErgodicSolution(
-        u=u, lambda_star=levels[-1].lam, grid=final_grid, alpha_trace=levels,
-        growth_report=_growth_report(u, final_grid, p),
-        converged=converged, tol=tol, domain=domain)
+        u=u, lambda_star=sol.m, grid=final_grid, alpha_trace=levels,
+        radius_trace=trace, growth_report=_growth_report(u, final_grid, p),
+        converged=converged)
 
 
 def convergence_study(p: ControlProblem, domain: DomainConfig,

@@ -108,7 +108,8 @@ UNREAD_MODE_KEYS = {
                    ("alpha", "values"), ("alpha", "tol")),
 }
 VALUES_BASE = dict(constant_ergodic_config(), alpha={"values": [0.5, 0.25], "tol": 1e-10})
-# (id, accepted base config, section, key, value, key name in the error)
+# (id, accepted base config, section (None: the root), key, value, key name in
+# the error)
 REJECTED = (
     [("grid.meshiness", constant_ergodic_config(), "grid", "meshiness", 3, "meshiness")]
     + [(f"{f}-{k}", with_problem(FAMILY_BASES[f]), "problem", k, PROBLEM_VALUES[k], k)
@@ -121,7 +122,30 @@ REJECTED = (
         with_problem({"family": "constant_cost", "kappa": 1.0, "local_identity": True}),
         "problem", "s", 0.75, "problem.s"),
        ("zeroth-with-alpha.start", zeroth_discounted_config(), "alpha", "start", 0.5,
-        "alpha.start")])
+        "alpha.start")]
+    + [(f"{m}-zeroth", dict(with_problem(FAMILY_BASES["custom"]), mode=m), "problem",
+        "controls", [{"drift": ["-x1"], "cost": "1.0", "zeroth": "-0.5"}],
+        "problem.controls[0].zeroth") for m in ("ergodic", "convergence-study")]
+    + [(f"mistyped-{case}", base, section, key, value, key if name is None else name)
+       for case, base, section, key, value, name in (
+           ("controls", with_problem(FAMILY_BASES["custom"]), "problem", "controls", 3,
+            None),
+           ("controls-entry", with_problem(FAMILY_BASES["custom"]), "problem",
+            "controls", [3], None),
+           ("drift", with_problem(FAMILY_BASES["custom"]), "problem", "controls",
+            [{"drift": "-x1", "cost": "1.0"}], "drift"),
+           ("local_identity", with_problem(FAMILY_BASES["constant_cost"]), "problem",
+            "local_identity", "no", None),
+           ("hx", constant_ergodic_config(), "grid", "hx", "0.25", None),
+           ("radii", constant_ergodic_config(), "grid", "radii", 8.0, None),
+           ("radii-entry", constant_ergodic_config(), "grid", "radii", [4.0, "8.0"],
+            None),
+           ("d", constant_ergodic_config(), "grid", "d", True, None),
+           ("tol", constant_ergodic_config(), "solver", "tol", False, None),
+           ("max_policy_iters", constant_ergodic_config(), "solver",
+            "max_policy_iters", 30.0, None),
+           ("values", constant_ergodic_config(), "alpha", "values", [0.5, True], None),
+           ("output_dir", constant_ergodic_config(), None, "output_dir", 3, None))])
 
 
 class TestParsing:
@@ -138,7 +162,7 @@ class TestParsing:
                                  value, name):
         parse_config(base)
         raw = copy.deepcopy(base)
-        raw.setdefault(section, {})[key] = value
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
         with pytest.raises(ConfigError, match=re.escape(f"'{name}'")):
             parse_config(raw)
         path = tmp_path / "cfg.json"
@@ -147,6 +171,13 @@ class TestParsing:
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "ConfigError"
         assert f"'{name}'" in block["error"]["message"]
+
+    def test_integer_for_number_and_null_for_optional_parse(self):
+        raw = constant_ergodic_config()
+        raw["grid"].update(hx=1, radii=[4, 8], reg_radius=None)
+        cfg = parse_config(raw)
+        assert cfg.grid.hx == 1 and cfg.grid.radii == (4, 8)
+        assert cfg.grid.reg_radius is None
 
     def test_readme_configs_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

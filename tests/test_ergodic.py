@@ -88,6 +88,46 @@ class TestVanishingDiscount:
         assert sol.lambda_star == pytest.approx(1.5, abs=1e-9)
         assert np.max(np.abs(sol.u)) <= 1e-9
 
+    def test_sweep_solves_largest_ball_then_one_ladder(self, monkeypatch):
+        import nlhjb.ergodic as erg
+        calls = []
+
+        def counting(op, alpha, *args, **kwargs):
+            calls.append((op.grid.R, alpha))
+            return nl.solve_normalized(op, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(erg, "solve_normalized", counting)
+        dom = nl.DomainConfig(d=1, hx=0.5, radii=(4.0, 8.0, 16.0))
+        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+        sol = nl.vanishing_discount(p, dom, SCHED, 1e-5, solver_tol=1e-9)
+        alphas = [lv.alpha for lv in sol.alpha_trace]
+        assert len(alphas) >= 3
+        assert len(calls) == len(alphas) + len(dom.radii) - 1
+        assert calls[:len(alphas)] == [(16.0, a) for a in alphas]
+        assert calls[len(alphas):] == [(4.0, alphas[-1]), (8.0, alphas[-1])]
+        assert [R for R, _ in sol.radius_trace] == [4.0, 8.0, 16.0]
+
+    def test_radius_trace_matches_cold_solves_at_last_alpha(self):
+        dom = nl.DomainConfig(d=1, hx=0.5, radii=(4.0, 8.0, 16.0))
+        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+        sol = nl.vanishing_discount(p, dom, SCHED, 1e-5, solver_tol=1e-9)
+        alpha = sol.alpha_trace[-1].alpha
+        cold = []
+        for R in dom.radii:
+            g = nl.build_grid(1, 0.5, R)
+            op = nl.assemble(p, g, nl.build_quadrature(g, 0.9, R + 1.0),
+                             nl.ExteriorRule.zero())
+            cold.append((g, nl.solve_normalized(op, alpha, 1e-9)))
+        want = [np.inf]
+        for (ga, sa), (gb, sb) in zip(cold, cold[1:]):
+            win = np.flatnonzero(ga.radii() <= dom.window_radius)
+            ib = gb.node_index_of_lattice(ga.lattice[win])
+            want.append(float(np.max(np.abs(sb.v[ib] - sa.v[win]))))
+        got = [c for _, c in sol.radius_trace]
+        assert got[0] == np.inf
+        np.testing.assert_allclose(got[1:], want[1:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.u, cold[-1][1].v, rtol=0, atol=1e-12)
+
     def test_growth_report_tail_nonincreasing(self):
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
         sol = nl.vanishing_discount(p, DOM1, SCHED, 1e-4, solver_tol=1e-8)
