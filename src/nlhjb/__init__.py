@@ -20,7 +20,7 @@ from .operators import (DiscreteOperator, MonotonicityError, apply_control,
                         jump_apply_reference, pucci_extremal)
 from .problem import (ControlProblem, KernelSpec, LyapunovData, MixedSpec,
                       ValidationReport, constant_cost_problem, constant_kernel,
-                      power_drift_problem, validate_problem)
+                      power_drift_problem, validate_problem, x_kernel)
 from .quadrature import (JumpQuadrature, apply_quadrature_pointwise,
                          build_quadrature, fractional_laplacian_constant)
 
@@ -29,7 +29,7 @@ __all__ = [
     "Grid", "ExteriorRule", "build_grid", "evaluate_extended",
     "KernelSpec", "MixedSpec", "LyapunovData", "ControlProblem",
     "ValidationReport", "validate_problem", "power_drift_problem",
-    "constant_cost_problem", "constant_kernel",
+    "constant_cost_problem", "constant_kernel", "x_kernel",
     "JumpQuadrature", "build_quadrature", "fractional_laplacian_constant",
     "apply_quadrature_pointwise",
     "DiscreteOperator", "MonotonicityError", "assemble", "apply_control",

@@ -3,8 +3,9 @@
 Reads a JSON run config, executes the requested mode and writes artifacts:
 ``report.json`` (deterministic summary), ``solution.csv`` (node coordinates
 plus the solved field), ``certificate.json`` in certify mode and
-``run_meta.json`` (wall-clock metadata and, in discounted mode, the count of
-frozen-policy solves per linear solver; excluded from determinism checks).
+``run_meta.json`` (wall-clock metadata and, in ergodic and discounted mode,
+the count of frozen-policy solves per linear solver; excluded from
+determinism checks).
 Exit status: 0 on success, 1 for validation/config failures, monotonicity
 violations and stencils over the size cap, 2 when a solve ends flagged
 non-converged.
@@ -54,7 +55,7 @@ def _validation_summary(prob, grid, q) -> list[dict]:
     return validate_problem(prob, grid, q).summary()
 
 
-def _run_ergodic(cfg: RunConfig, outdir: Path) -> int:
+def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     prob = build_problem(cfg)
     domain = build_domain(cfg)
     schedule = build_alpha_schedule(cfg)
@@ -68,8 +69,8 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> int:
         "lambda_trace_cauchy": bool(sol.converged),
     }
     if prob.lyapunov is not None and len(sol.alpha_trace) >= 2:
-        q = _quadrature(prob, domain, grid)
-        cert = fit_envelope(evaluate_lyapunov_drift(prob, grid, q), prob.lyapunov, grid)
+        cert = fit_envelope(evaluate_lyapunov_drift(prob, grid, sol.operator.quadrature),
+                            prob.lyapunov, grid)
         if cert.ok:
             lb = check_lambda_bound(sol.alpha_trace, prob, grid, cert.k0)
             invariants["lambda_alpha_bounded"] = bool(lb.ok)
@@ -95,7 +96,7 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> int:
     }
     _write_json(outdir / "report.json", report)
     _write_solution_csv(outdir / "solution.csv", grid, sol.u)
-    return 0 if sol.converged else 2
+    return 0 if sol.converged else 2, sol.linear_solves
 
 
 def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
@@ -171,7 +172,7 @@ def run(cfg: RunConfig, output_dir: str | None = None) -> int:
     t0 = time.time()
     meta = {"nlhjb_version": __version__}
     if cfg.mode == "ergodic":
-        code = _run_ergodic(cfg, outdir)
+        code, meta["linear_solves"] = _run_ergodic(cfg, outdir)
     elif cfg.mode == "discounted":
         code, meta["linear_solves"] = _run_discounted(cfg, outdir)
     elif cfg.mode == "certify":

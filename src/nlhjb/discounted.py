@@ -51,6 +51,7 @@ class NormalizedSolution:
     alpha: float
     converged: bool
     trace: list[tuple[int, float, int]] = field(default_factory=list)
+    linear_solves: dict = field(default_factory=dict)
 
 
 def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
@@ -63,17 +64,19 @@ def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
 class _MatrixFreeSystem(spla.LinearOperator):
     """Frozen-policy system of an operator with an FFT jump part.
 
-    Row i is control ``policy[i]``'s: its jump part scaled by k_{policy[i]},
-    plus the row-gathered drift stencil with c on the diagonal (``local``).
-    ``diagonal`` and ``tocsc`` make it a drop-in for the CSR system in
-    :func:`_solve_linear`; ``tocsc`` builds that system from ``op.csr()``.
+    Row i is control ``policy[i]``'s: its jump part scaled by
+    k_{policy[i]}(x_i), plus the row-gathered drift stencil with c on the
+    diagonal (``local``).
+    ``diagonal``, ``tocsr`` and ``tocsc`` make it a drop-in for the CSR
+    system in :func:`_solve_linear` and :func:`_solve_bordered`; ``tocsr``
+    builds that system from ``op.csr()``.
     """
 
     def __init__(self, op: DiscreteOperator, policy: np.ndarray,
                  local: sp.csr_matrix):
         super().__init__(dtype=float, shape=local.shape)
         self.op, self.policy, self.local = op, policy, local
-        self.scale = op.jump.scale[policy]
+        self.scale = op.jump.scale[policy, np.arange(policy.shape[0])]
 
     def _matvec(self, x):
         x = np.ravel(x)
@@ -83,8 +86,11 @@ class _MatrixFreeSystem(spla.LinearOperator):
         diags = np.stack([self.op.diagonal(t) for t in range(len(self.op.controls))])
         return diags[self.policy, np.arange(self.shape[0])]
 
+    def tocsr(self) -> sp.csr_matrix:
+        return _policy_system(self.op.csr(), self.policy)[0]
+
     def tocsc(self) -> sp.csc_matrix:
-        return _policy_system(self.op.csr(), self.policy)[0].tocsc()
+        return self.tocsr().tocsc()
 
 
 def _policy_system(op: DiscreteOperator, policy: np.ndarray):
@@ -121,6 +127,53 @@ def _solve_linear(A, rhs: np.ndarray, atol: float,
     if info == 0 and float(np.max(np.abs(A @ x - rhs))) <= atol:
         return x, "bicgstab"
     return spla.spsolve(A.tocsc(), rhs), "splu"
+
+
+def _solve_bordered(A, rhs: np.ndarray, i0: int,
+                    atol: float) -> tuple[np.ndarray, float, str]:
+    """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
+
+    Returns (v, m, solver tag).  For a :class:`_MatrixFreeSystem` this
+    tries two Jacobi-BiCGStab solves on A, y2 = A^{-1} 1 and
+    y1 = A^{-1} rhs, each capped at ceil(N/4) iterations; then
+    m = -y1[i0]/y2[i0] and v = y1 + m y2.  -A is a nonsingular M-matrix
+    (monotone stencils, c < 0), so ||A^{-1}||_inf = max|A^{-1} 1|, which is
+    at most ainv = max|y2| / (1 - e) with e = ||A y2 - 1||.  With r the true
+    sup residual of the bordered system, the pair is then within
+    ainv ||r|| (1 + ainv / (|y2[i0]| - ainv e)) of the exact one in v and m.
+    The pair is kept (tag ``"bicgstab"``) only if that bound is at most
+    ``atol``; a NaN fails the test.  Otherwise, and for CSR systems, the
+    bordered matrix built from ``A.tocsr()`` is solved by sparse LU (tag
+    ``"splu"``).
+    """
+    n = A.shape[0]
+    if isinstance(A, _MatrixFreeSystem):
+        M = sp.diags(1.0 / A.diagonal())
+        ys = []
+        for b in (np.ones(n), rhs):
+            y, info = spla.bicgstab(A, b, M=M, rtol=0.0, atol=atol / 100,
+                                    maxiter=-(-n // 4))
+            if info != 0:
+                break
+            ys.append(y)
+        if len(ys) == 2:
+            y2, y1 = ys
+            m = -y1[i0] / y2[i0]
+            v = y1 + m * y2
+            v[i0] = 0.0
+            e = float(np.max(np.abs(A @ y2 - 1.0)))
+            ainv = float(np.max(np.abs(y2))) / (1.0 - e)
+            den = abs(y2[i0]) - ainv * e
+            err = ainv * float(np.max(np.abs(A @ v - m - rhs))) * (1.0 + ainv / den)
+            if e < 1.0 and den > 0.0 and err <= atol:
+                return v, float(m), "bicgstab"
+    e0 = sp.csr_matrix((np.ones(1), (np.zeros(1, dtype=int), np.array([i0]))),
+                       shape=(1, n))
+    ones_col = sp.csr_matrix((-np.ones(n), (np.arange(n), np.zeros(n, dtype=int))),
+                             shape=(n, 1))
+    aug = sp.bmat([[A.tocsr(), ones_col], [e0, None]], format="csc")
+    sol = spla.spsolve(aug, np.concatenate([rhs, [0.0]]))
+    return sol[:n], float(sol[n]), "splu"
 
 
 def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
@@ -237,21 +290,24 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
 
     Solves inf_tau(L_tau v + g_tau) - alpha v - m = 0 with v = 0 exterior and
     v(origin) = 0; m plays the role of alpha * w_alpha(origin) of the
-    unnormalised problem (w_alpha = v + m/alpha).  The bordered system is
-    solved by sparse LU, so this runs on the explicit stencils ``op.csr()``.
+    unnormalised problem (w_alpha = v + m/alpha).  Runs on
+    ``op.with_alpha(alpha)``: on an operator with an FFT jump part each
+    bordered system is first solved matrix-free by :func:`_solve_bordered`
+    and kept only inside its error bound of tol/10; after the first
+    fallback to sparse LU the remaining solves go straight to LU.  On
+    explicit stencils (``op.csr()``) every solve is sparse LU.
+    ``linear_solves`` counts the bordered solves by solver (``"bicgstab"``
+    or ``"splu"``).
     """
-    opa = op.csr().with_alpha(alpha)
-    n = op.n_nodes
+    opa = op.with_alpha(alpha)
     i0 = op.grid.origin_index
-    e0 = sp.csr_matrix((np.ones(1), (np.zeros(1, dtype=int), np.array([i0]))),
-                       shape=(1, n))
-    ones_col = sp.csr_matrix((-np.ones(n), (np.arange(n), np.zeros(n, dtype=int))),
-                             shape=(n, 1))
+    atol = max(tol / 10.0, 1e-14)
+    solves = {"bicgstab": 0, "splu": 0}
 
     def solve(A, rhs, x0):
-        aug = sp.bmat([[A, ones_col], [e0, None]], format="csc")
-        sol = spla.spsolve(aug, np.concatenate([rhs, [0.0]]))
-        return sol[:n], float(sol[n])
+        v, m, tag = _solve_bordered(A.tocsr() if solves["splu"] else A, rhs, i0, atol)
+        solves[tag] += 1
+        return v, m
 
     v, m, policy, it, converged, trace, _ = _howard(
         opa, solve, tol, max_iter, v0, policy0)
@@ -261,6 +317,7 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
         v=v, m=m, policy=policy,
         residual_inf_norm=float(np.max(np.abs(vals - m))),
         iterations=it, alpha=alpha, converged=converged, trace=trace,
+        linear_solves=solves,
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .discounted import (DiscountedSolution, NormalizedSolution,
                          solve_normalized, solve_policy_iteration)
 from .grid import ExteriorRule, Grid, build_grid
-from .operators import apply_inf, assemble
+from .operators import DiscreteOperator, apply_inf, assemble
 from .problem import ControlProblem
 from .quadrature import build_quadrature
 
@@ -103,6 +103,13 @@ class AlphaLevel:
 
 @dataclass(eq=False)
 class ErgodicSolution:
+    """The ergodic pair on ``grid`` with the sweep's traces.
+
+    ``operator`` is the operator on the largest ball (no zeroth term, zero
+    exterior data); ``linear_solves`` counts the bordered solves of the
+    sweep and the radius ladder by solver.
+    """
+
     u: np.ndarray
     lambda_star: float
     grid: Grid
@@ -110,6 +117,8 @@ class ErgodicSolution:
     radius_trace: list[tuple[float, float]]
     growth_report: dict
     converged: bool
+    operator: DiscreteOperator
+    linear_solves: dict
 
 
 def normalize_at_origin(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -210,7 +219,9 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     solves the ergodic equation there at tolerance).  An exhausted schedule
     returns the flagged trace for inspection.  ``radius_trace`` comes from one
     ladder at the last alpha: the smaller radii in order, each warm-started
-    from the ball below, topped by the sweep's last solve.
+    from the ball below, topped by the sweep's last solve.  Once one bordered
+    Krylov solve has fallen back to sparse LU, every remaining solve of the
+    sweep and the ladder runs on the explicit stencils.
     """
     inner_tol = solver_tol if solver_tol is not None else tol
     ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}
@@ -219,12 +230,19 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     levels: list[AlphaLevel] = []
     sol: NormalizedSolution | None = None
     converged = False
+    solves = {"bicgstab": 0, "splu": 0}
+
+    def normalized(op, alpha, v0, policy0):
+        out = solve_normalized(op.csr() if solves["splu"] else op, alpha, inner_tol,
+                               max_iter=max_iter, v0=v0, policy0=policy0)
+        for tag, count in out.linear_solves.items():
+            solves[tag] += count
+        return out
 
     for alpha in schedule.alphas():
         prev = sol
         v0, policy0 = (None, None) if prev is None else (prev.v, prev.policy)
-        sol = solve_normalized(final_op, alpha, inner_tol, max_iter=max_iter,
-                               v0=v0, policy0=policy0)
+        sol = normalized(final_op, alpha, v0, policy0)
         alpha_norm = alpha * float(np.max(np.abs(sol.v[win])))
         if prev is not None:
             lam_change = abs(sol.m - prev.m)
@@ -247,8 +265,7 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
         if R != domain.radii[-1]:
             v0, policy0 = (None, None) if below is None else _prolong(
                 grid, below[0], below[1].v, below[1].policy)
-            rung = solve_normalized(op, sol.alpha, inner_tol, max_iter=max_iter,
-                                    v0=v0, policy0=policy0)
+            rung = normalized(op, sol.alpha, v0, policy0)
         trace.append((R, np.inf if below is None else _inner_change(
             grid, rung.v, below[0], below[1].v, domain.window_radius)))
         below = (grid, rung)
@@ -257,7 +274,7 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     return ErgodicSolution(
         u=u, lambda_star=sol.m, grid=final_grid, alpha_trace=levels,
         radius_trace=trace, growth_report=_growth_report(u, final_grid, p),
-        converged=converged)
+        converged=converged, operator=final_op, linear_solves=solves)
 
 
 def convergence_study(p: ControlProblem, domain: DomainConfig,
@@ -392,9 +409,8 @@ def verify_ergodic_pair(sol: ErgodicSolution, p: ControlProblem,
                         probe_factor: float = 0.8) -> PairVerification:
     """Recompute ||apply_inf(u) - lambda*|| on the inner window and probe
     uniqueness by re-running from a perturbed alpha schedule."""
-    grid, op = _operator(p, domain, sol.grid.R, ExteriorRule.zero())
-    vals, _ = apply_inf(op, sol.u)
-    win = _window_indices(grid, domain.window_radius)
+    vals, _ = apply_inf(sol.operator, sol.u)
+    win = _window_indices(sol.grid, domain.window_radius)
     residual = float(np.max(np.abs(vals[win] - sol.lambda_star)))
     residual_ok = residual <= 1.05 * tol
 

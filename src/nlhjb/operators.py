@@ -10,11 +10,14 @@ Per control, the assembled stencil realises
 with nonnegative off-diagonal weights.  Exterior targets are folded into the
 constant term through the :class:`~nlhjb.grid.ExteriorRule`.
 
-When every control's kernel is a tagged constant and there is no mixed or
-Lévy part, the jump stencil is the same at every node, a lattice
-convolution.  ``assemble`` then keeps only the sparse drift stencils and
-applies the jump part by FFT; the explicit CSR stencils, the oracle for that
-path, are built on demand by :meth:`DiscreteOperator.csr`.
+When every control's kernel reads no jump direction y (a tagged
+:func:`~nlhjb.problem.constant_kernel` or :func:`~nlhjb.problem.x_kernel`)
+and there is no mixed or Lévy part, node x_i's jump stencil is the
+constant-kernel stencil times k_tau(x_i): one lattice convolution, scaled
+per control and node.  ``assemble`` then keeps only the sparse drift
+stencils and applies the jump part by FFT; the explicit CSR stencils, the
+oracle for that path, are built on demand by :meth:`DiscreteOperator.csr`.
+Kernels that read y keep the CSR stencils.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ __all__ = [
 
 
 class MonotonicityError(RuntimeError):
-    """A negative off-diagonal weight survived assembly."""
+    """A negative or non-finite stencil weight survived assembly."""
 
 
 class _LatticeConvolution:
@@ -113,10 +116,10 @@ class _LatticeConvolution:
 
 @dataclass(eq=False)
 class _MatrixFreeJump:
-    """FFT jump part of an operator: per-control scale k_tau on one convolution."""
+    """FFT jump part of an operator: scale k_tau(x_i) on one convolution."""
 
     conv: _LatticeConvolution
-    scale: np.ndarray                 # k_tau per control
+    scale: np.ndarray                 # k_tau(x_i), shape (n_controls, N)
     ext: ExteriorRule                 # exterior rule of the CSR oracle
     stencils: tuple | None = None     # (base, ext_const) of the CSR oracle
 
@@ -361,7 +364,7 @@ def _assemble_local(bld: _StencilBuilder, ws: _Workspace, grid: Grid,
         i = int(np.argmin(np.minimum(a11 - s12, a22 - s12)))
         raise MonotonicityError(
             f"local matrix for control {tau_label} not diagonally dominant "
-            f"at node {tuple(grid.nodes[i])}")
+            f"at node {tuple(grid.nodes[i].tolist())}")
     for axis, w in ((0, (a11 - s12) / h2), (1, (a22 - s12) / h2)):
         bld.add_targets(w, ws.ax_idx_p[axis], ws.ax_ext_p[axis])
         bld.add_targets(w, ws.ax_idx_m[axis], ws.ax_ext_m[axis])
@@ -417,6 +420,12 @@ def _assemble_levy(bld: _StencilBuilder, ws: _Workspace, kern) -> np.ndarray:
 
 def _check_monotone(m: sp.csr_matrix, grid: Grid, label: str) -> None:
     coo = m.tocoo()
+    bad = ~np.isfinite(coo.data)
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise MonotonicityError(
+            f"non-finite stencil weight {coo.data[k]} for control {label} "
+            f"at node {tuple(grid.nodes[coo.row[k]].tolist())}")
     off = coo.row != coo.col
     if not np.any(off):
         return
@@ -430,16 +439,36 @@ def _check_monotone(m: sp.csr_matrix, grid: Grid, label: str) -> None:
         offset = grid.nodes[j] - grid.nodes[i]
         raise MonotonicityError(
             f"negative off-diagonal weight {vals.min():.3e} for control {label} "
-            f"at node {tuple(grid.nodes[i])}, offset {tuple(offset)}")
+            f"at node {tuple(grid.nodes[i].tolist())}, offset {tuple(offset.tolist())}")
 
 
-def _constant_kernels(p: ControlProblem) -> np.ndarray | None:
-    """Per-control kernel constants when the FFT jump applies, else None."""
+def _node_factors(p: ControlProblem, grid: Grid) -> np.ndarray | None:
+    """k_tau(x_i) of shape (n_controls, N) when the FFT jump applies, else None.
+
+    Raises :class:`MonotonicityError` naming the control and the node where
+    a factor is negative or not finite.
+    """
     if p.kernel is None or p.mixed is not None:
         return None
-    vals = [getattr(p.kernel.kernel_for(t), "constant_value", None)
-            for t in range(p.n_controls)]
-    return None if None in vals else np.array(vals, dtype=float)
+    n = grid.n_nodes
+    rows = []
+    for t in range(p.n_controls):
+        kern = p.kernel.kernel_for(t)
+        if hasattr(kern, "constant_value"):
+            rows.append(np.full(n, kern.constant_value))
+        elif hasattr(kern, "x_field"):
+            rows.append(np.broadcast_to(
+                np.asarray(kern.x_field(grid.nodes), dtype=float), (n,)))
+        else:
+            return None
+    factors = np.stack(rows)
+    bad = ~(np.isfinite(factors) & (factors >= 0))
+    if np.any(bad):
+        t, i = (int(j[0]) for j in np.nonzero(bad))
+        raise MonotonicityError(
+            f"jump kernel factor {factors[t, i]:.3e} for control {p.controls[t]} "
+            f"at node {tuple(grid.nodes[i].tolist())}")
+    return factors
 
 
 def _stencils(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
@@ -478,26 +507,27 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
     ``alpha`` installs the discounted zeroth term c ≡ -alpha when the problem
     does not carry its own; monotonicity violations raise with the offending
     node, control and offset.  ``q`` may be ``None`` only for problems without
-    a jump kernel or Lévy part.  Constant kernels without mixed parts give an
-    operator with an FFT jump part (see the module docstring).
+    a jump kernel or Lévy part.  Kernels that read no y, without mixed
+    parts, give an operator with an FFT jump part (see the module
+    docstring); there a negative or non-finite kernel value raises with the
+    control and node.
     """
     needs_q = p.kernel is not None or (
         p.mixed is not None and p.mixed.levy_kernel is not None)
     if needs_q and q is None:
         raise ValueError("problem has jump terms but no quadrature was given")
-    kvals = _constant_kernels(p)
-    base, ext_consts = _stencils(p, grid, q, ext, matrix_free=kvals is not None)
+    factors = _node_factors(p, grid)
+    base, ext_consts = _stencils(p, grid, q, ext, matrix_free=factors is not None)
     jump = None
-    if kvals is not None:
+    if factors is not None:
         conv = _LatticeConvolution(grid, q)
+        w = conv.weights
+        if w.min() < -1e-12 * max(1.0, float(np.abs(w).max())):
+            raise MonotonicityError(f"negative jump weight {w.min():.3e}")
         outside = conv.exterior(ext)
-        for t, label in enumerate(p.controls):
-            kw = kvals[t] * conv.weights
-            if kw.min() < -1e-12 * max(1.0, float(np.abs(kw).max())):
-                raise MonotonicityError(
-                    f"negative jump weight {kw.min():.3e} for control {label}")
-            ext_consts[t] = ext_consts[t] + kvals[t] * outside
-        jump = _MatrixFreeJump(conv=conv, scale=kvals, ext=ext)
+        for t in range(p.n_controls):
+            ext_consts[t] = ext_consts[t] + factors[t] * outside
+        jump = _MatrixFreeJump(conv=conv, scale=factors, ext=ext)
     n = grid.n_nodes
     cvals, gvals = [], []
     for t in range(p.n_controls):

@@ -20,6 +20,7 @@ __all__ = [
     "KernelSpec", "MixedSpec", "LyapunovData", "ControlProblem",
     "CheckResult", "ValidationReport", "validate_problem",
     "power_drift_problem", "constant_cost_problem", "constant_kernel",
+    "x_kernel",
 ]
 
 ScalarField = Callable[[np.ndarray], np.ndarray]
@@ -40,6 +41,23 @@ def constant_kernel(value: float) -> KernelField:
         return np.full(shape, v)
 
     k.constant_value = v
+    return k
+
+
+def x_kernel(field: ScalarField) -> KernelField:
+    """Kernel factor k(x, y) = field(x) that reads no y, tagged with ``x_field``.
+
+    Every weight of node x_i's jump stencil is then the constant-kernel
+    weight times field(x_i), so assembly applies the jump part as the
+    constant-kernel convolution scaled per node.
+    """
+
+    def k(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        shape = np.broadcast_shapes(x.shape[:-1], np.asarray(y).shape[:-1])
+        return np.broadcast_to(np.asarray(field(x), dtype=float), shape).copy()
+
+    k.x_field = field
     return k
 
 

@@ -327,6 +327,70 @@ class TestRuns:
         assert meta["linear_solves"]["bicgstab"] >= 2
         assert "linear_solves" not in report
 
+    def test_ergodic_x_only_kernels_never_build_csr(self, tmp_path, monkeypatch):
+        import nlhjb
+
+        def no_csr(self):
+            raise AssertionError("op.csr() built on the ergodic sweep")
+
+        monkeypatch.setattr(nlhjb.DiscreteOperator, "csr", no_csr)
+        raw = custom_discounted_config(["0.5+0.04*cos(x1)*cos(x2)", "0.5-0.04*exp(-r*r)"],
+                                       radii=(2.0, 4.0))
+        raw["mode"] = "ergodic"
+        raw["solver"] = {"tol": 1e-9}
+        raw["alpha"] = {"start": 0.5, "factor": 0.5, "max_levels": 12, "tol": 1e-4}
+        assert run(parse_config(raw), output_dir=str(tmp_path)) == 0
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert meta["linear_solves"]["splu"] == 0
+        assert meta["linear_solves"]["bicgstab"] >= len(report["alpha_trace"]) + 1
+        assert "linear_solves" not in report
+
+    def test_readme_ergodic_config_solves_direct_after_one_attempt(self, tmp_path,
+                                                                   monkeypatch):
+        # 1-d Jacobi BiCGStab needs about N iterations: the first capped
+        # attempt fails, and every solve of the sweep then goes to sparse LU
+        import scipy.sparse.linalg as spla
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        raw = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
+        assert raw["mode"] == "ergodic" and raw["grid"]["d"] == 1
+        bicgstab = spla.bicgstab
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["maxiter"])
+            return bicgstab(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "bicgstab", counting)
+        assert run(parse_config(raw), output_dir=str(tmp_path)) == 0
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["linear_solves"]["bicgstab"] == 0
+        assert meta["linear_solves"]["splu"] > 0
+        assert len(calls) == 1
+
+    def test_ergodic_builds_one_quadrature_per_radius(self, tmp_path, monkeypatch):
+        # the Lyapunov certificate reuses the final operator's quadrature
+        import nlhjb.ergodic as erg
+        build = erg.build_quadrature
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].R)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(erg, "build_quadrature", counting)
+        cfg = parse_config({
+            "mode": "ergodic",
+            "problem": {"family": "power_drift", "gamma": 1.6, "theta": 0.1, "s": 0.9},
+            "grid": {"d": 1, "hx": 0.5, "radii": [4.0, 8.0, 16.0]},
+            "solver": {"tol": 1e-9},
+            "alpha": {"start": 0.5, "factor": 0.5, "max_levels": 12, "tol": 1e-4},
+        })
+        assert run(cfg, output_dir=str(tmp_path)) == 0
+        assert sorted(calls) == [4.0, 8.0, 16.0]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "lambda_alpha_bounded" in report["invariants"]
+
     def test_constant_kernel_expression_matches_csr_path(self, tmp_path):
         # "0.5" compiles to a tagged constant kernel (FFT jump part);
         # "0.5+0*x1" reads x1 and so keeps the assembled CSR stencils
@@ -378,9 +442,13 @@ class TestMainEntry:
         assert "theta" in block["error"]["message"]
 
     def test_exit_one_on_failed_linear_solve(self, tmp_path, capsys, monkeypatch):
+        # BiCGStab's NaN (info=0) must fail the Krylov guard, and the LU
+        # fallback's NaN must then reach Howard
         import scipy.sparse.linalg as spla
         monkeypatch.setattr(spla, "spsolve",
                             lambda A, b, *a, **kw: np.full(np.shape(b), np.nan))
+        monkeypatch.setattr(spla, "bicgstab",
+                            lambda A, b, *a, **kw: (np.full(np.shape(b), np.nan), 0))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(constant_ergodic_config()))
         code = main([str(path), "--output-dir", str(tmp_path / "out")])
@@ -390,9 +458,9 @@ class TestMainEntry:
         assert "non-finite" in block["error"]["message"]
 
     def test_exit_one_when_stencils_exceed_the_cap(self, tmp_path, capsys):
-        # x-dependent kernel: assembly needs the explicit stencils, which the
-        # N*M cap refuses at this size
-        cfg = custom_discounted_config(["0.5+0.04*cos(x1)*cos(x2)"],
+        # x-y kernel: assembly needs the explicit stencils, which the N*M
+        # cap refuses at this size
+        cfg = custom_discounted_config(["0.5+0.04*cos(x1*y1)"],
                                        hx=0.1, radii=(8.0,))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -400,6 +468,18 @@ class TestMainEntry:
         assert code == 1
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "MemoryError"
+
+    @pytest.mark.parametrize("kernel", ["0.5+0.1*sqrt(x1)", "0.5+0.1*sqrt(x1*y1)"])
+    def test_exit_one_on_non_finite_kernel(self, tmp_path, capsys, kernel):
+        # x-only kernel (FFT path) and x-y kernel (CSR path): NaN at x1 < 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(custom_discounted_config(["0.5", kernel])))
+        with np.errstate(invalid="ignore"):
+            code = main([str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"]["kind"] == "MonotonicityError"
+        assert re.search(r"(non-finite|nan).* tau1 at node \(-", block["error"]["message"])
 
     @pytest.mark.parametrize("kernel", ["-0.5", "-0.5+0*x1"])
     def test_exit_one_on_monotonicity_violation(self, tmp_path, capsys, kernel):

@@ -189,6 +189,19 @@ class TestTraceChecks:
         assert rep.probe_ok
         assert rep.probe_lambda_diff <= 5e-5
 
+    def test_verify_reuses_the_final_operator(self, power_run, monkeypatch):
+        import nlhjb.ergodic as erg
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("final radius assembled again")
+
+        monkeypatch.setattr(erg, "assemble", no_assembly)
+        p, sol = power_run
+        assert sol.operator.grid is sol.grid
+        rep = nl.verify_ergodic_pair(sol, p, DOM1, SCHED, 1e-5,
+                                     uniqueness_probe=False)
+        assert rep.residual_ok
+
     def test_bar_w_needs_two_levels(self, power_run):
         p, sol = power_run
         with pytest.raises(ValueError, match="two alpha levels"):

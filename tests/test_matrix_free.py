@@ -1,9 +1,11 @@
-"""The FFT jump path for x-independent kernels against the CSR oracle.
+"""The FFT jump path for kernels that read no y against the CSR oracle.
 
-``assemble`` applies the jump part of constant-kernel problems as a lattice
-convolution; ``op.csr()`` builds the explicit stencils of the same operator.
-Every quantity the solvers read from the fast operator must agree with the
-oracle to 1e-10 relative.
+``assemble`` applies the jump part of constant-kernel and x-only-kernel
+problems as a lattice convolution scaled per node; ``op.csr()`` builds the
+explicit stencils of the same operator.  Every quantity the solvers read
+from the fast operator must agree with the oracle to 1e-10 relative, and
+the matrix-free bordered (v, m) solves must agree with the direct ones
+within their error bound.
 """
 
 import dataclasses
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlhjb as nl
-from nlhjb.discounted import _MatrixFreeSystem, _policy_system
+from nlhjb import discounted
+from nlhjb.discounted import _MatrixFreeSystem, _policy_system, _solve_bordered
 from nlhjb.lyapunov import _jump_on_V
 from nlhjb.operators import apply_control
 
@@ -29,17 +32,26 @@ def assert_rel_close(got, want):
     assert float(np.max(np.abs(np.asarray(got) - want))) <= REL * scale
 
 
-def constant_kernel_problem(seed, d, s, kvals, zeroth=False):
+def constant_kernel_problem(seed, d, s, kvals, zeroth=False, x_only=()):
+    """Problem with kernel constants ``kvals``; control t gets the x-only
+    kernel kvals[t]·(1 + 0.4·tanh(f_t(x))) instead where ``x_only[t]``."""
     rng = np.random.default_rng(seed)
+    xrng = np.random.default_rng(seed + 3)
     n = len(kvals)
     zs = None
     if zeroth:
         zs = tuple((lambda x, f=smooth_field(rng, d, 0.3): -0.3 - np.abs(f(x)))
                    for _ in range(n))
+    kernels = []
+    for t, k in enumerate(kvals):
+        if t < len(x_only) and x_only[t]:
+            f = smooth_field(xrng, d)
+            kernels.append(nl.x_kernel(lambda x, k=k, f=f: k * (1 + 0.4 * np.tanh(f(x)))))
+        else:
+            kernels.append(nl.constant_kernel(k))
     return nl.ControlProblem(
         controls=tuple(f"tau{i}" for i in range(n)),
-        kernel=nl.KernelSpec(s=s, lambda_ell=0.5, Lambda_ell=1.5,
-                             k=tuple(nl.constant_kernel(k) for k in kvals)),
+        kernel=nl.KernelSpec(s=s, lambda_ell=0.5, Lambda_ell=1.5, k=tuple(kernels)),
         drift=tuple(smooth_drift(rng, d) for _ in range(n)),
         cost=tuple(smooth_field(rng, d) for _ in range(n)),
         zeroth=zs)
@@ -55,6 +67,8 @@ def exterior_rule(kind, seed, d):
 
 @st.composite
 def fast_operators(draw):
+    """A fast operator and a seed; its 1-3 controls mix constant and x-only
+    kernels."""
     d = draw(st.sampled_from([1, 2]))
     s = draw(st.floats(0.55, 0.95))
     hx = draw(st.sampled_from([0.125, 0.25, 0.5] if d == 1 else [0.25, 0.5]))
@@ -65,7 +79,8 @@ def fast_operators(draw):
     kvals = [draw(st.floats(0.5, 1.5)) * (2 - 2 * s) for _ in range(n)]
     seed = draw(st.integers(0, 10_000))
     kind = draw(st.sampled_from(["zero", "constant", "function"]))
-    p = constant_kernel_problem(seed, d, s, kvals)
+    xs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    p = constant_kernel_problem(seed, d, s, kvals, x_only=xs)
     g = nl.build_grid(d, hx, R)
     q = nl.build_quadrature(g, s, R + margin, reg)
     op = nl.assemble(p, g, q, exterior_rule(kind, seed, d), alpha=0.4)
@@ -116,6 +131,42 @@ class TestOperatorOracle:
         g = nl.build_grid(1, 0.25, 2.0)
         q = nl.build_quadrature(g, 0.75, 3.0)
         with pytest.raises(nl.MonotonicityError, match="tau1"):
+            nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.4)
+
+
+class TestKernelFactors:
+    def test_kernels_that_read_y_keep_csr(self):
+        from nlhjb.expressions import compile_kernel_field
+        assert hasattr(compile_kernel_field("0.5+0.04*cos(x1)*r", 2), "x_field")
+        for expr in ("0.5+0.04*cos(x1*y1)", "0.5+0*ry", "0.5+0*y2"):
+            kern = compile_kernel_field(expr, 2)
+            assert not hasattr(kern, "x_field")
+            p = dataclasses.replace(constant_kernel_problem(1, 2, 0.75, [0.5]),
+                                    kernel=nl.KernelSpec(0.75, 0.5, 1.5, k=(kern,)))
+            g = nl.build_grid(2, 0.5, 2.0)
+            op = nl.assemble(p, g, nl.build_quadrature(g, 0.75, 3.0),
+                             nl.ExteriorRule.zero(), alpha=0.4)
+            assert op.jump is None
+
+    @pytest.mark.parametrize("kern, message", [
+        # x-only kernel (FFT path) negative, then NaN at x1 < 0; x-y kernel
+        # (CSR path) NaN where x1*y1 < 0.  NaN < 0 is false, so a sign check
+        # alone let NaN through to the solve.
+        (nl.x_kernel(lambda x: 0.5 - np.abs(x[..., 0])),
+         r"factor -1\.500e\+00 for control tau1 at node \(-2\.0, 0\.0\)"),
+        (nl.x_kernel(lambda x: 0.5 + 0.1 * np.sqrt(x[..., 0])),
+         r"factor nan for control tau1 at node \(-"),
+        (lambda x, y: 0.5 + 0.1 * np.sqrt(x[..., 0] * y[..., 0]),
+         r"non-finite stencil weight nan for control tau1 at node \(-"),
+    ])
+    def test_bad_kernel_value_names_control_and_node(self, kern, message):
+        p = constant_kernel_problem(1, 2, 0.75, [0.5, 0.5])
+        p = dataclasses.replace(p, kernel=dataclasses.replace(
+            p.kernel, k=(nl.constant_kernel(0.5), kern)))
+        g = nl.build_grid(2, 0.5, 2.0)
+        q = nl.build_quadrature(g, 0.75, 3.0)
+        with np.errstate(invalid="ignore"), pytest.raises(nl.MonotonicityError,
+                                                          match=message):
             nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.4)
 
 
@@ -215,6 +266,101 @@ class TestSolves:
         assert sol.converged
         assert sol.diagnostics["linear_solves"]["splu"] == 0
         assert sol.diagnostics["linear_solves"]["bicgstab"] >= 2
+
+
+def bordered_operator(seed, d=2, x_only=(True, False), R=4.0):
+    """Zero-exterior fast operator of the kind the ergodic sweep solves on."""
+    p = constant_kernel_problem(seed, d, 0.8, [0.3, 0.5], x_only=x_only)
+    g = nl.build_grid(d, 0.5, R)
+    return nl.assemble(p, g, nl.build_quadrature(g, 0.8, R + 1.0),
+                       nl.ExteriorRule.zero())
+
+
+class TestBorderedKrylov:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), alpha=st.floats(1e-6, 0.5),
+           x_only=st.sampled_from([(True, False), (True, True), (False, False)]),
+           data=st.data())
+    def test_pair_matches_direct_solve_within_bound(self, seed, alpha, x_only, data):
+        op = bordered_operator(seed, x_only=x_only).with_alpha(alpha)
+        policy = np.array(data.draw(st.lists(
+            st.integers(0, 1), min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+        A, const = _policy_system(op, policy)
+        i0, atol = op.grid.origin_index, 1e-10
+        v, m, tag = _solve_bordered(A, -const, i0, atol)
+        v_ref, m_ref, ref_tag = _solve_bordered(A.tocsr(), -const, i0, atol)
+        assert (tag, ref_tag) == ("bicgstab", "splu")
+        assert v[i0] == 0.0
+        # the guard bounds the distance to the exact pair by atol; the direct
+        # solve's own error is far below that
+        assert abs(m - m_ref) <= atol + 1e-12
+        assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
+
+    def test_nan_with_info_zero_falls_back(self, monkeypatch):
+        op = bordered_operator(3).with_alpha(0.1)
+        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        want = _solve_bordered(A.tocsr(), -const, op.grid.origin_index, 1e-10)
+        monkeypatch.setattr(spla, "bicgstab",
+                            lambda A, b, *a, **kw: (np.full(np.shape(b), np.nan), 0))
+        v, m, tag = _solve_bordered(A, -const, op.grid.origin_index, 1e-10)
+        assert tag == "splu"
+        assert np.array_equal(v, want[0]) and m == want[1]
+
+    def test_capped_solve_falls_back_after_one_attempt(self, monkeypatch):
+        op = bordered_operator(4).with_alpha(0.1)
+        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        calls = []
+
+        def capped(A, b, *args, **kwargs):
+            calls.append(kwargs["maxiter"])
+            return np.zeros_like(b), kwargs["maxiter"]
+
+        monkeypatch.setattr(spla, "bicgstab", capped)
+        _, _, tag = _solve_bordered(A, -const, op.grid.origin_index, 1e-10)
+        assert tag == "splu"
+        assert calls == [-(-op.n_nodes // 4)]
+
+    def test_normalized_solve_matches_csr_path(self):
+        op = bordered_operator(5)
+        fast = nl.solve_normalized(op, 0.05, 1e-9)
+        ref = nl.solve_normalized(op.csr(), 0.05, 1e-9)
+        assert fast.linear_solves == {"bicgstab": fast.iterations, "splu": 0}
+        assert ref.linear_solves == {"bicgstab": 0, "splu": ref.iterations}
+        assert np.array_equal(fast.policy, ref.policy)
+        assert abs(fast.m - ref.m) <= 1e-10
+        assert float(np.max(np.abs(fast.v - ref.v))) <= 1e-10
+
+    def test_monotone_improvement(self, monkeypatch):
+        # Howard on the bordered system: m_{k+1} <= m_k, because -A is a
+        # nonsingular M-matrix and v(origin) = 0 pins the shift
+        solved = []
+
+        def recording(*args, **kwargs):
+            out = _solve_bordered(*args, **kwargs)
+            solved.append(out[1:])
+            return out
+
+        monkeypatch.setattr(discounted, "_solve_bordered", recording)
+        op = bordered_operator(6, x_only=(True, True))
+        sol = nl.solve_normalized(op, 0.02, 1e-9)
+        assert sol.converged and len(solved) >= 2
+        assert all(tag == "bicgstab" for _, tag in solved)
+        ms = [m for m, _ in solved]
+        assert all(b <= a + 1e-9 for a, b in zip(ms, ms[1:]))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), bump=st.floats(0.0, 1.0))
+    def test_comparison_principle(self, seed, bump):
+        # g1 <= g2 for every control gives m1 <= m2
+        op1 = bordered_operator(seed)
+        extra = smooth_field(np.random.default_rng(seed + 2), 2)
+        p2 = dataclasses.replace(op1.problem, cost=tuple(
+            (lambda x, g=g: g(x) + bump * np.abs(extra(x))) for g in op1.problem.cost))
+        op2 = nl.assemble(p2, op1.grid, op1.quadrature, nl.ExteriorRule.zero())
+        s1 = nl.solve_normalized(op1, 0.05, 1e-9)
+        s2 = nl.solve_normalized(op2, 0.05, 1e-9)
+        assert s1.linear_solves["splu"] == s2.linear_solves["splu"] == 0
+        assert s1.m <= s2.m + 1e-9
 
 
 class TestLyapunovConvolution:
