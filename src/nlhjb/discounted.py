@@ -135,7 +135,10 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int,
 
     Returns (v, m, solver tag).  For a :class:`_MatrixFreeSystem` this
     tries two Jacobi-BiCGStab solves on A, y2 = A^{-1} 1 and
-    y1 = A^{-1} rhs, each capped at ceil(N/4) iterations; then
+    y1 = A^{-1} rhs, each capped at ceil(N/4) iterations.  BiCGStab's
+    recurred residual can drift from the true one; a solve that reports
+    convergence with a true residual above its target is restarted once
+    from its answer, which resets the drift.  Then
     m = -y1[i0]/y2[i0] and v = y1 + m y2.  -A is a nonsingular M-matrix
     (monotone stencils, c < 0), so ||A^{-1}||_inf = max|A^{-1} 1|, which is
     at most ainv = max|y2| / (1 - e) with e = ||A y2 - 1||.  With r the true
@@ -149,19 +152,25 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int,
     n = A.shape[0]
     if isinstance(A, _MatrixFreeSystem):
         M = sp.diags(1.0 / A.diagonal())
-        ys = []
+        ys, res = [], []
         for b in (np.ones(n), rhs):
-            y, info = spla.bicgstab(A, b, M=M, rtol=0.0, atol=atol / 100,
-                                    maxiter=-(-n // 4))
+            y = None
+            for _ in range(2):
+                y, info = spla.bicgstab(A, b, x0=y, M=M, rtol=0.0, atol=atol / 100,
+                                        maxiter=-(-n // 4))
+                r = float(np.max(np.abs(A @ y - b)))
+                if info != 0 or not r > atol / 100:
+                    break
             if info != 0:
                 break
             ys.append(y)
+            res.append(r)
         if len(ys) == 2:
             y2, y1 = ys
             m = -y1[i0] / y2[i0]
             v = y1 + m * y2
             v[i0] = 0.0
-            e = float(np.max(np.abs(A @ y2 - 1.0)))
+            e = res[0]
             ainv = float(np.max(np.abs(y2))) / (1.0 - e)
             den = abs(y2[i0]) - ainv * e
             err = ainv * float(np.max(np.abs(A @ v - m - rhs))) * (1.0 + ainv / den)

@@ -320,6 +320,29 @@ class TestBorderedKrylov:
         assert tag == "splu"
         assert calls == [-(-op.n_nodes // 4)]
 
+    def test_drifted_residual_is_restarted_not_sent_to_lu(self, monkeypatch):
+        # BiCGStab can report convergence while its true residual is far above
+        # the target; one restart from that answer must keep the Krylov pair
+        op = bordered_operator(7).with_alpha(0.1)
+        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        i0, atol = op.grid.origin_index, 1e-10
+        bicgstab = spla.bicgstab
+        cold = []
+
+        def drifting(A, b, *args, **kwargs):
+            x, info = bicgstab(A, b, *args, **kwargs)
+            cold.append(kwargs.get("x0") is None)
+            return (x + 1e-6 if len(cold) == 1 else x), info
+
+        monkeypatch.setattr(spla, "bicgstab", drifting)
+        v, m, tag = _solve_bordered(A, -const, i0, atol)
+        monkeypatch.undo()
+        v_ref, m_ref, _ = _solve_bordered(A.tocsr(), -const, i0, atol)
+        assert tag == "bicgstab"
+        assert cold == [True, False, True]
+        assert abs(m - m_ref) <= atol + 1e-12
+        assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
+
     def test_normalized_solve_matches_csr_path(self):
         op = bordered_operator(5)
         fast = nl.solve_normalized(op, 0.05, 1e-9)
