@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, RunConfig, build_alpha_schedule, build_domain,
-                     build_problem, parse_config)
+from .config import (ConfigError, RunConfig, build_alpha_schedule, build_problem,
+                     parse_config)
 from .discounted import check_barrier
 from .ergodic import (_quadrature, check_bar_w_bound, check_lambda_bound,
                       convergence_study, expand_domain, vanishing_discount)
@@ -57,9 +57,8 @@ def _validation_summary(prob, grid, q) -> list[dict]:
 
 def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     prob = build_problem(cfg)
-    domain = build_domain(cfg)
     schedule = build_alpha_schedule(cfg)
-    sol = vanishing_discount(prob, domain, schedule, cfg.alpha.tol,
+    sol = vanishing_discount(prob, cfg.grid, schedule, cfg.alpha.tol,
                              solver_tol=cfg.solver.tol,
                              max_iter=cfg.solver.max_policy_iters)
     grid = sol.grid
@@ -74,7 +73,7 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         if cert.ok:
             lb = check_lambda_bound(sol.alpha_trace, prob, grid, cert.k0)
             invariants["lambda_alpha_bounded"] = bool(lb.ok)
-        bw = check_bar_w_bound(sol.alpha_trace, prob, grid, domain.window_radius)
+        bw = check_bar_w_bound(sol.alpha_trace, prob, grid, cfg.grid.window_radius)
         invariants["wbar_growth_bound"] = bool(bw.ok)
     report = {
         "mode": "ergodic",
@@ -101,9 +100,8 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
 
 def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     prob = build_problem(cfg)
-    domain = build_domain(cfg)
     alpha = cfg.alpha.start if prob.zeroth is None else None
-    sol = expand_domain(prob, alpha, domain, cfg.solver.tol,
+    sol = expand_domain(prob, alpha, cfg.grid, cfg.solver.tol,
                         max_iter=cfg.solver.max_policy_iters)
     op = sol.diagnostics["operator"]
     grid = op.grid
@@ -141,7 +139,7 @@ def _run_certify(cfg: RunConfig, outdir: Path) -> int:
     if prob.lyapunov is None:
         raise ConfigError("certify mode needs a problem family with Lyapunov data")
     grid = build_grid(cfg.grid.d, cfg.grid.hx, cfg.grid.radii[-1])
-    q = _quadrature(prob, build_domain(cfg), grid)
+    q = _quadrature(prob, cfg.grid, grid)
     values = evaluate_lyapunov_drift(prob, grid, q)
     cert = fit_envelope(values, prob.lyapunov, grid)
     payload = cert.to_dict()
@@ -157,7 +155,7 @@ def _run_certify(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_convergence_study(cfg: RunConfig, outdir: Path) -> int:
-    report = convergence_study(build_problem(cfg), build_domain(cfg),
+    report = convergence_study(build_problem(cfg), cfg.grid,
                                build_alpha_schedule(cfg), cfg.alpha.tol,
                                solver_tol=cfg.solver.tol,
                                max_iter=cfg.solver.max_policy_iters)

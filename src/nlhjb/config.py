@@ -21,7 +21,7 @@ from .problem import (ControlProblem, KernelSpec, constant_cost_problem,
                       constant_kernel, power_drift_problem)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_problem",
-           "build_domain", "build_alpha_schedule"]
+           "build_alpha_schedule"]
 
 MODES = ("discounted", "ergodic", "certify", "convergence-study")
 
@@ -112,16 +112,6 @@ _FAMILIES = {cls.family: cls
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    d: int
-    hx: float
-    radii: tuple[float, ...]
-    r_far_margin: float = 1.0
-    reg_radius: float | None = None
-    inner_radius: float | None = None
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-8
     max_policy_iters: int = 60
@@ -140,14 +130,14 @@ class AlphaConfig:
 class RunConfig:
     mode: str
     problem: PowerDriftConfig | ConstantCostConfig | CustomConfig
-    grid: GridConfig
+    grid: DomainConfig
     solver: SolverConfig = field(default_factory=SolverConfig)
     alpha: AlphaConfig = field(default_factory=AlphaConfig)
     output_dir: str = "out"
 
 
 _SECTION_TYPES = {
-    "grid": GridConfig,
+    "grid": DomainConfig,
     "solver": SolverConfig,
     "alpha": AlphaConfig,
 }
@@ -215,7 +205,10 @@ def _coerce(cls, raw: dict, where: str):
         elif isinstance(val, list):
             val = tuple(val)
         kwargs[key] = val
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _coerce_problem(raw: dict):
@@ -289,10 +282,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"grid.d must be 1 or 2, got {g.d}")
     if g.hx <= 0:
         raise ConfigError("grid.hx must be positive")
-    if not g.radii or any(b <= a for a, b in zip(g.radii, g.radii[1:])):
-        raise ConfigError("grid.radii must be a strictly increasing list")
-    if g.radii[0] < 4 * g.hx:
-        raise ConfigError("grid.radii[0] must be at least 4*hx")
     if cfg.solver.tol <= 0:
         raise ConfigError("solver.tol must be positive")
     if isinstance(cfg.problem, CustomConfig) and not cfg.problem.controls:
@@ -312,13 +301,6 @@ def _shifted(g, shift: float):
     def gg(x):
         return np.asarray(g(x), dtype=float) + shift
     return gg
-
-
-def build_domain(cfg: RunConfig) -> DomainConfig:
-    g = cfg.grid
-    return DomainConfig(d=g.d, hx=g.hx, radii=tuple(g.radii),
-                        r_far_margin=g.r_far_margin, reg_radius=g.reg_radius,
-                        inner_radius=g.inner_radius)
 
 
 def build_alpha_schedule(cfg: RunConfig) -> AlphaSchedule:

@@ -111,21 +111,43 @@ def _policy_system(op: DiscreteOperator, policy: np.ndarray):
     return A, np.stack([op.constant(t) for t in controls])[pick]
 
 
+def _krylov(A, b: np.ndarray, atol: float, maxiter: int,
+            x0: np.ndarray | None = None) -> tuple[np.ndarray, float] | None:
+    """Jacobi-preconditioned BiCGStab to an absolute sup residual ``atol``.
+
+    Returns the answer and its true sup residual, or ``None`` when the
+    diagonal has a zero, BiCGStab stops unconverged (``info != 0``) or the
+    answer is not finite.  BiCGStab's recurred residual can drift from the
+    true one; an answer reported converged with a true residual above
+    ``atol`` is restarted once from itself, which resets the drift, under
+    the same ``maxiter``.  The residual returned may still exceed ``atol``.
+    """
+    d = A.diagonal()
+    if np.any(d == 0):
+        return None
+    M = sp.diags(1.0 / d)
+    x = x0
+    for _ in range(2):
+        x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=atol, maxiter=maxiter)
+        if info != 0:
+            return None
+        r = float(np.max(np.abs(A @ x - b)))
+        if not r > atol:
+            break
+    return (x, r) if np.isfinite(r) else None
+
+
 def _solve_linear(A, rhs: np.ndarray, atol: float,
                   x0: np.ndarray | None = None) -> tuple[np.ndarray, str]:
-    """Iterative solve (Jacobi-preconditioned BiCGStab) with sparse-LU fallback.
+    """Iterative solve (:func:`_krylov`, capped at 500) with sparse-LU fallback.
 
     ``A`` is a CSR matrix or a :class:`_MatrixFreeSystem`; returns the
     solution and the solver that produced it, ``"bicgstab"`` or ``"splu"``.
     BiCGStab's answer is kept only if its sup residual is at most ``atol``.
     """
-    d = A.diagonal()
-    if np.any(d == 0):
-        return spla.spsolve(A.tocsc(), rhs), "splu"
-    M = sp.diags(1.0 / d)
-    x, info = spla.bicgstab(A, rhs, x0=x0, M=M, rtol=0.0, atol=atol, maxiter=500)
-    if info == 0 and float(np.max(np.abs(A @ x - rhs))) <= atol:
-        return x, "bicgstab"
+    out = _krylov(A, rhs, atol, 500, x0)
+    if out is not None and out[1] <= atol:
+        return out[0], "bicgstab"
     return spla.spsolve(A.tocsc(), rhs), "splu"
 
 
@@ -134,11 +156,9 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int,
     """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
 
     Returns (v, m, solver tag).  For a :class:`_MatrixFreeSystem` this
-    tries two Jacobi-BiCGStab solves on A, y2 = A^{-1} 1 and
-    y1 = A^{-1} rhs, each capped at ceil(N/4) iterations.  BiCGStab's
-    recurred residual can drift from the true one; a solve that reports
-    convergence with a true residual above its target is restarted once
-    from its answer, which resets the drift.  Then
+    tries two :func:`_krylov` solves on A to ``atol/100``, y2 = A^{-1} 1
+    and y1 = A^{-1} rhs, each capped at ceil(N/4) iterations; a failed
+    first solve skips the second.  Then
     m = -y1[i0]/y2[i0] and v = y1 + m y2.  -A is a nonsingular M-matrix
     (monotone stencils, c < 0), so ||A^{-1}||_inf = max|A^{-1} 1|, which is
     at most ainv = max|y2| / (1 - e) with e = ||A y2 - 1||.  With r the true
@@ -151,26 +171,17 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int,
     """
     n = A.shape[0]
     if isinstance(A, _MatrixFreeSystem):
-        M = sp.diags(1.0 / A.diagonal())
-        ys, res = [], []
+        ys = []
         for b in (np.ones(n), rhs):
-            y = None
-            for _ in range(2):
-                y, info = spla.bicgstab(A, b, x0=y, M=M, rtol=0.0, atol=atol / 100,
-                                        maxiter=-(-n // 4))
-                r = float(np.max(np.abs(A @ y - b)))
-                if info != 0 or not r > atol / 100:
-                    break
-            if info != 0:
+            out = _krylov(A, b, atol / 100, -(-n // 4))
+            if out is None:
                 break
-            ys.append(y)
-            res.append(r)
+            ys.append(out)
         if len(ys) == 2:
-            y2, y1 = ys
+            (y2, e), (y1, _) = ys
             m = -y1[i0] / y2[i0]
             v = y1 + m * y2
             v[i0] = 0.0
-            e = res[0]
             ainv = float(np.max(np.abs(y2))) / (1.0 - e)
             den = abs(y2[i0]) - ainv * e
             err = ainv * float(np.max(np.abs(A @ v - m - rhs))) * (1.0 + ainv / den)

@@ -43,11 +43,11 @@ class DomainConfig:
 
     def __post_init__(self):
         if len(self.radii) == 0:
-            raise ValueError("radius schedule must be non-empty")
+            raise ValueError("radii must be a non-empty list")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radius schedule must be strictly increasing")
+            raise ValueError("radii must be strictly increasing")
         if self.radii[0] < 4 * self.hx:
-            raise ValueError("first radius below 4*hx")
+            raise ValueError("radii[0] must be at least 4*hx")
 
     @property
     def window_radius(self) -> float:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import constant_kernel, x_kernel
+from .problem import x_kernel
 
 __all__ = ["compile_scalar_field", "compile_kernel_field"]
 
@@ -70,15 +70,11 @@ def compile_scalar_field(expr: str, d: int) -> Callable[[np.ndarray], np.ndarray
 def compile_kernel_field(expr: str, d: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Compile an expression of x1[,x2],y1[,y2],r,ry into a kernel k(x, y).
 
-    An expression that reads no coordinate is evaluated once and returned as
-    a tagged :func:`~nlhjb.problem.constant_kernel`; one that reads none of
-    ``y1``, ``y2``, ``ry`` is returned as a tagged
-    :func:`~nlhjb.problem.x_kernel`.
+    An expression that reads none of ``y1``, ``y2``, ``ry`` (a constant
+    included) is returned as a tagged :func:`~nlhjb.problem.x_kernel`.
     """
     names = {"x1", "y1", "r", "ry"} | ({"x2", "y2"} if d == 2 else set())
     code, used = _compile(expr, names)
-    if not used:
-        return constant_kernel(eval(code, {"__builtins__": {}}, dict(_FUNCS)))
     if not used & {"y1", "y2", "ry"}:
         return x_kernel(compile_scalar_field(expr, d))
 

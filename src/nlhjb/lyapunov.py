@@ -60,15 +60,14 @@ class LyapunovCertificate:
 def _jump_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndarray:
     x = grid.nodes
     Vx = np.asarray(ly.V(x), dtype=float)
-    k = getattr(kern, "constant_value", None)
-    if k is not None:
-        # x-independent kernel: the offset and axis sums are one lattice
-        # convolution of V sampled on the box the offsets reach
+    if hasattr(kern, "x_field"):
+        # y-free kernel: the offset and axis sums are one lattice convolution
+        # of V sampled on the box the offsets reach, scaled by k(x_i)
         conv = _LatticeConvolution(grid, q)
         hw = grid._halfwidth + conv.far
         Vbox = np.asarray(ly.V(conv.box(hw) * grid.hx), dtype=float)
-        out = k * (conv.sums(Vbox.reshape((2 * hw + 1,) * grid.d))
-                   - conv.weights.sum() * Vx)
+        sums = conv.sums(Vbox.reshape((2 * hw + 1,) * grid.d))
+        out = np.asarray(kern.x_field(x), dtype=float) * (sums - conv.weights.sum() * Vx)
     else:
         y = q.half_offsets
         kv = np.asarray(kern(x[:, None, :], y[None, :, :]), dtype=float)
@@ -121,10 +120,9 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
             if q is None:
                 raise ValueError("jump kernel present but no quadrature given")
             kern = p.kernel.kernel_for(t)
-            key = getattr(kern, "constant_value", kern)
-            if key not in jumps:
-                jumps[key] = _jump_on_V(ly, grid, q, kern)
-            val += jumps[key]
+            if kern not in jumps:
+                jumps[kern] = _jump_on_V(ly, grid, q, kern)
+            val += jumps[kern]
         b = np.asarray(p.drift[t](x), dtype=float).reshape(grid.n_nodes, grid.d)
         val += np.einsum("nd,nd->n", b, gV)
         if p.mixed is not None:

@@ -11,13 +11,14 @@ with nonnegative off-diagonal weights.  Exterior targets are folded into the
 constant term through the :class:`~nlhjb.grid.ExteriorRule`.
 
 When every control's kernel reads no jump direction y (a tagged
-:func:`~nlhjb.problem.constant_kernel` or :func:`~nlhjb.problem.x_kernel`)
-and there is no mixed or Lévy part, node x_i's jump stencil is the
-constant-kernel stencil times k_tau(x_i): one lattice convolution, scaled
-per control and node.  ``assemble`` then keeps only the sparse drift
-stencils and applies the jump part by FFT; the explicit CSR stencils, the
-oracle for that path, are built on demand by :meth:`DiscreteOperator.csr`.
-Kernels that read y keep the CSR stencils.
+:func:`~nlhjb.problem.x_kernel`, of which
+:func:`~nlhjb.problem.constant_kernel` is the constant case) and there is
+no mixed or Lévy part, node x_i's jump stencil is the k ≡ 1 stencil times
+k_tau(x_i): one lattice convolution, scaled per control and node.
+``assemble`` then keeps only the sparse drift stencils and applies the jump
+part by FFT; the explicit CSR stencils, the oracle for that path, are built
+on demand by :meth:`DiscreteOperator.csr`.  Kernels that read y keep the
+CSR stencils.
 """
 
 from __future__ import annotations
@@ -445,23 +446,17 @@ def _check_monotone(m: sp.csr_matrix, grid: Grid, label: str) -> None:
 def _node_factors(p: ControlProblem, grid: Grid) -> np.ndarray | None:
     """k_tau(x_i) of shape (n_controls, N) when the FFT jump applies, else None.
 
+    The FFT jump applies when every control's kernel carries ``x_field``.
     Raises :class:`MonotonicityError` naming the control and the node where
     a factor is negative or not finite.
     """
     if p.kernel is None or p.mixed is not None:
         return None
-    n = grid.n_nodes
-    rows = []
-    for t in range(p.n_controls):
-        kern = p.kernel.kernel_for(t)
-        if hasattr(kern, "constant_value"):
-            rows.append(np.full(n, kern.constant_value))
-        elif hasattr(kern, "x_field"):
-            rows.append(np.broadcast_to(
-                np.asarray(kern.x_field(grid.nodes), dtype=float), (n,)))
-        else:
-            return None
-    factors = np.stack(rows)
+    kernels = [p.kernel.kernel_for(t) for t in range(p.n_controls)]
+    if not all(hasattr(kern, "x_field") for kern in kernels):
+        return None
+    factors = np.stack([np.broadcast_to(np.asarray(kern.x_field(grid.nodes), dtype=float),
+                                        (grid.n_nodes,)) for kern in kernels])
     bad = ~(np.isfinite(factors) & (factors >= 0))
     if np.any(bad):
         t, i = (int(j[0]) for j in np.nonzero(bad))

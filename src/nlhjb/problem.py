@@ -29,27 +29,18 @@ KernelField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def constant_kernel(value: float) -> KernelField:
-    """Kernel factor k(x, y) ≡ value, tagged with ``constant_value``.
-
-    The tag lets assembly and the Lyapunov certificate apply the jump part as
-    a lattice convolution instead of evaluating the kernel per (node, offset).
-    """
+    """Kernel factor k(x, y) ≡ value: the :func:`x_kernel` of a constant field."""
     v = float(value)
-
-    def k(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        shape = np.broadcast_shapes(np.asarray(x).shape[:-1], np.asarray(y).shape[:-1])
-        return np.full(shape, v)
-
-    k.constant_value = v
-    return k
+    return x_kernel(lambda x: np.full(np.shape(x)[:-1], v))
 
 
 def x_kernel(field: ScalarField) -> KernelField:
     """Kernel factor k(x, y) = field(x) that reads no y, tagged with ``x_field``.
 
-    Every weight of node x_i's jump stencil is then the constant-kernel
-    weight times field(x_i), so assembly applies the jump part as the
-    constant-kernel convolution scaled per node.
+    Every weight of node x_i's jump stencil is then the k ≡ 1 weight times
+    field(x_i), so assembly and the Lyapunov certificate apply the jump part
+    as one lattice convolution scaled per node instead of evaluating the
+    kernel per (node, offset).
     """
 
     def k(x: np.ndarray, y: np.ndarray) -> np.ndarray:

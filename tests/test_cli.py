@@ -392,12 +392,13 @@ class TestRuns:
         assert "lambda_alpha_bounded" in report["invariants"]
 
     def test_constant_kernel_expression_matches_csr_path(self, tmp_path):
-        # "0.5" compiles to a tagged constant kernel (FFT jump part);
-        # "0.5+0*x1" reads x1 and so keeps the assembled CSR stencils
+        # "0.5" compiles to a y-free kernel (FFT jump part); "0.5+0*y1" reads
+        # y1 and so keeps the assembled CSR stencils
         from nlhjb.expressions import compile_kernel_field
-        assert compile_kernel_field("0.5", 2).constant_value == 0.5
-        assert not hasattr(compile_kernel_field("0.5+0*x1", 2), "constant_value")
-        for name, kernel in (("fast", "0.5"), ("csr", "0.5+0*x1")):
+        fast_kernel = compile_kernel_field("0.5", 2)
+        assert np.array_equal(fast_kernel.x_field(np.zeros((3, 2))), np.full(3, 0.5))
+        assert not hasattr(compile_kernel_field("0.5+0*y1", 2), "x_field")
+        for name, kernel in (("fast", "0.5"), ("csr", "0.5+0*y1")):
             cfg = parse_config(custom_discounted_config([kernel, kernel]))
             assert run(cfg, output_dir=str(tmp_path / name)) == 0
         fast, csr = read_solution(tmp_path / "fast"), read_solution(tmp_path / "csr")

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import nlhjb as nl
 from nlhjb import discounted
-from nlhjb.discounted import _MatrixFreeSystem, _policy_system, _solve_bordered
+from nlhjb.discounted import (_MatrixFreeSystem, _policy_system, _solve_bordered,
+                              _solve_linear)
 from nlhjb.lyapunov import _jump_on_V
 from nlhjb.operators import apply_control
 
@@ -255,6 +256,26 @@ class TestSolves:
         assert op.jump.stencils is not None   # the fallback factorised op.csr()
         assert np.max(np.abs(got.w - want.w)) <= 1e-10
 
+    def test_drifted_answer_is_restarted_not_sent_to_lu(self, monkeypatch):
+        # BiCGStab can report convergence while its true residual is far above
+        # atol; one restart from that answer must keep the Krylov solve
+        op = bordered_operator(8).with_alpha(0.4)
+        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        atol = 1e-10
+        bicgstab = spla.bicgstab
+        starts = []
+
+        def drifting(A, b, *args, **kwargs):
+            x, info = bicgstab(A, b, *args, **kwargs)
+            starts.append(kwargs.get("x0"))
+            return (x + 1e-6 if len(starts) == 1 else x), info
+
+        monkeypatch.setattr(spla, "bicgstab", drifting)
+        x, tag = _solve_linear(A, -const, atol)
+        assert tag == "bicgstab"
+        assert len(starts) == 2 and starts[0] is None and starts[1] is not None
+        assert float(np.max(np.abs(A @ x + const))) <= atol
+
     def test_expand_domain_never_builds_csr(self, monkeypatch):
         def no_csr(self):
             raise AssertionError("op.csr() built on the discounted ladder")
@@ -386,20 +407,28 @@ class TestBorderedKrylov:
         assert s1.m <= s2.m + 1e-9
 
 
+CERT_KERNELS = {
+    "": nl.constant_kernel(0.37),
+    "x_only-": nl.x_kernel(
+        lambda x: 0.37 * (1 + 0.3 * np.cos(x[..., 0]) * np.exp(-0.1 * x[..., -1]))),
+}
+
+
 class TestLyapunovConvolution:
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("gamma_tail", [True, False])
-    def test_matches_direct_evaluation(self, d, gamma_tail):
+    @pytest.mark.parametrize("kern, gamma_tail, d", [
+        pytest.param(kern, gamma_tail, d, id=f"{name}{gamma_tail}-{d}")
+        for name, kern in CERT_KERNELS.items()
+        for gamma_tail in (True, False) for d in (1, 2)])
+    def test_matches_direct_evaluation(self, d, gamma_tail, kern):
         p = nl.power_drift_problem(1.6, 0.1, d, 0.9)
         ly = p.lyapunov if gamma_tail else dataclasses.replace(p.lyapunov, gamma=None)
         g = nl.build_grid(d, 0.25 if d == 1 else 0.5, 6.0 if d == 1 else 3.0)
         q = nl.build_quadrature(g, 0.9, g.R + 1.5)
-        k = 0.37
 
         def untagged(x, y):
-            return nl.constant_kernel(k)(x, y)
+            return kern(x, y)
 
-        got = _jump_on_V(ly, g, q, nl.constant_kernel(k))
+        got = _jump_on_V(ly, g, q, kern)
         want = _jump_on_V(ly, g, q, untagged)
         assert_rel_close(got, want)
 
