@@ -4,8 +4,8 @@ Reads a JSON run config, executes the requested mode and writes artifacts:
 ``report.json`` (deterministic summary), ``solution.csv`` (node coordinates
 plus the solved field), ``certificate.json`` in certify mode and
 ``run_meta.json`` (wall-clock metadata and, in ergodic and discounted mode,
-the count of frozen-policy solves per linear solver; excluded from
-determinism checks).
+the count of frozen-policy solves per linear solver and the total of
+BiCGStab iterations; excluded from determinism checks).
 Exit status: 0 on success, 1 for validation/config failures, monotonicity
 violations and stencils over the size cap, 2 when a solve ends flagged
 non-converged.
@@ -56,6 +56,7 @@ def _validation_summary(prob, grid, q) -> list[dict]:
 
 
 def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
+    """Ergodic run: exit code and the solver counts for ``run_meta.json``."""
     prob = build_problem(cfg)
     schedule = build_alpha_schedule(cfg)
     sol = vanishing_discount(prob, cfg.grid, schedule, cfg.alpha.tol,
@@ -95,10 +96,12 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     }
     _write_json(outdir / "report.json", report)
     _write_solution_csv(outdir / "solution.csv", grid, sol.u)
-    return 0 if sol.converged else 2, sol.linear_solves
+    return 0 if sol.converged else 2, {"linear_solves": sol.linear_solves,
+                                       "krylov_iterations": sol.krylov_iterations}
 
 
 def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
+    """Discounted run: exit code and the solver counts for ``run_meta.json``."""
     prob = build_problem(cfg)
     alpha = cfg.alpha.start if prob.zeroth is None else None
     sol = expand_domain(prob, alpha, cfg.grid, cfg.solver.tol,
@@ -131,7 +134,8 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         fh.write("iteration,residual,policy_changes\n")
         for it, res, changes in sol.trace:
             fh.write(f"{it},{repr(float(res))},{changes}\n")
-    return 0 if sol.converged else 2, sol.diagnostics["linear_solves"]
+    return 0 if sol.converged else 2, {
+        key: sol.diagnostics[key] for key in ("linear_solves", "krylov_iterations")}
 
 
 def _run_certify(cfg: RunConfig, outdir: Path) -> int:
@@ -169,10 +173,10 @@ def run(cfg: RunConfig, output_dir: str | None = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     meta = {"nlhjb_version": __version__}
-    if cfg.mode == "ergodic":
-        code, meta["linear_solves"] = _run_ergodic(cfg, outdir)
-    elif cfg.mode == "discounted":
-        code, meta["linear_solves"] = _run_discounted(cfg, outdir)
+    if cfg.mode in ("ergodic", "discounted"):
+        runner = _run_ergodic if cfg.mode == "ergodic" else _run_discounted
+        code, counts = runner(cfg, outdir)
+        meta.update(counts)
     elif cfg.mode == "certify":
         code = _run_certify(cfg, outdir)
     elif cfg.mode == "convergence-study":

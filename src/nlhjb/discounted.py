@@ -52,6 +52,7 @@ class NormalizedSolution:
     converged: bool
     trace: list[tuple[int, float, int]] = field(default_factory=list)
     linear_solves: dict = field(default_factory=dict)
+    krylov_iterations: int = 0
 
 
 def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
@@ -66,10 +67,9 @@ class _MatrixFreeSystem(spla.LinearOperator):
 
     Row i is control ``policy[i]``'s: its jump part scaled by
     k_{policy[i]}(x_i), plus the row-gathered drift stencil with c on the
-    diagonal (``local``).
-    ``diagonal``, ``tocsr`` and ``tocsc`` make it a drop-in for the CSR
-    system in :func:`_solve_linear` and :func:`_solve_bordered`; ``tocsr``
-    builds that system from ``op.csr()``.
+    diagonal (``local``).  ``tocsr`` and ``tocsc`` make it a drop-in for the
+    CSR system in :func:`_solve_linear` and :func:`_solve_bordered`; they
+    build that system from ``op.csr()``.
     """
 
     def __init__(self, op: DiscreteOperator, policy: np.ndarray,
@@ -77,14 +77,33 @@ class _MatrixFreeSystem(spla.LinearOperator):
         super().__init__(dtype=float, shape=local.shape)
         self.op, self.policy, self.local = op, policy, local
         self.scale = op.jump.scale[policy, np.arange(policy.shape[0])]
+        self._near_lu = None
 
     def _matvec(self, x):
         x = np.ravel(x)
         return self.scale * self.op.jump.conv(x) + self.local @ x
 
-    def diagonal(self) -> np.ndarray:
-        diags = np.stack([self.op.diagonal(t) for t in range(len(self.op.controls))])
-        return diags[self.policy, np.arange(self.shape[0])]
+    def near(self) -> sp.csr_matrix:
+        """The system cut to lattice offsets |z|_inf <= 1, full diagonal kept.
+
+        Its off-diagonals are >= 0 and -near is strictly diagonally dominant
+        by rows (c < 0), so it is a nonsingular M-matrix.
+        """
+        return (sp.diags(self.scale) @ self.op.jump.conv.near() + self.local).tocsr()
+
+    def preconditioner(self) -> spla.LinearOperator:
+        """Solve with the sparse LU of :meth:`near`, factored on first use.
+
+        A symmetric minimum-degree ordering with diagonal pivots: a symmetric
+        permutation keeps the strict diagonal dominance, which then holds in
+        every Schur complement, so no pivot is zero.  ``splu`` raises
+        ``RuntimeError`` on a singular factor.
+        """
+        if self._near_lu is None:
+            self._near_lu = spla.splu(self.near().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
+        return spla.LinearOperator(self.shape, matvec=self._near_lu.solve, dtype=float)
 
     def tocsr(self) -> sp.csr_matrix:
         return _policy_system(self.op.csr(), self.policy)[0]
@@ -111,24 +130,43 @@ def _policy_system(op: DiscreteOperator, policy: np.ndarray):
     return A, np.stack([op.constant(t) for t in controls])[pick]
 
 
-def _krylov(A, b: np.ndarray, atol: float, maxiter: int,
-            x0: np.ndarray | None = None) -> tuple[np.ndarray, float] | None:
-    """Jacobi-preconditioned BiCGStab to an absolute sup residual ``atol``.
+class _IterationCount:
+    """BiCGStab ``callback`` that counts the iterations it is called for."""
 
-    Returns the answer and its true sup residual, or ``None`` when the
-    diagonal has a zero, BiCGStab stops unconverged (``info != 0``) or the
-    answer is not finite.  BiCGStab's recurred residual can drift from the
-    true one; an answer reported converged with a true residual above
-    ``atol`` is restarted once from itself, which resets the drift, under
-    the same ``maxiter``.  The residual returned may still exceed ``atol``.
+    def __init__(self):
+        self.n = 0
+
+    def __call__(self, _xk):
+        self.n += 1
+
+
+def _krylov(A, b: np.ndarray, atol: float, maxiter: int,
+            x0: np.ndarray | None = None,
+            callback=None) -> tuple[np.ndarray, float] | None:
+    """Preconditioned BiCGStab to an absolute sup residual ``atol``.
+
+    The preconditioner is the sparse LU of the near field for a
+    :class:`_MatrixFreeSystem` (shared by every solve on that system) and
+    Jacobi for a CSR matrix.  Returns the answer and its true sup residual,
+    or ``None`` when the near-field factor fails, BiCGStab stops
+    unconverged (``info != 0``) or the answer is not finite.  BiCGStab's
+    recurred residual can drift from the true one; an answer reported
+    converged with a true residual above ``atol`` is restarted once from
+    itself, which resets the drift, under the same ``maxiter``.  The
+    residual returned may still exceed ``atol``.  ``callback`` is passed to
+    BiCGStab, which calls it once per iteration.
     """
-    d = A.diagonal()
-    if np.any(d == 0):
-        return None
-    M = sp.diags(1.0 / d)
+    if isinstance(A, _MatrixFreeSystem):
+        try:
+            M = A.preconditioner()
+        except RuntimeError:
+            return None
+    else:
+        M = sp.diags(1.0 / A.diagonal())
     x = x0
     for _ in range(2):
-        x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=atol, maxiter=maxiter)
+        x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=atol,
+                                maxiter=maxiter, callback=callback)
         if info != 0:
             return None
         r = float(np.max(np.abs(A @ x - b)))
@@ -137,43 +175,44 @@ def _krylov(A, b: np.ndarray, atol: float, maxiter: int,
     return (x, r) if np.isfinite(r) else None
 
 
-def _solve_linear(A, rhs: np.ndarray, atol: float,
-                  x0: np.ndarray | None = None) -> tuple[np.ndarray, str]:
+def _solve_linear(A, rhs: np.ndarray, atol: float, x0: np.ndarray | None = None,
+                  callback=None) -> tuple[np.ndarray, str]:
     """Iterative solve (:func:`_krylov`, capped at 500) with sparse-LU fallback.
 
     ``A`` is a CSR matrix or a :class:`_MatrixFreeSystem`; returns the
     solution and the solver that produced it, ``"bicgstab"`` or ``"splu"``.
     BiCGStab's answer is kept only if its sup residual is at most ``atol``.
     """
-    out = _krylov(A, rhs, atol, 500, x0)
+    out = _krylov(A, rhs, atol, 500, x0, callback)
     if out is not None and out[1] <= atol:
         return out[0], "bicgstab"
     return spla.spsolve(A.tocsc(), rhs), "splu"
 
 
-def _solve_bordered(A, rhs: np.ndarray, i0: int,
-                    atol: float) -> tuple[np.ndarray, float, str]:
+def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
+                    callback=None) -> tuple[np.ndarray, float, str]:
     """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
 
     Returns (v, m, solver tag).  For a :class:`_MatrixFreeSystem` this
     tries two :func:`_krylov` solves on A to ``atol/100``, y2 = A^{-1} 1
-    and y1 = A^{-1} rhs, each capped at ceil(N/4) iterations; a failed
-    first solve skips the second.  Then
+    and y1 = A^{-1} rhs, each capped at ceil(N/4) iterations and both
+    preconditioned by the one near-field LU factor of A; a failed first
+    solve skips the second.  Then
     m = -y1[i0]/y2[i0] and v = y1 + m y2.  -A is a nonsingular M-matrix
     (monotone stencils, c < 0), so ||A^{-1}||_inf = max|A^{-1} 1|, which is
     at most ainv = max|y2| / (1 - e) with e = ||A y2 - 1||.  With r the true
     sup residual of the bordered system, the pair is then within
     ainv ||r|| (1 + ainv / (|y2[i0]| - ainv e)) of the exact one in v and m.
     The pair is kept (tag ``"bicgstab"``) only if that bound is at most
-    ``atol``; a NaN fails the test.  Otherwise, and for CSR systems, the
-    bordered matrix built from ``A.tocsr()`` is solved by sparse LU (tag
-    ``"splu"``).
+    ``atol``; a NaN fails the test.  The bound does not depend on the
+    preconditioner.  Otherwise, and for CSR systems, the bordered matrix
+    built from ``A.tocsr()`` is solved by sparse LU (tag ``"splu"``).
     """
     n = A.shape[0]
     if isinstance(A, _MatrixFreeSystem):
         ys = []
         for b in (np.ones(n), rhs):
-            out = _krylov(A, b, atol / 100, -(-n // 4))
+            out = _krylov(A, b, atol / 100, -(-n // 4), callback=callback)
             if out is None:
                 break
             ys.append(out)
@@ -246,7 +285,8 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
     of tol/10, below the Howard stopping tol.
     Non-convergence is a flagged result, never an exception.
     ``diagnostics["linear_solves"]`` counts the frozen-policy solves by the
-    solver that produced them (``"bicgstab"``, or ``"splu"`` on fallback).
+    solver that produced them (``"bicgstab"``, or ``"splu"`` on fallback);
+    ``diagnostics["krylov_iterations"]`` counts their BiCGStab iterations.
     """
     c_floor = op.c_floor()
     if not (c_floor > 0):
@@ -260,9 +300,10 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
             alpha = common.pop()
 
     solves = {"bicgstab": 0, "splu": 0}
+    count = _IterationCount()
 
     def solve(A, rhs, x0):
-        x, tag = _solve_linear(A, rhs, lin_atol, x0=x0)
+        x, tag = _solve_linear(A, rhs, lin_atol, x0=x0, callback=count)
         solves[tag] += 1
         return x, 0.0
 
@@ -273,7 +314,7 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
         w=w, policy=policy, residual_inf_norm=float(np.max(np.abs(vals))),
         iterations=it, alpha=alpha, converged=converged, trace=trace,
         diagnostics={"monotone_violation": mono_violation, "c_floor": c_floor,
-                     "linear_solves": solves},
+                     "linear_solves": solves, "krylov_iterations": count.n},
     )
 
 
@@ -317,15 +358,17 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     fallback to sparse LU the remaining solves go straight to LU.  On
     explicit stencils (``op.csr()``) every solve is sparse LU.
     ``linear_solves`` counts the bordered solves by solver (``"bicgstab"``
-    or ``"splu"``).
+    or ``"splu"``) and ``krylov_iterations`` their BiCGStab iterations.
     """
     opa = op.with_alpha(alpha)
     i0 = op.grid.origin_index
     atol = max(tol / 10.0, 1e-14)
     solves = {"bicgstab": 0, "splu": 0}
+    count = _IterationCount()
 
     def solve(A, rhs, x0):
-        v, m, tag = _solve_bordered(A.tocsr() if solves["splu"] else A, rhs, i0, atol)
+        v, m, tag = _solve_bordered(A.tocsr() if solves["splu"] else A, rhs, i0, atol,
+                                    callback=count)
         solves[tag] += 1
         return v, m
 
@@ -337,7 +380,7 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
         v=v, m=m, policy=policy,
         residual_inf_norm=float(np.max(np.abs(vals - m))),
         iterations=it, alpha=alpha, converged=converged, trace=trace,
-        linear_solves=solves,
+        linear_solves=solves, krylov_iterations=count.n,
     )
 
 

@@ -107,7 +107,8 @@ class ErgodicSolution:
 
     ``operator`` is the operator on the largest ball (no zeroth term, zero
     exterior data); ``linear_solves`` counts the bordered solves of the
-    sweep and the radius ladder by solver.
+    sweep and the radius ladder by solver, ``krylov_iterations`` their
+    BiCGStab iterations.
     """
 
     u: np.ndarray
@@ -119,6 +120,7 @@ class ErgodicSolution:
     converged: bool
     operator: DiscreteOperator
     linear_solves: dict
+    krylov_iterations: int
 
 
 def normalize_at_origin(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -176,12 +178,14 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     Stops once the restriction to the inner window (``domain.window_radius``)
     moves by at most ``tol`` between consecutive radii; exhaustion without
     stabilisation is flagged in the diagnostics, not raised.  There,
-    ``"linear_solves"`` sums the solver counts over all radii and
-    ``"operator"`` is the operator on the last radius solved.
+    ``"linear_solves"`` and ``"krylov_iterations"`` sum the solver counts and
+    the BiCGStab iterations over all radii, and ``"operator"`` is the
+    operator on the last radius solved.
     """
     ext = ext if ext is not None else ExteriorRule.zero()
     trace: list[tuple[float, float]] = []
     solves = {"bicgstab": 0, "splu": 0}
+    krylov_iterations = 0
     prev = None   # (grid, solution) from the preceding radius
     stabilized = False
     for R in domain.radii:
@@ -192,6 +196,7 @@ def expand_domain(p: ControlProblem, alpha: float | None,
                                      w0=w0, policy0=policy0)
         for tag, count in sol.diagnostics["linear_solves"].items():
             solves[tag] += count
+        krylov_iterations += sol.diagnostics["krylov_iterations"]
         change = np.inf if prev is None else _inner_change(
             grid, sol.w, prev[0], prev[1].w, domain.window_radius)
         trace.append((R, change))
@@ -201,6 +206,7 @@ def expand_domain(p: ControlProblem, alpha: float | None,
             break
     sol.diagnostics["radius_trace"] = trace
     sol.diagnostics["linear_solves"] = solves
+    sol.diagnostics["krylov_iterations"] = krylov_iterations
     sol.diagnostics["radius_stabilized"] = stabilized
     sol.diagnostics["operator"] = op
     return sol
@@ -231,12 +237,15 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     sol: NormalizedSolution | None = None
     converged = False
     solves = {"bicgstab": 0, "splu": 0}
+    krylov_iterations = 0
 
     def normalized(op, alpha, v0, policy0):
+        nonlocal krylov_iterations
         out = solve_normalized(op.csr() if solves["splu"] else op, alpha, inner_tol,
                                max_iter=max_iter, v0=v0, policy0=policy0)
         for tag, count in out.linear_solves.items():
             solves[tag] += count
+        krylov_iterations += out.krylov_iterations
         return out
 
     for alpha in schedule.alphas():
@@ -274,7 +283,8 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     return ErgodicSolution(
         u=u, lambda_star=sol.m, grid=final_grid, alpha_trace=levels,
         radius_trace=trace, growth_report=_growth_report(u, final_grid, p),
-        converged=converged, operator=final_op, linear_solves=solves)
+        converged=converged, operator=final_op, linear_solves=solves,
+        krylov_iterations=krylov_iterations)
 
 
 def convergence_study(p: ControlProblem, domain: DomainConfig,

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .grid import Grid, ExteriorRule
-from .problem import ControlProblem
+from .problem import ControlProblem, KernelSpec
 from .quadrature import JumpQuadrature
 
 __all__ = [
@@ -66,6 +66,7 @@ class _LatticeConvolution:
         self.grid, self.q, self.far, self.weights = grid, q, F, W
         self.diag = -(W.sum() + 2.0 * q.tail_mass)
         self._hat: dict[int, np.ndarray] = {}
+        self._near: sp.csr_matrix | None = None
         K = grid._halfwidth
         self._at_nodes = tuple((grid.lattice + K).T)
 
@@ -74,6 +75,29 @@ class _LatticeConvolution:
         r = np.arange(-halfwidth, halfwidth + 1)
         return np.stack(np.meshgrid(*[r] * self.grid.d, indexing="ij"),
                         axis=-1).reshape(-1, self.grid.d)
+
+    def near(self) -> sp.csr_matrix:
+        """The k ≡ 1 jump matrix cut to offsets |z|_inf <= 1 (built once).
+
+        Row i holds ``diag``, the node's full weight, on the diagonal and the
+        image weight of each nearest lattice neighbour that is a node:
+        tridiagonal in 1-d, a 9-point stencil in 2-d.
+        """
+        if self._near is None:
+            grid, n = self.grid, self.grid.n_nodes
+            rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, self.diag)]
+            for z in self.box(1):
+                if not z.any():
+                    continue
+                j = grid.node_index_of_lattice(grid.lattice + z)
+                inside = np.flatnonzero(j >= 0)
+                rows.append(inside)
+                cols.append(j[inside])
+                vals.append(np.full(inside.size, self.weights[tuple(self.far + z)]))
+            self._near = sp.csr_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(n, n))
+        return self._near
 
     def sums(self, image: np.ndarray) -> np.ndarray:
         """Σ_z W[z] f(x + z·hx) at every node, f given on a centred box.
@@ -318,10 +342,40 @@ def _kernel_values(kern, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.asarray(kern(x, y), dtype=float)
 
 
-def _assemble_jump(bld: _StencilBuilder, ws: _Workspace, kern) -> None:
+def _check_band(kv: np.ndarray, spec: KernelSpec, label: str, x: np.ndarray,
+                y: np.ndarray | None = None) -> None:
+    """Reject kernel values outside the ellipticity band [(2-2s)λ, (2-2s)Λ].
+
+    ``kv[i, ...]`` is the value at node ``x[i]`` (and offset ``y[j]`` for a
+    2-d ``kv``).  Raises ``ValueError`` naming the control and the witness
+    point of the value farthest outside.  Values that are not all finite are
+    left to the finiteness checks, which name them first.
+    """
+    if not np.all(np.isfinite(kv)):
+        return
+    fac = 2.0 - 2.0 * spec.s
+    lo, hi = fac * spec.lambda_ell, fac * spec.Lambda_ell
+    tol = 1e-10 * max(1.0, hi)
+    excess = np.maximum(lo - kv, kv - hi)
+    bad = excess > tol
+    if not np.any(bad):
+        return
+    k = np.unravel_index(int(np.argmax(np.where(bad, excess, -np.inf))), kv.shape)
+    where = f"x={tuple(x[k[0]].tolist())}"
+    if y is not None:
+        where += f", y={tuple(y[k[1]].tolist())}"
+    raise ValueError(
+        f"kernel value {kv[k]:.6g} for control {label} at {where} lies outside "
+        f"[(2-2s)λ, (2-2s)Λ] = [{lo:.6g}, {hi:.6g}]")
+
+
+def _assemble_jump(bld: _StencilBuilder, ws: _Workspace, kern, spec: KernelSpec,
+                   label: str) -> None:
+    """Jump stencils of kernel ``kern``; its values must lie in ``spec``'s band."""
     grid, q = ws.grid, ws.q
     x = grid.nodes
     kv = _kernel_values(kern, x[:, None, :], q.half_offsets[None, :, :])
+    _check_band(kv, spec, label, x, q.half_offsets)
     w = q.pair_weights[None, :] * kv
     bld.add_targets(w, ws.idx_p, ws.extv_p)
     bld.add_targets(w, ws.idx_m, ws.extv_m)
@@ -329,12 +383,14 @@ def _assemble_jump(bld: _StencilBuilder, ws: _Workspace, kern) -> None:
     for axis in range(grid.d):
         e = _axis_unit(grid.d, axis).astype(float) * grid.hx
         ka = _kernel_values(kern, x, e[None, :])
+        _check_band(ka[:, None], spec, label, x, e[None, :])
         wa = q.axis_coeff * ka
         bld.add_targets(wa, ws.ax_idx_p[axis], ws.ax_ext_p[axis])
         bld.add_targets(wa, ws.ax_idx_m[axis], ws.ax_ext_m[axis])
         bld.diag -= 2.0 * wa
         probe = _axis_unit(grid.d, axis).astype(float) * q.tail_probe_radius
         kt = _kernel_values(kern, x, probe[None, :])
+        _check_band(kt[:, None], spec, label, x, probe[None, :])
         wt = (q.tail_mass / grid.d) * kt
         bld.const += wt * ws.tail_ext[axis]
         bld.diag -= 2.0 * wt
@@ -448,7 +504,8 @@ def _node_factors(p: ControlProblem, grid: Grid) -> np.ndarray | None:
 
     The FFT jump applies when every control's kernel carries ``x_field``.
     Raises :class:`MonotonicityError` naming the control and the node where
-    a factor is negative or not finite.
+    a factor is negative or not finite, and ``ValueError`` where it lies
+    outside the ellipticity band (:func:`_check_band`).
     """
     if p.kernel is None or p.mixed is not None:
         return None
@@ -463,6 +520,8 @@ def _node_factors(p: ControlProblem, grid: Grid) -> np.ndarray | None:
         raise MonotonicityError(
             f"jump kernel factor {factors[t, i]:.3e} for control {p.controls[t]} "
             f"at node {tuple(grid.nodes[i].tolist())}")
+    for t, label in enumerate(p.controls):
+        _check_band(factors[t], p.kernel, label, grid.nodes)
     return factors
 
 
@@ -479,7 +538,7 @@ def _stencils(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
     for t, label in enumerate(p.controls):
         bld = _StencilBuilder(n)
         if p.kernel is not None and not matrix_free:
-            _assemble_jump(bld, ws, p.kernel.kernel_for(t))
+            _assemble_jump(bld, ws, p.kernel.kernel_for(t), p.kernel, label)
         b = np.asarray(p.drift[t](grid.nodes), dtype=float).reshape(n, grid.d)
         if p.mixed is not None:
             levy = p.mixed.levy_for(t)
@@ -505,7 +564,8 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
     a jump kernel or Lévy part.  Kernels that read no y, without mixed
     parts, give an operator with an FFT jump part (see the module
     docstring); there a negative or non-finite kernel value raises with the
-    control and node.
+    control and node.  On either path a kernel value outside
+    [(2-2s)λ, (2-2s)Λ] raises ``ValueError`` with the control and the point.
     """
     needs_q = p.kernel is not None or (
         p.mixed is not None and p.mixed.levy_kernel is not None)

@@ -319,13 +319,15 @@ class TestRuns:
         assert "wall_seconds" not in report
 
     def test_discounted_linear_solver_counts_in_run_meta(self, tmp_path):
-        cfg = parse_config(custom_discounted_config(["0.5", "0.4"]))
+        cfg = parse_config(custom_discounted_config(["0.5", "0.46"]))
         assert run(cfg, output_dir=str(tmp_path)) == 0
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         report = json.loads((tmp_path / "report.json").read_text())
         assert meta["linear_solves"]["splu"] == 0
         assert meta["linear_solves"]["bicgstab"] >= 2
+        assert meta["krylov_iterations"] > 0
         assert "linear_solves" not in report
+        assert "krylov_iterations" not in report
 
     def test_ergodic_x_only_kernels_never_build_csr(self, tmp_path, monkeypatch):
         import nlhjb
@@ -346,27 +348,21 @@ class TestRuns:
         assert meta["linear_solves"]["bicgstab"] >= len(report["alpha_trace"]) + 1
         assert "linear_solves" not in report
 
-    def test_readme_ergodic_config_solves_direct_after_one_attempt(self, tmp_path,
-                                                                   monkeypatch):
-        # 1-d Jacobi BiCGStab needs about N iterations: the first capped
-        # attempt fails, and every solve of the sweep then goes to sparse LU
-        import scipy.sparse.linalg as spla
+    def test_readme_ergodic_config_passes_krylov_then_falls_back(self, tmp_path):
+        # With the near-field LU preconditioner the first 1-d bordered solves
+        # pass by Krylov inside their bound; once the small alphas make the
+        # bound too large, the guard sends the rest of the sweep to sparse LU
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         raw = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
         assert raw["mode"] == "ergodic" and raw["grid"]["d"] == 1
-        bicgstab = spla.bicgstab
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs["maxiter"])
-            return bicgstab(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "bicgstab", counting)
         assert run(parse_config(raw), output_dir=str(tmp_path)) == 0
         meta = json.loads((tmp_path / "run_meta.json").read_text())
-        assert meta["linear_solves"]["bicgstab"] == 0
-        assert meta["linear_solves"]["splu"] > 0
-        assert len(calls) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert meta["linear_solves"]["bicgstab"] >= 1
+        assert meta["linear_solves"]["splu"] >= 1
+        assert meta["krylov_iterations"] > 0
+        assert "krylov_iterations" not in report
+        assert abs(report["lambda_star"] - 0.2192472516863419) <= 10 * raw["solver"]["tol"]
 
     def test_ergodic_builds_one_quadrature_per_radius(self, tmp_path, monkeypatch):
         # the Lyapunov certificate reuses the final operator's quadrature
@@ -490,6 +486,49 @@ class TestMainEntry:
         assert code == 1
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "MonotonicityError"
+
+    @pytest.mark.parametrize("kernel, band, witness", [
+        # x-only kernel (FFT path), farthest outside at the first node x1 = -2
+        ("0.5+0.1*x1*x1", (0.9, 1.1), r"x=\(-2\.0, 0\.0\)"),
+        # kernel that reads y (CSR path), in band on the axes and the tail
+        # probes, outside only at off-axis offsets; the witness names y too
+        ("0.5+0.1*sin(y1*y2)", (0.9, 1.1), r"x=\(.*\), y=\("),
+        # an in-band kernel under a narrower class: lambda_ell has an effect
+        ("0.5", (1.05, 1.1), r"x=\("),
+    ])
+    def test_exit_one_outside_ellipticity_band(self, tmp_path, capsys, kernel,
+                                               band, witness):
+        cfg = custom_discounted_config(["0.5", kernel])
+        cfg["problem"]["lambda_ell"], cfg["problem"]["Lambda_ell"] = band
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"]["kind"] == "ValueError"
+        message = block["error"]["message"]
+        assert "control tau" in message and "(2-2s)λ, (2-2s)Λ" in message
+        assert re.search(witness, message)
+
+    def test_failed_near_field_factor_falls_back_without_traceback(
+            self, tmp_path, capsys, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", singular)
+        raw = custom_discounted_config(["0.5+0.04*cos(x1)*cos(x2)", "0.5-0.04*exp(-r*r)"])
+        raw["mode"] = "ergodic"
+        raw["solver"] = {"tol": 1e-9}
+        raw["alpha"] = {"start": 0.5, "factor": 0.5, "max_levels": 12, "tol": 1e-4}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == ""
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+        assert meta["linear_solves"]["bicgstab"] == 0
+        assert meta["linear_solves"]["splu"] > 0
 
     def test_happy_path_verbose(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

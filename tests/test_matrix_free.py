@@ -9,9 +9,11 @@ within their error bound.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,8 @@ def assert_rel_close(got, want):
 
 def constant_kernel_problem(seed, d, s, kvals, zeroth=False, x_only=()):
     """Problem with kernel constants ``kvals``; control t gets the x-only
-    kernel kvals[t]·(1 + 0.4·tanh(f_t(x))) instead where ``x_only[t]``."""
+    kernel kvals[t]·(1 + 0.4·tanh(f_t(x))) instead where ``x_only[t]``.
+    The declared band [0.25, 2.5]·(2-2s) holds every kernel the tests draw."""
     rng = np.random.default_rng(seed)
     xrng = np.random.default_rng(seed + 3)
     n = len(kvals)
@@ -52,7 +55,7 @@ def constant_kernel_problem(seed, d, s, kvals, zeroth=False, x_only=()):
             kernels.append(nl.constant_kernel(k))
     return nl.ControlProblem(
         controls=tuple(f"tau{i}" for i in range(n)),
-        kernel=nl.KernelSpec(s=s, lambda_ell=0.5, Lambda_ell=1.5, k=tuple(kernels)),
+        kernel=nl.KernelSpec(s=s, lambda_ell=0.25, Lambda_ell=2.5, k=tuple(kernels)),
         drift=tuple(smooth_drift(rng, d) for _ in range(n)),
         cost=tuple(smooth_field(rng, d) for _ in range(n)),
         zeroth=zs)
@@ -116,7 +119,7 @@ class TestOperatorOracle:
         assert isinstance(A, _MatrixFreeSystem)
         x = np.random.default_rng(seed).normal(size=op.n_nodes)
         assert_rel_close(A @ x, ref @ x)
-        assert_rel_close(A.diagonal(), ref.diagonal())
+        assert_rel_close(A.near().diagonal(), ref.diagonal())
         assert_rel_close(const, ref_const)
 
     def test_x_dependent_kernels_keep_csr(self):
@@ -405,6 +408,107 @@ class TestBorderedKrylov:
         s2 = nl.solve_normalized(op2, 0.05, 1e-9)
         assert s1.linear_solves["splu"] == s2.linear_solves["splu"] == 0
         assert s1.m <= s2.m + 1e-9
+
+
+class TestNearField:
+    """The near field P of a frozen-policy system, BiCGStab's preconditioner."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=fast_operators(), data=st.data())
+    def test_matches_csr_oracle_and_is_an_m_matrix(self, case, data):
+        op, _ = case
+        policy = np.array(data.draw(st.lists(
+            st.integers(0, len(op.controls) - 1),
+            min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+        A, _ = _policy_system(op, policy)
+        ref = _policy_system(op.csr(), policy)[0].toarray()
+        lat = op.grid.lattice
+        ring = np.abs(lat[:, None, :] - lat[None, :, :]).max(axis=-1) <= 1
+        want = np.where(ring, ref, 0.0)
+        P = A.near().toarray()
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert float(np.max(np.abs(P - want))) <= 1e-12 * scale
+        # -P is an M-matrix: P's off-diagonals are >= 0 and -P is strictly
+        # diagonally dominant by rows
+        off = P - np.diag(np.diag(P))
+        assert off.min() >= 0.0
+        assert np.all(-np.diag(P) > off.sum(axis=1))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), d=st.sampled_from([1, 2]),
+           alpha=st.floats(1e-4, 0.5),
+           x_only=st.sampled_from([(True, False), (True, True), (False, False)]),
+           data=st.data())
+    def test_preconditioned_and_jacobi_pairs_agree_within_bound(
+            self, seed, d, alpha, x_only, data):
+        op = bordered_operator(seed, d=d, x_only=x_only).with_alpha(alpha)
+        policy = np.array(data.draw(st.lists(
+            st.integers(0, 1), min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+        A, const = _policy_system(op, policy)
+        i0, atol = op.grid.origin_index, 1e-10
+        v, m, tag = _solve_bordered(A, -const, i0, atol)
+        jacobi = mock.patch.object(_MatrixFreeSystem, "preconditioner",
+                                   lambda self: sp.diags(1.0 / self.near().diagonal()))
+        with jacobi:
+            v_j, m_j, _ = _solve_bordered(_policy_system(op, policy)[0], -const, i0, atol)
+        v_ref, m_ref, _ = _solve_bordered(A.tocsr(), -const, i0, atol)
+        if d == 2:
+            assert tag == "bicgstab"
+        # each pair is within atol of the exact one (the direct solve's own
+        # error is far below that), so the two are within 2 atol
+        for got_v, got_m in ((v, m), (v_j, m_j)):
+            assert abs(got_m - m_ref) <= atol + 1e-12
+            assert float(np.max(np.abs(got_v - v_ref))) <= atol + 1e-12
+        assert abs(m - m_j) <= 2 * atol + 1e-12
+
+    def test_one_factor_per_frozen_policy(self, monkeypatch):
+        op = bordered_operator(7).with_alpha(0.1)
+        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        splu = spla.splu
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        for _ in range(2):
+            assert _solve_bordered(A, -const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
+        assert calls == [A.shape]
+
+    def test_failed_factor_falls_back_to_lu(self, monkeypatch):
+        op = bordered_operator(9)
+        want = nl.solve_normalized(op.csr(), 0.05, 1e-9)
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", singular)
+        got = nl.solve_normalized(op, 0.05, 1e-9)
+        assert got.linear_solves == {"bicgstab": 0, "splu": got.iterations}
+        assert got.krylov_iterations == 0
+        assert abs(got.m - want.m) <= 1e-10
+        assert float(np.max(np.abs(got.v - want.v))) <= 1e-10
+        A, const = _policy_system(op.with_alpha(0.4), np.zeros(op.n_nodes, dtype=np.int64))
+        assert _solve_linear(A, -const, 1e-10)[1] == "splu"
+
+    def test_krylov_iterations_count_every_bicgstab_step(self, monkeypatch):
+        bicgstab = spla.bicgstab
+        steps = []
+
+        def recording(A, b, *args, callback=None, **kwargs):
+            def step(xk):
+                steps.append(1)
+                callback(xk)
+            return bicgstab(A, b, *args, callback=step, **kwargs)
+
+        monkeypatch.setattr(spla, "bicgstab", recording)
+        sol = nl.solve_normalized(bordered_operator(5), 0.05, 1e-9)
+        assert sol.linear_solves["bicgstab"] == sol.iterations
+        assert sol.krylov_iterations == len(steps) > 0
+        steps.clear()
+        disc = nl.solve_policy_iteration(bordered_operator(5).with_alpha(0.4), 1e-9)
+        assert disc.diagnostics["krylov_iterations"] == len(steps) > 0
 
 
 CERT_KERNELS = {
