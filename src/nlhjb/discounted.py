@@ -1,11 +1,11 @@
 """Discounted bounded-domain solves: inf_tau(L_tau w + c_tau w + g_tau) = 0.
 
-Howard policy iteration is the primary loop (frozen-policy linear solve, then
-pointwise policy improvement); a damped value iteration remains as fallback
-for near-degenerate diagonal dominance.  ``solve_normalized`` treats the
-origin-normalised unknown pair (v, m) with v = 0 exterior data, which is the
-formulation the ergodic driver relies on: constant cost shifts move m exactly
-and never touch v.
+Howard policy iteration is the solver (frozen-policy linear solve, then
+pointwise policy improvement); a damped value iteration is a slower,
+independent alternative for the same fixed point.  ``solve_normalized``
+treats the origin-normalised unknown pair (v, m) with v = 0 exterior data,
+which is the formulation the ergodic driver relies on: constant cost shifts
+move m exactly and never touch v.
 """
 
 from __future__ import annotations
@@ -321,7 +321,11 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
 def solve_value_iteration(op: DiscreteOperator, tol: float,
                           max_iter: int = 200_000,
                           u0: np.ndarray | None = None) -> DiscountedSolution:
-    """Damped pointwise fixed point u <- u + eta * apply_inf(u); fallback path."""
+    """Damped pointwise fixed point u <- u + eta * apply_inf(u).
+
+    A slower alternative to :func:`solve_policy_iteration` that needs no
+    linear solve; the tests use it as an independent reference.
+    """
     n = op.n_nodes
     u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
     dmax = max(float(np.max(np.abs(op.diagonal(t))))
@@ -354,9 +358,8 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     unnormalised problem (w_alpha = v + m/alpha).  Runs on
     ``op.with_alpha(alpha)``: on an operator with an FFT jump part each
     bordered system is first solved matrix-free by :func:`_solve_bordered`
-    and kept only inside its error bound of tol/10; after the first
-    fallback to sparse LU the remaining solves go straight to LU.  On
-    explicit stencils (``op.csr()``) every solve is sparse LU.
+    and kept only inside its error bound of tol/10, else solved by sparse
+    LU.  On explicit stencils (``op.csr()``) every solve is sparse LU.
     ``linear_solves`` counts the bordered solves by solver (``"bicgstab"``
     or ``"splu"``) and ``krylov_iterations`` their BiCGStab iterations.
     """
@@ -367,8 +370,7 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     count = _IterationCount()
 
     def solve(A, rhs, x0):
-        v, m, tag = _solve_bordered(A.tocsr() if solves["splu"] else A, rhs, i0, atol,
-                                    callback=count)
+        v, m, tag = _solve_bordered(A, rhs, i0, atol, callback=count)
         solves[tag] += 1
         return v, m
 

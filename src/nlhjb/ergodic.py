@@ -226,8 +226,8 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     returns the flagged trace for inspection.  ``radius_trace`` comes from one
     ladder at the last alpha: the smaller radii in order, each warm-started
     from the ball below, topped by the sweep's last solve.  Once one bordered
-    Krylov solve has fallen back to sparse LU, every remaining solve of the
-    sweep and the ladder runs on the explicit stencils.
+    Krylov solve has fallen back to sparse LU, every later alpha level of the
+    sweep and the ladder run on the explicit stencils.
     """
     inner_tol = solver_tol if solver_tol is not None else tol
     ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}

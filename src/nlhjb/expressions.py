@@ -51,45 +51,47 @@ def _compile(expr: str, names: set[str]):
     return compile(tree, "<field-expression>", "eval"), used
 
 
+def _names(d: int, prefix: str, radius: str) -> set[str]:
+    """Coordinate names ``{prefix}1`` .. ``{prefix}d`` and the radius name."""
+    return {f"{prefix}{i + 1}" for i in range(d)} | {radius}
+
+
+def _coordinates(pts, d: int, prefix: str, radius: str) -> dict:
+    """The names of :func:`_names` bound to the columns and norm of ``pts``."""
+    pts = np.asarray(pts, dtype=float)
+    return {radius: np.linalg.norm(pts, axis=-1),
+            **{f"{prefix}{i + 1}": pts[..., i] for i in range(d)}}
+
+
+def _evaluate(code, env: dict, shape: tuple) -> np.ndarray:
+    """Evaluate ``code`` over ``env`` and broadcast the value to ``shape``."""
+    out = eval(code, {"__builtins__": {}}, {**_FUNCS, **env})
+    return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+
+
 def compile_scalar_field(expr: str, d: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile an expression of x1[,x2],r into a vectorised field over (n,d) points."""
-    names = {"x1", "r"} | ({"x2"} if d == 2 else set())
-    code, _ = _compile(expr, names)
+    """Compile an expression of x1..xd, r into a vectorised field over (n,d) points."""
+    code, _ = _compile(expr, _names(d, "x", "r"))
 
     def field(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        env = {"x1": x[..., 0], "r": np.linalg.norm(x, axis=-1)}
-        if d == 2:
-            env["x2"] = x[..., 1]
-        out = eval(code, {"__builtins__": {}}, {**_FUNCS, **env})
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape[:-1]).copy()
+        return _evaluate(code, _coordinates(x, d, "x", "r"), np.shape(x)[:-1])
 
     return field
 
 
 def compile_kernel_field(expr: str, d: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compile an expression of x1[,x2],y1[,y2],r,ry into a kernel k(x, y).
+    """Compile an expression of x1..xd, y1..yd, r, ry into a kernel k(x, y).
 
-    An expression that reads none of ``y1``, ``y2``, ``ry`` (a constant
+    An expression that reads none of ``y1`` .. ``yd``, ``ry`` (a constant
     included) is returned as a tagged :func:`~nlhjb.problem.x_kernel`.
     """
-    names = {"x1", "y1", "r", "ry"} | ({"x2", "y2"} if d == 2 else set())
-    code, used = _compile(expr, names)
-    if not used & {"y1", "y2", "ry"}:
+    y_names = _names(d, "y", "ry")
+    code, used = _compile(expr, _names(d, "x", "r") | y_names)
+    if not used & y_names:
         return x_kernel(compile_scalar_field(expr, d))
 
     def kern(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        env = {
-            "x1": x[..., 0], "y1": y[..., 0],
-            "r": np.linalg.norm(x, axis=-1), "ry": np.linalg.norm(y, axis=-1),
-        }
-        if d == 2:
-            env["x2"] = x[..., 1]
-            env["y2"] = y[..., 1]
-        out = eval(code, {"__builtins__": {}}, {**_FUNCS, **env})
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+        env = {**_coordinates(x, d, "x", "r"), **_coordinates(y, d, "y", "ry")}
+        return _evaluate(code, env, np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))
 
     return kern

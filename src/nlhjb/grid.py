@@ -13,7 +13,13 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Grid", "ExteriorRule", "build_grid", "evaluate_extended"]
+__all__ = ["Grid", "ExteriorRule", "build_grid", "evaluate_extended", "lattice_box"]
+
+
+def lattice_box(d: int, k: int) -> np.ndarray:
+    """Integer points of the box |z|_inf <= k, shape (n, d), in lexicographic order."""
+    r = np.arange(-k, k + 1, dtype=np.int64)
+    return np.stack(np.meshgrid(*[r] * d, indexing="ij"), axis=-1).reshape(-1, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,13 +49,7 @@ class Grid:
         k = self._halfwidth
         inside = np.all(np.abs(z) <= k, axis=-1)
         idx = np.full(z.shape[:-1], -1, dtype=np.int64)
-        if self.d == 1:
-            zz = z[..., 0][inside] + k
-            idx[inside] = self._table[zz]
-        else:
-            z0 = z[..., 0][inside] + k
-            z1 = z[..., 1][inside] + k
-            idx[inside] = self._table[z0, z1]
+        idx[inside] = self._table[tuple((z[inside] + k).T)]
         return idx
 
     def radii(self) -> np.ndarray:
@@ -106,27 +106,15 @@ def build_grid(d: int, hx: float, R: float) -> Grid:
         raise ValueError(f"radius too small: R={R} < hx={hx}")
 
     k = int(np.floor(R / hx + 1e-12))
-    rng = np.arange(-k, k + 1, dtype=np.int64)
-    if d == 1:
-        lattice = rng.reshape(-1, 1)
-    else:
-        a, b = np.meshgrid(rng, rng, indexing="ij")
-        lattice = np.stack([a.ravel(), b.ravel()], axis=1)
-    # closed-ball membership with a relative slack so boundary nodes are kept
+    lattice = lattice_box(d, k)
+    # closed-ball membership with a relative slack so boundary nodes are kept;
+    # the box order is lexicographic, and so is any subset of it
     r2 = np.sum(lattice.astype(float) ** 2, axis=1) * hx * hx
-    keep = r2 <= R * R * (1.0 + 1e-12)
-    lattice = lattice[keep]
-    # lexicographic order on integer coordinates
-    order = np.lexsort(tuple(lattice[:, c] for c in range(d - 1, -1, -1)))
-    lattice = np.ascontiguousarray(lattice[order])
+    lattice = lattice[r2 <= R * R * (1.0 + 1e-12)]
     nodes = lattice.astype(float) * hx
 
-    if d == 1:
-        table = np.full(2 * k + 1, -1, dtype=np.int64)
-        table[lattice[:, 0] + k] = np.arange(lattice.shape[0])
-    else:
-        table = np.full((2 * k + 1, 2 * k + 1), -1, dtype=np.int64)
-        table[lattice[:, 0] + k, lattice[:, 1] + k] = np.arange(lattice.shape[0])
+    table = np.full((2 * k + 1,) * d, -1, dtype=np.int64)
+    table[tuple((lattice + k).T)] = np.arange(lattice.shape[0])
 
     origin = int(np.argmin(np.sum(nodes**2, axis=1)))
     return Grid(d=d, hx=hx, R=R, lattice=lattice, nodes=nodes,

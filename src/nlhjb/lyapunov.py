@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, lattice_box
 from .operators import _LatticeConvolution
 from .problem import ControlProblem, LyapunovData
 from .quadrature import JumpQuadrature
@@ -65,7 +65,7 @@ def _jump_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndar
         # of V sampled on the box the offsets reach, scaled by k(x_i)
         conv = _LatticeConvolution(grid, q)
         hw = grid._halfwidth + conv.far
-        Vbox = np.asarray(ly.V(conv.box(hw) * grid.hx), dtype=float)
+        Vbox = np.asarray(ly.V(lattice_box(grid.d, hw) * grid.hx), dtype=float)
         sums = conv.sums(Vbox.reshape((2 * hw + 1,) * grid.d))
         out = np.asarray(kern.x_field(x), dtype=float) * (sums - conv.weights.sum() * Vx)
     else:
@@ -75,16 +75,13 @@ def _jump_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndar
                + np.asarray(ly.V(x[:, None, :] - y[None, :, :]), dtype=float)
                - 2.0 * Vx[:, None])
         out = np.einsum("nm,nm->n", kv, q.pair_weights[None, :] * dlt)
-        for axis in range(grid.d):
-            e = np.zeros((1, grid.d))
-            e[0, axis] = grid.hx
+        for e in grid.hx * np.eye(grid.d)[:, None, :]:   # (1, d) per axis
             ka = np.asarray(kern(x, e), dtype=float)
             da = (np.asarray(ly.V(x + e), dtype=float)
                   + np.asarray(ly.V(x - e), dtype=float) - 2.0 * Vx)
             out += q.axis_coeff * ka * da
     # beyond R_far: exact power tail when the growth exponent is known
-    probe = np.zeros((1, grid.d))
-    probe[0, 0] = q.tail_probe_radius
+    probe = q.tail_probe_radius * np.eye(grid.d)[:1]
     kt = np.asarray(kern(x, probe), dtype=float)
     if ly.gamma is not None:
         s, d = q.s, grid.d

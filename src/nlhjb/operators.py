@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .grid import Grid, ExteriorRule
+from .grid import Grid, ExteriorRule, lattice_box
 from .problem import ControlProblem, KernelSpec
 from .quadrature import JumpQuadrature
 
@@ -70,12 +70,6 @@ class _LatticeConvolution:
         K = grid._halfwidth
         self._at_nodes = tuple((grid.lattice + K).T)
 
-    def box(self, halfwidth: int) -> np.ndarray:
-        """Lattice points of the box |z|_inf <= halfwidth, C order, (n, d)."""
-        r = np.arange(-halfwidth, halfwidth + 1)
-        return np.stack(np.meshgrid(*[r] * self.grid.d, indexing="ij"),
-                        axis=-1).reshape(-1, self.grid.d)
-
     def near(self) -> sp.csr_matrix:
         """The k ≡ 1 jump matrix cut to offsets |z|_inf <= 1 (built once).
 
@@ -86,7 +80,7 @@ class _LatticeConvolution:
         if self._near is None:
             grid, n = self.grid, self.grid.n_nodes
             rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, self.diag)]
-            for z in self.box(1):
+            for z in lattice_box(grid.d, 1):
                 if not z.any():
                     continue
                 j = grid.node_index_of_lattice(grid.lattice + z)
@@ -103,8 +97,8 @@ class _LatticeConvolution:
         """Σ_z W[z] f(x + z·hx) at every node, f given on a centred box.
 
         ``image`` holds f on the box of half-width A >= K (the grid's) in
-        :meth:`box` order.  The FFT length L >= A + K + F + 1 keeps the
-        cyclic wrap-around off every node.
+        :func:`~nlhjb.grid.lattice_box` order.  The FFT length
+        L >= A + K + F + 1 keeps the cyclic wrap-around off every node.
         """
         d, F, K = self.grid.d, self.far, self.grid._halfwidth
         A = (image.shape[0] - 1) // 2
@@ -129,7 +123,7 @@ class _LatticeConvolution:
         """Constant term of the k ≡ 1 jump part from exterior data."""
         grid, q = self.grid, self.q
         hw = grid._halfwidth + self.far
-        z = self.box(hw)
+        z = lattice_box(grid.d, hw)
         outside = grid.node_index_of_lattice(z) < 0
         image = np.zeros(z.shape[0])
         image[outside] = ext(z[outside] * grid.hx)
@@ -342,6 +336,10 @@ def _kernel_values(kern, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.asarray(kern(x, y), dtype=float)
 
 
+def _band_tol(spec: KernelSpec) -> float:
+    return 1e-10 * max(1.0, (2.0 - 2.0 * spec.s) * spec.Lambda_ell)
+
+
 def _check_band(kv: np.ndarray, spec: KernelSpec, label: str, x: np.ndarray,
                 y: np.ndarray | None = None) -> None:
     """Reject kernel values outside the ellipticity band [(2-2s)λ, (2-2s)Λ].
@@ -355,9 +353,8 @@ def _check_band(kv: np.ndarray, spec: KernelSpec, label: str, x: np.ndarray,
         return
     fac = 2.0 - 2.0 * spec.s
     lo, hi = fac * spec.lambda_ell, fac * spec.Lambda_ell
-    tol = 1e-10 * max(1.0, hi)
     excess = np.maximum(lo - kv, kv - hi)
-    bad = excess > tol
+    bad = excess > _band_tol(spec)
     if not np.any(bad):
         return
     k = np.unravel_index(int(np.argmax(np.where(bad, excess, -np.inf))), kv.shape)
@@ -369,28 +366,49 @@ def _check_band(kv: np.ndarray, spec: KernelSpec, label: str, x: np.ndarray,
         f"[(2-2s)λ, (2-2s)Λ] = [{lo:.6g}, {hi:.6g}]")
 
 
+def _checked_kernel_values(kern, spec: KernelSpec, label: str, x: np.ndarray,
+                           y: np.ndarray) -> np.ndarray:
+    """k(x_i, y_j) of shape (N, M), checked against the band and for symmetry.
+
+    The quadrature gives the pair ±y one weight, so it needs
+    k(x, -y) = k(x, y); a kernel that differs from its mirror by more than
+    the band tolerance raises ``ValueError`` naming the control, ``x`` and
+    ``y``.  Pairs with a non-finite value are left to the finiteness checks.
+    """
+    kv = _kernel_values(kern, x[:, None, :], y[None, :, :])
+    _check_band(kv, spec, label, x, y)
+    mirror = _kernel_values(kern, x[:, None, :], -y[None, :, :])
+    both = np.isfinite(kv) & np.isfinite(mirror)
+    gap = np.zeros(kv.shape)
+    gap[both] = np.abs(kv[both] - mirror[both])
+    if gap.max(initial=0.0) > _band_tol(spec):
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        raise ValueError(
+            f"kernel for control {label} is not symmetric in y: k(x, y) = "
+            f"{kv[i, j]:.6g} but k(x, -y) = {mirror[i, j]:.6g} at "
+            f"x={tuple(x[i].tolist())}, y={tuple(y[j].tolist())}")
+    return kv
+
+
 def _assemble_jump(bld: _StencilBuilder, ws: _Workspace, kern, spec: KernelSpec,
                    label: str) -> None:
-    """Jump stencils of kernel ``kern``; its values must lie in ``spec``'s band."""
+    """Jump stencils of kernel ``kern``, checked by :func:`_checked_kernel_values`."""
     grid, q = ws.grid, ws.q
     x = grid.nodes
-    kv = _kernel_values(kern, x[:, None, :], q.half_offsets[None, :, :])
-    _check_band(kv, spec, label, x, q.half_offsets)
+    kv = _checked_kernel_values(kern, spec, label, x, q.half_offsets)
     w = q.pair_weights[None, :] * kv
     bld.add_targets(w, ws.idx_p, ws.extv_p)
     bld.add_targets(w, ws.idx_m, ws.extv_m)
     bld.diag -= 2.0 * w.sum(axis=1)
     for axis in range(grid.d):
         e = _axis_unit(grid.d, axis).astype(float) * grid.hx
-        ka = _kernel_values(kern, x, e[None, :])
-        _check_band(ka[:, None], spec, label, x, e[None, :])
+        ka = _checked_kernel_values(kern, spec, label, x, e[None, :])[:, 0]
         wa = q.axis_coeff * ka
         bld.add_targets(wa, ws.ax_idx_p[axis], ws.ax_ext_p[axis])
         bld.add_targets(wa, ws.ax_idx_m[axis], ws.ax_ext_m[axis])
         bld.diag -= 2.0 * wa
         probe = _axis_unit(grid.d, axis).astype(float) * q.tail_probe_radius
-        kt = _kernel_values(kern, x, probe[None, :])
-        _check_band(kt[:, None], spec, label, x, probe[None, :])
+        kt = _checked_kernel_values(kern, spec, label, x, probe[None, :])[:, 0]
         wt = (q.tail_mass / grid.d) * kt
         bld.const += wt * ws.tail_ext[axis]
         bld.diag -= 2.0 * wt
@@ -429,16 +447,10 @@ def _assemble_local(bld: _StencilBuilder, ws: _Workspace, grid: Grid,
     for sign, mask in ((+1, a12 >= 0), (-1, a12 < 0)):
         if not np.any(mask):
             continue
-        e = np.array([1, sign], dtype=np.int64)
-        ip = grid.node_index_of_lattice(grid.lattice + e)
-        im = grid.node_index_of_lattice(grid.lattice - e)
         w = np.where(mask, s12 / h2, 0.0)  # δ along the diagonal carries 1/h²
-        for idx, sgn in ((ip, +1.0), (im, -1.0)):
-            extv = np.zeros(grid.n_nodes)
-            miss = idx < 0
-            if np.any(miss):
-                extv[miss] = ws.ext(grid.nodes[miss] + sgn * e * grid.hx)
-            bld.add_targets(w, idx, extv)
+        for e in (np.array([1, sign]), -np.array([1, sign])):
+            idx = grid.node_index_of_lattice(grid.lattice + e)
+            bld.add_targets(w, idx, ws._axis_ext(idx, e))
         bld.diag -= 2.0 * w
 
 
@@ -459,13 +471,9 @@ def _assemble_levy(bld: _StencilBuilder, ws: _Workspace, kern) -> np.ndarray:
     # singular cell around the origin: second-difference with ½ ∫ y_i² K
     qsub = 16
     t = (np.arange(qsub) + 0.5) / qsub - 0.5
-    if grid.d == 1:
-        sub = (t * grid.hx).reshape(-1, 1)
-        area = grid.hx / qsub
-    else:
-        sx, sy = np.meshgrid(t * grid.hx, t * grid.hx, indexing="ij")
-        sub = np.stack([sx.ravel(), sy.ravel()], axis=1)
-        area = (grid.hx / qsub) ** 2
+    sub = np.stack(np.meshgrid(*[t * grid.hx] * grid.d, indexing="ij"),
+                   axis=-1).reshape(-1, grid.d)
+    area = (grid.hx / qsub) ** grid.d
     k0 = _kernel_values(kern, x[:, None, :], sub[None, :, :])
     for axis in range(grid.d):
         coef = 0.5 * (k0 * sub[None, :, axis] ** 2).sum(axis=1) * area / grid.hx**2

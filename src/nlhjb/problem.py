@@ -273,8 +273,7 @@ def validate_problem(p: ControlProblem, grid: Grid, offsets) -> ValidationReport
         mono_ok, mono_wit = True, None
         for axis in range(grid.d):
             for sgn in (1, -1):
-                ray = np.zeros((grid.d,), dtype=np.int64)
-                ray[axis] = sgn
+                ray = sgn * np.eye(grid.d, dtype=np.int64)[axis]
                 steps = np.arange(1, grid._halfwidth + 1)
                 zpts = steps[:, None] * ray[None, :]
                 pts = zpts.astype(float) * grid.hx
@@ -351,27 +350,31 @@ def validate_problem(p: ControlProblem, grid: Grid, offsets) -> ValidationReport
             _hard_check_finite(f"a[{p.controls[t]}]", av)
             eig = np.linalg.eigvalsh(av)
             if lam is not None:
-                exc = max(float((lam - eig).max()), float((eig - Lam).max()))
-                if exc > worst:
-                    worst = exc
-                    wit = (p.controls[t], tuple(xs[int(np.argmax((lam - eig).max(axis=1)))]))
+                exc = np.maximum(lam - eig, eig - Lam).max(axis=1)
+                if exc.max() > worst:
+                    worst = float(exc.max())
+                    wit = (p.controls[t], tuple(xs[int(np.argmax(exc))]))
             elif np.any(eig <= 0):
                 worst = 1.0
-                wit = (p.controls[t],)
+                wit = (p.controls[t], tuple(xs[int(np.argmin(eig.min(axis=1)))]))
         checks.append(CheckResult(
             "mixed-ellipticity", worst <= 1e-10,
             f"max eigenvalue excursion {worst:.3e}", wit if worst > 1e-10 else None))
         if p.mixed.levy_kernel is not None and p.mixed.levy_majorant is not None:
             maj = np.asarray(p.mixed.levy_majorant(ys), dtype=float)
-            worst = 0.0
+            worst, wit = 0.0, None
             for t in range(p.n_controls):
                 kv = np.asarray(p.mixed.levy_for(t)(xs[:, None, :], ys[None, :, :]), dtype=float)
                 if np.any(kv < 0):
                     raise ValueError("Lévy kernel negative on sampled points")
-                worst = max(worst, float((kv - maj[None, :]).max()))
+                exc = kv - maj[None, :]
+                if exc.max() > worst:
+                    worst = float(exc.max())
+                    i, j = np.unravel_index(int(np.argmax(exc)), exc.shape)
+                    wit = (p.controls[t], tuple(xs[i]), tuple(ys[j]))
             checks.append(CheckResult(
                 "mixed-majorant", worst <= 1e-10,
-                f"max K_tau - K = {worst:.3e}"))
+                f"max K_tau - K = {worst:.3e}", wit if worst > 1e-10 else None))
             ry = np.linalg.norm(ys, axis=1)
             est = float(np.sum(np.minimum(ry**2, 1.0) * maj))
             checks.append(CheckResult(
@@ -417,7 +420,7 @@ def _power_lyapunov(gamma: float, theta: float, mu: float, d: int) -> LyapunovDa
         r = np.linalg.norm(x, axis=1)
         eye = np.eye(dd)[None, :, :]
         xxt = x[:, :, None] * x[:, None, :]
-        rs = np.maximum(r, 1e-300)
+        rs = np.maximum(r, 1.0)   # H_out is read only where r >= 1
         H_out = (gamma * rs ** (gamma - 2.0))[:, None, None] * eye \
             + (gamma * (gamma - 2.0) * rs ** (gamma - 4.0))[:, None, None] * xxt
         H_in = (2 * b + 4 * c * r**2)[:, None, None] * eye + 8 * c * xxt

@@ -26,6 +26,9 @@ import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.special import gamma as _gamma
 
+from .grid import lattice_box
+from .problem import constant_kernel
+
 __all__ = [
     "JumpQuadrature",
     "build_quadrature",
@@ -63,14 +66,13 @@ class JumpQuadrature:
 
 
 def _half_lattice(d: int, kmax: int) -> np.ndarray:
-    """Lattice vectors z with z > 0 lexicographically (one per ± pair)."""
-    if d == 1:
-        return np.arange(1, kmax + 1, dtype=np.int64).reshape(-1, 1)
-    rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    a, b = np.meshgrid(rng, rng, indexing="ij")
-    z = np.stack([a.ravel(), b.ravel()], axis=1)
-    pos = (z[:, 0] > 0) | ((z[:, 0] == 0) & (z[:, 1] > 0))
-    return z[pos]
+    """Lattice vectors z with z > 0 lexicographically (one per ± pair).
+
+    The box is in lexicographic order and symmetric, so these are exactly
+    the points after its centre, the origin.
+    """
+    box = lattice_box(d, kmax)
+    return box[box.shape[0] // 2 + 1:]
 
 
 def _cell_masses_1d(y: np.ndarray, hx: float, s: float, R_far: float):
@@ -134,8 +136,6 @@ def build_quadrature(grid_or_params, s: float, R_far: float,
     norms = np.linalg.norm(y, axis=1)
     keep = norms <= R_far * (1.0 + 1e-12)
     z, y, norms = z[keep], y[keep], norms[keep]
-    order = np.lexsort(tuple(z[:, c] for c in range(d - 1, -1, -1)))
-    z, y, norms = z[order], y[order], norms[order]
 
     if d == 1:
         mass, secm1 = _cell_masses_1d(norms, hx, s, R_far)
@@ -209,32 +209,24 @@ def apply_quadrature_pointwise(q: JumpQuadrature, u, x, kernel,
     at the tail centroid radius.
     """
     x = np.asarray(x, dtype=float).reshape(q.d)
+    kern = kernel if callable(kernel) else constant_kernel(kernel)
+
+    def k_at(y: np.ndarray) -> np.ndarray:
+        return np.asarray(kern(x[None, :], y), dtype=float).reshape(-1)
+
     y = q.half_offsets
-    if callable(kernel):
-        kv = np.asarray(kernel(x[None, :], y), dtype=float).reshape(-1)
-    else:
-        kv = np.full(q.n_offsets, float(kernel))
     ux = float(u(x[None, :])[0])
     dlt = u(x[None, :] + y) + u(x[None, :] - y) - 2.0 * ux
-    val = float(np.dot(q.pair_weights * kv, dlt))
-    for axis in range(q.d):
-        e = np.zeros((1, q.d))
-        e[0, axis] = q.hx
-        if callable(kernel):
-            ka = float(np.asarray(kernel(x[None, :], e)).reshape(-1)[0])
-        else:
-            ka = float(kernel)
+    val = float(np.dot(q.pair_weights * k_at(y), dlt))
+    units = np.eye(q.d)[:, None, :]   # one (1, d) unit vector per axis
+    for e in q.hx * units:
+        ka = float(k_at(e)[0])
         val += q.axis_coeff * ka * float(u(x[None, :] + e)[0] + u(x[None, :] - e)[0] - 2.0 * ux)
     if tail_mode == "omit":
         return val
     per_axis = q.tail_mass / q.d
-    for axis in range(q.d):
-        e = np.zeros((1, q.d))
-        e[0, axis] = q.tail_probe_radius
-        if callable(kernel):
-            kt = float(np.asarray(kernel(x[None, :], e)).reshape(-1)[0])
-        else:
-            kt = float(kernel)
+    for e in q.tail_probe_radius * units:
+        kt = float(k_at(e)[0])
         if tail_mode == "rule":
             data = float(u(x[None, :] + e)[0] + u(x[None, :] - e)[0])
         elif tail_mode == "zero_data":

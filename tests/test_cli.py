@@ -510,6 +510,28 @@ class TestMainEntry:
         assert "control tau" in message and "(2-2s)λ, (2-2s)Λ" in message
         assert re.search(witness, message)
 
+    @pytest.mark.parametrize("kernel", ["0.5+0.01*sin(y1)", "0.5+0.01*sin(-y1)"])
+    def test_exit_one_on_asymmetric_kernel(self, tmp_path, capsys, kernel):
+        # a kernel and its mirror k(x, -y) would give the same stencils
+        cfg = {
+            "mode": "discounted",
+            "problem": {"family": "custom", "s": 0.75, "lambda_ell": 0.9,
+                        "Lambda_ell": 1.1,
+                        "controls": [{"drift": ["-x1"], "cost": "exp(-x1*x1)",
+                                      "kernel": kernel}]},
+            "grid": {"d": 1, "hx": 0.25, "radii": [2.0, 3.0]},
+            "solver": {"tol": 1e-9},
+            "alpha": {"start": 0.5},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"]["kind"] == "ValueError"
+        assert re.search(r"control tau0 is not symmetric in y.* x=\(.*\), y=\(",
+                         block["error"]["message"])
+
     def test_failed_near_field_factor_falls_back_without_traceback(
             self, tmp_path, capsys, monkeypatch):
         import scipy.sparse.linalg as spla

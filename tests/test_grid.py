@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlhjb import ExteriorRule, build_grid, evaluate_extended
+from nlhjb.grid import lattice_box
 
 
 def test_1d_unit_spacing_example():
@@ -54,6 +55,12 @@ def test_deterministic_ordering():
     assert np.array_equal(a.lattice, b.lattice)
     assert np.array_equal(a.nodes, b.nodes)
     assert a.origin_index == b.origin_index
+    # strictly lexicographic, as the Grid docstring promises
+    for d in (1, 2):
+        rows = [tuple(z) for z in build_grid(d, 0.25, 2.0).lattice.tolist()]
+        assert rows == sorted(set(rows))
+        box = [tuple(z) for z in lattice_box(d, 3).tolist()]
+        assert box == sorted(set(box)) and len(box) == 7**d
 
 
 @settings(max_examples=30, deadline=None)
@@ -64,6 +71,14 @@ def test_index_roundtrip(d, hx, R):
     g = build_grid(d, hx, R)
     idx = g.node_index_of_lattice(g.lattice)
     assert np.array_equal(idx, np.arange(g.n_nodes))
+    # a box two steps wider: -1 exactly off the ball or outside the table's box
+    K = int(np.floor(R / hx + 1e-12))
+    z = lattice_box(d, K + 2)
+    on_ball = ((np.abs(z).max(axis=1) <= K)
+               & (np.sum((z * hx) ** 2, axis=1) <= R * R * (1.0 + 1e-12)))
+    idx = g.node_index_of_lattice(z)
+    assert np.array_equal(idx >= 0, on_ball)
+    assert np.array_equal(g.lattice[idx[on_ball]], z[on_ball])
 
 
 def test_origin_within_half_spacing():

@@ -80,6 +80,65 @@ class TestEvaluate:
             nl.evaluate_lyapunov_drift(p, g, q)
 
 
+class TestMixed:
+    """The paper's mixed local-nonlocal extension: a:D²V plus a Lévy-Itô part."""
+
+    def problem_grid_quadrature(self):
+        p = nl.power_drift_problem(1.6, 0.1, 2, 0.9)
+        g = nl.build_grid(2, 0.5, 4.0)
+        q = nl.build_quadrature(g, 0.9, 5.0)
+        return p, g, q
+
+    @staticmethod
+    def diffusion(sigma2):
+        return lambda x: sigma2 * np.broadcast_to(
+            np.eye(2), (np.atleast_2d(x).shape[0], 2, 2)).copy()
+
+    @staticmethod
+    def levy(x, y):
+        # x-dependent and not even in y, so each sign of each offset counts
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        ry = np.linalg.norm(y, axis=-1)
+        return ((1.0 + 0.3 * np.cos(x[..., 0])) * (1.0 + 0.2 * np.tanh(y[..., 0]))
+                * np.exp(-ry) * ry ** -2.5)
+
+    def test_local_part_adds_sigma2_laplacian(self):
+        import dataclasses
+        gamma, d, sigma2 = 1.6, 2, 0.7
+        p, g, q = self.problem_grid_quadrature()
+        mixed = dataclasses.replace(p, mixed=nl.MixedSpec(a=self.diffusion(sigma2)))
+        lap = nl.evaluate_lyapunov_drift(mixed, g, q) - nl.evaluate_lyapunov_drift(p, g, q)
+        r = g.radii()
+        out = r > 1.0
+        assert np.count_nonzero(out) > 20
+        want = sigma2 * gamma * (gamma + d - 2) * r[out] ** (gamma - 2)
+        np.testing.assert_allclose(lap[out], want, rtol=1e-10, atol=1e-12)
+
+    def test_levy_part_matches_per_node_offset_sum(self):
+        import dataclasses
+        from nlhjb.lyapunov import _levy_on_V
+        p, g, q = self.problem_grid_quadrature()
+        ly = p.lyapunov
+        got = _levy_on_V(ly, g, q, self.levy, 1.0)
+        want = np.empty(g.n_nodes)
+        for i, x in enumerate(g.nodes):
+            vx, gv = ly.V(x[None])[0], ly.grad_V(x[None])[0]
+            total = 0.0
+            for y in np.concatenate([q.half_offsets, -q.half_offsets]):
+                comp = gv @ y if np.linalg.norm(y) <= 1.0 else 0.0
+                total += self.levy(x, y) * (ly.V((x + y)[None])[0] - vx - comp)
+            want[i] = g.hx**2 * total
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        # evaluate_lyapunov_drift adds it to every control's value
+        local = dataclasses.replace(p, mixed=nl.MixedSpec(a=self.diffusion(1.0)))
+        both = dataclasses.replace(p, mixed=nl.MixedSpec(
+            a=self.diffusion(1.0), levy_kernel=self.levy,
+            levy_majorant=lambda y: 1.2 * np.exp(-np.linalg.norm(y, axis=-1))))
+        diff = (nl.evaluate_lyapunov_drift(both, g, q)
+                - nl.evaluate_lyapunov_drift(local, g, q))
+        np.testing.assert_allclose(diff, want, rtol=1e-10, atol=1e-10)
+
+
 class TestFitEnvelope:
     def test_constant_negative_field(self):
         # values = -1 with exponent 1: k1 bounded by min over outer nodes of

@@ -166,6 +166,32 @@ class TestAssembledInvariants:
         with pytest.raises(MemoryError):
             op.csr()
 
+    @pytest.mark.parametrize("where", ["offsets", "tail"])
+    def test_asymmetric_kernel_rejected(self, where):
+        # the quadrature gives ±y one weight, so k(x, -y) != k(x, y) would
+        # silently define the operator of another kernel
+        import dataclasses
+        p = random_problem(3, d=2, vary_kernel=True)
+        g = nl.build_grid(2, 0.5, 3.0)
+        q = nl.build_quadrature(g, 0.75, 4.0)
+        reach = 0.0 if where == "offsets" else q.R_far
+
+        def kern(x, y):
+            y1 = np.asarray(y, float)[..., 0]
+            out = 0.5 + 0.01 * np.tanh(y1) * (np.abs(y1) > reach)
+            return np.broadcast_to(out, np.broadcast_shapes(
+                np.shape(x)[:-1], np.shape(y)[:-1])).copy()
+
+        p = dataclasses.replace(p, kernel=dataclasses.replace(p.kernel, k=kern))
+        witness = r"y=\(" if where == "offsets" else rf"y=\({q.tail_probe_radius}, 0\.0\)"
+        with pytest.raises(ValueError, match=r"control tau0 is not symmetric in y.*"
+                                             r"x=\(.*\), " + witness):
+            nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+        # its even part is accepted
+        even = dataclasses.replace(p.kernel, k=lambda x, y: 0.5 * (kern(x, y) + kern(x, -y)))
+        nl.assemble(dataclasses.replace(p, kernel=even), g, q, nl.ExteriorRule.zero(),
+                    alpha=0.5)
+
 
 class TestApply:
     def test_apply_zero_gives_constant_term(self):

@@ -162,3 +162,45 @@ def test_zeroth_growth_ratio_checked_when_discounted():
     rep = validate_problem(p, g, q)
     assert rep.check("zeroth-growth").passed
     assert rep.check("zeroth-sign").passed
+
+
+def test_mixed_checks_flagged_with_witness():
+    import dataclasses
+    from nlhjb import MixedSpec
+    p = power_drift_problem(1.6, 0.1, 2, 0.9)   # lambda = Lambda = 1
+    g = build_grid(2, 0.5, 3.0)
+    q = build_quadrature(g, 0.9, 4.0)
+
+    def a(x, top=1.5):
+        # eigenvalue `top` above Lambda only where x1 > 1
+        x = np.atleast_2d(np.asarray(x, float))
+        out = np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
+        out[:, 1, 1] = np.where(x[:, 0] > 1.0, top, 1.0)
+        return out
+
+    def majorant(y):
+        return np.exp(-np.linalg.norm(y, axis=-1))
+
+    def levy(x, y, over=0.5):
+        # above the majorant only where x2 > 1
+        bump = 1.0 + over * (np.asarray(x, float)[..., 1] > 1.0)
+        return bump * majorant(y)
+
+    bad = dataclasses.replace(p, mixed=MixedSpec(a=a, levy_kernel=levy,
+                                                 levy_majorant=majorant))
+    rep = validate_problem(bad, g, q)
+    ell = rep.check("mixed-ellipticity")
+    assert not ell.passed
+    control, x = ell.witness
+    assert control in p.controls and x[0] > 1.0
+    maj = rep.check("mixed-majorant")
+    assert not maj.passed
+    control, x, y = maj.witness
+    assert control in p.controls and x[1] > 1.0 and len(y) == 2
+
+    good = dataclasses.replace(p, mixed=MixedSpec(
+        a=lambda x: a(x, top=1.0), levy_kernel=lambda x, y: levy(x, y, over=0.0),
+        levy_majorant=majorant))
+    rep = validate_problem(good, g, q)
+    for name in ("mixed-ellipticity", "mixed-majorant"):
+        assert rep.check(name).passed and rep.check(name).witness is None
