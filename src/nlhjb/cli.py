@@ -138,7 +138,7 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         key: sol.diagnostics[key] for key in ("linear_solves", "krylov_iterations")}
 
 
-def _run_certify(cfg: RunConfig, outdir: Path) -> int:
+def _run_certify(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     prob = build_problem(cfg)
     if prob.lyapunov is None:
         raise ConfigError("certify mode needs a problem family with Lyapunov data")
@@ -155,16 +155,21 @@ def _run_certify(cfg: RunConfig, outdir: Path) -> int:
         "worst_margin": cert.worst_margin,
     })
     _write_solution_csv(outdir / "solution.csv", grid, values)
-    return 0 if cert.ok else 2
+    return 0 if cert.ok else 2, {}
 
 
-def _run_convergence_study(cfg: RunConfig, outdir: Path) -> int:
+def _run_convergence_study(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     report = convergence_study(build_problem(cfg), cfg.grid,
                                build_alpha_schedule(cfg), cfg.alpha.tol,
                                solver_tol=cfg.solver.tol,
                                max_iter=cfg.solver.max_policy_iters)
     _write_json(outdir / "report.json", {"mode": "convergence-study", **report})
-    return 0 if all(report["converged"]) else 2
+    return 0 if all(report["converged"]) else 2, {}
+
+
+# Mode -> runner returning the exit code and its entries for ``run_meta.json``.
+_RUNNERS = {"ergodic": _run_ergodic, "discounted": _run_discounted,
+            "certify": _run_certify, "convergence-study": _run_convergence_study}
 
 
 def run(cfg: RunConfig, output_dir: str | None = None) -> int:
@@ -172,19 +177,9 @@ def run(cfg: RunConfig, output_dir: str | None = None) -> int:
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    meta = {"nlhjb_version": __version__}
-    if cfg.mode in ("ergodic", "discounted"):
-        runner = _run_ergodic if cfg.mode == "ergodic" else _run_discounted
-        code, counts = runner(cfg, outdir)
-        meta.update(counts)
-    elif cfg.mode == "certify":
-        code = _run_certify(cfg, outdir)
-    elif cfg.mode == "convergence-study":
-        code = _run_convergence_study(cfg, outdir)
-    else:  # pragma: no cover - parse_config already rejects this
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
-    meta["wall_seconds"] = time.time() - t0
-    _write_json(outdir / "run_meta.json", meta)
+    code, counts = _RUNNERS[cfg.mode](cfg, outdir)
+    _write_json(outdir / "run_meta.json", {"nlhjb_version": __version__, **counts,
+                                           "wall_seconds": time.time() - t0})
     return code
 
 

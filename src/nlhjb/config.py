@@ -74,6 +74,10 @@ class CustomConfig:
     Lambda_ell: float = 1.0
     cost_shift: float = 0.0
 
+    def __post_init__(self):
+        if not self.controls:
+            raise ValueError("controls must be a non-empty list")
+
     def build(self, d: int) -> ControlProblem:
         drifts, costs, zeroths, kernels = [], [], [], []
         any_zeroth = any(c.zeroth is not None for c in self.controls)
@@ -115,6 +119,10 @@ _FAMILIES = {cls.family: cls
 class SolverConfig:
     tol: float = 1e-8
     max_policy_iters: int = 60
+
+    def __post_init__(self):
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -243,7 +251,6 @@ def parse_config(raw: dict) -> RunConfig:
     cfg = RunConfig(mode=mode, output_dir=raw.get("output_dir", "out"),
                     problem=_coerce_problem(raw["problem"]), **sections)
     _check_given_keys(raw, cfg)
-    _validate(cfg)
     return cfg
 
 
@@ -274,18 +281,6 @@ def _check_given_keys(raw: dict, cfg: RunConfig) -> None:
                 raise ConfigError(f"key 'problem.controls[{i}].zeroth' is not read in "
                                   f"mode '{cfg.mode}', where the discount sets the "
                                   "zeroth-order term")
-
-
-def _validate(cfg: RunConfig) -> None:
-    g = cfg.grid
-    if g.d not in (1, 2):
-        raise ConfigError(f"grid.d must be 1 or 2, got {g.d}")
-    if g.hx <= 0:
-        raise ConfigError("grid.hx must be positive")
-    if cfg.solver.tol <= 0:
-        raise ConfigError("solver.tol must be positive")
-    if isinstance(cfg.problem, CustomConfig) and not cfg.problem.controls:
-        raise ConfigError("problem.controls must be a non-empty list")
 
 
 def build_problem(cfg: RunConfig) -> ControlProblem:

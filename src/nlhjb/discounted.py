@@ -319,15 +319,13 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
 
 
 def solve_value_iteration(op: DiscreteOperator, tol: float,
-                          max_iter: int = 200_000,
-                          u0: np.ndarray | None = None) -> DiscountedSolution:
+                          max_iter: int = 200_000) -> DiscountedSolution:
     """Damped pointwise fixed point u <- u + eta * apply_inf(u).
 
     A slower alternative to :func:`solve_policy_iteration` that needs no
     linear solve; the tests use it as an independent reference.
     """
-    n = op.n_nodes
-    u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
+    u = np.zeros(op.n_nodes)
     dmax = max(float(np.max(np.abs(op.diagonal(t))))
                for t in range(len(op.controls)))
     eta = 1.0 / dmax

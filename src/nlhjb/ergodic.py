@@ -42,6 +42,10 @@ class DomainConfig:
     inner_radius: float | None = None
 
     def __post_init__(self):
+        if self.d not in (1, 2):
+            raise ValueError(f"d must be 1 or 2, got {self.d}")
+        if self.hx <= 0:
+            raise ValueError("hx must be positive")
         if len(self.radii) == 0:
             raise ValueError("radii must be a non-empty list")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
@@ -141,39 +145,56 @@ def _quadrature(p: ControlProblem, domain: DomainConfig, grid: Grid):
 
 
 def _operator(p: ControlProblem, domain: DomainConfig, R: float,
-              ext: ExteriorRule, alpha: float | None = None):
-    """Grid of radius R and the operator assembled on it."""
+              ext: ExteriorRule, alpha: float | None = None) -> DiscreteOperator:
+    """The operator assembled on the grid of radius R (``op.grid``)."""
     grid = build_grid(domain.d, domain.hx, R)
     need_q = p.kernel is not None or (
         p.mixed is not None and p.mixed.levy_kernel is not None)
     q = _quadrature(p, domain, grid) if need_q else None
-    return grid, assemble(p, grid, q, ext, alpha=alpha)
+    return assemble(p, grid, q, ext, alpha=alpha)
 
 
-def _prolong(grid: Grid, prev_grid: Grid, values: np.ndarray,
-             policy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Warm start on ``grid``: the smaller ball's (values, policy), zero outside."""
-    idx = grid.node_index_of_lattice(prev_grid.lattice)
-    v0 = np.zeros(grid.n_nodes)
-    v0[idx] = values
-    policy0 = np.zeros(grid.n_nodes, dtype=np.int64)
-    policy0[idx] = policy
-    return v0, policy0
+def _ladder(domain: DomainConfig, operator, solve, stop_tol: float = -np.inf):
+    """Solve on each radius of ``domain.radii`` in order; the one radius ladder.
+
+    ``operator(R)`` is the operator on the ball of radius R, and
+    ``solve(op, x0, policy0)`` returns ``(values, policy, solution)`` from a
+    warm start: the ball below's values and policy, zero outside it (None on
+    the first rung).  Stops once the sup change on the inner window between
+    consecutive radii is at most ``stop_tol``.  Returns the radius trace and
+    the last rung's operator and solution.
+    """
+    trace: list[tuple[float, float]] = []
+    below = None   # (grid, values, policy) on the ball below
+    for R in domain.radii:
+        op = operator(R)
+        x0 = policy0 = None
+        if below is not None:
+            idx = op.grid.node_index_of_lattice(below[0].lattice)
+            win = _window_indices(below[0], domain.window_radius)
+            x0, policy0 = np.zeros(op.n_nodes), np.zeros(op.n_nodes, dtype=np.int64)
+            x0[idx], policy0[idx] = below[1], below[2]
+        values, policy, sol = solve(op, x0, policy0)
+        trace.append((R, np.inf if below is None else
+                      float(np.max(np.abs(values[idx[win]] - below[1][win])))))
+        if trace[-1][1] <= stop_tol:
+            break
+        below = (op.grid, values, policy)
+    return trace, op, sol
 
 
-def _inner_change(grid: Grid, values: np.ndarray, prev_grid: Grid,
-                  prev_values: np.ndarray, radius: float) -> float:
-    """Sup change on the inner window B_radius between consecutive radii."""
-    win = _window_indices(prev_grid, radius)
-    idx = grid.node_index_of_lattice(prev_grid.lattice[win])
-    return float(np.max(np.abs(values[idx] - prev_values[win])))
+def _tally(counts: dict, solved: dict) -> None:
+    """Add one solve's ``linear_solves`` and ``krylov_iterations`` to ``counts``."""
+    for tag, count in solved["linear_solves"].items():
+        counts["linear_solves"][tag] += count
+    counts["krylov_iterations"] += solved["krylov_iterations"]
 
 
 def expand_domain(p: ControlProblem, alpha: float | None,
                   domain: DomainConfig, tol: float, *,
                   ext: ExteriorRule | None = None,
                   max_iter: int = 60) -> DiscountedSolution:
-    """Solve the Dirichlet problem on each radius of ``domain.radii`` in order.
+    """Solve the Dirichlet problem up the one radius ladder of ``domain.radii``.
 
     Stops once the restriction to the inner window (``domain.window_radius``)
     moves by at most ``tol`` between consecutive radii; exhaustion without
@@ -183,32 +204,17 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     operator on the last radius solved.
     """
     ext = ext if ext is not None else ExteriorRule.zero()
-    trace: list[tuple[float, float]] = []
-    solves = {"bicgstab": 0, "splu": 0}
-    krylov_iterations = 0
-    prev = None   # (grid, solution) from the preceding radius
-    stabilized = False
-    for R in domain.radii:
-        grid, op = _operator(p, domain, R, ext, alpha)
-        w0, policy0 = (None, None) if prev is None else _prolong(
-            grid, prev[0], prev[1].w, prev[1].policy)
-        sol = solve_policy_iteration(op, tol, max_iter=max_iter,
-                                     w0=w0, policy0=policy0)
-        for tag, count in sol.diagnostics["linear_solves"].items():
-            solves[tag] += count
-        krylov_iterations += sol.diagnostics["krylov_iterations"]
-        change = np.inf if prev is None else _inner_change(
-            grid, sol.w, prev[0], prev[1].w, domain.window_radius)
-        trace.append((R, change))
-        prev = (grid, sol)
-        if change <= tol:
-            stabilized = True
-            break
-    sol.diagnostics["radius_trace"] = trace
-    sol.diagnostics["linear_solves"] = solves
-    sol.diagnostics["krylov_iterations"] = krylov_iterations
-    sol.diagnostics["radius_stabilized"] = stabilized
-    sol.diagnostics["operator"] = op
+    counts = {"linear_solves": {"bicgstab": 0, "splu": 0}, "krylov_iterations": 0}
+
+    def solve(op, w0, policy0):
+        sol = solve_policy_iteration(op, tol, max_iter=max_iter, w0=w0, policy0=policy0)
+        _tally(counts, sol.diagnostics)
+        return sol.w, sol.policy, sol
+
+    trace, op, sol = _ladder(domain, lambda R: _operator(p, domain, R, ext, alpha),
+                             solve, stop_tol=tol)
+    sol.diagnostics.update(counts, radius_trace=trace, operator=op,
+                           radius_stabilized=trace[-1][1] <= tol)
     return sol
 
 
@@ -223,29 +229,27 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     consecutive levels satisfy |Δlambda| <= tol, ||Δ w_bar|| <= tol on the
     inner window, and alpha * ||w_bar|| <= tol on the window (so the pair
     solves the ergodic equation there at tolerance).  An exhausted schedule
-    returns the flagged trace for inspection.  ``radius_trace`` comes from one
-    ladder at the last alpha: the smaller radii in order, each warm-started
-    from the ball below, topped by the sweep's last solve.  Once one bordered
-    Krylov solve has fallen back to sparse LU, every later alpha level of the
-    sweep and the ladder run on the explicit stencils.
+    returns the flagged trace for inspection.  ``radius_trace`` comes from
+    the radius ladder of :func:`expand_domain` at the last alpha, with no
+    early stop, topped by the sweep's last solve.  Once one bordered Krylov
+    solve has fallen back to sparse LU, every later alpha level of the sweep
+    and the ladder run on the explicit stencils.
     """
     inner_tol = solver_tol if solver_tol is not None else tol
     ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}
-    final_grid, final_op = ops[domain.radii[-1]]
+    final_op = ops[domain.radii[-1]]
+    final_grid = final_op.grid
     win = _window_indices(final_grid, domain.window_radius)
     levels: list[AlphaLevel] = []
     sol: NormalizedSolution | None = None
     converged = False
-    solves = {"bicgstab": 0, "splu": 0}
-    krylov_iterations = 0
+    counts = {"linear_solves": {"bicgstab": 0, "splu": 0}, "krylov_iterations": 0}
 
     def normalized(op, alpha, v0, policy0):
-        nonlocal krylov_iterations
-        out = solve_normalized(op.csr() if solves["splu"] else op, alpha, inner_tol,
-                               max_iter=max_iter, v0=v0, policy0=policy0)
-        for tag, count in out.linear_solves.items():
-            solves[tag] += count
-        krylov_iterations += out.krylov_iterations
+        out = solve_normalized(op.csr() if counts["linear_solves"]["splu"] else op,
+                               alpha, inner_tol, max_iter=max_iter,
+                               v0=v0, policy0=policy0)
+        _tally(counts, vars(out))
         return out
 
     for alpha in schedule.alphas():
@@ -266,25 +270,16 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
             converged = True
             break
 
-    trace: list[tuple[float, float]] = []
-    below: tuple[Grid, NormalizedSolution] | None = None
-    for R in domain.radii:
-        grid, op = ops[R]
-        rung = sol
-        if R != domain.radii[-1]:
-            v0, policy0 = (None, None) if below is None else _prolong(
-                grid, below[0], below[1].v, below[1].policy)
-            rung = normalized(op, sol.alpha, v0, policy0)
-        trace.append((R, np.inf if below is None else _inner_change(
-            grid, rung.v, below[0], below[1].v, domain.window_radius)))
-        below = (grid, rung)
+    def rung(op, v0, policy0):
+        out = sol if op is final_op else normalized(op, sol.alpha, v0, policy0)
+        return out.v, out.policy, out
 
+    trace, _, _ = _ladder(domain, ops.__getitem__, rung)
     u = normalize_at_origin(sol.v, final_grid)
     return ErgodicSolution(
         u=u, lambda_star=sol.m, grid=final_grid, alpha_trace=levels,
         radius_trace=trace, growth_report=_growth_report(u, final_grid, p),
-        converged=converged, operator=final_op, linear_solves=solves,
-        krylov_iterations=krylov_iterations)
+        converged=converged, operator=final_op, **counts)
 
 
 def convergence_study(p: ControlProblem, domain: DomainConfig,

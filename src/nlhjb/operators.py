@@ -336,10 +336,6 @@ def _kernel_values(kern, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.asarray(kern(x, y), dtype=float)
 
 
-def _band_tol(spec: KernelSpec) -> float:
-    return 1e-10 * max(1.0, (2.0 - 2.0 * spec.s) * spec.Lambda_ell)
-
-
 def _check_band(kv: np.ndarray, spec: KernelSpec, label: str, x: np.ndarray,
                 y: np.ndarray | None = None) -> None:
     """Reject kernel values outside the ellipticity band [(2-2s)λ, (2-2s)Λ].
@@ -351,10 +347,9 @@ def _check_band(kv: np.ndarray, spec: KernelSpec, label: str, x: np.ndarray,
     """
     if not np.all(np.isfinite(kv)):
         return
-    fac = 2.0 - 2.0 * spec.s
-    lo, hi = fac * spec.lambda_ell, fac * spec.Lambda_ell
+    lo, hi, tol = spec.band()
     excess = np.maximum(lo - kv, kv - hi)
-    bad = excess > _band_tol(spec)
+    bad = excess > tol
     if not np.any(bad):
         return
     k = np.unravel_index(int(np.argmax(np.where(bad, excess, -np.inf))), kv.shape)
@@ -381,7 +376,7 @@ def _checked_kernel_values(kern, spec: KernelSpec, label: str, x: np.ndarray,
     both = np.isfinite(kv) & np.isfinite(mirror)
     gap = np.zeros(kv.shape)
     gap[both] = np.abs(kv[both] - mirror[both])
-    if gap.max(initial=0.0) > _band_tol(spec):
+    if gap.max(initial=0.0) > spec.band()[2]:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise ValueError(
             f"kernel for control {label} is not symmetric in y: k(x, y) = "

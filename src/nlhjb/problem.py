@@ -71,6 +71,13 @@ class KernelSpec:
             return self.k
         return self.k[tau]
 
+    def band(self) -> tuple[float, float, float]:
+        """``(lo, hi, tol)``: the band [(2-2s)λ, (2-2s)Λ] and the slack a
+        kernel value, or its asymmetry, may have outside it."""
+        fac = 2.0 - 2.0 * self.s
+        hi = fac * self.Lambda_ell
+        return fac * self.lambda_ell, hi, 1e-10 * max(1.0, hi)
+
 
 @dataclass(frozen=True)
 class MixedSpec:
@@ -111,8 +118,6 @@ class LyapunovData:
     k0: float | None = None
     k1: float | None = None
     gamma: float | None = None
-    theta: float | None = None
-    sigma: float | None = None
     growth_radius: float = 1.0
 
 
@@ -211,9 +216,7 @@ def validate_problem(p: ControlProblem, grid: Grid, offsets) -> ValidationReport
     checks: list[CheckResult] = []
 
     if p.kernel is not None:
-        s = p.kernel.s
-        lo = (2 - 2 * s) * p.kernel.lambda_ell
-        hi = (2 - 2 * s) * p.kernel.Lambda_ell
+        lo, hi, tol = p.kernel.band()
         worst_asym, worst_pt = 0.0, None
         worst_bound, bound_pt = 0.0, None
         for t in range(p.n_controls):
@@ -235,7 +238,6 @@ def validate_problem(p: ControlProblem, grid: Grid, offsets) -> ValidationReport
                 worst_bound = float(out)
                 i, j = np.unravel_index(int(np.argmax(np.maximum(lo - kp, kp - hi))), kp.shape)
                 bound_pt = (p.controls[t], tuple(xs[i]), tuple(ys[j]))
-        tol = 1e-10 * max(1.0, hi)
         checks.append(CheckResult(
             "kernel-symmetry", worst_asym <= tol,
             f"max |k(x,y)-k(x,-y)| = {worst_asym:.3e}", worst_pt if worst_asym > tol else None))
@@ -431,8 +433,7 @@ def _power_lyapunov(gamma: float, theta: float, mu: float, d: int) -> LyapunovDa
         return r**expo
 
     return LyapunovData(V=V, grad_V=grad_V, hess_V=hess_V, h=h,
-                        envelope_exponent=expo, mu=mu,
-                        gamma=gamma, theta=theta)
+                        envelope_exponent=expo, mu=mu, gamma=gamma)
 
 
 def power_drift_problem(gamma: float, theta: float, d: int, s: float, *,

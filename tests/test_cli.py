@@ -146,6 +146,18 @@ REJECTED = (
             "max_policy_iters", 30.0, None),
            ("values", constant_ergodic_config(), "alpha", "values", [0.5, True], None),
            ("output_dir", constant_ergodic_config(), None, "output_dir", 3, None))])
+# (id, accepted base config, section, key, a value of the right type that its
+# dataclass rejects, the error message)
+OUT_OF_RANGE = (
+    ("grid.d", constant_ergodic_config(), "grid", "d", 3,
+     "section 'grid': d must be 1 or 2, got 3"),
+    ("grid.hx", constant_ergodic_config(), "grid", "hx", 0,
+     "section 'grid': hx must be positive"),
+    ("solver.tol", constant_ergodic_config(), "solver", "tol", 0,
+     "section 'solver': tol must be positive"),
+    ("controls", with_problem(FAMILY_BASES["custom"]), "problem", "controls", [],
+     "section 'problem' of family 'custom': controls must be a non-empty list"),
+)
 
 
 class TestParsing:
@@ -171,6 +183,22 @@ class TestParsing:
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "ConfigError"
         assert f"'{name}'" in block["error"]["message"]
+
+    @pytest.mark.parametrize("base,section,key,value,message",
+                             [case[1:] for case in OUT_OF_RANGE],
+                             ids=[case[0] for case in OUT_OF_RANGE])
+    def test_out_of_range_value(self, tmp_path, capsys, base, section, key, value,
+                                message):
+        parse_config(base)
+        raw = copy.deepcopy(base)
+        raw[section][key] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block == {"error": {"kind": "ConfigError", "message": message}}
 
     def test_integer_for_number_and_null_for_optional_parse(self):
         raw = constant_ergodic_config()

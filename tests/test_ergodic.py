@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,6 +44,37 @@ class TestExpandDomain:
             nl.expand_domain(p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(8.0, 4.0)), 1e-8)
         with pytest.raises(ValueError):
             nl.expand_domain(p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(0.5,)), 1e-8)
+
+
+class TestRadiusLadder:
+    """Both drivers climb one radius ladder; assemblies are counted per radius."""
+
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        import nlhjb.ergodic as erg
+        radii = []
+
+        def counting(p, grid, *args, **kwargs):
+            radii.append(grid.R)
+            return nl.assemble(p, grid, *args, **kwargs)
+
+        monkeypatch.setattr(erg, "assemble", counting)
+        return radii
+
+    def test_vanishing_discount_assembles_each_radius_once(self, assembled):
+        dom = nl.DomainConfig(d=1, hx=0.5, radii=(4.0, 8.0, 16.0))
+        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+        sol = nl.vanishing_discount(p, dom, SCHED, 1e-5, solver_tol=1e-9)
+        assert Counter(assembled) == {4.0: 1, 8.0: 1, 16.0: 1}
+        assert [R for R, _ in sol.radius_trace] == [4.0, 8.0, 16.0]
+
+    def test_expand_domain_never_assembles_past_the_stop(self, assembled):
+        p = nl.constant_cost_problem(0.0, 1)
+        sol = nl.expand_domain(
+            p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(4.0, 8.0, 12.0)), 1e-10)
+        assert assembled == [4.0, 8.0]
+        assert sol.diagnostics["radius_stabilized"]
+        assert sol.diagnostics["operator"].grid.R == 8.0
 
 
 class TestVanishingDiscount:

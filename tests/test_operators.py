@@ -192,6 +192,33 @@ class TestAssembledInvariants:
         nl.assemble(dataclasses.replace(p, kernel=even), g, q, nl.ExteriorRule.zero(),
                     alpha=0.5)
 
+    @pytest.mark.parametrize("path", ["fft", "csr"])
+    @pytest.mark.parametrize("excess, inside", [(2.0, False), (0.5, True)])
+    def test_band_edge_agrees_with_validate_problem(self, path, excess, inside):
+        # assembly and validate_problem read one band and one slack, so a
+        # kernel just past hi + tol fails both and one just inside passes both
+        import dataclasses
+        # the slack scales with hi = 10, so a fixed 1e-10 would reject hi + tol/2
+        spec = nl.KernelSpec(s=0.75, lambda_ell=0.5, Lambda_ell=20.0, k=None)
+        lo, hi, tol = spec.band()
+        assert (lo, hi) == (0.25, 10.0) and tol == pytest.approx(1e-9)
+        value = hi + excess * tol
+
+        def reads_y(x, y):
+            return np.full(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]), value)
+
+        kern = nl.constant_kernel(value) if path == "fft" else reads_y
+        p = dataclasses.replace(random_problem(2, vary_kernel=False),
+                                kernel=dataclasses.replace(spec, k=kern))
+        g = nl.build_grid(1, 0.25, 4.0)
+        q = nl.build_quadrature(g, 0.75, 5.0)
+        assert nl.validate_problem(p, g, q).check("kernel-bounds").passed == inside
+        if inside:
+            nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+        else:
+            with pytest.raises(ValueError, match=r"control tau0 .* lies outside"):
+                nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+
 
 class TestApply:
     def test_apply_zero_gives_constant_term(self):
