@@ -176,10 +176,10 @@ def run(cfg: RunConfig, output_dir: str | None = None) -> int:
     """Execute one run config; returns the process exit status."""
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     code, counts = _RUNNERS[cfg.mode](cfg, outdir)
     _write_json(outdir / "run_meta.json", {"nlhjb_version": __version__, **counts,
-                                           "wall_seconds": time.time() - t0})
+                                           "wall_seconds": time.perf_counter() - t0})
     return code
 
 

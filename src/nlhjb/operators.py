@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .grid import Grid, ExteriorRule, lattice_box
 from .problem import ControlProblem, KernelSpec
@@ -43,6 +42,18 @@ __all__ = [
 
 class MonotonicityError(RuntimeError):
     """A negative or non-finite stencil weight survived assembly."""
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n, a fast real FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 class _LatticeConvolution:
@@ -99,18 +110,24 @@ class _LatticeConvolution:
         ``image`` holds f on the box of half-width A >= K (the grid's) in
         :func:`~nlhjb.grid.lattice_box` order.  The FFT length
         L >= A + K + F + 1 keeps the cyclic wrap-around off every node.
+        The inverse transform is left unnormalised and its values at the
+        nodes are scaled once by 1/L^d: that reproduces ``scipy.fft.irfftn``
+        bit for bit, where numpy's own normalisation differs from it at
+        round-off in 2-d.
         """
         d, F, K = self.grid.d, self.far, self.grid._halfwidth
         A = (image.shape[0] - 1) // 2
-        L = next_fast_len(max(A + K + F + 1, 2 * F + 1, 2 * A + 1), real=True)
+        L = _fast_len(max(A + K + F + 1, 2 * F + 1, 2 * A + 1))
         hat = self._hat.get(L)
         if hat is None:
             wrapped = np.zeros((L,) * d)
             idx = np.arange(-F, F + 1) % L
             wrapped[np.ix_(*[idx] * d)] = self.weights
-            hat = self._hat[L] = rfftn(wrapped)
-        conv = irfftn(rfftn(image, s=(L,) * d) * hat, s=(L,) * d)
-        return conv[tuple((self.grid.lattice + A).T)]
+            hat = self._hat[L] = np.fft.rfftn(wrapped)
+        shape, axes = (L,) * d, tuple(range(d))
+        conv = np.fft.irfftn(np.fft.rfftn(image, shape, axes) * hat, shape, axes,
+                             norm="forward")
+        return conv[tuple((self.grid.lattice + A).T)] * (1.0 / L**d)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """Jump part with k ≡ 1 and zero exterior data, applied to ``u``."""

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .grid import ExteriorRule, Grid
-from .problem import ControlProblem
-from .quadrature import JumpQuadrature, fractional_laplacian_constant
+from nlhjb.grid import ExteriorRule, Grid
+from nlhjb.problem import ControlProblem
+from nlhjb.quadrature import JumpQuadrature, fractional_laplacian_constant
 
 __all__ = ["DenseOracle", "build_dense_oracles", "dense_apply",
            "dense_fixed_point", "fractional_laplacian_reference"]

@@ -14,11 +14,11 @@ import nlhjb as nl
 from nlhjb.cli import run as cli_run
 from nlhjb.config import parse_config
 from nlhjb.operators import apply_control, jump_apply_reference
-from nlhjb.oracles import (build_dense_oracles, dense_fixed_point,
-                           fractional_laplacian_reference)
 from nlhjb.quadrature import apply_quadrature_pointwise
 
 from conftest import random_problem, smooth_field
+from oracles import (build_dense_oracles, dense_fixed_point,
+                     fractional_laplacian_reference)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

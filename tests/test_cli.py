@@ -1,6 +1,8 @@
 import copy
 import json
 import re
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +347,16 @@ class TestRuns:
         assert "wall_seconds" in meta
         report = json.loads((tmp_path / "report.json").read_text())
         assert "wall_seconds" not in report
+
+    def test_wall_seconds_ignores_a_clock_step(self, tmp_path, monkeypatch):
+        # A system clock stepped back an hour between the two readings.
+        wall = iter([7200.0, 3600.0])
+        clock = types.SimpleNamespace(time=lambda: next(wall),
+                                      perf_counter=time.perf_counter)
+        monkeypatch.setattr("nlhjb.cli.time", clock)
+        run(parse_config(constant_ergodic_config()), output_dir=str(tmp_path))
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert 0.0 <= meta["wall_seconds"] < 600.0
 
     def test_discounted_linear_solver_counts_in_run_meta(self, tmp_path):
         cfg = parse_config(custom_discounted_config(["0.5", "0.46"]))

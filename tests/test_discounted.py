@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import nlhjb as nl
 from nlhjb.discounted import _policy_system
 from nlhjb.operators import apply_control
-from nlhjb.oracles import build_dense_oracles, dense_fixed_point
 
 from conftest import random_problem
+from oracles import build_dense_oracles, dense_fixed_point
 
 
 def setup(seed=1, s=0.75, hx=0.25, R=4.0, alpha=0.4, **kw):

@@ -23,7 +23,7 @@ from nlhjb import discounted
 from nlhjb.discounted import (_MatrixFreeSystem, _policy_system, _solve_bordered,
                               _solve_linear)
 from nlhjb.lyapunov import _jump_on_V
-from nlhjb.operators import apply_control
+from nlhjb.operators import _stacked_inf, apply_control
 
 from conftest import smooth_drift, smooth_field
 
@@ -509,6 +509,80 @@ class TestNearField:
         steps.clear()
         disc = nl.solve_policy_iteration(bordered_operator(5).with_alpha(0.4), 1e-9)
         assert disc.diagnostics["krylov_iterations"] == len(steps) > 0
+
+
+def permuted(p, perm):
+    """``p`` with its controls reordered: new control t is old control perm[t]."""
+    def pick(seq):
+        return None if seq is None else tuple(seq[i] for i in perm)
+    return dataclasses.replace(p, controls=pick(p.controls), drift=pick(p.drift),
+                               cost=pick(p.cost), zeroth=pick(p.zeroth),
+                               kernel=dataclasses.replace(p.kernel, k=pick(p.kernel.k)))
+
+
+@st.composite
+def permuted_problems(draw, zeroth):
+    """(d, problem, the problem with its controls permuted, the permutation).
+
+    2-3 controls with constant or x-only kernels; the last control may be a
+    copy of control 0, which ties it with control 0 wherever either is best.
+    """
+    d, s = draw(st.sampled_from([1, 2])), 0.75
+    n = draw(st.integers(2, 3))
+    kvals = [draw(st.floats(0.5, 1.5)) * (2 - 2 * s) for _ in range(n)]
+    xs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    p = constant_kernel_problem(draw(st.integers(0, 10_000)), d, s, kvals,
+                                zeroth=zeroth, x_only=xs)
+    if draw(st.booleans()):
+        def copy0(seq):
+            return None if seq is None else (*seq[:-1], seq[0])
+        p = dataclasses.replace(p, drift=copy0(p.drift), cost=copy0(p.cost),
+                                zeroth=copy0(p.zeroth),
+                                kernel=dataclasses.replace(p.kernel, k=copy0(p.kernel.k)))
+    perm = draw(st.permutations(range(n)))
+    return d, p, permuted(p, perm), np.array(perm)
+
+
+def assert_policy_permuted(op, u, policy, permuted_policy, perm):
+    """policy = perm[permuted_policy] wherever, at u, the best control beats
+    the second best by more than 1e-12; closer ties may resolve either way."""
+    vals, _, _ = _stacked_inf(op, u)
+    best, second = np.sort(vals, axis=0)[:2]
+    clear = second - best > 1e-12
+    np.testing.assert_array_equal(policy[clear], perm[permuted_policy[clear]])
+
+
+class TestControlPermutation:
+    """Reordering the controls changes no answer, up to the documented
+    lowest-index tie-break of ``_stacked_inf``."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=permuted_problems(zeroth=True), csr=st.booleans())
+    def test_discounted_solve(self, case, csr):
+        d, p, pp, perm = case
+        g = nl.build_grid(d, 0.25 if d == 1 else 0.5, 3.0 if d == 1 else 2.0)
+        q = nl.build_quadrature(g, p.kernel.s, g.R + 1.0)
+        ops = [nl.assemble(x, g, q, nl.ExteriorRule.zero()) for x in (p, pp)]
+        if csr:
+            ops = [op.csr() for op in ops]
+        sol, psol = (nl.solve_policy_iteration(op, 1e-12) for op in ops)
+        assert sol.converged and psol.converged
+        assert float(np.max(np.abs(sol.w - psol.w))) <= 1e-12
+        assert_policy_permuted(ops[0], sol.w, sol.policy, psol.policy, perm)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=permuted_problems(zeroth=False))
+    def test_ergodic_run(self, case):
+        d, p, pp, perm = case
+        domain = nl.DomainConfig(d=d, hx=0.5, radii=(2.0, 3.0))
+        schedule = nl.AlphaSchedule(start=0.5, factor=0.5, max_levels=3)
+        sol, psol = (nl.vanishing_discount(x, domain, schedule, 1e-13) for x in (p, pp))
+        assert abs(sol.lambda_star - psol.lambda_star) <= 1e-12
+        assert float(np.max(np.abs(sol.u - psol.u))) <= 1e-12
+        # No zeroth term, so the argmin at u is the last level's policy.
+        policy = nl.apply_inf(sol.operator, sol.u)[1]
+        permuted_policy = nl.apply_inf(psol.operator, psol.u)[1]
+        assert_policy_permuted(sol.operator, sol.u, policy, permuted_policy, perm)
 
 
 CERT_KERNELS = {

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import nlhjb as nl
 from nlhjb.operators import apply_control, jump_apply_reference
-from nlhjb.oracles import build_dense_oracles, dense_apply
 
 from conftest import random_problem
+from oracles import build_dense_oracles, dense_apply
 
 
 def small_setup(seed=1, s=0.75, d=1, hx=0.25, R=4.0, alpha=0.4, **kw):
@@ -524,7 +524,7 @@ class TestTwoDimensional:
                                        oracles[t].const, atol=1e-12)
 
     def test_2d_policy_iteration_matches_dense_fixed_point(self):
-        from nlhjb.oracles import dense_fixed_point
+        from oracles import dense_fixed_point
         p = self.twod_problem(seed=22)
         g = nl.build_grid(2, 0.5, 1.6)
         q = nl.build_quadrature(g, 0.8, 2.6)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import nlhjb as nl
-from nlhjb.oracles import (build_dense_oracles, dense_apply, dense_fixed_point,
-                           fractional_laplacian_reference)
 
 from conftest import random_problem
+from oracles import (build_dense_oracles, dense_apply, dense_fixed_point,
+                     fractional_laplacian_reference)
 
 
 class TestFractionalReference:

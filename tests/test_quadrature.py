@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from nlhjb import (build_grid, build_quadrature, apply_quadrature_pointwise,
                    fractional_laplacian_constant)
-from nlhjb.oracles import fractional_laplacian_reference
+
+from oracles import fractional_laplacian_reference
 
 
 def test_tail_mass_closed_form_1d():
