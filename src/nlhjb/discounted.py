@@ -67,9 +67,9 @@ class _MatrixFreeSystem(spla.LinearOperator):
 
     Row i is control ``policy[i]``'s: its jump part scaled by
     k_{policy[i]}(x_i), plus the row-gathered drift stencil with c on the
-    diagonal (``local``).  ``tocsr`` and ``tocsc`` make it a drop-in for the
-    CSR system in :func:`_solve_linear` and :func:`_solve_bordered`; they
-    build that system from ``op.csr()``.
+    diagonal (``local``).  ``tocsc`` builds the same system from
+    ``op.csr()`` for the sparse-LU fallbacks of :func:`_solve_linear` and
+    :func:`_solve_bordered`.
     """
 
     def __init__(self, op: DiscreteOperator, policy: np.ndarray,
@@ -189,24 +189,29 @@ def _solve_linear(A, rhs: np.ndarray, atol: float, x0: np.ndarray | None = None,
     return spla.spsolve(A.tocsc(), rhs), "splu"
 
 
+def _bordered_pair(y2: np.ndarray, y1: np.ndarray, i0: int) -> tuple[np.ndarray, float]:
+    """(v, m) from y2 = A^{-1} 1 and y1 = A^{-1} rhs: A v - m = rhs, v[i0] = 0."""
+    m = -y1[i0] / y2[i0]
+    v = y1 + m * y2
+    v[i0] = 0.0
+    return v, float(m)
+
+
 def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
                     callback=None) -> tuple[np.ndarray, float, str]:
     """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
 
-    Returns (v, m, solver tag).  For a :class:`_MatrixFreeSystem` this
-    tries two :func:`_krylov` solves on A to ``atol/100``, y2 = A^{-1} 1
-    and y1 = A^{-1} rhs, each capped at ceil(N/4) iterations and both
-    preconditioned by the one near-field LU factor of A; a failed first
-    solve skips the second.  Then
-    m = -y1[i0]/y2[i0] and v = y1 + m y2.  -A is a nonsingular M-matrix
-    (monotone stencils, c < 0), so ||A^{-1}||_inf = max|A^{-1} 1|, which is
-    at most ainv = max|y2| / (1 - e) with e = ||A y2 - 1||.  With r the true
-    sup residual of the bordered system, the pair is then within
-    ainv ||r|| (1 + ainv / (|y2[i0]| - ainv e)) of the exact one in v and m.
-    The pair is kept (tag ``"bicgstab"``) only if that bound is at most
-    ``atol``; a NaN fails the test.  The bound does not depend on the
-    preconditioner.  Otherwise, and for CSR systems, the bordered matrix
-    built from ``A.tocsr()`` is solved by sparse LU (tag ``"splu"``).
+    Returns (v, m, solver tag).  Every path eliminates m through
+    y2 = A^{-1} 1 and y1 = A^{-1} rhs (:func:`_bordered_pair`).  For a
+    :class:`_MatrixFreeSystem` both come from :func:`_krylov` to
+    ``atol/100``, each capped at ceil(N/4) iterations and preconditioned by
+    the one near-field LU factor of A; a failed first solve skips the
+    second.  The pair is kept (tag ``"bicgstab"``) when its true bordered
+    sup residual max|A v - m - rhs| is at most ``atol``, the rule of
+    :func:`_solve_linear`; a NaN fails it.  -A is a nonsingular M-matrix
+    (monotone stencils, c < 0), so -A^{-1} >= 0 and the pair's m is within
+    that residual of the exact one.  Otherwise, and for CSR systems, one
+    sparse LU of A gives both columns (tag ``"splu"``).
     """
     n = A.shape[0]
     if isinstance(A, _MatrixFreeSystem):
@@ -215,24 +220,13 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
             out = _krylov(A, b, atol / 100, -(-n // 4), callback=callback)
             if out is None:
                 break
-            ys.append(out)
+            ys.append(out[0])
         if len(ys) == 2:
-            (y2, e), (y1, _) = ys
-            m = -y1[i0] / y2[i0]
-            v = y1 + m * y2
-            v[i0] = 0.0
-            ainv = float(np.max(np.abs(y2))) / (1.0 - e)
-            den = abs(y2[i0]) - ainv * e
-            err = ainv * float(np.max(np.abs(A @ v - m - rhs))) * (1.0 + ainv / den)
-            if e < 1.0 and den > 0.0 and err <= atol:
-                return v, float(m), "bicgstab"
-    e0 = sp.csr_matrix((np.ones(1), (np.zeros(1, dtype=int), np.array([i0]))),
-                       shape=(1, n))
-    ones_col = sp.csr_matrix((-np.ones(n), (np.arange(n), np.zeros(n, dtype=int))),
-                             shape=(n, 1))
-    aug = sp.bmat([[A.tocsr(), ones_col], [e0, None]], format="csc")
-    sol = spla.spsolve(aug, np.concatenate([rhs, [0.0]]))
-    return sol[:n], float(sol[n]), "splu"
+            v, m = _bordered_pair(*ys, i0)
+            if float(np.max(np.abs(A @ v - m - rhs))) <= atol:
+                return v, m, "bicgstab"
+    y = spla.spsolve(A.tocsc(), np.column_stack([np.ones(n), rhs]))
+    return *_bordered_pair(*y.T, i0), "splu"
 
 
 def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
@@ -356,8 +350,8 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     unnormalised problem (w_alpha = v + m/alpha).  Runs on
     ``op.with_alpha(alpha)``: on an operator with an FFT jump part each
     bordered system is first solved matrix-free by :func:`_solve_bordered`
-    and kept only inside its error bound of tol/10, else solved by sparse
-    LU.  On explicit stencils (``op.csr()``) every solve is sparse LU.
+    and kept when its true residual is at most tol/10, else solved by
+    sparse LU.  On explicit stencils (``op.csr()``) every solve is sparse LU.
     ``linear_solves`` counts the bordered solves by solver (``"bicgstab"``
     or ``"splu"``) and ``krylov_iterations`` their BiCGStab iterations.
     """

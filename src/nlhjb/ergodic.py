@@ -232,8 +232,9 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     returns the flagged trace for inspection.  ``radius_trace`` comes from
     the radius ladder of :func:`expand_domain` at the last alpha, with no
     early stop, topped by the sweep's last solve.  Once one bordered Krylov
-    solve has fallen back to sparse LU, every later alpha level of the sweep
-    and the ladder run on the explicit stencils.
+    solve has fallen back to sparse LU (its BiCGStab failed, or its pair's
+    true residual exceeded a tenth of the inner tolerance), every later
+    alpha level of the sweep and the ladder run on the explicit stencils.
     """
     inner_tol = solver_tol if solver_tol is not None else tol
     ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy import integrate
 
 from nlhjb.grid import ExteriorRule, Grid
@@ -17,7 +19,8 @@ from nlhjb.problem import ControlProblem
 from nlhjb.quadrature import JumpQuadrature, fractional_laplacian_constant
 
 __all__ = ["DenseOracle", "build_dense_oracles", "dense_apply",
-           "dense_fixed_point", "fractional_laplacian_reference"]
+           "dense_fixed_point", "bordered_reference",
+           "fractional_laplacian_reference"]
 
 _MAX_NODES = 200
 
@@ -162,6 +165,20 @@ def dense_fixed_point(oracles: list[DenseOracle], tol: float = 1e-10,
             return u
         u = u + eta * vals
     raise RuntimeError("dense fixed point did not converge")
+
+
+def bordered_reference(A: sp.spmatrix, rhs: np.ndarray, i0: int) -> tuple[np.ndarray, float]:
+    """(v, m) with A v - m = rhs and v[i0] = 0, as one augmented system.
+
+    The (N+1)-order matrix [[A, -1], [e_i0^T, 0]] is solved by sparse LU:
+    no elimination of m through A^{-1} 1, unlike the production solve.
+    """
+    n = A.shape[0]
+    e0 = sp.csr_matrix((np.ones(1), ([0], [i0])), shape=(1, n))
+    ones_col = sp.csr_matrix(-np.ones((n, 1)))
+    aug = sp.bmat([[A, ones_col], [e0, None]], format="csc")
+    sol = spla.spsolve(aug, np.concatenate([rhs, [0.0]]))
+    return sol[:n], float(sol[n])
 
 
 # ---------------------------------------------------------------------------

@@ -388,18 +388,18 @@ class TestRuns:
         assert meta["linear_solves"]["bicgstab"] >= len(report["alpha_trace"]) + 1
         assert "linear_solves" not in report
 
-    def test_readme_ergodic_config_passes_krylov_then_falls_back(self, tmp_path):
-        # With the near-field LU preconditioner the first 1-d bordered solves
-        # pass by Krylov inside their bound; once the small alphas make the
-        # bound too large, the guard sends the rest of the sweep to sparse LU
+    def test_readme_ergodic_config_solves_every_pair_by_krylov(self, tmp_path):
+        # With the near-field LU preconditioner every 1-d bordered pair of the
+        # README config meets the residual rule, down to the smallest alpha,
+        # so the sweep never falls back to sparse LU
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         raw = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
         assert raw["mode"] == "ergodic" and raw["grid"]["d"] == 1
         assert run(parse_config(raw), output_dir=str(tmp_path)) == 0
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         report = json.loads((tmp_path / "report.json").read_text())
-        assert meta["linear_solves"]["bicgstab"] >= 1
-        assert meta["linear_solves"]["splu"] >= 1
+        assert meta["linear_solves"]["splu"] == 0
+        assert meta["linear_solves"]["bicgstab"] >= len(report["alpha_trace"])
         assert meta["krylov_iterations"] > 0
         assert "krylov_iterations" not in report
         assert abs(report["lambda_star"] - 0.2192472516863419) <= 10 * raw["solver"]["tol"]
@@ -479,8 +479,8 @@ class TestMainEntry:
         assert "theta" in block["error"]["message"]
 
     def test_exit_one_on_failed_linear_solve(self, tmp_path, capsys, monkeypatch):
-        # BiCGStab's NaN (info=0) must fail the Krylov guard, and the LU
-        # fallback's NaN must then reach Howard
+        # BiCGStab's NaN (info=0) must fail the Krylov residual rule, and the
+        # LU fallback's NaN must then reach Howard
         import scipy.sparse.linalg as spla
         monkeypatch.setattr(spla, "spsolve",
                             lambda A, b, *a, **kw: np.full(np.shape(b), np.nan))

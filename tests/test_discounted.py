@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlhjb as nl
-from nlhjb.discounted import _policy_system
+from nlhjb.discounted import _policy_system, _solve_bordered
 from nlhjb.operators import apply_control
 
 from conftest import random_problem
-from oracles import build_dense_oracles, dense_fixed_point
+from oracles import bordered_reference, build_dense_oracles, dense_fixed_point
 
 
 def setup(seed=1, s=0.75, hx=0.25, R=4.0, alpha=0.4, **kw):
@@ -164,6 +164,29 @@ class TestFrozenPolicySystem:
         assert np.array_equal(A.indices, ref.indices)
         assert np.array_equal(A.data, ref.data)
         assert np.array_equal(const, ref_const)
+
+
+class TestBorderedElimination:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["power_drift_1d", "power_drift_2d",
+                                 "local_identity_2d", "random_zeroth_1d"]),
+           alpha=st.floats(1e-6, 0.5), data=st.data())
+    def test_matches_augmented_solve(self, name, alpha, data):
+        # the direct path eliminates m through one LU of A; the reference
+        # solves the augmented (N+1)-order system.  random_zeroth_1d has a
+        # kernel that reads y.
+        op = _frozen_operator(name).csr().with_alpha(alpha)
+        policy = np.array(data.draw(st.lists(
+            st.integers(0, len(op.controls) - 1),
+            min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+        A, const = _policy_system(op, policy)
+        i0 = op.grid.origin_index
+        v, m, tag = _solve_bordered(A, -const, i0, 1e-10)
+        v_ref, m_ref = bordered_reference(A, -const, i0)
+        assert tag == "splu" and v[i0] == 0.0
+        scale = max(1.0, float(np.max(np.abs(v_ref))), abs(m_ref))
+        assert abs(m - m_ref) <= 1e-12 * scale
+        assert float(np.max(np.abs(v - v_ref))) <= 1e-12 * scale
 
 
 class TestFailedSolve:
