@@ -69,7 +69,8 @@ class _MatrixFreeSystem(spla.LinearOperator):
     k_{policy[i]}(x_i), plus the row-gathered drift stencil with c on the
     diagonal (``local``).  ``tocsc`` builds the same system from
     ``op.csr()`` for the sparse-LU fallbacks of :func:`_solve_linear` and
-    :func:`_solve_bordered`.
+    :func:`_solve_bordered`; the bordered (v, m) solve runs BiCGStab on
+    :class:`_BorderedSystem`, this system with v(origin) eliminated.
     """
 
     def __init__(self, op: DiscreteOperator, policy: np.ndarray,
@@ -145,18 +146,20 @@ def _krylov(A, b: np.ndarray, atol: float, maxiter: int,
             callback=None) -> tuple[np.ndarray, float] | None:
     """Preconditioned BiCGStab to an absolute sup residual ``atol``.
 
-    The preconditioner is the sparse LU of the near field for a
-    :class:`_MatrixFreeSystem` (shared by every solve on that system) and
-    Jacobi for a CSR matrix.  Returns the answer and its true sup residual,
-    or ``None`` when the near-field factor fails, BiCGStab stops
-    unconverged (``info != 0``) or the answer is not finite.  BiCGStab's
-    recurred residual can drift from the true one; an answer reported
-    converged with a true residual above ``atol`` is restarted once from
-    itself, which resets the drift, under the same ``maxiter``.  The
+    A matrix-free system (:class:`_MatrixFreeSystem` or
+    :class:`_BorderedSystem`) supplies its own ``preconditioner()``, built
+    on the near-field sparse LU that every solve on the frozen-policy
+    system shares; a CSR matrix gets Jacobi.  Returns the answer and its
+    true sup residual, or ``None`` when the near-field factor fails or the
+    answer is not finite; the caller's residual rule judges the answer.
+    BiCGStab's recurred residual can drift from the true one, and at the
+    round-off floor it can break down (``info < 0``).  An answer above
+    ``atol`` that did not stop at the cap (``info > 0``) is restarted once
+    from itself, which resets the drift, under the same ``maxiter``.  The
     residual returned may still exceed ``atol``.  ``callback`` is passed to
     BiCGStab, which calls it once per iteration.
     """
-    if isinstance(A, _MatrixFreeSystem):
+    if isinstance(A, spla.LinearOperator):
         try:
             M = A.preconditioner()
         except RuntimeError:
@@ -167,10 +170,8 @@ def _krylov(A, b: np.ndarray, atol: float, maxiter: int,
     for _ in range(2):
         x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=atol,
                                 maxiter=maxiter, callback=callback)
-        if info != 0:
-            return None
         r = float(np.max(np.abs(A @ x - b)))
-        if not r > atol:
+        if info > 0 or not r > atol:
             break
     return (x, r) if np.isfinite(r) else None
 
@@ -197,34 +198,69 @@ def _bordered_pair(y2: np.ndarray, y1: np.ndarray, i0: int) -> tuple[np.ndarray,
     return v, float(m)
 
 
+class _BorderedSystem(spla.LinearOperator):
+    """A with column i0 replaced by -1: B x = A(x with x[i0] = 0) - x[i0]·1.
+
+    B x = rhs is the bordered system A v - m = rhs, v[i0] = 0, with
+    m = x[i0] and v = x with slot i0 set to 0 (:meth:`split`).  ``A`` is a
+    :class:`_MatrixFreeSystem`.
+    """
+
+    def __init__(self, A: _MatrixFreeSystem, i0: int):
+        super().__init__(dtype=float, shape=A.shape)
+        self.A, self.i0 = A, i0
+
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        v = np.array(x, dtype=float).ravel()
+        m = float(v[self.i0])
+        v[self.i0] = 0.0
+        return v, m
+
+    def _matvec(self, x):
+        v, m = self.split(x)
+        return self.A @ v - m
+
+    def preconditioner(self) -> spla.LinearOperator:
+        """The same elimination on the near field P of ``A``.
+
+        With w = P^{-1} 1, computed once, y maps to the x with
+        P(x with x[i0] = 0) - x[i0]·1 = y: :func:`_bordered_pair` of w and
+        P^{-1} y, with m in slot i0.  -P is a nonsingular M-matrix, so
+        w[i0] < 0.  Raises ``RuntimeError`` when the near-field factor does.
+        """
+        P = self.A.preconditioner()
+        w = P @ np.ones(self.shape[0])
+
+        def solve(y):
+            v, m = _bordered_pair(w, P @ np.ravel(y), self.i0)
+            v[self.i0] = m
+            return v
+
+        return spla.LinearOperator(self.shape, matvec=solve, dtype=float)
+
+
 def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
                     callback=None) -> tuple[np.ndarray, float, str]:
     """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
 
-    Returns (v, m, solver tag).  Every path eliminates m through
-    y2 = A^{-1} 1 and y1 = A^{-1} rhs (:func:`_bordered_pair`).  For a
-    :class:`_MatrixFreeSystem` both come from :func:`_krylov` to
-    ``atol/100``, each capped at ceil(N/4) iterations and preconditioned by
-    the one near-field LU factor of A; a failed first solve skips the
-    second.  The pair is kept (tag ``"bicgstab"``) when its true bordered
-    sup residual max|A v - m - rhs| is at most ``atol``, the rule of
+    Returns (v, m, solver tag).  For a :class:`_MatrixFreeSystem` it is one
+    :func:`_krylov` solve of the eliminated system :class:`_BorderedSystem`
+    to ``atol/100``, capped at ceil(N/4) iterations and preconditioned by the
+    same elimination of the near-field LU factor of A.  The pair is kept
+    (tag ``"bicgstab"``) when its true bordered sup residual
+    max|A v - m - rhs| is at most ``atol``, the rule of
     :func:`_solve_linear`; a NaN fails it.  -A is a nonsingular M-matrix
     (monotone stencils, c < 0), so -A^{-1} >= 0 and the pair's m is within
     that residual of the exact one.  Otherwise, and for CSR systems, one
-    sparse LU of A gives both columns (tag ``"splu"``).
+    sparse LU of A is solved for 1 and rhs, and :func:`_bordered_pair`
+    eliminates m (tag ``"splu"``).
     """
     n = A.shape[0]
     if isinstance(A, _MatrixFreeSystem):
-        ys = []
-        for b in (np.ones(n), rhs):
-            out = _krylov(A, b, atol / 100, -(-n // 4), callback=callback)
-            if out is None:
-                break
-            ys.append(out[0])
-        if len(ys) == 2:
-            v, m = _bordered_pair(*ys, i0)
-            if float(np.max(np.abs(A @ v - m - rhs))) <= atol:
-                return v, m, "bicgstab"
+        B = _BorderedSystem(A, i0)
+        out = _krylov(B, rhs, atol / 100, -(-n // 4), callback=callback)
+        if out is not None and out[1] <= atol:
+            return *B.split(out[0]), "bicgstab"
     y = spla.spsolve(A.tocsc(), np.column_stack([np.ones(n), rhs]))
     return *_bordered_pair(*y.T, i0), "splu"
 
@@ -349,9 +385,10 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     v(origin) = 0; m plays the role of alpha * w_alpha(origin) of the
     unnormalised problem (w_alpha = v + m/alpha).  Runs on
     ``op.with_alpha(alpha)``: on an operator with an FFT jump part each
-    bordered system is first solved matrix-free by :func:`_solve_bordered`
-    and kept when its true residual is at most tol/10, else solved by
-    sparse LU.  On explicit stencils (``op.csr()``) every solve is sparse LU.
+    bordered system is first one matrix-free BiCGStab solve with v(origin)
+    eliminated into m (:func:`_solve_bordered`), kept when its true residual
+    is at most tol/10, else solved by one sparse LU of A for 1 and rhs.  On
+    explicit stencils (``op.csr()``) every solve is that sparse LU.
     ``linear_solves`` counts the bordered solves by solver (``"bicgstab"``
     or ``"splu"``) and ``krylov_iterations`` their BiCGStab iterations.
     """

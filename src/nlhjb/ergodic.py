@@ -231,8 +231,9 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     solves the ergodic equation there at tolerance).  An exhausted schedule
     returns the flagged trace for inspection.  ``radius_trace`` comes from
     the radius ladder of :func:`expand_domain` at the last alpha, with no
-    early stop, topped by the sweep's last solve.  Once one bordered Krylov
-    solve has fallen back to sparse LU (its BiCGStab failed, or its pair's
+    early stop, topped by the sweep's last solve.  Each bordered (v, m) solve
+    is one BiCGStab solve with v(origin) eliminated into m.  Once one has
+    fallen back to sparse LU (its near-field factor failed, or its pair's
     true residual exceeded a tenth of the inner tolerance), every later
     alpha level of the sweep and the ladder run on the explicit stencils.
     """

@@ -391,7 +391,9 @@ class TestRuns:
     def test_readme_ergodic_config_solves_every_pair_by_krylov(self, tmp_path):
         # With the near-field LU preconditioner every 1-d bordered pair of the
         # README config meets the residual rule, down to the smallest alpha,
-        # so the sweep never falls back to sparse LU
+        # so the sweep never falls back to sparse LU.  Two BiCGStab solves per
+        # pair (A^{-1} 1 and A^{-1} rhs) spent 1579 iterations on this sweep;
+        # the one eliminated solve must spend at most half of that
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         raw = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
         assert raw["mode"] == "ergodic" and raw["grid"]["d"] == 1
@@ -400,7 +402,7 @@ class TestRuns:
         report = json.loads((tmp_path / "report.json").read_text())
         assert meta["linear_solves"]["splu"] == 0
         assert meta["linear_solves"]["bicgstab"] >= len(report["alpha_trace"])
-        assert meta["krylov_iterations"] > 0
+        assert 0 < meta["krylov_iterations"] <= 1579 // 2
         assert "krylov_iterations" not in report
         assert abs(report["lambda_star"] - 0.2192472516863419) <= 10 * raw["solver"]["tol"]
 

@@ -160,6 +160,19 @@ class TestVanishingDiscount:
         np.testing.assert_allclose(got[1:], want[1:], rtol=0, atol=1e-12)
         np.testing.assert_allclose(sol.u, cold[-1][1].v, rtol=0, atol=1e-12)
 
+    def test_fine_1d_sweep_solves_every_pair_by_krylov(self):
+        # At N=1025 one restarted bordered solve breaks down (info < 0) at the
+        # FFT round-off floor, its true residual about 3e-12 against the 1e-10
+        # rule; judged by that residual the pair is kept, so the sweep never
+        # falls back to sparse LU on op.csr()
+        dom = nl.DomainConfig(d=1, hx=0.0625, radii=(8.0, 16.0, 32.0))
+        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+        sol = nl.vanishing_discount(p, dom, nl.AlphaSchedule(max_levels=25), 1e-6,
+                                    solver_tol=1e-9)
+        assert sol.converged
+        assert sol.linear_solves["splu"] == 0
+        assert abs(sol.lambda_star - 0.22482180072756755) <= 1e-8
+
     def test_growth_report_tail_nonincreasing(self):
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
         sol = nl.vanishing_discount(p, DOM1, SCHED, 1e-4, solver_tol=1e-8)

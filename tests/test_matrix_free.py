@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 import nlhjb as nl
 from nlhjb import discounted
-from nlhjb.discounted import (_MatrixFreeSystem, _policy_system, _solve_bordered,
-                              _solve_linear)
+from nlhjb.discounted import (_BorderedSystem, _MatrixFreeSystem, _policy_system,
+                              _solve_bordered, _solve_linear)
 from nlhjb.lyapunov import _jump_on_V
 from nlhjb.operators import _stacked_inf, apply_control
 
@@ -364,7 +364,47 @@ class TestBorderedKrylov:
         monkeypatch.undo()
         v_ref, m_ref, _ = _solve_bordered(A.tocsr(), -const, i0, atol)
         assert tag == "bicgstab"
-        assert cold == [True, False, True]
+        # one eliminated solve: the drifted cold start and its restart
+        assert cold == [True, False]
+        assert abs(m - m_ref) <= atol + 1e-12
+        assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
+
+    def test_converged_solve_calls_bicgstab_once(self, monkeypatch):
+        op = bordered_operator(2).with_alpha(0.1)
+        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        bicgstab = spla.bicgstab
+        calls = []
+
+        def counting(A, b, *args, **kwargs):
+            calls.append(A)
+            return bicgstab(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "bicgstab", counting)
+        v, m, tag = _solve_bordered(A, -const, op.grid.origin_index, 1e-10)
+        assert tag == "bicgstab"
+        assert len(calls) == 1 and isinstance(calls[0], _BorderedSystem)
+        assert float(np.max(np.abs(A @ v - m + const))) <= 1e-10
+
+    def test_breakdown_at_round_off_keeps_the_pair(self, monkeypatch):
+        # A restart from an answer just above the target can break down
+        # (info < 0) at the FFT round-off floor; the answer it returns is
+        # judged by the bordered residual rule, not sent to sparse LU
+        op = bordered_operator(7).with_alpha(0.1)
+        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        i0, atol = op.grid.origin_index, 1e-10
+        bicgstab = spla.bicgstab
+        infos = []
+
+        def breaking(A, b, *args, **kwargs):
+            x, info = bicgstab(A, b, *args, **kwargs)
+            infos.append(info)
+            return (x + 1e-11, 0) if len(infos) == 1 else (x, -10)
+
+        monkeypatch.setattr(spla, "bicgstab", breaking)
+        v, m, tag = _solve_bordered(A, -const, i0, atol)
+        monkeypatch.undo()
+        v_ref, m_ref, _ = _solve_bordered(A.tocsr(), -const, i0, atol)
+        assert tag == "bicgstab" and len(infos) == 2
         assert abs(m - m_ref) <= atol + 1e-12
         assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
 
@@ -434,6 +474,22 @@ class TestNearField:
         off = P - np.diag(np.diag(P))
         assert off.min() >= 0.0
         assert np.all(-np.diag(P) > off.sum(axis=1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=fast_operators(), data=st.data())
+    def test_bordered_preconditioner_inverts_eliminated_near_field(self, case, data):
+        # The bordered preconditioner solves P with column i0 set to -1, the
+        # elimination of v(origin) into m, against a dense oracle of P
+        op, _ = case
+        policy = np.array(data.draw(st.lists(
+            st.integers(0, len(op.controls) - 1),
+            min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+        A, _ = _policy_system(op, policy)
+        i0 = op.grid.origin_index
+        B = A.near().toarray()
+        B[:, i0] = -1.0
+        got = _BorderedSystem(A, i0).preconditioner() @ B
+        assert float(np.max(np.abs(got - np.eye(op.n_nodes)))) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), d=st.sampled_from([1, 2]),
