@@ -4,8 +4,9 @@ Reads a JSON run config, executes the requested mode and writes artifacts:
 ``report.json`` (deterministic summary), ``solution.csv`` (node coordinates
 plus the solved field), ``certificate.json`` in certify mode and
 ``run_meta.json`` (wall-clock metadata and, in ergodic and discounted mode,
-the count of frozen-policy solves per linear solver and the total of
-BiCGStab iterations; excluded from determinism checks).
+the count of frozen-policy solves per linear solver, the total of
+BiCGStab iterations and the number of near-field factorizations; excluded
+from determinism checks).
 Exit status: 0 on success, 1 for validation/config failures, monotonicity
 violations and stencils over the size cap, 2 when a solve ends flagged
 non-converged.
@@ -97,7 +98,8 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     _write_json(outdir / "report.json", report)
     _write_solution_csv(outdir / "solution.csv", grid, sol.u)
     return 0 if sol.converged else 2, {"linear_solves": sol.linear_solves,
-                                       "krylov_iterations": sol.krylov_iterations}
+                                       "krylov_iterations": sol.krylov_iterations,
+                                       "near_factors": sol.near_factors}
 
 
 def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
@@ -135,7 +137,8 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         for it, res, changes in sol.trace:
             fh.write(f"{it},{repr(float(res))},{changes}\n")
     return 0 if sol.converged else 2, {
-        key: sol.diagnostics[key] for key in ("linear_solves", "krylov_iterations")}
+        key: sol.diagnostics[key]
+        for key in ("linear_solves", "krylov_iterations", "near_factors")}
 
 
 def _run_certify(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:

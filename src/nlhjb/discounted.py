@@ -53,6 +53,7 @@ class NormalizedSolution:
     trace: list[tuple[int, float, int]] = field(default_factory=list)
     linear_solves: dict = field(default_factory=dict)
     krylov_iterations: int = 0
+    near_factors: int = 0
 
 
 def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
@@ -70,7 +71,10 @@ class _MatrixFreeSystem(spla.LinearOperator):
     diagonal (``local``).  ``tocsc`` builds the same system from
     ``op.csr()`` for the sparse-LU fallbacks of :func:`_solve_linear` and
     :func:`_solve_bordered`; the bordered (v, m) solve runs BiCGStab on
-    :class:`_BorderedSystem`, this system with v(origin) eliminated.
+    :class:`_BorderedSystem`, this system with v(origin) eliminated.  The
+    near-field LU that preconditions both is memoized on the operator's
+    jump part per policy, so Howard steps and alpha levels that come back
+    to a policy reuse it.
     """
 
     def __init__(self, op: DiscreteOperator, policy: np.ndarray,
@@ -78,7 +82,6 @@ class _MatrixFreeSystem(spla.LinearOperator):
         super().__init__(dtype=float, shape=local.shape)
         self.op, self.policy, self.local = op, policy, local
         self.scale = op.jump.scale[policy, np.arange(policy.shape[0])]
-        self._near_lu = None
 
     def _matvec(self, x):
         x = np.ravel(x)
@@ -92,19 +95,39 @@ class _MatrixFreeSystem(spla.LinearOperator):
         """
         return (sp.diags(self.scale) @ self.op.jump.conv.near() + self.local).tocsr()
 
-    def preconditioner(self) -> spla.LinearOperator:
-        """Solve with the sparse LU of :meth:`near`, factored on first use.
+    def near_factor(self):
+        """The operator's near-field memo, holding the sparse LU of this policy.
 
-        A symmetric minimum-degree ordering with diagonal pivots: a symmetric
-        permutation keeps the strict diagonal dominance, which then holds in
-        every Schur complement, so no pivot is zero.  ``splu`` raises
-        ``RuntimeError`` on a singular factor.
+        The memo (``op.jump.near_factor``) keeps one factor, keyed by the
+        policy alone: ``with_alpha`` copies share it, so a factor made at an
+        earlier alpha serves a later one.  Its diagonal is then off by the
+        change in alpha, which moves only the preconditioner; the residual
+        rules judge every answer.  On a new policy the old factor is dropped
+        before :meth:`near` is factored, so at most one is alive per
+        operator.  A symmetric minimum-degree ordering with diagonal pivots:
+        a symmetric permutation keeps the strict diagonal dominance, which
+        then holds in every Schur complement, so no pivot is zero.  ``splu``
+        raises ``RuntimeError`` on a singular factor, which leaves the memo
+        empty.
         """
-        if self._near_lu is None:
-            self._near_lu = spla.splu(self.near().tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                      diag_pivot_thresh=0.0,
-                                      options={"SymmetricMode": True})
-        return spla.LinearOperator(self.shape, matvec=self._near_lu.solve, dtype=float)
+        memo = self.op.jump.near_factor
+        key = self.policy.tobytes()
+        if memo.key != key:
+            memo.key = memo.lu = memo.ones = None
+            memo.lu = spla.splu(self.near().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True})
+            memo.key = key
+            memo.count += 1
+        return memo
+
+    def preconditioner(self) -> spla.LinearOperator:
+        """Solve with the memoized sparse LU of :meth:`near` (:meth:`near_factor`).
+
+        Raises ``RuntimeError`` when the factorization does.
+        """
+        return spla.LinearOperator(self.shape, matvec=self.near_factor().lu.solve,
+                                   dtype=float)
 
     def tocsr(self) -> sp.csr_matrix:
         return _policy_system(self.op.csr(), self.policy)[0]
@@ -131,6 +154,11 @@ def _policy_system(op: DiscreteOperator, policy: np.ndarray):
     return A, np.stack([op.constant(t) for t in controls])[pick]
 
 
+def _near_factors(op: DiscreteOperator) -> int:
+    """Near-field factorizations made so far on ``op``'s FFT jump part."""
+    return 0 if op.jump is None else op.jump.near_factor.count
+
+
 class _IterationCount:
     """BiCGStab ``callback`` that counts the iterations it is called for."""
 
@@ -141,23 +169,23 @@ class _IterationCount:
         self.n += 1
 
 
-def _krylov(A, b: np.ndarray, atol: float, maxiter: int,
-            x0: np.ndarray | None = None,
-            callback=None) -> tuple[np.ndarray, float] | None:
+def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
+            x0: np.ndarray | None = None, callback=None) -> np.ndarray | None:
     """Preconditioned BiCGStab to an absolute sup residual ``atol``.
 
     A matrix-free system (:class:`_MatrixFreeSystem` or
     :class:`_BorderedSystem`) supplies its own ``preconditioner()``, built
-    on the near-field sparse LU that every solve on the frozen-policy
-    system shares; a CSR matrix gets Jacobi.  Returns the answer and its
-    true sup residual, or ``None`` when the near-field factor fails or the
-    answer is not finite; the caller's residual rule judges the answer.
-    BiCGStab's recurred residual can drift from the true one, and at the
-    round-off floor it can break down (``info < 0``).  An answer above
-    ``atol`` that did not stop at the cap (``info > 0``) is restarted once
-    from itself, which resets the drift, under the same ``maxiter``.  The
-    residual returned may still exceed ``atol``.  ``callback`` is passed to
-    BiCGStab, which calls it once per iteration.
+    on the near-field sparse LU of its policy, memoized on the operator
+    across Howard steps and alpha levels; a CSR matrix gets Jacobi.
+    Returns the answer when its true sup residual is at most ``accept``,
+    the caller's rule (``accept >= atol``), and ``None`` otherwise, or when
+    the near-field factor fails.  BiCGStab's recurred residual can drift
+    from the true one, and at the round-off floor it can break down
+    (``info < 0``).  An answer that fails the rule and did not stop at the
+    cap (``info > 0``) is restarted once from itself, which resets the
+    drift, under the same ``maxiter``; an answer between ``atol`` and
+    ``accept`` is kept as it is.  ``callback`` is passed to BiCGStab, which
+    calls it once per iteration.
     """
     if isinstance(A, spla.LinearOperator):
         try:
@@ -171,9 +199,9 @@ def _krylov(A, b: np.ndarray, atol: float, maxiter: int,
         x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=atol,
                                 maxiter=maxiter, callback=callback)
         r = float(np.max(np.abs(A @ x - b)))
-        if info > 0 or not r > atol:
+        if info > 0 or not r > accept:
             break
-    return (x, r) if np.isfinite(r) else None
+    return x if r <= accept else None
 
 
 def _solve_linear(A, rhs: np.ndarray, atol: float, x0: np.ndarray | None = None,
@@ -184,9 +212,9 @@ def _solve_linear(A, rhs: np.ndarray, atol: float, x0: np.ndarray | None = None,
     solution and the solver that produced it, ``"bicgstab"`` or ``"splu"``.
     BiCGStab's answer is kept only if its sup residual is at most ``atol``.
     """
-    out = _krylov(A, rhs, atol, 500, x0, callback)
-    if out is not None and out[1] <= atol:
-        return out[0], "bicgstab"
+    x = _krylov(A, rhs, atol, atol, 500, x0, callback)
+    if x is not None:
+        return x, "bicgstab"
     return spla.spsolve(A.tocsc(), rhs), "splu"
 
 
@@ -223,16 +251,19 @@ class _BorderedSystem(spla.LinearOperator):
     def preconditioner(self) -> spla.LinearOperator:
         """The same elimination on the near field P of ``A``.
 
-        With w = P^{-1} 1, computed once, y maps to the x with
-        P(x with x[i0] = 0) - x[i0]·1 = y: :func:`_bordered_pair` of w and
-        P^{-1} y, with m in slot i0.  -P is a nonsingular M-matrix, so
-        w[i0] < 0.  Raises ``RuntimeError`` when the near-field factor does.
+        With w = P^{-1} 1, computed once per factor and kept in the memo
+        next to it, y maps to the x with P(x with x[i0] = 0) - x[i0]·1 = y:
+        :func:`_bordered_pair` of w and P^{-1} y, with m in slot i0.  -P is
+        a nonsingular M-matrix, so w[i0] < 0.  Raises ``RuntimeError`` when
+        the near-field factor does.
         """
-        P = self.A.preconditioner()
-        w = P @ np.ones(self.shape[0])
+        memo = self.A.near_factor()
+        if memo.ones is None:
+            memo.ones = memo.lu.solve(np.ones(self.shape[0]))
+        lu, w = memo.lu, memo.ones
 
         def solve(y):
-            v, m = _bordered_pair(w, P @ np.ravel(y), self.i0)
+            v, m = _bordered_pair(w, lu.solve(np.ravel(y)), self.i0)
             v[self.i0] = m
             return v
 
@@ -258,9 +289,9 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
     n = A.shape[0]
     if isinstance(A, _MatrixFreeSystem):
         B = _BorderedSystem(A, i0)
-        out = _krylov(B, rhs, atol / 100, -(-n // 4), callback=callback)
-        if out is not None and out[1] <= atol:
-            return *B.split(out[0]), "bicgstab"
+        x = _krylov(B, rhs, atol / 100, atol, -(-n // 4), callback=callback)
+        if x is not None:
+            return *B.split(x), "bicgstab"
     y = spla.spsolve(A.tocsc(), np.column_stack([np.ones(n), rhs]))
     return *_bordered_pair(*y.T, i0), "splu"
 
@@ -316,7 +347,9 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
     Non-convergence is a flagged result, never an exception.
     ``diagnostics["linear_solves"]`` counts the frozen-policy solves by the
     solver that produced them (``"bicgstab"``, or ``"splu"`` on fallback);
-    ``diagnostics["krylov_iterations"]`` counts their BiCGStab iterations.
+    ``diagnostics["krylov_iterations"]`` counts their BiCGStab iterations
+    and ``diagnostics["near_factors"]`` the near-field factorizations that
+    preconditioned them.
     """
     c_floor = op.c_floor()
     if not (c_floor > 0):
@@ -331,6 +364,7 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
 
     solves = {"bicgstab": 0, "splu": 0}
     count = _IterationCount()
+    factors = _near_factors(op)
 
     def solve(A, rhs, x0):
         x, tag = _solve_linear(A, rhs, lin_atol, x0=x0, callback=count)
@@ -344,7 +378,8 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
         w=w, policy=policy, residual_inf_norm=float(np.max(np.abs(vals))),
         iterations=it, alpha=alpha, converged=converged, trace=trace,
         diagnostics={"monotone_violation": mono_violation, "c_floor": c_floor,
-                     "linear_solves": solves, "krylov_iterations": count.n},
+                     "linear_solves": solves, "krylov_iterations": count.n,
+                     "near_factors": _near_factors(op) - factors},
     )
 
 
@@ -390,13 +425,16 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     is at most tol/10, else solved by one sparse LU of A for 1 and rhs.  On
     explicit stencils (``op.csr()``) every solve is that sparse LU.
     ``linear_solves`` counts the bordered solves by solver (``"bicgstab"``
-    or ``"splu"``) and ``krylov_iterations`` their BiCGStab iterations.
+    or ``"splu"``), ``krylov_iterations`` their BiCGStab iterations and
+    ``near_factors`` the near-field factorizations made for them; alpha
+    levels that come back to a policy reuse its factor.
     """
     opa = op.with_alpha(alpha)
     i0 = op.grid.origin_index
     atol = max(tol / 10.0, 1e-14)
     solves = {"bicgstab": 0, "splu": 0}
     count = _IterationCount()
+    factors = _near_factors(opa)
 
     def solve(A, rhs, x0):
         v, m, tag = _solve_bordered(A, rhs, i0, atol, callback=count)
@@ -412,6 +450,7 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
         residual_inf_norm=float(np.max(np.abs(vals - m))),
         iterations=it, alpha=alpha, converged=converged, trace=trace,
         linear_solves=solves, krylov_iterations=count.n,
+        near_factors=_near_factors(opa) - factors,
     )
 
 

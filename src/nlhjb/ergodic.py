@@ -112,7 +112,7 @@ class ErgodicSolution:
     ``operator`` is the operator on the largest ball (no zeroth term, zero
     exterior data); ``linear_solves`` counts the bordered solves of the
     sweep and the radius ladder by solver, ``krylov_iterations`` their
-    BiCGStab iterations.
+    BiCGStab iterations and ``near_factors`` the near-field factorizations.
     """
 
     u: np.ndarray
@@ -125,6 +125,7 @@ class ErgodicSolution:
     operator: DiscreteOperator
     linear_solves: dict
     krylov_iterations: int
+    near_factors: int
 
 
 def normalize_at_origin(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -183,11 +184,19 @@ def _ladder(domain: DomainConfig, operator, solve, stop_tol: float = -np.inf):
     return trace, op, sol
 
 
+def _counts() -> dict:
+    """Zero solver counts, summed by :func:`_tally`."""
+    return {"linear_solves": {"bicgstab": 0, "splu": 0}, "krylov_iterations": 0,
+            "near_factors": 0}
+
+
 def _tally(counts: dict, solved: dict) -> None:
-    """Add one solve's ``linear_solves`` and ``krylov_iterations`` to ``counts``."""
+    """Add one solve's ``linear_solves``, ``krylov_iterations`` and
+    ``near_factors`` to ``counts``."""
     for tag, count in solved["linear_solves"].items():
         counts["linear_solves"][tag] += count
     counts["krylov_iterations"] += solved["krylov_iterations"]
+    counts["near_factors"] += solved["near_factors"]
 
 
 def expand_domain(p: ControlProblem, alpha: float | None,
@@ -199,12 +208,13 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     Stops once the restriction to the inner window (``domain.window_radius``)
     moves by at most ``tol`` between consecutive radii; exhaustion without
     stabilisation is flagged in the diagnostics, not raised.  There,
-    ``"linear_solves"`` and ``"krylov_iterations"`` sum the solver counts and
-    the BiCGStab iterations over all radii, and ``"operator"`` is the
-    operator on the last radius solved.
+    ``"linear_solves"``, ``"krylov_iterations"`` and ``"near_factors"`` sum
+    the solver counts, the BiCGStab iterations and the near-field
+    factorizations over all radii, and ``"operator"`` is the operator on the
+    last radius solved.
     """
     ext = ext if ext is not None else ExteriorRule.zero()
-    counts = {"linear_solves": {"bicgstab": 0, "splu": 0}, "krylov_iterations": 0}
+    counts = _counts()
 
     def solve(op, w0, policy0):
         sol = solve_policy_iteration(op, tol, max_iter=max_iter, w0=w0, policy0=policy0)
@@ -232,7 +242,9 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     returns the flagged trace for inspection.  ``radius_trace`` comes from
     the radius ladder of :func:`expand_domain` at the last alpha, with no
     early stop, topped by the sweep's last solve.  Each bordered (v, m) solve
-    is one BiCGStab solve with v(origin) eliminated into m.  Once one has
+    is one BiCGStab solve with v(origin) eliminated into m; the alpha levels
+    share each radius's operator, and with it the near-field factor of a
+    policy that comes back.  Once one has
     fallen back to sparse LU (its near-field factor failed, or its pair's
     true residual exceeded a tenth of the inner tolerance), every later
     alpha level of the sweep and the ladder run on the explicit stencils.
@@ -245,7 +257,7 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     levels: list[AlphaLevel] = []
     sol: NormalizedSolution | None = None
     converged = False
-    counts = {"linear_solves": {"bicgstab": 0, "splu": 0}, "krylov_iterations": 0}
+    counts = _counts()
 
     def normalized(op, alpha, v0, policy0):
         out = solve_normalized(op.csr() if counts["linear_solves"]["splu"] else op,

@@ -151,13 +151,33 @@ class _LatticeConvolution:
 
 
 @dataclass(eq=False)
+class _NearFactor:
+    """One slot: the near-field LU of the last frozen policy factored.
+
+    Filled by :meth:`nlhjb.discounted._MatrixFreeSystem.near_factor`.
+    ``key`` is the policy's bytes, ``ones`` the factor's solve of 1 (made
+    on first use) and ``count`` the factorizations made so far.
+    """
+
+    key: bytes | None = None
+    lu: object = None                 # scipy.sparse.linalg.SuperLU
+    ones: np.ndarray | None = None
+    count: int = 0
+
+
+@dataclass(eq=False)
 class _MatrixFreeJump:
-    """FFT jump part of an operator: scale k_tau(x_i) on one convolution."""
+    """FFT jump part of an operator: scale k_tau(x_i) on one convolution.
+
+    ``with_alpha`` copies of an operator share this object, and so share
+    its near-field factor memo across alpha levels.
+    """
 
     conv: _LatticeConvolution
     scale: np.ndarray                 # k_tau(x_i), shape (n_controls, N)
     ext: ExteriorRule                 # exterior rule of the CSR oracle
     stencils: tuple | None = None     # (base, ext_const) of the CSR oracle
+    near_factor: _NearFactor = dataclasses.field(default_factory=_NearFactor)
 
 
 @dataclass(eq=False)

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nlhjb
 from nlhjb import ControlProblem, KernelSpec, constant_kernel
+
+
+def pytest_report_header(config):
+    """Name the ``nlhjb`` under test: pytest's ``pythonpath = ["src"]`` puts
+    this checkout's ``src`` ahead of ``PYTHONPATH``."""
+    return f"nlhjb: {Path(nlhjb.__file__).parent}"
 
 
 def smooth_field(rng: np.random.Generator, d: int, amp: float = 1.0):

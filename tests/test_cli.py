@@ -366,6 +366,7 @@ class TestRuns:
         assert meta["linear_solves"]["splu"] == 0
         assert meta["linear_solves"]["bicgstab"] >= 2
         assert meta["krylov_iterations"] > 0
+        assert 0 < meta["near_factors"] <= meta["linear_solves"]["bicgstab"]
         assert "linear_solves" not in report
         assert "krylov_iterations" not in report
 
@@ -403,7 +404,10 @@ class TestRuns:
         assert meta["linear_solves"]["splu"] == 0
         assert meta["linear_solves"]["bicgstab"] >= len(report["alpha_trace"])
         assert 0 < meta["krylov_iterations"] <= 1579 // 2
+        # alpha levels that come back to a policy reuse its near-field factor
+        assert 0 < meta["near_factors"] < meta["linear_solves"]["bicgstab"]
         assert "krylov_iterations" not in report
+        assert "near_factors" not in report
         assert abs(report["lambda_star"] - 0.2192472516863419) <= 10 * raw["solver"]["tol"]
 
     def test_ergodic_builds_one_quadrature_per_radius(self, tmp_path, monkeypatch):

@@ -385,6 +385,30 @@ class TestBorderedKrylov:
         assert len(calls) == 1 and isinstance(calls[0], _BorderedSystem)
         assert float(np.max(np.abs(A @ v - m + const))) <= 1e-10
 
+    def test_answer_between_target_and_rule_is_kept_after_one_call(self, monkeypatch):
+        # The Krylov target is atol/100, the acceptance rule atol: an answer
+        # whose true residual lies between the two passes the rule, so it is
+        # kept as it is, with no restart
+        op = bordered_operator(7).with_alpha(0.1)
+        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        i0, atol = op.grid.origin_index, 1e-10
+        B = _BorderedSystem(A, i0)
+        bicgstab = spla.bicgstab
+        calls = []
+
+        def above_target(A, b, *args, **kwargs):
+            x, info = bicgstab(A, b, *args, **kwargs)
+            calls.append(info)
+            return x + 1e-12, 0
+
+        monkeypatch.setattr(spla, "bicgstab", above_target)
+        v, m, tag = _solve_bordered(A, -const, i0, atol)
+        x = v.copy()
+        x[i0] = m
+        r = float(np.max(np.abs(B @ x + const)))
+        assert tag == "bicgstab" and len(calls) == 1
+        assert atol / 100 < r <= atol
+
     def test_breakdown_at_round_off_keeps_the_pair(self, monkeypatch):
         # A restart from an answer just above the target can break down
         # (info < 0) at the FFT round-off floor; the answer it returns is
@@ -479,17 +503,22 @@ class TestNearField:
     @given(case=fast_operators(), data=st.data())
     def test_bordered_preconditioner_inverts_eliminated_near_field(self, case, data):
         # The bordered preconditioner solves P with column i0 set to -1, the
-        # elimination of v(origin) into m, against a dense oracle of P
+        # elimination of v(origin) into m, against a dense oracle of P.  The
+        # factor and its w = P^{-1} 1 are memoized per policy on the operator
+        # and shared by its copies: after another policy was factored, each
+        # system's preconditioner still inverts its own policy's near field
         op, _ = case
-        policy = np.array(data.draw(st.lists(
-            st.integers(0, len(op.controls) - 1),
-            min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
-        A, _ = _policy_system(op, policy)
         i0 = op.grid.origin_index
-        B = A.near().toarray()
-        B[:, i0] = -1.0
-        got = _BorderedSystem(A, i0).preconditioner() @ B
-        assert float(np.max(np.abs(got - np.eye(op.n_nodes)))) <= 1e-10
+        policies = [np.array(data.draw(st.lists(
+            st.integers(0, len(op.controls) - 1),
+            min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64) for _ in range(2)]
+        copies = (op, dataclasses.replace(op))
+        for k in (0, 1, 0, 0, 1):
+            A, _ = _policy_system(copies[k % 2], policies[k])
+            B = A.near().toarray()
+            B[:, i0] = -1.0
+            got = _BorderedSystem(A, i0).preconditioner() @ B
+            assert float(np.max(np.abs(got - np.eye(op.n_nodes)))) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), d=st.sampled_from([1, 2]),
@@ -534,6 +563,59 @@ class TestNearField:
             assert _solve_bordered(A, -const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
         assert calls == [A.shape]
 
+    def test_same_policy_on_two_alpha_copies_factors_once(self, monkeypatch):
+        # with_alpha copies share the jump part and with it the memo, so the
+        # next alpha level's solve on the same policy reuses the factor
+        op = bordered_operator(7)
+        policy = np.zeros(op.n_nodes, dtype=np.int64)
+        calls = counted_splu(monkeypatch)
+        for alpha in (0.2, 0.1):
+            A, const = _policy_system(op.with_alpha(alpha), policy.copy())
+            assert _solve_bordered(A, -const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
+        assert len(calls) == 1
+        assert op.jump.near_factor.count == 1
+
+    def test_changed_policy_gets_a_new_factor(self, monkeypatch):
+        op = bordered_operator(7).with_alpha(0.1)
+        i0 = op.grid.origin_index
+        calls = counted_splu(monkeypatch)
+        first = np.zeros(op.n_nodes, dtype=np.int64)
+        second = first.copy()
+        second[i0] = 1
+        for policy in (first, second, first):
+            A, const = _policy_system(op, policy)
+            assert _solve_bordered(A, -const, i0, 1e-10)[2] == "bicgstab"
+            assert op.jump.near_factor.key == policy.tobytes()
+        assert len(calls) == 3
+
+    def test_each_radius_has_its_own_factor(self, monkeypatch):
+        ops = [bordered_operator(7, R=R).with_alpha(0.1) for R in (3.0, 4.0)]
+        calls = counted_splu(monkeypatch)
+        for op in ops + ops:
+            A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+            assert _solve_bordered(A, -const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
+        assert calls == [(op.n_nodes, op.n_nodes) for op in ops]
+        assert ops[0].jump.near_factor is not ops[1].jump.near_factor
+
+    def test_failed_factor_is_not_reused(self, monkeypatch):
+        op = bordered_operator(7).with_alpha(0.1)
+        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        i0 = op.grid.origin_index
+        splu = spla.splu
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(args[0].shape)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", fail_first)
+        assert _solve_bordered(A, -const, i0, 1e-10)[2] == "splu"
+        assert op.jump.near_factor.key is None and op.jump.near_factor.count == 0
+        assert _solve_bordered(A, -const, i0, 1e-10)[2] == "bicgstab"
+        assert len(calls) == 2 and op.jump.near_factor.count == 1
+
     def test_failed_factor_falls_back_to_lu(self, monkeypatch):
         op = bordered_operator(9)
         want = nl.solve_normalized(op.csr(), 0.05, 1e-9)
@@ -567,6 +649,19 @@ class TestNearField:
         steps.clear()
         disc = nl.solve_policy_iteration(bordered_operator(5).with_alpha(0.4), 1e-9)
         assert disc.diagnostics["krylov_iterations"] == len(steps) > 0
+
+
+def counted_splu(monkeypatch) -> list:
+    """Patch ``spla.splu`` to record the shape of every matrix it factors."""
+    splu = spla.splu
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
 
 
 def permuted(p, perm):
