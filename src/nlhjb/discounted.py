@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid
+from .grid import Grid, lattice_box
 from .operators import DiscreteOperator, _stacked_inf, apply_inf
 from .problem import ControlProblem
 
@@ -63,43 +63,59 @@ def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
     return float(np.max(cur - vmin))
 
 
-class _MatrixFreeSystem(spla.LinearOperator):
-    """Frozen-policy system of an operator with an FFT jump part.
+class _PolicySystem(spla.LinearOperator):
+    """Frozen-policy system: row i is control ``policy[i]``'s.
 
-    Row i is control ``policy[i]``'s: its jump part scaled by
-    k_{policy[i]}(x_i), plus the row-gathered drift stencil with c on the
-    diagonal (``local``).  ``tocsc`` builds the same system from
-    ``op.csr()`` for the sparse-LU fallbacks of :func:`_solve_linear` and
+    ``local`` is the row-gathered stencil with c on the diagonal: the whole
+    system for explicit stencils, the drift part when the operator applies
+    its jump part by FFT, which then adds row i's convolution scaled by
+    k_{policy[i]}(x_i).  ``tocsc`` builds the system from ``op.csr()`` for
+    the sparse-LU fallbacks of :func:`_solve_linear` and
     :func:`_solve_bordered`; the bordered (v, m) solve runs BiCGStab on
     :class:`_BorderedSystem`, this system with v(origin) eliminated.  The
-    near-field LU that preconditions both is memoized on the operator's
-    jump part per policy, so Howard steps and alpha levels that come back
-    to a policy reuse it.
+    near-field LU that preconditions both is memoized on the operator per
+    policy, so Howard steps and alpha levels that come back to a policy
+    reuse it.
     """
 
     def __init__(self, op: DiscreteOperator, policy: np.ndarray,
                  local: sp.csr_matrix):
         super().__init__(dtype=float, shape=local.shape)
         self.op, self.policy, self.local = op, policy, local
-        self.scale = op.jump.scale[policy, np.arange(policy.shape[0])]
+        if op.jump is not None:
+            self.scale = op.jump.scale[policy, np.arange(policy.shape[0])]
 
     def _matvec(self, x):
         x = np.ravel(x)
-        return self.scale * self.op.jump.conv(x) + self.local @ x
+        out = self.local @ x
+        if self.op.jump is not None:
+            out += self.scale * self.op.jump.conv(x)
+        return out
 
     def near(self) -> sp.csr_matrix:
         """The system cut to lattice offsets |z|_inf <= 1, full diagonal kept.
 
         Its off-diagonals are >= 0 and -near is strictly diagonally dominant
-        by rows (c < 0), so it is a nonsingular M-matrix.
+        by rows (c < 0), so it is a nonsingular M-matrix.  On the FFT path
+        ``local`` is drift and c, already within the ring; explicit stencils
+        are read at each node's ring neighbours, 3^d lookups per row, and
+        the neighbours a stencil does not reach are left out.
         """
-        return (sp.diags(self.scale) @ self.op.jump.conv.near() + self.local).tocsr()
+        if self.op.jump is not None:
+            return (sp.diags(self.scale) @ self.op.jump.conv.near() + self.local).tocsr()
+        grid = self.op.grid
+        j = grid.node_index_of_lattice(grid.lattice[:, None, :] + lattice_box(grid.d, 1))
+        rows, cols = np.nonzero(j >= 0)[0], j[j >= 0]
+        P = sp.csr_matrix((np.asarray(self.local[rows, cols]).ravel(), (rows, cols)),
+                          shape=self.shape)
+        P.eliminate_zeros()
+        return P
 
     def near_factor(self):
         """The operator's near-field memo, holding the sparse LU of this policy.
 
-        The memo (``op.jump.near_factor``) keeps one factor, keyed by the
-        policy alone: ``with_alpha`` copies share it, so a factor made at an
+        The memo (``op.near_factor``) keeps one factor, keyed by the policy
+        alone: ``with_alpha`` copies share it, so a factor made at an
         earlier alpha serves a later one.  Its diagonal is then off by the
         change in alpha, which moves only the preconditioner; the residual
         rules judge every answer.  On a new policy the old factor is dropped
@@ -110,7 +126,7 @@ class _MatrixFreeSystem(spla.LinearOperator):
         raises ``RuntimeError`` on a singular factor, which leaves the memo
         empty.
         """
-        memo = self.op.jump.near_factor
+        memo = self.op.near_factor
         key = self.policy.tobytes()
         if memo.key != key:
             memo.key = memo.lu = memo.ones = None
@@ -130,18 +146,17 @@ class _MatrixFreeSystem(spla.LinearOperator):
                                    dtype=float)
 
     def tocsr(self) -> sp.csr_matrix:
-        return _policy_system(self.op.csr(), self.policy)[0]
+        if self.op.jump is None:
+            return self.local
+        return _policy_system(self.op.csr(), self.policy)[0].local
 
     def tocsc(self) -> sp.csc_matrix:
         return self.tocsr().tocsc()
 
 
 def _policy_system(op: DiscreteOperator, policy: np.ndarray):
-    """Frozen-policy system and constant: row i of control ``policy[i]``.
-
-    The system is a CSR matrix, or a :class:`_MatrixFreeSystem` when the
-    operator applies its jump part by FFT.
-    """
+    """Frozen-policy :class:`_PolicySystem` and constant: row i of control
+    ``policy[i]``."""
     controls = range(len(op.controls))
     rows = [np.flatnonzero(policy == t) for t in controls]
     A = sp.vstack([m[r] for m, r in zip(op.base, rows)],
@@ -149,14 +164,7 @@ def _policy_system(op: DiscreteOperator, policy: np.ndarray):
     pick = (policy, np.arange(op.n_nodes))
     A.setdiag(A.diagonal() + np.stack(op.cvals)[pick])
     A.eliminate_zeros()
-    if op.jump is not None:
-        A = _MatrixFreeSystem(op, policy, A)
-    return A, np.stack([op.constant(t) for t in controls])[pick]
-
-
-def _near_factors(op: DiscreteOperator) -> int:
-    """Near-field factorizations made so far on ``op``'s FFT jump part."""
-    return 0 if op.jump is None else op.jump.near_factor.count
+    return _PolicySystem(op, policy, A), np.stack([op.constant(t) for t in controls])[pick]
 
 
 class _IterationCount:
@@ -173,10 +181,9 @@ def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
             x0: np.ndarray | None = None, callback=None) -> np.ndarray | None:
     """Preconditioned BiCGStab to an absolute sup residual ``atol``.
 
-    A matrix-free system (:class:`_MatrixFreeSystem` or
-    :class:`_BorderedSystem`) supplies its own ``preconditioner()``, built
-    on the near-field sparse LU of its policy, memoized on the operator
-    across Howard steps and alpha levels; a CSR matrix gets Jacobi.
+    ``A`` (a :class:`_PolicySystem` or :class:`_BorderedSystem`) supplies
+    its own ``preconditioner()``, built on the near-field sparse LU of its
+    policy, memoized on the operator across Howard steps and alpha levels.
     Returns the answer when its true sup residual is at most ``accept``,
     the caller's rule (``accept >= atol``), and ``None`` otherwise, or when
     the near-field factor fails.  BiCGStab's recurred residual can drift
@@ -187,13 +194,10 @@ def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
     ``accept`` is kept as it is.  ``callback`` is passed to BiCGStab, which
     calls it once per iteration.
     """
-    if isinstance(A, spla.LinearOperator):
-        try:
-            M = A.preconditioner()
-        except RuntimeError:
-            return None
-    else:
-        M = sp.diags(1.0 / A.diagonal())
+    try:
+        M = A.preconditioner()
+    except RuntimeError:
+        return None
     x = x0
     for _ in range(2):
         x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=atol,
@@ -208,8 +212,8 @@ def _solve_linear(A, rhs: np.ndarray, atol: float, x0: np.ndarray | None = None,
                   callback=None) -> tuple[np.ndarray, str]:
     """Iterative solve (:func:`_krylov`, capped at 500) with sparse-LU fallback.
 
-    ``A`` is a CSR matrix or a :class:`_MatrixFreeSystem`; returns the
-    solution and the solver that produced it, ``"bicgstab"`` or ``"splu"``.
+    ``A`` is a :class:`_PolicySystem`; returns the solution and the solver
+    that produced it, ``"bicgstab"`` or ``"splu"``.
     BiCGStab's answer is kept only if its sup residual is at most ``atol``.
     """
     x = _krylov(A, rhs, atol, atol, 500, x0, callback)
@@ -231,10 +235,10 @@ class _BorderedSystem(spla.LinearOperator):
 
     B x = rhs is the bordered system A v - m = rhs, v[i0] = 0, with
     m = x[i0] and v = x with slot i0 set to 0 (:meth:`split`).  ``A`` is a
-    :class:`_MatrixFreeSystem`.
+    :class:`_PolicySystem`.
     """
 
-    def __init__(self, A: _MatrixFreeSystem, i0: int):
+    def __init__(self, A: _PolicySystem, i0: int):
         super().__init__(dtype=float, shape=A.shape)
         self.A, self.i0 = A, i0
 
@@ -274,24 +278,22 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
                     callback=None) -> tuple[np.ndarray, float, str]:
     """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
 
-    Returns (v, m, solver tag).  For a :class:`_MatrixFreeSystem` it is one
-    :func:`_krylov` solve of the eliminated system :class:`_BorderedSystem`
+    Returns (v, m, solver tag).  ``A`` is a :class:`_PolicySystem`.  First
+    one :func:`_krylov` solve of the eliminated system :class:`_BorderedSystem`
     to ``atol/100``, capped at ceil(N/4) iterations and preconditioned by the
     same elimination of the near-field LU factor of A.  The pair is kept
     (tag ``"bicgstab"``) when its true bordered sup residual
     max|A v - m - rhs| is at most ``atol``, the rule of
     :func:`_solve_linear`; a NaN fails it.  -A is a nonsingular M-matrix
     (monotone stencils, c < 0), so -A^{-1} >= 0 and the pair's m is within
-    that residual of the exact one.  Otherwise, and for CSR systems, one
-    sparse LU of A is solved for 1 and rhs, and :func:`_bordered_pair`
-    eliminates m (tag ``"splu"``).
+    that residual of the exact one.  Otherwise one sparse LU of A is solved
+    for 1 and rhs, and :func:`_bordered_pair` eliminates m (tag ``"splu"``).
     """
     n = A.shape[0]
-    if isinstance(A, _MatrixFreeSystem):
-        B = _BorderedSystem(A, i0)
-        x = _krylov(B, rhs, atol / 100, atol, -(-n // 4), callback=callback)
-        if x is not None:
-            return *B.split(x), "bicgstab"
+    B = _BorderedSystem(A, i0)
+    x = _krylov(B, rhs, atol / 100, atol, -(-n // 4), callback=callback)
+    if x is not None:
+        return *B.split(x), "bicgstab"
     y = spla.spsolve(A.tocsc(), np.column_stack([np.ones(n), rhs]))
     return *_bordered_pair(*y.T, i0), "splu"
 
@@ -364,7 +366,7 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
 
     solves = {"bicgstab": 0, "splu": 0}
     count = _IterationCount()
-    factors = _near_factors(op)
+    factors = op.near_factor.count
 
     def solve(A, rhs, x0):
         x, tag = _solve_linear(A, rhs, lin_atol, x0=x0, callback=count)
@@ -379,7 +381,7 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
         iterations=it, alpha=alpha, converged=converged, trace=trace,
         diagnostics={"monotone_violation": mono_violation, "c_floor": c_floor,
                      "linear_solves": solves, "krylov_iterations": count.n,
-                     "near_factors": _near_factors(op) - factors},
+                     "near_factors": op.near_factor.count - factors},
     )
 
 
@@ -419,11 +421,10 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     Solves inf_tau(L_tau v + g_tau) - alpha v - m = 0 with v = 0 exterior and
     v(origin) = 0; m plays the role of alpha * w_alpha(origin) of the
     unnormalised problem (w_alpha = v + m/alpha).  Runs on
-    ``op.with_alpha(alpha)``: on an operator with an FFT jump part each
-    bordered system is first one matrix-free BiCGStab solve with v(origin)
-    eliminated into m (:func:`_solve_bordered`), kept when its true residual
-    is at most tol/10, else solved by one sparse LU of A for 1 and rhs.  On
-    explicit stencils (``op.csr()``) every solve is that sparse LU.
+    ``op.with_alpha(alpha)``: on every operator each bordered system is
+    first one BiCGStab solve with v(origin) eliminated into m
+    (:func:`_solve_bordered`), kept when its true residual is at most
+    tol/10, else solved by one sparse LU of A for 1 and rhs.
     ``linear_solves`` counts the bordered solves by solver (``"bicgstab"``
     or ``"splu"``), ``krylov_iterations`` their BiCGStab iterations and
     ``near_factors`` the near-field factorizations made for them; alpha
@@ -434,7 +435,7 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     atol = max(tol / 10.0, 1e-14)
     solves = {"bicgstab": 0, "splu": 0}
     count = _IterationCount()
-    factors = _near_factors(opa)
+    factors = opa.near_factor.count
 
     def solve(A, rhs, x0):
         v, m, tag = _solve_bordered(A, rhs, i0, atol, callback=count)
@@ -450,7 +451,7 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
         residual_inf_norm=float(np.max(np.abs(vals - m))),
         iterations=it, alpha=alpha, converged=converged, trace=trace,
         linear_solves=solves, krylov_iterations=count.n,
-        near_factors=_near_factors(opa) - factors,
+        near_factors=opa.near_factor.count - factors,
     )
 
 

@@ -242,12 +242,12 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     returns the flagged trace for inspection.  ``radius_trace`` comes from
     the radius ladder of :func:`expand_domain` at the last alpha, with no
     early stop, topped by the sweep's last solve.  Each bordered (v, m) solve
-    is one BiCGStab solve with v(origin) eliminated into m; the alpha levels
-    share each radius's operator, and with it the near-field factor of a
-    policy that comes back.  Once one has
-    fallen back to sparse LU (its near-field factor failed, or its pair's
-    true residual exceeded a tenth of the inner tolerance), every later
-    alpha level of the sweep and the ladder run on the explicit stencils.
+    is one BiCGStab solve with v(origin) eliminated into m, on every
+    operator; the alpha levels share each radius's operator, and with it the
+    near-field factor of a policy that comes back.  A solve that falls back
+    to sparse LU (its near-field factor failed, or its pair's true residual
+    exceeded a tenth of the inner tolerance) leaves the next one to try
+    BiCGStab again.
     """
     inner_tol = solver_tol if solver_tol is not None else tol
     ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}
@@ -260,8 +260,7 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     counts = _counts()
 
     def normalized(op, alpha, v0, policy0):
-        out = solve_normalized(op.csr() if counts["linear_solves"]["splu"] else op,
-                               alpha, inner_tol, max_iter=max_iter,
+        out = solve_normalized(op, alpha, inner_tol, max_iter=max_iter,
                                v0=v0, policy0=policy0)
         _tally(counts, vars(out))
         return out

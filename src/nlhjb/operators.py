@@ -154,7 +154,7 @@ class _LatticeConvolution:
 class _NearFactor:
     """One slot: the near-field LU of the last frozen policy factored.
 
-    Filled by :meth:`nlhjb.discounted._MatrixFreeSystem.near_factor`.
+    Filled by :meth:`nlhjb.discounted._PolicySystem.near_factor`.
     ``key`` is the policy's bytes, ``ones`` the factor's solve of 1 (made
     on first use) and ``count`` the factorizations made so far.
     """
@@ -167,17 +167,12 @@ class _NearFactor:
 
 @dataclass(eq=False)
 class _MatrixFreeJump:
-    """FFT jump part of an operator: scale k_tau(x_i) on one convolution.
-
-    ``with_alpha`` copies of an operator share this object, and so share
-    its near-field factor memo across alpha levels.
-    """
+    """FFT jump part of an operator: scale k_tau(x_i) on one convolution."""
 
     conv: _LatticeConvolution
     scale: np.ndarray                 # k_tau(x_i), shape (n_controls, N)
     ext: ExteriorRule                 # exterior rule of the CSR oracle
     stencils: tuple | None = None     # (base, ext_const) of the CSR oracle
-    near_factor: _NearFactor = dataclasses.field(default_factory=_NearFactor)
 
 
 @dataclass(eq=False)
@@ -191,6 +186,9 @@ class DiscreteOperator:
     ext_const: list[np.ndarray]      # exterior-data contribution per control
     problem: ControlProblem | None = None
     jump: _MatrixFreeJump | None = None   # set: base holds the drift part only
+    # near-field LU memo of the frozen-policy solves: shared by with_alpha
+    # copies, a fresh one for csr() copies
+    near_factor: _NearFactor = dataclasses.field(default_factory=_NearFactor)
 
     @property
     def n_nodes(self) -> int:
@@ -216,7 +214,8 @@ class DiscreteOperator:
             self.jump.stencils = _stencils(self.problem, self.grid, self.quadrature,
                                            self.jump.ext, matrix_free=False)
         base, ext_const = self.jump.stencils
-        return dataclasses.replace(self, base=base, ext_const=ext_const, jump=None)
+        return dataclasses.replace(self, base=base, ext_const=ext_const, jump=None,
+                                   near_factor=_NearFactor())
 
     def matrix(self, tau) -> sp.csr_matrix:
         t = self.control_index(tau)

@@ -389,6 +389,23 @@ class TestRuns:
         assert meta["linear_solves"]["bicgstab"] >= len(report["alpha_trace"]) + 1
         assert "linear_solves" not in report
 
+    def test_x_y_kernels_solve_every_pair_by_krylov(self, tmp_path):
+        # Kernels that read y keep explicit stencils; their bordered pairs
+        # take the near-field-preconditioned BiCGStab of the FFT path, where
+        # sparse LU solved all 24 of this run before.  The pinned lambda* is
+        # that sparse-LU answer
+        raw = custom_discounted_config(
+            ["0.5+0.04*cos(x1*y1)*cos(x2)", "0.5-0.04*exp(-ry*ry)"], radii=(4.0, 8.0))
+        raw["mode"] = "ergodic"
+        raw["solver"] = {"tol": 1e-9}
+        raw["alpha"] = {"start": 0.5, "factor": 0.5, "max_levels": 25, "tol": 1e-6}
+        assert run(parse_config(raw), output_dir=str(tmp_path)) == 0
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert meta["linear_solves"]["splu"] == 0
+        assert 0 < meta["near_factors"] < meta["linear_solves"]["bicgstab"]
+        assert abs(report["lambda_star"] - 0.07658184835364559) <= 1e-9
+
     def test_readme_ergodic_config_solves_every_pair_by_krylov(self, tmp_path):
         # With the near-field LU preconditioner every 1-d bordered pair of the
         # README config meets the residual rule, down to the smallest alpha,

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import nlhjb as nl
 
@@ -164,7 +165,7 @@ class TestVanishingDiscount:
         # At N=1025 one restarted bordered solve breaks down (info < 0) at the
         # FFT round-off floor, its true residual about 3e-12 against the 1e-10
         # rule; judged by that residual the pair is kept, so the sweep never
-        # falls back to sparse LU on op.csr()
+        # falls back to sparse LU
         dom = nl.DomainConfig(d=1, hx=0.0625, radii=(8.0, 16.0, 32.0))
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
         sol = nl.vanishing_discount(p, dom, nl.AlphaSchedule(max_levels=25), 1e-6,
@@ -172,6 +173,27 @@ class TestVanishingDiscount:
         assert sol.converged
         assert sol.linear_solves["splu"] == 0
         assert abs(sol.lambda_star - 0.22482180072756755) <= 1e-8
+
+    def test_fallback_does_not_pin_the_sweep_to_lu(self, monkeypatch):
+        # The first bordered solve falls back to sparse LU; every later solve
+        # of the sweep and the radius ladder still tries BiCGStab first
+        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+        want = nl.vanishing_discount(p, DOM1, SCHED, 1e-4, solver_tol=1e-8)
+        bicgstab = spla.bicgstab
+        calls = []
+
+        def fail_first(A, b, *args, **kwargs):
+            calls.append(A)
+            if len(calls) == 1:
+                return np.zeros_like(b), 1
+            return bicgstab(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "bicgstab", fail_first)
+        sol = nl.vanishing_discount(p, DOM1, SCHED, 1e-4, solver_tol=1e-8)
+        assert sol.converged and len(calls) > 1
+        assert sol.linear_solves["splu"] == 1
+        assert sol.linear_solves["bicgstab"] == want.linear_solves["bicgstab"] - 1
+        assert abs(sol.lambda_star - want.lambda_star) <= 1e-8
 
     def test_growth_report_tail_nonincreasing(self):
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)

@@ -4,8 +4,9 @@
 problems as a lattice convolution scaled per node; ``op.csr()`` builds the
 explicit stencils of the same operator.  Every quantity the solvers read
 from the fast operator must agree with the oracle to 1e-10 relative, and
-the matrix-free bordered (v, m) solves must agree with the direct ones:
-m within the pair's own bordered residual, which -A^{-1} >= 0 makes exact.
+the Krylov bordered (v, m) solves must agree with the augmented-system
+oracle: m within the pair's own bordered residual, which -A^{-1} >= 0 makes
+exact.  The near-field preconditioner is checked on explicit stencils too.
 """
 
 import dataclasses
@@ -20,12 +21,13 @@ from hypothesis import strategies as st
 
 import nlhjb as nl
 from nlhjb import discounted
-from nlhjb.discounted import (_BorderedSystem, _MatrixFreeSystem, _policy_system,
+from nlhjb.discounted import (_BorderedSystem, _PolicySystem, _policy_system,
                               _solve_bordered, _solve_linear)
 from nlhjb.lyapunov import _jump_on_V
 from nlhjb.operators import _stacked_inf, apply_control
 
 from conftest import smooth_drift, smooth_field
+from oracles import bordered_reference
 
 REL = 1e-10
 
@@ -91,6 +93,42 @@ def fast_operators(draw):
     return op, seed
 
 
+@st.composite
+def csr_operators(draw):
+    """An operator with explicit stencils and a seed: 1-3 controls with
+    kernels that read y, the unit local diffusion of ``local_identity``, or
+    that diffusion with a Lévy part."""
+    kind = draw(st.sampled_from(["y_kernel", "local_identity", "levy"]))
+    d = draw(st.sampled_from([1, 2]))
+    hx = draw(st.sampled_from([0.25, 0.5] if d == 1 else [0.5]))
+    R = draw(st.floats(4 * hx, 4.0 if d == 1 else 2.5))
+    seed = draw(st.integers(0, 10_000))
+    g = nl.build_grid(d, hx, R)
+    q = None if kind == "local_identity" else nl.build_quadrature(g, 0.75, R + 1.0)
+    if kind == "y_kernel":
+        kvals = [draw(st.floats(0.5, 1.5)) * 0.5 for _ in range(draw(st.integers(1, 3)))]
+        p = constant_kernel_problem(seed, d, 0.75, kvals)
+        p = dataclasses.replace(p, kernel=dataclasses.replace(p.kernel, k=tuple(
+            (lambda x, y, k=k: k * (1 + 0.2 * np.cos(x[..., 0] * y[..., 0])))
+            for k in kvals)))
+    else:
+        p = nl.constant_cost_problem(1.0, d, local_identity=True)
+    if kind == "levy":
+        power = 1.2 if d == 1 else 2.5
+
+        def levy(x, y):
+            r = np.linalg.norm(np.asarray(y, float), axis=-1)
+            return np.broadcast_to(np.exp(-r) * r ** -power, np.broadcast_shapes(
+                np.asarray(x).shape[:-1], np.asarray(y).shape[:-1])).copy()
+
+        p = dataclasses.replace(p, mixed=nl.MixedSpec(
+            a=p.mixed.a, levy_kernel=levy, levy_majorant=lambda y: levy(y, y)))
+    ext = exterior_rule(draw(st.sampled_from(["zero", "constant", "function"])), seed, d)
+    op = nl.assemble(p, g, q, ext, alpha=0.4)
+    assert op.jump is None
+    return op, seed
+
+
 class TestOperatorOracle:
     @settings(max_examples=30, deadline=None)
     @given(case=fast_operators())
@@ -116,10 +154,10 @@ class TestOperatorOracle:
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A, const = _policy_system(op, policy)
         ref, ref_const = _policy_system(op.csr(), policy)
-        assert isinstance(A, _MatrixFreeSystem)
+        assert A.op.jump is not None and ref.op.jump is None
         x = np.random.default_rng(seed).normal(size=op.n_nodes)
         assert_rel_close(A @ x, ref @ x)
-        assert_rel_close(A.near().diagonal(), ref.diagonal())
+        assert_rel_close(A.near().diagonal(), ref.tocsr().diagonal())
         assert_rel_close(const, ref_const)
 
     def test_x_dependent_kernels_keep_csr(self):
@@ -253,7 +291,7 @@ class TestSolves:
 
         monkeypatch.setattr(spla, "bicgstab", fail_first)
         got = nl.solve_policy_iteration(op, 1e-11)
-        assert isinstance(calls[0], _MatrixFreeSystem)
+        assert isinstance(calls[0], _PolicySystem)
         assert got.diagnostics["linear_solves"]["splu"] == 1
         assert got.diagnostics["linear_solves"]["bicgstab"] == got.iterations - 1
         assert op.jump.stencils is not None   # the fallback factorised op.csr()
@@ -312,19 +350,22 @@ class TestBorderedKrylov:
         A, const = _policy_system(op, policy)
         i0, atol = op.grid.origin_index, 1e-10
         v, m, tag = _solve_bordered(A, -const, i0, atol)
-        v_ref, m_ref, ref_tag = _solve_bordered(A.tocsr(), -const, i0, atol)
-        assert (tag, ref_tag) == ("bicgstab", "splu")
+        v_ref, m_ref = bordered_reference(A.tocsr(), -const, i0)
+        assert tag == "bicgstab"
         assert v[i0] == 0.0
         # -A^{-1} >= 0, so m is within the pair's bordered residual (at most
-        # atol) of the exact m; the direct solve's own error is far below that
+        # atol) of the exact m; the oracle's own error is far below that
         assert abs(m - m_ref) <= float(np.max(np.abs(A @ v - m + const))) + 1e-12
         assert abs(m - m_ref) <= atol + 1e-12
         assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
 
     def test_nan_with_info_zero_falls_back(self, monkeypatch):
+        # the answer is exactly the direct elimination's, forced here
         op = bordered_operator(3).with_alpha(0.1)
         A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
-        want = _solve_bordered(A.tocsr(), -const, op.grid.origin_index, 1e-10)
+        with mock.patch.object(discounted, "_krylov", return_value=None):
+            want = _solve_bordered(A, -const, op.grid.origin_index, 1e-10)
+        assert want[2] == "splu"
         monkeypatch.setattr(spla, "bicgstab",
                             lambda A, b, *a, **kw: (np.full(np.shape(b), np.nan), 0))
         v, m, tag = _solve_bordered(A, -const, op.grid.origin_index, 1e-10)
@@ -361,8 +402,7 @@ class TestBorderedKrylov:
 
         monkeypatch.setattr(spla, "bicgstab", drifting)
         v, m, tag = _solve_bordered(A, -const, i0, atol)
-        monkeypatch.undo()
-        v_ref, m_ref, _ = _solve_bordered(A.tocsr(), -const, i0, atol)
+        v_ref, m_ref = bordered_reference(A.tocsr(), -const, i0)
         assert tag == "bicgstab"
         # one eliminated solve: the drifted cold start and its restart
         assert cold == [True, False]
@@ -426,8 +466,7 @@ class TestBorderedKrylov:
 
         monkeypatch.setattr(spla, "bicgstab", breaking)
         v, m, tag = _solve_bordered(A, -const, i0, atol)
-        monkeypatch.undo()
-        v_ref, m_ref, _ = _solve_bordered(A.tocsr(), -const, i0, atol)
+        v_ref, m_ref = bordered_reference(A.tocsr(), -const, i0)
         assert tag == "bicgstab" and len(infos) == 2
         assert abs(m - m_ref) <= atol + 1e-12
         assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
@@ -437,7 +476,7 @@ class TestBorderedKrylov:
         fast = nl.solve_normalized(op, 0.05, 1e-9)
         ref = nl.solve_normalized(op.csr(), 0.05, 1e-9)
         assert fast.linear_solves == {"bicgstab": fast.iterations, "splu": 0}
-        assert ref.linear_solves == {"bicgstab": 0, "splu": ref.iterations}
+        assert ref.linear_solves == {"bicgstab": ref.iterations, "splu": 0}
         assert np.array_equal(fast.policy, ref.policy)
         assert abs(fast.m - ref.m) <= 1e-10
         assert float(np.max(np.abs(fast.v - ref.v))) <= 1e-10
@@ -479,14 +518,14 @@ class TestNearField:
     """The near field P of a frozen-policy system, BiCGStab's preconditioner."""
 
     @settings(max_examples=30, deadline=None)
-    @given(case=fast_operators(), data=st.data())
+    @given(case=st.one_of(fast_operators(), csr_operators()), data=st.data())
     def test_matches_csr_oracle_and_is_an_m_matrix(self, case, data):
         op, _ = case
         policy = np.array(data.draw(st.lists(
             st.integers(0, len(op.controls) - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A, _ = _policy_system(op, policy)
-        ref = _policy_system(op.csr(), policy)[0].toarray()
+        ref = _policy_system(op.csr(), policy)[0].tocsr().toarray()
         lat = op.grid.lattice
         ring = np.abs(lat[:, None, :] - lat[None, :, :]).max(axis=-1) <= 1
         want = np.where(ring, ref, 0.0)
@@ -500,7 +539,7 @@ class TestNearField:
         assert np.all(-np.diag(P) > off.sum(axis=1))
 
     @settings(max_examples=30, deadline=None)
-    @given(case=fast_operators(), data=st.data())
+    @given(case=st.one_of(fast_operators(), csr_operators()), data=st.data())
     def test_bordered_preconditioner_inverts_eliminated_near_field(self, case, data):
         # The bordered preconditioner solves P with column i0 set to -1, the
         # elimination of v(origin) into m, against a dense oracle of P.  The
@@ -533,16 +572,20 @@ class TestNearField:
         A, const = _policy_system(op, policy)
         i0, atol = op.grid.origin_index, 1e-10
         v, m, tag = _solve_bordered(A, -const, i0, atol)
-        jacobi = mock.patch.object(_MatrixFreeSystem, "preconditioner",
-                                   lambda self: sp.diags(1.0 / self.near().diagonal()))
-        with jacobi:
-            v_j, m_j, _ = _solve_bordered(_policy_system(op, policy)[0], -const, i0, atol)
-        v_ref, m_ref, _ = _solve_bordered(A.tocsr(), -const, i0, atol)
+
+        def jacobi(self):
+            diag = self.A.near().diagonal()
+            diag[self.i0] = -1.0
+            return sp.diags(1.0 / diag)
+
+        with mock.patch.object(_BorderedSystem, "preconditioner", jacobi):
+            v_j, m_j, _ = _solve_bordered(A, -const, i0, atol)
+        v_ref, m_ref = bordered_reference(A.tocsr(), -const, i0)
         if d == 2:
             assert tag == "bicgstab"
         # each pair's bordered residual is at most atol, which bounds its
-        # distance to the exact m (-A^{-1} >= 0); the direct solve's own error
-        # is far below that, so the two m are within 2 atol
+        # distance to the exact m (-A^{-1} >= 0); the oracle's own error is
+        # far below that, so the two m are within 2 atol
         for got_v, got_m in ((v, m), (v_j, m_j)):
             assert abs(got_m - m_ref) <= atol + 1e-12
             assert float(np.max(np.abs(got_v - v_ref))) <= atol + 1e-12
@@ -573,7 +616,7 @@ class TestNearField:
             A, const = _policy_system(op.with_alpha(alpha), policy.copy())
             assert _solve_bordered(A, -const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
         assert len(calls) == 1
-        assert op.jump.near_factor.count == 1
+        assert op.near_factor.count == 1
 
     def test_changed_policy_gets_a_new_factor(self, monkeypatch):
         op = bordered_operator(7).with_alpha(0.1)
@@ -585,7 +628,7 @@ class TestNearField:
         for policy in (first, second, first):
             A, const = _policy_system(op, policy)
             assert _solve_bordered(A, -const, i0, 1e-10)[2] == "bicgstab"
-            assert op.jump.near_factor.key == policy.tobytes()
+            assert op.near_factor.key == policy.tobytes()
         assert len(calls) == 3
 
     def test_each_radius_has_its_own_factor(self, monkeypatch):
@@ -595,7 +638,7 @@ class TestNearField:
             A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
             assert _solve_bordered(A, -const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
         assert calls == [(op.n_nodes, op.n_nodes) for op in ops]
-        assert ops[0].jump.near_factor is not ops[1].jump.near_factor
+        assert ops[0].near_factor is not ops[1].near_factor
 
     def test_failed_factor_is_not_reused(self, monkeypatch):
         op = bordered_operator(7).with_alpha(0.1)
@@ -612,9 +655,9 @@ class TestNearField:
 
         monkeypatch.setattr(spla, "splu", fail_first)
         assert _solve_bordered(A, -const, i0, 1e-10)[2] == "splu"
-        assert op.jump.near_factor.key is None and op.jump.near_factor.count == 0
+        assert op.near_factor.key is None and op.near_factor.count == 0
         assert _solve_bordered(A, -const, i0, 1e-10)[2] == "bicgstab"
-        assert len(calls) == 2 and op.jump.near_factor.count == 1
+        assert len(calls) == 2 and op.near_factor.count == 1
 
     def test_failed_factor_falls_back_to_lu(self, monkeypatch):
         op = bordered_operator(9)
