@@ -47,7 +47,7 @@ def _write_solution_csv(path: Path, grid, values: np.ndarray) -> None:
     with path.open("w") as fh:
         fh.write(header + "\n")
         for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _validation_summary(prob, grid, q) -> list[dict]:

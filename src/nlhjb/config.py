@@ -123,6 +123,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_policy_iters < 1:
+            raise ValueError("max_policy_iters must be at least 1")
 
 
 @dataclass(frozen=True)

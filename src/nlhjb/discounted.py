@@ -156,29 +156,44 @@ class _PolicySystem(spla.LinearOperator):
 
 def _policy_system(op: DiscreteOperator, policy: np.ndarray):
     """Frozen-policy :class:`_PolicySystem` and constant: row i of control
-    ``policy[i]``."""
-    controls = range(len(op.controls))
-    rows = [np.flatnonzero(policy == t) for t in controls]
-    A = sp.vstack([m[r] for m, r in zip(op.base, rows)],
-                  format="csr")[np.argsort(np.concatenate(rows))]
-    pick = (policy, np.arange(op.n_nodes))
+    ``policy[i]``.
+
+    One gather of rows, run by run: consecutive rows of one control are one
+    slice of its CSR arrays.  Each stencil entry is copied once, and no
+    stacked copy of the stencils is made.
+    """
+    n = op.n_nodes
+    pick = (policy, np.arange(n))
+    ptr = np.stack([m.indptr for m in op.base])
+    indptr = np.concatenate([[0], np.cumsum(ptr[:, 1:][pick] - ptr[:, :-1][pick])])
+    first = np.flatnonzero(np.diff(policy, prepend=-1))
+    runs = list(zip(policy[first].tolist(), ptr[policy[first], first].tolist(),
+                    ptr[policy[first], np.append(first[1:], n)].tolist()))
+    A = sp.csr_matrix((np.concatenate([op.base[t].data[a:b] for t, a, b in runs]),
+                       np.concatenate([op.base[t].indices[a:b] for t, a, b in runs]),
+                       indptr.astype(ptr.dtype)), shape=(n, n))
     A.setdiag(A.diagonal() + np.stack(op.cvals)[pick])
     A.eliminate_zeros()
-    return _PolicySystem(op, policy, A), np.stack([op.constant(t) for t in controls])[pick]
+    return _PolicySystem(op, policy, A), np.stack([op.constant(t) for t in range(len(op.controls))])[pick]
 
 
 class _IterationCount:
-    """BiCGStab ``callback`` that counts the iterations it is called for."""
+    """BiCGStab iterations, counted from the matvecs of each BiCGStab run.
+
+    An iteration makes two matvecs, and the one that stops at its half
+    step makes one, so a run of k matvecs took ceil(k/2) iterations.
+    """
 
     def __init__(self):
         self.n = 0
 
-    def __call__(self, _xk):
-        self.n += 1
+    def add(self, matvecs: int) -> None:
+        self.n += -(-matvecs // 2)
 
 
 def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
-            x0: np.ndarray | None = None, callback=None) -> np.ndarray | None:
+            x0: np.ndarray | None = None,
+            count: _IterationCount | None = None) -> np.ndarray | None:
     """Preconditioned BiCGStab to an absolute sup residual ``atol``.
 
     ``A`` (a :class:`_PolicySystem` or :class:`_BorderedSystem`) supplies
@@ -191,32 +206,46 @@ def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
     (``info < 0``).  An answer that fails the rule and did not stop at the
     cap (``info > 0``) is restarted once from itself, which resets the
     drift, under the same ``maxiter``; an answer between ``atol`` and
-    ``accept`` is kept as it is.  ``callback`` is passed to BiCGStab, which
-    calls it once per iteration.
+    ``accept`` is kept as it is.  ``count`` gets the matvecs of each
+    BiCGStab run.  BiCGStab applies the preconditioner once before each
+    matvec of its iterations and at no other time, so these are counted as
+    preconditioner solves: the initial residual of a warm start and the
+    true-residual check here are left out.
     """
     try:
-        M = A.preconditioner()
+        P = spla.aslinearoperator(A.preconditioner())
     except RuntimeError:
         return None
+    solves = 0
+
+    def precondition(y):
+        nonlocal solves
+        solves += 1
+        return P._matvec(y)
+
+    M = spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
     x = x0
     for _ in range(2):
+        solves = 0
         x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=atol,
-                                maxiter=maxiter, callback=callback)
-        r = float(np.max(np.abs(A @ x - b)))
+                                maxiter=maxiter)
+        if count is not None:
+            count.add(solves)
+        r = float(np.max(np.abs(A._matvec(x) - b)))
         if info > 0 or not r > accept:
             break
     return x if r <= accept else None
 
 
 def _solve_linear(A, rhs: np.ndarray, atol: float, x0: np.ndarray | None = None,
-                  callback=None) -> tuple[np.ndarray, str]:
+                  count: _IterationCount | None = None) -> tuple[np.ndarray, str]:
     """Iterative solve (:func:`_krylov`, capped at 500) with sparse-LU fallback.
 
     ``A`` is a :class:`_PolicySystem`; returns the solution and the solver
     that produced it, ``"bicgstab"`` or ``"splu"``.
     BiCGStab's answer is kept only if its sup residual is at most ``atol``.
     """
-    x = _krylov(A, rhs, atol, atol, 500, x0, callback)
+    x = _krylov(A, rhs, atol, atol, 500, x0, count)
     if x is not None:
         return x, "bicgstab"
     return spla.spsolve(A.tocsc(), rhs), "splu"
@@ -250,7 +279,7 @@ class _BorderedSystem(spla.LinearOperator):
 
     def _matvec(self, x):
         v, m = self.split(x)
-        return self.A @ v - m
+        return self.A._matvec(v) - m
 
     def preconditioner(self) -> spla.LinearOperator:
         """The same elimination on the near field P of ``A``.
@@ -275,13 +304,15 @@ class _BorderedSystem(spla.LinearOperator):
 
 
 def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
-                    callback=None) -> tuple[np.ndarray, float, str]:
+                    x0: np.ndarray | None = None,
+                    count: _IterationCount | None = None) -> tuple[np.ndarray, float, str]:
     """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
 
     Returns (v, m, solver tag).  ``A`` is a :class:`_PolicySystem`.  First
     one :func:`_krylov` solve of the eliminated system :class:`_BorderedSystem`
-    to ``atol/100``, capped at ceil(N/4) iterations and preconditioned by the
-    same elimination of the near-field LU factor of A.  The pair is kept
+    to ``atol/100``, capped at ceil(N/4) iterations, started from ``x0``
+    (slot i0 the guess of m) and preconditioned by the same elimination of
+    the near-field LU factor of A.  The pair is kept
     (tag ``"bicgstab"``) when its true bordered sup residual
     max|A v - m - rhs| is at most ``atol``, the rule of
     :func:`_solve_linear`; a NaN fails it.  -A is a nonsingular M-matrix
@@ -291,7 +322,7 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
     """
     n = A.shape[0]
     B = _BorderedSystem(A, i0)
-    x = _krylov(B, rhs, atol / 100, atol, -(-n // 4), callback=callback)
+    x = _krylov(B, rhs, atol / 100, atol, -(-n // 4), x0, count)
     if x is not None:
         return *B.split(x), "bicgstab"
     y = spla.spsolve(A.tocsc(), np.column_stack([np.ones(n), rhs]))
@@ -305,8 +336,11 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
     ``solve(A, rhs, x)`` returns the frozen-policy solution and the scalar
     shift m that the residual inf_tau(...) - m is measured against (0 for the
     plain discounted problem).  Returns (x, m, policy, iterations, converged,
-    trace, monotone_violation).
+    trace, monotone_violation); the last trace entry's residual is that of
+    the returned pair.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = op.n_nodes
     policy = np.zeros(n, dtype=np.int64) if policy0 is None else policy0.copy()
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -369,15 +403,14 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
     factors = op.near_factor.count
 
     def solve(A, rhs, x0):
-        x, tag = _solve_linear(A, rhs, lin_atol, x0=x0, callback=count)
+        x, tag = _solve_linear(A, rhs, lin_atol, x0, count)
         solves[tag] += 1
         return x, 0.0
 
     w, _, policy, it, converged, trace, mono_violation = _howard(
         op, solve, tol, max_iter, w0, policy0)
-    vals, _ = apply_inf(op, w)
     return DiscountedSolution(
-        w=w, policy=policy, residual_inf_norm=float(np.max(np.abs(vals))),
+        w=w, policy=policy, residual_inf_norm=trace[-1][1],
         iterations=it, alpha=alpha, converged=converged, trace=trace,
         diagnostics={"monotone_violation": mono_violation, "c_floor": c_floor,
                      "linear_solves": solves, "krylov_iterations": count.n,
@@ -438,17 +471,14 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     factors = opa.near_factor.count
 
     def solve(A, rhs, x0):
-        v, m, tag = _solve_bordered(A, rhs, i0, atol, callback=count)
+        v, m, tag = _solve_bordered(A, rhs, i0, atol, count=count)
         solves[tag] += 1
         return v, m
 
     v, m, policy, it, converged, trace, _ = _howard(
         opa, solve, tol, max_iter, v0, policy0)
-    v = v - v[i0]  # exact origin normalisation
-    vals, _ = apply_inf(opa, v)
     return NormalizedSolution(
-        v=v, m=m, policy=policy,
-        residual_inf_norm=float(np.max(np.abs(vals - m))),
+        v=v, m=m, policy=policy, residual_inf_norm=trace[-1][1],
         iterations=it, alpha=alpha, converged=converged, trace=trace,
         linear_solves=solves, krylov_iterations=count.n,
         near_factors=opa.near_factor.count - factors,

@@ -37,20 +37,22 @@ class Grid:
     nodes: np.ndarray     # (N, d) = hx * lattice
     origin_index: int
     _halfwidth: int = 0
-    _table: np.ndarray = field(default=None, repr=False)  # dense int lookup
+    # dense int lookup of the box |z|_inf <= k + 1, -1 on its outer layer
+    _table: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
     def node_index_of_lattice(self, z: np.ndarray) -> np.ndarray:
-        """Map integer lattice coordinates (…, d) to node indices, -1 if exterior."""
-        z = np.asarray(z)
+        """Map integer lattice coordinates (…, d) to node indices, -1 if exterior.
+
+        Points outside the box |z|_inf <= k are clipped onto the table's
+        outer layer, which holds -1.
+        """
         k = self._halfwidth
-        inside = np.all(np.abs(z) <= k, axis=-1)
-        idx = np.full(z.shape[:-1], -1, dtype=np.int64)
-        idx[inside] = self._table[tuple((z[inside] + k).T)]
-        return idx
+        z = np.clip(np.asarray(z) + (k + 1), 0, 2 * k + 2)
+        return self._table[tuple(np.moveaxis(z, -1, 0))]
 
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.nodes, axis=1)
@@ -113,8 +115,8 @@ def build_grid(d: int, hx: float, R: float) -> Grid:
     lattice = lattice[r2 <= R * R * (1.0 + 1e-12)]
     nodes = lattice.astype(float) * hx
 
-    table = np.full((2 * k + 1,) * d, -1, dtype=np.int64)
-    table[tuple((lattice + k).T)] = np.arange(lattice.shape[0])
+    table = np.full((2 * k + 3,) * d, -1, dtype=np.int64)
+    table[tuple((lattice + k + 1).T)] = np.arange(lattice.shape[0])
 
     origin = int(np.argmin(np.sum(nodes**2, axis=1)))
     return Grid(d=d, hx=hx, R=R, lattice=lattice, nodes=nodes,

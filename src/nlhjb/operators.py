@@ -76,10 +76,8 @@ class _LatticeConvolution:
                 W[tuple(F + sign * _axis_unit(d, axis))] += q.axis_coeff
         self.grid, self.q, self.far, self.weights = grid, q, F, W
         self.diag = -(W.sum() + 2.0 * q.tail_mass)
-        self._hat: dict[int, np.ndarray] = {}
+        self._plans: dict[int, tuple] = {}
         self._near: sp.csr_matrix | None = None
-        K = grid._halfwidth
-        self._at_nodes = tuple((grid.lattice + K).T)
 
     def near(self) -> sp.csr_matrix:
         """The k ≡ 1 jump matrix cut to offsets |z|_inf <= 1 (built once).
@@ -104,37 +102,68 @@ class _LatticeConvolution:
                 shape=(n, n))
         return self._near
 
+    def _plan(self, A: int) -> tuple:
+        """FFT length, weight transform and node indices for half-width ``A``.
+
+        The length L >= A + K + F + 1 keeps the cyclic wrap-around off every
+        node.  ``scatter`` is each node's flat index in the forward input,
+        the box of half-width A padded to L along the last axis; ``gather``
+        its flat index in the inverse, whose leading axes keep only the
+        nodes' range A - K..A + K.  Built once per ``A``.
+        """
+        plan = self._plans.get(A)
+        if plan is None:
+            d, F, K = self.grid.d, self.far, self.grid._halfwidth
+            L = _fast_len(max(A + K + F + 1, 2 * F + 1, 2 * A + 1))
+            wrapped = np.zeros((L,) * d)
+            idx = np.arange(-F, F + 1) % L
+            wrapped[np.ix_(*[idx] * d)] = self.weights
+            lat = self.grid.lattice
+            lead = (2 * A + 1,) * (d - 1)
+            scatter = np.ravel_multi_index(tuple((lat + A).T), lead + (L,))
+            gather = np.ravel_multi_index((*(lat[:, :-1] + K).T, lat[:, -1] + A),
+                                          (2 * K + 1,) * (d - 1) + (L,))
+            plan = self._plans[A] = (L, np.fft.rfftn(wrapped), scatter, gather)
+        return plan
+
+    def _convolve(self, image: np.ndarray, A: int) -> np.ndarray:
+        """:meth:`sums` on the box of half-width ``A``, its last axis of any
+        length up to L (zero-padded to L).
+
+        The 1-D passes of ``np.fft.rfftn`` and ``irfftn`` in their order:
+        the last-axis ``irfft`` runs only on the rows of the leading axes
+        that hold nodes.  The inverse is left unnormalised and its values at
+        the nodes are scaled once by 1/L^d: that reproduces
+        ``scipy.fft.irfftn`` bit for bit, where numpy's own normalisation
+        differs from it at round-off in 2-d.
+        """
+        d, K = self.grid.d, self.grid._halfwidth
+        L, hat, _, gather = self._plan(A)
+        f = np.fft.rfft(image, L, axis=-1)
+        for axis in range(d - 2, -1, -1):
+            f = np.fft.fft(f, L, axis=axis)
+        f *= hat
+        for axis in range(d - 1):
+            f = np.fft.ifft(f, L, axis=axis, norm="forward")[(slice(None),) * axis
+                                                              + (slice(A - K, A + K + 1),)]
+        conv = np.fft.irfft(f, L, axis=-1, norm="forward")
+        return conv.ravel()[gather] * (1.0 / L**d)
+
     def sums(self, image: np.ndarray) -> np.ndarray:
         """Σ_z W[z] f(x + z·hx) at every node, f given on a centred box.
 
         ``image`` holds f on the box of half-width A >= K (the grid's) in
-        :func:`~nlhjb.grid.lattice_box` order.  The FFT length
-        L >= A + K + F + 1 keeps the cyclic wrap-around off every node.
-        The inverse transform is left unnormalised and its values at the
-        nodes are scaled once by 1/L^d: that reproduces ``scipy.fft.irfftn``
-        bit for bit, where numpy's own normalisation differs from it at
-        round-off in 2-d.
+        :func:`~nlhjb.grid.lattice_box` order.
         """
-        d, F, K = self.grid.d, self.far, self.grid._halfwidth
-        A = (image.shape[0] - 1) // 2
-        L = _fast_len(max(A + K + F + 1, 2 * F + 1, 2 * A + 1))
-        hat = self._hat.get(L)
-        if hat is None:
-            wrapped = np.zeros((L,) * d)
-            idx = np.arange(-F, F + 1) % L
-            wrapped[np.ix_(*[idx] * d)] = self.weights
-            hat = self._hat[L] = np.fft.rfftn(wrapped)
-        shape, axes = (L,) * d, tuple(range(d))
-        conv = np.fft.irfftn(np.fft.rfftn(image, shape, axes) * hat, shape, axes,
-                             norm="forward")
-        return conv[tuple((self.grid.lattice + A).T)] * (1.0 / L**d)
+        return self._convolve(image, (image.shape[0] - 1) // 2)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """Jump part with k ≡ 1 and zero exterior data, applied to ``u``."""
         K = self.grid._halfwidth
-        image = np.zeros((2 * K + 1,) * self.grid.d)
-        image[self._at_nodes] = u
-        return self.sums(image) + self.diag * u
+        L, _, scatter, _ = self._plan(K)
+        image = np.zeros((2 * K + 1,) * (self.grid.d - 1) + (L,))
+        image.ravel()[scatter] = u
+        return self._convolve(image, K) + self.diag * u
 
     def exterior(self, ext: ExteriorRule) -> np.ndarray:
         """Constant term of the k ≡ 1 jump part from exterior data."""

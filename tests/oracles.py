@@ -19,7 +19,7 @@ from nlhjb.problem import ControlProblem
 from nlhjb.quadrature import JumpQuadrature, fractional_laplacian_constant
 
 __all__ = ["DenseOracle", "build_dense_oracles", "dense_apply",
-           "dense_fixed_point", "bordered_reference",
+           "dense_fixed_point", "bordered_reference", "stacked_policy_system",
            "fractional_laplacian_reference"]
 
 _MAX_NODES = 200
@@ -179,6 +179,23 @@ def bordered_reference(A: sp.spmatrix, rhs: np.ndarray, i0: int) -> tuple[np.nda
     aug = sp.bmat([[A, ones_col], [e0, None]], format="csc")
     sol = spla.spsolve(aug, np.concatenate([rhs, [0.0]]))
     return sol[:n], float(sol[n])
+
+
+def stacked_policy_system(op, policy: np.ndarray) -> sp.csr_matrix:
+    """The frozen-policy ``local`` CSR by stacking and permuting rows.
+
+    Each control's rows are sliced out and stacked, the stack is put back
+    into node order by a permutation, and the zeroth-order term is added
+    to the diagonal.
+    """
+    controls = range(len(op.controls))
+    rows = [np.flatnonzero(policy == t) for t in controls]
+    A = sp.vstack([m[r] for m, r in zip(op.base, rows)],
+                  format="csr")[np.argsort(np.concatenate(rows))]
+    pick = (policy, np.arange(op.n_nodes))
+    A.setdiag(A.diagonal() + np.stack(op.cvals)[pick])
+    A.eliminate_zeros()
+    return A
 
 
 # ---------------------------------------------------------------------------

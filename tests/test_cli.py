@@ -157,6 +157,8 @@ OUT_OF_RANGE = (
      "section 'grid': hx must be positive"),
     ("solver.tol", constant_ergodic_config(), "solver", "tol", 0,
      "section 'solver': tol must be positive"),
+    ("solver.max_policy_iters", constant_ergodic_config(), "solver",
+     "max_policy_iters", 0, "section 'solver': max_policy_iters must be at least 1"),
     ("controls", with_problem(FAMILY_BASES["custom"]), "problem", "controls", [],
      "section 'problem' of family 'custom': controls must be a non-empty list"),
 )

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import nlhjb as nl
 from nlhjb import discounted
+from nlhjb.config import build_problem, parse_config
 from nlhjb.discounted import _policy_system, _solve_bordered
 from nlhjb.operators import apply_control
 
 from conftest import random_problem
-from oracles import bordered_reference, build_dense_oracles, dense_fixed_point
+from oracles import (bordered_reference, build_dense_oracles, dense_fixed_point,
+                     stacked_policy_system)
 
 
 def setup(seed=1, s=0.75, hx=0.25, R=4.0, alpha=0.4, **kw):
@@ -114,6 +116,25 @@ class TestPolicyIteration:
         assert isinstance(sol.converged, bool)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("max_iter", [1, 60])
+def test_residual_is_recomputed_at_the_answer_bit_for_bit(d, max_iter):
+    # residual_inf_norm comes from the last Howard evaluation; a converged
+    # and a max_iter-exhausted solve of each solver
+    p = random_problem(4, d=d, s=0.75) if d == 1 else nl.power_drift_problem(1.6, 0.1, 2, 0.9)
+    g = nl.build_grid(d, 0.25 if d == 1 else 0.5, 4.0)
+    op = nl.assemble(p, g, nl.build_quadrature(g, 0.75 if d == 1 else 0.9, 5.0),
+                     nl.ExteriorRule.zero(), alpha=0.4)
+    sol = nl.solve_policy_iteration(op, 1e-12, max_iter=max_iter)
+    vals, _ = nl.apply_inf(op, sol.w)
+    assert sol.converged == (max_iter > 1)
+    assert sol.residual_inf_norm == float(np.max(np.abs(vals)))
+    norm = nl.solve_normalized(op, 0.05, 1e-12, max_iter=max_iter)
+    vals, _ = nl.apply_inf(op.with_alpha(0.05), norm.v)
+    assert norm.converged == (max_iter > 1) and norm.v[g.origin_index] == 0.0
+    assert norm.residual_inf_norm == float(np.max(np.abs(vals - norm.m)))
+
+
 _FROZEN_OPS: dict = {}
 
 
@@ -126,6 +147,18 @@ def _frozen_operator(name):
         elif name == "power_drift_2d":
             p, g = nl.power_drift_problem(1.6, 0.1, 2, 0.9), nl.build_grid(2, 0.5, 3.0)
             q = nl.build_quadrature(g, 0.9, 4.0)
+        elif name == "xy_kernel_2d":  # kernels that read y: explicit stencils
+            p = build_problem(parse_config({
+                "mode": "discounted",
+                "problem": {"family": "custom", "s": 0.75,
+                            "lambda_ell": 0.9, "Lambda_ell": 1.1,
+                            "controls": [{"drift": ["-x1", "-x2"], "cost": "exp(-r*r)",
+                                          "kernel": "0.5+0.04*cos(x1*y1)*cos(x2)"},
+                                         {"drift": ["-2*x1", "-0.5*x2"], "cost": "0.3",
+                                          "kernel": "0.5-0.04*exp(-ry*ry)"}]},
+                "grid": {"d": 2, "hx": 0.5, "radii": [3.0]}}))
+            g = nl.build_grid(2, 0.5, 3.0)
+            q = nl.build_quadrature(g, 0.75, 4.0)
         elif name == "local_identity_2d":
             p = nl.constant_cost_problem(1.0, 2, local_identity=True)
             g, q = nl.build_grid(2, 0.5, 3.0), None
@@ -150,6 +183,23 @@ def _policy_system_reference(op, policy):
 
 
 class TestFrozenPolicySystem:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["power_drift_1d", "power_drift_2d", "xy_kernel_2d",
+                                 "local_identity_2d", "random_zeroth_1d"]),
+           explicit=st.booleans(), data=st.data())
+    def test_row_gather_is_the_stacked_formula_bit_for_bit(self, name, explicit, data):
+        # FFT operators gather their drift stencils, explicit ones (and
+        # kernels that read y) the whole system
+        op = _frozen_operator(name)
+        op = op.csr() if explicit else op
+        policy = np.array(data.draw(st.lists(
+            st.integers(0, len(op.controls) - 1),
+            min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+        got, want = _policy_system(op, policy)[0].local, stacked_policy_system(op, policy)
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(["power_drift_1d", "power_drift_2d",
                                  "local_identity_2d", "random_zeroth_1d"]),

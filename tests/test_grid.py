@@ -81,6 +81,35 @@ def test_index_roundtrip(d, hx, R):
     assert np.array_equal(g.lattice[idx[on_ball]], z[on_ball])
 
 
+def masked_node_index(g, z):
+    """``node_index_of_lattice`` by an inside mask and a boolean gather."""
+    k = g._halfwidth
+    table = np.full((2 * k + 1,) * g.d, -1, dtype=np.int64)
+    table[tuple((g.lattice + k).T)] = np.arange(g.n_nodes)
+    inside = np.all(np.abs(z) <= k, axis=-1)
+    idx = np.full(z.shape[:-1], -1, dtype=np.int64)
+    idx[inside] = table[tuple((z[inside] + k).T)]
+    return idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]),
+       hx=st.sampled_from([0.25, 0.5, 1.0]),
+       R=st.floats(min_value=1.0, max_value=6.0),
+       reach=st.sampled_from([1, 3, 10**6]),
+       data=st.data())
+def test_clipped_lookup_matches_masked_lookup(d, hx, R, reach, data):
+    # points up to ``reach`` lattice steps past the box, on every side
+    g = build_grid(d, hx, R)
+    span = g._halfwidth + reach
+    n = data.draw(st.integers(1, 50))
+    z = np.array(data.draw(st.lists(st.integers(-span, span), min_size=n * 3 * d,
+                                    max_size=n * 3 * d)), dtype=np.int64).reshape(n, 3, d)
+    got = g.node_index_of_lattice(z)
+    assert got.shape == (n, 3) and got.dtype == np.int64
+    assert np.array_equal(got, masked_node_index(g, z))
+
+
 def test_origin_within_half_spacing():
     g = build_grid(2, 0.3, 4.0)
     assert np.linalg.norm(g.nodes[g.origin_index]) <= g.hx / 2

@@ -65,6 +65,20 @@ def test_lattice_sums_match_scipy_fft_bit_for_bit(d, hx, R, s):
     assert any(L % 2 for L in lengths) and any(L % 2 == 0 for L in lengths)
 
 
+@pytest.mark.parametrize("d,hx,R,s", [(1, 0.25, 4.0, 0.75), (1, 0.0625, 8.0, 0.9),
+                                      (2, 0.5, 3.0, 0.8), (2, 0.25, 2.5, 0.6)])
+def test_lattice_apply_matches_scipy_fft_bit_for_bit(d, hx, R, s):
+    # __call__ scatters u into the box of the grid's half-width K (A = K)
+    grid = nl.build_grid(d, hx, R)
+    conv = _LatticeConvolution(grid, nl.build_quadrature(grid, s, R + 1.0))
+    K = grid._halfwidth
+    for seed in range(4):
+        u = np.random.default_rng(seed).normal(size=grid.n_nodes)
+        image = np.zeros((2 * K + 1,) * d)
+        image[tuple((grid.lattice + K).T)] = u
+        assert np.array_equal(conv(u), scipy_sums(conv, image)[0] + conv.diag * u)
+
+
 @pytest.mark.parametrize("s", [0.5001, 0.5625, 0.6, 0.9, 0.9999,
                                *np.linspace(0.51, 0.99, 25).round(2)])
 def test_origin_cell_moment_matches_adaptive_quadrature(s):

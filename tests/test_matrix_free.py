@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import nlhjb as nl
 from nlhjb import discounted
+from nlhjb.config import build_problem, parse_config
 from nlhjb.discounted import (_BorderedSystem, _PolicySystem, _policy_system,
                               _solve_bordered, _solve_linear)
 from nlhjb.lyapunov import _jump_on_V
@@ -676,22 +677,41 @@ class TestNearField:
         assert _solve_linear(A, -const, 1e-10)[1] == "splu"
 
     def test_krylov_iterations_count_every_bicgstab_step(self, monkeypatch):
+        # each BiCGStab run's matvecs, less the initial residual of a warm
+        # start, are two per iteration and one for a stop at the half step
         bicgstab = spla.bicgstab
-        steps = []
+        runs = []
 
-        def recording(A, b, *args, callback=None, **kwargs):
-            def step(xk):
-                steps.append(1)
-                callback(xk)
-            return bicgstab(A, b, *args, callback=step, **kwargs)
+        def recording(A, b, *args, x0=None, **kwargs):
+            calls = []
+
+            def matvec(x):
+                calls.append(1)
+                return A.matvec(x)
+
+            out = bicgstab(spla.LinearOperator(A.shape, matvec=matvec, dtype=float),
+                           b, *args, x0=x0, **kwargs)
+            warm = x0 is not None and np.any(x0) and np.any(b)
+            runs.append(len(calls) - warm)
+            return out
 
         monkeypatch.setattr(spla, "bicgstab", recording)
         sol = nl.solve_normalized(bordered_operator(5), 0.05, 1e-9)
         assert sol.linear_solves["bicgstab"] == sol.iterations
-        assert sol.krylov_iterations == len(steps) > 0
-        steps.clear()
+        assert sol.krylov_iterations == sum(-(-k // 2) for k in runs) > 0
+        runs.clear()
         disc = nl.solve_policy_iteration(bordered_operator(5).with_alpha(0.4), 1e-9)
-        assert disc.diagnostics["krylov_iterations"] == len(steps) > 0
+        assert disc.diagnostics["krylov_iterations"] == sum(-(-k // 2) for k in runs) > 0
+        # the near field of a purely local operator is the whole system, so
+        # each solve stops at the half step of its first iteration
+        runs.clear()
+        cfg = parse_config({"mode": "discounted",
+                            "problem": {"family": "constant_cost", "kappa": 1.0,
+                                        "local_identity": True},
+                            "grid": {"d": 2, "hx": 0.5, "radii": [2.0, 3.0]}})
+        exact = nl.expand_domain(build_problem(cfg), 0.5, cfg.grid, 1e-9)
+        assert runs == [1] * exact.diagnostics["linear_solves"]["bicgstab"]
+        assert exact.diagnostics["krylov_iterations"] == len(runs) > 0
 
 
 def counted_splu(monkeypatch) -> list:
