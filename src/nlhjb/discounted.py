@@ -102,7 +102,10 @@ class _PolicySystem(spla.LinearOperator):
         the neighbours a stencil does not reach are left out.
         """
         if self.op.jump is not None:
-            return (sp.diags(self.scale) @ self.op.jump.conv.near() + self.local).tocsr()
+            N = self.op.jump.conv.near()
+            scaled = sp.csr_matrix((N.data * np.repeat(self.scale, np.diff(N.indptr)),
+                                    N.indices, N.indptr), shape=self.shape)
+            return (scaled + self.local).tocsr()
         grid = self.op.grid
         j = grid.node_index_of_lattice(grid.lattice[:, None, :] + lattice_box(grid.d, 1))
         rows, cols = np.nonzero(j >= 0)[0], j[j >= 0]

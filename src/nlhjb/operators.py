@@ -106,10 +106,9 @@ class _LatticeConvolution:
         """FFT length, weight transform and node indices for half-width ``A``.
 
         The length L >= A + K + F + 1 keeps the cyclic wrap-around off every
-        node.  ``scatter`` is each node's flat index in the forward input,
-        the box of half-width A padded to L along the last axis; ``gather``
-        its flat index in the inverse, whose leading axes keep only the
-        nodes' range A - K..A + K.  Built once per ``A``.
+        node.  ``scatter`` is each node's flat index in the box of
+        half-width A; ``gather`` its flat index in the inverse, whose leading
+        axes keep only the nodes' range A - K..A + K.  Built once per ``A``.
         """
         plan = self._plans.get(A)
         if plan is None:
@@ -119,16 +118,14 @@ class _LatticeConvolution:
             idx = np.arange(-F, F + 1) % L
             wrapped[np.ix_(*[idx] * d)] = self.weights
             lat = self.grid.lattice
-            lead = (2 * A + 1,) * (d - 1)
-            scatter = np.ravel_multi_index(tuple((lat + A).T), lead + (L,))
+            scatter = np.ravel_multi_index(tuple((lat + A).T), (2 * A + 1,) * d)
             gather = np.ravel_multi_index((*(lat[:, :-1] + K).T, lat[:, -1] + A),
                                           (2 * K + 1,) * (d - 1) + (L,))
             plan = self._plans[A] = (L, np.fft.rfftn(wrapped), scatter, gather)
         return plan
 
     def _convolve(self, image: np.ndarray, A: int) -> np.ndarray:
-        """:meth:`sums` on the box of half-width ``A``, its last axis of any
-        length up to L (zero-padded to L).
+        """:meth:`sums` on the box of half-width ``A``.
 
         The 1-D passes of ``np.fft.rfftn`` and ``irfftn`` in their order:
         the last-axis ``irfft`` runs only on the rows of the leading axes
@@ -144,9 +141,9 @@ class _LatticeConvolution:
             f = np.fft.fft(f, L, axis=axis)
         f *= hat
         for axis in range(d - 1):
-            f = np.fft.ifft(f, L, axis=axis, norm="forward")[(slice(None),) * axis
-                                                              + (slice(A - K, A + K + 1),)]
-        conv = np.fft.irfft(f, L, axis=-1, norm="forward")
+            f = np.fft.ifft(f, L, axis=axis, norm="forward")
+        rows = f[(slice(A - K, A + K + 1),) * (d - 1)]
+        conv = np.fft.irfft(rows, L, axis=-1, norm="forward")
         return conv.ravel()[gather] * (1.0 / L**d)
 
     def sums(self, image: np.ndarray) -> np.ndarray:
@@ -160,8 +157,8 @@ class _LatticeConvolution:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """Jump part with k ≡ 1 and zero exterior data, applied to ``u``."""
         K = self.grid._halfwidth
-        L, _, scatter, _ = self._plan(K)
-        image = np.zeros((2 * K + 1,) * (self.grid.d - 1) + (L,))
+        scatter = self._plan(K)[2]
+        image = np.zeros((2 * K + 1,) * self.grid.d)
         image.ravel()[scatter] = u
         return self._convolve(image, K) + self.diag * u
 
