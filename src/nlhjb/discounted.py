@@ -460,11 +460,15 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     ``op.with_alpha(alpha)``: on every operator each bordered system is
     first one BiCGStab solve with v(origin) eliminated into m
     (:func:`_solve_bordered`), kept when its true residual is at most
-    tol/10, else solved by one sparse LU of A for 1 and rhs.
-    ``linear_solves`` counts the bordered solves by solver (``"bicgstab"``
-    or ``"splu"``), ``krylov_iterations`` their BiCGStab iterations and
-    ``near_factors`` the near-field factorizations made for them; alpha
-    levels that come back to a policy reuse its factor.
+    tol/10, else solved by one sparse LU of A for 1 and rhs.  Each
+    BiCGStab solve starts from the Howard iterate, whose origin slot (0)
+    is the guess of m: the first from ``v0`` (zero without it), the later
+    ones from the previous Howard step's v.  ``linear_solves`` counts the
+    bordered solves by solver (``"bicgstab"`` or ``"splu"``),
+    ``krylov_iterations`` their BiCGStab iterations (a stop at the half
+    step counts as one) and ``near_factors`` the near-field factorizations
+    made for them; alpha levels that come back to a policy reuse its
+    factor.  ``residual_inf_norm`` is the last Howard step's.
     """
     opa = op.with_alpha(alpha)
     i0 = op.grid.origin_index
@@ -474,7 +478,7 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     factors = opa.near_factor.count
 
     def solve(A, rhs, x0):
-        v, m, tag = _solve_bordered(A, rhs, i0, atol, count=count)
+        v, m, tag = _solve_bordered(A, rhs, i0, atol, x0, count)
         solves[tag] += 1
         return v, m
 

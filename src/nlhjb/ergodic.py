@@ -243,7 +243,9 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     the radius ladder of :func:`expand_domain` at the last alpha, with no
     early stop, topped by the sweep's last solve.  Each bordered (v, m) solve
     is one BiCGStab solve with v(origin) eliminated into m, on every
-    operator; the alpha levels share each radius's operator, and with it the
+    operator, started from the Howard iterate: the first Howard step of a
+    level from the level above, a rung of the ladder from the ball below.
+    The alpha levels share each radius's operator, and with it the
     near-field factor of a policy that comes back.  A solve that falls back
     to sparse LU (its near-field factor failed, or its pair's true residual
     exceeded a tenth of the inner tolerance) leaves the next one to try

@@ -714,6 +714,40 @@ class TestNearField:
         assert exact.diagnostics["krylov_iterations"] == len(runs) > 0
 
 
+def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
+    # the same alpha level solved from the level above: the bordered solves
+    # started from the Howard iterate against the same solves started from
+    # zero, counting every matvec BiCGStab makes, initial residual included
+    op = bordered_operator(5)
+    above = nl.solve_normalized(op, 0.1, 1e-9)
+    bicgstab, krylov = spla.bicgstab, discounted._krylov
+    calls = []
+
+    def counting(A, b, *args, **kwargs):
+        def matvec(x):
+            calls.append(1)
+            return A.matvec(x)
+        return bicgstab(spla.LinearOperator(A.shape, matvec=matvec, dtype=float),
+                        b, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "bicgstab", counting)
+    warm = nl.solve_normalized(op, 0.05, 1e-9, v0=above.v, policy0=above.policy)
+    warm_calls = len(calls)
+    calls.clear()
+    def cold_krylov(A, b, atol, accept, maxiter, x0=None, count=None):
+        return krylov(A, b, atol, accept, maxiter, None, count)
+
+    with mock.patch.object(discounted, "_krylov", cold_krylov):
+        cold = nl.solve_normalized(op, 0.05, 1e-9, v0=above.v, policy0=above.policy)
+    assert warm.converged and cold.converged
+    assert warm.linear_solves == cold.linear_solves == {"bicgstab": warm.iterations,
+                                                        "splu": 0}
+    assert warm_calls < len(calls)
+    assert warm.krylov_iterations < cold.krylov_iterations
+    assert abs(warm.m - cold.m) <= 1e-10
+    assert float(np.max(np.abs(warm.v - cold.v))) <= 1e-10
+
+
 def counted_splu(monkeypatch) -> list:
     """Patch ``spla.splu`` to record the shape of every matrix it factors."""
     splu = spla.splu
