@@ -165,7 +165,7 @@ def _policy_system(op: DiscreteOperator, policy: np.ndarray):
     slice of its CSR arrays.  Each stencil entry is copied once, and no
     stacked copy of the stencils is made.
     """
-    n = op.n_nodes
+    n, controls = op.n_nodes, range(len(op.controls))
     pick = (policy, np.arange(n))
     ptr = np.stack([m.indptr for m in op.base])
     indptr = np.concatenate([[0], np.cumsum(ptr[:, 1:][pick] - ptr[:, :-1][pick])])
@@ -177,7 +177,7 @@ def _policy_system(op: DiscreteOperator, policy: np.ndarray):
                        indptr.astype(ptr.dtype)), shape=(n, n))
     A.setdiag(A.diagonal() + np.stack(op.cvals)[pick])
     A.eliminate_zeros()
-    return _PolicySystem(op, policy, A), np.stack([op.constant(t) for t in range(len(op.controls))])[pick]
+    return _PolicySystem(op, policy, A), np.stack([op.constant(t) for t in controls])[pick]
 
 
 class _IterationCount:

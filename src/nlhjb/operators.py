@@ -124,17 +124,20 @@ class _LatticeConvolution:
             plan = self._plans[A] = (L, np.fft.rfftn(wrapped), scatter, gather)
         return plan
 
-    def _convolve(self, image: np.ndarray, A: int) -> np.ndarray:
-        """:meth:`sums` on the box of half-width ``A``.
+    def sums(self, image: np.ndarray) -> np.ndarray:
+        """Σ_z W[z] f(x + z·hx) at every node, f given on a centred box.
 
-        The 1-D passes of ``np.fft.rfftn`` and ``irfftn`` in their order:
-        the last-axis ``irfft`` runs only on the rows of the leading axes
-        that hold nodes.  The inverse is left unnormalised and its values at
-        the nodes are scaled once by 1/L^d: that reproduces
-        ``scipy.fft.irfftn`` bit for bit, where numpy's own normalisation
-        differs from it at round-off in 2-d.
+        ``image`` holds f on the box of half-width A >= K (the grid's) in
+        :func:`~nlhjb.grid.lattice_box` order.  The 1-D passes of
+        ``np.fft.rfftn`` and ``irfftn`` run in their order, and the
+        last-axis ``irfft`` only on the rows of the leading axes that hold
+        nodes.  The inverse is left unnormalised and its values at the nodes
+        are scaled once by 1/L^d: that reproduces ``scipy.fft.irfftn`` bit
+        for bit, where numpy's own normalisation differs from it at
+        round-off in 2-d.
         """
         d, K = self.grid.d, self.grid._halfwidth
+        A = (image.shape[0] - 1) // 2
         L, hat, _, gather = self._plan(A)
         f = np.fft.rfft(image, L, axis=-1)
         for axis in range(d - 2, -1, -1):
@@ -146,21 +149,13 @@ class _LatticeConvolution:
         conv = np.fft.irfft(rows, L, axis=-1, norm="forward")
         return conv.ravel()[gather] * (1.0 / L**d)
 
-    def sums(self, image: np.ndarray) -> np.ndarray:
-        """Σ_z W[z] f(x + z·hx) at every node, f given on a centred box.
-
-        ``image`` holds f on the box of half-width A >= K (the grid's) in
-        :func:`~nlhjb.grid.lattice_box` order.
-        """
-        return self._convolve(image, (image.shape[0] - 1) // 2)
-
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """Jump part with k ≡ 1 and zero exterior data, applied to ``u``."""
         K = self.grid._halfwidth
         scatter = self._plan(K)[2]
         image = np.zeros((2 * K + 1,) * self.grid.d)
         image.ravel()[scatter] = u
-        return self._convolve(image, K) + self.diag * u
+        return self.sums(image) + self.diag * u
 
     def exterior(self, ext: ExteriorRule) -> np.ndarray:
         """Constant term of the k ≡ 1 jump part from exterior data."""
