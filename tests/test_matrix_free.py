@@ -734,6 +734,7 @@ def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
     warm = nl.solve_normalized(op, 0.05, 1e-9, v0=above.v, policy0=above.policy)
     warm_calls = len(calls)
     calls.clear()
+
     def cold_krylov(A, b, atol, accept, maxiter, x0=None, count=None):
         return krylov(A, b, atol, accept, maxiter, None, count)
 
