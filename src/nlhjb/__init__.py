@@ -12,7 +12,7 @@ from .ergodic import (AlphaSchedule, DomainConfig, ErgodicSolution,
                       check_bar_w_bound, check_lambda_bound, convergence_study,
                       expand_domain, normalize_at_origin, vanishing_discount,
                       verify_ergodic_pair)
-from .grid import ExteriorRule, Grid, build_grid, evaluate_extended
+from .grid import ExteriorRule, Grid, build_grid
 from .lyapunov import (LyapunovCertificate, evaluate_lyapunov_drift,
                        fit_envelope, with_certificate)
 from .operators import (DiscreteOperator, MonotonicityError, apply_control,
@@ -26,7 +26,7 @@ from .quadrature import (JumpQuadrature, apply_quadrature_pointwise,
 
 __all__ = [
     "__version__",
-    "Grid", "ExteriorRule", "build_grid", "evaluate_extended",
+    "Grid", "ExteriorRule", "build_grid",
     "KernelSpec", "MixedSpec", "LyapunovData", "ControlProblem",
     "ValidationReport", "validate_problem", "power_drift_problem",
     "constant_cost_problem", "constant_kernel", "x_kernel",

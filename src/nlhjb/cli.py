@@ -97,9 +97,7 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     }
     _write_json(outdir / "report.json", report)
     _write_solution_csv(outdir / "solution.csv", grid, sol.u)
-    return 0 if sol.converged else 2, {"linear_solves": sol.linear_solves,
-                                       "krylov_iterations": sol.krylov_iterations,
-                                       "near_factors": sol.near_factors}
+    return 0 if sol.converged else 2, vars(sol.counts)
 
 
 def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
@@ -136,9 +134,7 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         fh.write("iteration,residual,policy_changes\n")
         for it, res, changes in sol.trace:
             fh.write(f"{it},{repr(float(res))},{changes}\n")
-    return 0 if sol.converged else 2, {
-        key: sol.diagnostics[key]
-        for key in ("linear_solves", "krylov_iterations", "near_factors")}
+    return 0 if sol.converged else 2, vars(sol.counts)
 
 
 def _run_certify(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:

@@ -21,10 +21,28 @@ from .operators import DiscreteOperator, _stacked_inf, apply_inf
 from .problem import ControlProblem
 
 __all__ = [
-    "DiscountedSolution", "NormalizedSolution", "BarrierReport",
+    "SolveCounts", "DiscountedSolution", "NormalizedSolution", "BarrierReport",
     "solve_policy_iteration", "solve_value_iteration", "solve_normalized",
     "check_barrier",
 ]
+
+
+@dataclass
+class SolveCounts:
+    """Counts of Howard solves, shaped like the ``run_meta.json`` entries:
+    frozen-policy solves by solver (``"bicgstab"``, or ``"splu"`` on
+    fallback), their BiCGStab iterations and the near-field factorizations
+    that preconditioned them."""
+
+    linear_solves: dict = field(default_factory=lambda: {"bicgstab": 0, "splu": 0})
+    krylov_iterations: int = 0
+    near_factors: int = 0
+
+    def add(self, other: "SolveCounts") -> None:
+        for tag, n in other.linear_solves.items():
+            self.linear_solves[tag] += n
+        self.krylov_iterations += other.krylov_iterations
+        self.near_factors += other.near_factors
 
 
 @dataclass(eq=False)
@@ -33,10 +51,10 @@ class DiscountedSolution:
     policy: np.ndarray
     residual_inf_norm: float
     iterations: int
-    alpha: float | None
     converged: bool
     trace: list[tuple[int, float, int]] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+    counts: SolveCounts = field(default_factory=SolveCounts)
 
 
 @dataclass(eq=False)
@@ -51,9 +69,7 @@ class NormalizedSolution:
     alpha: float
     converged: bool
     trace: list[tuple[int, float, int]] = field(default_factory=list)
-    linear_solves: dict = field(default_factory=dict)
-    krylov_iterations: int = 0
-    near_factors: int = 0
+    counts: SolveCounts = field(default_factory=SolveCounts)
 
 
 def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
@@ -180,23 +196,9 @@ def _policy_system(op: DiscreteOperator, policy: np.ndarray):
     return _PolicySystem(op, policy, A), np.stack([op.constant(t) for t in controls])[pick]
 
 
-class _IterationCount:
-    """BiCGStab iterations, counted from the matvecs of each BiCGStab run.
-
-    An iteration makes two matvecs, and the one that stops at its half
-    step makes one, so a run of k matvecs took ceil(k/2) iterations.
-    """
-
-    def __init__(self):
-        self.n = 0
-
-    def add(self, matvecs: int) -> None:
-        self.n += -(-matvecs // 2)
-
-
 def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
             x0: np.ndarray | None = None,
-            count: _IterationCount | None = None) -> np.ndarray | None:
+            counts: SolveCounts | None = None) -> np.ndarray | None:
     """Preconditioned BiCGStab to an absolute sup residual ``atol``.
 
     ``A`` (a :class:`_PolicySystem` or :class:`_BorderedSystem`) supplies
@@ -209,11 +211,12 @@ def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
     (``info < 0``).  An answer that fails the rule and did not stop at the
     cap (``info > 0``) is restarted once from itself, which resets the
     drift, under the same ``maxiter``; an answer between ``atol`` and
-    ``accept`` is kept as it is.  ``count`` gets the matvecs of each
-    BiCGStab run.  BiCGStab applies the preconditioner once before each
-    matvec of its iterations and at no other time, so these are counted as
-    preconditioner solves: the initial residual of a warm start and the
-    true-residual check here are left out.
+    ``accept`` is kept as it is.  A run of k matvecs (two per iteration,
+    one for a stop at the half step) adds ceil(k/2) to
+    ``counts.krylov_iterations``.  BiCGStab applies the preconditioner once
+    before each matvec of its iterations and at no other time, so matvecs
+    are counted as preconditioner solves, leaving out the initial residual
+    of a warm start and the true-residual check here.
     """
     try:
         P = spla.aslinearoperator(A.preconditioner())
@@ -232,8 +235,8 @@ def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
         solves = 0
         x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=atol,
                                 maxiter=maxiter)
-        if count is not None:
-            count.add(solves)
+        if counts is not None:
+            counts.krylov_iterations += -(-solves // 2)
         r = float(np.max(np.abs(A._matvec(x) - b)))
         if info > 0 or not r > accept:
             break
@@ -241,14 +244,14 @@ def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
 
 
 def _solve_linear(A, rhs: np.ndarray, atol: float, x0: np.ndarray | None = None,
-                  count: _IterationCount | None = None) -> tuple[np.ndarray, str]:
+                  counts: SolveCounts | None = None) -> tuple[np.ndarray, str]:
     """Iterative solve (:func:`_krylov`, capped at 500) with sparse-LU fallback.
 
     ``A`` is a :class:`_PolicySystem`; returns the solution and the solver
     that produced it, ``"bicgstab"`` or ``"splu"``.
     BiCGStab's answer is kept only if its sup residual is at most ``atol``.
     """
-    x = _krylov(A, rhs, atol, atol, 500, x0, count)
+    x = _krylov(A, rhs, atol, atol, 500, x0, counts)
     if x is not None:
         return x, "bicgstab"
     return spla.spsolve(A.tocsc(), rhs), "splu"
@@ -308,7 +311,7 @@ class _BorderedSystem(spla.LinearOperator):
 
 def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
                     x0: np.ndarray | None = None,
-                    count: _IterationCount | None = None) -> tuple[np.ndarray, float, str]:
+                    counts: SolveCounts | None = None) -> tuple[np.ndarray, float, str]:
     """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
 
     Returns (v, m, solver tag).  ``A`` is a :class:`_PolicySystem`.  First
@@ -325,7 +328,7 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
     """
     n = A.shape[0]
     B = _BorderedSystem(A, i0)
-    x = _krylov(B, rhs, atol / 100, atol, -(-n // 4), x0, count)
+    x = _krylov(B, rhs, atol / 100, atol, -(-n // 4), x0, counts)
     if x is not None:
         return *B.split(x), "bicgstab"
     y = spla.spsolve(A.tocsc(), np.column_stack([np.ones(n), rhs]))
@@ -336,11 +339,13 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
             x0: np.ndarray | None, policy0: np.ndarray | None):
     """Howard loop: frozen-policy solve, then greedy policy improvement.
 
-    ``solve(A, rhs, x)`` returns the frozen-policy solution and the scalar
-    shift m that the residual inf_tau(...) - m is measured against (0 for the
-    plain discounted problem).  Returns (x, m, policy, iterations, converged,
-    trace, monotone_violation); the last trace entry's residual is that of
-    the returned pair.
+    ``solve(A, rhs, x, counts)`` returns the frozen-policy solution, the
+    scalar shift m that the residual inf_tau(...) - m is measured against (0
+    for the plain discounted problem) and the solver tag, and adds its
+    BiCGStab iterations to ``counts``.  Returns (x, m, policy, iterations,
+    converged, trace, monotone_violation, counts); the last trace entry's
+    residual is that of the returned pair, and ``counts`` adds each step's
+    tag and the near-field factorizations made on ``op``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -353,9 +358,11 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
     m = 0.0
     converged = False
     it = 0
+    counts, factors = SolveCounts(), op.near_factor.count
     for it in range(1, max_iter + 1):
         A, const = _policy_system(op, policy)
-        x, m = solve(A, -const, x)
+        x, m, tag = solve(A, -const, x, counts)
+        counts.linear_solves[tag] += 1
         if not (np.all(np.isfinite(x)) and np.isfinite(m)):
             raise ValueError("frozen-policy solve returned non-finite values; "
                              "singular system or diagonal dominance violated")
@@ -371,7 +378,8 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
             converged = True
             break
         policy = new_policy
-    return x, m, policy, it, converged, trace, mono_violation
+    counts.near_factors = op.near_factor.count - factors
+    return x, m, policy, it, converged, trace, mono_violation, counts
 
 
 def solve_policy_iteration(op: DiscreteOperator, tol: float,
@@ -384,40 +392,26 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
     frozen-policy systems are solved iteratively to an absolute sup residual
     of tol/10, below the Howard stopping tol.
     Non-convergence is a flagged result, never an exception.
-    ``diagnostics["linear_solves"]`` counts the frozen-policy solves by the
-    solver that produced them (``"bicgstab"``, or ``"splu"`` on fallback);
-    ``diagnostics["krylov_iterations"]`` counts their BiCGStab iterations
-    and ``diagnostics["near_factors"]`` the near-field factorizations that
-    preconditioned them.
+    ``counts`` (:class:`SolveCounts`) counts its frozen-policy solves, and
+    ``diagnostics["c_floor"]`` is ``op.c_floor()``.
     """
     c_floor = op.c_floor()
     if not (c_floor > 0):
         raise ValueError(
             f"policy iteration needs sup_tau c_tau < 0 (got c_floor={-c_floor:.3g})")
     lin_atol = max(tol / 10.0, 1e-14)
-    alpha = None
-    if all(np.allclose(cv, cv[0]) for cv in op.cvals):
-        common = {float(-cv[0]) for cv in op.cvals}
-        if len(common) == 1:
-            alpha = common.pop()
 
-    solves = {"bicgstab": 0, "splu": 0}
-    count = _IterationCount()
-    factors = op.near_factor.count
+    def solve(A, rhs, x0, counts):
+        x, tag = _solve_linear(A, rhs, lin_atol, x0, counts)
+        return x, 0.0, tag
 
-    def solve(A, rhs, x0):
-        x, tag = _solve_linear(A, rhs, lin_atol, x0, count)
-        solves[tag] += 1
-        return x, 0.0
-
-    w, _, policy, it, converged, trace, mono_violation = _howard(
+    w, _, policy, it, converged, trace, mono_violation, counts = _howard(
         op, solve, tol, max_iter, w0, policy0)
     return DiscountedSolution(
         w=w, policy=policy, residual_inf_norm=trace[-1][1],
-        iterations=it, alpha=alpha, converged=converged, trace=trace,
-        diagnostics={"monotone_violation": mono_violation, "c_floor": c_floor,
-                     "linear_solves": solves, "krylov_iterations": count.n,
-                     "near_factors": op.near_factor.count - factors},
+        iterations=it, converged=converged, trace=trace,
+        diagnostics={"monotone_violation": mono_violation, "c_floor": c_floor},
+        counts=counts,
     )
 
 
@@ -443,7 +437,7 @@ def solve_value_iteration(op: DiscreteOperator, tol: float,
     vals, policy = apply_inf(op, u)
     return DiscountedSolution(
         w=u, policy=policy, residual_inf_norm=float(np.max(np.abs(vals))),
-        iterations=it, alpha=None, converged=residual <= tol,
+        iterations=it, converged=residual <= tol,
         diagnostics={"eta": eta},
     )
 
@@ -463,32 +457,25 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     tol/10, else solved by one sparse LU of A for 1 and rhs.  Each
     BiCGStab solve starts from the Howard iterate, whose origin slot (0)
     is the guess of m: the first from ``v0`` (zero without it), the later
-    ones from the previous Howard step's v.  ``linear_solves`` counts the
-    bordered solves by solver (``"bicgstab"`` or ``"splu"``),
-    ``krylov_iterations`` their BiCGStab iterations (a stop at the half
-    step counts as one) and ``near_factors`` the near-field factorizations
-    made for them; alpha levels that come back to a policy reuse its
-    factor.  ``residual_inf_norm`` is the last Howard step's.
+    ones from the previous Howard step's v.  ``counts``
+    (:class:`SolveCounts`) counts the bordered solves by solver, their
+    BiCGStab iterations and the near-field factorizations made for them;
+    alpha levels that come back to a policy reuse its factor.
+    ``residual_inf_norm`` is the last Howard step's.
     """
     opa = op.with_alpha(alpha)
     i0 = op.grid.origin_index
     atol = max(tol / 10.0, 1e-14)
-    solves = {"bicgstab": 0, "splu": 0}
-    count = _IterationCount()
-    factors = opa.near_factor.count
 
-    def solve(A, rhs, x0):
-        v, m, tag = _solve_bordered(A, rhs, i0, atol, x0, count)
-        solves[tag] += 1
-        return v, m
+    def solve(A, rhs, x0, counts):
+        return _solve_bordered(A, rhs, i0, atol, x0, counts)
 
-    v, m, policy, it, converged, trace, _ = _howard(
+    v, m, policy, it, converged, trace, _, counts = _howard(
         opa, solve, tol, max_iter, v0, policy0)
     return NormalizedSolution(
         v=v, m=m, policy=policy, residual_inf_norm=trace[-1][1],
         iterations=it, alpha=alpha, converged=converged, trace=trace,
-        linear_solves=solves, krylov_iterations=count.n,
-        near_factors=opa.near_factor.count - factors,
+        counts=counts,
     )
 
 
@@ -508,7 +495,8 @@ class BarrierReport:
 def check_barrier(sol: DiscountedSolution, p: ControlProblem, grid: Grid,
                   k0: float | None = None,
                   c_floor: float | None = None) -> BarrierReport:
-    """Pointwise check of |w(x)| <= k0/c_floor + V(x) on the grid."""
+    """Pointwise check of |w(x)| <= k0/c_floor + V(x) on the grid; c_floor
+    defaults to ``sol.diagnostics["c_floor"]``, alpha when every c is -alpha."""
     if p.lyapunov is None:
         raise ValueError("barrier check needs Lyapunov data on the problem")
     if k0 is None:
@@ -516,7 +504,7 @@ def check_barrier(sol: DiscountedSolution, p: ControlProblem, grid: Grid,
     if k0 is None:
         raise ValueError("no k0 available; fit a Lyapunov certificate first")
     if c_floor is None:
-        c_floor = sol.alpha if sol.alpha is not None else sol.diagnostics.get("c_floor")
+        c_floor = sol.diagnostics.get("c_floor")
     if c_floor is None or c_floor <= 0:
         raise ValueError("barrier check needs a positive c_floor")
     bound = k0 / c_floor + np.asarray(p.lyapunov.V(grid.nodes), dtype=float)

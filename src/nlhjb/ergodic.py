@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discounted import (DiscountedSolution, NormalizedSolution,
+from .discounted import (DiscountedSolution, NormalizedSolution, SolveCounts,
                          solve_normalized, solve_policy_iteration)
 from .grid import ExteriorRule, Grid, build_grid
 from .operators import DiscreteOperator, apply_inf, assemble
@@ -110,9 +110,8 @@ class ErgodicSolution:
     """The ergodic pair on ``grid`` with the sweep's traces.
 
     ``operator`` is the operator on the largest ball (no zeroth term, zero
-    exterior data); ``linear_solves`` counts the bordered solves of the
-    sweep and the radius ladder by solver, ``krylov_iterations`` their
-    BiCGStab iterations and ``near_factors`` the near-field factorizations.
+    exterior data); ``counts`` (:class:`SolveCounts`) is the sum of the
+    ``counts`` of every bordered solve of the sweep and the radius ladder.
     """
 
     u: np.ndarray
@@ -123,9 +122,7 @@ class ErgodicSolution:
     growth_report: dict
     converged: bool
     operator: DiscreteOperator
-    linear_solves: dict
-    krylov_iterations: int
-    near_factors: int
+    counts: SolveCounts
 
 
 def normalize_at_origin(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -184,21 +181,6 @@ def _ladder(domain: DomainConfig, operator, solve, stop_tol: float = -np.inf):
     return trace, op, sol
 
 
-def _counts() -> dict:
-    """Zero solver counts, summed by :func:`_tally`."""
-    return {"linear_solves": {"bicgstab": 0, "splu": 0}, "krylov_iterations": 0,
-            "near_factors": 0}
-
-
-def _tally(counts: dict, solved: dict) -> None:
-    """Add one solve's ``linear_solves``, ``krylov_iterations`` and
-    ``near_factors`` to ``counts``."""
-    for tag, count in solved["linear_solves"].items():
-        counts["linear_solves"][tag] += count
-    counts["krylov_iterations"] += solved["krylov_iterations"]
-    counts["near_factors"] += solved["near_factors"]
-
-
 def expand_domain(p: ControlProblem, alpha: float | None,
                   domain: DomainConfig, tol: float, *,
                   ext: ExteriorRule | None = None,
@@ -208,22 +190,21 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     Stops once the restriction to the inner window (``domain.window_radius``)
     moves by at most ``tol`` between consecutive radii; exhaustion without
     stabilisation is flagged in the diagnostics, not raised.  There,
-    ``"linear_solves"``, ``"krylov_iterations"`` and ``"near_factors"`` sum
-    the solver counts, the BiCGStab iterations and the near-field
-    factorizations over all radii, and ``"operator"`` is the operator on the
-    last radius solved.
+    ``"operator"`` is the operator on the last radius solved; ``counts``
+    sums the ``counts`` of every radius's solve.
     """
     ext = ext if ext is not None else ExteriorRule.zero()
-    counts = _counts()
+    counts = SolveCounts()
 
     def solve(op, w0, policy0):
         sol = solve_policy_iteration(op, tol, max_iter=max_iter, w0=w0, policy0=policy0)
-        _tally(counts, sol.diagnostics)
+        counts.add(sol.counts)
         return sol.w, sol.policy, sol
 
     trace, op, sol = _ladder(domain, lambda R: _operator(p, domain, R, ext, alpha),
                              solve, stop_tol=tol)
-    sol.diagnostics.update(counts, radius_trace=trace, operator=op,
+    sol.counts = counts
+    sol.diagnostics.update(radius_trace=trace, operator=op,
                            radius_stabilized=trace[-1][1] <= tol)
     return sol
 
@@ -249,7 +230,7 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     near-field factor of a policy that comes back.  A solve that falls back
     to sparse LU (its near-field factor failed, or its pair's true residual
     exceeded a tenth of the inner tolerance) leaves the next one to try
-    BiCGStab again.
+    BiCGStab again.  ``counts`` sums the ``counts`` of every solve made.
     """
     inner_tol = solver_tol if solver_tol is not None else tol
     ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}
@@ -259,12 +240,12 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     levels: list[AlphaLevel] = []
     sol: NormalizedSolution | None = None
     converged = False
-    counts = _counts()
+    counts = SolveCounts()
 
     def normalized(op, alpha, v0, policy0):
         out = solve_normalized(op, alpha, inner_tol, max_iter=max_iter,
                                v0=v0, policy0=policy0)
-        _tally(counts, vars(out))
+        counts.add(out.counts)
         return out
 
     for alpha in schedule.alphas():
@@ -294,7 +275,7 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     return ErgodicSolution(
         u=u, lambda_star=sol.m, grid=final_grid, alpha_trace=levels,
         radius_trace=trace, growth_report=_growth_report(u, final_grid, p),
-        converged=converged, operator=final_op, **counts)
+        converged=converged, operator=final_op, counts=counts)
 
 
 def convergence_study(p: ControlProblem, domain: DomainConfig,

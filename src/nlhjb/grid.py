@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Grid", "ExteriorRule", "build_grid", "evaluate_extended", "lattice_box"]
+__all__ = ["Grid", "ExteriorRule", "build_grid", "lattice_box"]
 
 
 def lattice_box(d: int, k: int) -> np.ndarray:
@@ -122,25 +122,3 @@ def build_grid(d: int, hx: float, R: float) -> Grid:
     return Grid(d=d, hx=hx, R=R, lattice=lattice, nodes=nodes,
                 origin_index=origin, _halfwidth=k, _table=table)
 
-
-def evaluate_extended(grid: Grid, field_values: np.ndarray,
-                      rule: ExteriorRule, x: np.ndarray) -> np.ndarray:
-    """Evaluate a grid function at lattice-shifted points, extending by ``rule``.
-
-    ``x`` may be a single point (d,) or a batch (..., d); points that coincide
-    with grid nodes return the stored value, everything else goes through the
-    exterior rule.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    z = np.rint(pts / grid.hx).astype(np.int64)
-    on_lattice = np.all(np.abs(pts - z * grid.hx) <= 1e-9 * max(1.0, grid.hx), axis=1)
-    idx = grid.node_index_of_lattice(z)
-    idx = np.where(on_lattice, idx, -1)
-    out = np.empty(pts.shape[0])
-    interior = idx >= 0
-    out[interior] = np.asarray(field_values)[idx[interior]]
-    if np.any(~interior):
-        out[~interior] = rule(pts[~interior])
-    return out[0] if single else out

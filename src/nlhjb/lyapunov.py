@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, lattice_box
-from .operators import _LatticeConvolution
+from .operators import _COMPENSATOR_RADIUS, _LatticeConvolution
 from .problem import ControlProblem, LyapunovData
 from .quadrature import JumpQuadrature
 
@@ -128,7 +128,7 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
             val += np.einsum("nij,nij->n", a.reshape(-1, grid.d, grid.d), H)
             levy = p.mixed.levy_for(t)
             if levy is not None and q is not None:
-                val += _levy_on_V(ly, grid, q, levy, p.mixed.compensator_radius)
+                val += _levy_on_V(ly, grid, q, levy)
         if include_zeroth:
             if p.zeroth is not None:
                 val += np.asarray(p.zeroth[t](x), dtype=float) * Vx
@@ -138,8 +138,7 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
     return out
 
 
-def _levy_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern,
-               comp_radius: float) -> np.ndarray:
+def _levy_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndarray:
     # offsets only: the origin cell and the beyond-R_far tail are dropped
     # (integrable against |y|^2 K and the majorant respectively)
     x = grid.nodes
@@ -151,7 +150,7 @@ def _levy_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern,
         y = sign * q.half_offsets
         kv = np.asarray(kern(x[:, None, :], y[None, :, :]), dtype=float)
         vy = np.asarray(ly.V(x[:, None, :] + y[None, :, :]), dtype=float)
-        comp = np.where(np.linalg.norm(y, axis=1)[None, :] <= comp_radius,
+        comp = np.where(np.linalg.norm(y, axis=1)[None, :] <= _COMPENSATOR_RADIUS,
                         np.einsum("nd,md->nm", gV, y), 0.0)
         out += celld * np.einsum("nm,nm->n", kv, vy - Vx[:, None] - comp)
     return out

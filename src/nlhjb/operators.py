@@ -44,6 +44,11 @@ class MonotonicityError(RuntimeError):
     """A negative or non-finite stencil weight survived assembly."""
 
 
+# The Lévy–Itô part compensates its jumps y with |y| <= this radius, here
+# and in the drift certificate of :mod:`nlhjb.lyapunov`.
+_COMPENSATOR_RADIUS = 1.0
+
+
 def _fast_len(n: int) -> int:
     """The smallest 5-smooth integer >= n, a fast real FFT length."""
     while True:
@@ -518,7 +523,7 @@ def _assemble_levy(bld: _StencilBuilder, ws: _Workspace, kern) -> np.ndarray:
         w = celld * kv
         bld.add_targets(w, idx, extv)
         bld.diag -= w.sum(axis=1)
-        inside = np.linalg.norm(y, axis=1) <= 1.0
+        inside = np.linalg.norm(y, axis=1) <= _COMPENSATOR_RADIUS
         beta -= np.einsum("nm,md->nd", w[:, inside], y[inside])
     # singular cell around the origin: second-difference with ½ ∫ y_i² K
     qsub = 16

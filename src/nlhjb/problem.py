@@ -81,12 +81,12 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class MixedSpec:
-    """Local second-order part and optional Lévy–Itô jump part."""
+    """Local second-order part and optional Lévy–Itô jump part, whose
+    jumps are compensated on |y| <= 1."""
 
     a: Callable[[np.ndarray], np.ndarray] | Sequence[Callable]   # (n,d)->(n,d,d)
     levy_kernel: KernelField | Sequence[KernelField] | None = None
     levy_majorant: ScalarField | None = None
-    compensator_radius: float = 1.0
 
     def a_for(self, tau: int):
         if callable(self.a):
@@ -118,7 +118,6 @@ class LyapunovData:
     k0: float | None = None
     k1: float | None = None
     gamma: float | None = None
-    growth_radius: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -280,7 +279,7 @@ def validate_problem(p: ControlProblem, grid: Grid, offsets) -> ValidationReport
                 zpts = steps[:, None] * ray[None, :]
                 pts = zpts.astype(float) * grid.hx
                 rr = np.linalg.norm(pts, axis=1)
-                sel = rr >= ly.growth_radius
+                sel = rr >= 1.0   # the growth radius
                 if np.count_nonzero(sel) < 2:
                     continue
                 for fname, fvals in (("V", ly.V(pts[sel])), ("h", ly.h(pts[sel]))):

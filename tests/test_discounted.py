@@ -310,7 +310,7 @@ class TestBarrier:
         sol = nl.DiscountedSolution(w=np.zeros(g.n_nodes),
                                     policy=np.zeros(g.n_nodes, dtype=int),
                                     residual_inf_norm=0.0, iterations=0,
-                                    alpha=0.5, converged=True)
+                                    converged=True, diagnostics={"c_floor": 0.5})
         rep = nl.check_barrier(sol, p, g, k0=1.0)
         assert rep.ok and rep.n_violations == 0
 
@@ -322,7 +322,7 @@ class TestBarrier:
         w = V + 2 * k0 / alpha
         sol = nl.DiscountedSolution(w=w, policy=np.zeros(g.n_nodes, dtype=int),
                                     residual_inf_norm=0.0, iterations=0,
-                                    alpha=alpha, converged=True)
+                                    converged=True, diagnostics={"c_floor": alpha})
         rep = nl.check_barrier(sol, p, g, k0=k0)
         assert not rep.ok and rep.n_violations > 0
 
@@ -332,7 +332,7 @@ class TestBarrier:
         sol = nl.DiscountedSolution(w=np.zeros(g.n_nodes),
                                     policy=np.zeros(g.n_nodes, dtype=int),
                                     residual_inf_norm=0.0, iterations=0,
-                                    alpha=0.5, converged=True)
+                                    converged=True, diagnostics={"c_floor": 0.5})
         with pytest.raises(ValueError, match="Lyapunov"):
             nl.check_barrier(sol, p, g, k0=1.0)
 

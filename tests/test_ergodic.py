@@ -171,7 +171,7 @@ class TestVanishingDiscount:
         sol = nl.vanishing_discount(p, dom, nl.AlphaSchedule(max_levels=25), 1e-6,
                                     solver_tol=1e-9)
         assert sol.converged
-        assert sol.linear_solves["splu"] == 0
+        assert sol.counts.linear_solves["splu"] == 0
         assert abs(sol.lambda_star - 0.22482180072756755) <= 1e-8
 
     def test_fallback_does_not_pin_the_sweep_to_lu(self, monkeypatch):
@@ -191,8 +191,8 @@ class TestVanishingDiscount:
         monkeypatch.setattr(spla, "bicgstab", fail_first)
         sol = nl.vanishing_discount(p, DOM1, SCHED, 1e-4, solver_tol=1e-8)
         assert sol.converged and len(calls) > 1
-        assert sol.linear_solves["splu"] == 1
-        assert sol.linear_solves["bicgstab"] == want.linear_solves["bicgstab"] - 1
+        assert sol.counts.linear_solves["splu"] == 1
+        assert sol.counts.linear_solves["bicgstab"] == want.counts.linear_solves["bicgstab"] - 1
         assert abs(sol.lambda_star - want.lambda_star) <= 1e-8
 
     def test_growth_report_tail_nonincreasing(self):
@@ -202,6 +202,51 @@ class TestVanishingDiscount:
         assert len(rays) == 2  # both signs in d=1
         # o(V) proxy: |u|/(1+V) falls off at the outermost sampled radii
         assert sol.growth_report["nonincreasing_tail"] is True
+
+
+class TestSolveCounts:
+    """``counts`` of a sweep or a ladder is the exact sum of its Howard solves."""
+
+    RUNS = {
+        "vanishing_discount": ("solve_normalized", lambda p: nl.vanishing_discount(
+            p, DOM1, SCHED, 1e-4, solver_tol=1e-8)),
+        "expand_domain": ("solve_policy_iteration", lambda p: nl.expand_domain(
+            p, 0.25, nl.DomainConfig(d=1, hx=0.5, radii=(4.0, 8.0, 16.0)), 1e-12)),
+    }
+
+    @pytest.mark.parametrize("fail_first", [False, True])
+    @pytest.mark.parametrize("driver", sorted(RUNS))
+    def test_counts_sum_every_howard_solve(self, monkeypatch, driver, fail_first):
+        import copy
+        import nlhjb.ergodic as erg
+        name, run = self.RUNS[driver]
+        solve, bicgstab, made, calls = getattr(erg, name), spla.bicgstab, [], []
+
+        def recording(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            # a copy: expand_domain puts its total on the last solve it returns
+            made.append((out.iterations, copy.deepcopy(out.counts)))
+            return out
+
+        def fail_first_call(A, b, *args, **kwargs):
+            calls.append(A)
+            if fail_first and len(calls) == 1:
+                return np.zeros_like(b), 1
+            return bicgstab(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(erg, name, recording)
+        monkeypatch.setattr(spla, "bicgstab", fail_first_call)
+        sol = run(nl.power_drift_problem(1.6, 0.1, 1, 0.9))
+        assert sol.converged and len(made) >= 3
+        for iterations, counts in made:
+            assert sum(counts.linear_solves.values()) == iterations
+        assert vars(sol.counts) == {
+            "linear_solves": {tag: sum(c.linear_solves[tag] for _, c in made)
+                              for tag in ("bicgstab", "splu")},
+            "krylov_iterations": sum(c.krylov_iterations for _, c in made),
+            "near_factors": sum(c.near_factors for _, c in made)}
+        assert sol.counts.linear_solves["splu"] == int(fail_first)
+        assert sol.counts.krylov_iterations > made[-1][1].krylov_iterations
 
 
 class TestNormalization:

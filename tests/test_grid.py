@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlhjb import ExteriorRule, build_grid, evaluate_extended
+from nlhjb import build_grid
 from nlhjb.grid import lattice_box
 
 
@@ -114,20 +114,3 @@ def test_origin_within_half_spacing():
     g = build_grid(2, 0.3, 4.0)
     assert np.linalg.norm(g.nodes[g.origin_index]) <= g.hx / 2
 
-
-def test_evaluate_extended_interior_identity():
-    g = build_grid(1, 0.5, 4.0)
-    field = np.arange(g.n_nodes, dtype=float)
-    vals = evaluate_extended(g, field, ExteriorRule.zero(), g.nodes)
-    assert np.array_equal(vals, field)
-
-
-def test_evaluate_extended_exterior_zero_and_function():
-    g = build_grid(1, 1.0, 4.0)
-    field = np.full(g.n_nodes, 3.7)
-    assert evaluate_extended(g, field, ExteriorRule.zero(), np.array([5.0])) == 0.0
-    rule = ExteriorRule.function(lambda x: np.abs(x[..., 0]) ** 0.9)
-    got = evaluate_extended(g, field, rule, np.array([5.0]))
-    assert got == pytest.approx(5.0**0.9, rel=1e-14)
-    # interior point keeps the stored value
-    assert evaluate_extended(g, field, rule, np.array([2.0])) == 3.7

@@ -1,11 +1,17 @@
-"""The package imports numpy and scipy.sparse only.
+"""The package imports numpy and scipy.sparse only, and exports what it lists.
 
 The lattice convolution, the real FFT length, the Gamma function and the
 angular integral of the 2-d origin cell are computed with numpy and
-``math``; these tests pin each against the scipy routine it replaced.
+``math``; these tests pin each against the scipy routine it replaced.  The
+exports are checked against what the traced bench (``bench/tracer.py``)
+wraps.
 """
 
+import importlib
+import importlib.util
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +36,39 @@ def test_import_loads_no_unused_scipy_subpackage():
     out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
                          text=True, cwd=src, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def bench_tracer():
+    """``bench/tracer.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def package_modules():
+    return {info.name: importlib.import_module(f"nlhjb.{info.name}")
+            for info in pkgutil.iter_modules(nl.__path__)}
+
+
+def test_every_listed_export_resolves():
+    missing = [f"nlhjb.{attr}" for attr in nl.__all__ if not hasattr(nl, attr)]
+    for name, mod in package_modules().items():
+        missing += [f"nlhjb.{name}.{attr}" for attr in getattr(mod, "__all__", ())
+                    if not hasattr(mod, attr)]
+    assert missing == []
+
+
+def test_traced_bench_has_a_metric_for_every_module_with_public_functions():
+    # the tracer wraps each function in a module's __all__ and raises KeyError
+    # for a module that it neither maps to a metric nor leaves untraced
+    tracer = bench_tracer()
+    unmapped = [name for name, mod in package_modules().items()
+                if name not in tracer.MODULE_METRIC and name not in tracer.UNTRACED
+                and any(inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                        for fn in (getattr(mod, a, None) for a in getattr(mod, "__all__", ())))]
+    assert unmapped == []
 
 
 def test_fast_len_matches_scipy():

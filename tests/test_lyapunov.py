@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nlhjb as nl
+from nlhjb.lyapunov import _levy_on_V
 from nlhjb.problem import LyapunovData
 
 
@@ -116,10 +117,9 @@ class TestMixed:
 
     def test_levy_part_matches_per_node_offset_sum(self):
         import dataclasses
-        from nlhjb.lyapunov import _levy_on_V
         p, g, q = self.problem_grid_quadrature()
         ly = p.lyapunov
-        got = _levy_on_V(ly, g, q, self.levy, 1.0)
+        got = _levy_on_V(ly, g, q, self.levy)
         want = np.empty(g.n_nodes)
         for i, x in enumerate(g.nodes):
             vx, gv = ly.V(x[None])[0], ly.grad_V(x[None])[0]
@@ -137,6 +137,42 @@ class TestMixed:
         diff = (nl.evaluate_lyapunov_drift(both, g, q)
                 - nl.evaluate_lyapunov_drift(local, g, q))
         np.testing.assert_allclose(diff, want, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_levy_part_compensates_like_the_assembled_operator(self, d):
+        # On a linear V the assembled Lévy part is exact: upwinded first
+        # differences and the origin cell's second difference of V are exact,
+        # so both sides differ only if they compensate different balls |y| <= r
+        slope = np.array([0.7, -0.4])[:d]
+
+        def V(x):
+            return 2.0 + np.asarray(x, float) @ slope
+
+        ly = LyapunovData(
+            V=V, grad_V=lambda x: np.broadcast_to(slope, np.shape(x)).copy(),
+            hess_V=lambda x: np.zeros((np.atleast_2d(x).shape[0], d, d)),
+            h=lambda x: np.ones(np.shape(x)[:-1]), envelope_exponent=1.0, mu=0.0)
+
+        def levy(x, y):
+            # x-dependent and not even in y, as in :meth:`levy`, of order 1.5
+            x, y = np.asarray(x, float), np.asarray(y, float)
+            ry = np.linalg.norm(y, axis=-1)
+            return ((1.0 + 0.3 * np.cos(x[..., 0])) * (1.0 + 0.2 * np.tanh(y[..., 0]))
+                    * np.exp(-ry) * ry ** -(d + 1.5))
+
+        p = nl.ControlProblem(
+            controls=("tau",), kernel=None, lyapunov=ly,
+            drift=(lambda x: np.zeros(np.shape(x)),),
+            cost=(lambda x: np.zeros(np.shape(x)[:-1]),),
+            mixed=nl.MixedSpec(
+                a=lambda x: np.zeros((np.atleast_2d(x).shape[0], d, d)), levy_kernel=levy,
+                levy_majorant=lambda y: 1.2 * np.exp(-np.linalg.norm(y, axis=-1))))
+        g = nl.build_grid(d, 0.5, 3.0)
+        q = nl.build_quadrature(g, 0.75, 4.0)
+        op = nl.assemble(p, g, q, nl.ExteriorRule.function(V))
+        got = nl.apply_control(op, 0, V(g.nodes))
+        np.testing.assert_allclose(got, _levy_on_V(ly, g, q, levy), rtol=0, atol=1e-12)
+        assert np.max(np.abs(got)) > 0.01
 
 
 class TestFitEnvelope:

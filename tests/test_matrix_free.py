@@ -271,7 +271,7 @@ class TestSolves:
             assert sol.converged
             assert sol.iterations <= 5
             assert sol.residual_inf_norm <= 1e-9
-            assert sol.diagnostics["linear_solves"]["splu"] == 0
+            assert sol.counts.linear_solves["splu"] == 0
 
     def test_bicgstab_failure_falls_back_to_splu_on_csr(self, monkeypatch):
         p = constant_kernel_problem(7, 2, 0.8, [0.3, 0.5])
@@ -279,7 +279,7 @@ class TestSolves:
         q = nl.build_quadrature(g, 0.8, 3.5)
         op = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.4)
         want = nl.solve_policy_iteration(op, 1e-11)
-        assert want.diagnostics["linear_solves"]["splu"] == 0
+        assert want.counts.linear_solves["splu"] == 0
         assert op.jump.stencils is None
         bicgstab = spla.bicgstab
         calls = []
@@ -293,8 +293,8 @@ class TestSolves:
         monkeypatch.setattr(spla, "bicgstab", fail_first)
         got = nl.solve_policy_iteration(op, 1e-11)
         assert isinstance(calls[0], _PolicySystem)
-        assert got.diagnostics["linear_solves"]["splu"] == 1
-        assert got.diagnostics["linear_solves"]["bicgstab"] == got.iterations - 1
+        assert got.counts.linear_solves["splu"] == 1
+        assert got.counts.linear_solves["bicgstab"] == got.iterations - 1
         assert op.jump.stencils is not None   # the fallback factorised op.csr()
         assert np.max(np.abs(got.w - want.w)) <= 1e-10
 
@@ -327,8 +327,8 @@ class TestSolves:
         domain = nl.DomainConfig(d=2, hx=0.5, radii=(2.0, 4.0))
         sol = nl.expand_domain(p, 0.5, domain, 1e-9)
         assert sol.converged
-        assert sol.diagnostics["linear_solves"]["splu"] == 0
-        assert sol.diagnostics["linear_solves"]["bicgstab"] >= 2
+        assert sol.counts.linear_solves["splu"] == 0
+        assert sol.counts.linear_solves["bicgstab"] >= 2
 
 
 def bordered_operator(seed, d=2, x_only=(True, False), R=4.0):
@@ -476,8 +476,8 @@ class TestBorderedKrylov:
         op = bordered_operator(5)
         fast = nl.solve_normalized(op, 0.05, 1e-9)
         ref = nl.solve_normalized(op.csr(), 0.05, 1e-9)
-        assert fast.linear_solves == {"bicgstab": fast.iterations, "splu": 0}
-        assert ref.linear_solves == {"bicgstab": ref.iterations, "splu": 0}
+        assert fast.counts.linear_solves == {"bicgstab": fast.iterations, "splu": 0}
+        assert ref.counts.linear_solves == {"bicgstab": ref.iterations, "splu": 0}
         assert np.array_equal(fast.policy, ref.policy)
         assert abs(fast.m - ref.m) <= 1e-10
         assert float(np.max(np.abs(fast.v - ref.v))) <= 1e-10
@@ -511,7 +511,7 @@ class TestBorderedKrylov:
         op2 = nl.assemble(p2, op1.grid, op1.quadrature, nl.ExteriorRule.zero())
         s1 = nl.solve_normalized(op1, 0.05, 1e-9)
         s2 = nl.solve_normalized(op2, 0.05, 1e-9)
-        assert s1.linear_solves["splu"] == s2.linear_solves["splu"] == 0
+        assert s1.counts.linear_solves["splu"] == s2.counts.linear_solves["splu"] == 0
         assert s1.m <= s2.m + 1e-9
 
 
@@ -669,8 +669,8 @@ class TestNearField:
 
         monkeypatch.setattr(spla, "splu", singular)
         got = nl.solve_normalized(op, 0.05, 1e-9)
-        assert got.linear_solves == {"bicgstab": 0, "splu": got.iterations}
-        assert got.krylov_iterations == 0
+        assert got.counts.linear_solves == {"bicgstab": 0, "splu": got.iterations}
+        assert got.counts.krylov_iterations == 0
         assert abs(got.m - want.m) <= 1e-10
         assert float(np.max(np.abs(got.v - want.v))) <= 1e-10
         A, const = _policy_system(op.with_alpha(0.4), np.zeros(op.n_nodes, dtype=np.int64))
@@ -697,11 +697,11 @@ class TestNearField:
 
         monkeypatch.setattr(spla, "bicgstab", recording)
         sol = nl.solve_normalized(bordered_operator(5), 0.05, 1e-9)
-        assert sol.linear_solves["bicgstab"] == sol.iterations
-        assert sol.krylov_iterations == sum(-(-k // 2) for k in runs) > 0
+        assert sol.counts.linear_solves["bicgstab"] == sol.iterations
+        assert sol.counts.krylov_iterations == sum(-(-k // 2) for k in runs) > 0
         runs.clear()
         disc = nl.solve_policy_iteration(bordered_operator(5).with_alpha(0.4), 1e-9)
-        assert disc.diagnostics["krylov_iterations"] == sum(-(-k // 2) for k in runs) > 0
+        assert disc.counts.krylov_iterations == sum(-(-k // 2) for k in runs) > 0
         # the near field of a purely local operator is the whole system, so
         # each solve stops at the half step of its first iteration
         runs.clear()
@@ -710,8 +710,8 @@ class TestNearField:
                                         "local_identity": True},
                             "grid": {"d": 2, "hx": 0.5, "radii": [2.0, 3.0]}})
         exact = nl.expand_domain(build_problem(cfg), 0.5, cfg.grid, 1e-9)
-        assert runs == [1] * exact.diagnostics["linear_solves"]["bicgstab"]
-        assert exact.diagnostics["krylov_iterations"] == len(runs) > 0
+        assert runs == [1] * exact.counts.linear_solves["bicgstab"]
+        assert exact.counts.krylov_iterations == len(runs) > 0
 
 
 def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
@@ -735,16 +735,16 @@ def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
     warm_calls = len(calls)
     calls.clear()
 
-    def cold_krylov(A, b, atol, accept, maxiter, x0=None, count=None):
-        return krylov(A, b, atol, accept, maxiter, None, count)
+    def cold_krylov(A, b, atol, accept, maxiter, x0=None, counts=None):
+        return krylov(A, b, atol, accept, maxiter, None, counts)
 
     with mock.patch.object(discounted, "_krylov", cold_krylov):
         cold = nl.solve_normalized(op, 0.05, 1e-9, v0=above.v, policy0=above.policy)
     assert warm.converged and cold.converged
-    assert warm.linear_solves == cold.linear_solves == {"bicgstab": warm.iterations,
+    assert warm.counts.linear_solves == cold.counts.linear_solves == {"bicgstab": warm.iterations,
                                                         "splu": 0}
     assert warm_calls < len(calls)
-    assert warm.krylov_iterations < cold.krylov_iterations
+    assert warm.counts.krylov_iterations < cold.counts.krylov_iterations
     assert abs(warm.m - cold.m) <= 1e-10
     assert float(np.max(np.abs(warm.v - cold.v))) <= 1e-10
 
