@@ -50,12 +50,6 @@ def _write_solution_csv(path: Path, grid, values: np.ndarray) -> None:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def _validation_summary(prob, grid, q) -> list[dict]:
-    if q is None:
-        return []
-    return validate_problem(prob, grid, q).summary()
-
-
 def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     """Ergodic run: exit code and the solver counts for ``run_meta.json``."""
     prob = build_problem(cfg)
@@ -146,7 +140,7 @@ def _run_certify(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     values = evaluate_lyapunov_drift(prob, grid, q)
     cert = fit_envelope(values, prob.lyapunov, grid)
     payload = cert.to_dict()
-    payload["validation"] = _validation_summary(prob, grid, q)
+    payload["validation"] = validate_problem(prob, grid, q).summary()
     _write_json(outdir / "certificate.json", payload)
     _write_json(outdir / "report.json", {
         "mode": "certify", "ok": bool(cert.ok), "k0": cert.k0, "k1": cert.k1,

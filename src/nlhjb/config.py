@@ -135,6 +135,10 @@ class AlphaConfig:
     values: tuple[float, ...] | None = None
     tol: float = 1e-6
 
+    def __post_init__(self):
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -1,11 +1,12 @@
 """Discounted bounded-domain solves: inf_tau(L_tau w + c_tau w + g_tau) = 0.
 
-Howard policy iteration is the solver (frozen-policy linear solve, then
-pointwise policy improvement); a damped value iteration is a slower,
-independent alternative for the same fixed point.  ``solve_normalized``
-treats the origin-normalised unknown pair (v, m) with v = 0 exterior data,
-which is the formulation the ergodic driver relies on: constant cost shifts
-move m exactly and never touch v.
+Howard policy iteration is the one solver (frozen-policy linear solve, then
+pointwise policy improvement).  ``solve_policy_iteration`` treats the plain
+discounted problem; ``solve_normalized`` treats the origin-normalised
+unknown pair (v, m) with v = 0 exterior data, which is the formulation the
+ergodic driver relies on: constant cost shifts move m exactly and never
+touch v.  ``check_barrier`` tests a discounted solution against the
+Lyapunov barrier k0/c_floor + V.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, lattice_box
-from .operators import DiscreteOperator, _stacked_inf, apply_inf
+from .operators import DiscreteOperator, _stacked_inf
 from .problem import ControlProblem
 
 __all__ = [
     "SolveCounts", "DiscountedSolution", "NormalizedSolution", "BarrierReport",
-    "solve_policy_iteration", "solve_value_iteration", "solve_normalized",
+    "solve_policy_iteration", "solve_normalized",
     "check_barrier",
 ]
 
@@ -415,33 +416,6 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
     )
 
 
-def solve_value_iteration(op: DiscreteOperator, tol: float,
-                          max_iter: int = 200_000) -> DiscountedSolution:
-    """Damped pointwise fixed point u <- u + eta * apply_inf(u).
-
-    A slower alternative to :func:`solve_policy_iteration` that needs no
-    linear solve; the tests use it as an independent reference.
-    """
-    u = np.zeros(op.n_nodes)
-    dmax = max(float(np.max(np.abs(op.diagonal(t))))
-               for t in range(len(op.controls)))
-    eta = 1.0 / dmax
-    residual = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        vals, policy = apply_inf(op, u)
-        residual = float(np.max(np.abs(vals)))
-        if residual <= tol:
-            break
-        u = u + eta * vals
-    vals, policy = apply_inf(op, u)
-    return DiscountedSolution(
-        w=u, policy=policy, residual_inf_norm=float(np.max(np.abs(vals))),
-        iterations=it, converged=residual <= tol,
-        diagnostics={"eta": eta},
-    )
-
-
 def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
                      max_iter: int = 60,
                      v0: np.ndarray | None = None,
@@ -493,16 +467,15 @@ class BarrierReport:
 
 
 def check_barrier(sol: DiscountedSolution, p: ControlProblem, grid: Grid,
-                  k0: float | None = None,
-                  c_floor: float | None = None) -> BarrierReport:
-    """Pointwise check of |w(x)| <= k0/c_floor + V(x) on the grid; c_floor
-    defaults to ``sol.diagnostics["c_floor"]``, alpha when every c is -alpha."""
+                  k0: float, c_floor: float | None = None) -> BarrierReport:
+    """Pointwise check of |w(x)| <= k0/c_floor + V(x) on the grid.
+
+    ``k0`` is the constant of a fitted Lyapunov certificate
+    (:func:`~nlhjb.lyapunov.fit_envelope`); c_floor defaults to
+    ``sol.diagnostics["c_floor"]``, alpha when every c is -alpha.
+    """
     if p.lyapunov is None:
         raise ValueError("barrier check needs Lyapunov data on the problem")
-    if k0 is None:
-        k0 = p.lyapunov.k0
-    if k0 is None:
-        raise ValueError("no k0 available; fit a Lyapunov certificate first")
     if c_floor is None:
         c_floor = sol.diagnostics.get("c_floor")
     if c_floor is None or c_floor <= 0:

@@ -20,7 +20,7 @@ import numpy as np
 from .discounted import (DiscountedSolution, NormalizedSolution, SolveCounts,
                          solve_normalized, solve_policy_iteration)
 from .grid import ExteriorRule, Grid, build_grid
-from .operators import DiscreteOperator, apply_inf, assemble
+from .operators import DiscreteOperator, assemble
 from .problem import ControlProblem
 from .quadrature import build_quadrature
 
@@ -28,7 +28,6 @@ __all__ = [
     "DomainConfig", "AlphaSchedule", "AlphaLevel", "ErgodicSolution",
     "expand_domain", "vanishing_discount", "convergence_study",
     "normalize_at_origin", "check_bar_w_bound", "check_lambda_bound",
-    "verify_ergodic_pair",
 ]
 
 
@@ -52,6 +51,11 @@ class DomainConfig:
             raise ValueError("radii must be strictly increasing")
         if self.radii[0] < 4 * self.hx:
             raise ValueError("radii[0] must be at least 4*hx")
+        if self.r_far_margin < 1:
+            # the quadrature must reach every exterior point a node can see
+            raise ValueError(f"r_far_margin must be at least 1, got {self.r_far_margin}")
+        if self.inner_radius is not None and self.inner_radius <= 0:
+            raise ValueError(f"inner_radius must be positive, got {self.inner_radius}")
 
     @property
     def window_radius(self) -> float:
@@ -86,12 +90,6 @@ class AlphaSchedule:
         for _ in range(self.max_levels):
             yield a
             a *= self.factor
-
-    def scaled(self, factor: float) -> "AlphaSchedule":
-        if self.explicit is not None:
-            return AlphaSchedule(explicit=tuple(a * factor for a in self.explicit))
-        return AlphaSchedule(start=self.start * factor, factor=self.factor,
-                             max_levels=self.max_levels)
 
 
 @dataclass(eq=False)
@@ -389,39 +387,3 @@ def check_lambda_bound(levels: list[AlphaLevel], p: ControlProblem, grid: Grid,
     v0 = float(np.asarray(p.lyapunov.V(grid.nodes[grid.origin_index][None, :]))[0])
     margins = tuple(k0 + lv.alpha * v0 - abs(lv.lam) for lv in levels)
     return LambdaBoundReport(ok=all(m >= -1e-12 for m in margins), margins=margins)
-
-
-@dataclass(frozen=True)
-class PairVerification:
-    residual: float
-    residual_ok: bool
-    probe_lambda_diff: float | None
-    probe_u_diff: float | None
-    probe_ok: bool | None
-
-    @property
-    def ok(self) -> bool:
-        return self.residual_ok and (self.probe_ok is not False)
-
-
-def verify_ergodic_pair(sol: ErgodicSolution, p: ControlProblem,
-                        domain: DomainConfig, schedule: AlphaSchedule,
-                        tol: float, *, uniqueness_probe: bool = True,
-                        probe_factor: float = 0.8) -> PairVerification:
-    """Recompute ||apply_inf(u) - lambda*|| on the inner window and probe
-    uniqueness by re-running from a perturbed alpha schedule."""
-    vals, _ = apply_inf(sol.operator, sol.u)
-    win = _window_indices(sol.grid, domain.window_radius)
-    residual = float(np.max(np.abs(vals[win] - sol.lambda_star)))
-    residual_ok = residual <= 1.05 * tol
-
-    dlam = du = None
-    probe_ok = None
-    if uniqueness_probe:
-        other = vanishing_discount(p, domain, schedule.scaled(probe_factor), tol)
-        dlam = abs(other.lambda_star - sol.lambda_star)
-        du = float(np.max(np.abs(other.u[win] - sol.u[win])))
-        probe_ok = (dlam <= 5 * tol) and (du <= 5 * tol)
-    return PairVerification(residual=residual, residual_ok=residual_ok,
-                            probe_lambda_diff=dlam, probe_u_diff=du,
-                            probe_ok=probe_ok)

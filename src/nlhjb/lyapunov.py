@@ -9,7 +9,6 @@ h(x) = k1 |x|^p with the decay exponent taken from the problem data.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,7 @@ from .operators import _COMPENSATOR_RADIUS, _LatticeConvolution
 from .problem import ControlProblem, LyapunovData
 from .quadrature import JumpQuadrature
 
-__all__ = ["LyapunovCertificate", "evaluate_lyapunov_drift", "fit_envelope",
-           "with_certificate"]
+__all__ = ["LyapunovCertificate", "evaluate_lyapunov_drift", "fit_envelope"]
 
 _SURFACE = {1: 2.0, 2: 2.0 * np.pi}
 
@@ -41,9 +39,6 @@ class LyapunovCertificate:
     @property
     def ok(self) -> bool:
         return len(self.violations) == 0 and self.k0 > 0 and self.k1 > 0
-
-    def recheck(self, shape: np.ndarray) -> bool:
-        return bool(np.all(self.values <= self.k0 - self.k1 * shape + 1e-12))
 
     def to_dict(self) -> dict:
         return {
@@ -95,11 +90,12 @@ def _jump_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndar
 
 
 def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
-                            q: JumpQuadrature | None, *,
-                            include_zeroth: bool = False,
-                            alpha: float | None = None) -> np.ndarray:
-    """sup over controls of [jump quadrature on V + b·∇V (+ a:D²V) (+ c V)].
+                            q: JumpQuadrature | None) -> np.ndarray:
+    """sup over controls of L_tau[V] = jump quadrature on V + b·∇V (+ a:D²V
+    + Lévy–Itô part), per node: the left side of the drift condition
+    sup_tau L_tau[V] <= k0 - h.
 
+    No zeroth-order term enters: the condition is on the generator alone.
     Drift and local parts use the analytic gradient and Hessian carried by the
     Lyapunov data; no numerical differentiation enters the certificate.
     """
@@ -107,7 +103,6 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
     if ly is None:
         raise ValueError("problem carries no Lyapunov data")
     x = grid.nodes
-    Vx = np.asarray(ly.V(x), dtype=float)
     gV = np.asarray(ly.grad_V(x), dtype=float).reshape(grid.n_nodes, grid.d)
     out = np.full(grid.n_nodes, -np.inf)
     jumps: dict = {}   # jump part per kernel, shared by controls with one kernel
@@ -129,11 +124,6 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
             levy = p.mixed.levy_for(t)
             if levy is not None and q is not None:
                 val += _levy_on_V(ly, grid, q, levy)
-        if include_zeroth:
-            if p.zeroth is not None:
-                val += np.asarray(p.zeroth[t](x), dtype=float) * Vx
-            elif alpha is not None:
-                val += -alpha * Vx
         out = np.maximum(out, val)
     return out
 
@@ -188,11 +178,3 @@ def fit_envelope(values: np.ndarray, lyap: LyapunovData,
         envelope_exponent=lyap.envelope_exponent, violations=violations,
         worst_margin=float(gap.min()), tail_mode=tail_mode,
         grid_d=grid.d, grid_hx=grid.hx, grid_R=grid.R)
-
-
-def with_certificate(p: ControlProblem, cert: LyapunovCertificate) -> ControlProblem:
-    """Return the problem with fitted (k0, k1) installed on its Lyapunov data."""
-    if p.lyapunov is None:
-        raise ValueError("problem carries no Lyapunov data")
-    ly = dataclasses.replace(p.lyapunov, k0=cert.k0, k1=cert.k1)
-    return dataclasses.replace(p, lyapunov=ly)

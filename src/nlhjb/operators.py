@@ -35,8 +35,7 @@ from .quadrature import JumpQuadrature
 
 __all__ = [
     "DiscreteOperator", "MonotonicityError", "assemble",
-    "apply_control", "apply_inf", "pucci_extremal", "jump_apply_reference",
-    "dump_stencils",
+    "apply_control", "apply_inf", "pucci_extremal",
 ]
 
 
@@ -246,14 +245,6 @@ class DiscreteOperator:
     def matrix(self, tau) -> sp.csr_matrix:
         t = self.control_index(tau)
         return (self.csr().base[t] + sp.diags(self.cvals[t])).tocsr()
-
-    def diagonal(self, tau) -> np.ndarray:
-        """Diagonal of ``matrix(tau)``, without building CSR stencils."""
-        t = self.control_index(tau)
-        diag = self.base[t].diagonal() + self.cvals[t]
-        if self.jump is not None:
-            diag = diag + self.jump.scale[t] * self.jump.conv.diag
-        return diag
 
     def constant(self, tau) -> np.ndarray:
         t = self.control_index(tau)
@@ -664,7 +655,7 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
 
 
 # ---------------------------------------------------------------------------
-# elementary δ decomposition (shared by the Pucci envelopes and reference path)
+# elementary δ decomposition of the Pucci envelopes
 
 
 def _delta_fields(grid: Grid, q: JumpQuadrature, u: np.ndarray, ext: ExteriorRule):
@@ -685,32 +676,16 @@ def _delta_fields(grid: Grid, q: JumpQuadrature, u: np.ndarray, ext: ExteriorRul
     return dlt_off, dlt_axis, dlt_tail
 
 
-def jump_apply_reference(q: JumpQuadrature, grid: Grid, u: np.ndarray,
-                         ext: ExteriorRule, kern) -> np.ndarray:
-    """Slow reference evaluation of the jump part, term order matching pucci."""
-    dlt_off, dlt_axis, dlt_tail = _delta_fields(grid, q, u, ext)
-    x = grid.nodes
-    kv = _kernel_values(kern, x[:, None, :], q.half_offsets[None, :, :])
-    out = np.sum(kv * (q.pair_weights[None, :] * dlt_off), axis=1)
-    for axis in range(grid.d):
-        e = _axis_unit(grid.d, axis).astype(float) * grid.hx
-        ka = _kernel_values(kern, x, e[None, :])
-        out += ka * (q.axis_coeff * dlt_axis[:, axis])
-        probe = _axis_unit(grid.d, axis).astype(float) * q.tail_probe_radius
-        kt = _kernel_values(kern, x, probe[None, :])
-        out += kt * ((q.tail_mass / grid.d) * dlt_tail[:, axis])
-    return out
-
-
 def pucci_extremal(q: JumpQuadrature, grid: Grid, u: np.ndarray,
                    ext: ExteriorRule, sign: str, lambda_ell: float,
                    Lambda_ell: float) -> np.ndarray:
     """Extremal operators over the kernel class (2-2s)λ ≤ k ≤ (2-2s)Λ.
 
-    ``sign='+'`` gives M⁺u (supremum), ``sign='-'`` gives M⁻u; each elementary
-    δ term is sign-split before weighting, so M⁻u ≤ I_k u ≤ M⁺u holds exactly
-    in floating point against :func:`jump_apply_reference` for any admissible
-    kernel.
+    ``sign='+'`` gives M⁺u (supremum), ``sign='-'`` gives M⁻u, the extremal
+    class of the paper's ellipticity band.  Each elementary δ term (offset
+    pair, axis correction, lumped tail) is sign-split before weighting, so
+    M⁻u ≤ I_k u ≤ M⁺u holds exactly in floating point for any admissible
+    kernel when I_k u sums the same terms in the same order.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -725,39 +700,4 @@ def pucci_extremal(q: JumpQuadrature, grid: Grid, u: np.ndarray,
     for axis in range(grid.d):
         out += extremal(q.axis_coeff * dlt_axis[:, axis])
         out += extremal((q.tail_mass / grid.d) * dlt_tail[:, axis])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def dump_stencils(op: DiscreteOperator, max_nodes: int = 64) -> dict:
-    """JSON-able stencil dump (node, control, offsets, weights, constant)."""
-    grid = op.grid
-    if grid.n_nodes > max_nodes:
-        raise ValueError(f"stencil dump capped at {max_nodes} nodes")
-    op = op.csr()
-    out = {"d": grid.d, "hx": grid.hx, "R": grid.R,
-           "controls": list(op.controls), "stencils": []}
-    for t, label in enumerate(op.controls):
-        m = op.matrix(t).tocoo()
-        for i in range(grid.n_nodes):
-            sel = m.row == i
-            entries = []
-            diag = 0.0
-            for j, v in zip(m.col[sel], m.data[sel]):
-                if j == i:
-                    diag = float(v)
-                else:
-                    entries.append({
-                        "offset": list(grid.nodes[j] - grid.nodes[i]),
-                        "weight": float(v),
-                    })
-            entries.sort(key=lambda e: tuple(e["offset"]))
-            out["stencils"].append({
-                "node": list(grid.nodes[i]), "control": label,
-                "entries": entries, "diagonal": diag,
-                "constant": float(op.gvals[t][i] + op.ext_const[t][i]),
-            })
     return out

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Grid
+from .quadrature import JumpQuadrature
 
 __all__ = [
     "KernelSpec", "MixedSpec", "LyapunovData", "ControlProblem",
@@ -103,10 +104,11 @@ class MixedSpec:
 
 @dataclass(frozen=True)
 class LyapunovData:
-    """Lyapunov pair (V, h) with analytic derivatives and fitted constants.
+    """Lyapunov pair (V, h) with analytic derivatives.
 
-    ``h`` carries the decay shape; ``k0``/``k1`` stay ``None`` until the
-    certificate fit determines admissible values numerically.
+    ``h`` carries the decay shape; the constants (k0, k1) of the drift
+    condition are fitted numerically, into a
+    :class:`~nlhjb.lyapunov.LyapunovCertificate`.
     """
 
     V: ScalarField
@@ -115,8 +117,6 @@ class LyapunovData:
     h: ScalarField
     envelope_exponent: float
     mu: float
-    k0: float | None = None
-    k1: float | None = None
     gamma: float | None = None
 
 
@@ -201,17 +201,15 @@ def _outer_slope(r: np.ndarray, vals: np.ndarray) -> float:
     return float(np.polyfit(lr, lv, 1)[0])
 
 
-def validate_problem(p: ControlProblem, grid: Grid, offsets) -> ValidationReport:
-    """Check the problem's structural assumptions at grid resolution.
+def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> ValidationReport:
+    """Check the problem's structural assumptions at grid resolution, with
+    kernels sampled at the offsets of ``q``.
 
     Soft failures land in the report with witness points; malformed fields
     (NaN, negative kernel or Lyapunov data) raise immediately.
     """
-    y = offsets.half_offsets if hasattr(offsets, "half_offsets") else np.asarray(offsets, float)
-    if y.shape[0] == 0:
-        raise ValueError("offset set must be non-empty")
     xs = _sample(grid.nodes, 128)
-    ys = _sample(y, 128)
+    ys = _sample(q.half_offsets, 128)
     checks: list[CheckResult] = []
 
     if p.kernel is not None:
@@ -436,12 +434,11 @@ def _power_lyapunov(gamma: float, theta: float, mu: float, d: int) -> LyapunovDa
 
 
 def power_drift_problem(gamma: float, theta: float, d: int, s: float, *,
-                        drift_sign: float = -1.0,
-                        drift_scales: Sequence[float] = (1.0, 1.5),
-                        cost_amps: Sequence[float] = (1.0, 0.5),
-                        cost_widths: Sequence[float] = (1.0, 2.0)) -> ControlProblem:
+                        drift_sign: float = -1.0) -> ControlProblem:
     """Radial power-law family: V = |x|^gamma outside B_1, drift -x|x|^(theta-1).
 
+    Two controls: drift scales 1 and 1.5 (at least 1, which keeps the inward
+    drift bound), Gaussian costs of amplitude 1 and 0.5 and width 1 and 2.
     The admissible exponent window is gamma in (s+1/2, 2s), theta >= 0,
     theta + gamma - 1 > 0 and theta < (2s-gamma)(2s-1); violations are
     rejected with the offending inequality spelled out.  ``drift_sign=+1``
@@ -461,11 +458,6 @@ def power_drift_problem(gamma: float, theta: float, d: int, s: float, *,
     if not (theta < lim):
         raise ValueError(f"theta={theta} violates theta < (2s-gamma)(2s-1) = {lim}")
 
-    if not (len(drift_scales) == len(cost_amps) == len(cost_widths)):
-        raise ValueError("per-control parameter lists must share a length")
-    if min(drift_scales) < 1.0:
-        raise ValueError("drift scales below 1 break the inward-drift bound")
-
     mu = theta / (gamma * (2 * s - 1.0))
     sgn = float(drift_sign)
 
@@ -483,13 +475,12 @@ def power_drift_problem(gamma: float, theta: float, d: int, s: float, *,
             return amp * np.exp(-r2 / (2.0 * width * width))
         return g
 
-    n = len(drift_scales)
     return ControlProblem(
-        controls=tuple(f"tau{i}" for i in range(n)),
+        controls=("tau0", "tau1"),
         kernel=KernelSpec(s=s, lambda_ell=1.0, Lambda_ell=1.0,
                           k=constant_kernel(2.0 - 2.0 * s)),
-        drift=tuple(make_drift(sc) for sc in drift_scales),
-        cost=tuple(make_cost(a, w) for a, w in zip(cost_amps, cost_widths)),
+        drift=(make_drift(1.0), make_drift(1.5)),
+        cost=(make_cost(1.0, 1.0), make_cost(0.5, 2.0)),
         lyapunov=_power_lyapunov(gamma, theta, mu, d),
     )
 

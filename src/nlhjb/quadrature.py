@@ -25,23 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import lattice_box
-from .problem import constant_kernel
+from .grid import Grid, lattice_box
 
-__all__ = [
-    "JumpQuadrature",
-    "build_quadrature",
-    "fractional_laplacian_constant",
-    "apply_quadrature_pointwise",
-]
+__all__ = ["JumpQuadrature", "build_quadrature"]
 
 _SURFACE = {1: 2.0, 2: 2.0 * np.pi}
-
-
-def fractional_laplacian_constant(d: int, s: float) -> float:
-    """Normalisation C(d,s) with (-Δ)^s e^{i ξ·x} = |ξ|^{2s} e^{i ξ·x}."""
-    return float(4.0**s * math.gamma(d / 2.0 + s) * s
-                 / (np.pi ** (d / 2.0) * math.gamma(1.0 - s)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,17 +102,14 @@ def _subcell_quads_2d(centers: np.ndarray, hx: float, s: float, q: int):
     return mass, secm
 
 
-def build_quadrature(grid_or_params, s: float, R_far: float,
+def build_quadrature(grid: Grid, s: float, R_far: float,
                      reg_radius: float | None = None) -> JumpQuadrature:
-    """Build the jump quadrature for a grid (or a ``(d, hx, R)`` tuple).
+    """Build the jump quadrature for a grid.
 
     Requires ``s in (1/2, 1)`` and ``R_far >= R + 1`` so that every exterior
     point reachable from the interior is covered by explicit offsets.
     """
-    if hasattr(grid_or_params, "hx"):
-        d, hx, R = grid_or_params.d, grid_or_params.hx, grid_or_params.R
-    else:
-        d, hx, R = grid_or_params
+    d, hx, R = grid.d, grid.hx, grid.R
     if not (0.5 < s < 1.0):
         raise ValueError(f"fractional order s={s} outside (1/2, 1)")
     if R_far < R + 1.0:
@@ -200,42 +185,3 @@ def _check_monotone_neighbours(q: JumpQuadrature) -> None:
             raise AssertionError(
                 f"axis correction {q.axis_coeff} breaks monotonicity on axis {axis}"
             )
-
-
-def apply_quadrature_pointwise(q: JumpQuadrature, u, x, kernel,
-                               tail_mode: str = "zero_data") -> float:
-    """Evaluate the discrete jump operator at one point with exact field values.
-
-    ``u`` is a callable taking (n, d) arrays; ``kernel`` is a constant or a
-    callable ``k(x, y)`` broadcasting over the offset axis.  ``tail_mode``:
-    ``"zero_data"`` treats data beyond R_far as zero (keeps -2u(x) mass),
-    ``"omit"`` truncates the operator at R_far, ``"rule"`` probes ``u`` itself
-    at the tail centroid radius.
-    """
-    x = np.asarray(x, dtype=float).reshape(q.d)
-    kern = kernel if callable(kernel) else constant_kernel(kernel)
-
-    def k_at(y: np.ndarray) -> np.ndarray:
-        return np.asarray(kern(x[None, :], y), dtype=float).reshape(-1)
-
-    y = q.half_offsets
-    ux = float(u(x[None, :])[0])
-    dlt = u(x[None, :] + y) + u(x[None, :] - y) - 2.0 * ux
-    val = float(np.dot(q.pair_weights * k_at(y), dlt))
-    units = np.eye(q.d)[:, None, :]   # one (1, d) unit vector per axis
-    for e in q.hx * units:
-        ka = float(k_at(e)[0])
-        val += q.axis_coeff * ka * float(u(x[None, :] + e)[0] + u(x[None, :] - e)[0] - 2.0 * ux)
-    if tail_mode == "omit":
-        return val
-    per_axis = q.tail_mass / q.d
-    for e in q.tail_probe_radius * units:
-        kt = float(k_at(e)[0])
-        if tail_mode == "rule":
-            data = float(u(x[None, :] + e)[0] + u(x[None, :] - e)[0])
-        elif tail_mode == "zero_data":
-            data = 0.0
-        else:
-            raise ValueError(f"unknown tail_mode {tail_mode!r}")
-        val += per_axis * kt * (data - 2.0 * ux)
-    return val

@@ -1,8 +1,25 @@
-"""Independent brute-force and closed-form oracles for the test suite.
+"""Brute-force and closed-form oracles and reference helpers for the tests.
 
-Everything here is deliberately slow and simple: dense matrices filled by
-plain per-node loops, damped fixed points, and adaptive quadrature against
-Fourier symbols.  None of it shares code with the sparse production paths.
+Everything here is deliberately slow and simple.  Most of it is independent
+of the production paths, reading only the problem data, the quadrature
+weights and the assembled arrays: dense matrices filled by plain per-node
+loops, damped fixed points, the augmented bordered system, stacked
+frozen-policy rows, the pointwise quadrature sum with exact field values
+(a constant kernel goes through ``nlhjb.problem.constant_kernel``), the
+normalisation constant C(d, s) and adaptive quadrature against Fourier
+symbols.
+
+Three helpers reuse production code, and so check something other than
+that code:
+
+* ``jump_apply_reference`` sums the jump part from the same elementary δ
+  fields as :func:`nlhjb.operators.pucci_extremal`, in the same term order,
+  so the Pucci envelope bounds it exactly in floating point;
+* ``dump_stencils`` lists the rows of ``op.csr()``, which the golden file
+  pins;
+* ``verify_ergodic_pair`` recomputes a solution's residual with
+  :func:`nlhjb.operators.apply_inf` and probes uniqueness by re-running
+  :func:`nlhjb.ergodic.vanishing_discount` from a scaled alpha schedule.
 """
 
 from __future__ import annotations
@@ -13,14 +30,21 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import integrate
+from scipy.special import gamma
 
+from nlhjb.ergodic import (AlphaSchedule, DomainConfig, ErgodicSolution,
+                           _window_indices, vanishing_discount)
 from nlhjb.grid import ExteriorRule, Grid
-from nlhjb.problem import ControlProblem
-from nlhjb.quadrature import JumpQuadrature, fractional_laplacian_constant
+from nlhjb.operators import (DiscreteOperator, _axis_unit, _delta_fields,
+                             _kernel_values, apply_inf)
+from nlhjb.problem import ControlProblem, constant_kernel
+from nlhjb.quadrature import JumpQuadrature
 
 __all__ = ["DenseOracle", "build_dense_oracles", "dense_apply",
            "dense_fixed_point", "bordered_reference", "stacked_policy_system",
-           "fractional_laplacian_reference"]
+           "fractional_laplacian_constant", "apply_quadrature_pointwise",
+           "fractional_laplacian_reference", "jump_apply_reference",
+           "dump_stencils", "PairVerification", "verify_ergodic_pair"]
 
 _MAX_NODES = 200
 
@@ -202,6 +226,51 @@ def stacked_policy_system(op, policy: np.ndarray) -> sp.csr_matrix:
 # closed-form / adaptive-quadrature references for the jump operator
 
 
+def fractional_laplacian_constant(d: int, s: float) -> float:
+    """Normalisation C(d,s) with (-Δ)^s e^{i ξ·x} = |ξ|^{2s} e^{i ξ·x}."""
+    return float(4.0**s * gamma(d / 2.0 + s) * s
+                 / (np.pi ** (d / 2.0) * gamma(1.0 - s)))
+
+
+def apply_quadrature_pointwise(q: JumpQuadrature, u, x, kernel,
+                               tail_mode: str = "zero_data") -> float:
+    """Evaluate the discrete jump operator at one point with exact field values.
+
+    ``u`` is a callable taking (n, d) arrays; ``kernel`` is a constant or a
+    callable ``k(x, y)`` broadcasting over the offset axis.  ``tail_mode``:
+    ``"zero_data"`` treats data beyond R_far as zero (keeps -2u(x) mass),
+    ``"omit"`` truncates the operator at R_far, ``"rule"`` probes ``u`` itself
+    at the tail centroid radius.
+    """
+    x = np.asarray(x, dtype=float).reshape(q.d)
+    kern = kernel if callable(kernel) else constant_kernel(kernel)
+
+    def k_at(y: np.ndarray) -> np.ndarray:
+        return np.asarray(kern(x[None, :], y), dtype=float).reshape(-1)
+
+    y = q.half_offsets
+    ux = float(u(x[None, :])[0])
+    dlt = u(x[None, :] + y) + u(x[None, :] - y) - 2.0 * ux
+    val = float(np.dot(q.pair_weights * k_at(y), dlt))
+    units = np.eye(q.d)[:, None, :]   # one (1, d) unit vector per axis
+    for e in q.hx * units:
+        ka = float(k_at(e)[0])
+        val += q.axis_coeff * ka * float(u(x[None, :] + e)[0] + u(x[None, :] - e)[0] - 2.0 * ux)
+    if tail_mode == "omit":
+        return val
+    per_axis = q.tail_mass / q.d
+    for e in q.tail_probe_radius * units:
+        kt = float(k_at(e)[0])
+        if tail_mode == "rule":
+            data = float(u(x[None, :] + e)[0] + u(x[None, :] - e)[0])
+        elif tail_mode == "zero_data":
+            data = 0.0
+        else:
+            raise ValueError(f"unknown tail_mode {tail_mode!r}")
+        val += per_axis * kt * (data - 2.0 * ux)
+    return val
+
+
 def _cos_measure_integral(s: float) -> float:
     """High-precision ∫_0^∞ (1-cos y) y^{-1-2s} dy by split adaptive quadrature.
 
@@ -252,3 +321,93 @@ def fractional_laplacian_reference(test: str, x: float, s: float,
             raise ValueError("quadratic-truncated needs r_far")
         return float(4.0 * r_far ** (2 - 2 * s))
     raise ValueError(f"unknown test function {test!r}")
+
+
+# ---------------------------------------------------------------------------
+# references that reuse production code (see the module docstring)
+
+
+def jump_apply_reference(q: JumpQuadrature, grid: Grid, u: np.ndarray,
+                         ext: ExteriorRule, kern) -> np.ndarray:
+    """Slow reference evaluation of the jump part, term order matching pucci."""
+    dlt_off, dlt_axis, dlt_tail = _delta_fields(grid, q, u, ext)
+    x = grid.nodes
+    kv = _kernel_values(kern, x[:, None, :], q.half_offsets[None, :, :])
+    out = np.sum(kv * (q.pair_weights[None, :] * dlt_off), axis=1)
+    for axis in range(grid.d):
+        e = _axis_unit(grid.d, axis).astype(float) * grid.hx
+        ka = _kernel_values(kern, x, e[None, :])
+        out += ka * (q.axis_coeff * dlt_axis[:, axis])
+        probe = _axis_unit(grid.d, axis).astype(float) * q.tail_probe_radius
+        kt = _kernel_values(kern, x, probe[None, :])
+        out += kt * ((q.tail_mass / grid.d) * dlt_tail[:, axis])
+    return out
+
+
+def dump_stencils(op: DiscreteOperator, max_nodes: int = 64) -> dict:
+    """JSON-able stencil dump (node, control, offsets, weights, constant)."""
+    grid = op.grid
+    if grid.n_nodes > max_nodes:
+        raise ValueError(f"stencil dump capped at {max_nodes} nodes")
+    op = op.csr()
+    out = {"d": grid.d, "hx": grid.hx, "R": grid.R,
+           "controls": list(op.controls), "stencils": []}
+    for t, label in enumerate(op.controls):
+        m = op.matrix(t).tocoo()
+        for i in range(grid.n_nodes):
+            sel = m.row == i
+            entries = []
+            diag = 0.0
+            for j, v in zip(m.col[sel], m.data[sel]):
+                if j == i:
+                    diag = float(v)
+                else:
+                    entries.append({
+                        "offset": list(grid.nodes[j] - grid.nodes[i]),
+                        "weight": float(v),
+                    })
+            entries.sort(key=lambda e: tuple(e["offset"]))
+            out["stencils"].append({
+                "node": list(grid.nodes[i]), "control": label,
+                "entries": entries, "diagonal": diag,
+                "constant": float(op.gvals[t][i] + op.ext_const[t][i]),
+            })
+    return out
+
+
+@dataclass(frozen=True)
+class PairVerification:
+    residual: float
+    residual_ok: bool
+    probe_lambda_diff: float | None
+    probe_u_diff: float | None
+    probe_ok: bool | None
+
+    @property
+    def ok(self) -> bool:
+        return self.residual_ok and (self.probe_ok is not False)
+
+
+def verify_ergodic_pair(sol: ErgodicSolution, p: ControlProblem,
+                        domain: DomainConfig, schedule: AlphaSchedule,
+                        tol: float, *, uniqueness_probe: bool = True,
+                        probe_factor: float = 0.8) -> PairVerification:
+    """Recompute ||apply_inf(u) - lambda*|| on the inner window and probe
+    uniqueness by re-running from the alpha schedule scaled by
+    ``probe_factor``."""
+    vals, _ = apply_inf(sol.operator, sol.u)
+    win = _window_indices(sol.grid, domain.window_radius)
+    residual = float(np.max(np.abs(vals[win] - sol.lambda_star)))
+    residual_ok = residual <= 1.05 * tol
+
+    dlam = du = None
+    probe_ok = None
+    if uniqueness_probe:
+        scaled = tuple(a * probe_factor for a in schedule.alphas())
+        other = vanishing_discount(p, domain, AlphaSchedule(explicit=scaled), tol)
+        dlam = abs(other.lambda_star - sol.lambda_star)
+        du = float(np.max(np.abs(other.u[win] - sol.u[win])))
+        probe_ok = (dlam <= 5 * tol) and (du <= 5 * tol)
+    return PairVerification(residual=residual, residual_ok=residual_ok,
+                            probe_lambda_diff=dlam, probe_u_diff=du,
+                            probe_ok=probe_ok)

@@ -13,12 +13,13 @@ import numpy as np
 import nlhjb as nl
 from nlhjb.cli import run as cli_run
 from nlhjb.config import parse_config
-from nlhjb.operators import apply_control, jump_apply_reference
-from nlhjb.quadrature import apply_quadrature_pointwise
+from nlhjb.operators import apply_control
 
 from conftest import random_problem, smooth_field
-from oracles import (build_dense_oracles, dense_fixed_point,
-                     fractional_laplacian_reference)
+from oracles import (apply_quadrature_pointwise, build_dense_oracles,
+                     dense_fixed_point, fractional_laplacian_constant,
+                     fractional_laplacian_reference, jump_apply_reference,
+                     verify_ergodic_pair)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -36,12 +37,12 @@ def test_criterion_01_quadrature_consistency():
     worst = 0.0
     decreased = True
     for s in (0.6, 0.75, 0.9):
-        kern = nl.fractional_laplacian_constant(1, s) / 2.0
+        kern = fractional_laplacian_constant(1, s) / 2.0
         oracle = fractional_laplacian_reference("cos", 0.0, s)
         u = lambda x: np.cos(np.asarray(x, float)[..., 0])
         errs = []
         for hx in (2.0**-7, 2.0**-8):
-            q = nl.build_quadrature((1, hx, 4.0), s, 64.0)
+            q = nl.build_quadrature(nl.build_grid(1, hx, 4.0), s, 64.0)
             val = apply_quadrature_pointwise(q, u, np.zeros(1), kern)
             errs.append(abs(val - oracle))
         worst = max(worst, errs[0])
@@ -203,7 +204,7 @@ def test_criterion_08_uniqueness_probe():
     tol1 = 1e-6
     sched = nl.AlphaSchedule(start=0.5, factor=0.5, max_levels=30)
     s1 = nl.vanishing_discount(p1, dom1, sched, tol1, solver_tol=1e-9)
-    v1 = nl.verify_ergodic_pair(s1, p1, dom1, sched, tol1, probe_factor=0.8)
+    v1 = verify_ergodic_pair(s1, p1, dom1, sched, tol1, probe_factor=0.8)
     results.append(("d=1", s1.converged and v1.ok,
                     v1.probe_lambda_diff, v1.probe_u_diff, 5 * tol1))
     # d = 2 desk instance (hx = 0.25, R <= 8)
@@ -212,7 +213,7 @@ def test_criterion_08_uniqueness_probe():
     tol2 = 1e-4
     sched2 = nl.AlphaSchedule(start=0.5, factor=0.5, max_levels=20)
     s2 = nl.vanishing_discount(p2, dom2, sched2, tol2, solver_tol=1e-7)
-    v2 = nl.verify_ergodic_pair(s2, p2, dom2, sched2, tol2, probe_factor=0.8)
+    v2 = verify_ergodic_pair(s2, p2, dom2, sched2, tol2, probe_factor=0.8)
     results.append(("d=2", s2.converged and v2.ok,
                     v2.probe_lambda_diff, v2.probe_u_diff, 5 * tol2))
     elapsed = time.time() - t0

@@ -155,10 +155,16 @@ OUT_OF_RANGE = (
      "section 'grid': d must be 1 or 2, got 3"),
     ("grid.hx", constant_ergodic_config(), "grid", "hx", 0,
      "section 'grid': hx must be positive"),
+    ("grid.inner_radius", constant_ergodic_config(), "grid", "inner_radius", -1,
+     "section 'grid': inner_radius must be positive, got -1"),
+    ("grid.r_far_margin", constant_ergodic_config(), "grid", "r_far_margin", 0.5,
+     "section 'grid': r_far_margin must be at least 1, got 0.5"),
     ("solver.tol", constant_ergodic_config(), "solver", "tol", 0,
      "section 'solver': tol must be positive"),
     ("solver.max_policy_iters", constant_ergodic_config(), "solver",
      "max_policy_iters", 0, "section 'solver': max_policy_iters must be at least 1"),
+    ("alpha.tol", constant_ergodic_config(), "alpha", "tol", 0,
+     "section 'alpha': tol must be positive"),
     ("controls", with_problem(FAMILY_BASES["custom"]), "problem", "controls", [],
      "section 'problem' of family 'custom': controls must be a non-empty list"),
 )

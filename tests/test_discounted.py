@@ -16,7 +16,7 @@ from nlhjb.operators import apply_control
 
 from conftest import random_problem
 from oracles import (bordered_reference, build_dense_oracles, dense_fixed_point,
-                     stacked_policy_system)
+                     dump_stencils, stacked_policy_system)
 
 
 def setup(seed=1, s=0.75, hx=0.25, R=4.0, alpha=0.4, **kw):
@@ -255,15 +255,6 @@ class TestFailedSolve:
             nl.solve_normalized(nl.assemble(p, g, q, ext), 0.25, 1e-10)
 
 
-class TestValueIterationFallback:
-    def test_agrees_with_policy_iteration(self):
-        _, _, _, _, op = setup(seed=10, hx=0.5, R=4.0)
-        s1 = nl.solve_policy_iteration(op, 1e-11)
-        s2 = nl.solve_value_iteration(op, 1e-11)
-        assert s2.converged
-        assert np.max(np.abs(s1.w - s2.w)) <= 1e-8
-
-
 class TestNormalized:
     def test_reconstruction_identity_single_control(self):
         # w := v + m/alpha solves the literal equation up to the exterior-mass
@@ -337,13 +328,7 @@ class TestBarrier:
             nl.check_barrier(sol, p, g, k0=1.0)
 
 
-def test_value_iteration_nonconvergence_flagged():
-    _, _, _, _, op = setup(seed=30)
-    sol = nl.solve_value_iteration(op, 1e-14, max_iter=3)
-    assert not sol.converged
-
-
 def test_dump_cap_enforced():
     _, _, _, _, op = setup(seed=31, hx=0.25, R=8.0)   # 65 nodes
     with pytest.raises(ValueError, match="capped"):
-        nl.dump_stencils(op, max_nodes=16)
+        dump_stencils(op, max_nodes=16)

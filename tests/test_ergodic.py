@@ -7,6 +7,8 @@ import scipy.sparse.linalg as spla
 
 import nlhjb as nl
 
+from oracles import fractional_laplacian_constant, verify_ergodic_pair
+
 
 DOM1 = nl.DomainConfig(d=1, hx=0.25, radii=(4.0, 8.0))
 SCHED = nl.AlphaSchedule(start=0.5, factor=0.5, max_levels=20)
@@ -295,8 +297,8 @@ class TestTraceChecks:
 
     def test_verify_ergodic_pair(self, power_run):
         p, sol = power_run
-        rep = nl.verify_ergodic_pair(sol, p, DOM1, SCHED, 1e-5,
-                                     uniqueness_probe=True)
+        rep = verify_ergodic_pair(sol, p, DOM1, SCHED, 1e-5,
+                                  uniqueness_probe=True)
         assert rep.residual_ok
         assert rep.probe_ok
         assert rep.probe_lambda_diff <= 5e-5
@@ -310,8 +312,8 @@ class TestTraceChecks:
         monkeypatch.setattr(erg, "assemble", no_assembly)
         p, sol = power_run
         assert sol.operator.grid is sol.grid
-        rep = nl.verify_ergodic_pair(sol, p, DOM1, SCHED, 1e-5,
-                                     uniqueness_probe=False)
+        rep = verify_ergodic_pair(sol, p, DOM1, SCHED, 1e-5,
+                                  uniqueness_probe=False)
         assert rep.residual_ok
 
     def test_bar_w_needs_two_levels(self, power_run):
@@ -327,10 +329,6 @@ class TestAlphaSchedule:
         with pytest.raises(ValueError):
             nl.AlphaSchedule(explicit=(1.5, 0.5))
 
-    def test_scaled(self):
-        s = nl.AlphaSchedule(start=0.5, factor=0.5, max_levels=3)
-        assert list(s.scaled(0.8).alphas()) == pytest.approx([0.4, 0.2, 0.1])
-
     def test_explicit_iteration(self):
         s = nl.AlphaSchedule(explicit=(0.5, 0.25))
         assert list(s.alphas()) == [0.5, 0.25]
@@ -343,7 +341,7 @@ class TestManufacturedPair:
 
     def run_case(self, hx):
         s, theta, lam_t = 0.75, 0.5, 0.7
-        kval = nl.fractional_laplacian_constant(1, s) / 2.0
+        kval = fractional_laplacian_constant(1, s) / 2.0
         ell = kval / (2 - 2 * s)
 
         def g(x):

@@ -1,8 +1,10 @@
 """The package imports numpy and scipy.sparse only, and exports what it lists.
 
-The lattice convolution, the real FFT length, the Gamma function and the
-angular integral of the 2-d origin cell are computed with numpy and
-``math``; these tests pin each against the scipy routine it replaced.  The
+The README's library example runs against the exports as documented.
+
+The lattice convolution, the real FFT length and the angular integral of
+the 2-d origin cell are computed with numpy and ``math``; these tests pin
+each against the scipy routine it replaced.  The
 exports are checked against what the traced bench (``bench/tracer.py``)
 wraps.
 """
@@ -12,6 +14,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +23,6 @@ import numpy as np
 import pytest
 import scipy.fft
 from scipy.integrate import quad
-from scipy.special import gamma
 
 import nlhjb as nl
 from nlhjb.operators import _fast_len, _LatticeConvolution
@@ -69,6 +71,19 @@ def test_traced_bench_has_a_metric_for_every_module_with_public_functions():
                 and any(inspect.isfunction(fn) and fn.__module__ == mod.__name__
                         for fn in (getattr(mod, a, None) for a in getattr(mod, "__all__", ())))]
     assert unmapped == []
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's "Library use" block, executed as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    sol = namespace["sol"]
+    assert sol.converged
+    assert sum(sol.counts.linear_solves.values()) > 0
+    assert capsys.readouterr().out.split() == [repr(sol.lambda_star), "True"]
 
 
 def test_fast_len_matches_scipy():
@@ -127,14 +142,3 @@ def test_origin_cell_moment_matches_adaptive_quadrature(s):
         want = 0.5 * 8.0 * (0.5 * hx) ** (2 - 2 * s) / (2 - 2 * s) * ang
         got = _origin_cell_second_moment_2d(hx, s)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_fractional_laplacian_constant_matches_scipy_gamma(d):
-    # math.gamma and scipy.special.gamma are each within 7e-16 relative of
-    # the exact value on (0, 1.5), so the two quotients can differ by 2.6e-15.
-    for s in np.linspace(0.5001, 0.9999, 2001):
-        want = 4.0**s * gamma(d / 2.0 + s) * s / (np.pi ** (d / 2.0) * gamma(1.0 - s))
-        got = nl.fractional_laplacian_constant(d, s)
-        assert got == pytest.approx(want, rel=3e-15, abs=0.0)
-    assert isinstance(nl.fractional_laplacian_constant(d, 0.75), float)

@@ -54,24 +54,13 @@ class TestEvaluate:
     def test_drift_part_matches_analytic_formula(self):
         # b·∇V = -scale * gamma * |x|^{theta+gamma-1} for |x| >= 1
         gamma, theta, s = 1.6, 0.1, 0.9
-        p = nl.power_drift_problem(gamma, theta, 1, s, drift_scales=(1.0,),
-                                   cost_amps=(1.0,), cost_widths=(1.0,))
+        p = nl.power_drift_problem(gamma, theta, 1, s)
         x = np.linspace(2.0, 30.0, 15)[:, None]
         b = p.drift[0](x)
         gV = p.lyapunov.grad_V(x)
         got = np.sum(b * gV, axis=-1)
         want = -gamma * np.abs(x[:, 0]) ** (theta + gamma - 1.0)
         np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_zeroth_term_included_in_discounted_form(self):
-        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
-        g = nl.build_grid(1, 0.5, 8.0)
-        q = nl.build_quadrature(g, 0.9, 9.0)
-        plain = nl.evaluate_lyapunov_drift(p, g, q)
-        with_c = nl.evaluate_lyapunov_drift(p, g, q, include_zeroth=True,
-                                            alpha=0.5)
-        V = p.lyapunov.V(g.nodes)
-        np.testing.assert_allclose(with_c, plain - 0.5 * V, atol=1e-10)
 
     def test_missing_lyapunov_raises(self):
         p = nl.constant_cost_problem(1.0, 1)
@@ -188,7 +177,7 @@ class TestFitEnvelope:
         assert cert.ok
         assert cert.k1 == pytest.approx(0.5 / 8.0)
         assert cert.k0 >= 1e-12
-        assert cert.recheck(g.radii() ** 1.0)
+        assert np.all(vals <= cert.k0 - cert.k1 * g.radii() ** 1.0 + 1e-12)
 
     def test_power_drift_certificate_exists(self):
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
@@ -217,18 +206,7 @@ class TestFitEnvelope:
         cert = nl.fit_envelope(nl.evaluate_lyapunov_drift(p, g, q),
                                p.lyapunov, g)
         shape = g.radii() ** cert.envelope_exponent
-        assert cert.recheck(shape)
-
-    def test_with_certificate_installs_constants(self):
-        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
-        g = nl.build_grid(1, 0.5, 16.0)
-        q = nl.build_quadrature(g, 0.9, 32.0)
-        cert = nl.fit_envelope(nl.evaluate_lyapunov_drift(p, g, q),
-                               p.lyapunov, g)
-        p2 = nl.with_certificate(p, cert)
-        assert p2.lyapunov.k0 == cert.k0
-        assert p2.lyapunov.k1 == cert.k1
-        assert p.lyapunov.k0 is None  # original untouched
+        assert np.all(cert.values <= cert.k0 - cert.k1 * shape + 1e-12)
 
     def test_a2_proxy_cost_over_h_decreases_outward(self):
         # sup|g|/h falls off on the outer half for the builtin cost profile

@@ -28,7 +28,7 @@ from nlhjb.lyapunov import _jump_on_V
 from nlhjb.operators import _stacked_inf, apply_control
 
 from conftest import smooth_drift, smooth_field
-from oracles import bordered_reference
+from oracles import bordered_reference, build_dense_oracles, dense_fixed_point
 
 REL = 1e-10
 
@@ -141,7 +141,9 @@ class TestOperatorOracle:
         u = np.random.default_rng(seed).normal(size=op.n_nodes)
         for t in range(len(op.controls)):
             assert_rel_close(apply_control(op, t, u), apply_control(ref, t, u))
-            assert_rel_close(op.diagonal(t), ref.matrix(t).diagonal())
+            diag = (op.base[t].diagonal() + op.cvals[t]
+                    + op.jump.scale[t] * op.jump.conv.diag)
+            assert_rel_close(diag, ref.matrix(t).diagonal())
             assert_rel_close(op.ext_const[t], ref.ext_const[t])
         vmin, policy = nl.apply_inf(op, u)
         assert_rel_close(vmin, nl.apply_inf(ref, u)[0])
@@ -250,11 +252,12 @@ class TestSolves:
         p = constant_kernel_problem(5, 1, 0.75, [0.4, 0.6])
         g = nl.build_grid(1, 0.5, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+        ext = nl.ExteriorRule.zero()
+        op = nl.assemble(p, g, q, ext, alpha=0.5)
+        assert op.jump is not None
         s1 = nl.solve_policy_iteration(op, 1e-11)
-        s2 = nl.solve_value_iteration(op, 1e-11)
-        assert s2.converged
-        assert np.max(np.abs(s1.w - s2.w)) <= 1e-8
+        w = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.5), tol=1e-11)
+        assert np.max(np.abs(s1.w - w)) <= 1e-8
 
     def test_policy_iteration_does_not_stall_on_large_exterior_data(self):
         # Exterior constants near 20: a BiCGStab stop relative to max|rhs|
