@@ -138,6 +138,10 @@ class AlphaConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.start <= 0:
+            # the discount of discounted mode; the sweep's range is
+            # checked by build_alpha_schedule
+            raise ValueError(f"start must be positive, got {self.start}")
 
 
 @dataclass(frozen=True)
@@ -257,7 +261,30 @@ def parse_config(raw: dict) -> RunConfig:
     cfg = RunConfig(mode=mode, output_dir=raw.get("output_dir", "out"),
                     problem=_coerce_problem(raw["problem"]), **sections)
     _check_given_keys(raw, cfg)
+    if cfg.mode in ("ergodic", "convergence-study"):
+        try:
+            build_alpha_schedule(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"section 'alpha': {exc}") from None
+    _check_expressions(cfg)
     return cfg
+
+
+def _check_expressions(cfg: RunConfig) -> None:
+    """Compile every custom expression, rejecting a malformed one with its key."""
+    if not isinstance(cfg.problem, CustomConfig):
+        return
+    for i, c in enumerate(cfg.problem.controls):
+        exprs = {**{f"drift[{j}]": e for j, e in enumerate(c.drift)},
+                 "cost": c.cost, "zeroth": c.zeroth, "kernel": c.kernel}
+        for key, expr in exprs.items():
+            if expr is None:
+                continue
+            compile_field = compile_kernel_field if key == "kernel" else compile_scalar_field
+            try:
+                compile_field(expr, cfg.grid.d)
+            except ValueError as exc:
+                raise ConfigError(f"key 'problem.controls[{i}].{key}': {exc}") from None
 
 
 def _check_given_keys(raw: dict, cfg: RunConfig) -> None:

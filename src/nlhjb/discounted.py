@@ -168,7 +168,7 @@ class _PolicySystem(spla.LinearOperator):
     def tocsr(self) -> sp.csr_matrix:
         if self.op.jump is None:
             return self.local
-        return _policy_system(self.op.csr(), self.policy)[0].local
+        return self.op.csr().frozen(self.policy)[0]
 
     def tocsc(self) -> sp.csc_matrix:
         return self.tocsr().tocsc()
@@ -176,25 +176,10 @@ class _PolicySystem(spla.LinearOperator):
 
 def _policy_system(op: DiscreteOperator, policy: np.ndarray):
     """Frozen-policy :class:`_PolicySystem` and constant: row i of control
-    ``policy[i]``.
-
-    One gather of rows, run by run: consecutive rows of one control are one
-    slice of its CSR arrays.  Each stencil entry is copied once, and no
-    stacked copy of the stencils is made.
+    ``policy[i]``, gathered by :meth:`~nlhjb.operators.DiscreteOperator.frozen`.
     """
-    n, controls = op.n_nodes, range(len(op.controls))
-    pick = (policy, np.arange(n))
-    ptr = np.stack([m.indptr for m in op.base])
-    indptr = np.concatenate([[0], np.cumsum(ptr[:, 1:][pick] - ptr[:, :-1][pick])])
-    first = np.flatnonzero(np.diff(policy, prepend=-1))
-    runs = list(zip(policy[first].tolist(), ptr[policy[first], first].tolist(),
-                    ptr[policy[first], np.append(first[1:], n)].tolist()))
-    A = sp.csr_matrix((np.concatenate([op.base[t].data[a:b] for t, a, b in runs]),
-                       np.concatenate([op.base[t].indices[a:b] for t, a, b in runs]),
-                       indptr.astype(ptr.dtype)), shape=(n, n))
-    A.setdiag(A.diagonal() + np.stack(op.cvals)[pick])
-    A.eliminate_zeros()
-    return _PolicySystem(op, policy, A), np.stack([op.constant(t) for t in controls])[pick]
+    A, const = op.frozen(policy)
+    return _PolicySystem(op, policy, A), const
 
 
 def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,

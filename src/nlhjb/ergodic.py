@@ -56,6 +56,10 @@ class DomainConfig:
             raise ValueError(f"r_far_margin must be at least 1, got {self.r_far_margin}")
         if self.inner_radius is not None and self.inner_radius <= 0:
             raise ValueError(f"inner_radius must be positive, got {self.inner_radius}")
+        if self.reg_radius is not None and self.reg_radius < self.hx:
+            # below hx the second-moment correction covers no offset
+            raise ValueError(f"reg_radius must be at least hx = {self.hx}, "
+                             f"got {self.reg_radius}")
 
     @property
     def window_radius(self) -> float:
@@ -70,17 +74,18 @@ class AlphaSchedule:
     explicit: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.explicit is not None:
-            a = self.explicit
-            if len(a) == 0:
-                raise ValueError("alpha schedule needs at least one level")
-            if any(not (0 < x < 1) for x in a) or any(b >= x for x, b in zip(a, a[1:])):
-                raise ValueError("explicit alpha schedule must be decreasing in (0,1)")
-        else:
-            if not (0 < self.start < 1) or not (0 < self.factor < 1):
-                raise ValueError("alpha schedule needs start, factor in (0,1)")
-            if self.max_levels < 1:
-                raise ValueError("alpha schedule needs at least one level")
+        # the messages name the keys of the config's alpha section
+        a = self.explicit
+        if a is not None:
+            if not a or any(not (0 < x < 1) for x in a) or any(b >= x for x, b in zip(a, a[1:])):
+                raise ValueError("values must be a non-empty, strictly decreasing list "
+                                 f"in (0, 1), got {list(a)}")
+            return
+        for name, value in (("start", self.start), ("factor", self.factor)):
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must be in (0, 1), got {value}")
+        if self.max_levels < 1:
+            raise ValueError(f"max_levels must be at least 1, got {self.max_levels}")
 
     def alphas(self):
         if self.explicit is not None:

@@ -44,11 +44,21 @@ def _validate(tree: ast.AST, names: set[str]) -> None:
 
 
 def _compile(expr: str, names: set[str]):
-    """Code object for ``expr`` and the coordinate names it reads."""
-    tree = ast.parse(expr, mode="eval")
+    """Code object for ``expr`` and the coordinate names it reads.
+
+    Every failure raises ``ValueError``: a syntax error, nesting too deep
+    for the parser or the compiler (``MemoryError``, ``RecursionError``),
+    and a construct :func:`_validate` rejects.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+        code = compile(tree, "<field-expression>", "eval")
+    except (SyntaxError, MemoryError, RecursionError) as exc:
+        why = exc.msg if isinstance(exc, SyntaxError) else "nested too deeply"
+        raise ValueError(f"malformed expression: {why}") from None
     _validate(tree, names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} - set(_FUNCS)
-    return compile(tree, "<field-expression>", "eval"), used
+    return code, used
 
 
 def _names(d: int, prefix: str, radius: str) -> set[str]:
@@ -64,9 +74,16 @@ def _coordinates(pts, d: int, prefix: str, radius: str) -> dict:
 
 
 def _evaluate(code, env: dict, shape: tuple) -> np.ndarray:
-    """Evaluate ``code`` over ``env`` and broadcast the value to ``shape``."""
-    out = eval(code, {"__builtins__": {}}, {**_FUNCS, **env})
-    return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+    """Evaluate ``code`` over ``env`` and broadcast the value to ``shape``.
+
+    Python arithmetic on constants (``1/0``, ``10.0**400``) raises
+    ``ValueError``; numpy arithmetic on coordinates gives inf or nan.
+    """
+    try:
+        out = eval(code, {"__builtins__": {}}, {**_FUNCS, **env})
+        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+    except ArithmeticError as exc:
+        raise ValueError(f"expression cannot be evaluated: {exc}") from None
 
 
 def compile_scalar_field(expr: str, d: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -197,18 +197,29 @@ class _MatrixFreeJump:
     conv: _LatticeConvolution
     scale: np.ndarray                 # k_tau(x_i), shape (n_controls, N)
     ext: ExteriorRule                 # exterior rule of the CSR oracle
-    stencils: tuple | None = None     # (base, ext_const) of the CSR oracle
+    stencils: tuple | None = None     # (base, const) of the CSR oracle
 
 
 @dataclass(eq=False)
 class DiscreteOperator:
+    """Per-control monotone stencils stored in the layout Howard reads them.
+
+    With T controls and N nodes, ``base`` is one CSR matrix of shape
+    (T·N, N): row t·N + i is control t's stencil at node i (jump, drift and
+    local parts, no zeroth term).  ``c`` (the zeroth-order term) and
+    ``const`` (running cost plus exterior data) are (T, N) arrays indexed
+    the same way.  A frozen policy picks one row per node
+    (:meth:`frozen`), and the pointwise infimum reads all T rows of a node
+    at once.  When ``jump`` is set, ``base`` holds the drift part only and
+    the jump part is ``jump.scale[t, i]`` times one lattice convolution.
+    """
+
     grid: Grid
     quadrature: JumpQuadrature | None
     controls: tuple[str, ...]
-    base: list[sp.csr_matrix]        # jump + drift + local parts, no zeroth term
-    cvals: list[np.ndarray]          # zeroth-order coefficient per control
-    gvals: list[np.ndarray]          # running cost per control
-    ext_const: list[np.ndarray]      # exterior-data contribution per control
+    base: sp.csr_matrix               # (n_controls * N, N) stacked stencils
+    c: np.ndarray                     # (n_controls, N) zeroth-order term
+    const: np.ndarray                 # (n_controls, N) running cost + exterior data
     problem: ControlProblem | None = None
     jump: _MatrixFreeJump | None = None   # set: base holds the drift part only
     # near-field LU memo of the frozen-policy solves: shared by with_alpha
@@ -218,14 +229,6 @@ class DiscreteOperator:
     @property
     def n_nodes(self) -> int:
         return self.grid.n_nodes
-
-    def control_index(self, tau) -> int:
-        if isinstance(tau, (int, np.integer)):
-            return int(tau)
-        try:
-            return self.controls.index(tau)
-        except ValueError:
-            raise KeyError(f"unknown control label {tau!r}") from None
 
     def csr(self) -> "DiscreteOperator":
         """The same operator with explicit CSR stencils (built once, cached).
@@ -238,55 +241,47 @@ class DiscreteOperator:
         if self.jump.stencils is None:
             self.jump.stencils = _stencils(self.problem, self.grid, self.quadrature,
                                            self.jump.ext, matrix_free=False)
-        base, ext_const = self.jump.stencils
-        return dataclasses.replace(self, base=base, ext_const=ext_const, jump=None,
+        base, const = self.jump.stencils
+        return dataclasses.replace(self, base=base, const=const, jump=None,
                                    near_factor=_NearFactor())
 
-    def matrix(self, tau) -> sp.csr_matrix:
-        t = self.control_index(tau)
-        return (self.csr().base[t] + sp.diags(self.cvals[t])).tocsr()
+    def frozen(self, policy: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Frozen-policy rows and constant: row i of control ``policy[i]``.
 
-    def constant(self, tau) -> np.ndarray:
-        t = self.control_index(tau)
-        return self.gvals[t] + self.ext_const[t]
+        One gather of the rows ``policy[i]·N + i`` of ``base``, with c on
+        the diagonal; on the FFT path the caller adds the jump part.
+        """
+        nodes = np.arange(self.n_nodes)
+        A = self.base[policy * self.n_nodes + nodes]
+        A.setdiag(A.diagonal() + self.c[policy, nodes])
+        A.eliminate_zeros()
+        return A, self.const[policy, nodes]
 
     def with_alpha(self, alpha: float) -> "DiscreteOperator":
         """Same dynamics with the discounted zeroth term c ≡ -alpha."""
-        n = self.grid.n_nodes
-        return dataclasses.replace(
-            self, cvals=[np.full(n, -float(alpha)) for _ in self.controls])
+        return dataclasses.replace(self, c=np.full(self.c.shape, -float(alpha)))
 
     def c_floor(self) -> float:
         """Largest c_floor with sup_tau c_tau <= -c_floor on the grid."""
-        return float(-max(cv.max() for cv in self.cvals))
-
-
-def _apply(op: DiscreteOperator, t: int, u: np.ndarray,
-           ju: np.ndarray | None) -> np.ndarray:
-    """apply_control given ``ju``, the FFT jump part with k ≡ 1 (or None)."""
-    out = op.base[t] @ u + op.cvals[t] * u + op.gvals[t] + op.ext_const[t]
-    if ju is not None:
-        out += op.jump.scale[t] * ju
-    return out
-
-
-def apply_control(op: DiscreteOperator, tau, u: np.ndarray) -> np.ndarray:
-    """Evaluate (L_tau u + c_tau u + g_tau) at every node."""
-    t = op.control_index(tau)
-    u = np.asarray(u, dtype=float)
-    return _apply(op, t, u, None if op.jump is None else op.jump.conv(u))
+        return float(-self.c.max())
 
 
 def _stacked_inf(op: DiscreteOperator, u: np.ndarray):
-    """Per-control values, their pointwise min and the argmin policy.
+    """Per-control values (n_controls, N), their pointwise min and the argmin policy.
 
     ``np.argmin`` returns the first minimum, so ties go to the lowest index.
     """
     u = np.asarray(u, dtype=float)
-    ju = None if op.jump is None else op.jump.conv(u)   # shared by all controls
-    vals = np.stack([_apply(op, t, u, ju) for t in range(len(op.controls))])
+    vals = (op.base @ u).reshape(op.c.shape) + op.c * u + op.const
+    if op.jump is not None:
+        vals += op.jump.scale * op.jump.conv(u)
     policy = np.argmin(vals, axis=0)
     return vals, vals[policy, np.arange(vals.shape[1])], policy
+
+
+def apply_control(op: DiscreteOperator, t: int, u: np.ndarray) -> np.ndarray:
+    """Evaluate (L_t u + c_t u + g_t) at every node for control index ``t``."""
+    return _stacked_inf(op, u)[0][t]
 
 
 def apply_inf(op: DiscreteOperator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -555,6 +550,21 @@ def _check_monotone(m: sp.csr_matrix, grid: Grid, label: str) -> None:
             f"at node {tuple(grid.nodes[i].tolist())}, offset {tuple(offset.tolist())}")
 
 
+def _node_values(fields, grid: Grid) -> np.ndarray:
+    """Per-control fields at the nodes, shape (n_controls, N)."""
+    return np.stack([np.broadcast_to(np.asarray(f(grid.nodes), dtype=float),
+                                     (grid.n_nodes,)) for f in fields])
+
+
+def _reject(vals: np.ndarray, bad: np.ndarray, what: str, controls, grid: Grid,
+            error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming the value, control and node of the first ``bad``."""
+    if np.any(bad):
+        t, i = (int(j[0]) for j in np.nonzero(bad))
+        raise error(f"{what} {vals[t, i]:.3e} for control {controls[t]} "
+                    f"at node {tuple(grid.nodes[i].tolist())}")
+
+
 def _node_factors(p: ControlProblem, grid: Grid) -> np.ndarray | None:
     """k_tau(x_i) of shape (n_controls, N) when the FFT jump applies, else None.
 
@@ -568,14 +578,9 @@ def _node_factors(p: ControlProblem, grid: Grid) -> np.ndarray | None:
     kernels = [p.kernel.kernel_for(t) for t in range(p.n_controls)]
     if not all(hasattr(kern, "x_field") for kern in kernels):
         return None
-    factors = np.stack([np.broadcast_to(np.asarray(kern.x_field(grid.nodes), dtype=float),
-                                        (grid.n_nodes,)) for kern in kernels])
-    bad = ~(np.isfinite(factors) & (factors >= 0))
-    if np.any(bad):
-        t, i = (int(j[0]) for j in np.nonzero(bad))
-        raise MonotonicityError(
-            f"jump kernel factor {factors[t, i]:.3e} for control {p.controls[t]} "
-            f"at node {tuple(grid.nodes[i].tolist())}")
+    factors = _node_values([kern.x_field for kern in kernels], grid)
+    _reject(factors, ~(np.isfinite(factors) & (factors >= 0)), "jump kernel factor",
+            p.controls, grid, MonotonicityError)
     for t, label in enumerate(p.controls):
         _check_band(factors[t], p.kernel, label, grid.nodes)
     return factors
@@ -583,14 +588,16 @@ def _node_factors(p: ControlProblem, grid: Grid) -> np.ndarray | None:
 
 def _stencils(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
               ext: ExteriorRule, matrix_free: bool):
-    """Per-control CSR stencils (no zeroth term) and exterior constants.
+    """Stacked CSR stencils (no zeroth term) and constants g_tau + exterior terms.
 
-    With ``matrix_free`` the jump part is left out, so no per-offset index
-    maps are built.
+    Returns ``base`` of shape (n_controls·N, N), each control checked by
+    :func:`_check_monotone` before stacking, and the (n_controls, N)
+    constants.  With ``matrix_free`` the jump part is left out, so no
+    per-offset index maps are built.
     """
     ws = _Workspace(grid, None if matrix_free else q, ext)
     n = grid.n_nodes
-    base, consts = [], []
+    base, outside = [], []
     for t, label in enumerate(p.controls):
         bld = _StencilBuilder(n)
         if p.kernel is not None and not matrix_free:
@@ -606,13 +613,13 @@ def _stencils(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
         m = bld.matrix()
         _check_monotone(m, grid, label)
         base.append(m)
-        consts.append(bld.const.copy())
-    return base, consts
+        outside.append(bld.const)
+    return sp.vstack(base, format="csr"), _node_values(p.cost, grid) + np.stack(outside)
 
 
 def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
              ext: ExteriorRule, alpha: float | None = None) -> DiscreteOperator:
-    """Assemble the per-control monotone stencils of L_tau + c_tau.
+    """Assemble the stacked monotone stencils of L_tau + c_tau (:class:`DiscreteOperator`).
 
     ``alpha`` installs the discounted zeroth term c ≡ -alpha when the problem
     does not carry its own; monotonicity violations raise with the offending
@@ -621,37 +628,30 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
     parts, give an operator with an FFT jump part (see the module
     docstring); there a negative or non-finite kernel value raises with the
     control and node.  On either path a kernel value outside
-    [(2-2s)λ, (2-2s)Λ] raises ``ValueError`` with the control and the point.
+    [(2-2s)λ, (2-2s)Λ] raises ``ValueError`` with the control and the point,
+    and so does a zeroth-order term or constant (running cost plus exterior
+    data) that is not finite, with the control and the node.
     """
     needs_q = p.kernel is not None or (
         p.mixed is not None and p.mixed.levy_kernel is not None)
     if needs_q and q is None:
         raise ValueError("problem has jump terms but no quadrature was given")
     factors = _node_factors(p, grid)
-    base, ext_consts = _stencils(p, grid, q, ext, matrix_free=factors is not None)
+    base, const = _stencils(p, grid, q, ext, matrix_free=factors is not None)
     jump = None
     if factors is not None:
         conv = _LatticeConvolution(grid, q)
         w = conv.weights
         if w.min() < -1e-12 * max(1.0, float(np.abs(w).max())):
             raise MonotonicityError(f"negative jump weight {w.min():.3e}")
-        outside = conv.exterior(ext)
-        for t in range(p.n_controls):
-            ext_consts[t] = ext_consts[t] + factors[t] * outside
+        const += factors * conv.exterior(ext)
         jump = _MatrixFreeJump(conv=conv, scale=factors, ext=ext)
-    n = grid.n_nodes
-    cvals, gvals = [], []
-    for t in range(p.n_controls):
-        if p.zeroth is not None:
-            cvals.append(np.asarray(p.zeroth[t](grid.nodes), dtype=float))
-        elif alpha is not None:
-            cvals.append(np.full(n, -float(alpha)))
-        else:
-            cvals.append(np.zeros(n))
-        gvals.append(np.asarray(p.cost[t](grid.nodes), dtype=float))
+    c = (_node_values(p.zeroth, grid) if p.zeroth is not None
+         else np.full(const.shape, 0.0 if alpha is None else -float(alpha)))
+    for what, vals in (("zeroth-order term", c), ("running cost plus exterior data", const)):
+        _reject(vals, ~np.isfinite(vals), f"non-finite {what}", p.controls, grid)
     return DiscreteOperator(grid=grid, quadrature=q, controls=p.controls,
-                            base=base, cvals=cvals, gvals=gvals,
-                            ext_const=ext_consts, problem=p, jump=jump)
+                            base=base, c=c, const=const, problem=p, jump=jump)
 
 
 # ---------------------------------------------------------------------------

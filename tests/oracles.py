@@ -9,14 +9,14 @@ frozen-policy rows, the pointwise quadrature sum with exact field values
 normalisation constant C(d, s) and adaptive quadrature against Fourier
 symbols.
 
-Three helpers reuse production code, and so check something other than
+Four helpers reuse production code, and so check something other than
 that code:
 
 * ``jump_apply_reference`` sums the jump part from the same elementary δ
   fields as :func:`nlhjb.operators.pucci_extremal`, in the same term order,
   so the Pucci envelope bounds it exactly in floating point;
-* ``dump_stencils`` lists the rows of ``op.csr()``, which the golden file
-  pins;
+* ``stencil_matrix`` and ``dump_stencils`` read the rows of ``op.csr()``,
+  which the golden file pins;
 * ``verify_ergodic_pair`` recomputes a solution's residual with
   :func:`nlhjb.operators.apply_inf` and probes uniqueness by re-running
   :func:`nlhjb.ergodic.vanishing_discount` from a scaled alpha schedule.
@@ -44,7 +44,8 @@ __all__ = ["DenseOracle", "build_dense_oracles", "dense_apply",
            "dense_fixed_point", "bordered_reference", "stacked_policy_system",
            "fractional_laplacian_constant", "apply_quadrature_pointwise",
            "fractional_laplacian_reference", "jump_apply_reference",
-           "dump_stencils", "PairVerification", "verify_ergodic_pair"]
+           "stencil_matrix", "dump_stencils", "PairVerification",
+           "verify_ergodic_pair"]
 
 _MAX_NODES = 200
 
@@ -208,18 +209,24 @@ def bordered_reference(A: sp.spmatrix, rhs: np.ndarray, i0: int) -> tuple[np.nda
 def stacked_policy_system(op, policy: np.ndarray) -> sp.csr_matrix:
     """The frozen-policy ``local`` CSR by stacking and permuting rows.
 
-    Each control's rows are sliced out and stacked, the stack is put back
-    into node order by a permutation, and the zeroth-order term is added
-    to the diagonal.
+    Control t's rows are ``op.base[t*N:(t+1)*N]``.  The rows each control
+    gives are sliced out and stacked, the stack is put back into node order
+    by a permutation, and the zeroth-order term is added to the diagonal.
     """
+    n = op.n_nodes
     controls = range(len(op.controls))
     rows = [np.flatnonzero(policy == t) for t in controls]
-    A = sp.vstack([m[r] for m, r in zip(op.base, rows)],
+    A = sp.vstack([op.base[t * n:(t + 1) * n][r] for t, r in zip(controls, rows)],
                   format="csr")[np.argsort(np.concatenate(rows))]
-    pick = (policy, np.arange(op.n_nodes))
-    A.setdiag(A.diagonal() + np.stack(op.cvals)[pick])
+    A.setdiag(A.diagonal() + op.c[policy, np.arange(n)])
     A.eliminate_zeros()
     return A
+
+
+def stencil_matrix(op: DiscreteOperator, t: int) -> sp.csr_matrix:
+    """Control t's explicit stencil with its zeroth-order term on the diagonal."""
+    n = op.n_nodes
+    return (op.csr().base[t * n:(t + 1) * n] + sp.diags(op.c[t])).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +360,7 @@ def dump_stencils(op: DiscreteOperator, max_nodes: int = 64) -> dict:
     out = {"d": grid.d, "hx": grid.hx, "R": grid.R,
            "controls": list(op.controls), "stencils": []}
     for t, label in enumerate(op.controls):
-        m = op.matrix(t).tocoo()
+        m = stencil_matrix(op, t).tocoo()
         for i in range(grid.n_nodes):
             sel = m.row == i
             entries = []
@@ -370,7 +377,7 @@ def dump_stencils(op: DiscreteOperator, max_nodes: int = 64) -> dict:
             out["stencils"].append({
                 "node": list(grid.nodes[i]), "control": label,
                 "entries": entries, "diagonal": diag,
-                "constant": float(op.gvals[t][i] + op.ext_const[t][i]),
+                "constant": float(op.const[t, i]),
             })
     return out
 

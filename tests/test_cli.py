@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlhjb.cli import main, run
 from nlhjb.config import ConfigError, parse_config
@@ -147,7 +149,17 @@ REJECTED = (
            ("max_policy_iters", constant_ergodic_config(), "solver",
             "max_policy_iters", 30.0, None),
            ("values", constant_ergodic_config(), "alpha", "values", [0.5, True], None),
-           ("output_dir", constant_ergodic_config(), None, "output_dir", 3, None))])
+           ("output_dir", constant_ergodic_config(), None, "output_dir", 3, None))]
+    # malformed expressions, compiled at parse time with grid.d
+    + [(f"expression-{case}", with_problem(FAMILY_BASES["custom"]), "problem", "controls",
+        [{"drift": ["-x1"], "cost": "1.0", **entry}], f"problem.controls[0].{key}")
+       for case, key, entry in (
+           ("unclosed", "cost", {"cost": "exp(-x1*x1"}),
+           ("trailing-operator", "kernel", {"kernel": "0.5+"}),
+           ("empty", "drift[0]", {"drift": [""]}),
+           ("blank", "cost", {"cost": "   "}),
+           ("nested-too-deeply", "cost", {"cost": "-" * 100000 + "1"}),
+           ("unknown-name", "cost", {"cost": "x3"}))])
 # (id, accepted base config, section, key, a value of the right type that its
 # dataclass rejects, the error message)
 OUT_OF_RANGE = (
@@ -165,6 +177,19 @@ OUT_OF_RANGE = (
      "max_policy_iters", 0, "section 'solver': max_policy_iters must be at least 1"),
     ("alpha.tol", constant_ergodic_config(), "alpha", "tol", 0,
      "section 'alpha': tol must be positive"),
+    ("alpha.start", constant_ergodic_config(), "alpha", "start", 1.5,
+     "section 'alpha': start must be in (0, 1), got 1.5"),
+    ("alpha.start-discounted", MODE_BASES["discounted"], "alpha", "start", 0,
+     "section 'alpha': start must be positive, got 0"),
+    ("alpha.factor", constant_ergodic_config(), "alpha", "factor", 0,
+     "section 'alpha': factor must be in (0, 1), got 0"),
+    ("alpha.max_levels", constant_ergodic_config(), "alpha", "max_levels", 0,
+     "section 'alpha': max_levels must be at least 1, got 0"),
+    ("alpha.values", VALUES_BASE, "alpha", "values", [0.5, 0.6],
+     "section 'alpha': values must be a non-empty, strictly decreasing list in (0, 1), "
+     "got [0.5, 0.6]"),
+    ("grid.reg_radius", constant_ergodic_config(), "grid", "reg_radius", 0.1,
+     "section 'grid': reg_radius must be at least hx = 0.25, got 0.1"),
     ("controls", with_problem(FAMILY_BASES["custom"]), "problem", "controls", [],
      "section 'problem' of family 'custom': controls must be a non-empty list"),
 )
@@ -263,15 +288,19 @@ class TestRuns:
         assert np.max(np.abs(u)) <= 1e-9
 
     def test_report_is_byte_identical_across_runs(self, tmp_path):
-        cfg = parse_config(constant_ergodic_config())
-        run(cfg, output_dir=str(tmp_path / "a"))
-        run(cfg, output_dir=str(tmp_path / "b"))
-        ra = (tmp_path / "a" / "report.json").read_bytes()
-        rb = (tmp_path / "b" / "report.json").read_bytes()
-        assert ra == rb
-        sa = (tmp_path / "a" / "solution.csv").read_bytes()
-        sb = (tmp_path / "b" / "solution.csv").read_bytes()
-        assert sa == sb
+        # every artifact but run_meta.json: report.json and solution.csv, the
+        # discounted trace.csv and the certify certificate.json
+        for raw, extra in ((constant_ergodic_config(), set()),
+                           (zeroth_discounted_config(), {"trace.csv"}),
+                           (certify_config(), {"certificate.json"})):
+            cfg = parse_config(raw)
+            outs = [tmp_path / raw["mode"] / side for side in "ab"]
+            for out in outs:
+                run(cfg, output_dir=str(out))
+            names = {f.name for f in outs[0].iterdir()} - {"run_meta.json"}
+            assert names == {"report.json", "solution.csv"} | extra
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_certify_power_drift(self, tmp_path):
         cfg = parse_config(certify_config())
@@ -549,6 +578,24 @@ class TestMainEntry:
         assert block["error"]["kind"] == "MonotonicityError"
         assert re.search(r"(non-finite|nan).* tau1 at node \(-", block["error"]["message"])
 
+    @pytest.mark.parametrize("key,expr,what", [
+        ("cost", "x1 ** 600", "non-finite running cost plus exterior data inf"),
+        ("zeroth", "-1-x1**600", "non-finite zeroth-order term -inf")])
+    def test_exit_one_on_non_finite_cost_or_zeroth(self, tmp_path, capsys, key, expr,
+                                                   what):
+        # overflow at |x1| = 4: rejected at assembly, naming control and node,
+        # not left to the frozen-policy solve or a NaN residual
+        raw = zeroth_discounted_config()
+        raw["problem"]["controls"][1][key] = expr
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with np.errstate(over="ignore"):
+            code = main([str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"]["kind"] == "ValueError"
+        assert block["error"]["message"] == f"{what} for control tau1 at node (-4.0,)"
+
     @pytest.mark.parametrize("kernel", ["-0.5", "-0.5+0*x1"])
     def test_exit_one_on_monotonicity_violation(self, tmp_path, capsys, kernel):
         path = tmp_path / "cfg.json"
@@ -632,6 +679,25 @@ class TestMainEntry:
 
 
 class TestExpressions:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet=st.sampled_from(list("x1y2r +-*/().,e0")) | st.characters(),
+                        max_size=40),
+           d=st.sampled_from([1, 2]))
+    def test_any_text_compiles_or_raises_value_error(self, text, d):
+        from nlhjb.expressions import compile_kernel_field, compile_scalar_field
+        for compile_field in (compile_scalar_field, compile_kernel_field):
+            try:
+                field = compile_field(text, d)
+            except ValueError:
+                continue
+            assert callable(field)
+
+    def test_constant_arithmetic_error_is_value_error(self):
+        from nlhjb.expressions import compile_scalar_field
+        for expr in ("1/0", "10.0**400"):
+            with pytest.raises(ValueError, match="cannot be evaluated"):
+                compile_scalar_field(expr, 1)(np.zeros((3, 1)))
+
     def test_rejects_dunder_and_calls(self):
         from nlhjb.expressions import compile_scalar_field
         with pytest.raises(ValueError):

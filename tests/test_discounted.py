@@ -16,7 +16,7 @@ from nlhjb.operators import apply_control
 
 from conftest import random_problem
 from oracles import (bordered_reference, build_dense_oracles, dense_fixed_point,
-                     dump_stencils, stacked_policy_system)
+                     dump_stencils, stacked_policy_system, stencil_matrix)
 
 
 def setup(seed=1, s=0.75, hx=0.25, R=4.0, alpha=0.4, **kw):
@@ -175,8 +175,8 @@ def _policy_system_reference(op, policy):
     const = np.zeros(op.n_nodes)
     for t in range(len(op.controls)):
         ind = (policy == t).astype(float)
-        A = A + sp.diags(ind) @ op.matrix(t)
-        const += ind * op.constant(t)
+        A = A + sp.diags(ind) @ stencil_matrix(op, t)
+        const += ind * op.const[t]
     A = A.tocsr()
     A.eliminate_zeros()
     return A, const
@@ -269,7 +269,7 @@ class TestNormalized:
         w = sol.v + sol.m / alpha
         opa = op.with_alpha(alpha)
         got = apply_control(opa, 0, w)
-        extmass = -(op.base[0] @ np.ones(g.n_nodes))
+        extmass = -(op.base @ np.ones(g.n_nodes))
         np.testing.assert_allclose(got, -extmass * sol.m / alpha, atol=1e-8)
 
     def test_origin_exactly_zero(self):

@@ -28,7 +28,8 @@ from nlhjb.lyapunov import _jump_on_V
 from nlhjb.operators import _stacked_inf, apply_control
 
 from conftest import smooth_drift, smooth_field
-from oracles import bordered_reference, build_dense_oracles, dense_fixed_point
+from oracles import (bordered_reference, build_dense_oracles, dense_fixed_point,
+                     stencil_matrix)
 
 REL = 1e-10
 
@@ -138,13 +139,14 @@ class TestOperatorOracle:
         assert op.jump is not None
         ref = op.csr()
         assert ref.jump is None and ref.csr() is ref
-        u = np.random.default_rng(seed).normal(size=op.n_nodes)
+        n = op.n_nodes
+        u = np.random.default_rng(seed).normal(size=n)
         for t in range(len(op.controls)):
             assert_rel_close(apply_control(op, t, u), apply_control(ref, t, u))
-            diag = (op.base[t].diagonal() + op.cvals[t]
+            diag = (op.base[t * n:(t + 1) * n].diagonal() + op.c[t]
                     + op.jump.scale[t] * op.jump.conv.diag)
-            assert_rel_close(diag, ref.matrix(t).diagonal())
-            assert_rel_close(op.ext_const[t], ref.ext_const[t])
+            assert_rel_close(diag, stencil_matrix(ref, t).diagonal())
+            assert_rel_close(op.const[t], ref.const[t])
         vmin, policy = nl.apply_inf(op, u)
         assert_rel_close(vmin, nl.apply_inf(ref, u)[0])
 
@@ -268,7 +270,7 @@ class TestSolves:
         g = nl.build_grid(1, 0.125, 0.75)
         q = nl.build_quadrature(g, s, 2.25)
         op = nl.assemble(p, g, q, exterior_rule("function", 2, 1), alpha=0.4)
-        assert float(np.max(np.abs(op.ext_const))) > 10.0
+        assert float(np.max(np.abs(op.const))) > 10.0
         for o in (op, op.csr()):
             sol = nl.solve_policy_iteration(o, 1e-9)
             assert sol.converged

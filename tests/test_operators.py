@@ -8,7 +8,7 @@ from nlhjb.operators import apply_control
 
 from conftest import random_problem
 from oracles import (build_dense_oracles, dense_apply, dump_stencils,
-                     jump_apply_reference)
+                     jump_apply_reference, stencil_matrix)
 
 
 def small_setup(seed=1, s=0.75, d=1, hx=0.25, R=4.0, alpha=0.4, **kw):
@@ -24,17 +24,17 @@ class TestAssembledInvariants:
     def test_constant_function_yields_c_minus_exterior_mass(self):
         p, g, q, ext, op = small_setup()
         ones = np.ones(g.n_nodes)
+        extmass = -(op.base @ ones).reshape(op.c.shape)
+        assert np.all(extmass >= -1e-13)
         for t in range(2):
-            extmass = -(op.base[t] @ ones)
-            assert np.all(extmass >= -1e-13)
             got = apply_control(op, t, ones)
-            want = op.cvals[t] - extmass + op.gvals[t] + op.ext_const[t]
+            want = op.c[t] - extmass[t] + op.const[t]
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_offdiagonal_weights_nonnegative(self):
         _, g, _, _, op = small_setup(seed=7, vary_kernel=True)
         for t in range(2):
-            m = op.matrix(t).tocoo()
+            m = stencil_matrix(op, t).tocoo()
             off = m.row != m.col
             assert np.all(m.data[off] >= -1e-13)
 
@@ -42,9 +42,9 @@ class TestAssembledInvariants:
         # diagonal <= -(interior off-diagonal row sum) + c at every node
         _, g, _, _, op = small_setup(seed=7, vary_kernel=True, alpha=0.4)
         for t in range(2):
-            m = op.matrix(t).toarray()
+            m = stencil_matrix(op, t).toarray()
             offsum = m.sum(axis=1) - np.diag(m)
-            assert np.all(np.diag(m) <= -offsum + op.cvals[t] + 1e-11)
+            assert np.all(np.diag(m) <= -offsum + op.c[t] + 1e-11)
             assert np.all(np.diag(m) + offsum <= -0.4 + 1e-11)
 
     def test_constant_shift_zero_exterior(self):
@@ -52,11 +52,10 @@ class TestAssembledInvariants:
         rng = np.random.default_rng(0)
         u = rng.normal(size=g.n_nodes)
         kappa = 1.7
-        ones = np.ones(g.n_nodes)
+        extmass = -(op.base @ np.ones(g.n_nodes)).reshape(op.c.shape)
         for t in range(2):
-            extmass = -(op.base[t] @ ones)
             change = apply_control(op, t, u + kappa) - apply_control(op, t, u)
-            np.testing.assert_allclose(change, kappa * op.cvals[t] - kappa * extmass,
+            np.testing.assert_allclose(change, kappa * op.c[t] - kappa * extmass[t],
                                        atol=1e-10)
 
     def test_constant_shift_with_whole_space_extension(self):
@@ -68,13 +67,13 @@ class TestAssembledInvariants:
         for t in range(2):
             change = (apply_control(op1, t, u + kappa)
                       - apply_control(op0, t, u))
-            np.testing.assert_allclose(change, kappa * op0.cvals[t], atol=1e-10)
+            np.testing.assert_allclose(change, kappa * op0.c[t], atol=1e-10)
 
     def test_delta_symmetry_of_assembled_weights(self):
         # equal stencil weight on +y and -y targets at the central node
         p, g, q, ext, op = small_setup(seed=3, vary_kernel=True)
         i0 = g.origin_index
-        m = op.matrix(0).tocsr()
+        m = stencil_matrix(op, 0)
         row = m.getrow(i0).toarray().ravel()
         for j in range(g.n_nodes):
             xj = g.nodes[j, 0]
@@ -88,7 +87,7 @@ class TestAssembledInvariants:
             pj, drift=tuple(lambda x: np.zeros_like(np.asarray(x, float))
                             for _ in pj.controls))
         opj = nl.assemble(pj, g, q, ext, alpha=0.4)
-        row = opj.matrix(0).getrow(i0).toarray().ravel()
+        row = stencil_matrix(opj, 0).getrow(i0).toarray().ravel()
         for j in range(g.n_nodes):
             j_mirror = g.node_index_of_lattice(-g.lattice[j][None, :])[0]
             assert row[j] == pytest.approx(row[j_mirror], rel=1e-12, abs=1e-15)
@@ -108,7 +107,7 @@ class TestAssembledInvariants:
         op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
         k = 2 - 2 * s
         total = k * (np.sum(2 * q.pair_weights) + 2 * q.axis_coeff + 2 * q.tail_mass)
-        m = op.matrix(0).tocsr()
+        m = stencil_matrix(op, 0)
         ones = np.ones(g.n_nodes)
         # -diagonal equals the total mass; row sum equals -(exterior mass)
         diag = m.diagonal()
@@ -162,7 +161,7 @@ class TestAssembledInvariants:
         vals = apply_control(op, 0, ones)
         assert np.all(np.isfinite(vals))
         # constants lose only the exterior mass, which is positive
-        extmass = op.cvals[0] + op.gvals[0] + op.ext_const[0] - vals
+        extmass = op.c[0] + op.const[0] - vals
         assert np.all(extmass > 0)
         with pytest.raises(MemoryError):
             op.csr()
@@ -226,7 +225,7 @@ class TestApply:
         p, g, q, ext, op = small_setup(seed=4)
         for t in range(2):
             got = apply_control(op, t, np.zeros(g.n_nodes))
-            np.testing.assert_allclose(got, op.gvals[t] + op.ext_const[t])
+            np.testing.assert_allclose(got, op.const[t])
 
     def test_apply_matches_dense_oracle_on_random_input(self):
         p, g, q, ext, op = small_setup(seed=5, vary_kernel=True)
@@ -241,9 +240,9 @@ class TestApply:
         p, g, q, ext, op = small_setup(seed=6, vary_kernel=True)
         oracles = build_dense_oracles(p, g, q, ext, alpha=0.4)
         for t in range(2):
-            np.testing.assert_allclose(op.matrix(t).toarray(), oracles[t].matrix,
+            np.testing.assert_allclose(stencil_matrix(op, t).toarray(), oracles[t].matrix,
                                        atol=1e-12)
-            np.testing.assert_allclose(op.gvals[t] + op.ext_const[t],
+            np.testing.assert_allclose(op.const[t],
                                        oracles[t].const, atol=1e-12)
 
     def test_basis_vector_reads_columns(self):
@@ -254,12 +253,6 @@ class TestApply:
         e[i] = 1.0
         col = dense_apply(oracles[0], e) - oracles[0].const
         np.testing.assert_allclose(col, oracles[0].matrix[:, i], atol=1e-14)
-
-    def test_unknown_control_label(self):
-        _, _, _, _, op = small_setup()
-        with pytest.raises(KeyError):
-            apply_control(op, "nope", np.zeros(op.n_nodes))
-
 
 class TestApplyInf:
     def test_singleton_inf_equals_apply(self):
@@ -315,7 +308,7 @@ class TestMixed:
                            for _ in p.controls))
         g = nl.build_grid(1, 0.5, 4.0)
         op = nl.assemble(p, g, None, nl.ExteriorRule.zero(), alpha=0.3)
-        m = op.base[0].toarray()
+        m = op.base[:g.n_nodes].toarray()
         i = g.origin_index
         h2 = g.hx**2
         assert m[i, i] == pytest.approx(-2 / h2)
@@ -519,9 +512,9 @@ class TestTwoDimensional:
         op = nl.assemble(p, g, q, ext, alpha=0.4)
         oracles = build_dense_oracles(p, g, q, ext, alpha=0.4)
         for t in range(2):
-            np.testing.assert_allclose(op.matrix(t).toarray(),
+            np.testing.assert_allclose(stencil_matrix(op, t).toarray(),
                                        oracles[t].matrix, atol=1e-12)
-            np.testing.assert_allclose(op.gvals[t] + op.ext_const[t],
+            np.testing.assert_allclose(op.const[t],
                                        oracles[t].const, atol=1e-12)
 
     def test_2d_policy_iteration_matches_dense_fixed_point(self):
