@@ -9,6 +9,7 @@ the wrong JSON type.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import ClassVar, get_args, get_origin, get_type_hints
@@ -65,6 +66,14 @@ class ConstantCostConfig:
                                      local_identity=self.local_identity)
 
 
+def _compiled(key: str, expr: str, d: int, compile_field=compile_scalar_field):
+    """``compile_field(expr, d)``, its ``ValueError`` naming ``key``."""
+    try:
+        return compile_field(expr, d)
+    except ValueError as exc:
+        raise ValueError(f"key '{key}': {exc}") from None
+
+
 @dataclass(frozen=True)
 class CustomConfig:
     family: ClassVar[str] = "custom"
@@ -79,12 +88,15 @@ class CustomConfig:
             raise ValueError("controls must be a non-empty list")
 
     def build(self, d: int) -> ControlProblem:
+        """The problem, a malformed entry rejected with its key named."""
         drifts, costs, zeroths, kernels = [], [], [], []
         any_zeroth = any(c.zeroth is not None for c in self.controls)
-        for c in self.controls:
+        for i, c in enumerate(self.controls):
+            key = f"problem.controls[{i}]"
             if len(c.drift) != d:
-                raise ConfigError(f"drift needs {d} component expressions")
-            comps = [compile_scalar_field(e, d) for e in c.drift]
+                raise ValueError(f"key '{key}.drift' needs {d} component "
+                                 f"expressions, got {len(c.drift)}")
+            comps = [_compiled(f"{key}.drift[{j}]", e, d) for j, e in enumerate(c.drift)]
 
             def make_b(comps=comps):
                 def b(x):
@@ -93,13 +105,15 @@ class CustomConfig:
                 return b
 
             drifts.append(make_b())
-            costs.append(compile_scalar_field(c.cost, d))
+            costs.append(_compiled(f"{key}.cost", c.cost, d))
             if any_zeroth:
                 if c.zeroth is None:
-                    raise ConfigError("either all controls carry zeroth or none")
-                zeroths.append(compile_scalar_field(c.zeroth, d))
+                    raise ValueError(f"key '{key}.zeroth' is missing; either all "
+                                     "controls carry zeroth or none")
+                zeroths.append(_compiled(f"{key}.zeroth", c.zeroth, d))
             if c.kernel is not None:
-                kernels.append(compile_kernel_field(c.kernel, d))
+                kernels.append(_compiled(f"{key}.kernel", c.kernel, d,
+                                         compile_kernel_field))
             else:
                 kernels.append(constant_kernel(2.0 - 2.0 * self.s))
         kspec = KernelSpec(s=self.s, lambda_ell=self.lambda_ell,
@@ -174,7 +188,7 @@ _UNREAD_IN_MODE = {
 
 
 _KINDS = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
-          float: ("a number", "numbers"), str: ("a string", "strings")}
+          float: ("a finite number", "finite numbers"), str: ("a string", "strings")}
 
 
 def _kind(tp, plural: bool = False) -> str:
@@ -188,7 +202,11 @@ def _kind(tp, plural: bool = False) -> str:
 
 
 def _fits(tp, val) -> bool:
-    """Whether a JSON value fits a field annotation; booleans are not numbers."""
+    """Whether a JSON value fits a field annotation.
+
+    Booleans are not numbers, and NaN and ±Infinity, which ``json`` reads,
+    are not finite numbers.
+    """
     args = get_args(tp)
     if type(None) in args:
         return val is None or _fits(args[0], val)
@@ -196,7 +214,8 @@ def _fits(tp, val) -> bool:
         return isinstance(val, (list, tuple)) and all(_fits(args[0], v) for v in val)
     if tp in (int, float):
         number = numbers.Integral if tp is int else numbers.Real
-        return isinstance(val, number) and not isinstance(val, bool)
+        return (isinstance(val, number) and not isinstance(val, bool)
+                and -math.inf < val < math.inf)
     return isinstance(val, tp if tp in _KINDS else dict)
 
 
@@ -266,25 +285,11 @@ def parse_config(raw: dict) -> RunConfig:
             build_alpha_schedule(cfg)
         except ValueError as exc:
             raise ConfigError(f"section 'alpha': {exc}") from None
-    _check_expressions(cfg)
+    try:
+        build_problem(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"section 'problem': {exc}") from None
     return cfg
-
-
-def _check_expressions(cfg: RunConfig) -> None:
-    """Compile every custom expression, rejecting a malformed one with its key."""
-    if not isinstance(cfg.problem, CustomConfig):
-        return
-    for i, c in enumerate(cfg.problem.controls):
-        exprs = {**{f"drift[{j}]": e for j, e in enumerate(c.drift)},
-                 "cost": c.cost, "zeroth": c.zeroth, "kernel": c.kernel}
-        for key, expr in exprs.items():
-            if expr is None:
-                continue
-            compile_field = compile_kernel_field if key == "kernel" else compile_scalar_field
-            try:
-                compile_field(expr, cfg.grid.d)
-            except ValueError as exc:
-                raise ConfigError(f"key 'problem.controls[{i}].{key}': {exc}") from None
 
 
 def _check_given_keys(raw: dict, cfg: RunConfig) -> None:

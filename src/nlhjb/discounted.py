@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, lattice_box
-from .operators import DiscreteOperator, _stacked_inf
+from .grid import Grid
+from .operators import DiscreteOperator, FrozenSystem, _stacked_inf
 from .problem import ControlProblem
 
 __all__ = [
@@ -80,114 +79,12 @@ def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
     return float(np.max(cur - vmin))
 
 
-class _PolicySystem(spla.LinearOperator):
-    """Frozen-policy system: row i is control ``policy[i]``'s.
-
-    ``local`` is the row-gathered stencil with c on the diagonal: the whole
-    system for explicit stencils, the drift part when the operator applies
-    its jump part by FFT, which then adds row i's convolution scaled by
-    k_{policy[i]}(x_i).  ``tocsc`` builds the system from ``op.csr()`` for
-    the sparse-LU fallbacks of :func:`_solve_linear` and
-    :func:`_solve_bordered`; the bordered (v, m) solve runs BiCGStab on
-    :class:`_BorderedSystem`, this system with v(origin) eliminated.  The
-    near-field LU that preconditions both is memoized on the operator per
-    policy, so Howard steps and alpha levels that come back to a policy
-    reuse it.
-    """
-
-    def __init__(self, op: DiscreteOperator, policy: np.ndarray,
-                 local: sp.csr_matrix):
-        super().__init__(dtype=float, shape=local.shape)
-        self.op, self.policy, self.local = op, policy, local
-        if op.jump is not None:
-            self.scale = op.jump.scale[policy, np.arange(policy.shape[0])]
-
-    def _matvec(self, x):
-        x = np.ravel(x)
-        out = self.local @ x
-        if self.op.jump is not None:
-            out += self.scale * self.op.jump.conv(x)
-        return out
-
-    def near(self) -> sp.csr_matrix:
-        """The system cut to lattice offsets |z|_inf <= 1, full diagonal kept.
-
-        Its off-diagonals are >= 0 and -near is strictly diagonally dominant
-        by rows (c < 0), so it is a nonsingular M-matrix.  On the FFT path
-        ``local`` is drift and c, already within the ring; explicit stencils
-        are read at each node's ring neighbours, 3^d lookups per row, and
-        the neighbours a stencil does not reach are left out.
-        """
-        if self.op.jump is not None:
-            N = self.op.jump.conv.near()
-            scaled = sp.csr_matrix((N.data * np.repeat(self.scale, np.diff(N.indptr)),
-                                    N.indices, N.indptr), shape=self.shape)
-            return (scaled + self.local).tocsr()
-        grid = self.op.grid
-        j = grid.node_index_of_lattice(grid.lattice[:, None, :] + lattice_box(grid.d, 1))
-        rows, cols = np.nonzero(j >= 0)[0], j[j >= 0]
-        P = sp.csr_matrix((np.asarray(self.local[rows, cols]).ravel(), (rows, cols)),
-                          shape=self.shape)
-        P.eliminate_zeros()
-        return P
-
-    def near_factor(self):
-        """The operator's near-field memo, holding the sparse LU of this policy.
-
-        The memo (``op.near_factor``) keeps one factor, keyed by the policy
-        alone: ``with_alpha`` copies share it, so a factor made at an
-        earlier alpha serves a later one.  Its diagonal is then off by the
-        change in alpha, which moves only the preconditioner; the residual
-        rules judge every answer.  On a new policy the old factor is dropped
-        before :meth:`near` is factored, so at most one is alive per
-        operator.  A symmetric minimum-degree ordering with diagonal pivots:
-        a symmetric permutation keeps the strict diagonal dominance, which
-        then holds in every Schur complement, so no pivot is zero.  ``splu``
-        raises ``RuntimeError`` on a singular factor, which leaves the memo
-        empty.
-        """
-        memo = self.op.near_factor
-        key = self.policy.tobytes()
-        if memo.key != key:
-            memo.key = memo.lu = memo.ones = None
-            memo.lu = spla.splu(self.near().tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True})
-            memo.key = key
-            memo.count += 1
-        return memo
-
-    def preconditioner(self) -> spla.LinearOperator:
-        """Solve with the memoized sparse LU of :meth:`near` (:meth:`near_factor`).
-
-        Raises ``RuntimeError`` when the factorization does.
-        """
-        return spla.LinearOperator(self.shape, matvec=self.near_factor().lu.solve,
-                                   dtype=float)
-
-    def tocsr(self) -> sp.csr_matrix:
-        if self.op.jump is None:
-            return self.local
-        return self.op.csr().frozen(self.policy)[0]
-
-    def tocsc(self) -> sp.csc_matrix:
-        return self.tocsr().tocsc()
-
-
-def _policy_system(op: DiscreteOperator, policy: np.ndarray):
-    """Frozen-policy :class:`_PolicySystem` and constant: row i of control
-    ``policy[i]``, gathered by :meth:`~nlhjb.operators.DiscreteOperator.frozen`.
-    """
-    A, const = op.frozen(policy)
-    return _PolicySystem(op, policy, A), const
-
-
 def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
             x0: np.ndarray | None = None,
             counts: SolveCounts | None = None) -> np.ndarray | None:
     """Preconditioned BiCGStab to an absolute sup residual ``atol``.
 
-    ``A`` (a :class:`_PolicySystem` or :class:`_BorderedSystem`) supplies
+    ``A`` (a :class:`FrozenSystem` or :class:`_BorderedSystem`) supplies
     its own ``preconditioner()``, built on the near-field sparse LU of its
     policy, memoized on the operator across Howard steps and alpha levels.
     Returns the answer when its true sup residual is at most ``accept``,
@@ -233,7 +130,7 @@ def _solve_linear(A, rhs: np.ndarray, atol: float, x0: np.ndarray | None = None,
                   counts: SolveCounts | None = None) -> tuple[np.ndarray, str]:
     """Iterative solve (:func:`_krylov`, capped at 500) with sparse-LU fallback.
 
-    ``A`` is a :class:`_PolicySystem`; returns the solution and the solver
+    ``A`` is a :class:`FrozenSystem`; returns the solution and the solver
     that produced it, ``"bicgstab"`` or ``"splu"``.
     BiCGStab's answer is kept only if its sup residual is at most ``atol``.
     """
@@ -256,10 +153,10 @@ class _BorderedSystem(spla.LinearOperator):
 
     B x = rhs is the bordered system A v - m = rhs, v[i0] = 0, with
     m = x[i0] and v = x with slot i0 set to 0 (:meth:`split`).  ``A`` is a
-    :class:`_PolicySystem`.
+    :class:`FrozenSystem`.
     """
 
-    def __init__(self, A: _PolicySystem, i0: int):
+    def __init__(self, A: FrozenSystem, i0: int):
         super().__init__(dtype=float, shape=A.shape)
         self.A, self.i0 = A, i0
 
@@ -300,7 +197,7 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
                     counts: SolveCounts | None = None) -> tuple[np.ndarray, float, str]:
     """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
 
-    Returns (v, m, solver tag).  ``A`` is a :class:`_PolicySystem`.  First
+    Returns (v, m, solver tag).  ``A`` is a :class:`FrozenSystem`.  First
     one :func:`_krylov` solve of the eliminated system :class:`_BorderedSystem`
     to ``atol/100``, capped at ceil(N/4) iterations, started from ``x0``
     (slot i0 the guess of m) and preconditioned by the same elimination of
@@ -346,8 +243,8 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
     it = 0
     counts, factors = SolveCounts(), op.near_factor.count
     for it in range(1, max_iter + 1):
-        A, const = _policy_system(op, policy)
-        x, m, tag = solve(A, -const, x, counts)
+        A = op.frozen(policy)
+        x, m, tag = solve(A, -A.const, x, counts)
         counts.linear_solves[tag] += 1
         if not (np.all(np.isfinite(x)) and np.isfinite(m)):
             raise ValueError("frozen-policy solve returned non-finite values; "

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .grid import Grid, ExteriorRule, lattice_box
 from .problem import ControlProblem, KernelSpec
@@ -179,7 +180,7 @@ class _LatticeConvolution:
 class _NearFactor:
     """One slot: the near-field LU of the last frozen policy factored.
 
-    Filled by :meth:`nlhjb.discounted._PolicySystem.near_factor`.
+    Filled by :meth:`FrozenSystem.near_factor`.
     ``key`` is the policy's bytes, ``ones`` the factor's solve of 1 (made
     on first use) and ``count`` the factorizations made so far.
     """
@@ -245,17 +246,9 @@ class DiscreteOperator:
         return dataclasses.replace(self, base=base, const=const, jump=None,
                                    near_factor=_NearFactor())
 
-    def frozen(self, policy: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-        """Frozen-policy rows and constant: row i of control ``policy[i]``.
-
-        One gather of the rows ``policy[i]·N + i`` of ``base``, with c on
-        the diagonal; on the FFT path the caller adds the jump part.
-        """
-        nodes = np.arange(self.n_nodes)
-        A = self.base[policy * self.n_nodes + nodes]
-        A.setdiag(A.diagonal() + self.c[policy, nodes])
-        A.eliminate_zeros()
-        return A, self.const[policy, nodes]
+    def frozen(self, policy: np.ndarray) -> "FrozenSystem":
+        """The frozen-policy system: row i of control ``policy[i]``."""
+        return FrozenSystem(self, policy)
 
     def with_alpha(self, alpha: float) -> "DiscreteOperator":
         """Same dynamics with the discounted zeroth term c ≡ -alpha."""
@@ -264,6 +257,103 @@ class DiscreteOperator:
     def c_floor(self) -> float:
         """Largest c_floor with sup_tau c_tau <= -c_floor on the grid."""
         return float(-self.c.max())
+
+
+class FrozenSystem(spla.LinearOperator):
+    """Frozen-policy system and constant: row i is control ``policy[i]``'s.
+
+    ``local`` gathers the rows ``policy[i]·N + i`` of ``op.base`` and puts c
+    on the diagonal: the whole system for explicit stencils, the drift part
+    when the operator applies its jump part by FFT, which then adds row i's
+    convolution scaled by k_{policy[i]}(x_i).  ``const`` is the running cost
+    plus exterior data.  ``tocsc`` builds the system from ``op.csr()`` for
+    sparse LU.  The near-field LU that preconditions BiCGStab is memoized on
+    the operator per policy, so Howard steps and alpha levels that come back
+    to a policy reuse it.
+    """
+
+    def __init__(self, op: DiscreteOperator, policy: np.ndarray):
+        n = op.n_nodes
+        super().__init__(dtype=float, shape=(n, n))
+        nodes = np.arange(n)
+        local = op.base[policy * n + nodes]
+        local.setdiag(local.diagonal() + op.c[policy, nodes])
+        local.eliminate_zeros()
+        self.op, self.policy, self.local = op, policy, local
+        self.const = op.const[policy, nodes]
+        if op.jump is not None:
+            self.scale = op.jump.scale[policy, nodes]
+
+    def _matvec(self, x):
+        x = np.ravel(x)
+        out = self.local @ x
+        if self.op.jump is not None:
+            out += self.scale * self.op.jump.conv(x)
+        return out
+
+    def near(self) -> sp.csr_matrix:
+        """The system cut to lattice offsets |z|_inf <= 1, full diagonal kept.
+
+        Its off-diagonals are >= 0 and -near is strictly diagonally dominant
+        by rows (c < 0), so it is a nonsingular M-matrix.  On the FFT path
+        ``local`` is drift and c, already within the ring; explicit stencils
+        are read at each node's ring neighbours, 3^d lookups per row, and
+        the neighbours a stencil does not reach are left out.
+        """
+        if self.op.jump is not None:
+            N = self.op.jump.conv.near()
+            scaled = sp.csr_matrix((N.data * np.repeat(self.scale, np.diff(N.indptr)),
+                                    N.indices, N.indptr), shape=self.shape)
+            return (scaled + self.local).tocsr()
+        grid = self.op.grid
+        j = grid.node_index_of_lattice(grid.lattice[:, None, :] + lattice_box(grid.d, 1))
+        rows, cols = np.nonzero(j >= 0)[0], j[j >= 0]
+        P = sp.csr_matrix((np.asarray(self.local[rows, cols]).ravel(), (rows, cols)),
+                          shape=self.shape)
+        P.eliminate_zeros()
+        return P
+
+    def near_factor(self):
+        """The operator's near-field memo, holding the sparse LU of this policy.
+
+        The memo (``op.near_factor``) keeps one factor, keyed by the policy
+        alone: ``with_alpha`` copies share it, so a factor made at an
+        earlier alpha serves a later one.  Its diagonal is then off by the
+        change in alpha, which moves only the preconditioner; the residual
+        rules judge every answer.  On a new policy the old factor is dropped
+        before :meth:`near` is factored, so at most one is alive per
+        operator.  A symmetric minimum-degree ordering with diagonal pivots:
+        a symmetric permutation keeps the strict diagonal dominance, which
+        then holds in every Schur complement, so no pivot is zero.  ``splu``
+        raises ``RuntimeError`` on a singular factor, which leaves the memo
+        empty.
+        """
+        memo = self.op.near_factor
+        key = self.policy.tobytes()
+        if memo.key != key:
+            memo.key = memo.lu = memo.ones = None
+            memo.lu = spla.splu(self.near().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True})
+            memo.key = key
+            memo.count += 1
+        return memo
+
+    def preconditioner(self) -> spla.LinearOperator:
+        """Solve with the memoized sparse LU of :meth:`near` (:meth:`near_factor`).
+
+        Raises ``RuntimeError`` when the factorization does.
+        """
+        return spla.LinearOperator(self.shape, matvec=self.near_factor().lu.solve,
+                                   dtype=float)
+
+    def tocsr(self) -> sp.csr_matrix:
+        if self.op.jump is None:
+            return self.local
+        return self.op.csr().frozen(self.policy).local
+
+    def tocsc(self) -> sp.csc_matrix:
+        return self.tocsr().tocsc()
 
 
 def _stacked_inf(op: DiscreteOperator, u: np.ndarray):

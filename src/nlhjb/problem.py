@@ -59,13 +59,24 @@ class KernelSpec:
 
     ``k`` is one callable shared by all controls or a sequence aligned with
     the control list; admissible values lie in [(2-2s)λ, (2-2s)Λ] and must be
-    symmetric in the jump direction, k(x, y) = k(x, -y).
+    symmetric in the jump direction, k(x, y) = k(x, -y).  The class needs
+    s in (1/2, 1) and 0 < λ ≤ Λ < ∞; a field outside it raises
+    ``ValueError`` naming the field.
     """
 
     s: float
     lambda_ell: float
     Lambda_ell: float
     k: KernelField | Sequence[KernelField]
+
+    def __post_init__(self):
+        if not 0.5 < self.s < 1.0:
+            raise ValueError(f"s must be in (1/2, 1), got {self.s}")
+        if not 0.0 < self.lambda_ell:
+            raise ValueError(f"lambda_ell must be positive, got {self.lambda_ell}")
+        if not self.lambda_ell <= self.Lambda_ell < np.inf:
+            raise ValueError(f"Lambda_ell must be finite and at least lambda_ell = "
+                             f"{self.lambda_ell}, got {self.Lambda_ell}")
 
     def kernel_for(self, tau: int) -> KernelField:
         if callable(self.k):

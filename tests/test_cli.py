@@ -160,8 +160,9 @@ REJECTED = (
            ("blank", "cost", {"cost": "   "}),
            ("nested-too-deeply", "cost", {"cost": "-" * 100000 + "1"}),
            ("unknown-name", "cost", {"cost": "x3"}))])
-# (id, accepted base config, section, key, a value of the right type that its
-# dataclass rejects, the error message)
+# (id, accepted base config, section, key, a value out of range (a non-finite
+# number, or one that its dataclass or the problem built from it rejects), the
+# error message)
 OUT_OF_RANGE = (
     ("grid.d", constant_ergodic_config(), "grid", "d", 3,
      "section 'grid': d must be 1 or 2, got 3"),
@@ -192,6 +193,47 @@ OUT_OF_RANGE = (
      "section 'grid': reg_radius must be at least hx = 0.25, got 0.1"),
     ("controls", with_problem(FAMILY_BASES["custom"]), "problem", "controls", [],
      "section 'problem' of family 'custom': controls must be a non-empty list"),
+    # non-finite numbers, which json reads as NaN and ±Infinity
+    ("solver.tol-nan", MODE_BASES["discounted"], "solver", "tol", float("nan"),
+     "key 'tol' in section 'solver' must be a finite number, got nan"),
+    ("alpha.tol-nan", constant_ergodic_config(), "alpha", "tol", float("nan"),
+     "key 'tol' in section 'alpha' must be a finite number, got nan"),
+    ("grid.inner_radius-nan", constant_ergodic_config(), "grid", "inner_radius",
+     float("nan"), "key 'inner_radius' in section 'grid' must be a finite number or "
+     "null, got nan"),
+    ("alpha.start-infinity", MODE_BASES["discounted"], "alpha", "start", float("inf"),
+     "key 'start' in section 'alpha' must be a finite number, got inf"),
+    ("grid.radii-nan", constant_ergodic_config(), "grid", "radii", [4.0, float("nan")],
+     "key 'radii' in section 'grid' must be a list of finite numbers, got [4.0, nan]"),
+    ("alpha.values-infinity", VALUES_BASE, "alpha", "values", [float("inf"), 0.25],
+     "key 'values' in section 'alpha' must be a list of finite numbers or null, "
+     "got [inf, 0.25]"),
+    ("cost_shift-infinity", constant_ergodic_config(), "problem", "cost_shift",
+     float("-inf"), "key 'cost_shift' in section 'problem' of family 'constant_cost' "
+     "must be a finite number, got -inf"),
+    # the kernel class 0 < lambda_ell <= Lambda_ell, s in (1/2, 1)
+    ("lambda_ell-negative", with_problem(dict(FAMILY_BASES["custom"], controls=[
+        {"drift": ["-x1"], "cost": "1.0", "kernel": "0"}])), "problem", "lambda_ell", -1,
+     "section 'problem': lambda_ell must be positive, got -1"),
+    ("lambda_ell-above-Lambda_ell", with_problem(dict(FAMILY_BASES["custom"], Lambda_ell=1)),
+     "problem", "lambda_ell", 2,
+     "section 'problem': Lambda_ell must be finite and at least lambda_ell = 2, got 1"),
+    ("custom-s", with_problem(FAMILY_BASES["custom"]), "problem", "s", 1.5,
+     "section 'problem': s must be in (1/2, 1), got 1.5"),
+    ("constant_cost-s", with_problem(FAMILY_BASES["constant_cost"]), "problem", "s", 0.3,
+     "section 'problem': s must be in (1/2, 1), got 0.3"),
+    # family constraints, checked by building the problem at parse time
+    ("power_drift-theta", with_problem(FAMILY_BASES["power_drift"]), "problem", "theta",
+     0.2, "section 'problem': theta=0.2 violates theta < (2s-gamma)(2s-1) = "
+     f"{(2 * 0.9 - 1.6) * (2 * 0.9 - 1.0)}"),
+    ("drift-components", with_problem(FAMILY_BASES["custom"]), "problem", "controls",
+     [{"drift": ["-x1", "-x2"], "cost": "1.0"}],
+     "section 'problem': key 'problem.controls[0].drift' needs 1 component "
+     "expressions, got 2"),
+    ("zeroth-missing", zeroth_discounted_config(), "problem", "controls",
+     [{"drift": ["-x1"], "cost": "1.0", "zeroth": "-0.5"}, {"drift": ["-x1"], "cost": "1.0"}],
+     "section 'problem': key 'problem.controls[1].zeroth' is missing; either all "
+     "controls carry zeroth or none"),
 )
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import nlhjb as nl
 from nlhjb import discounted
 from nlhjb.config import build_problem, parse_config
-from nlhjb.discounted import _policy_system, _solve_bordered
+from nlhjb.discounted import _solve_bordered
 from nlhjb.operators import apply_control
 
 from conftest import random_problem
@@ -195,7 +195,7 @@ class TestFrozenPolicySystem:
         policy = np.array(data.draw(st.lists(
             st.integers(0, len(op.controls) - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
-        got, want = _policy_system(op, policy)[0].local, stacked_policy_system(op, policy)
+        got, want = op.frozen(policy).local, stacked_policy_system(op, policy)
         for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
                      (got.data, want.data)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -209,13 +209,13 @@ class TestFrozenPolicySystem:
         policy = np.array(data.draw(st.lists(
             st.integers(0, len(op.controls) - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
-        A, const = _policy_system(op.csr(), policy)
+        A = op.csr().frozen(policy)
         ref, ref_const = _policy_system_reference(op, policy)
+        assert np.array_equal(A.const, ref_const)
         A, ref = A.tocsr().sorted_indices(), ref.sorted_indices()
         assert np.array_equal(A.indptr, ref.indptr)
         assert np.array_equal(A.indices, ref.indices)
         assert np.array_equal(A.data, ref.data)
-        assert np.array_equal(const, ref_const)
 
 
 class TestBorderedElimination:
@@ -231,11 +231,11 @@ class TestBorderedElimination:
         policy = np.array(data.draw(st.lists(
             st.integers(0, len(op.controls) - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
-        A, const = _policy_system(op, policy)
+        A = op.frozen(policy)
         i0 = op.grid.origin_index
         with mock.patch.object(discounted, "_krylov", return_value=None):
-            v, m, tag = _solve_bordered(A, -const, i0, 1e-10)
-        v_ref, m_ref = bordered_reference(A.tocsr(), -const, i0)
+            v, m, tag = _solve_bordered(A, -A.const, i0, 1e-10)
+        v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         assert tag == "splu" and v[i0] == 0.0
         scale = max(1.0, float(np.max(np.abs(v_ref))), abs(m_ref))
         assert abs(m - m_ref) <= 1e-12 * scale

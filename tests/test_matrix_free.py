@@ -22,10 +22,9 @@ from hypothesis import strategies as st
 import nlhjb as nl
 from nlhjb import discounted
 from nlhjb.config import build_problem, parse_config
-from nlhjb.discounted import (_BorderedSystem, _PolicySystem, _policy_system,
-                              _solve_bordered, _solve_linear)
+from nlhjb.discounted import _BorderedSystem, _solve_bordered, _solve_linear
 from nlhjb.lyapunov import _jump_on_V
-from nlhjb.operators import _stacked_inf, apply_control
+from nlhjb.operators import FrozenSystem, _stacked_inf, apply_control
 
 from conftest import smooth_drift, smooth_field
 from oracles import (bordered_reference, build_dense_oracles, dense_fixed_point,
@@ -157,13 +156,13 @@ class TestOperatorOracle:
         policy = np.array(data.draw(st.lists(
             st.integers(0, len(op.controls) - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
-        A, const = _policy_system(op, policy)
-        ref, ref_const = _policy_system(op.csr(), policy)
+        A = op.frozen(policy)
+        ref = op.csr().frozen(policy)
         assert A.op.jump is not None and ref.op.jump is None
         x = np.random.default_rng(seed).normal(size=op.n_nodes)
         assert_rel_close(A @ x, ref @ x)
         assert_rel_close(A.near().diagonal(), ref.tocsr().diagonal())
-        assert_rel_close(const, ref_const)
+        assert_rel_close(A.const, ref.const)
 
     def test_x_dependent_kernels_keep_csr(self):
         from conftest import random_problem
@@ -297,7 +296,7 @@ class TestSolves:
 
         monkeypatch.setattr(spla, "bicgstab", fail_first)
         got = nl.solve_policy_iteration(op, 1e-11)
-        assert isinstance(calls[0], _PolicySystem)
+        assert isinstance(calls[0], FrozenSystem)
         assert got.counts.linear_solves["splu"] == 1
         assert got.counts.linear_solves["bicgstab"] == got.iterations - 1
         assert op.jump.stencils is not None   # the fallback factorised op.csr()
@@ -307,7 +306,7 @@ class TestSolves:
         # BiCGStab can report convergence while its true residual is far above
         # atol; one restart from that answer must keep the Krylov solve
         op = bordered_operator(8).with_alpha(0.4)
-        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         atol = 1e-10
         bicgstab = spla.bicgstab
         starts = []
@@ -318,10 +317,10 @@ class TestSolves:
             return (x + 1e-6 if len(starts) == 1 else x), info
 
         monkeypatch.setattr(spla, "bicgstab", drifting)
-        x, tag = _solve_linear(A, -const, atol)
+        x, tag = _solve_linear(A, -A.const, atol)
         assert tag == "bicgstab"
         assert len(starts) == 2 and starts[0] is None and starts[1] is not None
-        assert float(np.max(np.abs(A @ x + const))) <= atol
+        assert float(np.max(np.abs(A @ x + A.const))) <= atol
 
     def test_expand_domain_never_builds_csr(self, monkeypatch):
         def no_csr(self):
@@ -353,34 +352,34 @@ class TestBorderedKrylov:
         op = bordered_operator(seed, x_only=x_only).with_alpha(alpha)
         policy = np.array(data.draw(st.lists(
             st.integers(0, 1), min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
-        A, const = _policy_system(op, policy)
+        A = op.frozen(policy)
         i0, atol = op.grid.origin_index, 1e-10
-        v, m, tag = _solve_bordered(A, -const, i0, atol)
-        v_ref, m_ref = bordered_reference(A.tocsr(), -const, i0)
+        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         assert tag == "bicgstab"
         assert v[i0] == 0.0
         # -A^{-1} >= 0, so m is within the pair's bordered residual (at most
         # atol) of the exact m; the oracle's own error is far below that
-        assert abs(m - m_ref) <= float(np.max(np.abs(A @ v - m + const))) + 1e-12
+        assert abs(m - m_ref) <= float(np.max(np.abs(A @ v - m + A.const))) + 1e-12
         assert abs(m - m_ref) <= atol + 1e-12
         assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
 
     def test_nan_with_info_zero_falls_back(self, monkeypatch):
         # the answer is exactly the direct elimination's, forced here
         op = bordered_operator(3).with_alpha(0.1)
-        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         with mock.patch.object(discounted, "_krylov", return_value=None):
-            want = _solve_bordered(A, -const, op.grid.origin_index, 1e-10)
+            want = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
         assert want[2] == "splu"
         monkeypatch.setattr(spla, "bicgstab",
                             lambda A, b, *a, **kw: (np.full(np.shape(b), np.nan), 0))
-        v, m, tag = _solve_bordered(A, -const, op.grid.origin_index, 1e-10)
+        v, m, tag = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
         assert tag == "splu"
         assert np.array_equal(v, want[0]) and m == want[1]
 
     def test_capped_solve_falls_back_after_one_attempt(self, monkeypatch):
         op = bordered_operator(4).with_alpha(0.1)
-        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         calls = []
 
         def capped(A, b, *args, **kwargs):
@@ -388,7 +387,7 @@ class TestBorderedKrylov:
             return np.zeros_like(b), kwargs["maxiter"]
 
         monkeypatch.setattr(spla, "bicgstab", capped)
-        _, _, tag = _solve_bordered(A, -const, op.grid.origin_index, 1e-10)
+        _, _, tag = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
         assert tag == "splu"
         assert calls == [-(-op.n_nodes // 4)]
 
@@ -396,7 +395,7 @@ class TestBorderedKrylov:
         # BiCGStab can report convergence while its true residual is far above
         # the target; one restart from that answer must keep the Krylov pair
         op = bordered_operator(7).with_alpha(0.1)
-        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         i0, atol = op.grid.origin_index, 1e-10
         bicgstab = spla.bicgstab
         cold = []
@@ -407,8 +406,8 @@ class TestBorderedKrylov:
             return (x + 1e-6 if len(cold) == 1 else x), info
 
         monkeypatch.setattr(spla, "bicgstab", drifting)
-        v, m, tag = _solve_bordered(A, -const, i0, atol)
-        v_ref, m_ref = bordered_reference(A.tocsr(), -const, i0)
+        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         assert tag == "bicgstab"
         # one eliminated solve: the drifted cold start and its restart
         assert cold == [True, False]
@@ -417,7 +416,7 @@ class TestBorderedKrylov:
 
     def test_converged_solve_calls_bicgstab_once(self, monkeypatch):
         op = bordered_operator(2).with_alpha(0.1)
-        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         bicgstab = spla.bicgstab
         calls = []
 
@@ -426,17 +425,17 @@ class TestBorderedKrylov:
             return bicgstab(A, b, *args, **kwargs)
 
         monkeypatch.setattr(spla, "bicgstab", counting)
-        v, m, tag = _solve_bordered(A, -const, op.grid.origin_index, 1e-10)
+        v, m, tag = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
         assert tag == "bicgstab"
         assert len(calls) == 1 and isinstance(calls[0], _BorderedSystem)
-        assert float(np.max(np.abs(A @ v - m + const))) <= 1e-10
+        assert float(np.max(np.abs(A @ v - m + A.const))) <= 1e-10
 
     def test_answer_between_target_and_rule_is_kept_after_one_call(self, monkeypatch):
         # The Krylov target is atol/100, the acceptance rule atol: an answer
         # whose true residual lies between the two passes the rule, so it is
         # kept as it is, with no restart
         op = bordered_operator(7).with_alpha(0.1)
-        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         i0, atol = op.grid.origin_index, 1e-10
         B = _BorderedSystem(A, i0)
         bicgstab = spla.bicgstab
@@ -448,10 +447,10 @@ class TestBorderedKrylov:
             return x + 1e-12, 0
 
         monkeypatch.setattr(spla, "bicgstab", above_target)
-        v, m, tag = _solve_bordered(A, -const, i0, atol)
+        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
         x = v.copy()
         x[i0] = m
-        r = float(np.max(np.abs(B @ x + const)))
+        r = float(np.max(np.abs(B @ x + A.const)))
         assert tag == "bicgstab" and len(calls) == 1
         assert atol / 100 < r <= atol
 
@@ -460,7 +459,7 @@ class TestBorderedKrylov:
         # (info < 0) at the FFT round-off floor; the answer it returns is
         # judged by the bordered residual rule, not sent to sparse LU
         op = bordered_operator(7).with_alpha(0.1)
-        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         i0, atol = op.grid.origin_index, 1e-10
         bicgstab = spla.bicgstab
         infos = []
@@ -471,8 +470,8 @@ class TestBorderedKrylov:
             return (x + 1e-11, 0) if len(infos) == 1 else (x, -10)
 
         monkeypatch.setattr(spla, "bicgstab", breaking)
-        v, m, tag = _solve_bordered(A, -const, i0, atol)
-        v_ref, m_ref = bordered_reference(A.tocsr(), -const, i0)
+        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         assert tag == "bicgstab" and len(infos) == 2
         assert abs(m - m_ref) <= atol + 1e-12
         assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
@@ -530,8 +529,8 @@ class TestNearField:
         policy = np.array(data.draw(st.lists(
             st.integers(0, len(op.controls) - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
-        A, _ = _policy_system(op, policy)
-        ref = _policy_system(op.csr(), policy)[0].tocsr().toarray()
+        A = op.frozen(policy)
+        ref = op.csr().frozen(policy).tocsr().toarray()
         lat = op.grid.lattice
         ring = np.abs(lat[:, None, :] - lat[None, :, :]).max(axis=-1) <= 1
         want = np.where(ring, ref, 0.0)
@@ -559,7 +558,7 @@ class TestNearField:
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64) for _ in range(2)]
         copies = (op, dataclasses.replace(op))
         for k in (0, 1, 0, 0, 1):
-            A, _ = _policy_system(copies[k % 2], policies[k])
+            A = copies[k % 2].frozen(policies[k])
             B = A.near().toarray()
             B[:, i0] = -1.0
             got = _BorderedSystem(A, i0).preconditioner() @ B
@@ -575,9 +574,9 @@ class TestNearField:
         op = bordered_operator(seed, d=d, x_only=x_only).with_alpha(alpha)
         policy = np.array(data.draw(st.lists(
             st.integers(0, 1), min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
-        A, const = _policy_system(op, policy)
+        A = op.frozen(policy)
         i0, atol = op.grid.origin_index, 1e-10
-        v, m, tag = _solve_bordered(A, -const, i0, atol)
+        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
 
         def jacobi(self):
             diag = self.A.near().diagonal()
@@ -585,8 +584,8 @@ class TestNearField:
             return sp.diags(1.0 / diag)
 
         with mock.patch.object(_BorderedSystem, "preconditioner", jacobi):
-            v_j, m_j, _ = _solve_bordered(A, -const, i0, atol)
-        v_ref, m_ref = bordered_reference(A.tocsr(), -const, i0)
+            v_j, m_j, _ = _solve_bordered(A, -A.const, i0, atol)
+        v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         if d == 2:
             assert tag == "bicgstab"
         # each pair's bordered residual is at most atol, which bounds its
@@ -599,7 +598,7 @@ class TestNearField:
 
     def test_one_factor_per_frozen_policy(self, monkeypatch):
         op = bordered_operator(7).with_alpha(0.1)
-        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         splu = spla.splu
         calls = []
 
@@ -609,7 +608,7 @@ class TestNearField:
 
         monkeypatch.setattr(spla, "splu", counting)
         for _ in range(2):
-            assert _solve_bordered(A, -const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
+            assert _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
         assert calls == [A.shape]
 
     def test_same_policy_on_two_alpha_copies_factors_once(self, monkeypatch):
@@ -619,8 +618,8 @@ class TestNearField:
         policy = np.zeros(op.n_nodes, dtype=np.int64)
         calls = counted_splu(monkeypatch)
         for alpha in (0.2, 0.1):
-            A, const = _policy_system(op.with_alpha(alpha), policy.copy())
-            assert _solve_bordered(A, -const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
+            A = op.with_alpha(alpha).frozen(policy.copy())
+            assert _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
         assert len(calls) == 1
         assert op.near_factor.count == 1
 
@@ -632,8 +631,8 @@ class TestNearField:
         second = first.copy()
         second[i0] = 1
         for policy in (first, second, first):
-            A, const = _policy_system(op, policy)
-            assert _solve_bordered(A, -const, i0, 1e-10)[2] == "bicgstab"
+            A = op.frozen(policy)
+            assert _solve_bordered(A, -A.const, i0, 1e-10)[2] == "bicgstab"
             assert op.near_factor.key == policy.tobytes()
         assert len(calls) == 3
 
@@ -641,14 +640,14 @@ class TestNearField:
         ops = [bordered_operator(7, R=R).with_alpha(0.1) for R in (3.0, 4.0)]
         calls = counted_splu(monkeypatch)
         for op in ops + ops:
-            A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
-            assert _solve_bordered(A, -const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
+            A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
+            assert _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)[2] == "bicgstab"
         assert calls == [(op.n_nodes, op.n_nodes) for op in ops]
         assert ops[0].near_factor is not ops[1].near_factor
 
     def test_failed_factor_is_not_reused(self, monkeypatch):
         op = bordered_operator(7).with_alpha(0.1)
-        A, const = _policy_system(op, np.zeros(op.n_nodes, dtype=np.int64))
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         i0 = op.grid.origin_index
         splu = spla.splu
         calls = []
@@ -660,9 +659,9 @@ class TestNearField:
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", fail_first)
-        assert _solve_bordered(A, -const, i0, 1e-10)[2] == "splu"
+        assert _solve_bordered(A, -A.const, i0, 1e-10)[2] == "splu"
         assert op.near_factor.key is None and op.near_factor.count == 0
-        assert _solve_bordered(A, -const, i0, 1e-10)[2] == "bicgstab"
+        assert _solve_bordered(A, -A.const, i0, 1e-10)[2] == "bicgstab"
         assert len(calls) == 2 and op.near_factor.count == 1
 
     def test_failed_factor_falls_back_to_lu(self, monkeypatch):
@@ -678,8 +677,8 @@ class TestNearField:
         assert got.counts.krylov_iterations == 0
         assert abs(got.m - want.m) <= 1e-10
         assert float(np.max(np.abs(got.v - want.v))) <= 1e-10
-        A, const = _policy_system(op.with_alpha(0.4), np.zeros(op.n_nodes, dtype=np.int64))
-        assert _solve_linear(A, -const, 1e-10)[1] == "splu"
+        A = op.with_alpha(0.4).frozen(np.zeros(op.n_nodes, dtype=np.int64))
+        assert _solve_linear(A, -A.const, 1e-10)[1] == "splu"
 
     def test_krylov_iterations_count_every_bicgstab_step(self, monkeypatch):
         # each BiCGStab run's matvecs, less the initial residual of a warm

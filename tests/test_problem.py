@@ -67,6 +67,17 @@ class TestPowerDriftFamily:
                 power_drift_problem(gamma, theta, 1, s)
 
 
+@pytest.mark.parametrize("s, lam, Lam, field", [
+    (1.5, 1.0, 1.0, "s"), (0.3, 1.0, 1.0, "s"), (float("nan"), 1.0, 1.0, "s"),
+    (0.75, -1.0, 1.0, "lambda_ell"), (0.75, 0.0, 1.0, "lambda_ell"),
+    (0.75, float("nan"), 1.0, "lambda_ell"), (0.75, 2.0, 1.0, "Lambda_ell"),
+    (0.75, 1.0, float("inf"), "Lambda_ell")])
+def test_kernel_class_outside_its_range_is_rejected(s, lam, Lam, field):
+    # s in (1/2, 1) and 0 < lambda_ell <= Lambda_ell < inf, the field named
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        KernelSpec(s=s, lambda_ell=lam, Lambda_ell=Lam, k=constant_kernel(0.5))
+
+
 class TestValidation:
     def test_constant_kernel_passes_bounds(self):
         s = 0.75
