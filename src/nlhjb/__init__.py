@@ -5,11 +5,11 @@ certification."""
 
 __version__ = "0.1.0"
 
-from .discounted import (BarrierReport, DiscountedSolution, NormalizedSolution,
-                         check_barrier, solve_normalized, solve_policy_iteration)
+from .discounted import (BarrierReport, HowardSolution, check_barrier,
+                         solve_normalized, solve_policy_iteration)
 from .ergodic import (AlphaSchedule, DomainConfig, ErgodicSolution,
                       check_bar_w_bound, check_lambda_bound, convergence_study,
-                      expand_domain, normalize_at_origin, vanishing_discount)
+                      expand_domain, vanishing_discount)
 from .grid import ExteriorRule, Grid, build_grid
 from .lyapunov import LyapunovCertificate, evaluate_lyapunov_drift, fit_envelope
 from .operators import (DiscreteOperator, MonotonicityError, apply_control,
@@ -28,10 +28,10 @@ __all__ = [
     "JumpQuadrature", "build_quadrature",
     "DiscreteOperator", "MonotonicityError", "assemble", "apply_control",
     "apply_inf", "pucci_extremal",
-    "DiscountedSolution", "NormalizedSolution", "BarrierReport",
+    "HowardSolution", "BarrierReport",
     "solve_policy_iteration", "solve_normalized", "check_barrier",
     "DomainConfig", "AlphaSchedule", "ErgodicSolution", "expand_domain",
-    "vanishing_discount", "convergence_study", "normalize_at_origin",
+    "vanishing_discount", "convergence_study",
     "check_bar_w_bound", "check_lambda_bound",
     "LyapunovCertificate", "evaluate_lyapunov_drift", "fit_envelope",
 ]

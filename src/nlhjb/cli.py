@@ -98,9 +98,8 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     """Discounted run: exit code and the solver counts for ``run_meta.json``."""
     prob = build_problem(cfg)
     alpha = cfg.alpha.start if prob.zeroth is None else None
-    sol = expand_domain(prob, alpha, cfg.grid, cfg.solver.tol,
-                        max_iter=cfg.solver.max_policy_iters)
-    op = sol.diagnostics["operator"]
+    sol, radius_trace, op = expand_domain(prob, alpha, cfg.grid, cfg.solver.tol,
+                                          max_iter=cfg.solver.max_policy_iters)
     grid = op.grid
     report = {
         "mode": "discounted",
@@ -110,20 +109,20 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         "converged": bool(sol.converged),
         "radius_trace": [
             {"R": R, "inner_change": None if np.isinf(c) else c}
-            for R, c in sol.diagnostics["radius_trace"]
+            for R, c in radius_trace
         ],
-        "radius_stabilized": bool(sol.diagnostics["radius_stabilized"]),
-        "sup_norm": float(np.max(np.abs(sol.w))),
+        "radius_stabilized": bool(radius_trace[-1][1] <= cfg.solver.tol),
+        "sup_norm": float(np.max(np.abs(sol.u))),
     }
     if prob.lyapunov is not None:
         cert = fit_envelope(evaluate_lyapunov_drift(prob, grid, op.quadrature),
                             prob.lyapunov, grid)
         if cert.ok:
-            br = check_barrier(sol, prob, grid, k0=cert.k0)
+            br = check_barrier(sol, prob, grid, k0=cert.k0, c_floor=op.c_floor())
             report["barrier"] = {"ok": br.ok, "n_violations": br.n_violations,
                                  "min_margin": br.min_margin, "detail": br.detail}
     _write_json(outdir / "report.json", report)
-    _write_solution_csv(outdir / "solution.csv", grid, sol.w)
+    _write_solution_csv(outdir / "solution.csv", grid, sol.u)
     with (outdir / "trace.csv").open("w") as fh:
         fh.write("iteration,residual,policy_changes\n")
         for it, res, changes in sol.trace:

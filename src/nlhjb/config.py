@@ -17,7 +17,8 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .ergodic import AlphaSchedule, DomainConfig
-from .expressions import compile_kernel_field, compile_scalar_field
+from .expressions import _compile, _evaluate, compile_kernel_field, compile_scalar_field
+from .expressions import _names as _coordinates
 from .problem import (ControlProblem, KernelSpec, constant_cost_problem,
                       constant_kernel, power_drift_problem)
 
@@ -67,11 +68,22 @@ class ConstantCostConfig:
 
 
 def _compiled(key: str, expr: str, d: int, compile_field=compile_scalar_field):
-    """``compile_field(expr, d)``, its ``ValueError`` naming ``key``."""
+    """``compile_field(expr, d)``, its ``ValueError`` naming ``key``.
+
+    An expression that reads no coordinate is evaluated here, so one that
+    fails or is not finite is rejected with its key, not at assembly.
+    """
     try:
-        return compile_field(expr, d)
+        field = compile_field(expr, d)
+        code, used = _compile(expr, _coordinates(d, "x", "r") | _coordinates(d, "y", "ry"))
+        if not used:
+            with np.errstate(all="ignore"):
+                value = _evaluate(code, {}, ())
+            if not np.isfinite(value):
+                raise ValueError(f"expression is not finite: {float(value)}")
+        return field
     except ValueError as exc:
-        raise ValueError(f"key '{key}': {exc}") from None
+        raise ConfigError(f"key '{key}': {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -252,8 +264,8 @@ def _coerce_problem(raw: dict):
     if not isinstance(raw, dict):
         raise ConfigError("section 'problem' must be a mapping")
     family = raw.get("family")
-    if family not in _FAMILIES:
-        raise ConfigError(f"problem.family must be one of {tuple(_FAMILIES)}, "
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigError(f"key 'problem.family' must be one of {tuple(_FAMILIES)}, "
                           f"got {family!r}")
     keys = {k: v for k, v in raw.items() if k != "family"}
     return _coerce(_FAMILIES[family], keys,

@@ -21,7 +21,7 @@ from .operators import DiscreteOperator, FrozenSystem, _stacked_inf
 from .problem import ControlProblem
 
 __all__ = [
-    "SolveCounts", "DiscountedSolution", "NormalizedSolution", "BarrierReport",
+    "SolveCounts", "HowardSolution", "BarrierReport",
     "solve_policy_iteration", "solve_normalized",
     "check_barrier",
 ]
@@ -46,30 +46,30 @@ class SolveCounts:
 
 
 @dataclass(eq=False)
-class DiscountedSolution:
-    w: np.ndarray
-    policy: np.ndarray
-    residual_inf_norm: float
-    iterations: int
-    converged: bool
-    trace: list[tuple[int, float, int]] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
-    counts: SolveCounts = field(default_factory=SolveCounts)
+class HowardSolution:
+    """One Howard solve: the pair (u, m), its policy and how it was reached.
 
+    Discounted (:func:`solve_policy_iteration`): u is w and m = 0.0.
+    Origin-normalised (:func:`solve_normalized`): u is v, with u[origin]
+    == 0.0 exactly.  ``trace`` has one ``(iteration, residual,
+    policy_changes)`` entry per Howard step, the last the returned pair's;
+    ``monotone_violation`` is the largest rise of an iterate over the one
+    before; ``counts`` counts the frozen-policy solves.
+    """
 
-@dataclass(eq=False)
-class NormalizedSolution:
-    """Pair (v, m): v solves inf(L v + g) + c v - m = 0, v(origin) = 0."""
-
-    v: np.ndarray
+    u: np.ndarray
     m: float
     policy: np.ndarray
-    residual_inf_norm: float
     iterations: int
-    alpha: float
     converged: bool
-    trace: list[tuple[int, float, int]] = field(default_factory=list)
-    counts: SolveCounts = field(default_factory=SolveCounts)
+    trace: list[tuple[int, float, int]]
+    monotone_violation: float
+    counts: SolveCounts
+
+    @property
+    def residual_inf_norm(self) -> float:
+        """The last Howard step's residual."""
+        return self.trace[-1][1]
 
 
 def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
@@ -219,16 +219,14 @@ def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
 
 
 def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
-            x0: np.ndarray | None, policy0: np.ndarray | None):
+            x0: np.ndarray | None, policy0: np.ndarray | None) -> HowardSolution:
     """Howard loop: frozen-policy solve, then greedy policy improvement.
 
     ``solve(A, rhs, x, counts)`` returns the frozen-policy solution, the
     scalar shift m that the residual inf_tau(...) - m is measured against (0
     for the plain discounted problem) and the solver tag, and adds its
-    BiCGStab iterations to ``counts``.  Returns (x, m, policy, iterations,
-    converged, trace, monotone_violation, counts); the last trace entry's
-    residual is that of the returned pair, and ``counts`` adds each step's
-    tag and the near-field factorizations made on ``op``.
+    BiCGStab iterations to ``counts``.  The returned ``counts`` adds each
+    step's tag and the near-field factorizations made on ``op``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -262,21 +260,21 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
             break
         policy = new_policy
     counts.near_factors = op.near_factor.count - factors
-    return x, m, policy, it, converged, trace, mono_violation, counts
+    return HowardSolution(u=x, m=m, policy=policy, iterations=it,
+                          converged=converged, trace=trace,
+                          monotone_violation=mono_violation, counts=counts)
 
 
 def solve_policy_iteration(op: DiscreteOperator, tol: float,
                            max_iter: int = 60,
                            w0: np.ndarray | None = None,
-                           policy0: np.ndarray | None = None) -> DiscountedSolution:
-    """Howard iteration for the discounted problem.
+                           policy0: np.ndarray | None = None) -> HowardSolution:
+    """Howard iteration for the discounted problem; ``u`` is w, ``m`` is 0.0.
 
     Requires strict diagonal dominance (sup_tau c_tau <= -c_floor < 0); the
     frozen-policy systems are solved iteratively to an absolute sup residual
     of tol/10, below the Howard stopping tol.
     Non-convergence is a flagged result, never an exception.
-    ``counts`` (:class:`SolveCounts`) counts its frozen-policy solves, and
-    ``diagnostics["c_floor"]`` is ``op.c_floor()``.
     """
     c_floor = op.c_floor()
     if not (c_floor > 0):
@@ -288,25 +286,19 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
         x, tag = _solve_linear(A, rhs, lin_atol, x0, counts)
         return x, 0.0, tag
 
-    w, _, policy, it, converged, trace, mono_violation, counts = _howard(
-        op, solve, tol, max_iter, w0, policy0)
-    return DiscountedSolution(
-        w=w, policy=policy, residual_inf_norm=trace[-1][1],
-        iterations=it, converged=converged, trace=trace,
-        diagnostics={"monotone_violation": mono_violation, "c_floor": c_floor},
-        counts=counts,
-    )
+    return _howard(op, solve, tol, max_iter, w0, policy0)
 
 
 def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
                      max_iter: int = 60,
                      v0: np.ndarray | None = None,
-                     policy0: np.ndarray | None = None) -> NormalizedSolution:
-    """Howard iteration on the origin-normalised pair (v, m).
+                     policy0: np.ndarray | None = None) -> HowardSolution:
+    """Howard iteration on the origin-normalised pair (v, m) = (``u``, ``m``).
 
     Solves inf_tau(L_tau v + g_tau) - alpha v - m = 0 with v = 0 exterior and
-    v(origin) = 0; m plays the role of alpha * w_alpha(origin) of the
-    unnormalised problem (w_alpha = v + m/alpha).  Runs on
+    v(origin) = 0, which both bordered paths set exactly, so u[origin] ==
+    0.0; m plays the role of alpha * w_alpha(origin) of the unnormalised
+    problem (w_alpha = v + m/alpha).  Runs on
     ``op.with_alpha(alpha)``: on every operator each bordered system is
     first one BiCGStab solve with v(origin) eliminated into m
     (:func:`_solve_bordered`), kept when its true residual is at most
@@ -317,22 +309,14 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     (:class:`SolveCounts`) counts the bordered solves by solver, their
     BiCGStab iterations and the near-field factorizations made for them;
     alpha levels that come back to a policy reuse its factor.
-    ``residual_inf_norm`` is the last Howard step's.
     """
-    opa = op.with_alpha(alpha)
     i0 = op.grid.origin_index
     atol = max(tol / 10.0, 1e-14)
 
     def solve(A, rhs, x0, counts):
         return _solve_bordered(A, rhs, i0, atol, x0, counts)
 
-    v, m, policy, it, converged, trace, _, counts = _howard(
-        opa, solve, tol, max_iter, v0, policy0)
-    return NormalizedSolution(
-        v=v, m=m, policy=policy, residual_inf_norm=trace[-1][1],
-        iterations=it, alpha=alpha, converged=converged, trace=trace,
-        counts=counts,
-    )
+    return _howard(op.with_alpha(alpha), solve, tol, max_iter, v0, policy0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +332,20 @@ class BarrierReport:
     detail: str
 
 
-def check_barrier(sol: DiscountedSolution, p: ControlProblem, grid: Grid,
-                  k0: float, c_floor: float | None = None) -> BarrierReport:
-    """Pointwise check of |w(x)| <= k0/c_floor + V(x) on the grid.
+def check_barrier(sol: HowardSolution, p: ControlProblem, grid: Grid,
+                  k0: float, c_floor: float) -> BarrierReport:
+    """Pointwise check of |w(x)| <= k0/c_floor + V(x) on the grid, w = ``sol.u``.
 
     ``k0`` is the constant of a fitted Lyapunov certificate
-    (:func:`~nlhjb.lyapunov.fit_envelope`); c_floor defaults to
-    ``sol.diagnostics["c_floor"]``, alpha when every c is -alpha.
+    (:func:`~nlhjb.lyapunov.fit_envelope`); ``c_floor`` is the solved
+    operator's ``op.c_floor()``, alpha when every c is -alpha.
     """
     if p.lyapunov is None:
         raise ValueError("barrier check needs Lyapunov data on the problem")
-    if c_floor is None:
-        c_floor = sol.diagnostics.get("c_floor")
-    if c_floor is None or c_floor <= 0:
+    if not c_floor > 0:
         raise ValueError("barrier check needs a positive c_floor")
     bound = k0 / c_floor + np.asarray(p.lyapunov.V(grid.nodes), dtype=float)
-    gap = bound - np.abs(sol.w)
+    gap = bound - np.abs(sol.u)
     viol = gap < -1e-12
     return BarrierReport(
         ok=not bool(viol.any()),

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discounted import (DiscountedSolution, NormalizedSolution, SolveCounts,
-                         solve_normalized, solve_policy_iteration)
+from .discounted import (HowardSolution, SolveCounts, solve_normalized,
+                         solve_policy_iteration)
 from .grid import ExteriorRule, Grid, build_grid
 from .operators import DiscreteOperator, assemble
 from .problem import ControlProblem
@@ -27,7 +27,7 @@ from .quadrature import build_quadrature
 __all__ = [
     "DomainConfig", "AlphaSchedule", "AlphaLevel", "ErgodicSolution",
     "expand_domain", "vanishing_discount", "convergence_study",
-    "normalize_at_origin", "check_bar_w_bound", "check_lambda_bound",
+    "check_bar_w_bound", "check_lambda_bound",
 ]
 
 
@@ -128,12 +128,6 @@ class ErgodicSolution:
     counts: SolveCounts
 
 
-def normalize_at_origin(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Shift a grid function so the origin node carries exactly zero."""
-    u = np.asarray(u, dtype=float)
-    return u - u[grid.origin_index]
-
-
 def _window_indices(grid: Grid, radius: float) -> np.ndarray:
     return np.flatnonzero(grid.radii() <= radius * (1 + 1e-12))
 
@@ -187,14 +181,16 @@ def _ladder(domain: DomainConfig, operator, solve, stop_tol: float = -np.inf):
 def expand_domain(p: ControlProblem, alpha: float | None,
                   domain: DomainConfig, tol: float, *,
                   ext: ExteriorRule | None = None,
-                  max_iter: int = 60) -> DiscountedSolution:
+                  max_iter: int = 60
+                  ) -> tuple[HowardSolution, list[tuple[float, float]], DiscreteOperator]:
     """Solve the Dirichlet problem up the one radius ladder of ``domain.radii``.
 
     Stops once the restriction to the inner window (``domain.window_radius``)
-    moves by at most ``tol`` between consecutive radii; exhaustion without
-    stabilisation is flagged in the diagnostics, not raised.  There,
-    ``"operator"`` is the operator on the last radius solved; ``counts``
-    sums the ``counts`` of every radius's solve.
+    moves by at most ``tol`` between consecutive radii; the radius trace
+    ``(R, inner_change)`` records whether it did (exhaustion is not
+    raised).  Returns the last radius's solution, whose ``counts`` sums the
+    ``counts`` of every radius's solve, the radius trace and the operator
+    on the last radius solved.
     """
     ext = ext if ext is not None else ExteriorRule.zero()
     counts = SolveCounts()
@@ -202,14 +198,12 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     def solve(op, w0, policy0):
         sol = solve_policy_iteration(op, tol, max_iter=max_iter, w0=w0, policy0=policy0)
         counts.add(sol.counts)
-        return sol.w, sol.policy, sol
+        return sol.u, sol.policy, sol
 
     trace, op, sol = _ladder(domain, lambda R: _operator(p, domain, R, ext, alpha),
                              solve, stop_tol=tol)
     sol.counts = counts
-    sol.diagnostics.update(radius_trace=trace, operator=op,
-                           radius_stabilized=trace[-1][1] <= tol)
-    return sol
+    return sol, trace, op
 
 
 def vanishing_discount(p: ControlProblem, domain: DomainConfig,
@@ -219,13 +213,14 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     """Vanishing-discount sweep producing the ergodic pair (u, lambda*).
 
     Each alpha level is one normalised solve on the largest radius, warm-
-    started from the previous level (the first starts cold).  Terminates when
-    consecutive levels satisfy |Δlambda| <= tol, ||Δ w_bar|| <= tol on the
-    inner window, and alpha * ||w_bar|| <= tol on the window (so the pair
-    solves the ergodic equation there at tolerance).  An exhausted schedule
-    returns the flagged trace for inspection.  ``radius_trace`` comes from
-    the radius ladder of :func:`expand_domain` at the last alpha, with no
-    early stop, topped by the sweep's last solve.  Each bordered (v, m) solve
+    started from the previous level (the first starts cold).  Terminates at a
+    level whose Howard solve converged when consecutive levels satisfy
+    |Δlambda| <= tol, ||Δ w_bar|| <= tol on the inner window, and
+    alpha * ||w_bar|| <= tol on the window (so the pair solves the ergodic
+    equation there at tolerance).  An exhausted schedule returns the flagged
+    trace for inspection.  ``radius_trace`` comes from the radius ladder of
+    :func:`expand_domain` at the last alpha, with no early stop, topped by
+    the sweep's last solve.  Each bordered (v, m) solve
     is one BiCGStab solve with v(origin) eliminated into m, on every
     operator, started from the Howard iterate: the first Howard step of a
     level from the level above, a rung of the ladder from the ball below.
@@ -241,7 +236,7 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     final_grid = final_op.grid
     win = _window_indices(final_grid, domain.window_radius)
     levels: list[AlphaLevel] = []
-    sol: NormalizedSolution | None = None
+    sol: HowardSolution | None = None
     converged = False
     counts = SolveCounts()
 
@@ -253,31 +248,31 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
 
     for alpha in schedule.alphas():
         prev = sol
-        v0, policy0 = (None, None) if prev is None else (prev.v, prev.policy)
+        v0, policy0 = (None, None) if prev is None else (prev.u, prev.policy)
         sol = normalized(final_op, alpha, v0, policy0)
-        alpha_norm = alpha * float(np.max(np.abs(sol.v[win])))
+        alpha_norm = alpha * float(np.max(np.abs(sol.u[win])))
         if prev is not None:
             lam_change = abs(sol.m - prev.m)
-            wbar_change = float(np.max(np.abs(sol.v[win] - prev.v[win])))
+            wbar_change = float(np.max(np.abs(sol.u[win] - prev.u[win])))
         else:
             lam_change = wbar_change = np.inf
-        levels.append(AlphaLevel(alpha=alpha, lam=sol.m, wbar=sol.v,
+        levels.append(AlphaLevel(alpha=alpha, lam=sol.m, wbar=sol.u,
                                  lam_change=lam_change, wbar_change=wbar_change,
                                  alpha_norm=alpha_norm,
                                  residual=sol.residual_inf_norm))
-        if lam_change <= tol and wbar_change <= tol and alpha_norm <= tol:
+        if (sol.converged and lam_change <= tol and wbar_change <= tol
+                and alpha_norm <= tol):
             converged = True
             break
 
     def rung(op, v0, policy0):
-        out = sol if op is final_op else normalized(op, sol.alpha, v0, policy0)
-        return out.v, out.policy, out
+        out = sol if op is final_op else normalized(op, alpha, v0, policy0)
+        return out.u, out.policy, out
 
     trace, _, _ = _ladder(domain, ops.__getitem__, rung)
-    u = normalize_at_origin(sol.v, final_grid)
     return ErgodicSolution(
-        u=u, lambda_star=sol.m, grid=final_grid, alpha_trace=levels,
-        radius_trace=trace, growth_report=_growth_report(u, final_grid, p),
+        u=sol.u, lambda_star=sol.m, grid=final_grid, alpha_trace=levels,
+        radius_trace=trace, growth_report=_growth_report(sol.u, final_grid, p),
         converged=converged, operator=final_op, counts=counts)
 
 

@@ -37,6 +37,10 @@ def _validate(tree: ast.AST, names: set[str]) -> None:
                 raise ValueError("only sin/cos/exp/sqrt/abs/min/max calls are allowed")
             if node.keywords:
                 raise ValueError("keyword arguments are not allowed in expressions")
+            arity = 2 if node.func.id in ("min", "max") else 1
+            if len(node.args) != arity:
+                raise ValueError(f"{node.func.id} takes {arity} argument(s), "
+                                 f"got {len(node.args)}")
         if isinstance(node, ast.Name) and node.id not in names and node.id not in _FUNCS:
             raise ValueError(f"unknown name {node.id!r} in expression")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):

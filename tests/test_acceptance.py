@@ -100,7 +100,7 @@ def test_criterion_03_oracle_equivalence():
         sol = nl.solve_policy_iteration(op, 1e-11)
         u = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=alpha),
                               tol=1e-11)
-        worst = max(worst, float(np.max(np.abs(sol.w - u))))
+        worst = max(worst, float(np.max(np.abs(sol.u - u))))
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
     report(3, "oracle equivalence", ok,
@@ -123,9 +123,9 @@ def test_criterion_04_comparison_monotonicity():
         q = nl.build_quadrature(g, 0.75, 7.0)
         ext = nl.ExteriorRule.zero()
         w1 = nl.solve_policy_iteration(nl.assemble(p1, g, q, ext, alpha=0.4),
-                                       1e-11).w
+                                       1e-11).u
         w2 = nl.solve_policy_iteration(nl.assemble(p2, g, q, ext, alpha=0.4),
-                                       1e-11).w
+                                       1e-11).u
         worst = max(worst, float(np.max(w1 - w2)))
     ok = worst <= 1e-9
     report(4, "discrete comparison", ok,
@@ -148,8 +148,8 @@ def test_criterion_05_barrier_and_m_bounds():
             q = nl.build_quadrature(g, 0.9, R + 1.0)
             op = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=alpha)
             sol = nl.solve_policy_iteration(op, 1e-10)
-            br = nl.check_barrier(sol, p, g, k0=cert.k0)
-            m_ok = float(np.max(np.abs(sol.w))) <= sup_g / alpha + 1e-9
+            br = nl.check_barrier(sol, p, g, k0=cert.k0, c_floor=op.c_floor())
+            m_ok = float(np.max(np.abs(sol.u))) <= sup_g / alpha + 1e-9
             all_ok &= sol.converged and br.ok and m_ok
             worst_margin = min(worst_margin, br.min_margin)
     report(5, "barrier and M bounds", all_ok,
@@ -260,7 +260,7 @@ def test_criterion_10_discrete_liouville():
         q = nl.build_quadrature(g, 0.75, 7.0)
         sol = nl.solve_policy_iteration(
             nl.assemble(p, g, q, nl.ExteriorRule.zero()), 1e-10)
-        worst = max(worst, float(np.max(np.abs(sol.w))))
+        worst = max(worst, float(np.max(np.abs(sol.u))))
     ok = worst <= 1e-10
     report(10, "discrete Liouville", ok,
            f"max ||w|| over 10 seeded dynamics = {worst:.2e} (tol = solver tol)")

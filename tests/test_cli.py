@@ -149,7 +149,11 @@ REJECTED = (
            ("max_policy_iters", constant_ergodic_config(), "solver",
             "max_policy_iters", 30.0, None),
            ("values", constant_ergodic_config(), "alpha", "values", [0.5, True], None),
-           ("output_dir", constant_ergodic_config(), None, "output_dir", 3, None))]
+           ("output_dir", constant_ergodic_config(), None, "output_dir", 3, None),
+           ("family-list", with_problem(FAMILY_BASES["power_drift"]), "problem",
+            "family", ["power_drift"], "problem.family"),
+           ("family-mapping", with_problem(FAMILY_BASES["power_drift"]), "problem",
+            "family", {}, "problem.family"))]
     # malformed expressions, compiled at parse time with grid.d
     + [(f"expression-{case}", with_problem(FAMILY_BASES["custom"]), "problem", "controls",
         [{"drift": ["-x1"], "cost": "1.0", **entry}], f"problem.controls[0].{key}")
@@ -159,7 +163,14 @@ REJECTED = (
            ("empty", "drift[0]", {"drift": [""]}),
            ("blank", "cost", {"cost": "   "}),
            ("nested-too-deeply", "cost", {"cost": "-" * 100000 + "1"}),
-           ("unknown-name", "cost", {"cost": "x3"}))])
+           ("unknown-name", "cost", {"cost": "x3"}),
+           # expressions that read no coordinate are evaluated once at parse time
+           ("division-by-zero", "cost", {"cost": "1/0"}),
+           ("nan", "drift[0]", {"drift": ["sqrt(-1)"]}),
+           ("overflow", "kernel", {"kernel": "1e308*1e308"}),
+           # a call with the wrong number of arguments
+           ("min-one-argument", "cost", {"cost": "min(x1)"}),
+           ("exp-two-arguments", "drift[0]", {"drift": ["exp(x1, 1)"]}))])
 # (id, accepted base config, section, key, a value out of range (a non-finite
 # number, or one that its dataclass or the problem built from it rejects), the
 # error message)
@@ -392,13 +403,13 @@ class TestRuns:
         p = power_drift_problem(1.6, 0.1, 1, 0.9)
         domain = DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0), reg_radius=1.0,
                               inner_radius=1.0)
-        sol = expand_domain(p, 0.25, domain, 1e-9)
-        assert np.array_equal(w, sol.w)
+        sol, trace, _ = expand_domain(p, 0.25, domain, 1e-9)
+        assert np.array_equal(w, sol.u)
         assert [t["inner_change"] for t in report["radius_trace"]] == [
-            None if np.isinf(c) else c for _, c in sol.diagnostics["radius_trace"]]
-        default = expand_domain(p, 0.25, DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0)),
-                                1e-9)
-        assert np.max(np.abs(default.w - sol.w)) > 1e-6
+            None if np.isinf(c) else c for _, c in trace]
+        default, _, _ = expand_domain(
+            p, 0.25, DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0)), 1e-9)
+        assert np.max(np.abs(default.u - sol.u)) > 1e-6
 
     def test_convergence_study_constant_cost_all_zero(self, tmp_path):
         cfg = parse_config({
@@ -779,6 +790,23 @@ class TestMoreRuns:
         assert code == 2
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["converged"] is False
+
+    def test_ergodic_exit_two_when_last_howard_solve_is_unconverged(self, tmp_path):
+        # the sweep's Cauchy rule holds at alpha.tol 10, but one Howard step
+        # per level leaves every level's residual far above solver.tol
+        cfg = {
+            "mode": "ergodic",
+            "problem": {"family": "power_drift", "gamma": 1.6, "theta": 0.1,
+                        "s": 0.9},
+            "grid": {"d": 1, "hx": 0.25, "radii": [8.0, 16.0]},
+            "solver": {"tol": 1e-9, "max_policy_iters": 1},
+            "alpha": {"values": [0.5, 0.25], "tol": 10},
+        }
+        code = run(parse_config(cfg), output_dir=str(tmp_path))
+        assert code == 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["alpha_trace"][-1]["residual"] > 1e-9
 
     def test_custom_kernel_expression(self, tmp_path):
         cfg = parse_config({

@@ -38,7 +38,7 @@ class TestPolicyIteration:
                          alpha=alpha)
         sol = nl.solve_policy_iteration(op, 1e-11)
         assert sol.converged
-        np.testing.assert_allclose(sol.w, kappa / alpha, atol=1e-9)
+        np.testing.assert_allclose(sol.u, kappa / alpha, atol=1e-9)
 
     def test_zero_cost_zero_solution(self):
         p, g, q, ext, op = setup(seed=2)
@@ -48,24 +48,24 @@ class TestPolicyIteration:
         op = nl.assemble(p0, g, q, ext, alpha=0.4)
         sol = nl.solve_policy_iteration(op, 1e-11)
         assert sol.converged
-        assert np.max(np.abs(sol.w)) <= 1e-11
+        assert np.max(np.abs(sol.u)) <= 1e-11
 
     def test_matches_dense_fixed_point(self):
         p, g, q, ext, op = setup(seed=3, hx=0.25, R=4.0, vary_kernel=True)
         sol = nl.solve_policy_iteration(op, 1e-11)
         oracle_u = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.4),
                                      tol=1e-12)
-        assert np.max(np.abs(sol.w - oracle_u)) <= 1e-10
+        assert np.max(np.abs(sol.u - oracle_u)) <= 1e-10
 
     def test_monotone_improvement(self):
         _, _, _, _, op = setup(seed=4)
         sol = nl.solve_policy_iteration(op, 1e-11)
-        assert sol.diagnostics["monotone_violation"] <= 1e-9
+        assert sol.monotone_violation <= 1e-9
 
     def test_residual_recomputed_at_acceptance(self):
         _, _, _, _, op = setup(seed=5)
         sol = nl.solve_policy_iteration(op, 1e-10)
-        vals, _ = nl.apply_inf(op, sol.w)
+        vals, _ = nl.apply_inf(op, sol.u)
         assert sol.residual_inf_norm == pytest.approx(np.max(np.abs(vals)))
         assert sol.residual_inf_norm <= 1e-10
 
@@ -78,7 +78,7 @@ class TestPolicyIteration:
         op2 = nl.assemble(p2, g, q, ext, alpha=0.4)
         s1 = nl.solve_policy_iteration(op, 1e-12)
         s2 = nl.solve_policy_iteration(op2, 1e-12)
-        np.testing.assert_allclose(s2.w, kappa * s1.w, atol=1e-9)
+        np.testing.assert_allclose(s2.u, kappa * s1.u, atol=1e-9)
         np.testing.assert_array_equal(s1.policy, s2.policy)
 
     def test_discrete_liouville(self):
@@ -92,7 +92,7 @@ class TestPolicyIteration:
             q = nl.build_quadrature(g, 0.75, 5.0)
             op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
             sol = nl.solve_policy_iteration(op, 1e-11)
-            assert np.max(np.abs(sol.w)) <= 1e-11
+            assert np.max(np.abs(sol.u)) <= 1e-11
 
     def test_comparison_in_cost(self):
         p, g, q, ext, op1 = setup(seed=7, nonneg_cost=True)
@@ -100,8 +100,8 @@ class TestPolicyIteration:
         p2 = dataclasses.replace(
             p, cost=tuple((lambda f: (lambda x: f(x) + bump(x)))(f) for f in p.cost))
         op2 = nl.assemble(p2, g, q, ext, alpha=0.4)
-        w1 = nl.solve_policy_iteration(op1, 1e-11).w
-        w2 = nl.solve_policy_iteration(op2, 1e-11).w
+        w1 = nl.solve_policy_iteration(op1, 1e-11).u
+        w2 = nl.solve_policy_iteration(op2, 1e-11).u
         assert np.all(w1 <= w2 + 1e-9)
 
     def test_needs_strict_dominance(self):
@@ -126,12 +126,12 @@ def test_residual_is_recomputed_at_the_answer_bit_for_bit(d, max_iter):
     op = nl.assemble(p, g, nl.build_quadrature(g, 0.75 if d == 1 else 0.9, 5.0),
                      nl.ExteriorRule.zero(), alpha=0.4)
     sol = nl.solve_policy_iteration(op, 1e-12, max_iter=max_iter)
-    vals, _ = nl.apply_inf(op, sol.w)
+    vals, _ = nl.apply_inf(op, sol.u)
     assert sol.converged == (max_iter > 1)
     assert sol.residual_inf_norm == float(np.max(np.abs(vals)))
     norm = nl.solve_normalized(op, 0.05, 1e-12, max_iter=max_iter)
-    vals, _ = nl.apply_inf(op.with_alpha(0.05), norm.v)
-    assert norm.converged == (max_iter > 1) and norm.v[g.origin_index] == 0.0
+    vals, _ = nl.apply_inf(op.with_alpha(0.05), norm.u)
+    assert norm.converged == (max_iter > 1) and norm.u[g.origin_index] == 0.0
     assert norm.residual_inf_norm == float(np.max(np.abs(vals - norm.m)))
 
 
@@ -266,7 +266,7 @@ class TestNormalized:
         op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
         sol = nl.solve_normalized(op, alpha, 1e-12)
         assert sol.converged
-        w = sol.v + sol.m / alpha
+        w = sol.u + sol.m / alpha
         opa = op.with_alpha(alpha)
         got = apply_control(opa, 0, w)
         extmass = -(op.base @ np.ones(g.n_nodes))
@@ -278,7 +278,7 @@ class TestNormalized:
         q = nl.build_quadrature(g, 0.75, 5.0)
         op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
         sol = nl.solve_normalized(op, 0.25, 1e-11)
-        assert sol.v[g.origin_index] == 0.0
+        assert sol.u[g.origin_index] == 0.0
 
     def test_cost_shift_moves_m_exactly(self):
         p = random_problem(13)
@@ -291,18 +291,21 @@ class TestNormalized:
         op2 = nl.assemble(p2, g, q, nl.ExteriorRule.zero())
         s2 = nl.solve_normalized(op2, 0.25, 1e-12)
         assert s2.m - s1.m == pytest.approx(2.0, abs=1e-10)
-        np.testing.assert_allclose(s1.v, s2.v, atol=1e-10)
+        np.testing.assert_allclose(s1.u, s2.u, atol=1e-10)
 
 
 class TestBarrier:
+    @staticmethod
+    def solution(w):
+        return nl.HowardSolution(u=w, m=0.0, policy=np.zeros(w.size, dtype=int),
+                                 iterations=0, converged=True, trace=[(0, 0.0, 0)],
+                                 monotone_violation=0.0, counts=discounted.SolveCounts())
+
     def test_zero_solution_passes(self):
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
         g = nl.build_grid(1, 0.5, 8.0)
-        sol = nl.DiscountedSolution(w=np.zeros(g.n_nodes),
-                                    policy=np.zeros(g.n_nodes, dtype=int),
-                                    residual_inf_norm=0.0, iterations=0,
-                                    converged=True, diagnostics={"c_floor": 0.5})
-        rep = nl.check_barrier(sol, p, g, k0=1.0)
+        rep = nl.check_barrier(self.solution(np.zeros(g.n_nodes)), p, g, k0=1.0,
+                               c_floor=0.5)
         assert rep.ok and rep.n_violations == 0
 
     def test_adversarial_injection_fails(self):
@@ -311,21 +314,15 @@ class TestBarrier:
         k0, alpha = 1.0, 0.5
         V = p.lyapunov.V(g.nodes)
         w = V + 2 * k0 / alpha
-        sol = nl.DiscountedSolution(w=w, policy=np.zeros(g.n_nodes, dtype=int),
-                                    residual_inf_norm=0.0, iterations=0,
-                                    converged=True, diagnostics={"c_floor": alpha})
-        rep = nl.check_barrier(sol, p, g, k0=k0)
+        rep = nl.check_barrier(self.solution(w), p, g, k0=k0, c_floor=alpha)
         assert not rep.ok and rep.n_violations > 0
 
     def test_missing_lyapunov_data(self):
         p = nl.constant_cost_problem(1.0, 1)
         g = nl.build_grid(1, 0.5, 8.0)
-        sol = nl.DiscountedSolution(w=np.zeros(g.n_nodes),
-                                    policy=np.zeros(g.n_nodes, dtype=int),
-                                    residual_inf_norm=0.0, iterations=0,
-                                    converged=True, diagnostics={"c_floor": 0.5})
         with pytest.raises(ValueError, match="Lyapunov"):
-            nl.check_barrier(sol, p, g, k0=1.0)
+            nl.check_barrier(self.solution(np.zeros(g.n_nodes)), p, g, k0=1.0,
+                             c_floor=0.5)
 
 
 def test_dump_cap_enforced():

@@ -17,26 +17,23 @@ SCHED = nl.AlphaSchedule(start=0.5, factor=0.5, max_levels=20)
 class TestExpandDomain:
     def test_zero_cost_stabilizes_immediately(self):
         p = nl.constant_cost_problem(0.0, 1)
-        sol = nl.expand_domain(
+        sol, trace, _ = nl.expand_domain(
             p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(4.0, 8.0, 12.0)), 1e-10)
-        assert sol.diagnostics["radius_stabilized"]
-        trace = sol.diagnostics["radius_trace"]
         assert len(trace) == 2 and trace[1][1] <= 1e-10
-        assert np.max(np.abs(sol.w)) <= 1e-10
+        assert np.max(np.abs(sol.u)) <= 1e-10
 
     def test_constant_cost_matching_exterior_zero_change(self):
         kappa, alpha = 2.0, 0.25
         p = nl.constant_cost_problem(kappa, 1)
-        sol = nl.expand_domain(p, alpha, DOM1, 1e-8,
-                               ext=nl.ExteriorRule.constant(kappa / alpha))
-        assert sol.diagnostics["radius_stabilized"]
-        np.testing.assert_allclose(sol.w, kappa / alpha, atol=1e-7)
+        sol, trace, _ = nl.expand_domain(p, alpha, DOM1, 1e-8,
+                                         ext=nl.ExteriorRule.constant(kappa / alpha))
+        assert trace[-1][1] <= 1e-8
+        np.testing.assert_allclose(sol.u, kappa / alpha, atol=1e-7)
 
     def test_power_drift_changes_decrease(self):
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
-        sol = nl.expand_domain(
+        _, trace, _ = nl.expand_domain(
             p, 0.25, nl.DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0, 32.0)), 1e-12)
-        trace = sol.diagnostics["radius_trace"]
         changes = [c for _, c in trace[1:]]
         assert len(changes) == 2
         assert changes[1] < changes[0]
@@ -73,11 +70,11 @@ class TestRadiusLadder:
 
     def test_expand_domain_never_assembles_past_the_stop(self, assembled):
         p = nl.constant_cost_problem(0.0, 1)
-        sol = nl.expand_domain(
+        _, trace, op = nl.expand_domain(
             p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(4.0, 8.0, 12.0)), 1e-10)
         assert assembled == [4.0, 8.0]
-        assert sol.diagnostics["radius_stabilized"]
-        assert sol.diagnostics["operator"].grid.R == 8.0
+        assert trace[-1][1] <= 1e-10
+        assert op.grid.R == 8.0
 
 
 class TestVanishingDiscount:
@@ -157,11 +154,11 @@ class TestVanishingDiscount:
         for (ga, sa), (gb, sb) in zip(cold, cold[1:]):
             win = np.flatnonzero(ga.radii() <= dom.window_radius)
             ib = gb.node_index_of_lattice(ga.lattice[win])
-            want.append(float(np.max(np.abs(sb.v[ib] - sa.v[win]))))
+            want.append(float(np.max(np.abs(sb.u[ib] - sa.u[win]))))
         got = [c for _, c in sol.radius_trace]
         assert got[0] == np.inf
         np.testing.assert_allclose(got[1:], want[1:], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(sol.u, cold[-1][1].v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.u, cold[-1][1].u, rtol=0, atol=1e-12)
 
     def test_fine_1d_sweep_solves_every_pair_by_krylov(self):
         # At N=1025 one restarted bordered solve breaks down (info < 0) at the
@@ -213,7 +210,7 @@ class TestSolveCounts:
         "vanishing_discount": ("solve_normalized", lambda p: nl.vanishing_discount(
             p, DOM1, SCHED, 1e-4, solver_tol=1e-8)),
         "expand_domain": ("solve_policy_iteration", lambda p: nl.expand_domain(
-            p, 0.25, nl.DomainConfig(d=1, hx=0.5, radii=(4.0, 8.0, 16.0)), 1e-12)),
+            p, 0.25, nl.DomainConfig(d=1, hx=0.5, radii=(4.0, 8.0, 16.0)), 1e-12)[0]),
     }
 
     @pytest.mark.parametrize("fail_first", [False, True])
@@ -249,16 +246,6 @@ class TestSolveCounts:
             "near_factors": sum(c.near_factors for _, c in made)}
         assert sol.counts.linear_solves["splu"] == int(fail_first)
         assert sol.counts.krylov_iterations > made[-1][1].krylov_iterations
-
-
-class TestNormalization:
-    def test_idempotent(self):
-        g = nl.build_grid(1, 0.25, 4.0)
-        u = np.random.default_rng(0).normal(size=g.n_nodes)
-        once = nl.normalize_at_origin(u, g)
-        twice = nl.normalize_at_origin(once, g)
-        np.testing.assert_array_equal(once, twice)
-        assert once[g.origin_index] == 0.0
 
 
 @pytest.fixture(scope="module")

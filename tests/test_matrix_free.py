@@ -228,7 +228,7 @@ class TestSolves:
         fast = nl.solve_policy_iteration(op, 1e-9)
         ref = nl.solve_policy_iteration(op.csr(), 1e-9)
         assert max(fast.residual_inf_norm, ref.residual_inf_norm) <= 1e-7
-        gap = float(np.max(np.abs(fast.w - ref.w)))
+        gap = float(np.max(np.abs(fast.u - ref.u)))
         assert gap <= (fast.residual_inf_norm + ref.residual_inf_norm + 1e-10) / 0.4
 
     @settings(max_examples=15, deadline=None)
@@ -245,8 +245,8 @@ class TestSolves:
         ext = nl.ExteriorRule.zero()
         op1, op2 = nl.assemble(p1, g, q, ext), nl.assemble(p2, g, q, ext)
         assert op1.jump is not None
-        w1 = nl.solve_policy_iteration(op1, 1e-11).w
-        w2 = nl.solve_policy_iteration(op2, 1e-11).w
+        w1 = nl.solve_policy_iteration(op1, 1e-11).u
+        w2 = nl.solve_policy_iteration(op2, 1e-11).u
         assert np.all(w1 <= w2 + 1e-9)
 
     def test_value_iteration_matches_policy_iteration(self):
@@ -258,7 +258,7 @@ class TestSolves:
         assert op.jump is not None
         s1 = nl.solve_policy_iteration(op, 1e-11)
         w = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.5), tol=1e-11)
-        assert np.max(np.abs(s1.w - w)) <= 1e-8
+        assert np.max(np.abs(s1.u - w)) <= 1e-8
 
     def test_policy_iteration_does_not_stall_on_large_exterior_data(self):
         # Exterior constants near 20: a BiCGStab stop relative to max|rhs|
@@ -300,7 +300,7 @@ class TestSolves:
         assert got.counts.linear_solves["splu"] == 1
         assert got.counts.linear_solves["bicgstab"] == got.iterations - 1
         assert op.jump.stencils is not None   # the fallback factorised op.csr()
-        assert np.max(np.abs(got.w - want.w)) <= 1e-10
+        assert np.max(np.abs(got.u - want.u)) <= 1e-10
 
     def test_drifted_answer_is_restarted_not_sent_to_lu(self, monkeypatch):
         # BiCGStab can report convergence while its true residual is far above
@@ -329,7 +329,7 @@ class TestSolves:
         monkeypatch.setattr(nl.DiscreteOperator, "csr", no_csr)
         p = nl.power_drift_problem(1.6, 0.1, 2, 0.9)
         domain = nl.DomainConfig(d=2, hx=0.5, radii=(2.0, 4.0))
-        sol = nl.expand_domain(p, 0.5, domain, 1e-9)
+        sol, _, _ = nl.expand_domain(p, 0.5, domain, 1e-9)
         assert sol.converged
         assert sol.counts.linear_solves["splu"] == 0
         assert sol.counts.linear_solves["bicgstab"] >= 2
@@ -484,7 +484,7 @@ class TestBorderedKrylov:
         assert ref.counts.linear_solves == {"bicgstab": ref.iterations, "splu": 0}
         assert np.array_equal(fast.policy, ref.policy)
         assert abs(fast.m - ref.m) <= 1e-10
-        assert float(np.max(np.abs(fast.v - ref.v))) <= 1e-10
+        assert float(np.max(np.abs(fast.u - ref.u))) <= 1e-10
 
     def test_monotone_improvement(self, monkeypatch):
         # Howard on the bordered system: m_{k+1} <= m_k, because -A is a
@@ -676,7 +676,7 @@ class TestNearField:
         assert got.counts.linear_solves == {"bicgstab": 0, "splu": got.iterations}
         assert got.counts.krylov_iterations == 0
         assert abs(got.m - want.m) <= 1e-10
-        assert float(np.max(np.abs(got.v - want.v))) <= 1e-10
+        assert float(np.max(np.abs(got.u - want.u))) <= 1e-10
         A = op.with_alpha(0.4).frozen(np.zeros(op.n_nodes, dtype=np.int64))
         assert _solve_linear(A, -A.const, 1e-10)[1] == "splu"
 
@@ -713,7 +713,7 @@ class TestNearField:
                             "problem": {"family": "constant_cost", "kappa": 1.0,
                                         "local_identity": True},
                             "grid": {"d": 2, "hx": 0.5, "radii": [2.0, 3.0]}})
-        exact = nl.expand_domain(build_problem(cfg), 0.5, cfg.grid, 1e-9)
+        exact, _, _ = nl.expand_domain(build_problem(cfg), 0.5, cfg.grid, 1e-9)
         assert runs == [1] * exact.counts.linear_solves["bicgstab"]
         assert exact.counts.krylov_iterations == len(runs) > 0
 
@@ -735,7 +735,7 @@ def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
                         b, *args, **kwargs)
 
     monkeypatch.setattr(spla, "bicgstab", counting)
-    warm = nl.solve_normalized(op, 0.05, 1e-9, v0=above.v, policy0=above.policy)
+    warm = nl.solve_normalized(op, 0.05, 1e-9, v0=above.u, policy0=above.policy)
     warm_calls = len(calls)
     calls.clear()
 
@@ -743,14 +743,14 @@ def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
         return krylov(A, b, atol, accept, maxiter, None, counts)
 
     with mock.patch.object(discounted, "_krylov", cold_krylov):
-        cold = nl.solve_normalized(op, 0.05, 1e-9, v0=above.v, policy0=above.policy)
+        cold = nl.solve_normalized(op, 0.05, 1e-9, v0=above.u, policy0=above.policy)
     assert warm.converged and cold.converged
     assert warm.counts.linear_solves == cold.counts.linear_solves == {"bicgstab": warm.iterations,
                                                         "splu": 0}
     assert warm_calls < len(calls)
     assert warm.counts.krylov_iterations < cold.counts.krylov_iterations
     assert abs(warm.m - cold.m) <= 1e-10
-    assert float(np.max(np.abs(warm.v - cold.v))) <= 1e-10
+    assert float(np.max(np.abs(warm.u - cold.u))) <= 1e-10
 
 
 def counted_splu(monkeypatch) -> list:
@@ -822,8 +822,8 @@ class TestControlPermutation:
             ops = [op.csr() for op in ops]
         sol, psol = (nl.solve_policy_iteration(op, 1e-12) for op in ops)
         assert sol.converged and psol.converged
-        assert float(np.max(np.abs(sol.w - psol.w))) <= 1e-12
-        assert_policy_permuted(ops[0], sol.w, sol.policy, psol.policy, perm)
+        assert float(np.max(np.abs(sol.u - psol.u))) <= 1e-12
+        assert_policy_permuted(ops[0], sol.u, sol.policy, psol.policy, perm)
 
     @settings(max_examples=15, deadline=None)
     @given(case=permuted_problems(zeroth=False))

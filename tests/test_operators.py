@@ -437,7 +437,7 @@ class TestComparisonAndDump:
         solv = nl.solve_policy_iteration(op, 1e-11)
         op_low = nl.assemble(p, g, q, nl.ExteriorRule.constant(-1.0), alpha=0.5)
         solu = nl.solve_policy_iteration(op_low, 1e-11)
-        assert np.all(solv.w >= solu.w - 1e-9)
+        assert np.all(solv.u >= solu.u - 1e-9)
 
     def test_dump_layout(self):
         p, g, q, ext, op = small_setup(hx=0.5, R=2.0)
@@ -527,7 +527,7 @@ class TestTwoDimensional:
         sol = nl.solve_policy_iteration(op, 1e-11)
         u = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.5),
                               tol=1e-12)
-        assert np.max(np.abs(sol.w - u)) <= 1e-9
+        assert np.max(np.abs(sol.u - u)) <= 1e-9
 
     def test_2d_pucci_envelope(self):
         p = self.twod_problem(seed=23)
@@ -583,4 +583,4 @@ class TestTwoDimensional:
         # discrete maximum principle: zero cost, data in [0, 1.3]
         sol = nl.solve_policy_iteration(op, 1e-9)
         assert sol.converged
-        assert np.all(sol.w >= -1e-10) and np.all(sol.w <= 1.3 + 1e-10)
+        assert np.all(sol.u >= -1e-10) and np.all(sol.u <= 1.3 + 1e-10)

@@ -74,7 +74,7 @@ class TestDenseOracle:
         sol = nl.solve_policy_iteration(op, 1e-11)
         u = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.35),
                               tol=1e-12)
-        assert np.max(np.abs(sol.w - u)) <= 1e-8
+        assert np.max(np.abs(sol.u - u)) <= 1e-8
 
     def test_fixed_point_zero_cost(self):
         import dataclasses
