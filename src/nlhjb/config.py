@@ -70,17 +70,19 @@ class ConstantCostConfig:
 def _compiled(key: str, expr: str, d: int, compile_field=compile_scalar_field):
     """``compile_field(expr, d)``, its ``ValueError`` naming ``key``.
 
-    An expression that reads no coordinate is evaluated here, so one that
-    fails or is not finite is rejected with its key, not at assembly.
+    Every expression is evaluated here once at the origin (x = y = 0), so
+    one whose constant arithmetic fails (``x1 + 1/0``) is rejected with its
+    key, not at assembly.  One that reads no coordinate must also be
+    finite; coordinate arithmetic (``1/x1``) is judged at the nodes.
     """
     try:
         field = compile_field(expr, d)
-        code, used = _compile(expr, _coordinates(d, "x", "r") | _coordinates(d, "y", "ry"))
-        if not used:
-            with np.errstate(all="ignore"):
-                value = _evaluate(code, {}, ())
-            if not np.isfinite(value):
-                raise ValueError(f"expression is not finite: {float(value)}")
+        names = _coordinates(d, "x", "r") | _coordinates(d, "y", "ry")
+        code, used = _compile(expr, names)
+        with np.errstate(all="ignore"):
+            value = _evaluate(code, dict.fromkeys(names, np.float64(0.0)), ())
+        if not used and not np.isfinite(value):
+            raise ValueError(f"expression is not finite: {float(value)}")
         return field
     except ValueError as exc:
         raise ConfigError(f"key '{key}': {exc}") from None

@@ -84,7 +84,7 @@ def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
             counts: SolveCounts | None = None) -> np.ndarray | None:
     """Preconditioned BiCGStab to an absolute sup residual ``atol``.
 
-    ``A`` (a :class:`FrozenSystem` or :class:`_BorderedSystem`) supplies
+    ``A`` (a :class:`FrozenSystem` or its bordered form) supplies
     its own ``preconditioner()``, built on the near-field sparse LU of its
     policy, memoized on the operator across Howard steps and alpha levels.
     Returns the answer when its true sup residual is at most ``accept``,
@@ -126,96 +126,31 @@ def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
     return x if r <= accept else None
 
 
-def _solve_linear(A, rhs: np.ndarray, atol: float, x0: np.ndarray | None = None,
-                  counts: SolveCounts | None = None) -> tuple[np.ndarray, str]:
-    """Iterative solve (:func:`_krylov`, capped at 500) with sparse-LU fallback.
+def _solve(S, rhs: np.ndarray, atol: float, target: float, maxiter: int,
+           x0: np.ndarray | None = None,
+           counts: SolveCounts | None = None) -> tuple[np.ndarray, str]:
+    """``S x = rhs`` by :func:`_krylov` (target ``target``, cap ``maxiter``),
+    else by one sparse LU of ``S.tocsc()``; returns x and its solver tag.
 
-    ``A`` is a :class:`FrozenSystem`; returns the solution and the solver
-    that produced it, ``"bicgstab"`` or ``"splu"``.
-    BiCGStab's answer is kept only if its sup residual is at most ``atol``.
+    ``S`` is a :class:`FrozenSystem` or its bordered form.  The BiCGStab
+    answer is kept (``"bicgstab"``) when its true sup residual is at most
+    ``atol``, a NaN failing; otherwise LU answers (``"splu"``).
     """
-    x = _krylov(A, rhs, atol, atol, 500, x0, counts)
+    x = _krylov(S, rhs, target, atol, maxiter, x0, counts)
     if x is not None:
         return x, "bicgstab"
-    return spla.spsolve(A.tocsc(), rhs), "splu"
+    return spla.spsolve(S.tocsc(), rhs), "splu"
 
 
-def _bordered_pair(y2: np.ndarray, y1: np.ndarray, i0: int) -> tuple[np.ndarray, float]:
-    """(v, m) from y2 = A^{-1} 1 and y1 = A^{-1} rhs: A v - m = rhs, v[i0] = 0."""
-    m = -y1[i0] / y2[i0]
-    v = y1 + m * y2
-    v[i0] = 0.0
-    return v, float(m)
-
-
-class _BorderedSystem(spla.LinearOperator):
-    """A with column i0 replaced by -1: B x = A(x with x[i0] = 0) - x[i0]·1.
-
-    B x = rhs is the bordered system A v - m = rhs, v[i0] = 0, with
-    m = x[i0] and v = x with slot i0 set to 0 (:meth:`split`).  ``A`` is a
-    :class:`FrozenSystem`.
-    """
-
-    def __init__(self, A: FrozenSystem, i0: int):
-        super().__init__(dtype=float, shape=A.shape)
-        self.A, self.i0 = A, i0
-
-    def split(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        v = np.array(x, dtype=float).ravel()
-        m = float(v[self.i0])
-        v[self.i0] = 0.0
-        return v, m
-
-    def _matvec(self, x):
-        v, m = self.split(x)
-        return self.A._matvec(v) - m
-
-    def preconditioner(self) -> spla.LinearOperator:
-        """The same elimination on the near field P of ``A``.
-
-        With w = P^{-1} 1, computed once per factor and kept in the memo
-        next to it, y maps to the x with P(x with x[i0] = 0) - x[i0]·1 = y:
-        :func:`_bordered_pair` of w and P^{-1} y, with m in slot i0.  -P is
-        a nonsingular M-matrix, so w[i0] < 0.  Raises ``RuntimeError`` when
-        the near-field factor does.
-        """
-        memo = self.A.near_factor()
-        if memo.ones is None:
-            memo.ones = memo.lu.solve(np.ones(self.shape[0]))
-        lu, w = memo.lu, memo.ones
-
-        def solve(y):
-            v, m = _bordered_pair(w, lu.solve(np.ravel(y)), self.i0)
-            v[self.i0] = m
-            return v
-
-        return spla.LinearOperator(self.shape, matvec=solve, dtype=float)
-
-
-def _solve_bordered(A, rhs: np.ndarray, i0: int, atol: float,
+def _solve_bordered(A: FrozenSystem, rhs: np.ndarray, i0: int, atol: float,
                     x0: np.ndarray | None = None,
                     counts: SolveCounts | None = None) -> tuple[np.ndarray, float, str]:
-    """Bordered frozen-policy solve: A v - m = rhs with v[i0] = 0.
-
-    Returns (v, m, solver tag).  ``A`` is a :class:`FrozenSystem`.  First
-    one :func:`_krylov` solve of the eliminated system :class:`_BorderedSystem`
-    to ``atol/100``, capped at ceil(N/4) iterations, started from ``x0``
-    (slot i0 the guess of m) and preconditioned by the same elimination of
-    the near-field LU factor of A.  The pair is kept
-    (tag ``"bicgstab"``) when its true bordered sup residual
-    max|A v - m - rhs| is at most ``atol``, the rule of
-    :func:`_solve_linear`; a NaN fails it.  -A is a nonsingular M-matrix
-    (monotone stencils, c < 0), so -A^{-1} >= 0 and the pair's m is within
-    that residual of the exact one.  Otherwise one sparse LU of A is solved
-    for 1 and rhs, and :func:`_bordered_pair` eliminates m (tag ``"splu"``).
-    """
-    n = A.shape[0]
-    B = _BorderedSystem(A, i0)
-    x = _krylov(B, rhs, atol / 100, atol, -(-n // 4), x0, counts)
-    if x is not None:
-        return *B.split(x), "bicgstab"
-    y = spla.spsolve(A.tocsc(), np.column_stack([np.ones(n), rhs]))
-    return *_bordered_pair(*y.T, i0), "splu"
+    """(v, m, tag) with A v - m = rhs, v[i0] = 0: :func:`_solve` on
+    ``A.bordered(i0)`` to ``atol``, target ``atol/100``, cap ceil(N/4), from
+    ``x0``.  As -A^{-1} >= 0, m is within the pair's residual of the exact m."""
+    B = A.bordered(i0)
+    x, tag = _solve(B, rhs, atol, atol / 100, -(-A.shape[0] // 4), x0, counts)
+    return *B.split(x), tag
 
 
 def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
@@ -226,7 +161,10 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
     scalar shift m that the residual inf_tau(...) - m is measured against (0
     for the plain discounted problem) and the solver tag, and adds its
     BiCGStab iterations to ``counts``.  The returned ``counts`` adds each
-    step's tag and the near-field factorizations made on ``op``.
+    step's tag and the near-field factorizations made on ``op``.  A step
+    that does not converge, changes no policy and whose residual is not
+    below the previous step's ends the loop unconverged: the next step
+    would solve the same system again.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -258,6 +196,8 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
         if residual <= tol and (changes == 0 or improvement <= 0.1 * tol):
             converged = True
             break
+        if changes == 0 and len(trace) > 1 and not residual < trace[-2][1]:
+            break
         policy = new_policy
     counts.near_factors = op.near_factor.count - factors
     return HowardSolution(u=x, m=m, policy=policy, iterations=it,
@@ -283,7 +223,7 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
     lin_atol = max(tol / 10.0, 1e-14)
 
     def solve(A, rhs, x0, counts):
-        x, tag = _solve_linear(A, rhs, lin_atol, x0, counts)
+        x, tag = _solve(A, rhs, lin_atol, lin_atol, 500, x0, counts)
         return x, 0.0, tag
 
     return _howard(op, solve, tol, max_iter, w0, policy0)
@@ -299,10 +239,10 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     v(origin) = 0, which both bordered paths set exactly, so u[origin] ==
     0.0; m plays the role of alpha * w_alpha(origin) of the unnormalised
     problem (w_alpha = v + m/alpha).  Runs on
-    ``op.with_alpha(alpha)``: on every operator each bordered system is
-    first one BiCGStab solve with v(origin) eliminated into m
-    (:func:`_solve_bordered`), kept when its true residual is at most
-    tol/10, else solved by one sparse LU of A for 1 and rhs.  Each
+    ``op.with_alpha(alpha)``: on every operator each bordered system, A
+    with its origin column replaced by -1 so that its origin slot is m, is
+    first one BiCGStab solve (:func:`_solve_bordered`), kept when its true
+    residual is at most tol/10, else solved by one sparse LU.  Each
     BiCGStab solve starts from the Howard iterate, whose origin slot (0)
     is the guess of m: the first from ``v0`` (zero without it), the later
     ones from the previous Howard step's v.  ``counts``

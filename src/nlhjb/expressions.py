@@ -80,14 +80,17 @@ def _coordinates(pts, d: int, prefix: str, radius: str) -> dict:
 def _evaluate(code, env: dict, shape: tuple) -> np.ndarray:
     """Evaluate ``code`` over ``env`` and broadcast the value to ``shape``.
 
-    Python arithmetic on constants (``1/0``, ``10.0**400``) raises
-    ``ValueError``; numpy arithmetic on coordinates gives inf or nan.
+    Python arithmetic on constants that fails (``1/0``, ``10.0**400``) or
+    gives a complex number (``(-1)**0.5``) raises ``ValueError``; numpy
+    arithmetic on coordinates gives inf or nan.
     """
     try:
         out = eval(code, {"__builtins__": {}}, {**_FUNCS, **env})
-        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
     except ArithmeticError as exc:
         raise ValueError(f"expression cannot be evaluated: {exc}") from None
+    if np.iscomplexobj(out):
+        raise ValueError("expression cannot be evaluated: complex value")
+    return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
 
 def compile_scalar_field(expr: str, d: int) -> Callable[[np.ndarray], np.ndarray]:

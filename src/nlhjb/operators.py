@@ -295,7 +295,12 @@ class FrozenSystem(spla.LinearOperator):
         """The system cut to lattice offsets |z|_inf <= 1, full diagonal kept.
 
         Its off-diagonals are >= 0 and -near is strictly diagonally dominant
-        by rows (c < 0), so it is a nonsingular M-matrix.  On the FFT path
+        by rows, so it is a nonsingular M-matrix.  The margin is the leak to
+        the exterior: each row's diagonal holds the weight of every offset,
+        a jump weight that leaves the ball (the lumped tail mass included)
+        reaches no column, and the weights cut outside the ring only add to
+        the margin.  So it holds at c = 0 too; with no jump part and c = 0
+        only the rows at the ball's edge leak.  On the FFT path
         ``local`` is drift and c, already within the ring; explicit stencils
         are read at each node's ring neighbours, 3^d lookups per row, and
         the neighbours a stencil does not reach are left out.
@@ -354,6 +359,58 @@ class FrozenSystem(spla.LinearOperator):
 
     def tocsc(self) -> sp.csc_matrix:
         return self.tocsr().tocsc()
+
+    def bordered(self, i0: int) -> "BorderedSystem":
+        return BorderedSystem(self, i0)
+
+
+class BorderedSystem(spla.LinearOperator):
+    """A with column i0 replaced by -1: B x = A(x with x[i0] = 0) - x[i0]·1.
+
+    B x = rhs is the bordered system A v - m = rhs, v[i0] = 0, with
+    m = x[i0] and v = x with slot i0 set to 0 (:meth:`split`).  ``A`` is a
+    :class:`FrozenSystem`; B is nonsingular, since -A^{-1} 1 > 0 at i0.
+    """
+
+    def __init__(self, A: FrozenSystem, i0: int):
+        super().__init__(dtype=float, shape=A.shape)
+        self.A, self.i0 = A, i0
+
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        v = np.array(x, dtype=float).ravel()
+        m = float(v[self.i0])
+        v[self.i0] = 0.0
+        return v, m
+
+    def _matvec(self, x):
+        v, m = self.split(x)
+        return self.A._matvec(v) - m
+
+    def preconditioner(self) -> spla.LinearOperator:
+        """The same bordering of the near field P of ``A``, by elimination:
+        y maps to z + m·w, with m in slot i0, for z = P^{-1} y, w = P^{-1} 1
+        (memoized with the factor) and m = -z[i0]/w[i0]; w[i0] < 0, as -P is
+        a nonsingular M-matrix.  Raises ``RuntimeError`` when the factor does.
+        """
+        memo = self.A.near_factor()
+        if memo.ones is None:
+            memo.ones = memo.lu.solve(np.ones(self.shape[0]))
+        lu, w, i0 = memo.lu, memo.ones, self.i0
+
+        def solve(y):
+            x = lu.solve(np.ravel(y))
+            m = -x[i0] / w[i0]
+            x += m * w
+            x[i0] = m
+            return x
+
+        return spla.LinearOperator(self.shape, matvec=solve, dtype=float)
+
+    def tocsc(self) -> sp.csc_matrix:
+        """B for sparse LU: the CSC form of ``A`` with column i0 set to -1."""
+        S, i0 = self.A.tocsc(), self.i0
+        ones = sp.csc_matrix(np.full((S.shape[0], 1), -1.0))
+        return sp.hstack([S[:, :i0], ones, S[:, i0 + 1:]], format="csc")
 
 
 def _stacked_inf(op: DiscreteOperator, u: np.ndarray):
@@ -629,14 +686,12 @@ def _check_monotone(m: sp.csr_matrix, grid: Grid, label: str) -> None:
         return
     vals = coo.data[off]
     tol = -1e-12 * max(1.0, float(np.abs(coo.data).max()))
-    bad = vals < tol
-    if np.any(bad):
-        k = int(np.argmin(vals))
-        rows, cols = coo.row[off][bad], coo.col[off][bad]
-        i, j = int(rows[0]), int(cols[0])
+    k = int(np.argmin(vals))
+    if vals[k] < tol:
+        i, j = int(coo.row[off][k]), int(coo.col[off][k])
         offset = grid.nodes[j] - grid.nodes[i]
         raise MonotonicityError(
-            f"negative off-diagonal weight {vals.min():.3e} for control {label} "
+            f"negative off-diagonal weight {vals[k]:.3e} for control {label} "
             f"at node {tuple(grid.nodes[i].tolist())}, offset {tuple(offset.tolist())}")
 
 

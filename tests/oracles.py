@@ -195,8 +195,9 @@ def dense_fixed_point(oracles: list[DenseOracle], tol: float = 1e-10,
 def bordered_reference(A: sp.spmatrix, rhs: np.ndarray, i0: int) -> tuple[np.ndarray, float]:
     """(v, m) with A v - m = rhs and v[i0] = 0, as one augmented system.
 
-    The (N+1)-order matrix [[A, -1], [e_i0^T, 0]] is solved by sparse LU:
-    no elimination of m through A^{-1} 1, unlike the production solve.
+    The (N+1)-order matrix [[A, -1], [e_i0^T, 0]] is solved by sparse LU,
+    not the order-N bordered matrix (A with column i0 set to -1) of the
+    production solve.
     """
     n = A.shape[0]
     e0 = sp.csr_matrix((np.ones(1), ([0], [i0])), shape=(1, n))

@@ -170,7 +170,17 @@ REJECTED = (
            ("overflow", "kernel", {"kernel": "1e308*1e308"}),
            # a call with the wrong number of arguments
            ("min-one-argument", "cost", {"cost": "min(x1)"}),
-           ("exp-two-arguments", "drift[0]", {"drift": ["exp(x1, 1)"]}))])
+           ("exp-two-arguments", "drift[0]", {"drift": ["exp(x1, 1)"]}),
+           # every expression is evaluated once at the origin, so constant
+           # arithmetic that fails is rejected also where a coordinate is read
+           ("coordinate-cost", "cost", {"cost": "x1 + 1/0"}),
+           ("coordinate-drift", "drift[0]", {"drift": ["-x1 + 1/0"]}),
+           ("coordinate-x-kernel", "kernel", {"kernel": "0.5 + 0.1*cos(x1) + 1/0"}),
+           ("coordinate-y-kernel", "kernel", {"kernel": "0.5 + 0.1*cos(y1) + 1/0"}),
+           ("coordinate-complex", "cost", {"cost": "x1 + (-1)**0.5"}))]
+    + [("expression-coordinate-zeroth", zeroth_discounted_config(), "problem", "controls",
+        [{"drift": ["-x1"], "cost": "1.0", "zeroth": "-0.5 - 0.1*cos(x1) + 1/0"}],
+        "problem.controls[0].zeroth")])
 # (id, accepted base config, section, key, a value out of range (a non-finite
 # number, or one that its dataclass or the problem built from it rejects), the
 # error message)
@@ -287,6 +297,13 @@ class TestParsing:
         assert main([str(path), "--output-dir", str(tmp_path / "out")]) == 1
         block = json.loads(capsys.readouterr().out)
         assert block == {"error": {"kind": "ConfigError", "message": message}}
+
+    def test_coordinate_arithmetic_is_judged_at_the_nodes(self):
+        # inf or nan at the origin from numpy arithmetic on a coordinate
+        # passes parsing; only constant arithmetic must evaluate there
+        for cost, kernel in (("1/x1", "0.5 + 0.1*sqrt(x1)"), ("sqrt(x1)", "1/ry")):
+            parse_config(with_problem(dict(FAMILY_BASES["custom"], controls=[
+                {"drift": ["-x1"], "cost": cost, "kernel": kernel}])))
 
     def test_integer_for_number_and_null_for_optional_parse(self):
         raw = constant_ergodic_config()
@@ -747,7 +764,7 @@ class TestExpressions:
 
     def test_constant_arithmetic_error_is_value_error(self):
         from nlhjb.expressions import compile_scalar_field
-        for expr in ("1/0", "10.0**400"):
+        for expr in ("1/0", "10.0**400", "(-1)**0.5"):
             with pytest.raises(ValueError, match="cannot be evaluated"):
                 compile_scalar_field(expr, 1)(np.zeros((3, 1)))
 
@@ -769,6 +786,23 @@ class TestExpressions:
 
 
 class TestMoreRuns:
+    def test_discounted_stall_ends_after_one_repeated_step(self, tmp_path):
+        # kappa = 1e12 puts the frozen system's residual floor far above
+        # solver.tol: a step with no policy change and no residual decrease
+        # ends the Howard loop (exit 2) instead of solving the same system
+        # again until max_policy_iters
+        cfg = {"mode": "discounted",
+               "problem": {"family": "constant_cost", "kappa": 1e12,
+                           "local_identity": True},
+               "grid": {"d": 2, "hx": 0.25, "radii": [2.0, 3.0]},
+               "solver": {"tol": 1e-8, "max_policy_iters": 60},
+               "alpha": {"start": 0.5}}
+        assert run(parse_config(cfg), output_dir=str(tmp_path)) == 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["converged"] is False and report["iterations"] <= 2
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["linear_solves"]["splu"] <= 4
+
     def test_explicit_alpha_values(self, tmp_path):
         cfg = constant_ergodic_config()
         cfg["alpha"] = {"values": [0.5, 0.25, 0.125], "tol": 1e-10}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nlhjb as nl
@@ -222,11 +222,15 @@ class TestBorderedElimination:
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(["power_drift_1d", "power_drift_2d",
                                  "local_identity_2d", "random_zeroth_1d"]),
-           alpha=st.floats(1e-6, 0.5), data=st.data())
+           alpha=st.floats(1e-6, 0.5) | st.just(0.0), data=st.data())
     def test_matches_augmented_solve(self, name, alpha, data):
-        # the direct path, forced here by a failing Krylov solve, eliminates
-        # m through one LU of A; the reference solves the augmented
-        # (N+1)-order system.  random_zeroth_1d has a kernel that reads y.
+        # the direct path, forced here by a failing Krylov solve, is one LU
+        # of the bordered system (A with its origin column set to -1); the
+        # reference solves the augmented (N+1)-order system.
+        # random_zeroth_1d has a kernel that reads y.  alpha = 0 is drawn
+        # for the operators with a jump part, whose leak to the exterior
+        # keeps -A a nonsingular M-matrix there
+        assume(alpha > 0 or name != "local_identity_2d")
         op = _frozen_operator(name).csr().with_alpha(alpha)
         policy = np.array(data.draw(st.lists(
             st.integers(0, len(op.controls) - 1),
@@ -240,6 +244,20 @@ class TestBorderedElimination:
         scale = max(1.0, float(np.max(np.abs(v_ref))), abs(m_ref))
         assert abs(m - m_ref) <= 1e-12 * scale
         assert float(np.max(np.abs(v - v_ref))) <= 1e-12 * scale
+
+    def test_fallback_meets_the_residual_rule_on_a_fine_ball(self):
+        # README problem on the 1-d ball hx = 1/16, R = 32 (N = 1025), where
+        # max|A^{-1} 1| is about 900, so forming m from solves of A loses
+        # digits to cancellation.  The forced fallback must meet the rule
+        # solve_normalized applies at tol 1e-9
+        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+        g = nl.build_grid(1, 1 / 16, 32.0)
+        op = nl.assemble(p, g, nl.build_quadrature(g, 0.9, 33.0), nl.ExteriorRule.zero())
+        A = op.with_alpha(1e-6).frozen(np.zeros(op.n_nodes, dtype=np.int64))
+        with mock.patch.object(discounted, "_krylov", return_value=None):
+            v, m, tag = _solve_bordered(A, -A.const, g.origin_index, 1e-10)
+        assert tag == "splu" and v[g.origin_index] == 0.0
+        assert float(np.max(np.abs(A @ v - m + A.const))) <= 1e-10
 
 
 class TestFailedSolve:

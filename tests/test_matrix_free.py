@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 import nlhjb as nl
 from nlhjb import discounted
 from nlhjb.config import build_problem, parse_config
-from nlhjb.discounted import _BorderedSystem, _solve_bordered, _solve_linear
+from nlhjb.discounted import _solve, _solve_bordered
 from nlhjb.lyapunov import _jump_on_V
-from nlhjb.operators import FrozenSystem, _stacked_inf, apply_control
+from nlhjb.operators import BorderedSystem, FrozenSystem, _stacked_inf, apply_control
 
 from conftest import smooth_drift, smooth_field
 from oracles import (bordered_reference, build_dense_oracles, dense_fixed_point,
@@ -317,7 +317,7 @@ class TestSolves:
             return (x + 1e-6 if len(starts) == 1 else x), info
 
         monkeypatch.setattr(spla, "bicgstab", drifting)
-        x, tag = _solve_linear(A, -A.const, atol)
+        x, tag = _solve(A, -A.const, atol, atol, 500)
         assert tag == "bicgstab"
         assert len(starts) == 2 and starts[0] is None and starts[1] is not None
         assert float(np.max(np.abs(A @ x + A.const))) <= atol
@@ -365,7 +365,7 @@ class TestBorderedKrylov:
         assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
 
     def test_nan_with_info_zero_falls_back(self, monkeypatch):
-        # the answer is exactly the direct elimination's, forced here
+        # the answer is exactly the direct LU's of the bordered system, forced here
         op = bordered_operator(3).with_alpha(0.1)
         A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         with mock.patch.object(discounted, "_krylov", return_value=None):
@@ -427,7 +427,7 @@ class TestBorderedKrylov:
         monkeypatch.setattr(spla, "bicgstab", counting)
         v, m, tag = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
         assert tag == "bicgstab"
-        assert len(calls) == 1 and isinstance(calls[0], _BorderedSystem)
+        assert len(calls) == 1 and isinstance(calls[0], BorderedSystem)
         assert float(np.max(np.abs(A @ v - m + A.const))) <= 1e-10
 
     def test_answer_between_target_and_rule_is_kept_after_one_call(self, monkeypatch):
@@ -437,7 +437,7 @@ class TestBorderedKrylov:
         op = bordered_operator(7).with_alpha(0.1)
         A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         i0, atol = op.grid.origin_index, 1e-10
-        B = _BorderedSystem(A, i0)
+        B = A.bordered(i0)
         bicgstab = spla.bicgstab
         calls = []
 
@@ -561,8 +561,25 @@ class TestNearField:
             A = copies[k % 2].frozen(policies[k])
             B = A.near().toarray()
             B[:, i0] = -1.0
-            got = _BorderedSystem(A, i0).preconditioner() @ B
+            got = A.bordered(i0).preconditioner() @ B
             assert float(np.max(np.abs(got - np.eye(op.n_nodes)))) <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.one_of(fast_operators(), csr_operators()), data=st.data())
+    def test_bordered_tocsc_is_the_bordered_system(self, case, data):
+        # the sparse-LU fallback factors B.tocsc(): column j must be B e_j,
+        # the origin column exactly -1
+        op, _ = case
+        i0 = op.grid.origin_index
+        policy = np.array(data.draw(st.lists(
+            st.integers(0, len(op.controls) - 1),
+            min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+        B = op.frozen(policy).bordered(i0)
+        got = B.tocsc()
+        assert got.format == "csc"
+        got = got.toarray()
+        assert np.all(got[:, i0] == -1.0)
+        assert_rel_close(got, B @ np.eye(op.n_nodes))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), d=st.sampled_from([1, 2]),
@@ -583,7 +600,7 @@ class TestNearField:
             diag[self.i0] = -1.0
             return sp.diags(1.0 / diag)
 
-        with mock.patch.object(_BorderedSystem, "preconditioner", jacobi):
+        with mock.patch.object(BorderedSystem, "preconditioner", jacobi):
             v_j, m_j, _ = _solve_bordered(A, -A.const, i0, atol)
         v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         if d == 2:
@@ -678,7 +695,7 @@ class TestNearField:
         assert abs(got.m - want.m) <= 1e-10
         assert float(np.max(np.abs(got.u - want.u))) <= 1e-10
         A = op.with_alpha(0.4).frozen(np.zeros(op.n_nodes, dtype=np.int64))
-        assert _solve_linear(A, -A.const, 1e-10)[1] == "splu"
+        assert _solve(A, -A.const, 1e-10, 1e-10, 500)[1] == "splu"
 
     def test_krylov_iterations_count_every_bicgstab_step(self, monkeypatch):
         # each BiCGStab run's matvecs, less the initial residual of a warm

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,23 @@ class TestMixed:
         g = nl.build_grid(2, 0.5, 4.0)
         with pytest.raises(nl.MonotonicityError, match="dominant"):
             nl.assemble(p, g, None, nl.ExteriorRule.zero(), alpha=0.3)
+
+    def test_negative_weight_error_names_the_most_negative_entry(self):
+        # the Lévy kernel is -5 exp(-|y|) for x1 > 2 and -0.1 exp(-|y|)
+        # elsewhere: the weight the error prints, its node and its offset
+        # must all be the most negative entry's, at a node with x1 > 2
+        def levy(x, y):
+            return np.where(x[..., 0] > 2, -5.0, -0.1) * np.exp(-np.abs(y[..., 0]))
+
+        p = nl.constant_cost_problem(1.0, 1, local_identity=True)
+        import dataclasses
+        p = dataclasses.replace(p, mixed=nl.MixedSpec(a=p.mixed.a, levy_kernel=levy))
+        g = nl.build_grid(1, 0.5, 4.0)
+        with pytest.raises(nl.MonotonicityError) as err:
+            nl.assemble(p, g, nl.build_quadrature(g, 0.75, 5.0), nl.ExteriorRule.zero(),
+                        alpha=0.5)
+        node = re.search(r"at node \(([-\d.]+),\)", str(err.value))
+        assert node is not None and float(node.group(1)) > 2
 
     def test_levy_part_annihilates_constants(self):
         s = 0.75
