@@ -60,6 +60,12 @@ class DomainConfig:
             # below hx the second-moment correction covers no offset
             raise ValueError(f"reg_radius must be at least hx = {self.hx}, "
                              f"got {self.reg_radius}")
+        # the grid and the quadrature count the hx steps up to these extents
+        for what, extent in (("(radii[-1] + r_far_margin) / hx",
+                              self.radii[-1] + self.r_far_margin),
+                             ("reg_radius / hx", self.reg_radius or 0.0)):
+            if not np.isfinite(extent / self.hx):
+                raise ValueError(f"{what} must be finite, got {extent} / {self.hx}")
 
     @property
     def window_radius(self) -> float:

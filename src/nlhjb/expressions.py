@@ -50,16 +50,24 @@ def _validate(tree: ast.AST, names: set[str]) -> None:
 def _compile(expr: str, names: set[str]):
     """Code object for ``expr`` and the coordinate names it reads.
 
-    Every failure raises ``ValueError``: a syntax error, nesting too deep
-    for the parser or the compiler (``MemoryError``, ``RecursionError``),
-    and a construct :func:`_validate` rejects.
+    Integer literals become floats, so constant arithmetic is float
+    arithmetic: bounded in time, and an overflow raises.  Every failure
+    raises ``ValueError``: a syntax error, nesting too deep for the parser
+    or the compiler (``MemoryError``, ``RecursionError``), an integer
+    literal beyond the float range and a construct :func:`_validate`
+    rejects.
     """
     try:
         tree = ast.parse(expr, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, int):
+                node.value = float(node.value)
         code = compile(tree, "<field-expression>", "eval")
     except (SyntaxError, MemoryError, RecursionError) as exc:
         why = exc.msg if isinstance(exc, SyntaxError) else "nested too deeply"
         raise ValueError(f"malformed expression: {why}") from None
+    except OverflowError as exc:
+        raise ValueError(f"expression cannot be evaluated: {exc}") from None
     _validate(tree, names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} - set(_FUNCS)
     return code, used

@@ -448,46 +448,36 @@ def _axis_unit(d: int, axis: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Shared index maps and exterior data for one (grid, quadrature, rule)."""
+    """Lattice targets, exterior data and tail data for one (grid, quadrature, rule)."""
 
     def __init__(self, grid: Grid, q: JumpQuadrature | None, ext: ExteriorRule):
         self.grid, self.q, self.ext = grid, q, ext
-        self.ax_idx_p, self.ax_idx_m = [], []
-        self.ax_ext_p, self.ax_ext_m = [], []
-        for axis in range(grid.d):
-            e = _axis_unit(grid.d, axis)
-            ip = grid.node_index_of_lattice(grid.lattice + e)
-            im = grid.node_index_of_lattice(grid.lattice - e)
-            self.ax_idx_p.append(ip)
-            self.ax_idx_m.append(im)
-            self.ax_ext_p.append(self._axis_ext(ip, e))
-            self.ax_ext_m.append(self._axis_ext(im, -e))
+        self._targets: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         if q is None:
             return
         if grid.n_nodes * q.n_offsets > 3e7:
             raise MemoryError("stencil would exceed the supported desk scale")
-        z = grid.lattice[:, None, :]
-        self.idx_p = grid.node_index_of_lattice(z + q.half_lattice[None, :, :])
-        self.idx_m = grid.node_index_of_lattice(z - q.half_lattice[None, :, :])
-        self.extv_p = self._exterior_values(self.idx_p, +1.0)
-        self.extv_m = self._exterior_values(self.idx_m, -1.0)
         self.tail_ext = _tail_ext(grid, q, ext)
 
-    def _exterior_values(self, idx: np.ndarray, sign: float) -> np.ndarray:
-        mask = idx < 0
-        out = np.zeros(idx.shape)
-        if np.any(mask):
-            pts = (self.grid.nodes[:, None, :]
-                   + sign * self.q.half_offsets[None, :, :])[mask]
-            out[mask] = self.ext(pts)
-        return out
+    def targets(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node index of x_i + z·hx (-1 outside the ball) and the exterior data there.
 
-    def _axis_ext(self, idx: np.ndarray, e: np.ndarray) -> np.ndarray:
-        mask = idx < 0
-        out = np.zeros(idx.shape[0])
-        if np.any(mask):
-            out[mask] = self.ext(self.grid.nodes[mask] + e * self.grid.hx)
-        return out
+        ``z`` is one lattice offset, shape (d,), or a set, shape (M, d); the
+        two arrays have shape (N,) or (N, M), the data 0 at nodes.  Memoized.
+        """
+        z = np.asarray(z, dtype=np.int64)
+        key = (z.shape, z.tobytes())
+        hit = self._targets.get(key)
+        if hit is None:
+            grid = self.grid
+            at = (grid.n_nodes,) + (1,) * (z.ndim - 1) + (grid.d,)
+            idx = grid.node_index_of_lattice(grid.lattice.reshape(at) + z)
+            outside = idx < 0
+            extv = np.zeros(idx.shape)
+            if np.any(outside):
+                extv[outside] = self.ext((grid.nodes.reshape(at) + z * grid.hx)[outside])
+            hit = self._targets[key] = (idx, extv)
+        return hit
 
 
 def _tail_ext(grid: Grid, q: JumpQuadrature, ext: ExteriorRule) -> list[np.ndarray]:
@@ -500,31 +490,43 @@ def _tail_ext(grid: Grid, q: JumpQuadrature, ext: ExteriorRule) -> list[np.ndarr
 
 
 class _StencilBuilder:
-    def __init__(self, n: int):
-        self.n = n
+    """One control's stencil as weights ``w`` at lattice offsets ``z``.
+
+    ``w`` is (N,) for one offset and (N, M) for a set.  A weight whose
+    target leaves the ball goes into ``const`` times the exterior data there.
+    """
+
+    def __init__(self, ws: _Workspace):
+        self.ws = ws
+        n = ws.grid.n_nodes
         self.rows: list[np.ndarray] = []
         self.cols: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
         self.diag = np.zeros(n)
         self.const = np.zeros(n)
 
-    def add_targets(self, weights: np.ndarray, idx: np.ndarray, extv: np.ndarray):
-        """Scatter ``weights`` onto interior targets / exterior constant."""
+    def add(self, w: np.ndarray, z: np.ndarray) -> None:
+        """Weights ``w`` on x_i + z·hx."""
+        idx, extv = self.ws.targets(z)
         interior = idx >= 0
         self.rows.append(np.nonzero(interior)[0])
         self.cols.append(idx[interior])
-        self.vals.append(weights[interior])
-        outside = np.where(interior, 0.0, weights * extv)
-        self.const += outside.sum(axis=-1) if weights.ndim > 1 else outside
+        self.vals.append(w[interior])
+        outside = np.where(interior, 0.0, w * extv)
+        self.const += outside.sum(axis=-1) if w.ndim > 1 else outside
+
+    def pair(self, w: np.ndarray, z: np.ndarray) -> None:
+        """δ(u, x_i, z·hx) times ``w``: ``w`` on x_i ± z·hx, -2·Σw on the diagonal."""
+        self.add(w, z)
+        self.add(w, -z)
+        self.diag -= 2.0 * (w.sum(axis=-1) if w.ndim > 1 else w)
 
     def matrix(self) -> sp.csr_matrix:
-        n = self.n
+        n = self.diag.size
         rows = np.concatenate([np.arange(n)] + self.rows)
         cols = np.concatenate([np.arange(n)] + self.cols)
         vals = np.concatenate([self.diag] + self.vals)
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
-        return m
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _kernel_values(kern, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -580,81 +582,63 @@ def _checked_kernel_values(kern, spec: KernelSpec, label: str, x: np.ndarray,
     return kv
 
 
-def _assemble_jump(bld: _StencilBuilder, ws: _Workspace, kern, spec: KernelSpec,
-                   label: str) -> None:
-    """Jump stencils of kernel ``kern``, checked by :func:`_checked_kernel_values`."""
-    grid, q = ws.grid, ws.q
-    x = grid.nodes
-    kv = _checked_kernel_values(kern, spec, label, x, q.half_offsets)
-    w = q.pair_weights[None, :] * kv
-    bld.add_targets(w, ws.idx_p, ws.extv_p)
-    bld.add_targets(w, ws.idx_m, ws.extv_m)
-    bld.diag -= 2.0 * w.sum(axis=1)
-    for axis in range(grid.d):
-        e = _axis_unit(grid.d, axis).astype(float) * grid.hx
-        ka = _checked_kernel_values(kern, spec, label, x, e[None, :])[:, 0]
-        wa = q.axis_coeff * ka
-        bld.add_targets(wa, ws.ax_idx_p[axis], ws.ax_ext_p[axis])
-        bld.add_targets(wa, ws.ax_idx_m[axis], ws.ax_ext_m[axis])
-        bld.diag -= 2.0 * wa
-        probe = _axis_unit(grid.d, axis).astype(float) * q.tail_probe_radius
-        kt = _checked_kernel_values(kern, spec, label, x, probe[None, :])[:, 0]
-        wt = (q.tail_mass / grid.d) * kt
-        bld.const += wt * ws.tail_ext[axis]
+def _assemble_jump(bld: _StencilBuilder, kern, spec: KernelSpec, label: str) -> None:
+    """Jump stencils of ``kern``, read at the half offsets, axis neighbours
+    hx·e_i and tail probes by one :func:`_checked_kernel_values` call."""
+    grid, q = bld.ws.grid, bld.ws.q
+    d, M = grid.d, q.n_offsets
+    eye = np.eye(d)
+    y = np.concatenate([q.half_offsets, eye * grid.hx, eye * q.tail_probe_radius])
+    kv = _checked_kernel_values(kern, spec, label, grid.nodes, y)
+    bld.pair(q.pair_weights[None, :] * kv[:, :M], q.half_lattice)
+    for axis in range(d):
+        bld.pair(q.axis_coeff * kv[:, M + axis], _axis_unit(d, axis))
+        wt = (q.tail_mass / d) * kv[:, M + d + axis]
+        bld.const += wt * bld.ws.tail_ext[axis]
         bld.diag -= 2.0 * wt
 
 
-def _assemble_drift(bld: _StencilBuilder, ws: _Workspace, b: np.ndarray) -> None:
-    grid = ws.grid
+def _assemble_drift(bld: _StencilBuilder, b: np.ndarray) -> None:
+    grid = bld.ws.grid
     for axis in range(grid.d):
+        e = _axis_unit(grid.d, axis)
         bp = np.maximum(b[:, axis], 0.0) / grid.hx
         bm = np.maximum(-b[:, axis], 0.0) / grid.hx
-        bld.add_targets(bp, ws.ax_idx_p[axis], ws.ax_ext_p[axis])
-        bld.add_targets(bm, ws.ax_idx_m[axis], ws.ax_ext_m[axis])
+        bld.add(bp, e)
+        bld.add(bm, -e)
         bld.diag -= bp + bm
 
 
-def _assemble_local(bld: _StencilBuilder, ws: _Workspace, grid: Grid,
-                    a: np.ndarray, tau_label: str) -> None:
+def _assemble_local(bld: _StencilBuilder, a: np.ndarray, label: str) -> None:
+    """Local part a : D²u: a_ii - |a_12| per axis, |a_12| on the diagonal of its sign."""
+    grid = bld.ws.grid
     h2 = grid.hx**2
-    if grid.d == 1:
-        w = a[:, 0, 0] / h2
-        bld.add_targets(w, ws.ax_idx_p[0], ws.ax_ext_p[0])
-        bld.add_targets(w, ws.ax_idx_m[0], ws.ax_ext_m[0])
-        bld.diag -= 2.0 * w
-        return
-    a11, a22, a12 = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
+    a12 = a[:, 0, 1:].sum(axis=1)          # an empty sum, 0, in 1-d
     s12 = np.abs(a12)
-    if np.any(a11 - s12 < -1e-12) or np.any(a22 - s12 < -1e-12):
-        i = int(np.argmin(np.minimum(a11 - s12, a22 - s12)))
+    dominance = np.diagonal(a, axis1=1, axis2=2) - s12[:, None]
+    if np.any(dominance < -1e-12):
+        i = int(np.argmin(dominance.min(axis=1)))
         raise MonotonicityError(
-            f"local matrix for control {tau_label} not diagonally dominant "
+            f"local matrix for control {label} not diagonally dominant "
             f"at node {tuple(grid.nodes[i].tolist())}")
-    for axis, w in ((0, (a11 - s12) / h2), (1, (a22 - s12) / h2)):
-        bld.add_targets(w, ws.ax_idx_p[axis], ws.ax_ext_p[axis])
-        bld.add_targets(w, ws.ax_idx_m[axis], ws.ax_ext_m[axis])
-        bld.diag -= 2.0 * w
-    for sign, mask in ((+1, a12 >= 0), (-1, a12 < 0)):
-        if not np.any(mask):
-            continue
-        w = np.where(mask, s12 / h2, 0.0)  # δ along the diagonal carries 1/h²
-        for e in (np.array([1, sign]), -np.array([1, sign])):
-            idx = grid.node_index_of_lattice(grid.lattice + e)
-            bld.add_targets(w, idx, ws._axis_ext(idx, e))
-        bld.diag -= 2.0 * w
+    for axis in range(grid.d):
+        bld.pair(dominance[:, axis] / h2, _axis_unit(grid.d, axis))
+    if grid.d == 2:
+        for sign, mask in ((+1, a12 >= 0), (-1, a12 < 0)):
+            if np.any(mask):   # δ along the diagonal carries 1/h²
+                bld.pair(np.where(mask, s12 / h2, 0.0), np.array([1, sign]))
 
 
-def _assemble_levy(bld: _StencilBuilder, ws: _Workspace, kern) -> np.ndarray:
+def _assemble_levy(bld: _StencilBuilder, kern) -> np.ndarray:
     """Lévy–Itô part; returns the compensator drift to fold into upwinding."""
-    grid, q = ws.grid, ws.q
+    grid, q = bld.ws.grid, bld.ws.q
     x = grid.nodes
     celld = grid.hx**grid.d
     beta = np.zeros((grid.n_nodes, grid.d))
-    for sign, idx, extv in ((+1.0, ws.idx_p, ws.extv_p), (-1.0, ws.idx_m, ws.extv_m)):
-        y = sign * q.half_offsets
-        kv = _kernel_values(kern, x[:, None, :], y[None, :, :])
-        w = celld * kv
-        bld.add_targets(w, idx, extv)
+    for z in (q.half_lattice, -q.half_lattice):
+        y = z * grid.hx
+        w = celld * _kernel_values(kern, x[:, None, :], y[None, :, :])
+        bld.add(w, z)
         bld.diag -= w.sum(axis=1)
         inside = np.linalg.norm(y, axis=1) <= _COMPENSATOR_RADIUS
         beta -= np.einsum("nm,md->nd", w[:, inside], y[inside])
@@ -667,9 +651,7 @@ def _assemble_levy(bld: _StencilBuilder, ws: _Workspace, kern) -> np.ndarray:
     k0 = _kernel_values(kern, x[:, None, :], sub[None, :, :])
     for axis in range(grid.d):
         coef = 0.5 * (k0 * sub[None, :, axis] ** 2).sum(axis=1) * area / grid.hx**2
-        bld.add_targets(coef, ws.ax_idx_p[axis], ws.ax_ext_p[axis])
-        bld.add_targets(coef, ws.ax_idx_m[axis], ws.ax_ext_m[axis])
-        bld.diag -= 2.0 * coef
+        bld.pair(coef, _axis_unit(grid.d, axis))
     return beta
 
 
@@ -744,17 +726,17 @@ def _stencils(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
     n = grid.n_nodes
     base, outside = [], []
     for t, label in enumerate(p.controls):
-        bld = _StencilBuilder(n)
+        bld = _StencilBuilder(ws)
         if p.kernel is not None and not matrix_free:
-            _assemble_jump(bld, ws, p.kernel.kernel_for(t), p.kernel, label)
+            _assemble_jump(bld, p.kernel.kernel_for(t), p.kernel, label)
         b = np.asarray(p.drift[t](grid.nodes), dtype=float).reshape(n, grid.d)
         if p.mixed is not None:
             levy = p.mixed.levy_for(t)
             if levy is not None:
-                b = b + _assemble_levy(bld, ws, levy)
+                b = b + _assemble_levy(bld, levy)
             a = np.asarray(p.mixed.a_for(t)(grid.nodes), dtype=float)
-            _assemble_local(bld, ws, grid, a.reshape(n, grid.d, grid.d), label)
-        _assemble_drift(bld, ws, b)
+            _assemble_local(bld, a.reshape(n, grid.d, grid.d), label)
+        _assemble_drift(bld, b)
         m = bld.matrix()
         _check_monotone(m, grid, label)
         base.append(m)
@@ -804,21 +786,19 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
 
 
 def _delta_fields(grid: Grid, q: JumpQuadrature, u: np.ndarray, ext: ExteriorRule):
+    """δ(u, x_i, y) at the half offsets (N, M), axis neighbours and tail probes (N, d)."""
     u = np.asarray(u, dtype=float)
     ws = _Workspace(grid, q, ext)
-    up = np.where(ws.idx_p >= 0, u[np.maximum(ws.idx_p, 0)], ws.extv_p)
-    um = np.where(ws.idx_m >= 0, u[np.maximum(ws.idx_m, 0)], ws.extv_m)
-    dlt_off = up + um - 2.0 * u[:, None]
-    dlt_axis = np.empty((grid.n_nodes, grid.d))
-    dlt_tail = np.empty((grid.n_nodes, grid.d))
-    for axis in range(grid.d):
-        ap = np.where(ws.ax_idx_p[axis] >= 0,
-                      u[np.maximum(ws.ax_idx_p[axis], 0)], ws.ax_ext_p[axis])
-        am = np.where(ws.ax_idx_m[axis] >= 0,
-                      u[np.maximum(ws.ax_idx_m[axis], 0)], ws.ax_ext_m[axis])
-        dlt_axis[:, axis] = ap + am - 2.0 * u
-        dlt_tail[:, axis] = ws.tail_ext[axis] - 2.0 * u
-    return dlt_off, dlt_axis, dlt_tail
+
+    def second_difference(z: np.ndarray) -> np.ndarray:
+        (ip, ep), (im, em) = ws.targets(z), ws.targets(-z)
+        centre = u[:, None] if z.ndim > 1 else u
+        return np.where(ip >= 0, u[ip], ep) + np.where(im >= 0, u[im], em) - 2.0 * centre
+
+    dlt_axis = np.stack([second_difference(_axis_unit(grid.d, axis))
+                         for axis in range(grid.d)], axis=1)
+    dlt_tail = np.stack([tail - 2.0 * u for tail in ws.tail_ext], axis=1)
+    return second_difference(q.half_lattice), dlt_axis, dlt_tail
 
 
 def pucci_extremal(q: JumpQuadrature, grid: Grid, u: np.ndarray,

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import types
 from pathlib import Path
@@ -177,7 +180,11 @@ REJECTED = (
            ("coordinate-drift", "drift[0]", {"drift": ["-x1 + 1/0"]}),
            ("coordinate-x-kernel", "kernel", {"kernel": "0.5 + 0.1*cos(x1) + 1/0"}),
            ("coordinate-y-kernel", "kernel", {"kernel": "0.5 + 0.1*cos(y1) + 1/0"}),
-           ("coordinate-complex", "cost", {"cost": "x1 + (-1)**0.5"}))]
+           ("coordinate-complex", "cost", {"cost": "x1 + (-1)**0.5"}),
+           # integer literals are floats, so integer constant arithmetic
+           # overflows at once instead of growing without bound
+           ("integer-overflow", "cost", {"cost": "10**400"}),
+           ("integer-tower", "drift[0]", {"drift": ["7**7**8"]}))]
     + [("expression-coordinate-zeroth", zeroth_discounted_config(), "problem", "controls",
         [{"drift": ["-x1"], "cost": "1.0", "zeroth": "-0.5 - 0.1*cos(x1) + 1/0"}],
         "problem.controls[0].zeroth")])
@@ -212,6 +219,16 @@ OUT_OF_RANGE = (
      "got [0.5, 0.6]"),
     ("grid.reg_radius", constant_ergodic_config(), "grid", "reg_radius", 0.1,
      "section 'grid': reg_radius must be at least hx = 0.25, got 0.1"),
+    # grid extents whose count of hx steps overflows
+    ("grid.hx-tiny", with_problem(FAMILY_BASES["power_drift"]), "grid", "hx", 1e-320,
+     "section 'grid': (radii[-1] + r_far_margin) / hx must be finite, got 9.0 / 1e-320"),
+    ("grid.r_far_margin-huge", with_problem(FAMILY_BASES["power_drift"]), "grid",
+     "r_far_margin", 1e308,
+     "section 'grid': (radii[-1] + r_far_margin) / hx must be finite, got 1e+308 / 0.25"),
+    ("grid.reg_radius-huge", dict(with_problem(FAMILY_BASES["power_drift"]),
+                                  grid={"d": 2, "hx": 0.5, "radii": [4.0, 8.0]}),
+     "grid", "reg_radius", 1e308,
+     "section 'grid': reg_radius / hx must be finite, got 1e+308 / 0.5"),
     ("controls", with_problem(FAMILY_BASES["custom"]), "problem", "controls", [],
      "section 'problem' of family 'custom': controls must be a non-empty list"),
     # non-finite numbers, which json reads as NaN and ±Infinity
@@ -297,6 +314,19 @@ class TestParsing:
         assert main([str(path), "--output-dir", str(tmp_path / "out")]) == 1
         block = json.loads(capsys.readouterr().out)
         assert block == {"error": {"kind": "ConfigError", "message": message}}
+
+    def test_integer_tower_is_rejected_at_once(self):
+        # 9**9**9 in integers would not finish; a subprocess keeps a hang
+        # out of the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        raw = with_problem(dict(FAMILY_BASES["custom"], controls=[
+            {"drift": ["-x1"], "cost": "9**9**9"}]))
+        probe = ("import sys; from nlhjb.config import ConfigError, parse_config\n"
+                 "try:\n    parse_config(%r)\nexcept ConfigError as e:\n    print(e)"
+                 % raw)
+        out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                             text=True, timeout=20, env={**os.environ, "PYTHONPATH": src})
+        assert "'problem.controls[0].cost'" in out.stdout
 
     def test_coordinate_arithmetic_is_judged_at_the_nodes(self):
         # inf or nan at the origin from numpy arithmetic on a coordinate

@@ -2,8 +2,10 @@
 
 Each example takes one of the valid configs in ``BASES`` and replaces, drops
 or adds one or two leaves, a replaced or added leaf taking a value from
-``POOL``: range edges, huge numbers, expressions that fail or are not finite,
-strings, lists, mappings, null and booleans.  Whatever the mutant,
+``POOL``: range edges, huge numbers, the smallest subnormal ``5e-324`` and
+``1.7e308`` near the float limit, expressions that fail or are not finite
+(among them the integer arithmetic ``10**400`` and ``9**9**9``), strings,
+lists, mappings, null and booleans.  Whatever the mutant,
 ``cli.main`` returns 0, 1 or 2 and raises nothing, exit 1 prints one JSON
 error block, and a ``ConfigError`` names a key or section.  A mutant that
 parses to a grid finer than hx = 0.25, wider than R = 8 or with R/hx above
@@ -61,8 +63,9 @@ BASES = (
      "problem": {"family": "constant_cost", "kappa": 1.0, "local_identity": True},
      "grid": {"d": 2, "hx": 0.5, "radii": [2.0, 3.0]}, "alpha": {"start": 0.5}},
 )
-POOL = (0, 1, -1, 0.5, 2, 1e300, -1e300, "1/0", "sqrt(-1)", "1e308*1e308", "min(x1)",
-        "x1", "", "ergodic", [], [0.5], {}, None, True, False)
+POOL = (0, 1, -1, 0.5, 2, 1e300, -1e300, 5e-324, 1.7e308, "1/0", "sqrt(-1)",
+        "1e308*1e308", "10**400", "9**9**9", "min(x1)", "x1", "", "ergodic", [], [0.5],
+        {}, None, True, False)
 # Keys an added leaf may take, per section ("" is the config root).
 KEYS = {
     "": ("mode", "output_dir", "problem", "grid", "solver", "alpha"),

@@ -469,24 +469,47 @@ class TestComparisonAndDump:
             assert e["weight"] >= -1e-13
 
 
+def golden_2d_operator():
+    """The operator of the 2-d golden file: two controls on 13 nodes, kernels
+    that read y, a local part whose a_12 takes both signs, a Lévy part and a
+    function exterior rule."""
+    def a_field(x):
+        x = np.atleast_2d(np.asarray(x, float))
+        out = np.zeros((x.shape[0], 2, 2))
+        out[:, 0, 0] = 1.2 + 0.2 * np.cos(x[:, 0])
+        out[:, 1, 1] = 1.1 + 0.2 * np.sin(x[:, 1])
+        out[:, 0, 1] = out[:, 1, 0] = 0.3 * np.sin(x[:, 0] + 0.5 * x[:, 1])
+        return out
+
+    def levy(x, y):
+        r2 = np.sum(np.asarray(y, float) ** 2, axis=-1)
+        return 0.3 * np.exp(-r2) * (1 + 0.1 * np.cos(np.asarray(x, float)[..., 0]))
+
+    kernels = (lambda x, y: 0.5 + 0.04 * np.cos(x[..., 0] * y[..., 0])
+               * np.exp(-np.sum(y * y, axis=-1)),
+               lambda x, y: 0.5 - 0.04 * np.cos(x[..., 1] * y[..., 1]))
+    p = nl.ControlProblem(
+        controls=("a", "b"),
+        kernel=nl.KernelSpec(s=0.75, lambda_ell=0.9, Lambda_ell=1.1, k=kernels),
+        drift=(lambda x: -np.asarray(x, float),
+               lambda x: np.asarray(x, float) * np.array([-0.5, 0.3])),
+        cost=(lambda x: np.exp(-np.sum(np.asarray(x, float) ** 2, axis=-1)),
+              lambda x: 0.5 + 0.1 * np.asarray(x, float)[..., 1]),
+        mixed=nl.MixedSpec(a=a_field, levy_kernel=levy))
+    g = nl.build_grid(2, 1.0, 2.0)
+    q = nl.build_quadrature(g, 0.75, 3.0)
+    ext = nl.ExteriorRule.function(
+        lambda x: 0.1 * x[..., 0] + 0.05 * np.linalg.norm(x, axis=-1))
+    return nl.assemble(p, g, q, ext, alpha=0.5)
+
+
 class TestGoldenStencil:
-    def test_dump_matches_golden_file(self):
+    def check_golden(self, op, name):
         import json
         from pathlib import Path
 
-        s = 0.75
-        p = nl.ControlProblem(
-            controls=("only",),
-            kernel=nl.KernelSpec(s=s, lambda_ell=1.0, Lambda_ell=1.0,
-                                 k=nl.constant_kernel(2 - 2 * s)),
-            drift=(lambda x: np.full_like(np.asarray(x, float), 0.5),),
-            cost=(lambda x: np.asarray(x, float)[..., 0] ** 2,),
-            zeroth=(lambda x: np.full(np.asarray(x).shape[:-1], -0.3),))
-        g = nl.build_grid(1, 0.5, 2.0)
-        q = nl.build_quadrature(g, s, 3.0)
-        got = dump_stencils(nl.assemble(p, g, q, nl.ExteriorRule.zero()))
-        golden = json.loads(
-            (Path(__file__).parent / "golden" / "stencil_dump.json").read_text())
+        got = dump_stencils(op)
+        golden = json.loads((Path(__file__).parent / "golden" / name).read_text())
         assert got["controls"] == golden["controls"]
         assert len(got["stencils"]) == len(golden["stencils"])
         for a, b in zip(got["stencils"], golden["stencils"]):
@@ -497,6 +520,25 @@ class TestGoldenStencil:
             for ea, eb in zip(a["entries"], b["entries"]):
                 assert ea["offset"] == eb["offset"]
                 assert ea["weight"] == pytest.approx(eb["weight"], rel=1e-12)
+
+    def test_dump_matches_golden_file(self):
+        s = 0.75
+        p = nl.ControlProblem(
+            controls=("only",),
+            kernel=nl.KernelSpec(s=s, lambda_ell=1.0, Lambda_ell=1.0,
+                                 k=nl.constant_kernel(2 - 2 * s)),
+            drift=(lambda x: np.full_like(np.asarray(x, float), 0.5),),
+            cost=(lambda x: np.asarray(x, float)[..., 0] ** 2,),
+            zeroth=(lambda x: np.full(np.asarray(x).shape[:-1], -0.3),))
+        g = nl.build_grid(1, 0.5, 2.0)
+        q = nl.build_quadrature(g, s, 3.0)
+        self.check_golden(nl.assemble(p, g, q, nl.ExteriorRule.zero()),
+                          "stencil_dump.json")
+
+    def test_2d_dump_matches_golden_file(self):
+        # pins the 2-d layout: the diagonal cross-term pairs, the Lévy
+        # offsets and the function exterior rule
+        self.check_golden(golden_2d_operator(), "stencil_dump_2d.json")
 
 
 class TestTwoDimensional:
