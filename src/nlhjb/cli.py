@@ -2,7 +2,8 @@
 
 Reads a JSON run config, executes the requested mode and writes artifacts:
 ``report.json`` (deterministic summary), ``solution.csv`` (node coordinates
-plus the solved field), ``certificate.json`` in certify mode and
+plus the solved field), ``trace.csv`` in discounted mode,
+``certificate.json`` in certify mode and
 ``run_meta.json`` (wall-clock metadata and, in ergodic and discounted mode,
 the count of frozen-policy solves per linear solver, the total of
 BiCGStab iterations and the number of near-field factorizations; excluded
@@ -36,25 +37,32 @@ from .problem import validate_problem
 __all__ = ["main", "run"]
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_solution_csv(path: Path, grid, values: np.ndarray) -> None:
-    cols = [grid.nodes[:, c] for c in range(grid.d)] + [np.asarray(values)]
+def _solution_csv(grid, values: np.ndarray) -> str:
     header = ",".join([f"x{c + 1}" for c in range(grid.d)] + ["u"])
-    data = np.column_stack(cols)
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for row in data:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    rows = np.column_stack([grid.nodes, values]).tolist()
+    return "".join([header + "\n"] + [",".join(map(repr, row)) + "\n" for row in rows])
 
 
-def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
-    """Ergodic run: exit code and the solver counts for ``run_meta.json``."""
-    prob = build_problem(cfg)
-    schedule = build_alpha_schedule(cfg)
-    sol = vanishing_discount(prob, cfg.grid, schedule, cfg.alpha.tol,
+def _finite(c: float) -> float | None:
+    """``c``, with ±inf written as JSON ``null``."""
+    return None if np.isinf(c) else c
+
+
+def _radius_trace(trace) -> list[dict]:
+    return [{"R": R, "inner_change": _finite(c)} for R, c in trace]
+
+
+def _certificate(prob, grid, q):
+    """The envelope fit of ``sup_tau L_tau[V]`` of ``prob`` on ``grid``."""
+    return fit_envelope(evaluate_lyapunov_drift(prob, grid, q), prob.lyapunov, grid)
+
+
+def _run_ergodic(cfg: RunConfig, prob):
+    sol = vanishing_discount(prob, cfg.grid, build_alpha_schedule(cfg), cfg.alpha.tol,
                              solver_tol=cfg.solver.tol,
                              max_iter=cfg.solver.max_policy_iters)
     grid = sol.grid
@@ -64,8 +72,7 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         "lambda_trace_cauchy": bool(sol.converged),
     }
     if prob.lyapunov is not None and len(sol.alpha_trace) >= 2:
-        cert = fit_envelope(evaluate_lyapunov_drift(prob, grid, sol.operator.quadrature),
-                            prob.lyapunov, grid)
+        cert = _certificate(prob, grid, sol.operator.quadrature)
         if cert.ok:
             lb = check_lambda_bound(sol.alpha_trace, prob, grid, cert.k0)
             invariants["lambda_alpha_bounded"] = bool(lb.ok)
@@ -77,26 +84,19 @@ def _run_ergodic(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         "converged": bool(sol.converged),
         "alpha_trace": [
             {"alpha": lv.alpha, "lambda": lv.lam,
-             "lam_change": None if np.isinf(lv.lam_change) else lv.lam_change,
-             "wbar_change": None if np.isinf(lv.wbar_change) else lv.wbar_change,
+             "lam_change": _finite(lv.lam_change),
+             "wbar_change": _finite(lv.wbar_change),
              "alpha_norm": lv.alpha_norm, "residual": lv.residual}
             for lv in sol.alpha_trace
         ],
-        "radius_trace": [
-            {"R": R, "inner_change": None if np.isinf(c) else c}
-            for R, c in sol.radius_trace
-        ],
+        "radius_trace": _radius_trace(sol.radius_trace),
         "growth_report": sol.growth_report,
         "invariants": invariants,
     }
-    _write_json(outdir / "report.json", report)
-    _write_solution_csv(outdir / "solution.csv", grid, sol.u)
-    return 0 if sol.converged else 2, vars(sol.counts)
+    return report, (grid, sol.u), {}, sol.converged, vars(sol.counts)
 
 
-def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
-    """Discounted run: exit code and the solver counts for ``run_meta.json``."""
-    prob = build_problem(cfg)
+def _run_discounted(cfg: RunConfig, prob):
     alpha = cfg.alpha.start if prob.zeroth is None else None
     sol, radius_trace, op = expand_domain(prob, alpha, cfg.grid, cfg.solver.tol,
                                           max_iter=cfg.solver.max_policy_iters)
@@ -107,72 +107,62 @@ def _run_discounted(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         "residual_inf_norm": sol.residual_inf_norm,
         "iterations": sol.iterations,
         "converged": bool(sol.converged),
-        "radius_trace": [
-            {"R": R, "inner_change": None if np.isinf(c) else c}
-            for R, c in radius_trace
-        ],
+        "radius_trace": _radius_trace(radius_trace),
         "radius_stabilized": bool(radius_trace[-1][1] <= cfg.solver.tol),
         "sup_norm": float(np.max(np.abs(sol.u))),
     }
     if prob.lyapunov is not None:
-        cert = fit_envelope(evaluate_lyapunov_drift(prob, grid, op.quadrature),
-                            prob.lyapunov, grid)
+        cert = _certificate(prob, grid, op.quadrature)
         if cert.ok:
             br = check_barrier(sol, prob, grid, k0=cert.k0, c_floor=op.c_floor())
             report["barrier"] = {"ok": br.ok, "n_violations": br.n_violations,
                                  "min_margin": br.min_margin, "detail": br.detail}
-    _write_json(outdir / "report.json", report)
-    _write_solution_csv(outdir / "solution.csv", grid, sol.u)
-    with (outdir / "trace.csv").open("w") as fh:
-        fh.write("iteration,residual,policy_changes\n")
-        for it, res, changes in sol.trace:
-            fh.write(f"{it},{repr(float(res))},{changes}\n")
-    return 0 if sol.converged else 2, vars(sol.counts)
+    trace = "iteration,residual,policy_changes\n" + "".join(
+        f"{it},{repr(float(res))},{changes}\n" for it, res, changes in sol.trace)
+    return report, (grid, sol.u), {"trace.csv": trace}, sol.converged, vars(sol.counts)
 
 
-def _run_certify(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
-    prob = build_problem(cfg)
+def _run_certify(cfg: RunConfig, prob):
     if prob.lyapunov is None:
         raise ConfigError("certify mode needs a problem family with Lyapunov data")
     grid = build_grid(cfg.grid.d, cfg.grid.hx, cfg.grid.radii[-1])
     q = _quadrature(prob, cfg.grid, grid)
-    values = evaluate_lyapunov_drift(prob, grid, q)
-    cert = fit_envelope(values, prob.lyapunov, grid)
-    payload = cert.to_dict()
-    payload["validation"] = validate_problem(prob, grid, q).summary()
-    _write_json(outdir / "certificate.json", payload)
-    _write_json(outdir / "report.json", {
-        "mode": "certify", "ok": bool(cert.ok), "k0": cert.k0, "k1": cert.k1,
-        "n_violations": len(cert.violations),
-        "worst_margin": cert.worst_margin,
-    })
-    _write_solution_csv(outdir / "solution.csv", grid, values)
-    return 0 if cert.ok else 2, {}
+    cert = _certificate(prob, grid, q)
+    payload = {**cert.to_dict(), "validation": validate_problem(prob, grid, q).summary()}
+    report = {"mode": "certify", "ok": bool(cert.ok), "k0": cert.k0, "k1": cert.k1,
+              "n_violations": len(cert.violations), "worst_margin": cert.worst_margin}
+    return report, (grid, cert.values), {"certificate.json": _json(payload)}, cert.ok, {}
 
 
-def _run_convergence_study(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
-    report = convergence_study(build_problem(cfg), cfg.grid,
-                               build_alpha_schedule(cfg), cfg.alpha.tol,
+def _run_convergence_study(cfg: RunConfig, prob):
+    report = convergence_study(prob, cfg.grid, build_alpha_schedule(cfg), cfg.alpha.tol,
                                solver_tol=cfg.solver.tol,
                                max_iter=cfg.solver.max_policy_iters)
-    _write_json(outdir / "report.json", {"mode": "convergence-study", **report})
-    return 0 if all(report["converged"]) else 2, {}
+    return {"mode": "convergence-study", **report}, None, {}, all(report["converged"]), {}
 
 
-# Mode -> runner returning the exit code and its entries for ``run_meta.json``.
+# Mode -> runner.  A runner only computes: it returns the report, the
+# ``(grid, values)`` of solution.csv or None, the text of its other artifacts
+# by file name, success and its run_meta.json entries.  ``run`` writes them.
 _RUNNERS = {"ergodic": _run_ergodic, "discounted": _run_discounted,
             "certify": _run_certify, "convergence-study": _run_convergence_study}
 
 
 def run(cfg: RunConfig, output_dir: str | None = None) -> int:
-    """Execute one run config; returns the process exit status."""
+    """Execute one run config and write its files; returns the process exit status."""
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    code, counts = _RUNNERS[cfg.mode](cfg, outdir)
-    _write_json(outdir / "run_meta.json", {"nlhjb_version": __version__, **counts,
-                                           "wall_seconds": time.perf_counter() - t0})
-    return code
+    report, solution, artifacts, ok, counts = _RUNNERS[cfg.mode](cfg, build_problem(cfg))
+    files = {"report.json": _json(report), **artifacts}
+    if solution is not None:
+        files["solution.csv"] = _solution_csv(*solution)
+    for name, text in files.items():
+        (outdir / name).write_text(text)
+    (outdir / "run_meta.json").write_text(_json({
+        "nlhjb_version": __version__, **counts,
+        "wall_seconds": time.perf_counter() - t0}))
+    return 0 if ok else 2
 
 
 def main(argv: list[str] | None = None) -> int:

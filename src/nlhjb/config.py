@@ -17,8 +17,7 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .ergodic import AlphaSchedule, DomainConfig
-from .expressions import _compile, _evaluate, compile_kernel_field, compile_scalar_field
-from .expressions import _names as _coordinates
+from .expressions import compile_kernel_field, compile_scalar_field
 from .problem import (ControlProblem, KernelSpec, constant_cost_problem,
                       constant_kernel, power_drift_problem)
 
@@ -68,22 +67,10 @@ class ConstantCostConfig:
 
 
 def _compiled(key: str, expr: str, d: int, compile_field=compile_scalar_field):
-    """``compile_field(expr, d)``, its ``ValueError`` naming ``key``.
-
-    Every expression is evaluated here once at the origin (x = y = 0), so
-    one whose constant arithmetic fails (``x1 + 1/0``) is rejected with its
-    key, not at assembly.  One that reads no coordinate must also be
-    finite; coordinate arithmetic (``1/x1``) is judged at the nodes.
-    """
+    """``compile_field(expr, d)``, its ``ValueError`` (constant arithmetic
+    that fails at the origin included) naming ``key``."""
     try:
-        field = compile_field(expr, d)
-        names = _coordinates(d, "x", "r") | _coordinates(d, "y", "ry")
-        code, used = _compile(expr, names)
-        with np.errstate(all="ignore"):
-            value = _evaluate(code, dict.fromkeys(names, np.float64(0.0)), ())
-        if not used and not np.isfinite(value):
-            raise ValueError(f"expression is not finite: {float(value)}")
-        return field
+        return compile_field(expr, d)
     except ValueError as exc:
         raise ConfigError(f"key '{key}': {exc}") from None
 

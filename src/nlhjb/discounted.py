@@ -79,22 +79,22 @@ def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
     return float(np.max(cur - vmin))
 
 
-def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
+def _krylov(A, b: np.ndarray, target: float, rule: float, maxiter: int,
             x0: np.ndarray | None = None,
             counts: SolveCounts | None = None) -> np.ndarray | None:
-    """Preconditioned BiCGStab to an absolute sup residual ``atol``.
+    """Preconditioned BiCGStab to an absolute sup residual ``target``.
 
     ``A`` (a :class:`FrozenSystem` or its bordered form) supplies
     its own ``preconditioner()``, built on the near-field sparse LU of its
     policy, memoized on the operator across Howard steps and alpha levels.
-    Returns the answer when its true sup residual is at most ``accept``,
-    the caller's rule (``accept >= atol``), and ``None`` otherwise, or when
+    Returns the answer when its true sup residual is at most ``rule``,
+    the caller's rule (``rule >= target``), and ``None`` otherwise, or when
     the near-field factor fails.  BiCGStab's recurred residual can drift
     from the true one, and at the round-off floor it can break down
     (``info < 0``).  An answer that fails the rule and did not stop at the
     cap (``info > 0``) is restarted once from itself, which resets the
-    drift, under the same ``maxiter``; an answer between ``atol`` and
-    ``accept`` is kept as it is.  A run of k matvecs (two per iteration,
+    drift, under the same ``maxiter``; an answer between ``target`` and
+    ``rule`` is kept as it is.  A run of k matvecs (two per iteration,
     one for a stop at the half step) adds ceil(k/2) to
     ``counts.krylov_iterations``.  BiCGStab applies the preconditioner once
     before each matvec of its iterations and at no other time, so matvecs
@@ -116,17 +116,17 @@ def _krylov(A, b: np.ndarray, atol: float, accept: float, maxiter: int,
     x = x0
     for _ in range(2):
         solves = 0
-        x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=atol,
+        x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=target,
                                 maxiter=maxiter)
         if counts is not None:
             counts.krylov_iterations += -(-solves // 2)
         r = float(np.max(np.abs(A._matvec(x) - b)))
-        if info > 0 or not r > accept:
+        if info > 0 or not r > rule:
             break
-    return x if r <= accept else None
+    return x if r <= rule else None
 
 
-def _solve(S, rhs: np.ndarray, atol: float, target: float, maxiter: int,
+def _solve(S, rhs: np.ndarray, rule: float, target: float, maxiter: int,
            x0: np.ndarray | None = None,
            counts: SolveCounts | None = None) -> tuple[np.ndarray, str]:
     """``S x = rhs`` by :func:`_krylov` (target ``target``, cap ``maxiter``),
@@ -134,9 +134,9 @@ def _solve(S, rhs: np.ndarray, atol: float, target: float, maxiter: int,
 
     ``S`` is a :class:`FrozenSystem` or its bordered form.  The BiCGStab
     answer is kept (``"bicgstab"``) when its true sup residual is at most
-    ``atol``, a NaN failing; otherwise LU answers (``"splu"``).
+    ``rule``, a NaN failing; otherwise LU answers (``"splu"``).
     """
-    x = _krylov(S, rhs, target, atol, maxiter, x0, counts)
+    x = _krylov(S, rhs, target, rule, maxiter, x0, counts)
     if x is not None:
         return x, "bicgstab"
     return spla.spsolve(S.tocsc(), rhs), "splu"

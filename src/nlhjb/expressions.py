@@ -51,11 +51,13 @@ def _compile(expr: str, names: set[str]):
     """Code object for ``expr`` and the coordinate names it reads.
 
     Integer literals become floats, so constant arithmetic is float
-    arithmetic: bounded in time, and an overflow raises.  Every failure
-    raises ``ValueError``: a syntax error, nesting too deep for the parser
-    or the compiler (``MemoryError``, ``RecursionError``), an integer
-    literal beyond the float range and a construct :func:`_validate`
-    rejects.
+    arithmetic: bounded in time, and an overflow raises.  The code is then
+    evaluated once at the origin, every name 0.0.  Every failure raises
+    ``ValueError``, in this order: a syntax error, nesting too deep for the
+    parser or the compiler (``MemoryError``, ``RecursionError``) or an
+    integer literal beyond the float range; a construct :func:`_validate`
+    rejects; constant arithmetic that fails at the origin (``x1 + 1/0``), or
+    a value there that is not finite when the expression reads no name.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -70,6 +72,10 @@ def _compile(expr: str, names: set[str]):
         raise ValueError(f"expression cannot be evaluated: {exc}") from None
     _validate(tree, names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} - set(_FUNCS)
+    with np.errstate(all="ignore"):
+        value = _evaluate(code, dict.fromkeys(names, np.float64(0.0)), ())
+    if not used and not np.isfinite(value):
+        raise ValueError(f"expression is not finite: {float(value)}")
     return code, used
 
 
@@ -101,14 +107,18 @@ def _evaluate(code, env: dict, shape: tuple) -> np.ndarray:
     return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
 
-def compile_scalar_field(expr: str, d: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile an expression of x1..xd, r into a vectorised field over (n,d) points."""
-    code, _ = _compile(expr, _names(d, "x", "r"))
+def _scalar_field(code, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``code`` of x1..xd, r as a vectorised field over (n,d) points."""
 
     def field(x: np.ndarray) -> np.ndarray:
         return _evaluate(code, _coordinates(x, d, "x", "r"), np.shape(x)[:-1])
 
     return field
+
+
+def compile_scalar_field(expr: str, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile an expression of x1..xd, r into a vectorised field over (n,d) points."""
+    return _scalar_field(_compile(expr, _names(d, "x", "r"))[0], d)
 
 
 def compile_kernel_field(expr: str, d: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -120,7 +130,7 @@ def compile_kernel_field(expr: str, d: int) -> Callable[[np.ndarray, np.ndarray]
     y_names = _names(d, "y", "ry")
     code, used = _compile(expr, _names(d, "x", "r") | y_names)
     if not used & y_names:
-        return x_kernel(compile_scalar_field(expr, d))
+        return x_kernel(_scalar_field(code, d))
 
     def kern(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         env = {**_coordinates(x, d, "x", "r"), **_coordinates(y, d, "y", "ry")}

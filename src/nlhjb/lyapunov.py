@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, lattice_box
-from .operators import _COMPENSATOR_RADIUS, _LatticeConvolution
+from .grid import ExteriorRule, Grid, lattice_box
+from .operators import _COMPENSATOR_RADIUS, _LatticeConvolution, _tail_ext
 from .problem import ControlProblem, LyapunovData
 from .quadrature import JumpQuadrature
 
@@ -75,17 +75,17 @@ def _jump_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndar
             da = (np.asarray(ly.V(x + e), dtype=float)
                   + np.asarray(ly.V(x - e), dtype=float) - 2.0 * Vx)
             out += q.axis_coeff * ka * da
-    # beyond R_far: exact power tail when the growth exponent is known
-    probe = q.tail_probe_radius * np.eye(grid.d)[:1]
-    kt = np.asarray(kern(x, probe), dtype=float)
+    # beyond R_far, tail_mass/d on the probe pair of each axis: the exact
+    # power tail, weighted by the mean probe kernel, when the growth
+    # exponent is known
+    kt = [np.asarray(kern(x, p), dtype=float) for p in q.kernel_points[-grid.d:, None]]
     if ly.gamma is not None:
         s, d = q.s, grid.d
         grow = _SURFACE[d] * q.R_far ** (ly.gamma - 2 * s) / (2 * s - ly.gamma)
-        out += kt * (2.0 * grow - 2.0 * Vx * q.tail_mass)
+        out += sum(kt) / d * (2.0 * grow - 2.0 * Vx * q.tail_mass)
     else:
-        vp = np.asarray(ly.V(x + probe), dtype=float)
-        vm = np.asarray(ly.V(x - probe), dtype=float)
-        out += kt * q.tail_mass * (vp + vm - 2.0 * Vx)
+        for k, tail in zip(kt, _tail_ext(grid, q, ExteriorRule.function(ly.V))):
+            out += k * (q.tail_mass / grid.d) * (tail - 2.0 * Vx)
     return out
 
 

@@ -583,13 +583,11 @@ def _checked_kernel_values(kern, spec: KernelSpec, label: str, x: np.ndarray,
 
 
 def _assemble_jump(bld: _StencilBuilder, kern, spec: KernelSpec, label: str) -> None:
-    """Jump stencils of ``kern``, read at the half offsets, axis neighbours
-    hx·e_i and tail probes by one :func:`_checked_kernel_values` call."""
+    """Jump stencils of ``kern``, read at ``q.kernel_points`` by one
+    :func:`_checked_kernel_values` call."""
     grid, q = bld.ws.grid, bld.ws.q
     d, M = grid.d, q.n_offsets
-    eye = np.eye(d)
-    y = np.concatenate([q.half_offsets, eye * grid.hx, eye * q.tail_probe_radius])
-    kv = _checked_kernel_values(kern, spec, label, grid.nodes, y)
+    kv = _checked_kernel_values(kern, spec, label, grid.nodes, q.kernel_points)
     bld.pair(q.pair_weights[None, :] * kv[:, :M], q.half_lattice)
     for axis in range(d):
         bld.pair(q.axis_coeff * kv[:, M + axis], _axis_unit(d, axis))

@@ -214,7 +214,7 @@ def _outer_slope(r: np.ndarray, vals: np.ndarray) -> float:
 
 def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> ValidationReport:
     """Check the problem's structural assumptions at grid resolution, with
-    kernels sampled at the offsets of ``q``.
+    kernels sampled at the offsets, axis neighbours and tail probes of ``q``.
 
     Soft failures land in the report with witness points; malformed fields
     (NaN, negative kernel or Lyapunov data) raise immediately.
@@ -227,25 +227,26 @@ def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> Valida
         lo, hi, tol = p.kernel.band()
         worst_asym, worst_pt = 0.0, None
         worst_bound, bound_pt = 0.0, None
+        yk = np.concatenate([ys, q.kernel_points[q.n_offsets:]])
         for t in range(p.n_controls):
             k = p.kernel.kernel_for(t)
-            kp = np.asarray(k(xs[:, None, :], ys[None, :, :]), dtype=float)
-            km = np.asarray(k(xs[:, None, :], -ys[None, :, :]), dtype=float)
+            kp = np.asarray(k(xs[:, None, :], yk[None, :, :]), dtype=float)
+            km = np.asarray(k(xs[:, None, :], -yk[None, :, :]), dtype=float)
             _hard_check_finite(f"kernel[{p.controls[t]}]", kp)
             if np.any(kp < 0):
                 i, j = np.unravel_index(int(np.argmin(kp)), kp.shape)
                 raise ValueError(
-                    f"kernel[{p.controls[t]}] negative at x={xs[i]}, y={ys[j]}")
+                    f"kernel[{p.controls[t]}] negative at x={xs[i]}, y={yk[j]}")
             asym = np.abs(kp - km)
             if asym.max() > worst_asym:
                 worst_asym = float(asym.max())
                 i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-                worst_pt = (p.controls[t], tuple(xs[i]), tuple(ys[j]))
+                worst_pt = (p.controls[t], tuple(xs[i]), tuple(yk[j]))
             out = np.maximum(lo - kp, kp - hi).max()
             if out > worst_bound:
                 worst_bound = float(out)
                 i, j = np.unravel_index(int(np.argmax(np.maximum(lo - kp, kp - hi))), kp.shape)
-                bound_pt = (p.controls[t], tuple(xs[i]), tuple(ys[j]))
+                bound_pt = (p.controls[t], tuple(xs[i]), tuple(yk[j]))
         checks.append(CheckResult(
             "kernel-symmetry", worst_asym <= tol,
             f"max |k(x,y)-k(x,-y)| = {worst_asym:.3e}", worst_pt if worst_asym > tol else None))

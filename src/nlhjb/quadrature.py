@@ -52,6 +52,14 @@ class JumpQuadrature:
     def n_offsets(self) -> int:
         return self.half_offsets.shape[0]
 
+    @property
+    def kernel_points(self) -> np.ndarray:
+        """Every y at which the scheme reads a kernel: the half offsets, then
+        the axis neighbours hx·e_i, then the tail probes R_c·e_i."""
+        eye = np.eye(self.d)
+        return np.concatenate([self.half_offsets, eye * self.hx,
+                               eye * self.tail_probe_radius])
+
 
 def _half_lattice(d: int, kmax: int) -> np.ndarray:
     """Lattice vectors z with z > 0 lexicographically (one per ± pair).

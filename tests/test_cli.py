@@ -798,6 +798,39 @@ class TestExpressions:
             with pytest.raises(ValueError, match="cannot be evaluated"):
                 compile_scalar_field(expr, 1)(np.zeros((3, 1)))
 
+    def test_failing_constant_arithmetic_raises_at_compile(self):
+        from nlhjb.expressions import compile_kernel_field, compile_scalar_field
+        with pytest.raises(ValueError, match="cannot be evaluated"):
+            compile_scalar_field("1/0", 1)
+        with pytest.raises(ValueError, match="cannot be evaluated"):
+            compile_kernel_field("(-1)**0.5", 2)
+
+    def test_build_compiles_each_expression_once(self, monkeypatch):
+        # the 2-d x-kernel custom family of the benchmark: six drift and cost
+        # expressions and two kernels that read only x
+        import nlhjb.expressions as expressions
+        from nlhjb.config import build_problem
+        controls = [
+            {"drift": ["-x1", "-x2"], "cost": "exp(-r*r)",
+             "kernel": "0.5+0.04*cos(x1)*cos(x2)"},
+            {"drift": ["-2*x1", "-0.5*x2"], "cost": "0.5*exp(-x1*x1)",
+             "kernel": "0.5-0.04*exp(-r*r)"},
+        ]
+        cfg = parse_config({
+            "mode": "ergodic",
+            "problem": {"family": "custom", "s": 0.75, "lambda_ell": 0.9,
+                        "Lambda_ell": 1.1, "controls": controls},
+            "grid": {"d": 2, "hx": 0.5, "radii": [4.0, 8.0]}})
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return compile(*args, **kwargs)
+
+        monkeypatch.setattr(expressions, "compile", counting, raising=False)
+        build_problem(cfg)
+        assert len(calls) == 8
+
     def test_rejects_dunder_and_calls(self):
         from nlhjb.expressions import compile_scalar_field
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import nlhjb as nl
-from nlhjb.lyapunov import _levy_on_V
+from nlhjb.lyapunov import _jump_on_V, _levy_on_V
+from nlhjb.operators import _LatticeConvolution
 from nlhjb.problem import LyapunovData
 
 
@@ -50,6 +51,22 @@ class TestEvaluate:
                 np.array([[int(round(xv / g.hx))]]))[0]
             ratios.append(abs(vals[i]) * xv ** (2 * s - gamma))
         assert max(ratios) / min(ratios) < 3.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_centroid_tail_jump_matches_the_operator(self, d):
+        # with no growth exponent the tail of I[V] is the operator's own:
+        # tail_mass/d on the probe pair of every axis, exterior data V
+        import dataclasses
+        p = nl.power_drift_problem(1.6, 0.1, d, 0.9)
+        ly = dataclasses.replace(p.lyapunov, gamma=None)
+        g = nl.build_grid(d, 0.5, 3.0)
+        q = nl.build_quadrature(g, 0.9, 4.5)
+        kern = p.kernel.kernel_for(0)
+        conv = _LatticeConvolution(g, q)
+        want = kern.x_field(g.nodes) * (
+            conv(ly.V(g.nodes)) + conv.exterior(nl.ExteriorRule.function(ly.V)))
+        got = _jump_on_V(ly, g, q, kern)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
 
     def test_drift_part_matches_analytic_formula(self):
         # b·∇V = -scale * gamma * |x|^{theta+gamma-1} for |x| >= 1

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlhjb import (ControlProblem, KernelSpec, build_grid, build_quadrature,
-                   constant_kernel, power_drift_problem, validate_problem)
+from nlhjb import (ControlProblem, ExteriorRule, KernelSpec, assemble, build_grid,
+                   build_quadrature, constant_kernel, power_drift_problem,
+                   validate_problem)
 
 from conftest import random_problem
 
@@ -106,6 +107,30 @@ class TestValidation:
         chk = rep.check("kernel-symmetry")
         assert not chk.passed
         assert chk.witness is not None
+
+    def test_kernel_bounds_read_at_the_tail_probes(self):
+        # the kernel leaves the band only beyond |y| = 10: at the tail probe
+        # R_c = 15, never at a half offset (|y| <= R_far = 5); assembly
+        # reads it there, so validation must too
+        s = 0.75
+
+        def k(x, y):
+            x, y = np.asarray(x, float), np.asarray(y, float)
+            return 0.5 + 4.5 * (np.abs(y[..., 0]) > 10.0) + 0.0 * x[..., 0]
+
+        p = ControlProblem(
+            controls=("a",),
+            kernel=KernelSpec(s=s, lambda_ell=0.9, Lambda_ell=1.1, k=k),
+            drift=(lambda x: np.zeros_like(np.asarray(x, float)),),
+            cost=(lambda x: np.zeros(np.asarray(x).shape[:-1]),))
+        g = build_grid(1, 0.5, 4.0)
+        q = build_quadrature(g, s, 5.0)
+        assert q.tail_probe_radius == 15.0
+        chk = validate_problem(p, g, q).check("kernel-bounds")
+        assert not chk.passed
+        assert chk.witness[2] == (15.0,)
+        with pytest.raises(ValueError, match=r"kernel value 5 .* y=\(15.0,\)"):
+            assemble(p, g, q, ExteriorRule.zero())
 
     def test_discounted_sign_records_c_floor(self):
         p = random_problem(5, c_floor=0.1)
