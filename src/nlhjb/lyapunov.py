@@ -56,7 +56,7 @@ def _jump_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndar
     x = grid.nodes
     Vx = np.asarray(ly.V(x), dtype=float)
     if hasattr(kern, "x_field"):
-        # y-free kernel: the offset and axis sums are one lattice convolution
+        # y-free kernel: the offset sums are one lattice convolution
         # of V sampled on the box the offsets reach, scaled by k(x_i)
         conv = _LatticeConvolution(grid, q)
         hw = grid._halfwidth + conv.far
@@ -70,11 +70,6 @@ def _jump_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndar
                + np.asarray(ly.V(x[:, None, :] - y[None, :, :]), dtype=float)
                - 2.0 * Vx[:, None])
         out = np.einsum("nm,nm->n", kv, q.pair_weights[None, :] * dlt)
-        for e in grid.hx * np.eye(grid.d)[:, None, :]:   # (1, d) per axis
-            ka = np.asarray(kern(x, e), dtype=float)
-            da = (np.asarray(ly.V(x + e), dtype=float)
-                  + np.asarray(ly.V(x - e), dtype=float) - 2.0 * Vx)
-            out += q.axis_coeff * ka * da
     # beyond R_far, tail_mass/d on the probe pair of each axis: the exact
     # power tail, weighted by the mean probe kernel, when the growth
     # exponent is known

@@ -64,11 +64,10 @@ def _fast_len(n: int) -> int:
 class _LatticeConvolution:
     """The jump quadrature of a kernel k ≡ 1 as a convolution on the lattice.
 
-    The pair weight of each offset ±z and the axis correction on the nearest
-    neighbours ±e_i sit on a (2F+1)^d weight image, F the far radius in
-    lattice steps; ``diag`` is the node's own weight (offsets, axis
-    correction and the lumped tail mass).  Sums over all targets of all nodes
-    are one real FFT convolution with the image.
+    The pair weight of each offset ±z sits on a (2F+1)^d weight image, F the
+    far radius in lattice steps; ``diag`` is the node's own weight (offsets
+    and the lumped tail mass).  Sums over all targets of all nodes are one
+    real FFT convolution with the image.
     """
 
     def __init__(self, grid: Grid, q: JumpQuadrature):
@@ -77,8 +76,6 @@ class _LatticeConvolution:
         W = np.zeros((2 * F + 1,) * d)
         for sign in (1, -1):
             W[tuple((sign * q.half_lattice + F).T)] = q.pair_weights
-            for axis in range(d):
-                W[tuple(F + sign * _axis_unit(d, axis))] += q.axis_coeff
         self.grid, self.q, self.far, self.weights = grid, q, F, W
         self.diag = -(W.sum() + 2.0 * q.tail_mass)
         self._plans: dict[int, tuple] = {}
@@ -494,6 +491,8 @@ class _StencilBuilder:
 
     ``w`` is (N,) for one offset and (N, M) for a set.  A weight whose
     target leaves the ball goes into ``const`` times the exterior data there.
+    Only nonzero weights are stored (non-finite ones too, so that
+    :func:`_check_monotone` names them); :meth:`matrix` stores every diagonal.
     """
 
     def __init__(self, ws: _Workspace):
@@ -509,9 +508,10 @@ class _StencilBuilder:
         """Weights ``w`` on x_i + z·hx."""
         idx, extv = self.ws.targets(z)
         interior = idx >= 0
-        self.rows.append(np.nonzero(interior)[0])
-        self.cols.append(idx[interior])
-        self.vals.append(w[interior])
+        stored = interior & (w != 0.0)
+        self.rows.append(np.nonzero(stored)[0])
+        self.cols.append(idx[stored])
+        self.vals.append(w[stored])
         outside = np.where(interior, 0.0, w * extv)
         self.const += outside.sum(axis=-1) if w.ndim > 1 else outside
 
@@ -539,11 +539,8 @@ def _check_band(kv: np.ndarray, spec: KernelSpec, label: str, x: np.ndarray,
 
     ``kv[i, ...]`` is the value at node ``x[i]`` (and offset ``y[j]`` for a
     2-d ``kv``).  Raises ``ValueError`` naming the control and the witness
-    point of the value farthest outside.  Values that are not all finite are
-    left to the finiteness checks, which name them first.
+    point of the value farthest outside.  ``kv`` is finite.
     """
-    if not np.all(np.isfinite(kv)):
-        return
     lo, hi, tol = spec.band()
     excess = np.maximum(lo - kv, kv - hi)
     bad = excess > tol
@@ -564,15 +561,16 @@ def _checked_kernel_values(kern, spec: KernelSpec, label: str, x: np.ndarray,
 
     The quadrature gives the pair ±y one weight, so it needs
     k(x, -y) = k(x, y); a kernel that differs from its mirror by more than
-    the band tolerance raises ``ValueError`` naming the control, ``x`` and
-    ``y``.  Pairs with a non-finite value are left to the finiteness checks.
+    the band tolerance, or whose mirror is not finite, raises ``ValueError``
+    naming the control, ``x`` and ``y``.  Values that are not all finite are
+    left to the stencil check (:func:`_check_monotone`), which names them.
     """
     kv = _kernel_values(kern, x[:, None, :], y[None, :, :])
+    if not np.all(np.isfinite(kv)):
+        return kv
     _check_band(kv, spec, label, x, y)
     mirror = _kernel_values(kern, x[:, None, :], -y[None, :, :])
-    both = np.isfinite(kv) & np.isfinite(mirror)
-    gap = np.zeros(kv.shape)
-    gap[both] = np.abs(kv[both] - mirror[both])
+    gap = np.where(np.isfinite(mirror), np.abs(kv - mirror), np.inf)
     if gap.max(initial=0.0) > spec.band()[2]:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise ValueError(
@@ -590,8 +588,7 @@ def _assemble_jump(bld: _StencilBuilder, kern, spec: KernelSpec, label: str) -> 
     kv = _checked_kernel_values(kern, spec, label, grid.nodes, q.kernel_points)
     bld.pair(q.pair_weights[None, :] * kv[:, :M], q.half_lattice)
     for axis in range(d):
-        bld.pair(q.axis_coeff * kv[:, M + axis], _axis_unit(d, axis))
-        wt = (q.tail_mass / d) * kv[:, M + d + axis]
+        wt = (q.tail_mass / d) * kv[:, M + axis]
         bld.const += wt * bld.ws.tail_ext[axis]
         bld.diag -= 2.0 * wt
 
@@ -784,19 +781,13 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
 
 
 def _delta_fields(grid: Grid, q: JumpQuadrature, u: np.ndarray, ext: ExteriorRule):
-    """δ(u, x_i, y) at the half offsets (N, M), axis neighbours and tail probes (N, d)."""
+    """δ(u, x_i, y) at the half offsets (N, M) and the tail probes (N, d)."""
     u = np.asarray(u, dtype=float)
     ws = _Workspace(grid, q, ext)
-
-    def second_difference(z: np.ndarray) -> np.ndarray:
-        (ip, ep), (im, em) = ws.targets(z), ws.targets(-z)
-        centre = u[:, None] if z.ndim > 1 else u
-        return np.where(ip >= 0, u[ip], ep) + np.where(im >= 0, u[im], em) - 2.0 * centre
-
-    dlt_axis = np.stack([second_difference(_axis_unit(grid.d, axis))
-                         for axis in range(grid.d)], axis=1)
+    (ip, ep), (im, em) = ws.targets(q.half_lattice), ws.targets(-q.half_lattice)
+    dlt_off = np.where(ip >= 0, u[ip], ep) + np.where(im >= 0, u[im], em) - 2.0 * u[:, None]
     dlt_tail = np.stack([tail - 2.0 * u for tail in ws.tail_ext], axis=1)
-    return second_difference(q.half_lattice), dlt_axis, dlt_tail
+    return dlt_off, dlt_tail
 
 
 def pucci_extremal(q: JumpQuadrature, grid: Grid, u: np.ndarray,
@@ -806,9 +797,9 @@ def pucci_extremal(q: JumpQuadrature, grid: Grid, u: np.ndarray,
 
     ``sign='+'`` gives M⁺u (supremum), ``sign='-'`` gives M⁻u, the extremal
     class of the paper's ellipticity band.  Each elementary δ term (offset
-    pair, axis correction, lumped tail) is sign-split before weighting, so
-    M⁻u ≤ I_k u ≤ M⁺u holds exactly in floating point for any admissible
-    kernel when I_k u sums the same terms in the same order.
+    pair or lumped tail) is sign-split before weighting, so M⁻u ≤ I_k u ≤ M⁺u
+    holds exactly in floating point for any admissible kernel when I_k u
+    sums the same terms in the same order.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -818,9 +809,8 @@ def pucci_extremal(q: JumpQuadrature, grid: Grid, u: np.ndarray,
     def extremal(t: np.ndarray) -> np.ndarray:
         return fac * (hi * np.maximum(t, 0.0) - lo * np.maximum(-t, 0.0))
 
-    dlt_off, dlt_axis, dlt_tail = _delta_fields(grid, q, u, ext)
+    dlt_off, dlt_tail = _delta_fields(grid, q, u, ext)
     out = np.sum(extremal(q.pair_weights[None, :] * dlt_off), axis=1)
     for axis in range(grid.d):
-        out += extremal(q.axis_coeff * dlt_axis[:, axis])
         out += extremal((q.tail_mass / grid.d) * dlt_tail[:, axis])
     return out

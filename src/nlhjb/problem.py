@@ -214,7 +214,7 @@ def _outer_slope(r: np.ndarray, vals: np.ndarray) -> float:
 
 def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> ValidationReport:
     """Check the problem's structural assumptions at grid resolution, with
-    kernels sampled at the offsets, axis neighbours and tail probes of ``q``.
+    kernels sampled at the offsets and tail probes of ``q``.
 
     Soft failures land in the report with witness points; malformed fields
     (NaN, negative kernel or Lyapunov data) raise immediately.
@@ -237,7 +237,8 @@ def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> Valida
                 i, j = np.unravel_index(int(np.argmin(kp)), kp.shape)
                 raise ValueError(
                     f"kernel[{p.controls[t]}] negative at x={xs[i]}, y={yk[j]}")
-            asym = np.abs(kp - km)
+            # kp is finite; a mirror that is not is an infinite gap
+            asym = np.where(np.isfinite(km), np.abs(kp - km), np.inf)
             if asym.max() > worst_asym:
                 worst_asym = float(asym.max())
                 i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)

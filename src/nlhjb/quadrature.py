@@ -6,16 +6,16 @@ Discretisation layout, shared by every operator in the package:
   measure mass of their midpoint cell (exact cell integrals in 1-d, refined
   sub-cell sums near the singularity in 2-d, plain midpoint far out);
 * the singular cell around the origin plus a second-moment correction inside
-  the regularisation radius ``r0`` are folded into one nearest-neighbour
-  second-difference coefficient per axis (``axis_coeff``), which keeps the
-  scheme exact on quadratics over the ball ``|y| <= r0``;
+  the regularisation radius ``r0`` are folded into the pair weights of the
+  nearest axis offsets ``±hx·e_i``, which keeps the scheme exact on
+  quadratics over the ball ``|y| <= r0``;
 * the mass beyond ``R_far`` is lumped: the closed-form tail of the measure is
   applied to exterior data probed at the tail mass-centroid radius
   ``R_far * 2s/(2s-1)`` along each axis.
 
-All weights are nonnegative; ``axis_coeff`` may be negative but the combined
-weight on the nearest neighbours stays positive (checked at build time), so
-assembled stencils are monotone.
+All weights are nonnegative: the correction may be negative, but the folded
+nearest-axis weight is checked at build time, so assembled stencils are
+monotone.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ _SURFACE = {1: 2.0, 2: 2.0 * np.pi}
 
 @dataclass(frozen=True, eq=False)
 class JumpQuadrature:
-    """Precomputed offsets, weights and corrections for one (d, hx, s, R_far)."""
+    """Precomputed offsets and weights for one (d, hx, s, R_far)."""
 
     d: int
     hx: float
@@ -43,8 +43,7 @@ class JumpQuadrature:
     reg_radius: float
     half_lattice: np.ndarray   # (M, d) int, one representative per {y, -y} pair
     half_offsets: np.ndarray   # (M, d) float = hx * half_lattice
-    pair_weights: np.ndarray   # (M,) mass of cell(+y) + cell(-y), >= 0
-    axis_coeff: float          # second-difference coefficient per axis
+    pair_weights: np.ndarray   # (M,) mass of cell(+y) + cell(-y) (+ correction at e_i), >= 0
     tail_mass: float           # ∫_{|y| > R_far} |y|^{-d-2s} dy
     tail_probe_radius: float   # mass centroid of the tail
 
@@ -55,10 +54,8 @@ class JumpQuadrature:
     @property
     def kernel_points(self) -> np.ndarray:
         """Every y at which the scheme reads a kernel: the half offsets, then
-        the axis neighbours hx·e_i, then the tail probes R_c·e_i."""
-        eye = np.eye(self.d)
-        return np.concatenate([self.half_offsets, eye * self.hx,
-                               eye * self.tail_probe_radius])
+        the tail probes R_c·e_i."""
+        return np.concatenate([self.half_offsets, np.eye(self.d) * self.tail_probe_radius])
 
 
 def _half_lattice(d: int, kmax: int) -> np.ndarray:
@@ -143,7 +140,7 @@ def build_quadrature(grid: Grid, s: float, R_far: float,
         covered = 2.0 * np.sum(secm1[inside])
         second_exact = core + covered
         quad_second = np.sum(pair_weights[inside] * norms[inside] ** 2)
-        axis_coeff = (second_exact - quad_second) / hx**2
+        correction = (second_exact - quad_second) / hx**2
     else:
         chebnorm = np.max(np.abs(z), axis=1)
         refine = max(int(np.ceil(r0 / hx)) + 1, 6)
@@ -166,30 +163,24 @@ def build_quadrature(grid: Grid, s: float, R_far: float,
         second_exact = (_origin_cell_second_moment_2d(hx, s)
                         + 2.0 * np.sum(secm[inside, 0]))
         quad_second = np.sum(pair_weights[inside] * y[inside, 0] ** 2)
-        axis_coeff = (second_exact - quad_second) / hx**2
+        correction = (second_exact - quad_second) / hx**2
+
+    # the correction is a second difference along each axis: fold it into
+    # the pair weight of the nearest axis offset, which must stay >= 0
+    for axis, e in enumerate(np.eye(d, dtype=np.int64)):
+        j = np.flatnonzero(np.all(z == e, axis=1))
+        if j.size != 1:
+            raise AssertionError("nearest axis offset missing from quadrature")
+        pair_weights[j[0]] += correction
+        if pair_weights[j[0]] < 0:
+            raise AssertionError(
+                f"axis correction {correction} breaks monotonicity on axis {axis}")
 
     tail_mass = _SURFACE[d] / (2 * s) * R_far ** (-2 * s)
     probe = R_far * 2 * s / (2 * s - 1.0)
 
-    q = JumpQuadrature(
+    return JumpQuadrature(
         d=d, hx=hx, s=s, R_far=R_far, reg_radius=r0,
         half_lattice=z, half_offsets=y, pair_weights=pair_weights,
-        axis_coeff=float(axis_coeff), tail_mass=float(tail_mass),
-        tail_probe_radius=float(probe),
+        tail_mass=float(tail_mass), tail_probe_radius=float(probe),
     )
-    _check_monotone_neighbours(q)
-    return q
-
-
-def _check_monotone_neighbours(q: JumpQuadrature) -> None:
-    """The axis correction must not overpower the nearest-neighbour weight."""
-    for axis in range(q.d):
-        e = np.zeros(q.d, dtype=np.int64)
-        e[axis] = 1
-        j = np.flatnonzero(np.all(q.half_lattice == e, axis=1))
-        if j.size != 1:
-            raise AssertionError("nearest axis offset missing from quadrature")
-        if q.pair_weights[j[0]] + q.axis_coeff < 0:
-            raise AssertionError(
-                f"axis correction {q.axis_coeff} breaks monotonicity on axis {axis}"
-            )

@@ -96,19 +96,6 @@ def build_dense_oracles(p: ControlProblem, grid: Grid, q: JumpQuadrature,
                             const[i] += w * float(ext((xi + sgn * yv)[None, :])[0])
                     M[i, i] -= 2.0 * w
                 for axis in range(d):
-                    e = np.zeros(d)
-                    e[axis] = grid.hx
-                    k = float(np.asarray(kern(xi[None, :], e[None, :])).reshape(-1)[0])
-                    w = q.axis_coeff * k
-                    ez = np.zeros(d, dtype=np.int64)
-                    ez[axis] = 1
-                    for sgn in (+1, -1):
-                        tgt = find(zi + sgn * ez)
-                        if tgt >= 0:
-                            M[i, tgt] += w
-                        else:
-                            const[i] += w * float(ext((xi + sgn * e)[None, :])[0])
-                    M[i, i] -= 2.0 * w
                     probe = np.zeros(d)
                     probe[axis] = q.tail_probe_radius
                     kt = float(np.asarray(kern(xi[None, :], probe[None, :])).reshape(-1)[0])
@@ -261,9 +248,6 @@ def apply_quadrature_pointwise(q: JumpQuadrature, u, x, kernel,
     dlt = u(x[None, :] + y) + u(x[None, :] - y) - 2.0 * ux
     val = float(np.dot(q.pair_weights * k_at(y), dlt))
     units = np.eye(q.d)[:, None, :]   # one (1, d) unit vector per axis
-    for e in q.hx * units:
-        ka = float(k_at(e)[0])
-        val += q.axis_coeff * ka * float(u(x[None, :] + e)[0] + u(x[None, :] - e)[0] - 2.0 * ux)
     if tail_mode == "omit":
         return val
     per_axis = q.tail_mass / q.d
@@ -338,14 +322,11 @@ def fractional_laplacian_reference(test: str, x: float, s: float,
 def jump_apply_reference(q: JumpQuadrature, grid: Grid, u: np.ndarray,
                          ext: ExteriorRule, kern) -> np.ndarray:
     """Slow reference evaluation of the jump part, term order matching pucci."""
-    dlt_off, dlt_axis, dlt_tail = _delta_fields(grid, q, u, ext)
+    dlt_off, dlt_tail = _delta_fields(grid, q, u, ext)
     x = grid.nodes
     kv = _kernel_values(kern, x[:, None, :], q.half_offsets[None, :, :])
     out = np.sum(kv * (q.pair_weights[None, :] * dlt_off), axis=1)
     for axis in range(grid.d):
-        e = _axis_unit(grid.d, axis).astype(float) * grid.hx
-        ka = _kernel_values(kern, x, e[None, :])
-        out += ka * (q.axis_coeff * dlt_axis[:, axis])
         probe = _axis_unit(grid.d, axis).astype(float) * q.tail_probe_radius
         kt = _kernel_values(kern, x, probe[None, :])
         out += kt * ((q.tail_mass / grid.d) * dlt_tail[:, axis])

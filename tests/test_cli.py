@@ -728,9 +728,11 @@ class TestMainEntry:
         assert "control tau" in message and "(2-2s)λ, (2-2s)Λ" in message
         assert re.search(witness, message)
 
-    @pytest.mark.parametrize("kernel", ["0.5+0.01*sin(y1)", "0.5+0.01*sin(-y1)"])
+    @pytest.mark.parametrize("kernel", ["0.5+0.01*sin(y1)", "0.5+0.01*sin(-y1)",
+                                        "0.5+0.01*sqrt(y1)"])
     def test_exit_one_on_asymmetric_kernel(self, tmp_path, capsys, kernel):
-        # a kernel and its mirror k(x, -y) would give the same stencils
+        # a kernel and its mirror k(x, -y) would give the same stencils; a
+        # mirror that is not finite (sqrt(y1) at y1 < 0) differs from any value
         cfg = {
             "mode": "discounted",
             "problem": {"family": "custom", "s": 0.75, "lambda_ell": 0.9,
@@ -743,7 +745,8 @@ class TestMainEntry:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code = main([str(path), "--output-dir", str(tmp_path / "out")])
+        with np.errstate(invalid="ignore"):
+            code = main([str(path), "--output-dir", str(tmp_path / "out")])
         assert code == 1
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "ValueError"

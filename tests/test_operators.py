@@ -108,7 +108,7 @@ class TestAssembledInvariants:
         q = nl.build_quadrature(g, s, 5.0)
         op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
         k = 2 - 2 * s
-        total = k * (np.sum(2 * q.pair_weights) + 2 * q.axis_coeff + 2 * q.tail_mass)
+        total = k * (np.sum(2 * q.pair_weights) + 2 * q.tail_mass)
         m = stencil_matrix(op, 0)
         ones = np.ones(g.n_nodes)
         # -diagonal equals the total mass; row sum equals -(exterior mass)
@@ -440,9 +440,6 @@ class TestPucci:
             dlt = float(uu(x0 + y) + uu(x0 - y) - 2 * uu(x0))
             t = q.pair_weights[j] * dlt
             acc += (2 - 2 * s) * (Lam * max(t, 0.0) - lam * max(-t, 0.0))
-        e = np.array([q.hx])
-        t = q.axis_coeff * float(uu(x0 + e) + uu(x0 - e) - 2 * uu(x0))
-        acc += (2 - 2 * s) * (Lam * max(t, 0.0) - lam * max(-t, 0.0))
         rp = q.tail_probe_radius
         t = q.tail_mass * float(uu(x0 + rp) + uu(x0 - rp) - 2 * uu(x0))
         acc += (2 - 2 * s) * (Lam * max(t, 0.0) - lam * max(-t, 0.0))

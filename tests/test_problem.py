@@ -132,6 +132,27 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"kernel value 5 .* y=\(15.0,\)"):
             assemble(p, g, q, ExteriorRule.zero())
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_finite_mirror_fails_symmetry(self, d):
+        # k(x, y) is finite at every y read (y1 >= 0), k(x, -y) is NaN: an
+        # infinite gap, not a pair left out
+        from nlhjb.expressions import compile_kernel_field
+
+        s = 0.75
+        p = ControlProblem(
+            controls=("a",),
+            kernel=KernelSpec(s=s, lambda_ell=0.9, Lambda_ell=1.1,
+                              k=compile_kernel_field("0.5+0.01*sqrt(y1)", d)),
+            drift=(lambda x: np.zeros_like(np.asarray(x, float)),),
+            cost=(lambda x: np.zeros(np.asarray(x).shape[:-1]),))
+        g = build_grid(d, 0.5, 2.0)
+        q = build_quadrature(g, s, 3.0)
+        with np.errstate(invalid="ignore"):
+            chk = validate_problem(p, g, q).check("kernel-symmetry")
+        assert not chk.passed
+        assert chk.detail.endswith("= inf")
+        assert chk.witness[2][0] > 0
+
     def test_discounted_sign_records_c_floor(self):
         p = random_problem(5, c_floor=0.1)
         g = build_grid(1, 0.5, 8.0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlhjb import build_grid, build_quadrature
+from nlhjb.quadrature import _cell_masses_1d
 
 from oracles import (apply_quadrature_pointwise, fractional_laplacian_constant,
                      fractional_laplacian_reference)
@@ -70,10 +71,21 @@ def test_build_rejections():
 @given(s=st.floats(min_value=0.55, max_value=0.95),
        hx=st.sampled_from([0.125, 0.25, 0.5]))
 def test_nearest_neighbour_weight_stays_positive(s, hx):
-    # the axis correction may go negative but never overpowers the neighbour mass
+    # the axis correction may go negative but never overpowers the neighbour
+    # mass: the folded nearest-neighbour weight stays positive
     q = build_quadrature(build_grid(1, hx, 4.0), s, 6.0)
     j = np.flatnonzero(np.all(q.half_lattice == np.array([1]), axis=1))[0]
-    assert q.pair_weights[j] + q.axis_coeff > 0
+    assert q.pair_weights[j] > 0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_points_are_distinct(d):
+    # the scheme reads each kernel point once: the half offsets, then the
+    # tail probes, with no point repeated
+    q = build_quadrature(build_grid(d, 0.5, 3.0), 0.75, 4.0)
+    pts = q.kernel_points
+    assert pts.shape[0] == q.n_offsets + d
+    assert np.unique(pts, axis=0).shape[0] == pts.shape[0]
 
 
 def test_tail_probe_radius_is_mass_centroid():
@@ -90,8 +102,8 @@ def test_2d_quadratic_exact_inside_regularisation_ball():
     q = build_quadrature(build_grid(2, hx, 4.0), s, 6.0)
     norms = np.linalg.norm(q.half_offsets, axis=1)
     inside = norms <= q.reg_radius
-    covered = np.sum(q.pair_weights[inside] * norms[inside] ** 2) \
-        + 2.0 * q.axis_coeff * hx**2
+    # the axis correction sits in the pair weights of the nearest offsets
+    covered = np.sum(q.pair_weights[inside] * norms[inside] ** 2)
     # independent reference: fine sub-cell sums over the regular cells plus a
     # polar-coordinate evaluation of the singular origin cell
     from scipy.integrate import quad
@@ -113,9 +125,10 @@ def test_2d_quadratic_exact_inside_regularisation_ball():
 
 def test_1d_cell_masses_telescope_to_total_measure():
     # exact cell integrals over [hx/2, R_far] telescope to the closed form
+    # (the cell masses themselves: pair_weights also carry the axis correction)
     for s in (0.6, 0.9):
         hx, r_far = 0.25, 8.0
         q = build_quadrature(build_grid(1, hx, 4.0), s, r_far)
-        total = np.sum(q.pair_weights)
+        total = 2.0 * np.sum(_cell_masses_1d(q.half_offsets[:, 0], hx, s, r_far)[0])
         want = 2.0 * ((hx / 2) ** (-2 * s) - r_far ** (-2 * s)) / (2 * s)
         assert total == pytest.approx(want, rel=1e-13)
