@@ -139,19 +139,16 @@ def _window_indices(grid: Grid, radius: float) -> np.ndarray:
 
 
 def _quadrature(p: ControlProblem, domain: DomainConfig, grid: Grid):
-    """Jump quadrature on ``grid`` with the domain's far margin and
-    regularisation radius (s = 0.75 for problems without a jump kernel)."""
-    s = p.kernel.s if p.kernel is not None else 0.75
-    return build_quadrature(grid, s, grid.R + domain.r_far_margin, domain.reg_radius)
+    """Jump quadrature of order ``p.jump_order`` on ``grid`` with the domain's
+    far margin and regularisation radius."""
+    return build_quadrature(grid, p.jump_order, grid.R + domain.r_far_margin, domain.reg_radius)
 
 
 def _operator(p: ControlProblem, domain: DomainConfig, R: float,
               ext: ExteriorRule, alpha: float | None = None) -> DiscreteOperator:
     """The operator assembled on the grid of radius R (``op.grid``)."""
     grid = build_grid(domain.d, domain.hx, R)
-    need_q = p.kernel is not None or (
-        p.mixed is not None and p.mixed.levy_kernel is not None)
-    q = _quadrature(p, domain, grid) if need_q else None
+    q = _quadrature(p, domain, grid) if p.has_jumps else None
     return assemble(p, grid, q, ext, alpha=alpha)
 
 
@@ -299,13 +296,10 @@ def convergence_study(p: ControlProblem, domain: DomainConfig,
             for h in hx]
     lam = [float(s.lambda_star) for s in sols]
     coarse = sols[0].grid
-    pts = coarse.nodes[_window_indices(coarse, domain.window_radius)]
-    diffs = []
-    for a, b in ((0, 1), (1, 2)):
-        ga, gb = sols[a].grid, sols[b].grid
-        ia = ga.node_index_of_lattice(np.rint(pts / ga.hx).astype(np.int64))
-        ib = gb.node_index_of_lattice(np.rint(pts / gb.hx).astype(np.int64))
-        diffs.append(float(np.max(np.abs(sols[a].u[ia] - sols[b].u[ib]))))
+    win = coarse.lattice[_window_indices(coarse, domain.window_radius)]
+    # the coarse window's node z sits at lattice point z * 2**k on level k
+    u = [s.u[s.grid.node_index_of_lattice(win * 2**k)] for k, s in enumerate(sols)]
+    diffs = [float(np.max(np.abs(u[k] - u[k + 1]))) for k in range(2)]
     return {
         "hx": hx,
         "lambda_star": lam,

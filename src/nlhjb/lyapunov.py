@@ -16,11 +16,9 @@ import numpy as np
 from .grid import ExteriorRule, Grid, lattice_box
 from .operators import _COMPENSATOR_RADIUS, _LatticeConvolution, _tail_ext
 from .problem import ControlProblem, LyapunovData
-from .quadrature import JumpQuadrature
+from .quadrature import _SURFACE, JumpQuadrature
 
 __all__ = ["LyapunovCertificate", "evaluate_lyapunov_drift", "fit_envelope"]
-
-_SURFACE = {1: 2.0, 2: 2.0 * np.pi}
 
 
 @dataclass(frozen=True)
@@ -93,19 +91,21 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
     No zeroth-order term enters: the condition is on the generator alone.
     Drift and local parts use the analytic gradient and Hessian carried by the
     Lyapunov data; no numerical differentiation enters the certificate.
+    ``q`` may be ``None`` only when ``p.has_jumps`` is false, as in assembly.
     """
     ly = p.lyapunov
     if ly is None:
         raise ValueError("problem carries no Lyapunov data")
+    if p.has_jumps and q is None:
+        raise ValueError("problem has jump terms but no quadrature was given")
     x = grid.nodes
     gV = np.asarray(ly.grad_V(x), dtype=float).reshape(grid.n_nodes, grid.d)
+    H = np.asarray(ly.hess_V(x), dtype=float) if p.mixed is not None else None
     out = np.full(grid.n_nodes, -np.inf)
     jumps: dict = {}   # jump part per kernel, shared by controls with one kernel
     for t in range(p.n_controls):
         val = np.zeros(grid.n_nodes)
         if p.kernel is not None:
-            if q is None:
-                raise ValueError("jump kernel present but no quadrature given")
             kern = p.kernel.kernel_for(t)
             if kern not in jumps:
                 jumps[kern] = _jump_on_V(ly, grid, q, kern)
@@ -114,10 +114,9 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
         val += np.einsum("nd,nd->n", b, gV)
         if p.mixed is not None:
             a = np.asarray(p.mixed.a_for(t)(x), dtype=float)
-            H = np.asarray(ly.hess_V(x), dtype=float)
             val += np.einsum("nij,nij->n", a.reshape(-1, grid.d, grid.d), H)
             levy = p.mixed.levy_for(t)
-            if levy is not None and q is not None:
+            if levy is not None:
                 val += _levy_on_V(ly, grid, q, levy)
         out = np.maximum(out, val)
     return out

@@ -542,7 +542,7 @@ def _check_band(kv: np.ndarray, spec: KernelSpec, label: str, x: np.ndarray,
     point of the value farthest outside.  ``kv`` is finite.
     """
     lo, hi, tol = spec.band()
-    excess = np.maximum(lo - kv, kv - hi)
+    excess = spec.excursion(kv)
     bad = excess > tol
     if not np.any(bad):
         return
@@ -570,7 +570,7 @@ def _checked_kernel_values(kern, spec: KernelSpec, label: str, x: np.ndarray,
         return kv
     _check_band(kv, spec, label, x, y)
     mirror = _kernel_values(kern, x[:, None, :], -y[None, :, :])
-    gap = np.where(np.isfinite(mirror), np.abs(kv - mirror), np.inf)
+    gap = spec.asymmetry(kv, mirror)
     if gap.max(initial=0.0) > spec.band()[2]:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise ValueError(
@@ -754,9 +754,7 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
     and so does a zeroth-order term or constant (running cost plus exterior
     data) that is not finite, with the control and the node.
     """
-    needs_q = p.kernel is not None or (
-        p.mixed is not None and p.mixed.levy_kernel is not None)
-    if needs_q and q is None:
+    if p.has_jumps and q is None:
         raise ValueError("problem has jump terms but no quadrature was given")
     factors = _node_factors(p, grid)
     base, const = _stencils(p, grid, q, ext, matrix_free=factors is not None)

@@ -90,6 +90,16 @@ class KernelSpec:
         hi = fac * self.Lambda_ell
         return fac * self.lambda_ell, hi, 1e-10 * max(1.0, hi)
 
+    def excursion(self, kv: np.ndarray) -> np.ndarray:
+        """How far each kernel value lies outside the band; at most 0 inside."""
+        lo, hi, _ = self.band()
+        return np.maximum(lo - kv, kv - hi)
+
+    @staticmethod
+    def asymmetry(kv: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+        """|k(x, y) - k(x, -y)| for finite ``kv``; a non-finite mirror is an infinite gap."""
+        return np.where(np.isfinite(mirror), np.abs(kv - mirror), np.inf)
+
 
 @dataclass(frozen=True)
 class MixedSpec:
@@ -144,17 +154,32 @@ class ControlProblem:
     def __post_init__(self):
         if len(self.controls) == 0:
             raise ValueError("control set must be non-empty")
-        for name, seq in (("drift", self.drift), ("cost", self.cost)):
-            if len(seq) != len(self.controls):
+        shared = []   # fields that may also be one callable for every control
+        if self.kernel is not None:
+            shared.append(("kernel", self.kernel.k))
+        if self.mixed is not None:
+            shared += [("a", self.mixed.a), ("levy_kernel", self.mixed.levy_kernel)]
+        for name, seq in [("drift", self.drift), ("cost", self.cost), ("zeroth", self.zeroth)] + [
+                (n, f) for n, f in shared if not callable(f)]:
+            if seq is not None and len(seq) != len(self.controls):
                 raise ValueError(f"{name} fields must match the control count")
-        if self.zeroth is not None and len(self.zeroth) != len(self.controls):
-            raise ValueError("zeroth fields must match the control count")
         if self.kernel is None and self.mixed is None:
             raise ValueError("problem needs a jump kernel or a mixed local part")
 
     @property
     def n_controls(self) -> int:
         return len(self.controls)
+
+    @property
+    def has_jumps(self) -> bool:
+        """Whether the problem has a jump kernel or a Lévy part, which need a quadrature."""
+        return self.kernel is not None or (
+            self.mixed is not None and self.mixed.levy_kernel is not None)
+
+    @property
+    def jump_order(self) -> float:
+        """The order s of the jump quadrature: the kernel's s, else 0.75."""
+        return self.kernel.s if self.kernel is not None else 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +223,29 @@ def _sample(arr: np.ndarray, cap: int) -> np.ndarray:
     return arr[::stride]
 
 
-def _hard_check_finite(name: str, vals: np.ndarray) -> None:
+def _finite(name: str, vals) -> np.ndarray:
+    """``vals`` as floats; raises ``ValueError`` naming ``name`` if one is NaN/inf."""
+    vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{name} evaluates to NaN/inf on sampled points")
+    return vals
+
+
+def _worst(worst: tuple, vals: np.ndarray, control: str, *axes: np.ndarray) -> tuple:
+    """The running ``(largest value, witness)`` after one control's ``vals``: the
+    control and the point of each of ``axes`` at the largest value, which an
+    earlier control keeps unless ``vals`` exceeds it."""
+    top = vals.max()
+    if not top > worst[0]:
+        return worst
+    at = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(top), (control, *(tuple(ax[i]) for ax, i in zip(axes, at)))
+
+
+def _worst_check(name: str, worst: tuple, detail: str, tol: float = 1e-10) -> CheckResult:
+    """The check that the largest value is at most ``tol``, witnessed if not."""
+    top, wit = worst
+    return CheckResult(name, top <= tol, detail.format(top), wit if top > tol else None)
 
 
 def _outer_slope(r: np.ndarray, vals: np.ndarray) -> float:
@@ -224,61 +269,39 @@ def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> Valida
     checks: list[CheckResult] = []
 
     if p.kernel is not None:
-        lo, hi, tol = p.kernel.band()
-        worst_asym, worst_pt = 0.0, None
-        worst_bound, bound_pt = 0.0, None
+        tol = p.kernel.band()[2]
+        asym = bound = (0.0, None)
         yk = np.concatenate([ys, q.kernel_points[q.n_offsets:]])
-        for t in range(p.n_controls):
+        for t, c in enumerate(p.controls):
             k = p.kernel.kernel_for(t)
-            kp = np.asarray(k(xs[:, None, :], yk[None, :, :]), dtype=float)
-            km = np.asarray(k(xs[:, None, :], -yk[None, :, :]), dtype=float)
-            _hard_check_finite(f"kernel[{p.controls[t]}]", kp)
+            kp = _finite(f"kernel[{c}]", k(xs[:, None, :], yk[None, :, :]))
             if np.any(kp < 0):
                 i, j = np.unravel_index(int(np.argmin(kp)), kp.shape)
-                raise ValueError(
-                    f"kernel[{p.controls[t]}] negative at x={xs[i]}, y={yk[j]}")
-            # kp is finite; a mirror that is not is an infinite gap
-            asym = np.where(np.isfinite(km), np.abs(kp - km), np.inf)
-            if asym.max() > worst_asym:
-                worst_asym = float(asym.max())
-                i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-                worst_pt = (p.controls[t], tuple(xs[i]), tuple(yk[j]))
-            out = np.maximum(lo - kp, kp - hi).max()
-            if out > worst_bound:
-                worst_bound = float(out)
-                i, j = np.unravel_index(int(np.argmax(np.maximum(lo - kp, kp - hi))), kp.shape)
-                bound_pt = (p.controls[t], tuple(xs[i]), tuple(yk[j]))
-        checks.append(CheckResult(
-            "kernel-symmetry", worst_asym <= tol,
-            f"max |k(x,y)-k(x,-y)| = {worst_asym:.3e}", worst_pt if worst_asym > tol else None))
-        checks.append(CheckResult(
-            "kernel-bounds", worst_bound <= tol,
-            f"max excursion outside [(2-2s)λ,(2-2s)Λ] = {worst_bound:.3e}",
-            bound_pt if worst_bound > tol else None))
+                raise ValueError(f"kernel[{c}] negative at x={xs[i]}, y={yk[j]}")
+            km = np.asarray(k(xs[:, None, :], -yk[None, :, :]), dtype=float)
+            asym = _worst(asym, p.kernel.asymmetry(kp, km), c, xs, yk)
+            bound = _worst(bound, p.kernel.excursion(kp), c, xs, yk)
+        checks.append(_worst_check("kernel-symmetry", asym, "max |k(x,y)-k(x,-y)| = {:.3e}", tol))
+        checks.append(_worst_check(
+            "kernel-bounds", bound, "max excursion outside [(2-2s)λ,(2-2s)Λ] = {:.3e}", tol))
 
     if p.zeroth is not None:
-        cmax = -np.inf
-        for t in range(p.n_controls):
-            cv = np.asarray(p.zeroth[t](grid.nodes), dtype=float)
-            _hard_check_finite(f"zeroth[{p.controls[t]}]", cv)
-            cmax = max(cmax, float(cv.max()))
+        zeroth = [_finite(f"zeroth[{c}]", f(grid.nodes)) for c, f in zip(p.controls, p.zeroth)]
+        cmax = max(float(cv.max()) for cv in zeroth)
         checks.append(CheckResult(
             "zeroth-sign", cmax < 0,
             f"sup_tau c_tau = {cmax:.6g} (c_floor = {max(0.0, -cmax):.6g})"))
 
-    for t in range(p.n_controls):
-        gv = np.asarray(p.cost[t](grid.nodes), dtype=float)
-        _hard_check_finite(f"cost[{p.controls[t]}]", gv)
-        bv = np.asarray(p.drift[t](grid.nodes), dtype=float)
-        _hard_check_finite(f"drift[{p.controls[t]}]", bv)
+    cost, drift = [], []
+    for t, c in enumerate(p.controls):
+        cost.append(_finite(f"cost[{c}]", p.cost[t](grid.nodes)))
+        drift.append(_finite(f"drift[{c}]", p.drift[t](grid.nodes)))
 
     ly = p.lyapunov
     if ly is not None:
         r = grid.radii()
-        Vv = np.asarray(ly.V(grid.nodes), dtype=float)
-        hv = np.asarray(ly.h(grid.nodes), dtype=float)
-        _hard_check_finite("V", Vv)
-        _hard_check_finite("h", hv)
+        Vv = _finite("V", ly.V(grid.nodes))
+        hv = _finite("h", ly.h(grid.nodes))
         if np.any(Vv < 0) or np.any(hv < 0):
             raise ValueError("Lyapunov fields must be nonnegative")
 
@@ -303,23 +326,15 @@ def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> Valida
             "V, h nondecreasing along sampled rays beyond growth radius (proxy)",
             mono_wit))
 
-        sup_b = np.zeros(grid.n_nodes)
-        sup_g = np.zeros(grid.n_nodes)
-        for t in range(p.n_controls):
-            sup_b = np.maximum(sup_b, np.linalg.norm(
-                np.asarray(p.drift[t](grid.nodes), dtype=float), axis=1))
-            sup_g = np.maximum(sup_g, np.abs(np.asarray(p.cost[t](grid.nodes), dtype=float)))
-        s_ord = p.kernel.s if p.kernel is not None else 0.75
+        sup_b = np.max([np.linalg.norm(b, axis=1) for b in drift], axis=0)
+        sup_g = np.max(np.abs(np.broadcast_arrays(*cost)), axis=0)   # a cost may be scalar
+        s_ord = p.jump_order
         ratio_b = sup_b / (1.0 + Vv) ** ((2 * s_ord - 1) * ly.mu)
         ratio_g = sup_g / (1.0 + Vv) ** (1.0 + 2 * s_ord * ly.mu)
         ratios = [("drift-growth", ratio_b), ("cost-growth", ratio_g)]
         if p.zeroth is not None:
-            sup_c = np.zeros(grid.n_nodes)
-            for t in range(p.n_controls):
-                sup_c = np.maximum(sup_c, np.abs(
-                    np.asarray(p.zeroth[t](grid.nodes), dtype=float)))
-            ratios.append(("zeroth-growth",
-                           sup_c / (1.0 + Vv) ** (2 * s_ord * ly.mu)))
+            ratios.append(("zeroth-growth", np.max(np.abs(np.broadcast_arrays(*zeroth)), axis=0)
+                           / (1.0 + Vv) ** (2 * s_ord * ly.mu)))
         for nm, ratio in ratios:
             slope = _outer_slope(r, ratio)
             w = int(np.argmax(ratio))
@@ -338,7 +353,6 @@ def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> Valida
         ))
 
         if ly.gamma is not None:
-            s_ord = p.kernel.s if p.kernel is not None else 0.75
             ok = ly.gamma * (1 + ly.mu) < 2 * s_ord
             checks.append(CheckResult(
                 "lyapunov-integrability", ok,
@@ -353,40 +367,24 @@ def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> Valida
                 f"lattice estimate of ∫ V^(1+mu) ω_s = {est:.4g}"))
 
     if p.mixed is not None:
-        worst = 0.0
-        wit = None
-        lam = p.kernel.lambda_ell if p.kernel is not None else None
-        Lam = p.kernel.Lambda_ell if p.kernel is not None else None
-        for t in range(p.n_controls):
-            av = np.asarray(p.mixed.a_for(t)(xs), dtype=float)
-            _hard_check_finite(f"a[{p.controls[t]}]", av)
-            eig = np.linalg.eigvalsh(av)
-            if lam is not None:
-                exc = np.maximum(lam - eig, eig - Lam).max(axis=1)
-                if exc.max() > worst:
-                    worst = float(exc.max())
-                    wit = (p.controls[t], tuple(xs[int(np.argmax(exc))]))
+        ell = (0.0, None)
+        for t, c in enumerate(p.controls):
+            eig = np.linalg.eigvalsh(_finite(f"a[{c}]", p.mixed.a_for(t)(xs)))
+            if p.kernel is not None:
+                ell = _worst(ell, np.maximum(p.kernel.lambda_ell - eig,
+                                             eig - p.kernel.Lambda_ell).max(axis=1), c, xs)
             elif np.any(eig <= 0):
-                worst = 1.0
-                wit = (p.controls[t], tuple(xs[int(np.argmin(eig.min(axis=1)))]))
-        checks.append(CheckResult(
-            "mixed-ellipticity", worst <= 1e-10,
-            f"max eigenvalue excursion {worst:.3e}", wit if worst > 1e-10 else None))
+                ell = (1.0, (c, tuple(xs[int(np.argmin(eig.min(axis=1)))])))
+        checks.append(_worst_check("mixed-ellipticity", ell, "max eigenvalue excursion {:.3e}"))
         if p.mixed.levy_kernel is not None and p.mixed.levy_majorant is not None:
             maj = np.asarray(p.mixed.levy_majorant(ys), dtype=float)
-            worst, wit = 0.0, None
-            for t in range(p.n_controls):
+            over = (0.0, None)
+            for t, c in enumerate(p.controls):
                 kv = np.asarray(p.mixed.levy_for(t)(xs[:, None, :], ys[None, :, :]), dtype=float)
                 if np.any(kv < 0):
                     raise ValueError("Lévy kernel negative on sampled points")
-                exc = kv - maj[None, :]
-                if exc.max() > worst:
-                    worst = float(exc.max())
-                    i, j = np.unravel_index(int(np.argmax(exc)), exc.shape)
-                    wit = (p.controls[t], tuple(xs[i]), tuple(ys[j]))
-            checks.append(CheckResult(
-                "mixed-majorant", worst <= 1e-10,
-                f"max K_tau - K = {worst:.3e}", wit if worst > 1e-10 else None))
+                over = _worst(over, kv - maj[None, :], c, xs, ys)
+            checks.append(_worst_check("mixed-majorant", over, "max K_tau - K = {:.3e}"))
             ry = np.linalg.norm(ys, axis=1)
             est = float(np.sum(np.minimum(ry**2, 1.0) * maj))
             checks.append(CheckResult(

@@ -86,6 +86,20 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="Lyapunov"):
             nl.evaluate_lyapunov_drift(p, g, q)
 
+    @pytest.mark.parametrize("levy_only", [False, True])
+    def test_jump_terms_without_a_quadrature_raise_as_in_assembly(self, levy_only):
+        # a Lévy part needs the quadrature as much as a kernel does: it is
+        # not dropped from the certificate when none is given
+        import dataclasses
+        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+        if levy_only:
+            p = dataclasses.replace(p, kernel=None, mixed=nl.MixedSpec(
+                a=lambda x: np.ones((np.atleast_2d(x).shape[0], 1, 1)),
+                levy_kernel=lambda x, y: np.exp(-np.abs(y[..., 0])) + 0.0 * x[..., 0]))
+        g = nl.build_grid(1, 0.5, 4.0)
+        with pytest.raises(ValueError, match="^problem has jump terms but no quadrature was given$"):
+            nl.evaluate_lyapunov_drift(p, g, None)
+
 
 class TestMixed:
     """The paper's mixed local-nonlocal extension: a:D²V plus a Lévy-Itô part."""

@@ -372,6 +372,18 @@ class TestMixed:
         got = apply_control(op, 0, u)
         np.testing.assert_allclose(got, -0.3 * 2.5, atol=1e-10)
 
+    @pytest.mark.parametrize("levy_only", [False, True])
+    def test_jump_terms_without_a_quadrature_are_rejected(self, levy_only):
+        import dataclasses
+        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+        if levy_only:
+            p = dataclasses.replace(p, kernel=None, mixed=nl.MixedSpec(
+                a=lambda x: np.ones((np.atleast_2d(x).shape[0], 1, 1)),
+                levy_kernel=lambda x, y: np.exp(-np.abs(y[..., 0])) + 0.0 * x[..., 0]))
+        g = nl.build_grid(1, 0.5, 4.0)
+        with pytest.raises(ValueError, match="^problem has jump terms but no quadrature was given$"):
+            nl.assemble(p, g, None, nl.ExteriorRule.zero(), alpha=0.5)
+
 
 class TestPucci:
     def test_affine_annihilation(self):

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlhjb import (ControlProblem, ExteriorRule, KernelSpec, assemble, build_grid,
-                   build_quadrature, constant_kernel, power_drift_problem,
-                   validate_problem)
+from nlhjb import (ControlProblem, ExteriorRule, KernelSpec, MixedSpec, assemble,
+                   build_grid, build_quadrature, constant_cost_problem, constant_kernel,
+                   power_drift_problem, validate_problem)
 
 from conftest import random_problem
 
@@ -208,6 +210,24 @@ class TestValidation:
                            mixed=None)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("field", ["kernel", "a", "levy_kernel"])
+def test_per_control_sequences_must_match_the_control_count(field, count):
+    # two controls; a sequence of one or three fields is rejected at
+    # construction, not left to an index error (or ignored) at assembly
+    k = constant_kernel(0.5)
+    kernel = KernelSpec(s=0.75, lambda_ell=1.0, Lambda_ell=1.0,
+                        k=(k,) * count if field == "kernel" else k)
+    mixed = None
+    if field != "kernel":
+        mixed = MixedSpec(a=(_eye,) * count if field == "a" else _eye,
+                          levy_kernel=(k,) * count if field == "levy_kernel" else None)
+    with pytest.raises(ValueError, match=f"^{field} fields must match the control count$"):
+        ControlProblem(controls=("a", "b"), kernel=kernel, mixed=mixed,
+                       drift=(lambda x: np.zeros_like(x),) * 2,
+                       cost=(lambda x: np.zeros(np.shape(x)[:-1]),) * 2)
+
+
 def test_zeroth_growth_ratio_checked_when_discounted():
     p = power_drift_problem(1.6, 0.1, 1, 0.9)
     import dataclasses
@@ -261,3 +281,78 @@ def test_mixed_checks_flagged_with_witness():
     rep = validate_problem(good, g, q)
     for name in ("mixed-ellipticity", "mixed-majorant"):
         assert rep.check(name).passed and rep.check(name).witness is None
+
+
+def _power_2d_with(**lyapunov):
+    p = power_drift_problem(1.6, 0.1, 2, 0.9)
+    return dataclasses.replace(p, lyapunov=dataclasses.replace(p.lyapunov, **lyapunov))
+
+
+def test_integrability_without_gamma_is_a_lattice_estimate():
+    p = _power_2d_with(gamma=None)
+    g = build_grid(2, 0.5, 4.0)
+    chk = validate_problem(p, g, build_quadrature(g, 0.9, 5.0)).check("lyapunov-integrability")
+    assert chk.passed
+    assert chk.detail == "lattice estimate of ∫ V^(1+mu) ω_s = 2.411"
+
+
+def test_decreasing_V_fails_inf_compact_with_the_last_ray():
+    # V falls along every ray; the witness is the last ray scanned
+    p = _power_2d_with(V=lambda x: 10.0 / (1.0 + np.linalg.norm(np.asarray(x, float), axis=-1)))
+    g = build_grid(2, 0.5, 4.0)
+    chk = validate_problem(p, g, build_quadrature(g, 0.9, 5.0)).check("lyapunov-inf-compact")
+    assert not chk.passed
+    assert chk.witness == ("V", 1, -1)
+
+
+def test_negative_V_is_hard_error():
+    p = _power_2d_with(V=lambda x: np.full(np.asarray(x).shape[:-1], -1.0))
+    g = build_grid(2, 0.5, 3.0)
+    with pytest.raises(ValueError, match="^Lyapunov fields must be nonnegative$"):
+        validate_problem(p, g, build_quadrature(g, 0.9, 4.0))
+
+
+def _eye(x):
+    x = np.atleast_2d(np.asarray(x, float))
+    return np.broadcast_to(np.eye(x.shape[1]), (x.shape[0], x.shape[1], x.shape[1])).copy()
+
+
+def _flat(x):
+    # zero eigenvalue along x2
+    out = _eye(x)
+    out[:, 1, 1] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("a, witness", [
+    ((_flat, _eye), "tau0"), ((_eye, _flat), "tau1"), ((_flat, _flat), "tau1")])
+def test_kernel_free_ellipticity_names_the_last_degenerate_control(a, witness):
+    p = constant_cost_problem(1.0, 2, local_identity=True)
+    p = dataclasses.replace(p, mixed=MixedSpec(a=a))
+    g = build_grid(2, 0.5, 3.0)
+    chk = validate_problem(p, g, build_quadrature(g, 0.75, 4.0)).check("mixed-ellipticity")
+    assert not chk.passed
+    assert chk.detail == "max eigenvalue excursion 1.000e+00"
+    assert chk.witness == (witness, (-3.0, 0.0))
+
+
+def test_negative_levy_kernel_is_hard_error():
+    p = constant_cost_problem(1.0, 2, local_identity=True)
+
+    def majorant(y):
+        return np.exp(-np.linalg.norm(y, axis=-1))
+
+    p = dataclasses.replace(p, mixed=MixedSpec(
+        a=_eye, levy_kernel=lambda x, y: -majorant(y) + 0.0 * np.asarray(x)[..., 0],
+        levy_majorant=majorant))
+    g = build_grid(2, 0.5, 3.0)
+    with pytest.raises(ValueError, match="^Lévy kernel negative on sampled points$"):
+        validate_problem(p, g, build_quadrature(g, 0.75, 4.0))
+
+
+def test_report_check_of_an_unknown_name_is_a_key_error():
+    p = power_drift_problem(1.6, 0.1, 1, 0.9)
+    g = build_grid(1, 0.5, 4.0)
+    rep = validate_problem(p, g, build_quadrature(g, 0.9, 5.0))
+    with pytest.raises(KeyError, match="mixed-ellipticity"):
+        rep.check("mixed-ellipticity")
