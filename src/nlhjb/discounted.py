@@ -154,13 +154,16 @@ def _solve_bordered(A: FrozenSystem, rhs: np.ndarray, i0: int, atol: float,
 
 
 def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
-            x0: np.ndarray | None, policy0: np.ndarray | None) -> HowardSolution:
+            x0: np.ndarray | None, policy0: np.ndarray | None,
+            m0: float = 0.0) -> HowardSolution:
     """Howard loop: frozen-policy solve, then greedy policy improvement.
 
-    ``solve(A, rhs, x, counts)`` returns the frozen-policy solution, the
+    ``solve(A, rhs, x, m, counts)`` returns the frozen-policy solution, the
     scalar shift m that the residual inf_tau(...) - m is measured against (0
     for the plain discounted problem) and the solver tag, and adds its
-    BiCGStab iterations to ``counts``.  The returned ``counts`` adds each
+    BiCGStab iterations to ``counts``.  It starts from the current iterate
+    (x, m): the first step from (``x0``, ``m0``), each later one from the
+    step before.  The returned ``counts`` adds each
     step's tag and the near-field factorizations made on ``op``.  A step
     that does not converge, changes no policy and whose residual is not
     below the previous step's ends the loop unconverged: the next step
@@ -174,13 +177,13 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
     trace: list[tuple[int, float, int]] = []
     mono_violation = 0.0
     prev_x = None
-    m = 0.0
+    m = m0
     converged = False
     it = 0
     counts, factors = SolveCounts(), op.near_factor.count
     for it in range(1, max_iter + 1):
         A = op.frozen(policy)
-        x, m, tag = solve(A, -A.const, x, counts)
+        x, m, tag = solve(A, -A.const, x, m, counts)
         counts.linear_solves[tag] += 1
         if not (np.all(np.isfinite(x)) and np.isfinite(m)):
             raise ValueError("frozen-policy solve returned non-finite values; "
@@ -222,7 +225,7 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
             f"policy iteration needs sup_tau c_tau < 0 (got c_floor={-c_floor:.3g})")
     lin_atol = max(tol / 10.0, 1e-14)
 
-    def solve(A, rhs, x0, counts):
+    def solve(A, rhs, x0, m, counts):
         x, tag = _solve(A, rhs, lin_atol, lin_atol, 500, x0, counts)
         return x, 0.0, tag
 
@@ -232,7 +235,8 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
 def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
                      max_iter: int = 60,
                      v0: np.ndarray | None = None,
-                     policy0: np.ndarray | None = None) -> HowardSolution:
+                     policy0: np.ndarray | None = None,
+                     m0: float = 0.0) -> HowardSolution:
     """Howard iteration on the origin-normalised pair (v, m) = (``u``, ``m``).
 
     Solves inf_tau(L_tau v + g_tau) - alpha v - m = 0 with v = 0 exterior and
@@ -243,9 +247,9 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     with its origin column replaced by -1 so that its origin slot is m, is
     first one BiCGStab solve (:func:`_solve_bordered`), kept when its true
     residual is at most tol/10, else solved by one sparse LU.  Each
-    BiCGStab solve starts from the Howard iterate, whose origin slot (0)
-    is the guess of m: the first from ``v0`` (zero without it), the later
-    ones from the previous Howard step's v.  ``counts``
+    BiCGStab solve starts from the Howard iterate (v, m), m in the origin
+    slot: the first from (``v0``, ``m0``) (v zero without ``v0``), the
+    later ones from the previous Howard step's pair.  ``counts``
     (:class:`SolveCounts`) counts the bordered solves by solver, their
     BiCGStab iterations and the near-field factorizations made for them;
     alpha levels that come back to a policy reuse its factor.
@@ -253,10 +257,12 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     i0 = op.grid.origin_index
     atol = max(tol / 10.0, 1e-14)
 
-    def solve(A, rhs, x0, counts):
+    def solve(A, rhs, v, m, counts):
+        x0 = v.copy()
+        x0[i0] = m
         return _solve_bordered(A, rhs, i0, atol, x0, counts)
 
-    return _howard(op.with_alpha(alpha), solve, tol, max_iter, v0, policy0)
+    return _howard(op.with_alpha(alpha), solve, tol, max_iter, v0, policy0, m0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 one radius ladder at the last discount.
 
 Each alpha level solves the origin-normalised pair (v, m) on the largest
-truncated ball (zero exterior for v), warm-started from the previous level;
-m plays the role of lambda_alpha = alpha * w_alpha(origin).  The alpha loop
-terminates when the lambda trace and the normalised potentials are Cauchy on
-the inner window and alpha * ||v|| has dropped below tolerance, so the
-returned pair satisfies the ergodic equation on the window to the same
-tolerance.  The radius trace, from the smaller balls solved once at the last
+truncated ball (zero exterior for v), started from the pair extrapolated
+from the levels before it; m plays the role of lambda_alpha = alpha *
+w_alpha(origin).  The alpha loop terminates when the lambda trace and the
+normalised potentials are Cauchy on the inner window and alpha * ||v|| has
+dropped below tolerance, so the returned pair satisfies the ergodic equation
+on the window to the same tolerance.  The radius trace, from the smaller balls solved once at the last
 alpha, is recorded and not forced to stabilise.
 """
 
@@ -152,6 +152,22 @@ def _operator(p: ControlProblem, domain: DomainConfig, R: float,
     return assemble(p, grid, q, ext, alpha=alpha)
 
 
+def _predicted_start(levels: list[AlphaLevel], alpha: float) -> tuple[np.ndarray, float]:
+    """The predicted pair (v, m) at ``alpha``: the Lagrange interpolant in
+    alpha through the last three levels' (wbar, lam), or through all of
+    them when fewer are solved (one level gives its own pair).  Each level's
+    wbar is 0 at the origin, and so is the prediction's v.  For a fixed
+    policy the bordered system is affine in alpha and nonsingular, so the
+    pair is smooth in alpha; on halving levels the error shrinks like
+    alpha**3."""
+    last = levels[-3:]
+    weights = [np.prod([(alpha - b.alpha) / (a.alpha - b.alpha) for b in last if b is not a])
+               for a in last]
+    v = sum(w * lv.wbar for w, lv in zip(weights, last))
+    m = sum(w * lv.lam for w, lv in zip(weights, last))
+    return v, float(m)
+
+
 def _ladder(domain: DomainConfig, operator, solve, stop_tol: float = -np.inf):
     """Solve on each radius of ``domain.radii`` in order; the one radius ladder.
 
@@ -215,8 +231,11 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
                        max_iter: int = 60) -> ErgodicSolution:
     """Vanishing-discount sweep producing the ergodic pair (u, lambda*).
 
-    Each alpha level is one normalised solve on the largest radius, warm-
-    started from the previous level (the first starts cold).  Terminates at a
+    Each alpha level is one normalised solve on the largest radius.  The
+    first starts cold; each later one from the previous level's policy and
+    the pair (v, m) that :func:`_predicted_start` extrapolates in alpha.
+    Only the start depends on the prediction: each level converges under
+    the same residual rule.  Terminates at a
     level whose Howard solve converged when consecutive levels satisfy
     |Δlambda| <= tol, ||Δ w_bar|| <= tol on the inner window, and
     alpha * ||w_bar|| <= tol on the window (so the pair solves the ergodic
@@ -225,8 +244,9 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     :func:`expand_domain` at the last alpha, with no early stop, topped by
     the sweep's last solve.  Each bordered (v, m) solve
     is one BiCGStab solve with v(origin) eliminated into m, on every
-    operator, started from the Howard iterate: the first Howard step of a
-    level from the level above, a rung of the ladder from the ball below.
+    operator, started from the Howard iterate (v, m): the first Howard step
+    of a level from the predicted pair, a rung of the ladder from the ball
+    below's v with m = 0.
     The alpha levels share each radius's operator, and with it the
     near-field factor of a policy that comes back.  A solve that falls back
     to sparse LU (its near-field factor failed, or its pair's true residual
@@ -243,16 +263,16 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     converged = False
     counts = SolveCounts()
 
-    def normalized(op, alpha, v0, policy0):
+    def normalized(op, alpha, v0, policy0, m0=0.0):
         out = solve_normalized(op, alpha, inner_tol, max_iter=max_iter,
-                               v0=v0, policy0=policy0)
+                               v0=v0, policy0=policy0, m0=m0)
         counts.add(out.counts)
         return out
 
     for alpha in schedule.alphas():
         prev = sol
-        v0, policy0 = (None, None) if prev is None else (prev.u, prev.policy)
-        sol = normalized(final_op, alpha, v0, policy0)
+        v0, m0 = _predicted_start(levels, alpha) if levels else (None, 0.0)
+        sol = normalized(final_op, alpha, v0, None if prev is None else prev.policy, m0)
         alpha_norm = alpha * float(np.max(np.abs(sol.u[win])))
         if prev is not None:
             lam_change = abs(sol.m - prev.m)

@@ -47,6 +47,7 @@ class LyapunovCertificate:
             "tail_mode": self.tail_mode,
             "grid": {"d": self.grid_d, "hx": self.grid_hx, "R": self.grid_R},
             "certified_at_nodes_only": True,
+            "ok": self.ok,
         }
 
 
@@ -102,14 +103,17 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
     gV = np.asarray(ly.grad_V(x), dtype=float).reshape(grid.n_nodes, grid.d)
     H = np.asarray(ly.hess_V(x), dtype=float) if p.mixed is not None else None
     out = np.full(grid.n_nodes, -np.inf)
-    jumps: dict = {}   # jump part per kernel, shared by controls with one kernel
+    parts: dict = {}   # jump and Lévy parts per callable, shared by controls with one
+
+    def part(on_V, kern):
+        if (on_V, kern) not in parts:
+            parts[on_V, kern] = on_V(ly, grid, q, kern)
+        return parts[on_V, kern]
+
     for t in range(p.n_controls):
         val = np.zeros(grid.n_nodes)
         if p.kernel is not None:
-            kern = p.kernel.kernel_for(t)
-            if kern not in jumps:
-                jumps[kern] = _jump_on_V(ly, grid, q, kern)
-            val += jumps[kern]
+            val += part(_jump_on_V, p.kernel.kernel_for(t))
         b = np.asarray(p.drift[t](x), dtype=float).reshape(grid.n_nodes, grid.d)
         val += np.einsum("nd,nd->n", b, gV)
         if p.mixed is not None:
@@ -117,7 +121,7 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
             val += np.einsum("nij,nij->n", a.reshape(-1, grid.d, grid.d), H)
             levy = p.mixed.levy_for(t)
             if levy is not None:
-                val += _levy_on_V(ly, grid, q, levy)
+                val += part(_levy_on_V, levy)
         out = np.maximum(out, val)
     return out
 

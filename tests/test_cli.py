@@ -410,6 +410,19 @@ class TestRuns:
         assert cert["violations"] == []
         assert cert["k0"] > 0 and cert["k1"] > 0
 
+    @pytest.mark.parametrize("d,hx,radii,code", [(1, 0.25, [8.0, 16.0, 32.0], 0),
+                                                  (2, 0.25, [8.0], 2)], ids=["1d", "2d"])
+    def test_certificate_states_whether_it_holds(self, tmp_path, d, hx, radii, code):
+        # the README problem certifies in 1-d and fails in 2-d
+        cfg = parse_config({"mode": "certify",
+                            "problem": {"family": "power_drift", "gamma": 1.6,
+                                        "theta": 0.1, "s": 0.9},
+                            "grid": {"d": d, "hx": hx, "radii": radii}})
+        assert run(cfg, output_dir=str(tmp_path)) == code
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert cert["ok"] is report["ok"] is (code == 0)
+
     def test_certify_flipped_drift_fails_with_violations(self, tmp_path):
         cfg = parse_config(certify_config(drift_sign=+1.0))
         code = run(cfg, output_dir=str(tmp_path))

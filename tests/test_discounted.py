@@ -312,6 +312,33 @@ class TestNormalized:
         np.testing.assert_allclose(s1.u, s2.u, atol=1e-10)
 
 
+    @pytest.mark.parametrize("m0", [0.4, -3.0])
+    def test_bordered_start_carries_m(self, monkeypatch, m0):
+        # the first bordered solve starts with m0 in the origin slot, each
+        # later one with the m of the step before; the pair is the m0 = 0 pair
+        p = random_problem(13)
+        g = nl.build_grid(1, 0.25, 4.0)
+        q = nl.build_quadrature(g, 0.75, 5.0)
+        op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
+        want = nl.solve_normalized(op, 0.05, 1e-11)
+        krylov, i0, seen = discounted._krylov, g.origin_index, []
+
+        def spy(A, b, target, rule, maxiter, x0=None, counts=None):
+            x = krylov(A, b, target, rule, maxiter, x0, counts)
+            seen.append((x0[i0], x[i0]))
+            return x
+
+        monkeypatch.setattr(discounted, "_krylov", spy)
+        got = nl.solve_normalized(op, 0.05, 1e-11, m0=m0)
+        assert got.counts.linear_solves == {"bicgstab": got.iterations, "splu": 0}
+        assert len(seen) == got.iterations >= 2
+        assert seen[0][0] == m0
+        assert [start for start, _ in seen[1:]] == [m for _, m in seen[:-1]]
+        assert seen[-1][1] == got.m
+        assert abs(got.m - want.m) <= 1e-10
+        assert float(np.max(np.abs(got.u - want.u))) <= 1e-10
+
+
 class TestBarrier:
     @staticmethod
     def solution(w):

@@ -4,8 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nlhjb as nl
+from nlhjb.ergodic import AlphaLevel, _predicted_start
 
 from oracles import fractional_laplacian_constant, verify_ergodic_pair
 
@@ -201,6 +204,93 @@ class TestVanishingDiscount:
         assert len(rays) == 2  # both signs in d=1
         # o(V) proxy: |u|/(1+V) falls off at the outermost sampled radii
         assert sol.growth_report["nonincreasing_tail"] is True
+
+
+def _levels(alphas, v, m):
+    """Solved levels at ``alphas`` whose pair is (v(alpha), m(alpha))."""
+    return [AlphaLevel(alpha=a, lam=m(a), wbar=v(a), lam_change=np.inf,
+                       wbar_change=np.inf, alpha_norm=0.0, residual=0.0)
+            for a in alphas]
+
+
+class TestPredictedStart:
+    """A level starts from the Lagrange interpolant in alpha through the
+    last three solved levels' (wbar, lam), or through all when fewer."""
+
+    coefficients = st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alphas=st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3, unique=True),
+           frac=st.floats(0.0, 1.0), c=coefficients, d=st.floats(-10.0, 10.0),
+           junk=st.floats(-1e3, 1e3))
+    def test_reproduces_a_quadratic_pair(self, alphas, frac, c, d, junk):
+        alphas = sorted(alphas, reverse=True)
+        assume(min(a - b for a, b in zip(alphas, alphas[1:])) >= 0.05)
+        # slot 0 is the origin, where every level's wbar is 0
+        c0, c1, c2 = np.array([0.0, *c[:2]]), np.array([0.0, *c[2:4]]), np.array([0.0, c[4], 1.0])
+
+        def v(a):
+            return c0 + c1 * a + c2 * a * a
+
+        def m(a):
+            return d - 2.0 * a + 0.5 * a * a
+
+        # an older level than the last three takes no part
+        older = _levels([0.995], lambda a: np.full(3, junk), lambda a: junk)
+        alpha = frac * alphas[-1]
+        got_v, got_m = _predicted_start(older + _levels(alphas, v, m), alpha)
+        scale = max(np.max(np.abs(v(a))) + abs(m(a)) for a in alphas)
+        assert got_v[0] == 0.0
+        np.testing.assert_allclose(got_v, v(alpha), rtol=0, atol=1e-12 * scale)
+        assert abs(got_m - m(alpha)) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(alphas=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2, unique=True),
+           frac=st.floats(0.0, 1.0), c=coefficients)
+    def test_two_levels_are_exact_on_lines(self, alphas, frac, c):
+        alphas = sorted(alphas, reverse=True)
+        assume(alphas[0] - alphas[1] >= 0.05)
+
+        def v(a):
+            return np.array([0.0, c[0] + c[1] * a, c[2] + c[3] * a])
+
+        def m(a):
+            return c[4] - 3.0 * a
+
+        alpha = frac * alphas[-1]
+        got_v, got_m = _predicted_start(_levels(alphas, v, m), alpha)
+        scale = max(np.max(np.abs(v(a))) + abs(m(a)) for a in alphas)
+        np.testing.assert_allclose(got_v, v(alpha), rtol=0, atol=1e-12 * scale)
+        assert abs(got_m - m(alpha)) <= 1e-12 * scale
+
+    def test_one_level_gives_its_own_pair(self):
+        (level,) = _levels([0.5], lambda a: np.array([0.0, 1.25, -3.5]), lambda a: 0.75)
+        v, m = _predicted_start([level], 0.25)
+        assert np.array_equal(v, level.wbar) and m == level.lam
+
+
+class TestPredictedSweep:
+    """Against the start it replaced (the previous level's v, m guessed as
+    0), the predicted start reaches the same answer in fewer iterations."""
+
+    @pytest.mark.parametrize("schedule", [
+        nl.AlphaSchedule(max_levels=25),
+        nl.AlphaSchedule(explicit=(0.5, 0.3, 0.1, 0.07, 0.02, 0.011, 0.004, 0.001, 3e-4,
+                                   2e-4, 5e-5, 1e-5, 4e-6, 1e-6, 3e-7, 1e-7)),
+    ], ids=["geometric", "uneven"])
+    def test_fewer_iterations_same_answer(self, monkeypatch, schedule):
+        import nlhjb.ergodic as erg
+        p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+        dom = nl.DomainConfig(d=1, hx=0.25, radii=(8.0, 16.0, 32.0))
+        got = nl.vanishing_discount(p, dom, schedule, 1e-6, solver_tol=1e-9)
+        monkeypatch.setattr(erg, "_predicted_start",
+                            lambda levels, alpha: (levels[-1].wbar, 0.0))
+        was = nl.vanishing_discount(p, dom, schedule, 1e-6, solver_tol=1e-9)
+        assert got.converged and was.converged
+        assert len(got.alpha_trace) == len(was.alpha_trace)
+        assert abs(got.lambda_star - was.lambda_star) <= 1e-12
+        assert got.counts.linear_solves["splu"] == was.counts.linear_solves["splu"] == 0
+        assert got.counts.krylov_iterations < was.counts.krylov_iterations
 
 
 class TestSolveCounts:

@@ -158,6 +158,39 @@ class TestMixed:
                 - nl.evaluate_lyapunov_drift(local, g, q))
         np.testing.assert_allclose(diff, want, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("layout,calls", [("one", 1), ("same twice", 1), ("two", 2)])
+    def test_levy_part_is_evaluated_once_per_kernel(self, monkeypatch, layout, calls):
+        # two controls with a unit local diffusion and the Lévy kernel
+        # exp(-|y|): one evaluation per distinct callable, and the same values
+        # as two distinct callables of the same kernel give
+        import dataclasses
+        import nlhjb.lyapunov as lyap
+        p, g, q = self.problem_grid_quadrature()
+
+        def levy(x, y):
+            return np.exp(-np.linalg.norm(y, axis=-1)) + 0.0 * x[..., 0]
+
+        def twin(x, y):
+            return levy(x, y)
+
+        kernels = {"one": levy, "same twice": (levy, levy), "two": (levy, twin)}
+
+        def certificate(levy_kernel):
+            return nl.evaluate_lyapunov_drift(dataclasses.replace(p, mixed=nl.MixedSpec(
+                a=self.diffusion(1.0), levy_kernel=levy_kernel)), g, q)
+
+        want = certificate((levy, twin))
+        made = []
+
+        def counting(*args):
+            made.append(args[-1])
+            return _levy_on_V(*args)
+
+        monkeypatch.setattr(lyap, "_levy_on_V", counting)
+        got = certificate(kernels[layout])
+        assert len(made) == calls
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_levy_part_compensates_like_the_assembled_operator(self, d):
         # On a linear V the assembled Lévy part is exact: upwinded first
