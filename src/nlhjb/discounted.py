@@ -84,9 +84,9 @@ def _krylov(A, b: np.ndarray, target: float, rule: float, maxiter: int,
             counts: SolveCounts | None = None) -> np.ndarray | None:
     """Preconditioned BiCGStab to an absolute sup residual ``target``.
 
-    ``A`` (a :class:`FrozenSystem` or its bordered form) supplies
-    its own ``preconditioner()``, built on the near-field sparse LU of its
-    policy, memoized on the operator across Howard steps and alpha levels.
+    ``A`` (a :class:`FrozenSystem` or its bordered form) supplies its own
+    ``preconditioner()``: :meth:`FrozenSystem.preconditioner`, P^{-1} of the
+    policy's near field memoized on the operator, or its bordering.
     Returns the answer when its true sup residual is at most ``rule``,
     the caller's rule (``rule >= target``), and ``None`` otherwise, or when
     the near-field factor fails.  BiCGStab's recurred residual can drift
@@ -251,8 +251,8 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     slot: the first from (``v0``, ``m0``) (v zero without ``v0``), the
     later ones from the previous Howard step's pair.  ``counts``
     (:class:`SolveCounts`) counts the bordered solves by solver, their
-    BiCGStab iterations and the near-field factorizations made for them;
-    alpha levels that come back to a policy reuse its factor.
+    BiCGStab iterations and the near-field factors made; an alpha level
+    that comes back to a policy reuses its :meth:`FrozenSystem.preconditioner`.
     """
     i0 = op.grid.origin_index
     atol = max(tol / 10.0, 1e-14)

@@ -248,10 +248,10 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     of a level from the predicted pair, a rung of the ladder from the ball
     below's v with m = 0.
     The alpha levels share each radius's operator, and with it the
-    near-field factor of a policy that comes back.  A solve that falls back
-    to sparse LU (its near-field factor failed, or its pair's true residual
-    exceeded a tenth of the inner tolerance) leaves the next one to try
-    BiCGStab again.  ``counts`` sums the ``counts`` of every solve made.
+    ``FrozenSystem.preconditioner()`` of a policy that comes back.  A solve
+    that falls back to sparse LU (its factor failed, or its pair's true
+    residual exceeded a tenth of the inner tolerance) leaves the next one to
+    try BiCGStab again.  ``counts`` sums the ``counts`` of every solve made.
     """
     inner_tol = solver_tol if solver_tol is not None else tol
     ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}

@@ -24,6 +24,7 @@ CSR stencils.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,18 +174,27 @@ class _LatticeConvolution:
         return const
 
 
+class _NearInverse(spla.LinearOperator):
+    """P^{-1} by a sparse LU of P; ``ones`` is P^{-1} 1, made on first use."""
+
+    def __init__(self, lu):
+        super().__init__(dtype=float, shape=lu.shape)
+        self._lu = lu
+
+    def _matvec(self, x):
+        return self._lu.solve(x)
+
+    @functools.cached_property
+    def ones(self) -> np.ndarray:
+        return self._lu.solve(np.ones(self.shape[0]))
+
+
 @dataclass(eq=False)
 class _NearFactor:
-    """One slot: the near-field LU of the last frozen policy factored.
-
-    Filled by :meth:`FrozenSystem.near_factor`.
-    ``key`` is the policy's bytes, ``ones`` the factor's solve of 1 (made
-    on first use) and ``count`` the factorizations made so far.
-    """
+    """Memo of :meth:`FrozenSystem.preconditioner`: policy bytes, P^{-1}, factors made."""
 
     key: bytes | None = None
-    lu: object = None                 # scipy.sparse.linalg.SuperLU
-    ones: np.ndarray | None = None
+    inverse: _NearInverse | None = None
     count: int = 0
 
 
@@ -220,8 +230,8 @@ class DiscreteOperator:
     const: np.ndarray                 # (n_controls, N) running cost + exterior data
     problem: ControlProblem | None = None
     jump: _MatrixFreeJump | None = None   # set: base holds the drift part only
-    # near-field LU memo of the frozen-policy solves: shared by with_alpha
-    # copies, a fresh one for csr() copies
+    # the memo of FrozenSystem.preconditioner(): shared by with_alpha copies,
+    # a fresh one for csr() copies
     near_factor: _NearFactor = dataclasses.field(default_factory=_NearFactor)
 
     @property
@@ -264,9 +274,9 @@ class FrozenSystem(spla.LinearOperator):
     when the operator applies its jump part by FFT, which then adds row i's
     convolution scaled by k_{policy[i]}(x_i).  ``const`` is the running cost
     plus exterior data.  ``tocsc`` builds the system from ``op.csr()`` for
-    sparse LU.  The near-field LU that preconditions BiCGStab is memoized on
-    the operator per policy, so Howard steps and alpha levels that come back
-    to a policy reuse it.
+    sparse LU.  :meth:`preconditioner`, BiCGStab's, is memoized on the
+    operator per policy, so Howard steps and alpha levels that come back to
+    a policy reuse it.
     """
 
     def __init__(self, op: DiscreteOperator, policy: np.ndarray):
@@ -315,39 +325,31 @@ class FrozenSystem(spla.LinearOperator):
         P.eliminate_zeros()
         return P
 
-    def near_factor(self):
-        """The operator's near-field memo, holding the sparse LU of this policy.
+    def preconditioner(self) -> spla.LinearOperator:
+        """P^{-1} for P = :meth:`near` by sparse LU, with ``ones`` = P^{-1} 1.
 
-        The memo (``op.near_factor``) keeps one factor, keyed by the policy
-        alone: ``with_alpha`` copies share it, so a factor made at an
-        earlier alpha serves a later one.  Its diagonal is then off by the
-        change in alpha, which moves only the preconditioner; the residual
-        rules judge every answer.  On a new policy the old factor is dropped
-        before :meth:`near` is factored, so at most one is alive per
-        operator.  A symmetric minimum-degree ordering with diagonal pivots:
-        a symmetric permutation keeps the strict diagonal dominance, which
-        then holds in every Schur complement, so no pivot is zero.  ``splu``
-        raises ``RuntimeError`` on a singular factor, which leaves the memo
-        empty.
+        The one owner of the near-field factor.  Its memo (``op.near_factor``)
+        keeps one, keyed by the policy alone: ``with_alpha`` copies share it,
+        so a factor made at an earlier alpha serves a later one.  Its
+        diagonal is then off by the change in alpha, which moves only the
+        preconditioner; the residual rules judge every answer.  On a new
+        policy the old factor is dropped before :meth:`near` is factored, so
+        at most one is alive per operator.  A symmetric minimum-degree
+        ordering with diagonal pivots: a symmetric permutation keeps the
+        strict diagonal dominance, which then holds in every Schur
+        complement, so no pivot is zero.  Raises ``RuntimeError`` when
+        ``splu`` does (a singular factor), which leaves the memo empty.
         """
         memo = self.op.near_factor
         key = self.policy.tobytes()
         if memo.key != key:
-            memo.key = memo.lu = memo.ones = None
-            memo.lu = spla.splu(self.near().tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True})
+            memo.key = memo.inverse = None
+            memo.inverse = _NearInverse(spla.splu(
+                self.near().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True}))
             memo.key = key
             memo.count += 1
-        return memo
-
-    def preconditioner(self) -> spla.LinearOperator:
-        """Solve with the memoized sparse LU of :meth:`near` (:meth:`near_factor`).
-
-        Raises ``RuntimeError`` when the factorization does.
-        """
-        return spla.LinearOperator(self.shape, matvec=self.near_factor().lu.solve,
-                                   dtype=float)
+        return memo.inverse
 
     def tocsr(self) -> sp.csr_matrix:
         if self.op.jump is None:
@@ -384,18 +386,16 @@ class BorderedSystem(spla.LinearOperator):
         return self.A._matvec(v) - m
 
     def preconditioner(self) -> spla.LinearOperator:
-        """The same bordering of the near field P of ``A``, by elimination:
-        y maps to z + m·w, with m in slot i0, for z = P^{-1} y, w = P^{-1} 1
-        (memoized with the factor) and m = -z[i0]/w[i0]; w[i0] < 0, as -P is
-        a nonsingular M-matrix.  Raises ``RuntimeError`` when the factor does.
+        """The same bordering of P^{-1} = ``A.preconditioner()``, by
+        elimination: y maps to z + m·w, with m in slot i0, for z = P^{-1} y,
+        w = P^{-1} 1 (its ``ones``) and m = -z[i0]/w[i0]; w[i0] < 0, as -P
+        is a nonsingular M-matrix.  Raises ``RuntimeError`` when ``A``'s does.
         """
-        memo = self.A.near_factor()
-        if memo.ones is None:
-            memo.ones = memo.lu.solve(np.ones(self.shape[0]))
-        lu, w, i0 = memo.lu, memo.ones, self.i0
+        P, i0 = self.A.preconditioner(), self.i0
+        w = P.ones
 
         def solve(y):
-            x = lu.solve(np.ravel(y))
+            x = P.matvec(np.ravel(y))
             m = -x[i0] / w[i0]
             x += m * w
             x[i0] = m

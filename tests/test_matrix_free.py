@@ -566,6 +566,46 @@ class TestNearField:
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.one_of(fast_operators(), csr_operators()), data=st.data())
+    def test_preconditioner_is_p_inverse_with_its_ones(self, case, data):
+        # FrozenSystem.preconditioner() owns the near-field factor: it is
+        # P^{-1} for P = near(), carries ones = P^{-1} 1, and is one object
+        # per policy for with_alpha copies, a fresh one for a csr() copy
+        op, _ = case
+        policy = np.array(data.draw(st.lists(
+            st.integers(0, len(op.controls) - 1),
+            min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+        A = op.frozen(policy)
+        P = A.near().toarray()
+        inv = A.preconditioner()
+        assert float(np.max(np.abs(inv @ P - np.eye(op.n_nodes)))) <= 1e-10
+        assert_rel_close(inv.ones, np.linalg.solve(P, np.ones(op.n_nodes)))
+        copies = [op.with_alpha(a).frozen(policy.copy()).preconditioner() for a in (0.3, 0.1)]
+        assert copies[0] is copies[1] is inv
+        if op.jump is not None:
+            assert op.csr().frozen(policy).preconditioner() is not inv
+
+    def test_bordered_preconditioner_reads_only_the_owner(self, monkeypatch):
+        # any P^{-1} with its ones serves the bordered solve, and the bordered
+        # form builds no factor of its own
+        op = bordered_operator(7).with_alpha(0.1)
+        i0, atol = op.grid.origin_index, 1e-10
+
+        def dense_inverse(self):
+            inv = spla.aslinearoperator(np.linalg.inv(self.near().toarray()))
+            inv.ones = inv @ np.ones(self.shape[0])
+            return inv
+
+        monkeypatch.setattr(FrozenSystem, "preconditioner", dense_inverse)
+        calls = counted_splu(monkeypatch)
+        A = op.frozen(np.arange(op.n_nodes, dtype=np.int64) % 2)
+        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        assert tag == "bicgstab" and calls == []
+        v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
+        assert abs(m - m_ref) <= atol + 1e-12
+        assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.one_of(fast_operators(), csr_operators()), data=st.data())
     def test_bordered_tocsc_is_the_bordered_system(self, case, data):
         # the sparse-LU fallback factors B.tocsc(): column j must be B e_j,
         # the origin column exactly -1
