@@ -123,8 +123,6 @@ def _run_discounted(cfg: RunConfig, prob):
 
 
 def _run_certify(cfg: RunConfig, prob):
-    if prob.lyapunov is None:
-        raise ConfigError("certify mode needs a problem family with Lyapunov data")
     grid = build_grid(cfg.grid.d, cfg.grid.hx, cfg.grid.radii[-1])
     q = _quadrature(prob, cfg.grid, grid)
     cert = _certificate(prob, grid, q)

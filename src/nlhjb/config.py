@@ -287,9 +287,11 @@ def parse_config(raw: dict) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"section 'alpha': {exc}") from None
     try:
-        build_problem(cfg)
+        prob = build_problem(cfg)
     except ValueError as exc:
         raise ConfigError(f"section 'problem': {exc}") from None
+    if cfg.mode == "certify" and prob.lyapunov is None:
+        raise ConfigError("certify mode needs a problem family with Lyapunov data")
     return cfg
 
 

@@ -43,14 +43,15 @@ def _validate(tree: ast.AST, names: set[str]) -> None:
                                  f"got {len(node.args)}")
         if isinstance(node, ast.Name) and node.id not in names and node.id not in _FUNCS:
             raise ValueError(f"unknown name {node.id!r} in expression")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant) and type(node.value) not in (int, float):
             raise ValueError("only numeric constants are allowed")
 
 
 def _compile(expr: str, names: set[str]):
     """Code object for ``expr`` and the coordinate names it reads.
 
-    Integer literals become floats, so constant arithmetic is float
+    Integer literals (not ``True`` or ``False``, which :func:`_validate`
+    rejects) become floats, so constant arithmetic is float
     arithmetic: bounded in time, and an overflow raises.  The code is then
     evaluated once at the origin, every name 0.0.  Every failure raises
     ``ValueError``, in this order: a syntax error, nesting too deep for the
@@ -62,7 +63,7 @@ def _compile(expr: str, names: set[str]):
     try:
         tree = ast.parse(expr, mode="eval")
         for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, int):
+            if isinstance(node, ast.Constant) and type(node.value) is int:
                 node.value = float(node.value)
         code = compile(tree, "<field-expression>", "eval")
     except (SyntaxError, MemoryError, RecursionError) as exc:

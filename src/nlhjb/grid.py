@@ -8,6 +8,7 @@ user-supplied scalar field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,6 +54,16 @@ class Grid:
         k = self._halfwidth
         z = np.clip(np.asarray(z) + (k + 1), 0, 2 * k + 2)
         return self._table[tuple(np.moveaxis(z, -1, 0))]
+
+    @functools.cached_property
+    def ring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each node's neighbours at offsets |z|_inf <= 1 that are nodes, itself
+        included, row by row: ``(rows, cols, k)``, k the offset's index in
+        ``lattice_box(d, 1)``.  Each row's columns ascend.  Built once.
+        """
+        j = self.node_index_of_lattice(self.lattice[:, None, :] + lattice_box(self.d, 1))
+        rows, k = np.nonzero(j >= 0)
+        return rows, j[rows, k], k
 
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.nodes, axis=1)

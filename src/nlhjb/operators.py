@@ -80,30 +80,6 @@ class _LatticeConvolution:
         self.grid, self.q, self.far, self.weights = grid, q, F, W
         self.diag = -(W.sum() + 2.0 * q.tail_mass)
         self._plans: dict[int, tuple] = {}
-        self._near: sp.csr_matrix | None = None
-
-    def near(self) -> sp.csr_matrix:
-        """The k ≡ 1 jump matrix cut to offsets |z|_inf <= 1 (built once).
-
-        Row i holds ``diag``, the node's full weight, on the diagonal and the
-        image weight of each nearest lattice neighbour that is a node:
-        tridiagonal in 1-d, a 9-point stencil in 2-d.
-        """
-        if self._near is None:
-            grid, n = self.grid, self.grid.n_nodes
-            rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, self.diag)]
-            for z in lattice_box(grid.d, 1):
-                if not z.any():
-                    continue
-                j = grid.node_index_of_lattice(grid.lattice + z)
-                inside = np.flatnonzero(j >= 0)
-                rows.append(inside)
-                cols.append(j[inside])
-                vals.append(np.full(inside.size, self.weights[tuple(self.far + z)]))
-            self._near = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n))
-        return self._near
 
     def _plan(self, A: int) -> tuple:
         """FFT length, weight transform and node indices for half-width ``A``.
@@ -299,29 +275,28 @@ class FrozenSystem(spla.LinearOperator):
         return out
 
     def near(self) -> sp.csr_matrix:
-        """The system cut to lattice offsets |z|_inf <= 1, full diagonal kept.
+        """The system at each node's ring neighbours |z|_inf <= 1 that are nodes.
 
-        Its off-diagonals are >= 0 and -near is strictly diagonally dominant
-        by rows, so it is a nonsingular M-matrix.  The margin is the leak to
-        the exterior: each row's diagonal holds the weight of every offset,
-        a jump weight that leaves the ball (the lumped tail mass included)
-        reaches no column, and the weights cut outside the ring only add to
-        the margin.  So it holds at c = 0 too; with no jump part and c = 0
-        only the rows at the ball's edge leak.  On the FFT path
-        ``local`` is drift and c, already within the ring; explicit stencils
-        are read at each node's ring neighbours, 3^d lookups per row, and
-        the neighbours a stencil does not reach are left out.
+        Row i reads ``local`` there, 3^d lookups, and on the FFT path adds
+        k_{policy[i]}(x_i) times the convolution's weight at each offset z,
+        its ``diag`` at z = 0.  So on both paths the diagonal holds the
+        weight of every offset.  Its off-diagonals are >= 0 and -near is
+        strictly diagonally dominant by rows, so it is a nonsingular
+        M-matrix.  The margin is the leak to the exterior: a jump weight that
+        leaves the ball (the lumped tail mass included) reaches no column,
+        and the weights cut outside the ring only add to the margin.  So it
+        holds at c = 0 too; with no jump part and c = 0 only the rows at the
+        ball's edge leak.
         """
+        rows, cols, k = self.op.grid.ring
+        vals = np.asarray(self.local[rows, cols]).ravel()
         if self.op.jump is not None:
-            N = self.op.jump.conv.near()
-            scaled = sp.csr_matrix((N.data * np.repeat(self.scale, np.diff(N.indptr)),
-                                    N.indices, N.indptr), shape=self.shape)
-            return (scaled + self.local).tocsr()
-        grid = self.op.grid
-        j = grid.node_index_of_lattice(grid.lattice[:, None, :] + lattice_box(grid.d, 1))
-        rows, cols = np.nonzero(j >= 0)[0], j[j >= 0]
-        P = sp.csr_matrix((np.asarray(self.local[rows, cols]).ravel(), (rows, cols)),
-                          shape=self.shape)
+            conv = self.op.jump.conv
+            # the 3^d weights around the image's centre, in lattice_box(d, 1) order
+            w = conv.weights[(slice(conv.far - 1, conv.far + 2),) * conv.grid.d].flatten()
+            w[w.size // 2] = conv.diag
+            vals += self.scale[rows] * w[k]
+        P = sp.csr_matrix((vals, (rows, cols)), shape=self.shape)
         P.eliminate_zeros()
         return P
 

@@ -450,10 +450,11 @@ def power_drift_problem(gamma: float, theta: float, d: int, s: float, *,
 
     Two controls: drift scales 1 and 1.5 (at least 1, which keeps the inward
     drift bound), Gaussian costs of amplitude 1 and 0.5 and width 1 and 2.
-    The admissible exponent window is gamma in (s+1/2, 2s), theta >= 0,
-    theta + gamma - 1 > 0 and theta < (2s-gamma)(2s-1); violations are
-    rejected with the offending inequality spelled out.  ``drift_sign=+1``
-    builds the outward-drift twin (same exponents, no stability).
+    The admissible exponent window is gamma in (s+1/2, 2s), theta >= 0 and
+    theta < (2s-gamma)(2s-1), so theta + gamma - 1 > 0, as gamma > 1;
+    violations are rejected with the offending inequality spelled out.
+    ``drift_sign=+1`` builds the outward-drift twin (same exponents, no
+    stability).
     """
     if not (0.5 < s < 1.0):
         raise ValueError(f"s={s} violates s in (1/2, 1)")
@@ -461,10 +462,8 @@ def power_drift_problem(gamma: float, theta: float, d: int, s: float, *,
         raise ValueError(f"gamma={gamma} violates gamma > s + 1/2 = {s + 0.5}")
     if not (gamma < 2 * s):
         raise ValueError(f"gamma={gamma} violates gamma < 2s = {2 * s}")
-    if theta < 0:
+    if not (theta >= 0):
         raise ValueError(f"theta={theta} violates theta >= 0")
-    if not (theta + gamma - 1.0 > 0):
-        raise ValueError(f"theta+gamma-1 = {theta + gamma - 1.0} violates theta+gamma-1 > 0")
     lim = (2 * s - gamma) * (2 * s - 1.0)
     if not (theta < lim):
         raise ValueError(f"theta={theta} violates theta < (2s-gamma)(2s-1) = {lim}")

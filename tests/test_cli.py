@@ -184,7 +184,13 @@ REJECTED = (
            # integer literals are floats, so integer constant arithmetic
            # overflows at once instead of growing without bound
            ("integer-overflow", "cost", {"cost": "10**400"}),
-           ("integer-tower", "drift[0]", {"drift": ["7**7**8"]}))]
+           ("integer-tower", "drift[0]", {"drift": ["7**7**8"]}),
+           ("integer-beyond-float", "cost", {"cost": "1" + "0" * 400}),
+           # booleans are not numbers, as in every other config key
+           ("boolean-factor", "cost", {"cost": "x1*True"}),
+           ("boolean", "drift[0]", {"drift": ["False"]}),
+           ("string", "kernel", {"kernel": "'0.5'"}),
+           ("keyword-argument", "cost", {"cost": "min(x1, 1, key=1)"}))]
     + [("expression-coordinate-zeroth", zeroth_discounted_config(), "problem", "controls",
         [{"drift": ["-x1"], "cost": "1.0", "zeroth": "-0.5 - 0.1*cos(x1) + 1/0"}],
         "problem.controls[0].zeroth")])
@@ -650,6 +656,22 @@ class TestMainEntry:
         assert code == 1
         block = json.loads(capsys.readouterr().out)
         assert "theta" in block["error"]["message"]
+
+    def test_certify_without_lyapunov_data_exits_one_before_any_output(
+            self, tmp_path, capsys):
+        # rejected at parse time, so no output directory is left behind
+        cfg = {"mode": "certify",
+               "problem": {"family": "constant_cost", "kappa": 1.0, "s": 0.75},
+               "grid": {"d": 1, "hx": 0.25, "radii": [4.0, 8.0]}}
+        message = "certify mode needs a problem family with Lyapunov data"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        block = json.loads(capsys.readouterr().out)
+        assert block["error"] == {"kind": "ConfigError", "message": message}
+        assert not (tmp_path / "out").exists()
 
     def test_exit_one_on_failed_linear_solve(self, tmp_path, capsys, monkeypatch):
         # BiCGStab's NaN (info=0) must fail the Krylov residual rule, and the

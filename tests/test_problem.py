@@ -32,6 +32,10 @@ class TestPowerDriftFamily:
         with pytest.raises(ValueError, match="theta"):
             power_drift_problem(1.6, -0.05, 1, 0.9)
 
+    def test_nan_theta_names_its_own_rule(self):
+        with pytest.raises(ValueError, match=r"^theta=nan violates theta >= 0$"):
+            power_drift_problem(1.6, float("nan"), 1, 0.9)
+
     def test_cap_is_c2_at_unit_radius(self):
         p = power_drift_problem(1.6, 0.1, 1, 0.9)
         ly = p.lyapunov
