@@ -147,11 +147,14 @@ _RUNNERS = {"ergodic": _run_ergodic, "discounted": _run_discounted,
 
 
 def run(cfg: RunConfig, output_dir: str | None = None) -> int:
-    """Execute one run config and write its files; returns the process exit status."""
-    outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Execute one run config and write its files; returns the process exit status.
+
+    The output directory is made only after the runner returns, so a run that
+    raises leaves none behind."""
     t0 = time.perf_counter()
     report, solution, artifacts, ok, counts = _RUNNERS[cfg.mode](cfg, build_problem(cfg))
+    outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     files = {"report.json": _json(report), **artifacts}
     if solution is not None:
         files["solution.csv"] = _solution_csv(*solution)

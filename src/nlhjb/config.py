@@ -144,9 +144,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class AlphaConfig:
-    start: float = 0.5
-    factor: float = 0.5
-    max_levels: int = 30
+    start: float = AlphaSchedule.start
+    factor: float = AlphaSchedule.factor
+    max_levels: int = AlphaSchedule.max_levels
     values: tuple[float, ...] | None = None
     tol: float = 1e-6
 
@@ -309,9 +309,11 @@ def _check_given_keys(raw: dict, cfg: RunConfig) -> None:
                 raise ConfigError(f"key 'alpha.{key}' is not read when "
                                   "'alpha.values' lists the levels")
     p = cfg.problem
-    if isinstance(p, ConstantCostConfig) and p.local_identity and "s" in raw["problem"]:
-        raise ConfigError("key 'problem.s' is not read with 'local_identity': "
-                          "true, which drops the jump part")
+    if isinstance(p, ConstantCostConfig) and p.local_identity:
+        for section, key in (("problem", "s"), ("grid", "reg_radius"), ("grid", "r_far_margin")):
+            if key in raw[section]:
+                raise ConfigError(f"key '{section}.{key}' is not read with 'local_identity': "
+                                  "true, which drops the jump part")
     if (cfg.mode == "discounted" and "start" in alpha and isinstance(p, CustomConfig)
             and any(c.zeroth is not None for c in p.controls)):
         raise ConfigError("key 'alpha.start' is not read when the controls carry "

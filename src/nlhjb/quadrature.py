@@ -6,9 +6,9 @@ Discretisation layout, shared by every operator in the package:
   measure mass of their midpoint cell (exact cell integrals in 1-d, refined
   sub-cell sums near the singularity in 2-d, plain midpoint far out);
 * the singular cell around the origin plus a second-moment correction inside
-  the regularisation radius ``r0`` are folded into the pair weights of the
-  nearest axis offsets ``±hx·e_i``, which keeps the scheme exact on
-  quadratics over the ball ``|y| <= r0``;
+  the regularisation radius ``r0``, one rule for every dimension, are folded
+  into the pair weights of the nearest axis offsets ``±hx·e_i``, which keeps
+  the scheme exact on quadratics over the ball ``|y| <= r0``;
 * the mass beyond ``R_far`` is lumped: the closed-form tail of the measure is
   applied to exterior data probed at the tail mass-centroid radius
   ``R_far * 2s/(2s-1)`` along each axis.
@@ -112,7 +112,10 @@ def build_quadrature(grid: Grid, s: float, R_far: float,
     """Build the jump quadrature for a grid.
 
     Requires ``s in (1/2, 1)`` and ``R_far >= R + 1`` so that every exterior
-    point reachable from the interior is covered by explicit offsets.
+    point reachable from the interior is covered by explicit offsets.  Each
+    dimension supplies only its cell masses, their axis-0 second moments and
+    the origin cell's; the second-moment correction is then stated once.  In
+    2-d it reads refined cells only: each ``|y| <= r0`` lies in a refined band.
     """
     d, hx, R = grid.d, grid.hx, grid.R
     if not (0.5 < s < 1.0):
@@ -132,38 +135,23 @@ def build_quadrature(grid: Grid, s: float, R_far: float,
     z, y, norms = z[keep], y[keep], norms[keep]
 
     if d == 1:
-        mass, secm1 = _cell_masses_1d(norms, hx, s, R_far)
-        pair_weights = 2.0 * mass
-        inside = norms <= r0
-        # exact second moment over |y| <= r0 (both signs), minus the cell around 0
+        mass, secm = _cell_masses_1d(norms, hx, s, R_far)
         core = 2.0 * (hx / 2.0) ** (2 - 2 * s) / (2 - 2 * s)
-        covered = 2.0 * np.sum(secm1[inside])
-        second_exact = core + covered
-        quad_second = np.sum(pair_weights[inside] * norms[inside] ** 2)
-        correction = (second_exact - quad_second) / hx**2
     else:
         chebnorm = np.max(np.abs(z), axis=1)
+        # |y| <= r0 implies |z|_inf <= ceil(r0/hx) < refine: its cell is refined
         refine = max(int(np.ceil(r0 / hx)) + 1, 6)
         mass = hx**2 * norms ** (-(2 + 2 * s))
-        secm = (mass[:, None] * y**2)
-        near = chebnorm <= refine
-        fine = chebnorm <= 1
-        if np.any(near & ~fine):
-            m16, s16 = _subcell_quads_2d(y[near & ~fine], hx, s, 16)
-            mass[near & ~fine] = m16
-            secm[near & ~fine] = s16
-        if np.any(fine):
-            m64, s64 = _subcell_quads_2d(y[fine], hx, s, 64)
-            mass[fine] = m64
-            secm[fine] = s64
-        pair_weights = 2.0 * mass
-        inside = norms <= r0
-        if np.any(inside & (chebnorm > refine)):
-            raise AssertionError("regularisation radius exceeds the refined band")
-        second_exact = (_origin_cell_second_moment_2d(hx, s)
-                        + 2.0 * np.sum(secm[inside, 0]))
-        quad_second = np.sum(pair_weights[inside] * y[inside, 0] ** 2)
-        correction = (second_exact - quad_second) / hx**2
+        secm = mass * y[:, 0] ** 2
+        for band, q in (((chebnorm > 1) & (chebnorm <= refine), 16), (chebnorm <= 1, 64)):
+            mass[band], sub = _subcell_quads_2d(y[band], hx, s, q)
+            secm[band] = sub[:, 0]
+        core = _origin_cell_second_moment_2d(hx, s)
+    # exact second moment over |y| <= r0, both signs, minus the scheme's own
+    pair_weights = 2.0 * mass
+    inside = norms <= r0
+    correction = (core + 2.0 * np.sum(secm[inside])
+                  - np.sum(pair_weights[inside] * y[inside, 0] ** 2)) / hx**2
 
     # the correction is a second difference along each axis: fold it into
     # the pair weight of the nearest axis offset, which must stay >= 0
@@ -176,11 +164,8 @@ def build_quadrature(grid: Grid, s: float, R_far: float,
             raise AssertionError(
                 f"axis correction {correction} breaks monotonicity on axis {axis}")
 
-    tail_mass = _SURFACE[d] / (2 * s) * R_far ** (-2 * s)
-    probe = R_far * 2 * s / (2 * s - 1.0)
-
     return JumpQuadrature(
         d=d, hx=hx, s=s, R_far=R_far, reg_radius=r0,
         half_lattice=z, half_offsets=y, pair_weights=pair_weights,
-        tail_mass=float(tail_mass), tail_probe_radius=float(probe),
-    )
+        tail_mass=float(_SURFACE[d] / (2 * s) * R_far ** (-2 * s)),
+        tail_probe_radius=float(R_far * 2 * s / (2 * s - 1.0)))

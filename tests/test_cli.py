@@ -125,10 +125,14 @@ REJECTED = (
        for m, keys in UNREAD_MODE_KEYS.items() for sec, k in keys]
     + [(f"alpha.values-with-{k}", VALUES_BASE, "alpha", k, SECTION_VALUES["alpha"][k],
         f"alpha.{k}") for k in ("start", "factor", "max_levels")]
-    + [("local_identity-with-s",
-        with_problem({"family": "constant_cost", "kappa": 1.0, "local_identity": True}),
-        "problem", "s", 0.75, "problem.s"),
-       ("zeroth-with-alpha.start", zeroth_discounted_config(), "alpha", "start", 0.5,
+    # keys that only the jump part reads
+    + [(case, with_problem({"family": "constant_cost", "kappa": 1.0, "local_identity": True}),
+        section, key, value, f"{section}.{key}")
+       for case, section, key, value in (
+           ("local_identity-with-s", "problem", "s", 0.75),
+           ("local_identity-with-grid.reg_radius", "grid", "reg_radius", 1.5),
+           ("local_identity-with-grid.r_far_margin", "grid", "r_far_margin", 4.0))]
+    + [("zeroth-with-alpha.start", zeroth_discounted_config(), "alpha", "start", 0.5,
         "alpha.start")]
     + [(f"{m}-zeroth", dict(with_problem(FAMILY_BASES["custom"]), mode=m), "problem",
         "controls", [{"drift": ["-x1"], "cost": "1.0", "zeroth": "-0.5"}],
@@ -688,6 +692,7 @@ class TestMainEntry:
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "ValueError"
         assert "non-finite" in block["error"]["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_exit_one_when_stencils_exceed_the_cap(self, tmp_path, capsys):
         # x-y kernel: assembly needs the explicit stencils, which the N*M
@@ -700,6 +705,7 @@ class TestMainEntry:
         assert code == 1
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "MemoryError"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kernel", ["0.5+0.1*sqrt(x1)", "0.5+0.1*sqrt(x1*y1)"])
     def test_exit_one_on_non_finite_kernel(self, tmp_path, capsys, kernel):
@@ -712,6 +718,7 @@ class TestMainEntry:
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "MonotonicityError"
         assert re.search(r"(non-finite|nan).* tau1 at node \(-", block["error"]["message"])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,expr,what", [
         ("cost", "x1 ** 600", "non-finite running cost plus exterior data inf"),
@@ -730,6 +737,7 @@ class TestMainEntry:
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "ValueError"
         assert block["error"]["message"] == f"{what} for control tau1 at node (-4.0,)"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kernel", ["-0.5", "-0.5+0*x1"])
     def test_exit_one_on_monotonicity_violation(self, tmp_path, capsys, kernel):
@@ -739,6 +747,7 @@ class TestMainEntry:
         assert code == 1
         block = json.loads(capsys.readouterr().out)
         assert block["error"]["kind"] == "MonotonicityError"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kernel, band, witness", [
         # x-only kernel (FFT path), farthest outside at the first node x1 = -2
@@ -762,6 +771,7 @@ class TestMainEntry:
         message = block["error"]["message"]
         assert "control tau" in message and "(2-2s)λ, (2-2s)Λ" in message
         assert re.search(witness, message)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kernel", ["0.5+0.01*sin(y1)", "0.5+0.01*sin(-y1)",
                                         "0.5+0.01*sqrt(y1)"])

@@ -123,6 +123,22 @@ def test_2d_quadratic_exact_inside_regularisation_ball():
     assert covered == pytest.approx(ref, rel=2e-4)
 
 
+@pytest.mark.parametrize("s", [0.55, 0.75, 0.9, 0.99])
+def test_1d_quadratic_exact_inside_regularisation_ball(s):
+    # the cells of the k offsets inside r0 and the origin cell tile
+    # [-(k+1/2)hx, (k+1/2)hx], so the folded weights carry its exact second moment
+    for hx in (0.5, 0.25, 0.125, 0.0625):
+        for R in (4.0, 8.0):
+            for reg_radius in (None, hx, 1.3, 2.0):
+                q = build_quadrature(build_grid(1, hx, R), s, R + 1.0, reg_radius)
+                y = q.half_offsets[:, 0]
+                inside = y <= q.reg_radius
+                edge = (np.count_nonzero(inside) + 0.5) * hx
+                exact = 2.0 * edge ** (2 - 2 * s) / (2 - 2 * s)
+                covered = np.sum(q.pair_weights[inside] * y[inside] ** 2)
+                assert covered == pytest.approx(exact, rel=1e-12)
+
+
 def test_1d_cell_masses_telescope_to_total_measure():
     # exact cell integrals over [hx/2, R_far] telescope to the closed form
     # (the cell masses themselves: pair_weights also carry the axis correction)
