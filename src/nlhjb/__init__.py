@@ -10,7 +10,7 @@ from .discounted import (BarrierReport, HowardSolution, check_barrier,
 from .ergodic import (AlphaSchedule, DomainConfig, ErgodicSolution,
                       check_bar_w_bound, check_lambda_bound, convergence_study,
                       expand_domain, vanishing_discount)
-from .grid import ExteriorRule, Grid, build_grid
+from .grid import Grid, build_grid
 from .lyapunov import LyapunovCertificate, evaluate_lyapunov_drift, fit_envelope
 from .operators import (DiscreteOperator, MonotonicityError, apply_control,
                         apply_inf, assemble, pucci_extremal)
@@ -21,7 +21,7 @@ from .quadrature import JumpQuadrature, build_quadrature
 
 __all__ = [
     "__version__",
-    "Grid", "ExteriorRule", "build_grid",
+    "Grid", "build_grid",
     "KernelSpec", "MixedSpec", "LyapunovData", "ControlProblem",
     "ValidationReport", "validate_problem", "power_drift_problem",
     "constant_cost_problem", "constant_kernel", "x_kernel",

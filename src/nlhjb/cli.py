@@ -8,15 +8,17 @@ plus the solved field), ``trace.csv`` in discounted mode,
 the count of frozen-policy solves per linear solver, the total of
 BiCGStab iterations and the number of near-field factorizations; excluded
 from determinism checks).
-Exit status: 0 on success, 1 for validation/config failures, monotonicity
-violations and stencils over the size cap, 2 when a solve ends flagged
-non-converged.
+Exit status: 0 on success, 1 for validation/config failures, an output
+directory that cannot be made, monotonicity violations and stencils over
+the size cap, 2 when a solve ends flagged non-converged.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -146,14 +148,24 @@ _RUNNERS = {"ergodic": _run_ergodic, "discounted": _run_discounted,
             "certify": _run_certify, "convergence-study": _run_convergence_study}
 
 
+def _check_output_dir(outdir: Path) -> None:
+    """Raise the ``OSError`` that ``outdir.mkdir(parents=True)`` would raise at
+    its nearest existing ancestor (a file, or not writable), creating nothing."""
+    top = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not top.is_dir() or not os.access(top, os.W_OK | os.X_OK):
+        code = errno.EACCES if top.is_dir() else errno.EEXIST if top == outdir else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(outdir))
+
+
 def run(cfg: RunConfig, output_dir: str | None = None) -> int:
     """Execute one run config and write its files; returns the process exit status.
 
-    The output directory is made only after the runner returns, so a run that
-    raises leaves none behind."""
+    An output directory that cannot be made raises before the run; it is made
+    only after the runner returns, so a run that raises leaves none behind."""
     t0 = time.perf_counter()
-    report, solution, artifacts, ok, counts = _RUNNERS[cfg.mode](cfg, build_problem(cfg))
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
+    _check_output_dir(outdir)
+    report, solution, artifacts, ok, counts = _RUNNERS[cfg.mode](cfg, build_problem(cfg))
     outdir.mkdir(parents=True, exist_ok=True)
     files = {"report.json": _json(report), **artifacts}
     if solution is not None:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .discounted import (HowardSolution, SolveCounts, solve_normalized,
                          solve_policy_iteration)
-from .grid import ExteriorRule, Grid, build_grid
+from .grid import Grid, build_grid
 from .operators import DiscreteOperator, assemble
-from .problem import ControlProblem
+from .problem import ControlProblem, ScalarField
 from .quadrature import build_quadrature
 
 __all__ = [
@@ -145,7 +145,7 @@ def _quadrature(p: ControlProblem, domain: DomainConfig, grid: Grid):
 
 
 def _operator(p: ControlProblem, domain: DomainConfig, R: float,
-              ext: ExteriorRule, alpha: float | None = None) -> DiscreteOperator:
+              ext: ScalarField | None, alpha: float | None = None) -> DiscreteOperator:
     """The operator assembled on the grid of radius R (``op.grid``)."""
     grid = build_grid(domain.d, domain.hx, R)
     q = _quadrature(p, domain, grid) if p.has_jumps else None
@@ -199,7 +199,7 @@ def _ladder(domain: DomainConfig, operator, solve, stop_tol: float = -np.inf):
 
 def expand_domain(p: ControlProblem, alpha: float | None,
                   domain: DomainConfig, tol: float, *,
-                  ext: ExteriorRule | None = None,
+                  ext: ScalarField | None = None,
                   max_iter: int = 60
                   ) -> tuple[HowardSolution, list[tuple[float, float]], DiscreteOperator]:
     """Solve the Dirichlet problem up the one radius ladder of ``domain.radii``.
@@ -209,9 +209,8 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     ``(R, inner_change)`` records whether it did (exhaustion is not
     raised).  Returns the last radius's solution, whose ``counts`` sums the
     ``counts`` of every radius's solve, the radius trace and the operator
-    on the last radius solved.
+    on the last radius solved.  ``ext`` is the exterior data, ``None`` for zero.
     """
-    ext = ext if ext is not None else ExteriorRule.zero()
     counts = SolveCounts()
 
     def solve(op, w0, policy0):
@@ -252,9 +251,12 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     that falls back to sparse LU (its factor failed, or its pair's true
     residual exceeded a tenth of the inner tolerance) leaves the next one to
     try BiCGStab again.  ``counts`` sums the ``counts`` of every solve made.
+    A problem with its own zeroth term raises ``ValueError``: c ≡ -alpha here.
     """
+    if p.zeroth is not None:
+        raise ValueError("the problem carries its own zeroth-order term, not c ≡ -alpha")
     inner_tol = solver_tol if solver_tol is not None else tol
-    ops = {R: _operator(p, domain, R, ExteriorRule.zero()) for R in domain.radii}
+    ops = {R: _operator(p, domain, R, None) for R in domain.radii}
     final_op = ops[domain.radii[-1]]
     final_grid = final_op.grid
     win = _window_indices(final_grid, domain.window_radius)

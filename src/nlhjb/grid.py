@@ -1,20 +1,19 @@
-"""Uniform lattices on truncated balls and exterior extension rules.
+"""Uniform lattices on truncated balls.
 
 The computational domain is the set of lattice points ``hx * Z^d`` inside the
-closed Euclidean ball of radius ``R``.  Everything outside the ball is handled
-through an :class:`ExteriorRule`, which either returns zero or evaluates a
-user-supplied scalar field.
+closed Euclidean ball of radius ``R``.  Everything outside the ball is
+exterior data, a vectorised scalar field or ``None`` for zero data, which
+:func:`~nlhjb.operators.assemble` reads.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["Grid", "ExteriorRule", "build_grid", "lattice_box"]
+__all__ = ["Grid", "build_grid", "lattice_box"]
 
 
 def lattice_box(d: int, k: int) -> np.ndarray:
@@ -67,42 +66,6 @@ class Grid:
 
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.nodes, axis=1)
-
-
-@dataclass(frozen=True)
-class ExteriorRule:
-    """Extension of a grid function outside B_R.
-
-    ``kind`` is ``"zero"`` (Dirichlet zero data) or ``"function"`` with a
-    vectorised scalar field evaluable at any exterior point queried by the
-    quadrature, including the lumped-tail probe radii beyond ``R_far``.
-    """
-
-    kind: str
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @staticmethod
-    def zero() -> "ExteriorRule":
-        return ExteriorRule(kind="zero")
-
-    @staticmethod
-    def function(fn: Callable[[np.ndarray], np.ndarray]) -> "ExteriorRule":
-        return ExteriorRule(kind="function", fn=fn)
-
-    @staticmethod
-    def constant(value: float) -> "ExteriorRule":
-        v = float(value)
-        return ExteriorRule(
-            kind="function",
-            fn=lambda x: np.full(np.asarray(x).shape[:-1], v, dtype=float),
-        )
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.kind == "zero":
-            return np.zeros(x.shape[0])
-        vals = np.asarray(self.fn(x), dtype=float)
-        return np.broadcast_to(vals, (x.shape[0],)).copy()
 
 
 def build_grid(d: int, hx: float, R: float) -> Grid:

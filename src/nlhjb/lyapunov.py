@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ExteriorRule, Grid, lattice_box
+from .grid import Grid, lattice_box
 from .operators import _COMPENSATOR_RADIUS, _LatticeConvolution, _tail_ext
 from .problem import ControlProblem, LyapunovData
 from .quadrature import _SURFACE, JumpQuadrature
@@ -78,7 +78,7 @@ def _jump_on_V(ly: LyapunovData, grid: Grid, q: JumpQuadrature, kern) -> np.ndar
         grow = _SURFACE[d] * q.R_far ** (ly.gamma - 2 * s) / (2 * s - ly.gamma)
         out += sum(kt) / d * (2.0 * grow - 2.0 * Vx * q.tail_mass)
     else:
-        for k, tail in zip(kt, _tail_ext(grid, q, ExteriorRule.function(ly.V))):
+        for k, tail in zip(kt, _tail_ext(grid, q, ly.V)):
             out += k * (q.tail_mass / grid.d) * (tail - 2.0 * Vx)
     return out
 

@@ -8,7 +8,7 @@ Per control, the assembled stencil realises
         + c_tau u + g_tau,
 
 with nonnegative off-diagonal weights.  Exterior targets are folded into the
-constant term through the :class:`~nlhjb.grid.ExteriorRule`.
+constant term times the exterior data ``ext``, a field or ``None`` for zero.
 
 When every control's kernel reads no jump direction y (a tagged
 :func:`~nlhjb.problem.x_kernel`, of which
@@ -31,8 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, ExteriorRule, lattice_box
-from .problem import ControlProblem, KernelSpec
+from .grid import Grid, lattice_box
+from .problem import ControlProblem, KernelSpec, ScalarField
 from .quadrature import JumpQuadrature
 
 __all__ = [
@@ -136,14 +136,14 @@ class _LatticeConvolution:
         image.ravel()[scatter] = u
         return self.sums(image) + self.diag * u
 
-    def exterior(self, ext: ExteriorRule) -> np.ndarray:
+    def exterior(self, ext: ScalarField | None) -> np.ndarray:
         """Constant term of the k ≡ 1 jump part from exterior data."""
         grid, q = self.grid, self.q
         hw = grid._halfwidth + self.far
         z = lattice_box(grid.d, hw)
         outside = grid.node_index_of_lattice(z) < 0
         image = np.zeros(z.shape[0])
-        image[outside] = ext(z[outside] * grid.hx)
+        image[outside] = _exterior(ext, z[outside] * grid.hx)
         const = self.sums(image.reshape((2 * hw + 1,) * grid.d))
         for tail in _tail_ext(grid, q, ext):
             const += (q.tail_mass / grid.d) * tail
@@ -180,7 +180,7 @@ class _MatrixFreeJump:
 
     conv: _LatticeConvolution
     scale: np.ndarray                 # k_tau(x_i), shape (n_controls, N)
-    ext: ExteriorRule                 # exterior rule of the CSR oracle
+    ext: ScalarField | None           # exterior data of the CSR oracle
     stencils: tuple | None = None     # (base, const) of the CSR oracle
 
 
@@ -200,11 +200,10 @@ class DiscreteOperator:
 
     grid: Grid
     quadrature: JumpQuadrature | None
-    controls: tuple[str, ...]
+    problem: ControlProblem
     base: sp.csr_matrix               # (n_controls * N, N) stacked stencils
     c: np.ndarray                     # (n_controls, N) zeroth-order term
     const: np.ndarray                 # (n_controls, N) running cost + exterior data
-    problem: ControlProblem | None = None
     jump: _MatrixFreeJump | None = None   # set: base holds the drift part only
     # the memo of FrozenSystem.preconditioner(): shared by with_alpha copies,
     # a fresh one for csr() copies
@@ -420,10 +419,10 @@ def _axis_unit(d: int, axis: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Lattice targets, exterior data and tail data for one (grid, quadrature, rule)."""
+    """Lattice targets, exterior data and tail data for one (grid, quadrature, data)."""
 
-    def __init__(self, grid: Grid, q: JumpQuadrature | None, ext: ExteriorRule):
-        self.grid, self.q, self.ext = grid, q, ext
+    def __init__(self, grid: Grid, q: JumpQuadrature | None, ext: ScalarField | None):
+        self.grid, self.q, self.ext = grid, q, functools.partial(_exterior, ext)
         self._targets: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         if q is None:
             return
@@ -452,12 +451,19 @@ class _Workspace:
         return hit
 
 
-def _tail_ext(grid: Grid, q: JumpQuadrature, ext: ExteriorRule) -> list[np.ndarray]:
+def _exterior(ext: ScalarField | None, x: np.ndarray) -> np.ndarray:
+    """``ext`` at points ``x`` (n, d) or (d,), shape (n,): None is 0, a scalar broadcasts."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    vals = 0.0 if ext is None else np.asarray(ext(x), dtype=float)
+    return np.broadcast_to(vals, (x.shape[0],)).copy()
+
+
+def _tail_ext(grid: Grid, q: JumpQuadrature, ext: ScalarField | None) -> list[np.ndarray]:
     """Exterior data at the two tail probes of each axis, summed per node."""
     out = []
     for axis in range(grid.d):
         probe = q.tail_probe_radius * _axis_unit(grid.d, axis).astype(float)
-        out.append(ext(grid.nodes + probe) + ext(grid.nodes - probe))
+        out.append(_exterior(ext, grid.nodes + probe) + _exterior(ext, grid.nodes - probe))
     return out
 
 
@@ -684,7 +690,7 @@ def _node_factors(p: ControlProblem, grid: Grid) -> np.ndarray | None:
 
 
 def _stencils(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
-              ext: ExteriorRule, matrix_free: bool):
+              ext: ScalarField | None, matrix_free: bool):
     """Stacked CSR stencils (no zeroth term) and constants g_tau + exterior terms.
 
     Returns ``base`` of shape (n_controls·N, N), each control checked by
@@ -715,11 +721,12 @@ def _stencils(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
 
 
 def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
-             ext: ExteriorRule, alpha: float | None = None) -> DiscreteOperator:
+             ext: ScalarField | None, alpha: float | None = None) -> DiscreteOperator:
     """Assemble the stacked monotone stencils of L_tau + c_tau (:class:`DiscreteOperator`).
 
-    ``alpha`` installs the discounted zeroth term c ≡ -alpha when the problem
-    does not carry its own; monotonicity violations raise with the offending
+    ``ext`` is the exterior data, a vectorised scalar field or ``None`` for zero
+    data.  ``alpha`` installs c ≡ -alpha and raises ``ValueError`` when the problem
+    carries its own zeroth term.  Monotonicity violations raise with the offending
     node, control and offset.  ``q`` may be ``None`` only for problems without
     a jump kernel or Lévy part.  Kernels that read no y, without mixed
     parts, give an operator with an FFT jump part (see the module
@@ -731,6 +738,8 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
     """
     if p.has_jumps and q is None:
         raise ValueError("problem has jump terms but no quadrature was given")
+    if alpha is not None and p.zeroth is not None:
+        raise ValueError(f"alpha={alpha} given for a problem with its own zeroth-order term")
     factors = _node_factors(p, grid)
     base, const = _stencils(p, grid, q, ext, matrix_free=factors is not None)
     jump = None
@@ -745,15 +754,15 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
          else np.full(const.shape, 0.0 if alpha is None else -float(alpha)))
     for what, vals in (("zeroth-order term", c), ("running cost plus exterior data", const)):
         _reject(vals, ~np.isfinite(vals), f"non-finite {what}", p.controls, grid)
-    return DiscreteOperator(grid=grid, quadrature=q, controls=p.controls,
-                            base=base, c=c, const=const, problem=p, jump=jump)
+    return DiscreteOperator(grid=grid, quadrature=q, problem=p,
+                            base=base, c=c, const=const, jump=jump)
 
 
 # ---------------------------------------------------------------------------
 # elementary δ decomposition of the Pucci envelopes
 
 
-def _delta_fields(grid: Grid, q: JumpQuadrature, u: np.ndarray, ext: ExteriorRule):
+def _delta_fields(grid: Grid, q: JumpQuadrature, u: np.ndarray, ext: ScalarField | None):
     """δ(u, x_i, y) at the half offsets (N, M) and the tail probes (N, d)."""
     u = np.asarray(u, dtype=float)
     ws = _Workspace(grid, q, ext)
@@ -764,7 +773,7 @@ def _delta_fields(grid: Grid, q: JumpQuadrature, u: np.ndarray, ext: ExteriorRul
 
 
 def pucci_extremal(q: JumpQuadrature, grid: Grid, u: np.ndarray,
-                   ext: ExteriorRule, sign: str, lambda_ell: float,
+                   ext: ScalarField | None, sign: str, lambda_ell: float,
                    Lambda_ell: float) -> np.ndarray:
     """Extremal operators over the kernel class (2-2s)λ ≤ k ≤ (2-2s)Λ.
 

@@ -34,10 +34,10 @@ from scipy.special import gamma
 
 from nlhjb.ergodic import (AlphaSchedule, DomainConfig, ErgodicSolution,
                            _window_indices, vanishing_discount)
-from nlhjb.grid import ExteriorRule, Grid
+from nlhjb.grid import Grid
 from nlhjb.operators import (DiscreteOperator, _axis_unit, _delta_fields,
                              _kernel_values, apply_inf)
-from nlhjb.problem import ControlProblem, constant_kernel
+from nlhjb.problem import ControlProblem, ScalarField, constant_kernel
 from nlhjb.quadrature import JumpQuadrature
 
 __all__ = ["DenseOracle", "build_dense_oracles", "dense_apply",
@@ -66,8 +66,15 @@ def _node_lookup(grid: Grid):
     return find
 
 
+def _exterior_at(ext: ScalarField | None, x: np.ndarray) -> float:
+    """Exterior data at one point ``x`` (d,): 0 for ``None``; a scalar return broadcasts."""
+    if ext is None:
+        return 0.0
+    return float(np.asarray(ext(x[None, :]), dtype=float).reshape(-1)[0])
+
+
 def build_dense_oracles(p: ControlProblem, grid: Grid, q: JumpQuadrature,
-                        ext: ExteriorRule,
+                        ext: ScalarField | None,
                         alpha: float | None = None) -> list[DenseOracle]:
     """Dense re-summation of the scheme definition, one matrix per control."""
     n = grid.n_nodes
@@ -93,15 +100,15 @@ def build_dense_oracles(p: ControlProblem, grid: Grid, q: JumpQuadrature,
                         if tgt >= 0:
                             M[i, tgt] += w
                         else:
-                            const[i] += w * float(ext((xi + sgn * yv)[None, :])[0])
+                            const[i] += w * _exterior_at(ext, xi + sgn * yv)
                     M[i, i] -= 2.0 * w
                 for axis in range(d):
                     probe = np.zeros(d)
                     probe[axis] = q.tail_probe_radius
                     kt = float(np.asarray(kern(xi[None, :], probe[None, :])).reshape(-1)[0])
                     wt = q.tail_mass / d * kt
-                    const[i] += wt * (float(ext((xi + probe)[None, :])[0])
-                                      + float(ext((xi - probe)[None, :])[0]))
+                    const[i] += wt * (_exterior_at(ext, xi + probe)
+                                      + _exterior_at(ext, xi - probe))
                     M[i, i] -= 2.0 * wt
             b = np.asarray(p.drift[t](xi[None, :]), dtype=float).reshape(d)
             for axis in range(d):
@@ -117,7 +124,7 @@ def build_dense_oracles(p: ControlProblem, grid: Grid, q: JumpQuadrature,
                     if tgt >= 0:
                         M[i, tgt] += w
                     else:
-                        const[i] += w * float(ext((xi + sgn * e)[None, :])[0])
+                        const[i] += w * _exterior_at(ext, xi + sgn * e)
                     M[i, i] -= w
             if p.mixed is not None:
                 a = np.asarray(p.mixed.a_for(t)(xi[None, :]), dtype=float).reshape(d, d)
@@ -128,8 +135,7 @@ def build_dense_oracles(p: ControlProblem, grid: Grid, q: JumpQuadrature,
                         if tgt >= 0:
                             M[i, tgt] += w
                         else:
-                            const[i] += w * float(
-                                ext((xi + sgn * np.array([grid.hx]))[None, :])[0])
+                            const[i] += w * _exterior_at(ext, xi + sgn * np.array([grid.hx]))
                     M[i, i] -= 2.0 * w
                 else:
                     s12 = abs(a[0, 1])
@@ -144,8 +150,7 @@ def build_dense_oracles(p: ControlProblem, grid: Grid, q: JumpQuadrature,
                             if tgt >= 0:
                                 M[i, tgt] += w
                             else:
-                                const[i] += w * float(
-                                    ext((xi + sgn * ez * grid.hx)[None, :])[0])
+                                const[i] += w * _exterior_at(ext, xi + sgn * ez * grid.hx)
                         M[i, i] -= 2.0 * w
             if p.zeroth is not None:
                 M[i, i] += float(np.asarray(p.zeroth[t](xi[None, :]))[0])
@@ -202,7 +207,7 @@ def stacked_policy_system(op, policy: np.ndarray) -> sp.csr_matrix:
     by a permutation, and the zeroth-order term is added to the diagonal.
     """
     n = op.n_nodes
-    controls = range(len(op.controls))
+    controls = range(op.problem.n_controls)
     rows = [np.flatnonzero(policy == t) for t in controls]
     A = sp.vstack([op.base[t * n:(t + 1) * n][r] for t, r in zip(controls, rows)],
                   format="csr")[np.argsort(np.concatenate(rows))]
@@ -320,7 +325,7 @@ def fractional_laplacian_reference(test: str, x: float, s: float,
 
 
 def jump_apply_reference(q: JumpQuadrature, grid: Grid, u: np.ndarray,
-                         ext: ExteriorRule, kern) -> np.ndarray:
+                         ext: ScalarField | None, kern) -> np.ndarray:
     """Slow reference evaluation of the jump part, term order matching pucci."""
     dlt_off, dlt_tail = _delta_fields(grid, q, u, ext)
     x = grid.nodes
@@ -340,8 +345,8 @@ def dump_stencils(op: DiscreteOperator, max_nodes: int = 64) -> dict:
         raise ValueError(f"stencil dump capped at {max_nodes} nodes")
     op = op.csr()
     out = {"d": grid.d, "hx": grid.hx, "R": grid.R,
-           "controls": list(op.controls), "stencils": []}
-    for t, label in enumerate(op.controls):
+           "controls": list(op.problem.controls), "stencils": []}
+    for t, label in enumerate(op.problem.controls):
         m = stencil_matrix(op, t).tocoo()
         for i in range(grid.n_nodes):
             sel = m.row == i

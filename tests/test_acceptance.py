@@ -79,7 +79,7 @@ def test_criterion_02_affine_annihilation():
             cost=(lambda x: np.zeros(np.asarray(x).shape[:-1]),))
         g = nl.build_grid(d, hx, R)
         q = nl.build_quadrature(g, s, R + 2.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.function(aff))
+        op = nl.assemble(p, g, q, aff)
         vals = apply_control(op, 0, aff(g.nodes))
         worst = max(worst, float(np.max(np.abs(vals))))
     ok = worst <= 1e-12
@@ -94,7 +94,7 @@ def test_criterion_03_oracle_equivalence():
         p = random_problem(seed, s=0.75, vary_kernel=True)
         g = nl.build_grid(1, 0.25, 8.0)   # 65 nodes
         q = nl.build_quadrature(g, 0.75, 9.0)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         alpha = 0.35
         op = nl.assemble(p, g, q, ext, alpha=alpha)
         sol = nl.solve_policy_iteration(op, 1e-11)
@@ -121,7 +121,7 @@ def test_criterion_04_comparison_monotonicity():
                            for f in p1.cost))
         g = nl.build_grid(1, 0.25, 6.0)
         q = nl.build_quadrature(g, 0.75, 7.0)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         w1 = nl.solve_policy_iteration(nl.assemble(p1, g, q, ext, alpha=0.4),
                                        1e-11).u
         w2 = nl.solve_policy_iteration(nl.assemble(p2, g, q, ext, alpha=0.4),
@@ -146,7 +146,7 @@ def test_criterion_05_barrier_and_m_bounds():
         for R in (8.0, 16.0, 32.0):
             g = nl.build_grid(1, 0.25, R)
             q = nl.build_quadrature(g, 0.9, R + 1.0)
-            op = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=alpha)
+            op = nl.assemble(p, g, q, None, alpha=alpha)
             sol = nl.solve_policy_iteration(op, 1e-10)
             br = nl.check_barrier(sol, p, g, k0=cert.k0, c_floor=op.c_floor())
             m_ok = float(np.max(np.abs(sol.u))) <= sup_g / alpha + 1e-9
@@ -259,7 +259,7 @@ def test_criterion_10_discrete_liouville():
         g = nl.build_grid(1, 0.25, 6.0)
         q = nl.build_quadrature(g, 0.75, 7.0)
         sol = nl.solve_policy_iteration(
-            nl.assemble(p, g, q, nl.ExteriorRule.zero()), 1e-10)
+            nl.assemble(p, g, q, None), 1e-10)
         worst = max(worst, float(np.max(np.abs(sol.u))))
     ok = worst <= 1e-10
     report(10, "discrete Liouville", ok,
@@ -272,7 +272,7 @@ def test_criterion_11_pucci_envelope():
     lam, Lam = 0.8, 1.3
     g = nl.build_grid(1, 0.25, 6.0)
     q = nl.build_quadrature(g, s, 7.0)
-    ext = nl.ExteriorRule.zero()
+    ext = None
     base = 2.0 - 2.0 * s
 
     def wrap(fn):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlhjb.cli import main, run
+from nlhjb.cli import _RUNNERS, main, run
 from nlhjb.config import ConfigError, parse_config
 
 
@@ -676,6 +676,28 @@ class TestMainEntry:
         block = json.loads(capsys.readouterr().out)
         assert block["error"] == {"kind": "ConfigError", "message": message}
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output, kind", [
+        ("afile", "FileExistsError"),
+        ("afile/sub", "NotADirectoryError"),
+        ("afile/sub/deeper", "NotADirectoryError")])
+    def test_exit_one_on_unusable_output_dir_before_the_run(self, tmp_path, capsys,
+                                                            monkeypatch, output, kind):
+        # a file stands where the output directory or an ancestor goes: the
+        # run stops before its runner is called and creates nothing
+        calls = []
+        monkeypatch.setitem(_RUNNERS, "ergodic", lambda *args: calls.append(args))
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        path = tmp_path / "cfg.json"
+        path.write_text(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
+        (tmp_path / "afile").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([str(path), "--output-dir", str(tmp_path / output)]) == 1
+        assert calls == []
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == kind
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_exit_one_on_failed_linear_solve(self, tmp_path, capsys, monkeypatch):
         # BiCGStab's NaN (info=0) must fail the Krylov residual rule, and the

@@ -10,6 +10,10 @@ lists, mappings, null and booleans.  Whatever the mutant,
 error block, and a ``ConfigError`` names a key or section.  A mutant that
 parses to a grid finer than hx = 0.25, wider than R = 8 or with R/hx above
 24 is not run, so no example solves a large problem.
+
+The random draws need luck to put an extreme value into one given leaf, so
+one deterministic pass also puts each extreme value of ``POOL`` into each
+expression leaf and each numeric ``grid`` leaf of each base on its own.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +71,8 @@ BASES = (
 POOL = (0, 1, -1, 0.5, 2, 1e300, -1e300, 5e-324, 1.7e308, "1/0", "sqrt(-1)",
         "1e308*1e308", "10**400", "9**9**9", "min(x1)", "x1", "", "ergodic", [], [0.5],
         {}, None, True, False)
+EXTREME_NUMBERS = (5e-324, 1.7e308, 1e300)
+EXTREME_EXPRESSIONS = ("10**400", "9**9**9", "1e308*1e308", "1/0", "sqrt(-1)")
 # Keys an added leaf may take, per section ("" is the config root).
 KEYS = {
     "": ("mode", "output_dir", "problem", "grid", "solver", "alpha"),
@@ -155,3 +162,35 @@ def test_mutated_configs_keep_the_exit_contract(data):
         warnings.simplefilter("ignore")
         assume(within_caps(raw))
     check_contract(raw, paths)
+
+
+def single_key_mutants():
+    """Each extreme value in each expression leaf and numeric grid leaf of
+    each base, one leaf at a time; mutants over the grid caps are left out."""
+    for b, base in enumerate(BASES):
+        for path in leaves(base):
+            leaf = base
+            for key in path:
+                leaf = leaf[key]
+            if path[:2] == ("problem", "controls") and isinstance(leaf, str):
+                values = EXTREME_EXPRESSIONS
+            elif path[0] == "grid" and type(leaf) in (int, float):
+                values = EXTREME_NUMBERS
+            else:
+                continue
+            for value in values:
+                raw = copy.deepcopy(base)
+                parent = raw
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    if within_caps(raw):
+                        name = f"{b}-{'.'.join(map(str, path))}={value}"
+                        yield pytest.param(raw, path, id=name)
+
+
+@pytest.mark.parametrize("raw, path", single_key_mutants())
+def test_extreme_value_in_one_leaf_keeps_the_exit_contract(raw, path):
+    check_contract(raw, [path])

@@ -23,7 +23,7 @@ def setup(seed=1, s=0.75, hx=0.25, R=4.0, alpha=0.4, **kw):
     p = random_problem(seed, s=s, **kw)
     g = nl.build_grid(1, hx, R)
     q = nl.build_quadrature(g, s, R + 1.0)
-    ext = nl.ExteriorRule.zero()
+    ext = None
     op = nl.assemble(p, g, q, ext, alpha=alpha)
     return p, g, q, ext, op
 
@@ -34,7 +34,7 @@ class TestPolicyIteration:
         p = nl.constant_cost_problem(kappa, 1)
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.constant(kappa / alpha),
+        op = nl.assemble(p, g, q, lambda x: kappa / alpha,
                          alpha=alpha)
         sol = nl.solve_policy_iteration(op, 1e-11)
         assert sol.converged
@@ -90,7 +90,7 @@ class TestPolicyIteration:
                               for _ in p.controls))
             g = nl.build_grid(1, 0.25, 4.0)
             q = nl.build_quadrature(g, 0.75, 5.0)
-            op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
+            op = nl.assemble(p, g, q, None)
             sol = nl.solve_policy_iteration(op, 1e-11)
             assert np.max(np.abs(sol.u)) <= 1e-11
 
@@ -124,7 +124,7 @@ def test_residual_is_recomputed_at_the_answer_bit_for_bit(d, max_iter):
     p = random_problem(4, d=d, s=0.75) if d == 1 else nl.power_drift_problem(1.6, 0.1, 2, 0.9)
     g = nl.build_grid(d, 0.25 if d == 1 else 0.5, 4.0)
     op = nl.assemble(p, g, nl.build_quadrature(g, 0.75 if d == 1 else 0.9, 5.0),
-                     nl.ExteriorRule.zero(), alpha=0.4)
+                     None, alpha=0.4)
     sol = nl.solve_policy_iteration(op, 1e-12, max_iter=max_iter)
     vals, _ = nl.apply_inf(op, sol.u)
     assert sol.converged == (max_iter > 1)
@@ -162,10 +162,11 @@ def _frozen_operator(name):
         elif name == "local_identity_2d":
             p = nl.constant_cost_problem(1.0, 2, local_identity=True)
             g, q = nl.build_grid(2, 0.5, 3.0), None
-        else:  # three controls with control-dependent zeroth terms
+        else:  # three controls with control-dependent zeroth terms, so no alpha
             p, g = random_problem(15, n_controls=3, c_floor=0.2), nl.build_grid(1, 0.25, 4.0)
             q = nl.build_quadrature(g, 0.75, 5.0)
-        _FROZEN_OPS[name] = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.3)
+        alpha = None if p.zeroth is not None else 0.3
+        _FROZEN_OPS[name] = nl.assemble(p, g, q, None, alpha=alpha)
     return _FROZEN_OPS[name]
 
 
@@ -173,7 +174,7 @@ def _policy_system_reference(op, policy):
     """Sum over controls of diags(1[policy == t]) @ (B_t + diag(c_t))."""
     A = sp.csr_matrix((op.n_nodes, op.n_nodes))
     const = np.zeros(op.n_nodes)
-    for t in range(len(op.controls)):
+    for t in range(op.problem.n_controls):
         ind = (policy == t).astype(float)
         A = A + sp.diags(ind) @ stencil_matrix(op, t)
         const += ind * op.const[t]
@@ -193,7 +194,7 @@ class TestFrozenPolicySystem:
         op = _frozen_operator(name)
         op = op.csr() if explicit else op
         policy = np.array(data.draw(st.lists(
-            st.integers(0, len(op.controls) - 1),
+            st.integers(0, op.problem.n_controls - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         got, want = op.frozen(policy).local, stacked_policy_system(op, policy)
         for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
@@ -207,7 +208,7 @@ class TestFrozenPolicySystem:
     def test_row_gather_matches_reference(self, name, data):
         op = _frozen_operator(name)
         policy = np.array(data.draw(st.lists(
-            st.integers(0, len(op.controls) - 1),
+            st.integers(0, op.problem.n_controls - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A = op.csr().frozen(policy)
         ref, ref_const = _policy_system_reference(op, policy)
@@ -233,7 +234,7 @@ class TestBorderedElimination:
         assume(alpha > 0 or name != "local_identity_2d")
         op = _frozen_operator(name).csr().with_alpha(alpha)
         policy = np.array(data.draw(st.lists(
-            st.integers(0, len(op.controls) - 1),
+            st.integers(0, op.problem.n_controls - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A = op.frozen(policy)
         i0 = op.grid.origin_index
@@ -252,7 +253,7 @@ class TestBorderedElimination:
         # solve_normalized applies at tol 1e-9
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
         g = nl.build_grid(1, 1 / 16, 32.0)
-        op = nl.assemble(p, g, nl.build_quadrature(g, 0.9, 33.0), nl.ExteriorRule.zero())
+        op = nl.assemble(p, g, nl.build_quadrature(g, 0.9, 33.0), None)
         A = op.with_alpha(1e-6).frozen(np.zeros(op.n_nodes, dtype=np.int64))
         with mock.patch.object(discounted, "_krylov", return_value=None):
             v, m, tag = _solve_bordered(A, -A.const, g.origin_index, 1e-10)
@@ -281,7 +282,7 @@ class TestNormalized:
         p = random_problem(11, n_controls=1)
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
+        op = nl.assemble(p, g, q, None)
         sol = nl.solve_normalized(op, alpha, 1e-12)
         assert sol.converged
         w = sol.u + sol.m / alpha
@@ -294,7 +295,7 @@ class TestNormalized:
         p = random_problem(12)
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
+        op = nl.assemble(p, g, q, None)
         sol = nl.solve_normalized(op, 0.25, 1e-11)
         assert sol.u[g.origin_index] == 0.0
 
@@ -302,11 +303,11 @@ class TestNormalized:
         p = random_problem(13)
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
+        op = nl.assemble(p, g, q, None)
         s1 = nl.solve_normalized(op, 0.25, 1e-12)
         p2 = dataclasses.replace(
             p, cost=tuple((lambda f: (lambda x: f(x) + 2.0))(f) for f in p.cost))
-        op2 = nl.assemble(p2, g, q, nl.ExteriorRule.zero())
+        op2 = nl.assemble(p2, g, q, None)
         s2 = nl.solve_normalized(op2, 0.25, 1e-12)
         assert s2.m - s1.m == pytest.approx(2.0, abs=1e-10)
         np.testing.assert_allclose(s1.u, s2.u, atol=1e-10)
@@ -319,7 +320,7 @@ class TestNormalized:
         p = random_problem(13)
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
+        op = nl.assemble(p, g, q, None)
         want = nl.solve_normalized(op, 0.05, 1e-11)
         krylov, i0, seen = discounted._krylov, g.origin_index, []
 

@@ -29,7 +29,7 @@ class TestExpandDomain:
         kappa, alpha = 2.0, 0.25
         p = nl.constant_cost_problem(kappa, 1)
         sol, trace, _ = nl.expand_domain(p, alpha, DOM1, 1e-8,
-                                         ext=nl.ExteriorRule.constant(kappa / alpha))
+                                         ext=lambda x: kappa / alpha)
         assert trace[-1][1] <= 1e-8
         np.testing.assert_allclose(sol.u, kappa / alpha, atol=1e-7)
 
@@ -81,6 +81,15 @@ class TestRadiusLadder:
 
 
 class TestVanishingDiscount:
+    def test_problem_with_its_own_zeroth_term_is_rejected(self):
+        # the sweep sets c ≡ -alpha, which would replace the problem's c ≡ -2
+        p = nl.constant_cost_problem(1.0, 1)
+        p = dataclasses.replace(p, zeroth=(lambda x: np.full(np.shape(x)[:-1], -2.0),)
+                                * p.n_controls)
+        for run in (nl.vanishing_discount, nl.convergence_study):
+            with pytest.raises(ValueError, match="problem carries its own"):
+                run(p, DOM1, SCHED, 1e-8)
+
     @pytest.mark.parametrize("kappa", [0.0, 1.0, -3.0])
     def test_constant_cost_exactness(self, kappa):
         p = nl.constant_cost_problem(kappa, 1)
@@ -151,7 +160,7 @@ class TestVanishingDiscount:
         for R in dom.radii:
             g = nl.build_grid(1, 0.5, R)
             op = nl.assemble(p, g, nl.build_quadrature(g, 0.9, R + 1.0),
-                             nl.ExteriorRule.zero())
+                             None)
             cold.append((g, nl.solve_normalized(op, alpha, 1e-9)))
         want = [np.inf]
         for (ga, sa), (gb, sb) in zip(cold, cold[1:]):

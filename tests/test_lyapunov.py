@@ -64,7 +64,7 @@ class TestEvaluate:
         kern = p.kernel.kernel_for(0)
         conv = _LatticeConvolution(g, q)
         want = kern.x_field(g.nodes) * (
-            conv(ly.V(g.nodes)) + conv.exterior(nl.ExteriorRule.function(ly.V)))
+            conv(ly.V(g.nodes)) + conv.exterior(ly.V))
         got = _jump_on_V(ly, g, q, kern)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
 
@@ -222,7 +222,7 @@ class TestMixed:
                 levy_majorant=lambda y: 1.2 * np.exp(-np.linalg.norm(y, axis=-1))))
         g = nl.build_grid(d, 0.5, 3.0)
         q = nl.build_quadrature(g, 0.75, 4.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.function(V))
+        op = nl.assemble(p, g, q, V)
         got = nl.apply_control(op, 0, V(g.nodes))
         np.testing.assert_allclose(got, _levy_on_V(ly, g, q, levy), rtol=0, atol=1e-12)
         assert np.max(np.abs(got)) > 0.01

@@ -64,12 +64,12 @@ def constant_kernel_problem(seed, d, s, kvals, zeroth=False, x_only=()):
         zeroth=zs)
 
 
-def exterior_rule(kind, seed, d):
+def exterior_data(kind, seed, d):
     if kind == "zero":
-        return nl.ExteriorRule.zero()
+        return None
     if kind == "constant":
-        return nl.ExteriorRule.constant(0.7)
-    return nl.ExteriorRule.function(smooth_field(np.random.default_rng(seed + 1), d))
+        return lambda x: 0.7
+    return smooth_field(np.random.default_rng(seed + 1), d)
 
 
 @st.composite
@@ -90,7 +90,7 @@ def fast_operators(draw):
     p = constant_kernel_problem(seed, d, s, kvals, x_only=xs)
     g = nl.build_grid(d, hx, R)
     q = nl.build_quadrature(g, s, R + margin, reg)
-    op = nl.assemble(p, g, q, exterior_rule(kind, seed, d), alpha=0.4)
+    op = nl.assemble(p, g, q, exterior_data(kind, seed, d), alpha=0.4)
     return op, seed
 
 
@@ -124,7 +124,7 @@ def csr_operators(draw):
 
         p = dataclasses.replace(p, mixed=nl.MixedSpec(
             a=p.mixed.a, levy_kernel=levy, levy_majorant=lambda y: levy(y, y)))
-    ext = exterior_rule(draw(st.sampled_from(["zero", "constant", "function"])), seed, d)
+    ext = exterior_data(draw(st.sampled_from(["zero", "constant", "function"])), seed, d)
     op = nl.assemble(p, g, q, ext, alpha=0.4)
     assert op.jump is None
     return op, seed
@@ -140,7 +140,7 @@ class TestOperatorOracle:
         assert ref.jump is None and ref.csr() is ref
         n = op.n_nodes
         u = np.random.default_rng(seed).normal(size=n)
-        for t in range(len(op.controls)):
+        for t in range(op.problem.n_controls):
             assert_rel_close(apply_control(op, t, u), apply_control(ref, t, u))
             diag = (op.base[t * n:(t + 1) * n].diagonal() + op.c[t]
                     + op.jump.scale[t] * op.jump.conv.diag)
@@ -154,7 +154,7 @@ class TestOperatorOracle:
     def test_frozen_policy_operator_matches_csr_system(self, case, data):
         op, seed = case
         policy = np.array(data.draw(st.lists(
-            st.integers(0, len(op.controls) - 1),
+            st.integers(0, op.problem.n_controls - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A = op.frozen(policy)
         ref = op.csr().frozen(policy)
@@ -169,7 +169,7 @@ class TestOperatorOracle:
         p = random_problem(3, vary_kernel=True)
         g = nl.build_grid(1, 0.25, 3.0)
         q = nl.build_quadrature(g, 0.75, 4.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.4)
+        op = nl.assemble(p, g, q, None, alpha=0.4)
         assert op.jump is None and op.csr() is op
 
     def test_negative_kernel_rejected(self):
@@ -177,7 +177,7 @@ class TestOperatorOracle:
         g = nl.build_grid(1, 0.25, 2.0)
         q = nl.build_quadrature(g, 0.75, 3.0)
         with pytest.raises(nl.MonotonicityError, match="tau1"):
-            nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.4)
+            nl.assemble(p, g, q, None, alpha=0.4)
 
 
 class TestKernelFactors:
@@ -191,7 +191,7 @@ class TestKernelFactors:
                                     kernel=nl.KernelSpec(0.75, 0.5, 1.5, k=(kern,)))
             g = nl.build_grid(2, 0.5, 2.0)
             op = nl.assemble(p, g, nl.build_quadrature(g, 0.75, 3.0),
-                             nl.ExteriorRule.zero(), alpha=0.4)
+                             None, alpha=0.4)
             assert op.jump is None
 
     @pytest.mark.parametrize("kern, message", [
@@ -213,7 +213,7 @@ class TestKernelFactors:
         q = nl.build_quadrature(g, 0.75, 3.0)
         with np.errstate(invalid="ignore"), pytest.raises(nl.MonotonicityError,
                                                           match=message):
-            nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.4)
+            nl.assemble(p, g, q, None, alpha=0.4)
 
 
 class TestSolves:
@@ -242,7 +242,7 @@ class TestSolves:
             (lambda x, g=g: g(x) + bump * np.abs(extra(x))) for g in p1.cost))
         g = nl.build_grid(d, 0.25 if d == 1 else 0.5, 3.0 if d == 1 else 2.0)
         q = nl.build_quadrature(g, 0.8, g.R + 1.0)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         op1, op2 = nl.assemble(p1, g, q, ext), nl.assemble(p2, g, q, ext)
         assert op1.jump is not None
         w1 = nl.solve_policy_iteration(op1, 1e-11).u
@@ -253,7 +253,7 @@ class TestSolves:
         p = constant_kernel_problem(5, 1, 0.75, [0.4, 0.6])
         g = nl.build_grid(1, 0.5, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         op = nl.assemble(p, g, q, ext, alpha=0.5)
         assert op.jump is not None
         s1 = nl.solve_policy_iteration(op, 1e-11)
@@ -268,7 +268,7 @@ class TestSolves:
         p = constant_kernel_problem(2, 1, s, [k * (2 - 2 * s) for k in (0.6, 0.9, 1.3)])
         g = nl.build_grid(1, 0.125, 0.75)
         q = nl.build_quadrature(g, s, 2.25)
-        op = nl.assemble(p, g, q, exterior_rule("function", 2, 1), alpha=0.4)
+        op = nl.assemble(p, g, q, exterior_data("function", 2, 1), alpha=0.4)
         assert float(np.max(np.abs(op.const))) > 10.0
         for o in (op, op.csr()):
             sol = nl.solve_policy_iteration(o, 1e-9)
@@ -281,7 +281,7 @@ class TestSolves:
         p = constant_kernel_problem(7, 2, 0.8, [0.3, 0.5])
         g = nl.build_grid(2, 0.5, 2.5)
         q = nl.build_quadrature(g, 0.8, 3.5)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.4)
+        op = nl.assemble(p, g, q, None, alpha=0.4)
         want = nl.solve_policy_iteration(op, 1e-11)
         assert want.counts.linear_solves["splu"] == 0
         assert op.jump.stencils is None
@@ -340,7 +340,7 @@ def bordered_operator(seed, d=2, x_only=(True, False), R=4.0):
     p = constant_kernel_problem(seed, d, 0.8, [0.3, 0.5], x_only=x_only)
     g = nl.build_grid(d, 0.5, R)
     return nl.assemble(p, g, nl.build_quadrature(g, 0.8, R + 1.0),
-                       nl.ExteriorRule.zero())
+                       None)
 
 
 class TestBorderedKrylov:
@@ -512,7 +512,7 @@ class TestBorderedKrylov:
         extra = smooth_field(np.random.default_rng(seed + 2), 2)
         p2 = dataclasses.replace(op1.problem, cost=tuple(
             (lambda x, g=g: g(x) + bump * np.abs(extra(x))) for g in op1.problem.cost))
-        op2 = nl.assemble(p2, op1.grid, op1.quadrature, nl.ExteriorRule.zero())
+        op2 = nl.assemble(p2, op1.grid, op1.quadrature, None)
         s1 = nl.solve_normalized(op1, 0.05, 1e-9)
         s2 = nl.solve_normalized(op2, 0.05, 1e-9)
         assert s1.counts.linear_solves["splu"] == s2.counts.linear_solves["splu"] == 0
@@ -527,7 +527,7 @@ class TestNearField:
     def test_matches_csr_oracle_and_is_an_m_matrix(self, case, data):
         op, _ = case
         policy = np.array(data.draw(st.lists(
-            st.integers(0, len(op.controls) - 1),
+            st.integers(0, op.problem.n_controls - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A = op.frozen(policy)
         ref = op.csr().frozen(policy).tocsr().toarray()
@@ -554,7 +554,7 @@ class TestNearField:
         op, _ = case
         i0 = op.grid.origin_index
         policies = [np.array(data.draw(st.lists(
-            st.integers(0, len(op.controls) - 1),
+            st.integers(0, op.problem.n_controls - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64) for _ in range(2)]
         copies = (op, dataclasses.replace(op))
         for k in (0, 1, 0, 0, 1):
@@ -572,7 +572,7 @@ class TestNearField:
         # per policy for with_alpha copies, a fresh one for a csr() copy
         op, _ = case
         policy = np.array(data.draw(st.lists(
-            st.integers(0, len(op.controls) - 1),
+            st.integers(0, op.problem.n_controls - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A = op.frozen(policy)
         P = A.near().toarray()
@@ -612,7 +612,7 @@ class TestNearField:
         op, _ = case
         i0 = op.grid.origin_index
         policy = np.array(data.draw(st.lists(
-            st.integers(0, len(op.controls) - 1),
+            st.integers(0, op.problem.n_controls - 1),
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         B = op.frozen(policy).bordered(i0)
         got = B.tocsc()
@@ -874,7 +874,7 @@ class TestControlPermutation:
         d, p, pp, perm = case
         g = nl.build_grid(d, 0.25 if d == 1 else 0.5, 3.0 if d == 1 else 2.0)
         q = nl.build_quadrature(g, p.kernel.s, g.R + 1.0)
-        ops = [nl.assemble(x, g, q, nl.ExteriorRule.zero()) for x in (p, pp)]
+        ops = [nl.assemble(x, g, q, None) for x in (p, pp)]
         if csr:
             ops = [op.csr() for op in ops]
         sol, psol = (nl.solve_policy_iteration(op, 1e-12) for op in ops)

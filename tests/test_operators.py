@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlhjb as nl
-from nlhjb.operators import apply_control
+from nlhjb.operators import _exterior, apply_control
 
 from conftest import random_problem
 from oracles import (build_dense_oracles, dense_apply, dump_stencils,
@@ -17,7 +17,7 @@ def small_setup(seed=1, s=0.75, d=1, hx=0.25, R=4.0, alpha=0.4, **kw):
     p = random_problem(seed, d=d, s=s, **kw)
     g = nl.build_grid(d, hx, R)
     q = nl.build_quadrature(g, s, R + 1.0)
-    ext = nl.ExteriorRule.zero()
+    ext = None
     op = nl.assemble(p, g, q, ext, alpha=alpha)
     return p, g, q, ext, op
 
@@ -64,7 +64,7 @@ class TestAssembledInvariants:
         # extending the same constant outside turns the change into exactly c*kappa
         p, g, q, _, op0 = small_setup(seed=2)
         kappa = 1.7
-        op1 = nl.assemble(p, g, q, nl.ExteriorRule.constant(kappa), alpha=0.4)
+        op1 = nl.assemble(p, g, q, lambda x: kappa, alpha=0.4)
         u = np.zeros(g.n_nodes)
         for t in range(2):
             change = (apply_control(op1, t, u + kappa)
@@ -106,7 +106,7 @@ class TestAssembledInvariants:
             cost=(lambda x: np.zeros(np.asarray(x).shape[:-1]),))
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, s, 5.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.zero())
+        op = nl.assemble(p, g, q, None)
         k = 2 - 2 * s
         total = k * (np.sum(2 * q.pair_weights) + 2 * q.tail_mass)
         m = stencil_matrix(op, 0)
@@ -135,8 +135,8 @@ class TestAssembledInvariants:
         pm = nl.ControlProblem(controls=("r",), drift=(bminus,), **base)
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, s, 5.0)
-        op_p = nl.assemble(pp, g, q, nl.ExteriorRule.zero())
-        op_m = nl.assemble(pm, g, q, nl.ExteriorRule.zero())
+        op_p = nl.assemble(pp, g, q, None)
+        op_m = nl.assemble(pm, g, q, None)
         rng = np.random.default_rng(4)
         u = rng.normal(size=g.n_nodes)
         refl = g.node_index_of_lattice(-g.lattice)
@@ -149,7 +149,7 @@ class TestAssembledInvariants:
         g = nl.build_grid(1, 2.0**-7, 30.0)
         q = nl.build_quadrature(g, 0.75, 64.0)
         with pytest.raises(MemoryError):
-            nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+            nl.assemble(p, g, q, None, alpha=0.5)
 
     def test_constant_kernel_beyond_stencil_cap_builds_and_applies(self):
         # same size as the memory guard: the FFT jump part needs no stencils,
@@ -158,7 +158,7 @@ class TestAssembledInvariants:
         g = nl.build_grid(1, 2.0**-7, 30.0)
         q = nl.build_quadrature(g, 0.75, 64.0)
         assert g.n_nodes * q.n_offsets > 3e7
-        op = nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+        op = nl.assemble(p, g, q, None, alpha=0.5)
         ones = np.ones(g.n_nodes)
         vals = apply_control(op, 0, ones)
         assert np.all(np.isfinite(vals))
@@ -188,10 +188,10 @@ class TestAssembledInvariants:
         witness = r"y=\(" if where == "offsets" else rf"y=\({q.tail_probe_radius}, 0\.0\)"
         with pytest.raises(ValueError, match=r"control tau0 is not symmetric in y.*"
                                              r"x=\(.*\), " + witness):
-            nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+            nl.assemble(p, g, q, None, alpha=0.5)
         # its even part is accepted
         even = dataclasses.replace(p.kernel, k=lambda x, y: 0.5 * (kern(x, y) + kern(x, -y)))
-        nl.assemble(dataclasses.replace(p, kernel=even), g, q, nl.ExteriorRule.zero(),
+        nl.assemble(dataclasses.replace(p, kernel=even), g, q, None,
                     alpha=0.5)
 
     @pytest.mark.parametrize("path", ["fft", "csr"])
@@ -216,10 +216,10 @@ class TestAssembledInvariants:
         q = nl.build_quadrature(g, 0.75, 5.0)
         assert nl.validate_problem(p, g, q).check("kernel-bounds").passed == inside
         if inside:
-            nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+            nl.assemble(p, g, q, None, alpha=0.5)
         else:
             with pytest.raises(ValueError, match=r"control tau0 .* lies outside"):
-                nl.assemble(p, g, q, nl.ExteriorRule.zero(), alpha=0.5)
+                nl.assemble(p, g, q, None, alpha=0.5)
 
 
 class TestApply:
@@ -255,6 +255,28 @@ class TestApply:
         e[i] = 1.0
         col = dense_apply(oracles[0], e) - oracles[0].const
         np.testing.assert_allclose(col, oracles[0].matrix[:, i], atol=1e-14)
+
+class TestExteriorData:
+    def test_none_is_zero_data(self):
+        np.testing.assert_array_equal(_exterior(None, np.ones((4, 2))), np.zeros(4))
+
+    def test_scalar_return_broadcasts_to_every_point(self):
+        got = _exterior(lambda x: 2.5, np.ones((3, 2)))
+        assert got.shape == (3,) and got.flags.writeable
+        np.testing.assert_array_equal(got, 2.5)
+
+    def test_one_point_of_shape_d(self):
+        got = _exterior(lambda x: x[..., 0] + 2.0 * x[..., 1], np.array([1.0, 3.0]))
+        np.testing.assert_array_equal(got, [7.0])
+
+    def test_alpha_with_the_problems_own_zeroth_term_is_rejected(self):
+        # c ≡ -2 is the problem's; alpha would be silently dropped
+        p = random_problem(3, c_floor=2.0)
+        g = nl.build_grid(1, 0.25, 4.0)
+        q = nl.build_quadrature(g, 0.75, 5.0)
+        with pytest.raises(ValueError, match=r"alpha=0\.3 .* own zeroth-order term"):
+            nl.assemble(p, g, q, None, alpha=0.3)
+
 
 class TestApplyInf:
     def test_singleton_inf_equals_apply(self):
@@ -292,8 +314,7 @@ class TestApplyInf:
             cost=(lambda x: np.zeros(np.asarray(x).shape[:-1]),) * 2)
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, s, 5.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.function(
-            lambda x: x[..., 0]), alpha=0.4)
+        op = nl.assemble(p, g, q, lambda x: x[..., 0], alpha=0.4)
         u = g.nodes[:, 0]
         vals, policy = nl.apply_inf(op, u)
         # each control per node: jump part identical; b=-1 gives -du/dx = -1,
@@ -309,7 +330,7 @@ class TestMixed:
             p, drift=tuple(lambda x: np.zeros_like(np.asarray(x, float))
                            for _ in p.controls))
         g = nl.build_grid(1, 0.5, 4.0)
-        op = nl.assemble(p, g, None, nl.ExteriorRule.zero(), alpha=0.3)
+        op = nl.assemble(p, g, None, None, alpha=0.3)
         m = op.base[:g.n_nodes].toarray()
         i = g.origin_index
         h2 = g.hx**2
@@ -331,7 +352,7 @@ class TestMixed:
         p = dataclasses.replace(p, mixed=nl.MixedSpec(a=a_bad))
         g = nl.build_grid(2, 0.5, 4.0)
         with pytest.raises(nl.MonotonicityError, match="dominant"):
-            nl.assemble(p, g, None, nl.ExteriorRule.zero(), alpha=0.3)
+            nl.assemble(p, g, None, None, alpha=0.3)
 
     def test_negative_weight_error_names_the_most_negative_entry(self):
         # the Lévy kernel is -5 exp(-|y|) for x1 > 2 and -0.1 exp(-|y|)
@@ -345,7 +366,7 @@ class TestMixed:
         p = dataclasses.replace(p, mixed=nl.MixedSpec(a=p.mixed.a, levy_kernel=levy))
         g = nl.build_grid(1, 0.5, 4.0)
         with pytest.raises(nl.MonotonicityError) as err:
-            nl.assemble(p, g, nl.build_quadrature(g, 0.75, 5.0), nl.ExteriorRule.zero(),
+            nl.assemble(p, g, nl.build_quadrature(g, 0.75, 5.0), None,
                         alpha=0.5)
         node = re.search(r"at node \(([-\d.]+),\)", str(err.value))
         assert node is not None and float(node.group(1)) > 2
@@ -367,7 +388,7 @@ class TestMixed:
             * np.linalg.norm(y, axis=-1) ** (-1.2)))
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, s, 5.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.constant(2.5), alpha=0.3)
+        op = nl.assemble(p, g, q, lambda x: 2.5, alpha=0.3)
         u = np.full(g.n_nodes, 2.5)
         got = apply_control(op, 0, u)
         np.testing.assert_allclose(got, -0.3 * 2.5, atol=1e-10)
@@ -382,7 +403,7 @@ class TestMixed:
                 levy_kernel=lambda x, y: np.exp(-np.abs(y[..., 0])) + 0.0 * x[..., 0]))
         g = nl.build_grid(1, 0.5, 4.0)
         with pytest.raises(ValueError, match="^problem has jump terms but no quadrature was given$"):
-            nl.assemble(p, g, None, nl.ExteriorRule.zero(), alpha=0.5)
+            nl.assemble(p, g, None, None, alpha=0.5)
 
 
 class TestPucci:
@@ -390,9 +411,9 @@ class TestPucci:
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
         u = 3.0 * g.nodes[:, 0] + 2.0
-        rule = nl.ExteriorRule.function(lambda x: 3.0 * x[..., 0] + 2.0)
+        ext = lambda x: 3.0 * x[..., 0] + 2.0
         for sign in ("+", "-"):
-            out = nl.pucci_extremal(q, g, u, rule, sign, 0.8, 1.2)
+            out = nl.pucci_extremal(q, g, u, ext, sign, 0.8, 1.2)
             assert np.max(np.abs(out)) <= 1e-11
 
     @settings(max_examples=15, deadline=None)
@@ -401,7 +422,7 @@ class TestPucci:
         s = 0.75
         g = nl.build_grid(1, 0.5, 4.0)
         q = nl.build_quadrature(g, s, 5.0)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         rng = np.random.default_rng(seed)
         u = rng.normal(size=g.n_nodes)
         lam, Lam = 0.8, 1.2
@@ -423,7 +444,7 @@ class TestPucci:
         s = 0.8
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, s, 5.0)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         u = np.random.default_rng(9).normal(size=g.n_nodes)
         lam = 0.9
         k = nl.constant_kernel((2 - 2 * s) * lam)
@@ -439,9 +460,9 @@ class TestPucci:
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, s, 5.0)
         u = -g.nodes[:, 0] ** 2
-        rule = nl.ExteriorRule.function(lambda x: -x[..., 0] ** 2)
+        ext = lambda x: -x[..., 0] ** 2
         lam, Lam = 0.8, 1.2
-        got = nl.pucci_extremal(q, g, u, rule, "+", lam, Lam)[g.origin_index]
+        got = nl.pucci_extremal(q, g, u, ext, "+", lam, Lam)[g.origin_index]
         # signed re-summation oracle
         i0 = g.origin_index
         x0 = g.nodes[i0]
@@ -463,14 +484,14 @@ class TestComparisonAndDump:
         # subsolution below supersolution outside stays below inside
         p, g, q, ext, op = small_setup(seed=11, alpha=0.5, vary_kernel=False)
         solv = nl.solve_policy_iteration(op, 1e-11)
-        op_low = nl.assemble(p, g, q, nl.ExteriorRule.constant(-1.0), alpha=0.5)
+        op_low = nl.assemble(p, g, q, lambda x: -1.0, alpha=0.5)
         solu = nl.solve_policy_iteration(op_low, 1e-11)
         assert np.all(solv.u >= solu.u - 1e-9)
 
     def test_dump_layout(self):
         p, g, q, ext, op = small_setup(hx=0.5, R=2.0)
         d = dump_stencils(op)
-        assert d["controls"] == list(op.controls)
+        assert d["controls"] == list(op.problem.controls)
         assert len(d["stencils"]) == g.n_nodes * 2
         entry = d["stencils"][0]
         assert set(entry) == {"node", "control", "entries", "diagonal", "constant"}
@@ -481,7 +502,7 @@ class TestComparisonAndDump:
 def golden_2d_operator():
     """The operator of the 2-d golden file: two controls on 13 nodes, kernels
     that read y, a local part whose a_12 takes both signs, a Lévy part and a
-    function exterior rule."""
+    function as exterior data."""
     def a_field(x):
         x = np.atleast_2d(np.asarray(x, float))
         out = np.zeros((x.shape[0], 2, 2))
@@ -507,8 +528,7 @@ def golden_2d_operator():
         mixed=nl.MixedSpec(a=a_field, levy_kernel=levy))
     g = nl.build_grid(2, 1.0, 2.0)
     q = nl.build_quadrature(g, 0.75, 3.0)
-    ext = nl.ExteriorRule.function(
-        lambda x: 0.1 * x[..., 0] + 0.05 * np.linalg.norm(x, axis=-1))
+    ext = lambda x: 0.1 * x[..., 0] + 0.05 * np.linalg.norm(x, axis=-1)
     return nl.assemble(p, g, q, ext, alpha=0.5)
 
 
@@ -541,12 +561,12 @@ class TestGoldenStencil:
             zeroth=(lambda x: np.full(np.asarray(x).shape[:-1], -0.3),))
         g = nl.build_grid(1, 0.5, 2.0)
         q = nl.build_quadrature(g, s, 3.0)
-        self.check_golden(nl.assemble(p, g, q, nl.ExteriorRule.zero()),
+        self.check_golden(nl.assemble(p, g, q, None),
                           "stencil_dump.json")
 
     def test_2d_dump_matches_golden_file(self):
         # pins the 2-d layout: the diagonal cross-term pairs, the Lévy
-        # offsets and the function exterior rule
+        # offsets and the function as exterior data
         self.check_golden(golden_2d_operator(), "stencil_dump_2d.json")
 
 
@@ -578,7 +598,7 @@ class TestTwoDimensional:
         p = self.twod_problem()
         g = nl.build_grid(2, 0.5, 1.6)   # 13 nodes
         q = nl.build_quadrature(g, 0.8, 2.6)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         op = nl.assemble(p, g, q, ext, alpha=0.4)
         oracles = build_dense_oracles(p, g, q, ext, alpha=0.4)
         for t in range(2):
@@ -592,7 +612,7 @@ class TestTwoDimensional:
         p = self.twod_problem(seed=22)
         g = nl.build_grid(2, 0.5, 1.6)
         q = nl.build_quadrature(g, 0.8, 2.6)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         op = nl.assemble(p, g, q, ext, alpha=0.5)
         sol = nl.solve_policy_iteration(op, 1e-11)
         u = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.5),
@@ -603,7 +623,7 @@ class TestTwoDimensional:
         p = self.twod_problem(seed=23)
         g = nl.build_grid(2, 0.5, 2.0)
         q = nl.build_quadrature(g, 0.8, 3.0)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         u = np.random.default_rng(5).normal(size=g.n_nodes)
         I = jump_apply_reference(q, g, u, ext, p.kernel.kernel_for(0))
         Mp = nl.pucci_extremal(q, g, u, ext, "+", 0.7, 1.3)
@@ -627,7 +647,7 @@ class TestTwoDimensional:
             x = np.asarray(x, float)
             return 1.5 * x[..., 0] - 0.7 * x[..., 1] + 0.2
 
-        op = nl.assemble(p, g, q, nl.ExteriorRule.function(aff))
+        op = nl.assemble(p, g, q, aff)
         vals = apply_control(op, 0, aff(g.nodes))
         assert np.max(np.abs(vals)) <= 1e-12
 
@@ -646,7 +666,7 @@ class TestTwoDimensional:
             * np.linalg.norm(y, axis=-1) ** (-2.5)))
         g = nl.build_grid(2, 0.5, 2.0)
         q = nl.build_quadrature(g, 0.75, 3.0)
-        op = nl.assemble(p, g, q, nl.ExteriorRule.constant(1.3), alpha=0.4)
+        op = nl.assemble(p, g, q, lambda x: 1.3, alpha=0.4)
         u = np.full(g.n_nodes, 1.3)
         got = apply_control(op, 0, u)
         np.testing.assert_allclose(got, -0.4 * 1.3, atol=1e-10)

@@ -55,13 +55,13 @@ class TestDenseOracle:
         g = nl.build_grid(1, 0.05, 8.0)
         q = nl.build_quadrature(g, 0.75, 9.0)
         with pytest.raises(ValueError, match="capped"):
-            build_dense_oracles(p, g, q, nl.ExteriorRule.zero(), alpha=0.4)
+            build_dense_oracles(p, g, q, None, alpha=0.4)
 
     def test_zero_input_returns_constant(self):
         p = random_problem(1)
         g = nl.build_grid(1, 0.5, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
-        oracles = build_dense_oracles(p, g, q, nl.ExteriorRule.zero(), alpha=0.4)
+        oracles = build_dense_oracles(p, g, q, None, alpha=0.4)
         got = dense_apply(oracles[0], np.zeros(g.n_nodes))
         np.testing.assert_array_equal(got, oracles[0].const)
 
@@ -69,7 +69,7 @@ class TestDenseOracle:
         p = random_problem(17, vary_kernel=True)
         g = nl.build_grid(1, 0.25, 4.0)   # 33 nodes
         q = nl.build_quadrature(g, 0.75, 5.0)
-        ext = nl.ExteriorRule.zero()
+        ext = None
         op = nl.assemble(p, g, q, ext, alpha=0.35)
         sol = nl.solve_policy_iteration(op, 1e-11)
         u = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.35),
@@ -85,7 +85,7 @@ class TestDenseOracle:
         g = nl.build_grid(1, 0.5, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
         u = dense_fixed_point(
-            build_dense_oracles(p, g, q, nl.ExteriorRule.zero(), alpha=0.4),
+            build_dense_oracles(p, g, q, None, alpha=0.4),
             tol=1e-12)
         assert np.max(np.abs(u)) <= 1e-11
 
@@ -95,6 +95,6 @@ class TestDenseOracle:
         g = nl.build_grid(1, 0.5, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
         u = dense_fixed_point(
-            build_dense_oracles(p, g, q, nl.ExteriorRule.constant(kappa / alpha),
+            build_dense_oracles(p, g, q, lambda x: kappa / alpha,
                                 alpha=alpha), tol=1e-12)
         np.testing.assert_allclose(u, kappa / alpha, atol=1e-10)

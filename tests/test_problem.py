@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlhjb import (ControlProblem, ExteriorRule, KernelSpec, MixedSpec, assemble,
+from nlhjb import (ControlProblem, KernelSpec, MixedSpec, assemble,
                    build_grid, build_quadrature, constant_cost_problem, constant_kernel,
                    power_drift_problem, validate_problem)
 
@@ -136,7 +136,7 @@ class TestValidation:
         assert not chk.passed
         assert chk.witness[2] == (15.0,)
         with pytest.raises(ValueError, match=r"kernel value 5 .* y=\(15.0,\)"):
-            assemble(p, g, q, ExteriorRule.zero())
+            assemble(p, g, q, None)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_non_finite_mirror_fails_symmetry(self, d):
