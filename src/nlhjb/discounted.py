@@ -273,7 +273,6 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
 class BarrierReport:
     ok: bool
     n_violations: int
-    max_violation: float
     min_margin: float
     detail: str
 
@@ -296,7 +295,6 @@ def check_barrier(sol: HowardSolution, p: ControlProblem, grid: Grid,
     return BarrierReport(
         ok=not bool(viol.any()),
         n_violations=int(np.count_nonzero(viol)),
-        max_violation=float(max(0.0, -gap.min())),
         min_margin=float(gap.min()),
         detail=f"k0={k0:.6g}, c_floor={c_floor:.6g}",
     )

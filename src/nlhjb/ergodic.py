@@ -144,12 +144,11 @@ def _quadrature(p: ControlProblem, domain: DomainConfig, grid: Grid):
     return build_quadrature(grid, p.jump_order, grid.R + domain.r_far_margin, domain.reg_radius)
 
 
-def _operator(p: ControlProblem, domain: DomainConfig, R: float,
-              ext: ScalarField | None, alpha: float | None = None) -> DiscreteOperator:
+def _operator(p: ControlProblem, domain: DomainConfig, R: float, ext: ScalarField | None):
     """The operator assembled on the grid of radius R (``op.grid``)."""
     grid = build_grid(domain.d, domain.hx, R)
     q = _quadrature(p, domain, grid) if p.has_jumps else None
-    return assemble(p, grid, q, ext, alpha=alpha)
+    return assemble(p, grid, q, ext)
 
 
 def _predicted_start(levels: list[AlphaLevel], alpha: float) -> tuple[np.ndarray, float]:
@@ -213,13 +212,16 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     """
     counts = SolveCounts()
 
+    def operator(R):
+        op = _operator(p, domain, R, ext)
+        return op if alpha is None else op.with_alpha(alpha)
+
     def solve(op, w0, policy0):
         sol = solve_policy_iteration(op, tol, max_iter=max_iter, w0=w0, policy0=policy0)
         counts.add(sol.counts)
         return sol.u, sol.policy, sol
 
-    trace, op, sol = _ladder(domain, lambda R: _operator(p, domain, R, ext, alpha),
-                             solve, stop_tol=tol)
+    trace, op, sol = _ladder(domain, operator, solve, stop_tol=tol)
     sol.counts = counts
     return sol, trace, op
 
@@ -251,10 +253,7 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
     that falls back to sparse LU (its factor failed, or its pair's true
     residual exceeded a tenth of the inner tolerance) leaves the next one to
     try BiCGStab again.  ``counts`` sums the ``counts`` of every solve made.
-    A problem with its own zeroth term raises ``ValueError``: c ≡ -alpha here.
     """
-    if p.zeroth is not None:
-        raise ValueError("the problem carries its own zeroth-order term, not c ≡ -alpha")
     inner_tol = solver_tol if solver_tol is not None else tol
     ops = {R: _operator(p, domain, R, None) for R in domain.radii}
     final_op = ops[domain.radii[-1]]

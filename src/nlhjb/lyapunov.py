@@ -92,13 +92,15 @@ def evaluate_lyapunov_drift(p: ControlProblem, grid: Grid,
     No zeroth-order term enters: the condition is on the generator alone.
     Drift and local parts use the analytic gradient and Hessian carried by the
     Lyapunov data; no numerical differentiation enters the certificate.
-    ``q`` may be ``None`` only when ``p.has_jumps`` is false, as in assembly.
+    ``q`` may be ``None`` only when ``p.has_jumps`` is false, and must fit, as in assembly.
     """
     ly = p.lyapunov
     if ly is None:
         raise ValueError("problem carries no Lyapunov data")
     if p.has_jumps and q is None:
         raise ValueError("problem has jump terms but no quadrature was given")
+    if q is not None:
+        q.check_fit(grid, p.jump_order)
     x = grid.nodes
     gV = np.asarray(ly.grad_V(x), dtype=float).reshape(grid.n_nodes, grid.d)
     H = np.asarray(ly.hess_V(x), dtype=float) if p.mixed is not None else None

@@ -233,7 +233,11 @@ class DiscreteOperator:
         return FrozenSystem(self, policy)
 
     def with_alpha(self, alpha: float) -> "DiscreteOperator":
-        """Same dynamics with the discounted zeroth term c ≡ -alpha."""
+        """Same dynamics with c ≡ -alpha, the one way to discount (else ``ValueError``)."""
+        if self.problem.zeroth is not None:
+            raise ValueError(f"alpha={alpha} given; the problem carries its own zeroth-order term")
+        if not np.isfinite(alpha) or alpha < 0:
+            raise ValueError(f"alpha={alpha} must be finite and >= 0")
         return dataclasses.replace(self, c=np.full(self.c.shape, -float(alpha)))
 
     def c_floor(self) -> float:
@@ -412,12 +416,6 @@ def apply_inf(op: DiscreteOperator, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
 # assembly
 
 
-def _axis_unit(d: int, axis: int) -> np.ndarray:
-    e = np.zeros(d, dtype=np.int64)
-    e[axis] = 1
-    return e
-
-
 class _Workspace:
     """Lattice targets, exterior data and tail data for one (grid, quadrature, data)."""
 
@@ -461,8 +459,7 @@ def _exterior(ext: ScalarField | None, x: np.ndarray) -> np.ndarray:
 def _tail_ext(grid: Grid, q: JumpQuadrature, ext: ScalarField | None) -> list[np.ndarray]:
     """Exterior data at the two tail probes of each axis, summed per node."""
     out = []
-    for axis in range(grid.d):
-        probe = q.tail_probe_radius * _axis_unit(grid.d, axis).astype(float)
+    for probe in q.tail_probe_radius * np.eye(grid.d):
         out.append(_exterior(ext, grid.nodes + probe) + _exterior(ext, grid.nodes - probe))
     return out
 
@@ -510,10 +507,6 @@ class _StencilBuilder:
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _kernel_values(kern, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.asarray(kern(x, y), dtype=float)
-
-
 def _check_band(kv: np.ndarray, spec: KernelSpec, label: str, x: np.ndarray,
                 y: np.ndarray | None = None) -> None:
     """Reject kernel values outside the ellipticity band [(2-2s)λ, (2-2s)Λ].
@@ -546,11 +539,11 @@ def _checked_kernel_values(kern, spec: KernelSpec, label: str, x: np.ndarray,
     naming the control, ``x`` and ``y``.  Values that are not all finite are
     left to the stencil check (:func:`_check_monotone`), which names them.
     """
-    kv = _kernel_values(kern, x[:, None, :], y[None, :, :])
+    kv = np.asarray(kern(x[:, None, :], y[None, :, :]), dtype=float)
     if not np.all(np.isfinite(kv)):
         return kv
     _check_band(kv, spec, label, x, y)
-    mirror = _kernel_values(kern, x[:, None, :], -y[None, :, :])
+    mirror = np.asarray(kern(x[:, None, :], -y[None, :, :]), dtype=float)
     gap = spec.asymmetry(kv, mirror)
     if gap.max(initial=0.0) > spec.band()[2]:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
@@ -576,8 +569,7 @@ def _assemble_jump(bld: _StencilBuilder, kern, spec: KernelSpec, label: str) -> 
 
 def _assemble_drift(bld: _StencilBuilder, b: np.ndarray) -> None:
     grid = bld.ws.grid
-    for axis in range(grid.d):
-        e = _axis_unit(grid.d, axis)
+    for axis, e in enumerate(np.eye(grid.d, dtype=np.int64)):
         bp = np.maximum(b[:, axis], 0.0) / grid.hx
         bm = np.maximum(-b[:, axis], 0.0) / grid.hx
         bld.add(bp, e)
@@ -597,8 +589,8 @@ def _assemble_local(bld: _StencilBuilder, a: np.ndarray, label: str) -> None:
         raise MonotonicityError(
             f"local matrix for control {label} not diagonally dominant "
             f"at node {tuple(grid.nodes[i].tolist())}")
-    for axis in range(grid.d):
-        bld.pair(dominance[:, axis] / h2, _axis_unit(grid.d, axis))
+    for axis, e in enumerate(np.eye(grid.d, dtype=np.int64)):
+        bld.pair(dominance[:, axis] / h2, e)
     if grid.d == 2:
         for sign, mask in ((+1, a12 >= 0), (-1, a12 < 0)):
             if np.any(mask):   # δ along the diagonal carries 1/h²
@@ -613,7 +605,7 @@ def _assemble_levy(bld: _StencilBuilder, kern) -> np.ndarray:
     beta = np.zeros((grid.n_nodes, grid.d))
     for z in (q.half_lattice, -q.half_lattice):
         y = z * grid.hx
-        w = celld * _kernel_values(kern, x[:, None, :], y[None, :, :])
+        w = celld * np.asarray(kern(x[:, None, :], y[None, :, :]), dtype=float)
         bld.add(w, z)
         bld.diag -= w.sum(axis=1)
         inside = np.linalg.norm(y, axis=1) <= _COMPENSATOR_RADIUS
@@ -624,10 +616,10 @@ def _assemble_levy(bld: _StencilBuilder, kern) -> np.ndarray:
     sub = np.stack(np.meshgrid(*[t * grid.hx] * grid.d, indexing="ij"),
                    axis=-1).reshape(-1, grid.d)
     area = (grid.hx / qsub) ** grid.d
-    k0 = _kernel_values(kern, x[:, None, :], sub[None, :, :])
-    for axis in range(grid.d):
+    k0 = np.asarray(kern(x[:, None, :], sub[None, :, :]), dtype=float)
+    for axis, e in enumerate(np.eye(grid.d, dtype=np.int64)):
         coef = 0.5 * (k0 * sub[None, :, axis] ** 2).sum(axis=1) * area / grid.hx**2
-        bld.pair(coef, _axis_unit(grid.d, axis))
+        bld.pair(coef, e)
     return beta
 
 
@@ -721,25 +713,25 @@ def _stencils(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
 
 
 def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
-             ext: ScalarField | None, alpha: float | None = None) -> DiscreteOperator:
+             ext: ScalarField | None) -> DiscreteOperator:
     """Assemble the stacked monotone stencils of L_tau + c_tau (:class:`DiscreteOperator`).
 
     ``ext`` is the exterior data, a vectorised scalar field or ``None`` for zero
-    data.  ``alpha`` installs c ≡ -alpha and raises ``ValueError`` when the problem
-    carries its own zeroth term.  Monotonicity violations raise with the offending
-    node, control and offset.  ``q`` may be ``None`` only for problems without
-    a jump kernel or Lévy part.  Kernels that read no y, without mixed
-    parts, give an operator with an FFT jump part (see the module
-    docstring); there a negative or non-finite kernel value raises with the
-    control and node.  On either path a kernel value outside
-    [(2-2s)λ, (2-2s)Λ] raises ``ValueError`` with the control and the point,
-    and so does a zeroth-order term or constant (running cost plus exterior
-    data) that is not finite, with the control and the node.
+    data.  c is the problem's zeroth term, else 0 (``with_alpha`` discounts).
+    Monotonicity violations raise with the offending node, control and offset.
+    ``q``, which must fit (:meth:`~nlhjb.quadrature.JumpQuadrature.check_fit`),
+    may be ``None`` only for problems without a jump kernel or Lévy part.
+    Kernels that read no y, without mixed parts, give an operator with an FFT
+    jump part (see the module docstring); there a negative or non-finite kernel
+    value raises with the control and node.  On either path a kernel value
+    outside [(2-2s)λ, (2-2s)Λ] raises ``ValueError`` with the control and the
+    point, and so does a zeroth-order term or constant (running cost plus
+    exterior data) that is not finite, with the control and the node.
     """
     if p.has_jumps and q is None:
         raise ValueError("problem has jump terms but no quadrature was given")
-    if alpha is not None and p.zeroth is not None:
-        raise ValueError(f"alpha={alpha} given for a problem with its own zeroth-order term")
+    if q is not None:
+        q.check_fit(grid, p.jump_order)
     factors = _node_factors(p, grid)
     base, const = _stencils(p, grid, q, ext, matrix_free=factors is not None)
     jump = None
@@ -750,8 +742,7 @@ def assemble(p: ControlProblem, grid: Grid, q: JumpQuadrature | None,
             raise MonotonicityError(f"negative jump weight {w.min():.3e}")
         const += factors * conv.exterior(ext)
         jump = _MatrixFreeJump(conv=conv, scale=factors, ext=ext)
-    c = (_node_values(p.zeroth, grid) if p.zeroth is not None
-         else np.full(const.shape, 0.0 if alpha is None else -float(alpha)))
+    c = _node_values(p.zeroth, grid) if p.zeroth is not None else np.zeros(const.shape)
     for what, vals in (("zeroth-order term", c), ("running cost plus exterior data", const)):
         _reject(vals, ~np.isfinite(vals), f"non-finite {what}", p.controls, grid)
     return DiscreteOperator(grid=grid, quadrature=q, problem=p,
@@ -781,10 +772,11 @@ def pucci_extremal(q: JumpQuadrature, grid: Grid, u: np.ndarray,
     class of the paper's ellipticity band.  Each elementary δ term (offset
     pair or lumped tail) is sign-split before weighting, so M⁻u ≤ I_k u ≤ M⁺u
     holds exactly in floating point for any admissible kernel when I_k u
-    sums the same terms in the same order.
+    sums the same terms in the same order.  ``q`` must fit ``grid``.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    q.check_fit(grid)
     fac = 2.0 - 2.0 * q.s
     hi, lo = (Lambda_ell, lambda_ell) if sign == "+" else (lambda_ell, Lambda_ell)
 

@@ -262,8 +262,10 @@ def validate_problem(p: ControlProblem, grid: Grid, q: JumpQuadrature) -> Valida
     kernels sampled at the offsets and tail probes of ``q``.
 
     Soft failures land in the report with witness points; malformed fields
-    (NaN, negative kernel or Lyapunov data) raise immediately.
+    (NaN, negative kernel or Lyapunov data) raise immediately, and so does a
+    ``q`` that does not fit (:meth:`~nlhjb.quadrature.JumpQuadrature.check_fit`).
     """
+    q.check_fit(grid, p.jump_order)
     xs = _sample(grid.nodes, 128)
     ys = _sample(q.half_offsets, 128)
     checks: list[CheckResult] = []

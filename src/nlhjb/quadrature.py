@@ -51,6 +51,15 @@ class JumpQuadrature:
     def n_offsets(self) -> int:
         return self.half_offsets.shape[0]
 
+    def check_fit(self, grid: Grid, s: float | None = None) -> None:
+        """Raise ``ValueError`` unless this quadrature was built for ``grid``
+        (same d and hx, R_far >= R + 1) and, when given, the order ``s``."""
+        if (self.d, self.hx) != (grid.d, grid.hx) or self.R_far < grid.R + 1.0:
+            raise ValueError(f"quadrature (d={self.d}, hx={self.hx}, R_far={self.R_far}) does "
+                             f"not fit the grid (d={grid.d}, hx={grid.hx}, R={grid.R})")
+        if s is not None and s != self.s:
+            raise ValueError(f"quadrature of order s={self.s} used for order {s}")
+
     @property
     def kernel_points(self) -> np.ndarray:
         """Every y at which the scheme reads a kernel: the half offsets, then

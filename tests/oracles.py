@@ -35,8 +35,7 @@ from scipy.special import gamma
 from nlhjb.ergodic import (AlphaSchedule, DomainConfig, ErgodicSolution,
                            _window_indices, vanishing_discount)
 from nlhjb.grid import Grid
-from nlhjb.operators import (DiscreteOperator, _axis_unit, _delta_fields,
-                             _kernel_values, apply_inf)
+from nlhjb.operators import DiscreteOperator, _delta_fields, apply_inf
 from nlhjb.problem import ControlProblem, ScalarField, constant_kernel
 from nlhjb.quadrature import JumpQuadrature
 
@@ -329,11 +328,11 @@ def jump_apply_reference(q: JumpQuadrature, grid: Grid, u: np.ndarray,
     """Slow reference evaluation of the jump part, term order matching pucci."""
     dlt_off, dlt_tail = _delta_fields(grid, q, u, ext)
     x = grid.nodes
-    kv = _kernel_values(kern, x[:, None, :], q.half_offsets[None, :, :])
+    kv = np.asarray(kern(x[:, None, :], q.half_offsets[None, :, :]), dtype=float)
     out = np.sum(kv * (q.pair_weights[None, :] * dlt_off), axis=1)
     for axis in range(grid.d):
-        probe = _axis_unit(grid.d, axis).astype(float) * q.tail_probe_radius
-        kt = _kernel_values(kern, x, probe[None, :])
+        probe = np.eye(grid.d)[axis] * q.tail_probe_radius
+        kt = np.asarray(kern(x, probe[None, :]), dtype=float)
         out += kt * ((q.tail_mass / grid.d) * dlt_tail[:, axis])
     return out
 

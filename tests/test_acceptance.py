@@ -96,7 +96,7 @@ def test_criterion_03_oracle_equivalence():
         q = nl.build_quadrature(g, 0.75, 9.0)
         ext = None
         alpha = 0.35
-        op = nl.assemble(p, g, q, ext, alpha=alpha)
+        op = nl.assemble(p, g, q, ext).with_alpha(alpha)
         sol = nl.solve_policy_iteration(op, 1e-11)
         u = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=alpha),
                               tol=1e-11)
@@ -122,9 +122,9 @@ def test_criterion_04_comparison_monotonicity():
         g = nl.build_grid(1, 0.25, 6.0)
         q = nl.build_quadrature(g, 0.75, 7.0)
         ext = None
-        w1 = nl.solve_policy_iteration(nl.assemble(p1, g, q, ext, alpha=0.4),
+        w1 = nl.solve_policy_iteration(nl.assemble(p1, g, q, ext).with_alpha(0.4),
                                        1e-11).u
-        w2 = nl.solve_policy_iteration(nl.assemble(p2, g, q, ext, alpha=0.4),
+        w2 = nl.solve_policy_iteration(nl.assemble(p2, g, q, ext).with_alpha(0.4),
                                        1e-11).u
         worst = max(worst, float(np.max(w1 - w2)))
     ok = worst <= 1e-9
@@ -146,7 +146,7 @@ def test_criterion_05_barrier_and_m_bounds():
         for R in (8.0, 16.0, 32.0):
             g = nl.build_grid(1, 0.25, R)
             q = nl.build_quadrature(g, 0.9, R + 1.0)
-            op = nl.assemble(p, g, q, None, alpha=alpha)
+            op = nl.assemble(p, g, q, None).with_alpha(alpha)
             sol = nl.solve_policy_iteration(op, 1e-10)
             br = nl.check_barrier(sol, p, g, k0=cert.k0, c_floor=op.c_floor())
             m_ok = float(np.max(np.abs(sol.u))) <= sup_g / alpha + 1e-9

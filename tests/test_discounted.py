@@ -24,7 +24,7 @@ def setup(seed=1, s=0.75, hx=0.25, R=4.0, alpha=0.4, **kw):
     g = nl.build_grid(1, hx, R)
     q = nl.build_quadrature(g, s, R + 1.0)
     ext = None
-    op = nl.assemble(p, g, q, ext, alpha=alpha)
+    op = nl.assemble(p, g, q, ext).with_alpha(alpha)
     return p, g, q, ext, op
 
 
@@ -34,8 +34,7 @@ class TestPolicyIteration:
         p = nl.constant_cost_problem(kappa, 1)
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
-        op = nl.assemble(p, g, q, lambda x: kappa / alpha,
-                         alpha=alpha)
+        op = nl.assemble(p, g, q, lambda x: kappa / alpha).with_alpha(alpha)
         sol = nl.solve_policy_iteration(op, 1e-11)
         assert sol.converged
         np.testing.assert_allclose(sol.u, kappa / alpha, atol=1e-9)
@@ -45,7 +44,7 @@ class TestPolicyIteration:
         p0 = dataclasses.replace(
             p, cost=tuple(lambda x: np.zeros(np.asarray(x).shape[:-1])
                           for _ in p.controls))
-        op = nl.assemble(p0, g, q, ext, alpha=0.4)
+        op = nl.assemble(p0, g, q, ext).with_alpha(0.4)
         sol = nl.solve_policy_iteration(op, 1e-11)
         assert sol.converged
         assert np.max(np.abs(sol.u)) <= 1e-11
@@ -75,7 +74,7 @@ class TestPolicyIteration:
         kappa = 2.5
         p2 = dataclasses.replace(
             p, cost=tuple((lambda f: (lambda x: kappa * f(x)))(f) for f in p.cost))
-        op2 = nl.assemble(p2, g, q, ext, alpha=0.4)
+        op2 = nl.assemble(p2, g, q, ext).with_alpha(0.4)
         s1 = nl.solve_policy_iteration(op, 1e-12)
         s2 = nl.solve_policy_iteration(op2, 1e-12)
         np.testing.assert_allclose(s2.u, kappa * s1.u, atol=1e-9)
@@ -99,7 +98,7 @@ class TestPolicyIteration:
         bump = lambda x: 0.3 + 0.2 * np.cos(np.asarray(x, float)[..., 0])
         p2 = dataclasses.replace(
             p, cost=tuple((lambda f: (lambda x: f(x) + bump(x)))(f) for f in p.cost))
-        op2 = nl.assemble(p2, g, q, ext, alpha=0.4)
+        op2 = nl.assemble(p2, g, q, ext).with_alpha(0.4)
         w1 = nl.solve_policy_iteration(op1, 1e-11).u
         w2 = nl.solve_policy_iteration(op2, 1e-11).u
         assert np.all(w1 <= w2 + 1e-9)
@@ -124,7 +123,7 @@ def test_residual_is_recomputed_at_the_answer_bit_for_bit(d, max_iter):
     p = random_problem(4, d=d, s=0.75) if d == 1 else nl.power_drift_problem(1.6, 0.1, 2, 0.9)
     g = nl.build_grid(d, 0.25 if d == 1 else 0.5, 4.0)
     op = nl.assemble(p, g, nl.build_quadrature(g, 0.75 if d == 1 else 0.9, 5.0),
-                     None, alpha=0.4)
+                     None).with_alpha(0.4)
     sol = nl.solve_policy_iteration(op, 1e-12, max_iter=max_iter)
     vals, _ = nl.apply_inf(op, sol.u)
     assert sol.converged == (max_iter > 1)
@@ -165,8 +164,8 @@ def _frozen_operator(name):
         else:  # three controls with control-dependent zeroth terms, so no alpha
             p, g = random_problem(15, n_controls=3, c_floor=0.2), nl.build_grid(1, 0.25, 4.0)
             q = nl.build_quadrature(g, 0.75, 5.0)
-        alpha = None if p.zeroth is not None else 0.3
-        _FROZEN_OPS[name] = nl.assemble(p, g, q, None, alpha=alpha)
+        op = nl.assemble(p, g, q, None)
+        _FROZEN_OPS[name] = op if p.zeroth is not None else op.with_alpha(0.3)
     return _FROZEN_OPS[name]
 
 
@@ -222,13 +221,13 @@ class TestFrozenPolicySystem:
 class TestBorderedElimination:
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(["power_drift_1d", "power_drift_2d",
-                                 "local_identity_2d", "random_zeroth_1d"]),
+                                 "local_identity_2d", "xy_kernel_2d"]),
            alpha=st.floats(1e-6, 0.5) | st.just(0.0), data=st.data())
     def test_matches_augmented_solve(self, name, alpha, data):
         # the direct path, forced here by a failing Krylov solve, is one LU
         # of the bordered system (A with its origin column set to -1); the
         # reference solves the augmented (N+1)-order system.
-        # random_zeroth_1d has a kernel that reads y.  alpha = 0 is drawn
+        # xy_kernel_2d has kernels that read y.  alpha = 0 is drawn
         # for the operators with a jump part, whose leak to the exterior
         # keeps -A a nonsingular M-matrix there
         assume(alpha > 0 or name != "local_identity_2d")
@@ -338,6 +337,64 @@ class TestNormalized:
         assert seen[-1][1] == got.m
         assert abs(got.m - want.m) <= 1e-10
         assert float(np.max(np.abs(got.u - want.u))) <= 1e-10
+
+
+_GATE_DOMAIN = nl.DomainConfig(d=1, hx=0.25, radii=(4.0,))
+
+
+def _gate_operator(p):
+    g = nl.build_grid(1, 0.25, 4.0)
+    return nl.assemble(p, g, nl.build_quadrature(g, p.jump_order, 5.0), None)
+
+
+# every entry point that discounts, as (problem, alpha) -> result; each
+# reaches DiscreteOperator.with_alpha, but vanishing_discount's schedule
+# rejects a bad alpha before that
+_DISCOUNTS = {
+    "with_alpha": lambda p, a: _gate_operator(p).with_alpha(a),
+    "solve_normalized": lambda p, a: nl.solve_normalized(_gate_operator(p), a, 1e-8),
+    "expand_domain": lambda p, a: nl.expand_domain(p, a, _GATE_DOMAIN, 1e-8),
+    "vanishing_discount": lambda p, a: nl.vanishing_discount(
+        p, _GATE_DOMAIN, nl.AlphaSchedule(explicit=(a,)), 1e-8),
+}
+
+
+class TestDiscountGate:
+    @pytest.mark.parametrize("entry", sorted(_DISCOUNTS))
+    @pytest.mark.parametrize("alpha", [-0.5, np.inf, np.nan])
+    def test_alpha_negative_or_not_finite_is_rejected(self, entry, alpha):
+        match = "values must be" if entry == "vanishing_discount" else "must be finite and >= 0"
+        with pytest.raises(ValueError, match=match):
+            _DISCOUNTS[entry](random_problem(3), alpha)
+
+    @pytest.mark.parametrize("entry", sorted(_DISCOUNTS))
+    def test_problem_with_its_own_zeroth_term_is_rejected(self, entry):
+        # c ≡ -alpha would silently replace the problem's c <= -2
+        with pytest.raises(ValueError, match=r"alpha=0\.3 given.* own zeroth-order term"):
+            _DISCOUNTS[entry](random_problem(3, c_floor=2.0), 0.3)
+
+    def test_alpha_zero_is_accepted(self):
+        op = _gate_operator(random_problem(3)).with_alpha(0.0)
+        assert np.all(op.c == 0.0)
+        sol = nl.solve_normalized(op, 0.0, 1e-10)
+        assert sol.converged and sol.u[op.grid.origin_index] == 0.0
+
+    @pytest.mark.parametrize("kind", ["fft", "csr"])
+    def test_constant_zeroth_term_is_the_same_discount(self, kind):
+        # the two discount sources of a discounted run (a problem's c ≡ -alpha
+        # and with_alpha) give the same operator and the same solve, bit for bit
+        alpha = 0.5
+        p = (nl.power_drift_problem(1.6, 0.1, 1, 0.9) if kind == "fft"
+             else random_problem(3, s=0.9))
+        p_c = dataclasses.replace(
+            p, zeroth=(lambda x: np.full(np.shape(x)[:-1], -alpha),) * p.n_controls)
+        a, b = _gate_operator(p_c), _gate_operator(p).with_alpha(alpha)
+        assert (a.jump is None) == (kind == "csr")
+        for x, y in ((a.c, b.c), (a.const, b.const), (a.base.indptr, b.base.indptr),
+                     (a.base.indices, b.base.indices), (a.base.data, b.base.data)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        sa, sb = nl.solve_policy_iteration(a, 1e-10), nl.solve_policy_iteration(b, 1e-10)
+        assert sa.converged and np.array_equal(sa.u, sb.u) and sa.trace == sb.trace
 
 
 class TestBarrier:

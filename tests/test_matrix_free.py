@@ -90,7 +90,7 @@ def fast_operators(draw):
     p = constant_kernel_problem(seed, d, s, kvals, x_only=xs)
     g = nl.build_grid(d, hx, R)
     q = nl.build_quadrature(g, s, R + margin, reg)
-    op = nl.assemble(p, g, q, exterior_data(kind, seed, d), alpha=0.4)
+    op = nl.assemble(p, g, q, exterior_data(kind, seed, d)).with_alpha(0.4)
     return op, seed
 
 
@@ -125,7 +125,7 @@ def csr_operators(draw):
         p = dataclasses.replace(p, mixed=nl.MixedSpec(
             a=p.mixed.a, levy_kernel=levy, levy_majorant=lambda y: levy(y, y)))
     ext = exterior_data(draw(st.sampled_from(["zero", "constant", "function"])), seed, d)
-    op = nl.assemble(p, g, q, ext, alpha=0.4)
+    op = nl.assemble(p, g, q, ext).with_alpha(0.4)
     assert op.jump is None
     return op, seed
 
@@ -169,7 +169,7 @@ class TestOperatorOracle:
         p = random_problem(3, vary_kernel=True)
         g = nl.build_grid(1, 0.25, 3.0)
         q = nl.build_quadrature(g, 0.75, 4.0)
-        op = nl.assemble(p, g, q, None, alpha=0.4)
+        op = nl.assemble(p, g, q, None).with_alpha(0.4)
         assert op.jump is None and op.csr() is op
 
     def test_negative_kernel_rejected(self):
@@ -177,7 +177,7 @@ class TestOperatorOracle:
         g = nl.build_grid(1, 0.25, 2.0)
         q = nl.build_quadrature(g, 0.75, 3.0)
         with pytest.raises(nl.MonotonicityError, match="tau1"):
-            nl.assemble(p, g, q, None, alpha=0.4)
+            nl.assemble(p, g, q, None).with_alpha(0.4)
 
 
 class TestKernelFactors:
@@ -191,7 +191,7 @@ class TestKernelFactors:
                                     kernel=nl.KernelSpec(0.75, 0.5, 1.5, k=(kern,)))
             g = nl.build_grid(2, 0.5, 2.0)
             op = nl.assemble(p, g, nl.build_quadrature(g, 0.75, 3.0),
-                             None, alpha=0.4)
+                             None).with_alpha(0.4)
             assert op.jump is None
 
     @pytest.mark.parametrize("kern, message", [
@@ -213,7 +213,7 @@ class TestKernelFactors:
         q = nl.build_quadrature(g, 0.75, 3.0)
         with np.errstate(invalid="ignore"), pytest.raises(nl.MonotonicityError,
                                                           match=message):
-            nl.assemble(p, g, q, None, alpha=0.4)
+            nl.assemble(p, g, q, None).with_alpha(0.4)
 
 
 class TestSolves:
@@ -254,7 +254,7 @@ class TestSolves:
         g = nl.build_grid(1, 0.5, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
         ext = None
-        op = nl.assemble(p, g, q, ext, alpha=0.5)
+        op = nl.assemble(p, g, q, ext).with_alpha(0.5)
         assert op.jump is not None
         s1 = nl.solve_policy_iteration(op, 1e-11)
         w = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.5), tol=1e-11)
@@ -268,7 +268,7 @@ class TestSolves:
         p = constant_kernel_problem(2, 1, s, [k * (2 - 2 * s) for k in (0.6, 0.9, 1.3)])
         g = nl.build_grid(1, 0.125, 0.75)
         q = nl.build_quadrature(g, s, 2.25)
-        op = nl.assemble(p, g, q, exterior_data("function", 2, 1), alpha=0.4)
+        op = nl.assemble(p, g, q, exterior_data("function", 2, 1)).with_alpha(0.4)
         assert float(np.max(np.abs(op.const))) > 10.0
         for o in (op, op.csr()):
             sol = nl.solve_policy_iteration(o, 1e-9)
@@ -281,7 +281,7 @@ class TestSolves:
         p = constant_kernel_problem(7, 2, 0.8, [0.3, 0.5])
         g = nl.build_grid(2, 0.5, 2.5)
         q = nl.build_quadrature(g, 0.8, 3.5)
-        op = nl.assemble(p, g, q, None, alpha=0.4)
+        op = nl.assemble(p, g, q, None).with_alpha(0.4)
         want = nl.solve_policy_iteration(op, 1e-11)
         assert want.counts.linear_solves["splu"] == 0
         assert op.jump.stencils is None

@@ -18,7 +18,7 @@ def small_setup(seed=1, s=0.75, d=1, hx=0.25, R=4.0, alpha=0.4, **kw):
     g = nl.build_grid(d, hx, R)
     q = nl.build_quadrature(g, s, R + 1.0)
     ext = None
-    op = nl.assemble(p, g, q, ext, alpha=alpha)
+    op = nl.assemble(p, g, q, ext).with_alpha(alpha)
     return p, g, q, ext, op
 
 
@@ -64,7 +64,7 @@ class TestAssembledInvariants:
         # extending the same constant outside turns the change into exactly c*kappa
         p, g, q, _, op0 = small_setup(seed=2)
         kappa = 1.7
-        op1 = nl.assemble(p, g, q, lambda x: kappa, alpha=0.4)
+        op1 = nl.assemble(p, g, q, lambda x: kappa).with_alpha(0.4)
         u = np.zeros(g.n_nodes)
         for t in range(2):
             change = (apply_control(op1, t, u + kappa)
@@ -88,7 +88,7 @@ class TestAssembledInvariants:
         pj = dataclasses.replace(
             pj, drift=tuple(lambda x: np.zeros_like(np.asarray(x, float))
                             for _ in pj.controls))
-        opj = nl.assemble(pj, g, q, ext, alpha=0.4)
+        opj = nl.assemble(pj, g, q, ext).with_alpha(0.4)
         row = stencil_matrix(opj, 0).getrow(i0).toarray().ravel()
         for j in range(g.n_nodes):
             j_mirror = g.node_index_of_lattice(-g.lattice[j][None, :])[0]
@@ -149,7 +149,7 @@ class TestAssembledInvariants:
         g = nl.build_grid(1, 2.0**-7, 30.0)
         q = nl.build_quadrature(g, 0.75, 64.0)
         with pytest.raises(MemoryError):
-            nl.assemble(p, g, q, None, alpha=0.5)
+            nl.assemble(p, g, q, None).with_alpha(0.5)
 
     def test_constant_kernel_beyond_stencil_cap_builds_and_applies(self):
         # same size as the memory guard: the FFT jump part needs no stencils,
@@ -158,7 +158,7 @@ class TestAssembledInvariants:
         g = nl.build_grid(1, 2.0**-7, 30.0)
         q = nl.build_quadrature(g, 0.75, 64.0)
         assert g.n_nodes * q.n_offsets > 3e7
-        op = nl.assemble(p, g, q, None, alpha=0.5)
+        op = nl.assemble(p, g, q, None).with_alpha(0.5)
         ones = np.ones(g.n_nodes)
         vals = apply_control(op, 0, ones)
         assert np.all(np.isfinite(vals))
@@ -188,11 +188,10 @@ class TestAssembledInvariants:
         witness = r"y=\(" if where == "offsets" else rf"y=\({q.tail_probe_radius}, 0\.0\)"
         with pytest.raises(ValueError, match=r"control tau0 is not symmetric in y.*"
                                              r"x=\(.*\), " + witness):
-            nl.assemble(p, g, q, None, alpha=0.5)
+            nl.assemble(p, g, q, None).with_alpha(0.5)
         # its even part is accepted
         even = dataclasses.replace(p.kernel, k=lambda x, y: 0.5 * (kern(x, y) + kern(x, -y)))
-        nl.assemble(dataclasses.replace(p, kernel=even), g, q, None,
-                    alpha=0.5)
+        nl.assemble(dataclasses.replace(p, kernel=even), g, q, None).with_alpha(0.5)
 
     @pytest.mark.parametrize("path", ["fft", "csr"])
     @pytest.mark.parametrize("excess, inside", [(2.0, False), (0.5, True)])
@@ -216,10 +215,10 @@ class TestAssembledInvariants:
         q = nl.build_quadrature(g, 0.75, 5.0)
         assert nl.validate_problem(p, g, q).check("kernel-bounds").passed == inside
         if inside:
-            nl.assemble(p, g, q, None, alpha=0.5)
+            nl.assemble(p, g, q, None).with_alpha(0.5)
         else:
             with pytest.raises(ValueError, match=r"control tau0 .* lies outside"):
-                nl.assemble(p, g, q, None, alpha=0.5)
+                nl.assemble(p, g, q, None).with_alpha(0.5)
 
 
 class TestApply:
@@ -275,7 +274,7 @@ class TestExteriorData:
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, 0.75, 5.0)
         with pytest.raises(ValueError, match=r"alpha=0\.3 .* own zeroth-order term"):
-            nl.assemble(p, g, q, None, alpha=0.3)
+            nl.assemble(p, g, q, None).with_alpha(0.3)
 
 
 class TestApplyInf:
@@ -284,7 +283,7 @@ class TestApplyInf:
         import dataclasses
         p1 = dataclasses.replace(p, controls=("only",), drift=p.drift[:1],
                                  cost=p.cost[:1])
-        op = nl.assemble(p1, g, q, ext, alpha=0.4)
+        op = nl.assemble(p1, g, q, ext).with_alpha(0.4)
         u = np.random.default_rng(2).normal(size=g.n_nodes)
         vals, policy = nl.apply_inf(op, u)
         np.testing.assert_array_equal(policy, 0)
@@ -297,7 +296,7 @@ class TestApplyInf:
         g1 = p.cost[0]
         p2 = dataclasses.replace(p, drift=(p.drift[0], p.drift[0]),
                                  cost=(g1, lambda x: g1(x) + 1.0))
-        op = nl.assemble(p2, g, q, ext, alpha=0.4)
+        op = nl.assemble(p2, g, q, ext).with_alpha(0.4)
         u = np.random.default_rng(3).normal(size=g.n_nodes)
         _, policy = nl.apply_inf(op, u)
         np.testing.assert_array_equal(policy, 0)
@@ -314,7 +313,7 @@ class TestApplyInf:
             cost=(lambda x: np.zeros(np.asarray(x).shape[:-1]),) * 2)
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, s, 5.0)
-        op = nl.assemble(p, g, q, lambda x: x[..., 0], alpha=0.4)
+        op = nl.assemble(p, g, q, lambda x: x[..., 0]).with_alpha(0.4)
         u = g.nodes[:, 0]
         vals, policy = nl.apply_inf(op, u)
         # each control per node: jump part identical; b=-1 gives -du/dx = -1,
@@ -330,7 +329,7 @@ class TestMixed:
             p, drift=tuple(lambda x: np.zeros_like(np.asarray(x, float))
                            for _ in p.controls))
         g = nl.build_grid(1, 0.5, 4.0)
-        op = nl.assemble(p, g, None, None, alpha=0.3)
+        op = nl.assemble(p, g, None, None).with_alpha(0.3)
         m = op.base[:g.n_nodes].toarray()
         i = g.origin_index
         h2 = g.hx**2
@@ -352,7 +351,7 @@ class TestMixed:
         p = dataclasses.replace(p, mixed=nl.MixedSpec(a=a_bad))
         g = nl.build_grid(2, 0.5, 4.0)
         with pytest.raises(nl.MonotonicityError, match="dominant"):
-            nl.assemble(p, g, None, None, alpha=0.3)
+            nl.assemble(p, g, None, None).with_alpha(0.3)
 
     def test_negative_weight_error_names_the_most_negative_entry(self):
         # the Lévy kernel is -5 exp(-|y|) for x1 > 2 and -0.1 exp(-|y|)
@@ -366,8 +365,7 @@ class TestMixed:
         p = dataclasses.replace(p, mixed=nl.MixedSpec(a=p.mixed.a, levy_kernel=levy))
         g = nl.build_grid(1, 0.5, 4.0)
         with pytest.raises(nl.MonotonicityError) as err:
-            nl.assemble(p, g, nl.build_quadrature(g, 0.75, 5.0), None,
-                        alpha=0.5)
+            nl.assemble(p, g, nl.build_quadrature(g, 0.75, 5.0), None).with_alpha(0.5)
         node = re.search(r"at node \(([-\d.]+),\)", str(err.value))
         assert node is not None and float(node.group(1)) > 2
 
@@ -388,7 +386,7 @@ class TestMixed:
             * np.linalg.norm(y, axis=-1) ** (-1.2)))
         g = nl.build_grid(1, 0.25, 4.0)
         q = nl.build_quadrature(g, s, 5.0)
-        op = nl.assemble(p, g, q, lambda x: 2.5, alpha=0.3)
+        op = nl.assemble(p, g, q, lambda x: 2.5).with_alpha(0.3)
         u = np.full(g.n_nodes, 2.5)
         got = apply_control(op, 0, u)
         np.testing.assert_allclose(got, -0.3 * 2.5, atol=1e-10)
@@ -403,7 +401,7 @@ class TestMixed:
                 levy_kernel=lambda x, y: np.exp(-np.abs(y[..., 0])) + 0.0 * x[..., 0]))
         g = nl.build_grid(1, 0.5, 4.0)
         with pytest.raises(ValueError, match="^problem has jump terms but no quadrature was given$"):
-            nl.assemble(p, g, None, None, alpha=0.5)
+            nl.assemble(p, g, None, None).with_alpha(0.5)
 
 
 class TestPucci:
@@ -484,7 +482,7 @@ class TestComparisonAndDump:
         # subsolution below supersolution outside stays below inside
         p, g, q, ext, op = small_setup(seed=11, alpha=0.5, vary_kernel=False)
         solv = nl.solve_policy_iteration(op, 1e-11)
-        op_low = nl.assemble(p, g, q, lambda x: -1.0, alpha=0.5)
+        op_low = nl.assemble(p, g, q, lambda x: -1.0).with_alpha(0.5)
         solu = nl.solve_policy_iteration(op_low, 1e-11)
         assert np.all(solv.u >= solu.u - 1e-9)
 
@@ -529,7 +527,7 @@ def golden_2d_operator():
     g = nl.build_grid(2, 1.0, 2.0)
     q = nl.build_quadrature(g, 0.75, 3.0)
     ext = lambda x: 0.1 * x[..., 0] + 0.05 * np.linalg.norm(x, axis=-1)
-    return nl.assemble(p, g, q, ext, alpha=0.5)
+    return nl.assemble(p, g, q, ext).with_alpha(0.5)
 
 
 class TestGoldenStencil:
@@ -599,7 +597,7 @@ class TestTwoDimensional:
         g = nl.build_grid(2, 0.5, 1.6)   # 13 nodes
         q = nl.build_quadrature(g, 0.8, 2.6)
         ext = None
-        op = nl.assemble(p, g, q, ext, alpha=0.4)
+        op = nl.assemble(p, g, q, ext).with_alpha(0.4)
         oracles = build_dense_oracles(p, g, q, ext, alpha=0.4)
         for t in range(2):
             np.testing.assert_allclose(stencil_matrix(op, t).toarray(),
@@ -613,7 +611,7 @@ class TestTwoDimensional:
         g = nl.build_grid(2, 0.5, 1.6)
         q = nl.build_quadrature(g, 0.8, 2.6)
         ext = None
-        op = nl.assemble(p, g, q, ext, alpha=0.5)
+        op = nl.assemble(p, g, q, ext).with_alpha(0.5)
         sol = nl.solve_policy_iteration(op, 1e-11)
         u = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.5),
                               tol=1e-12)
@@ -666,7 +664,7 @@ class TestTwoDimensional:
             * np.linalg.norm(y, axis=-1) ** (-2.5)))
         g = nl.build_grid(2, 0.5, 2.0)
         q = nl.build_quadrature(g, 0.75, 3.0)
-        op = nl.assemble(p, g, q, lambda x: 1.3, alpha=0.4)
+        op = nl.assemble(p, g, q, lambda x: 1.3).with_alpha(0.4)
         u = np.full(g.n_nodes, 1.3)
         got = apply_control(op, 0, u)
         np.testing.assert_allclose(got, -0.4 * 1.3, atol=1e-10)

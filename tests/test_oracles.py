@@ -70,7 +70,7 @@ class TestDenseOracle:
         g = nl.build_grid(1, 0.25, 4.0)   # 33 nodes
         q = nl.build_quadrature(g, 0.75, 5.0)
         ext = None
-        op = nl.assemble(p, g, q, ext, alpha=0.35)
+        op = nl.assemble(p, g, q, ext).with_alpha(0.35)
         sol = nl.solve_policy_iteration(op, 1e-11)
         u = dense_fixed_point(build_dense_oracles(p, g, q, ext, alpha=0.35),
                               tol=1e-12)

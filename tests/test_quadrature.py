@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlhjb as nl
 from nlhjb import build_grid, build_quadrature
 from nlhjb.quadrature import _cell_masses_1d
 
@@ -65,6 +66,33 @@ def test_build_rejections():
         build_quadrature(g, 0.4, 16.0)
     with pytest.raises(ValueError):
         build_quadrature(g, 0.75, 8.5)  # tail would clip reachable exterior
+
+
+def _misfits():
+    """(problem, grid, quadrature) where q was built for another grid or order."""
+    p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
+    g = build_grid(1, 0.25, 4.0)
+    q = build_quadrature(g, 0.9, 5.0)
+    return {"hx": (p, build_grid(1, 0.5, 4.0), q),              # coarser grid
+            "R": (p, build_grid(1, 0.25, 8.0), q),              # R_far 5 < R + 1
+            "d": (nl.power_drift_problem(1.6, 0.1, 2, 0.9), build_grid(2, 0.25, 4.0), q),
+            "s": (p, g, build_quadrature(g, 0.6, 5.0))}         # order 0.6, kernel 0.9
+
+
+@pytest.mark.parametrize("misfit", ["hx", "R", "d", "s"])
+def test_quadrature_must_fit_its_grid_and_order(misfit):
+    # each was silently trusted: a wrong answer flagged converged, a
+    # truncated jump part, or a Lyapunov certificate flipped to ok
+    p, g, q = _misfits()[misfit]
+    match = "order" if misfit == "s" else "does not fit"
+    for use in (lambda: nl.assemble(p, g, q, None),
+                lambda: nl.evaluate_lyapunov_drift(p, g, q),
+                lambda: nl.validate_problem(p, g, q)):
+        with pytest.raises(ValueError, match=match):
+            use()
+    if misfit != "s":   # the Pucci envelopes take no problem
+        with pytest.raises(ValueError, match=match):
+            nl.pucci_extremal(q, g, np.zeros(g.n_nodes), None, "+", 0.9, 1.1)
 
 
 @settings(max_examples=20, deadline=None)
