@@ -60,11 +60,15 @@ class HowardSolution:
     u: np.ndarray
     m: float
     policy: np.ndarray
-    iterations: int
     converged: bool
     trace: list[tuple[int, float, int]]
     monotone_violation: float
     counts: SolveCounts
+
+    @property
+    def iterations(self) -> int:
+        """The number of Howard steps, ``len(trace)``."""
+        return len(self.trace)
 
     @property
     def residual_inf_norm(self) -> float:
@@ -79,78 +83,65 @@ def _policy_improvement(vals: np.ndarray, old_policy: np.ndarray,
     return float(np.max(cur - vmin))
 
 
-def _krylov(A, b: np.ndarray, target: float, rule: float, maxiter: int,
-            x0: np.ndarray | None = None,
-            counts: SolveCounts | None = None) -> np.ndarray | None:
-    """Preconditioned BiCGStab to an absolute sup residual ``target``.
-
-    ``A`` (a :class:`FrozenSystem` or its bordered form) supplies its own
-    ``preconditioner()``: :meth:`FrozenSystem.preconditioner`, P^{-1} of the
-    policy's near field memoized on the operator, or its bordering.
-    Returns the answer when its true sup residual is at most ``rule``,
-    the caller's rule (``rule >= target``), and ``None`` otherwise, or when
-    the near-field factor fails.  BiCGStab's recurred residual can drift
-    from the true one, and at the round-off floor it can break down
-    (``info < 0``).  An answer that fails the rule and did not stop at the
-    cap (``info > 0``) is restarted once from itself, which resets the
-    drift, under the same ``maxiter``; an answer between ``target`` and
-    ``rule`` is kept as it is.  A run of k matvecs (two per iteration,
-    one for a stop at the half step) adds ceil(k/2) to
-    ``counts.krylov_iterations``.  BiCGStab applies the preconditioner once
-    before each matvec of its iterations and at no other time, so matvecs
-    are counted as preconditioner solves, leaving out the initial residual
-    of a warm start and the true-residual check here.
-    """
-    try:
-        P = spla.aslinearoperator(A.preconditioner())
-    except RuntimeError:
-        return None
-    solves = 0
-
-    def precondition(y):
-        nonlocal solves
-        solves += 1
-        return P._matvec(y)
-
-    M = spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
-    x = x0
-    for _ in range(2):
-        solves = 0
-        x, info = spla.bicgstab(A, b, x0=x, M=M, rtol=0.0, atol=target,
-                                maxiter=maxiter)
-        if counts is not None:
-            counts.krylov_iterations += -(-solves // 2)
-        r = float(np.max(np.abs(A._matvec(x) - b)))
-        if info > 0 or not r > rule:
-            break
-    return x if r <= rule else None
-
-
 def _solve(S, rhs: np.ndarray, rule: float, target: float, maxiter: int,
-           x0: np.ndarray | None = None,
-           counts: SolveCounts | None = None) -> tuple[np.ndarray, str]:
-    """``S x = rhs`` by :func:`_krylov` (target ``target``, cap ``maxiter``),
-    else by one sparse LU of ``S.tocsc()``; returns x and its solver tag.
+           x0: np.ndarray | None = None) -> tuple[np.ndarray, str, int]:
+    """``S x = rhs``, S a :class:`FrozenSystem` or its bordered form: the one
+    frozen-policy solve.  Returns x, its solver tag and its BiCGStab iterations.
 
-    ``S`` is a :class:`FrozenSystem` or its bordered form.  The BiCGStab
-    answer is kept (``"bicgstab"``) when its true sup residual is at most
-    ``rule``, a NaN failing; otherwise LU answers (``"splu"``).
+    BiCGStab from ``x0``, preconditioned by ``S.preconditioner()`` (P^{-1}
+    of the policy's near field, memoized on the operator, or its
+    bordering), to an absolute sup residual ``target`` under ``maxiter``.
+    Its answer is kept (``"bicgstab"``) when its true sup residual is at
+    most ``rule`` (``rule >= target``), a NaN failing.  BiCGStab's recurred
+    residual can drift from the true one, and at the round-off floor it can
+    break down (``info < 0``).  An answer that fails the rule and did not
+    stop at the cap (``info > 0``) is restarted once from itself, which
+    resets the drift, under the same ``maxiter``.  When the answer still
+    fails the rule, or the near-field factor fails (``RuntimeError``), one
+    sparse LU of ``S.tocsc()`` answers (``"splu"``).  A run of k matvecs (two per
+    iteration, one for a stop at the half step) counts ceil(k/2)
+    iterations.  BiCGStab applies the preconditioner once before each
+    matvec of its iterations and at no other time, so matvecs are counted
+    as preconditioner solves, leaving out the initial residual of a warm
+    start and the true-residual check here.
     """
-    x = _krylov(S, rhs, target, rule, maxiter, x0, counts)
-    if x is not None:
-        return x, "bicgstab"
-    return spla.spsolve(S.tocsc(), rhs), "splu"
+    iterations = 0
+    try:
+        P = spla.aslinearoperator(S.preconditioner())
+    except RuntimeError:
+        P = None
+    if P is not None:
+        solves = 0
+
+        def precondition(y):
+            nonlocal solves
+            solves += 1
+            return P._matvec(y)
+
+        M = spla.LinearOperator(S.shape, matvec=precondition, dtype=float)
+        x = x0
+        for _ in range(2):
+            solves = 0
+            x, info = spla.bicgstab(S, rhs, x0=x, M=M, rtol=0.0, atol=target,
+                                    maxiter=maxiter)
+            iterations += -(-solves // 2)
+            r = float(np.max(np.abs(S._matvec(x) - rhs)))
+            if info > 0 or not r > rule:
+                break
+        if r <= rule:
+            return x, "bicgstab", iterations
+    return spla.spsolve(S.tocsc(), rhs), "splu", iterations
 
 
 def _solve_bordered(A: FrozenSystem, rhs: np.ndarray, i0: int, atol: float,
-                    x0: np.ndarray | None = None,
-                    counts: SolveCounts | None = None) -> tuple[np.ndarray, float, str]:
-    """(v, m, tag) with A v - m = rhs, v[i0] = 0: :func:`_solve` on
-    ``A.bordered(i0)`` to ``atol``, target ``atol/100``, cap ceil(N/4), from
-    ``x0``.  As -A^{-1} >= 0, m is within the pair's residual of the exact m."""
+                    x0: np.ndarray | None = None) -> tuple[np.ndarray, float, str, int]:
+    """(v, m, tag, iterations) with A v - m = rhs, v[i0] = 0: :func:`_solve`
+    on ``A.bordered(i0)`` to ``atol``, target ``atol/100``, cap ceil(N/4),
+    from ``x0``.  As -A^{-1} >= 0, m is within the pair's residual of the
+    exact m."""
     B = A.bordered(i0)
-    x, tag = _solve(B, rhs, atol, atol / 100, -(-A.shape[0] // 4), x0, counts)
-    return *B.split(x), tag
+    x, tag, iterations = _solve(B, rhs, atol, atol / 100, -(-A.shape[0] // 4), x0)
+    return *B.split(x), tag, iterations
 
 
 def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
@@ -158,13 +149,14 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
             m0: float = 0.0) -> HowardSolution:
     """Howard loop: frozen-policy solve, then greedy policy improvement.
 
-    ``solve(A, rhs, x, m, counts)`` returns the frozen-policy solution, the
-    scalar shift m that the residual inf_tau(...) - m is measured against (0
-    for the plain discounted problem) and the solver tag, and adds its
-    BiCGStab iterations to ``counts``.  It starts from the current iterate
-    (x, m): the first step from (``x0``, ``m0``), each later one from the
-    step before.  The returned ``counts`` adds each
-    step's tag and the near-field factorizations made on ``op``.  A step
+    ``solve(A, rhs, x, m)`` returns ``(x, m, tag, iterations)``: the
+    frozen-policy solution, the scalar shift m that the residual
+    inf_tau(...) - m is measured against (0 for the plain discounted
+    problem), the solver tag and the BiCGStab iterations made, as
+    :func:`_solve` returns them.  It starts from the current iterate (x, m):
+    the first step from (``x0``, ``m0``), each later one from the step
+    before.  This loop alone fills the returned ``counts``: each step's tag
+    and iterations, and the near-field factorizations made on ``op``.  A step
     that does not converge, changes no policy and whose residual is not
     below the previous step's ends the loop unconverged: the next step
     would solve the same system again.
@@ -179,12 +171,12 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
     prev_x = None
     m = m0
     converged = False
-    it = 0
     counts, factors = SolveCounts(), op.near_factor.count
     for it in range(1, max_iter + 1):
         A = op.frozen(policy)
-        x, m, tag = solve(A, -A.const, x, m, counts)
+        x, m, tag, iterations = solve(A, -A.const, x, m)
         counts.linear_solves[tag] += 1
+        counts.krylov_iterations += iterations
         if not (np.all(np.isfinite(x)) and np.isfinite(m)):
             raise ValueError("frozen-policy solve returned non-finite values; "
                              "singular system or diagonal dominance violated")
@@ -203,8 +195,7 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
             break
         policy = new_policy
     counts.near_factors = op.near_factor.count - factors
-    return HowardSolution(u=x, m=m, policy=policy, iterations=it,
-                          converged=converged, trace=trace,
+    return HowardSolution(u=x, m=m, policy=policy, converged=converged, trace=trace,
                           monotone_violation=mono_violation, counts=counts)
 
 
@@ -225,9 +216,9 @@ def solve_policy_iteration(op: DiscreteOperator, tol: float,
             f"policy iteration needs sup_tau c_tau < 0 (got c_floor={-c_floor:.3g})")
     lin_atol = max(tol / 10.0, 1e-14)
 
-    def solve(A, rhs, x0, m, counts):
-        x, tag = _solve(A, rhs, lin_atol, lin_atol, 500, x0, counts)
-        return x, 0.0, tag
+    def solve(A, rhs, x0, m):
+        x, tag, iterations = _solve(A, rhs, lin_atol, lin_atol, 500, x0)
+        return x, 0.0, tag, iterations
 
     return _howard(op, solve, tol, max_iter, w0, policy0)
 
@@ -243,24 +234,24 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     v(origin) = 0, which both bordered paths set exactly, so u[origin] ==
     0.0; m plays the role of alpha * w_alpha(origin) of the unnormalised
     problem (w_alpha = v + m/alpha).  Runs on
-    ``op.with_alpha(alpha)``: on every operator each bordered system, A
-    with its origin column replaced by -1 so that its origin slot is m, is
-    first one BiCGStab solve (:func:`_solve_bordered`), kept when its true
-    residual is at most tol/10, else solved by one sparse LU.  Each
-    BiCGStab solve starts from the Howard iterate (v, m), m in the origin
-    slot: the first from (``v0``, ``m0``) (v zero without ``v0``), the
-    later ones from the previous Howard step's pair.  ``counts``
-    (:class:`SolveCounts`) counts the bordered solves by solver, their
-    BiCGStab iterations and the near-field factors made; an alpha level
-    that comes back to a policy reuses its :meth:`FrozenSystem.preconditioner`.
+    ``op.with_alpha(alpha)``: each Howard step's bordered system, A with
+    its origin column replaced by -1 so that its origin slot is m, is one
+    :func:`_solve_bordered`, whose ``(v, m, tag, iterations)`` go to the
+    Howard loop: BiCGStab kept when its true residual is at most tol/10,
+    else one sparse LU.  Each BiCGStab solve starts from the Howard iterate
+    (v, m), m in the origin slot: the first from (``v0``, ``m0``) (v zero
+    without ``v0``), the later ones from the previous step's pair.
+    ``counts`` (:class:`SolveCounts`) counts the bordered solves by solver,
+    their BiCGStab iterations and the near-field factors made; an alpha
+    level that comes back to a policy reuses its :meth:`FrozenSystem.preconditioner`.
     """
     i0 = op.grid.origin_index
     atol = max(tol / 10.0, 1e-14)
 
-    def solve(A, rhs, v, m, counts):
+    def solve(A, rhs, v, m):
         x0 = v.copy()
         x0[i0] = m
-        return _solve_bordered(A, rhs, i0, atol, x0, counts)
+        return _solve_bordered(A, rhs, i0, atol, x0)
 
     return _howard(op.with_alpha(alpha), solve, tol, max_iter, v0, policy0, m0)
 

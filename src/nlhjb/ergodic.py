@@ -171,28 +171,28 @@ def _ladder(domain: DomainConfig, operator, solve, stop_tol: float = -np.inf):
     """Solve on each radius of ``domain.radii`` in order; the one radius ladder.
 
     ``operator(R)`` is the operator on the ball of radius R, and
-    ``solve(op, x0, policy0)`` returns ``(values, policy, solution)`` from a
-    warm start: the ball below's values and policy, zero outside it (None on
-    the first rung).  Stops once the sup change on the inner window between
+    ``solve(op, x0, policy0)`` returns its :class:`HowardSolution` from a
+    warm start: the ball below's ``u`` and ``policy``, zero outside it (None
+    on the first rung).  Stops once the sup change on the inner window between
     consecutive radii is at most ``stop_tol``.  Returns the radius trace and
     the last rung's operator and solution.
     """
     trace: list[tuple[float, float]] = []
-    below = None   # (grid, values, policy) on the ball below
+    below = grid = None   # the solution on the ball below and its grid
     for R in domain.radii:
         op = operator(R)
         x0 = policy0 = None
         if below is not None:
-            idx = op.grid.node_index_of_lattice(below[0].lattice)
-            win = _window_indices(below[0], domain.window_radius)
+            idx = op.grid.node_index_of_lattice(grid.lattice)
+            win = _window_indices(grid, domain.window_radius)
             x0, policy0 = np.zeros(op.n_nodes), np.zeros(op.n_nodes, dtype=np.int64)
-            x0[idx], policy0[idx] = below[1], below[2]
-        values, policy, sol = solve(op, x0, policy0)
+            x0[idx], policy0[idx] = below.u, below.policy
+        sol = solve(op, x0, policy0)
         trace.append((R, np.inf if below is None else
-                      float(np.max(np.abs(values[idx[win]] - below[1][win])))))
+                      float(np.max(np.abs(sol.u[idx[win]] - below.u[win])))))
         if trace[-1][1] <= stop_tol:
             break
-        below = (op.grid, values, policy)
+        below, grid = sol, op.grid
     return trace, op, sol
 
 
@@ -219,7 +219,7 @@ def expand_domain(p: ControlProblem, alpha: float | None,
     def solve(op, w0, policy0):
         sol = solve_policy_iteration(op, tol, max_iter=max_iter, w0=w0, policy0=policy0)
         counts.add(sol.counts)
-        return sol.u, sol.policy, sol
+        return sol
 
     trace, op, sol = _ladder(domain, operator, solve, stop_tol=tol)
     sol.counts = counts
@@ -290,8 +290,7 @@ def vanishing_discount(p: ControlProblem, domain: DomainConfig,
             break
 
     def rung(op, v0, policy0):
-        out = sol if op is final_op else normalized(op, alpha, v0, policy0)
-        return out.u, out.policy, out
+        return sol if op is final_op else normalized(op, alpha, v0, policy0)
 
     trace, _, _ = _ladder(domain, ops.__getitem__, rung)
     return ErgodicSolution(
@@ -366,7 +365,6 @@ class BarWReport:
     ok: bool
     pointwise_ok: bool
     bounded_across_alpha: bool
-    max_violation: float
     max_window_values: tuple[float, ...]
 
 
@@ -390,8 +388,7 @@ def check_bar_w_bound(levels: list[AlphaLevel], p: ControlProblem, grid: Grid,
     med = float(np.median(maxes))
     bounded = maxes[-1] <= 2.0 * med + 1e-12
     return BarWReport(ok=pointwise_ok and bounded, pointwise_ok=pointwise_ok,
-                      bounded_across_alpha=bounded, max_violation=worst,
-                      max_window_values=tuple(maxes))
+                      bounded_across_alpha=bounded, max_window_values=tuple(maxes))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import nlhjb
 from nlhjb import ControlProblem, KernelSpec, constant_kernel
+from nlhjb.operators import FrozenSystem
 
 
 def pytest_report_header(config):
@@ -55,6 +57,14 @@ def varying_kernel(rng: np.random.Generator, s: float, wobble: float = 0.25):
             mod, np.broadcast_shapes(np.asarray(x).shape[:-1], np.asarray(y).shape[:-1])).copy()
 
     return k
+
+
+def failed_near_factor():
+    """Patch ``FrozenSystem.preconditioner`` to raise as a singular near-field
+    factor does, so that BiCGStab gives no answer and sparse LU answers."""
+    def singular(self):
+        raise RuntimeError("Factor is exactly singular")
+    return mock.patch.object(FrozenSystem, "preconditioner", singular)
 
 
 def random_problem(seed: int, d: int = 1, s: float = 0.75, n_controls: int = 2,

@@ -9,7 +9,7 @@ frozen-policy rows, the pointwise quadrature sum with exact field values
 normalisation constant C(d, s) and adaptive quadrature against Fourier
 symbols.
 
-Four helpers reuse production code, and so check something other than
+Five helpers reuse production code, and so check something other than
 that code:
 
 * ``jump_apply_reference`` sums the jump part from the same elementary δ
@@ -19,12 +19,15 @@ that code:
   which the golden file pins;
 * ``verify_ergodic_pair`` recomputes a solution's residual with
   :func:`nlhjb.operators.apply_inf` and probes uniqueness by re-running
-  :func:`nlhjb.ergodic.vanishing_discount` from a scaled alpha schedule.
+  :func:`nlhjb.ergodic.vanishing_discount` from a scaled alpha schedule;
+* ``manufactured_pair`` reads L_t v off
+  :func:`nlhjb.operators.apply_control`, so the pair it makes is exact for
+  the discrete operator and checks the solvers, not the operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,12 +38,13 @@ from scipy.special import gamma
 from nlhjb.ergodic import (AlphaSchedule, DomainConfig, ErgodicSolution,
                            _window_indices, vanishing_discount)
 from nlhjb.grid import Grid
-from nlhjb.operators import DiscreteOperator, _delta_fields, apply_inf
+from nlhjb.operators import DiscreteOperator, _delta_fields, apply_control, apply_inf
 from nlhjb.problem import ControlProblem, ScalarField, constant_kernel
 from nlhjb.quadrature import JumpQuadrature
 
 __all__ = ["DenseOracle", "build_dense_oracles", "dense_apply",
-           "dense_fixed_point", "bordered_reference", "stacked_policy_system",
+           "dense_fixed_point", "bordered_reference", "manufactured_pair",
+           "stacked_policy_system",
            "fractional_laplacian_constant", "apply_quadrature_pointwise",
            "fractional_laplacian_reference", "jump_apply_reference",
            "stencil_matrix", "dump_stencils", "PairVerification",
@@ -196,6 +200,23 @@ def bordered_reference(A: sp.spmatrix, rhs: np.ndarray, i0: int) -> tuple[np.nda
     aug = sp.bmat([[A, ones_col], [e0, None]], format="csc")
     sol = spla.spsolve(aug, np.concatenate([rhs, [0.0]]))
     return sol[:n], float(sol[n])
+
+
+def manufactured_pair(op: DiscreteOperator, v: np.ndarray, m: float,
+                      policy: np.ndarray, gap: float, alpha: float) -> DiscreteOperator:
+    """``op`` with the running costs for which (v, m) is the exact discrete pair.
+
+    Control t's cost is const_t = m + gap·[t != policy] - (L_t v + c_t v) on
+    ``op.with_alpha(alpha)``, so there inf_t(L_t v + c_t v + const_t) = m,
+    attained at ``policy`` alone when gap > 0.  L_t v + c_t v, with v zero
+    outside the ball, is one :func:`apply_control` less the old cost; no
+    solve and no dense matrix.  Only ``const`` is replaced: ``csr()`` of the
+    result would rebuild ``const`` from the problem of an FFT operator.
+    """
+    opa = op.with_alpha(alpha)
+    const = np.stack([m + gap * (t != policy) - (apply_control(opa, t, v) - opa.const[t])
+                      for t in range(opa.problem.n_controls)])
+    return replace(op, const=const)
 
 
 def stacked_policy_system(op, policy: np.ndarray) -> sp.csr_matrix:

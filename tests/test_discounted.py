@@ -1,5 +1,4 @@
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from nlhjb.config import build_problem, parse_config
 from nlhjb.discounted import _solve_bordered
 from nlhjb.operators import apply_control
 
-from conftest import random_problem
+from conftest import failed_near_factor, random_problem
 from oracles import (bordered_reference, build_dense_oracles, dense_fixed_point,
                      dump_stencils, stacked_policy_system, stencil_matrix)
 
@@ -237,8 +236,8 @@ class TestBorderedElimination:
             min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A = op.frozen(policy)
         i0 = op.grid.origin_index
-        with mock.patch.object(discounted, "_krylov", return_value=None):
-            v, m, tag = _solve_bordered(A, -A.const, i0, 1e-10)
+        with failed_near_factor():
+            v, m, tag, _ = _solve_bordered(A, -A.const, i0, 1e-10)
         v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         assert tag == "splu" and v[i0] == 0.0
         scale = max(1.0, float(np.max(np.abs(v_ref))), abs(m_ref))
@@ -254,8 +253,8 @@ class TestBorderedElimination:
         g = nl.build_grid(1, 1 / 16, 32.0)
         op = nl.assemble(p, g, nl.build_quadrature(g, 0.9, 33.0), None)
         A = op.with_alpha(1e-6).frozen(np.zeros(op.n_nodes, dtype=np.int64))
-        with mock.patch.object(discounted, "_krylov", return_value=None):
-            v, m, tag = _solve_bordered(A, -A.const, g.origin_index, 1e-10)
+        with failed_near_factor():
+            v, m, tag, _ = _solve_bordered(A, -A.const, g.origin_index, 1e-10)
         assert tag == "splu" and v[g.origin_index] == 0.0
         assert float(np.max(np.abs(A @ v - m + A.const))) <= 1e-10
 
@@ -321,14 +320,14 @@ class TestNormalized:
         q = nl.build_quadrature(g, 0.75, 5.0)
         op = nl.assemble(p, g, q, None)
         want = nl.solve_normalized(op, 0.05, 1e-11)
-        krylov, i0, seen = discounted._krylov, g.origin_index, []
+        solve, i0, seen = discounted._solve, g.origin_index, []
 
-        def spy(A, b, target, rule, maxiter, x0=None, counts=None):
-            x = krylov(A, b, target, rule, maxiter, x0, counts)
-            seen.append((x0[i0], x[i0]))
-            return x
+        def spy(S, rhs, rule, target, maxiter, x0=None):
+            out = solve(S, rhs, rule, target, maxiter, x0)
+            seen.append((x0[i0], out[0][i0]))
+            return out
 
-        monkeypatch.setattr(discounted, "_krylov", spy)
+        monkeypatch.setattr(discounted, "_solve", spy)
         got = nl.solve_normalized(op, 0.05, 1e-11, m0=m0)
         assert got.counts.linear_solves == {"bicgstab": got.iterations, "splu": 0}
         assert len(seen) == got.iterations >= 2
@@ -401,7 +400,7 @@ class TestBarrier:
     @staticmethod
     def solution(w):
         return nl.HowardSolution(u=w, m=0.0, policy=np.zeros(w.size, dtype=int),
-                                 iterations=0, converged=True, trace=[(0, 0.0, 0)],
+                                 converged=True, trace=[(0, 0.0, 0)],
                                  monotone_violation=0.0, counts=discounted.SolveCounts())
 
     def test_zero_solution_passes(self):

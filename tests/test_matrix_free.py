@@ -26,9 +26,9 @@ from nlhjb.discounted import _solve, _solve_bordered
 from nlhjb.lyapunov import _jump_on_V
 from nlhjb.operators import BorderedSystem, FrozenSystem, _stacked_inf, apply_control
 
-from conftest import smooth_drift, smooth_field
+from conftest import failed_near_factor, smooth_drift, smooth_field
 from oracles import (bordered_reference, build_dense_oracles, dense_fixed_point,
-                     stencil_matrix)
+                     manufactured_pair, stencil_matrix)
 
 REL = 1e-10
 
@@ -308,8 +308,8 @@ class TestSolves:
         op = bordered_operator(8).with_alpha(0.4)
         A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
         atol = 1e-10
-        bicgstab = spla.bicgstab
-        starts = []
+        runs, starts = [], []
+        bicgstab = counting_bicgstab(runs)
 
         def drifting(A, b, *args, **kwargs):
             x, info = bicgstab(A, b, *args, **kwargs)
@@ -317,10 +317,12 @@ class TestSolves:
             return (x + 1e-6 if len(starts) == 1 else x), info
 
         monkeypatch.setattr(spla, "bicgstab", drifting)
-        x, tag = _solve(A, -A.const, atol, atol, 500)
+        x, tag, iterations = _solve(A, -A.const, atol, atol, 500)
         assert tag == "bicgstab"
         assert len(starts) == 2 and starts[0] is None and starts[1] is not None
         assert float(np.max(np.abs(A @ x + A.const))) <= atol
+        # the count spans both runs, the restart's warm start included
+        assert len(runs) == 2 and iterations == sum(-(-k // 2) for k in runs) > 0
 
     def test_expand_domain_never_builds_csr(self, monkeypatch):
         def no_csr(self):
@@ -333,6 +335,34 @@ class TestSolves:
         assert sol.converged
         assert sol.counts.linear_solves["splu"] == 0
         assert sol.counts.linear_solves["bicgstab"] >= 2
+
+
+class TestManufacturedDiscretePairs:
+    """Howard solves against exact discrete pairs: the running costs of
+    :func:`oracles.manufactured_pair` make a known (v, m), or w, and a known
+    policy the scheme's exact answer on the drawn operator."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.one_of(fast_operators(), csr_operators()),
+           m=st.floats(-2.0, 2.0), gap=st.just(0.0) | st.floats(0.01, 0.5))
+    def test_solves_return_the_manufactured_answer(self, case, m, gap):
+        # a gap as small as 1e-300 is lost to rounding, and the Howard stop
+        # rule may then keep another control, so a positive gap is >= 0.01
+        op, _ = case
+        x = op.grid.nodes
+        r = np.linalg.norm(x, axis=-1)
+        n_controls = op.problem.n_controls
+        want = (x[:, 0] < 0).astype(np.int64) % n_controls
+        v = 1.0 - np.exp(-r * r / 4)
+        got = nl.solve_normalized(manufactured_pair(op, v, m, want, gap, 0.0), 0.0, 1e-9)
+        assert got.converged and abs(got.m - m) <= 1e-10
+        assert float(np.max(np.abs(got.u - v))) <= 1e-10
+        w = np.cos(r) * np.exp(-r / 4)
+        pair = manufactured_pair(op, w, 0.0, want, gap, 0.5)
+        disc = nl.solve_policy_iteration(pair.with_alpha(0.5), 1e-9)
+        assert disc.converged and float(np.max(np.abs(disc.u - w))) <= 1e-10
+        if gap > 0 and n_controls > 1:
+            assert np.array_equal(got.policy, want) and np.array_equal(disc.policy, want)
 
 
 def bordered_operator(seed, d=2, x_only=(True, False), R=4.0):
@@ -354,7 +384,7 @@ class TestBorderedKrylov:
             st.integers(0, 1), min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A = op.frozen(policy)
         i0, atol = op.grid.origin_index, 1e-10
-        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        v, m, tag, _ = _solve_bordered(A, -A.const, i0, atol)
         v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         assert tag == "bicgstab"
         assert v[i0] == 0.0
@@ -368,12 +398,12 @@ class TestBorderedKrylov:
         # the answer is exactly the direct LU's of the bordered system, forced here
         op = bordered_operator(3).with_alpha(0.1)
         A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
-        with mock.patch.object(discounted, "_krylov", return_value=None):
+        with failed_near_factor():
             want = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
         assert want[2] == "splu"
         monkeypatch.setattr(spla, "bicgstab",
                             lambda A, b, *a, **kw: (np.full(np.shape(b), np.nan), 0))
-        v, m, tag = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
+        v, m, tag, _ = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
         assert tag == "splu"
         assert np.array_equal(v, want[0]) and m == want[1]
 
@@ -387,7 +417,7 @@ class TestBorderedKrylov:
             return np.zeros_like(b), kwargs["maxiter"]
 
         monkeypatch.setattr(spla, "bicgstab", capped)
-        _, _, tag = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
+        _, _, tag, _ = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
         assert tag == "splu"
         assert calls == [-(-op.n_nodes // 4)]
 
@@ -406,7 +436,7 @@ class TestBorderedKrylov:
             return (x + 1e-6 if len(cold) == 1 else x), info
 
         monkeypatch.setattr(spla, "bicgstab", drifting)
-        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        v, m, tag, _ = _solve_bordered(A, -A.const, i0, atol)
         v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         assert tag == "bicgstab"
         # one eliminated solve: the drifted cold start and its restart
@@ -425,7 +455,7 @@ class TestBorderedKrylov:
             return bicgstab(A, b, *args, **kwargs)
 
         monkeypatch.setattr(spla, "bicgstab", counting)
-        v, m, tag = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
+        v, m, tag, _ = _solve_bordered(A, -A.const, op.grid.origin_index, 1e-10)
         assert tag == "bicgstab"
         assert len(calls) == 1 and isinstance(calls[0], BorderedSystem)
         assert float(np.max(np.abs(A @ v - m + A.const))) <= 1e-10
@@ -447,7 +477,7 @@ class TestBorderedKrylov:
             return x + 1e-12, 0
 
         monkeypatch.setattr(spla, "bicgstab", above_target)
-        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        v, m, tag, _ = _solve_bordered(A, -A.const, i0, atol)
         x = v.copy()
         x[i0] = m
         r = float(np.max(np.abs(B @ x + A.const)))
@@ -470,7 +500,7 @@ class TestBorderedKrylov:
             return (x + 1e-11, 0) if len(infos) == 1 else (x, -10)
 
         monkeypatch.setattr(spla, "bicgstab", breaking)
-        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        v, m, tag, _ = _solve_bordered(A, -A.const, i0, atol)
         v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         assert tag == "bicgstab" and len(infos) == 2
         assert abs(m - m_ref) <= atol + 1e-12
@@ -493,7 +523,7 @@ class TestBorderedKrylov:
 
         def recording(*args, **kwargs):
             out = _solve_bordered(*args, **kwargs)
-            solved.append(out[1:])
+            solved.append(out[1:3])
             return out
 
         monkeypatch.setattr(discounted, "_solve_bordered", recording)
@@ -598,7 +628,7 @@ class TestNearField:
         monkeypatch.setattr(FrozenSystem, "preconditioner", dense_inverse)
         calls = counted_splu(monkeypatch)
         A = op.frozen(np.arange(op.n_nodes, dtype=np.int64) % 2)
-        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        v, m, tag, _ = _solve_bordered(A, -A.const, i0, atol)
         assert tag == "bicgstab" and calls == []
         v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         assert abs(m - m_ref) <= atol + 1e-12
@@ -633,7 +663,7 @@ class TestNearField:
             st.integers(0, 1), min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
         A = op.frozen(policy)
         i0, atol = op.grid.origin_index, 1e-10
-        v, m, tag = _solve_bordered(A, -A.const, i0, atol)
+        v, m, tag, _ = _solve_bordered(A, -A.const, i0, atol)
 
         def jacobi(self):
             diag = self.A.near().diagonal()
@@ -641,7 +671,7 @@ class TestNearField:
             return sp.diags(1.0 / diag)
 
         with mock.patch.object(BorderedSystem, "preconditioner", jacobi):
-            v_j, m_j, _ = _solve_bordered(A, -A.const, i0, atol)
+            v_j, m_j, _, _ = _solve_bordered(A, -A.const, i0, atol)
         v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
         if d == 2:
             assert tag == "bicgstab"
@@ -740,23 +770,8 @@ class TestNearField:
     def test_krylov_iterations_count_every_bicgstab_step(self, monkeypatch):
         # each BiCGStab run's matvecs, less the initial residual of a warm
         # start, are two per iteration and one for a stop at the half step
-        bicgstab = spla.bicgstab
         runs = []
-
-        def recording(A, b, *args, x0=None, **kwargs):
-            calls = []
-
-            def matvec(x):
-                calls.append(1)
-                return A.matvec(x)
-
-            out = bicgstab(spla.LinearOperator(A.shape, matvec=matvec, dtype=float),
-                           b, *args, x0=x0, **kwargs)
-            warm = x0 is not None and np.any(x0) and np.any(b)
-            runs.append(len(calls) - warm)
-            return out
-
-        monkeypatch.setattr(spla, "bicgstab", recording)
+        monkeypatch.setattr(spla, "bicgstab", counting_bicgstab(runs))
         sol = nl.solve_normalized(bordered_operator(5), 0.05, 1e-9)
         assert sol.counts.linear_solves["bicgstab"] == sol.iterations
         assert sol.counts.krylov_iterations == sum(-(-k // 2) for k in runs) > 0
@@ -781,7 +796,7 @@ def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
     # zero, counting every matvec BiCGStab makes, initial residual included
     op = bordered_operator(5)
     above = nl.solve_normalized(op, 0.1, 1e-9)
-    bicgstab, krylov = spla.bicgstab, discounted._krylov
+    bicgstab, solve = spla.bicgstab, discounted._solve
     calls = []
 
     def counting(A, b, *args, **kwargs):
@@ -796,10 +811,10 @@ def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
     warm_calls = len(calls)
     calls.clear()
 
-    def cold_krylov(A, b, atol, accept, maxiter, x0=None, counts=None):
-        return krylov(A, b, atol, accept, maxiter, None, counts)
+    def cold_solve(S, rhs, rule, target, maxiter, x0=None):
+        return solve(S, rhs, rule, target, maxiter)
 
-    with mock.patch.object(discounted, "_krylov", cold_krylov):
+    with mock.patch.object(discounted, "_solve", cold_solve):
         cold = nl.solve_normalized(op, 0.05, 1e-9, v0=above.u, policy0=above.policy)
     assert warm.converged and cold.converged
     assert warm.counts.linear_solves == cold.counts.linear_solves == {"bicgstab": warm.iterations,
@@ -808,6 +823,27 @@ def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
     assert warm.counts.krylov_iterations < cold.counts.krylov_iterations
     assert abs(warm.m - cold.m) <= 1e-10
     assert float(np.max(np.abs(warm.u - cold.u))) <= 1e-10
+
+
+def counting_bicgstab(runs: list):
+    """``spla.bicgstab`` that appends each run's matvecs to ``runs``, less the
+    initial residual of a warm start."""
+    bicgstab = spla.bicgstab
+
+    def recording(A, b, *args, x0=None, **kwargs):
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return A.matvec(x)
+
+        out = bicgstab(spla.LinearOperator(A.shape, matvec=matvec, dtype=float),
+                       b, *args, x0=x0, **kwargs)
+        warm = x0 is not None and np.any(x0) and np.any(b)
+        runs.append(len(calls) - warm)
+        return out
+
+    return recording
 
 
 def counted_splu(monkeypatch) -> list:
