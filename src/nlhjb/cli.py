@@ -6,7 +6,7 @@ plus the solved field), ``trace.csv`` in discounted mode,
 ``certificate.json`` in certify mode and
 ``run_meta.json`` (wall-clock metadata and, in ergodic and discounted mode,
 the count of frozen-policy solves per linear solver, the total of
-BiCGStab iterations and the number of near-field factorizations; excluded
+BiCGStab iterations and the number of near-field LU factorizations; excluded
 from determinism checks).
 Exit status: 0 on success, 1 for validation/config failures, an output
 directory that cannot be made, monotonicity violations and stencils over
@@ -100,8 +100,8 @@ def _run_ergodic(cfg: RunConfig, prob):
 
 def _run_discounted(cfg: RunConfig, prob):
     alpha = cfg.alpha.start if prob.zeroth is None else None
-    sol, radius_trace, op = expand_domain(prob, alpha, cfg.grid, cfg.solver.tol,
-                                          max_iter=cfg.solver.max_policy_iters)
+    sol, radius_trace, op, counts = expand_domain(prob, alpha, cfg.grid, cfg.solver.tol,
+                                                  max_iter=cfg.solver.max_policy_iters)
     grid = op.grid
     report = {
         "mode": "discounted",
@@ -121,7 +121,7 @@ def _run_discounted(cfg: RunConfig, prob):
                                  "min_margin": br.min_margin, "detail": br.detail}
     trace = "iteration,residual,policy_changes\n" + "".join(
         f"{it},{repr(float(res))},{changes}\n" for it, res, changes in sol.trace)
-    return report, (grid, sol.u), {"trace.csv": trace}, sol.converged, vars(sol.counts)
+    return report, (grid, sol.u), {"trace.csv": trace}, sol.converged, vars(counts)
 
 
 def _run_certify(cfg: RunConfig, prob):

@@ -31,8 +31,8 @@ __all__ = [
 class SolveCounts:
     """Counts of Howard solves, shaped like the ``run_meta.json`` entries:
     frozen-policy solves by solver (``"bicgstab"``, or ``"splu"`` on
-    fallback), their BiCGStab iterations and the near-field factorizations
-    that preconditioned them."""
+    fallback), their BiCGStab iterations and the near-field LU factorizations
+    that preconditioned them (none where τ did)."""
 
     linear_solves: dict = field(default_factory=lambda: {"bicgstab": 0, "splu": 0})
     krylov_iterations: int = 0
@@ -89,7 +89,7 @@ def _solve(S, rhs: np.ndarray, rule: float, target: float, maxiter: int,
     frozen-policy solve.  Returns x, its solver tag and its BiCGStab iterations.
 
     BiCGStab from ``x0``, preconditioned by ``S.preconditioner()`` (P^{-1}
-    of the policy's near field, memoized on the operator, or its
+    for the policy, the near-field LU or τ, memoized on the operator, or its
     bordering), to an absolute sup residual ``target`` under ``maxiter``.
     Its answer is kept (``"bicgstab"``) when its true sup residual is at
     most ``rule`` (``rule >= target``), a NaN failing.  BiCGStab's recurred
@@ -97,7 +97,7 @@ def _solve(S, rhs: np.ndarray, rule: float, target: float, maxiter: int,
     break down (``info < 0``).  An answer that fails the rule and did not
     stop at the cap (``info > 0``) is restarted once from itself, which
     resets the drift, under the same ``maxiter``.  When the answer still
-    fails the rule, or the near-field factor fails (``RuntimeError``), one
+    fails the rule, or the preconditioner fails (``RuntimeError``), one
     sparse LU of ``S.tocsc()`` answers (``"splu"``).  A run of k matvecs (two per
     iteration, one for a stop at the half step) counts ceil(k/2)
     iterations.  BiCGStab applies the preconditioner once before each
@@ -156,7 +156,7 @@ def _howard(op: DiscreteOperator, solve, tol: float, max_iter: int,
     :func:`_solve` returns them.  It starts from the current iterate (x, m):
     the first step from (``x0``, ``m0``), each later one from the step
     before.  This loop alone fills the returned ``counts``: each step's tag
-    and iterations, and the near-field factorizations made on ``op``.  A step
+    and iterations, and the near-field LU factorizations made on ``op``.  A step
     that does not converge, changes no policy and whose residual is not
     below the previous step's ends the loop unconverged: the next step
     would solve the same system again.
@@ -242,7 +242,7 @@ def solve_normalized(op: DiscreteOperator, alpha: float, tol: float,
     (v, m), m in the origin slot: the first from (``v0``, ``m0``) (v zero
     without ``v0``), the later ones from the previous step's pair.
     ``counts`` (:class:`SolveCounts`) counts the bordered solves by solver,
-    their BiCGStab iterations and the near-field factors made; an alpha
+    their BiCGStab iterations and the near-field LU factors made; an alpha
     level that comes back to a policy reuses its :meth:`FrozenSystem.preconditioner`.
     """
     i0 = op.grid.origin_index

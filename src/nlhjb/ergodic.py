@@ -200,15 +200,17 @@ def expand_domain(p: ControlProblem, alpha: float | None,
                   domain: DomainConfig, tol: float, *,
                   ext: ScalarField | None = None,
                   max_iter: int = 60
-                  ) -> tuple[HowardSolution, list[tuple[float, float]], DiscreteOperator]:
+                  ) -> tuple[HowardSolution, list[tuple[float, float]], DiscreteOperator,
+                             SolveCounts]:
     """Solve the Dirichlet problem up the one radius ladder of ``domain.radii``.
 
     Stops once the restriction to the inner window (``domain.window_radius``)
     moves by at most ``tol`` between consecutive radii; the radius trace
     ``(R, inner_change)`` records whether it did (exhaustion is not
-    raised).  Returns the last radius's solution, whose ``counts`` sums the
-    ``counts`` of every radius's solve, the radius trace and the operator
-    on the last radius solved.  ``ext`` is the exterior data, ``None`` for zero.
+    raised).  Returns the last radius's solution, the radius trace, the
+    operator on the last radius solved and the sum of every radius's solve
+    ``counts`` (:class:`SolveCounts`); each solution keeps its own.  ``ext`` is
+    the exterior data, ``None`` for zero.
     """
     counts = SolveCounts()
 
@@ -222,8 +224,7 @@ def expand_domain(p: ControlProblem, alpha: float | None,
         return sol
 
     trace, op, sol = _ladder(domain, operator, solve, stop_tol=tol)
-    sol.counts = counts
-    return sol, trace, op
+    return sol, trace, op, counts
 
 
 def vanishing_discount(p: ControlProblem, domain: DomainConfig,

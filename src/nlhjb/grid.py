@@ -55,14 +55,18 @@ class Grid:
         return self._table[tuple(np.moveaxis(z, -1, 0))]
 
     @functools.cached_property
-    def ring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def ring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Each node's neighbours at offsets |z|_inf <= 1 that are nodes, itself
-        included, row by row: ``(rows, cols, k)``, k the offset's index in
-        ``lattice_box(d, 1)``.  Each row's columns ascend.  Built once.
+        included, row by row: ``(rows, cols, k, indptr)``, k the offset's
+        index in ``lattice_box(d, 1)`` and node i's entries at
+        ``indptr[i]:indptr[i+1]``, a CSR layout.  Each row's columns ascend.
+        Built once.
         """
         j = self.node_index_of_lattice(self.lattice[:, None, :] + lattice_box(self.d, 1))
-        rows, k = np.nonzero(j >= 0)
-        return rows, j[rows, k], k
+        inside = j >= 0
+        rows, k = np.nonzero(inside)
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(inside, axis=1))])
+        return rows, j[rows, k], k, indptr
 
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.nodes, axis=1)

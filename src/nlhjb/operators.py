@@ -62,6 +62,15 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
+# 2-d FFT operators with at least this many nodes are preconditioned by τ
+# (FrozenSystem.preconditioner), smaller ones by the near-field LU.  It is
+# the smallest N at and above which τ was no slower on every config of the
+# crossover table in CHANGES.md (cli.run, LU against τ, 2-d power_drift and
+# x-kernel configs of both modes with N from 1257 to 3209): the x-kernel
+# ergodic sweep tied at N=2561 and τ was faster from N=2757 on.
+_TAU_MIN_NODES = 2562
+
+
 class _LatticeConvolution:
     """The jump quadrature of a kernel k ≡ 1 as a convolution on the lattice.
 
@@ -137,8 +146,11 @@ class _LatticeConvolution:
         return self.sums(image) + self.diag * u
 
     def exterior(self, ext: ScalarField | None) -> np.ndarray:
-        """Constant term of the k ≡ 1 jump part from exterior data."""
+        """Constant term of the k ≡ 1 jump part from exterior data: zeros,
+        with no transform, for zero data."""
         grid, q = self.grid, self.q
+        if ext is None:
+            return np.zeros(grid.n_nodes)
         hw = grid._halfwidth + self.far
         z = lattice_box(grid.d, hw)
         outside = grid.node_index_of_lattice(z) < 0
@@ -149,9 +161,91 @@ class _LatticeConvolution:
             const += (q.tail_mass / grid.d) * tail
         return const
 
+    @functools.cached_property
+    def tau(self) -> "_TauBox":
+        """The τ form of this convolution on a lattice box of half-width A >= K
+        with 2(A+1) 5-smooth, built on first use."""
+        return _TauBox(self, _fast_len(self.grid._halfwidth + 1) - 1)
 
-class _NearInverse(spla.LinearOperator):
-    """P^{-1} by a sparse LU of P; ``ones`` is P^{-1} 1, made on first use."""
+
+def _dst(x: np.ndarray, axis: int) -> np.ndarray:
+    """DST-I along ``axis``: Σ_j x_j sin(π(j+1)(k+1)/(n+1)), k = 0..n-1.
+
+    Built from ``numpy.fft`` by odd extension: (0, x, 0, -x reversed) has
+    length 2(n+1), and its transform at 1..n is -2i times the DST-I of x.
+    """
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    ext[..., 1:n + 1] = x
+    ext[..., n + 2:] = -x[..., ::-1]
+    return np.moveaxis(np.fft.rfft(ext)[..., 1:n + 1].imag * -0.5, -1, axis)
+
+
+class _TauBox:
+    """The k ≡ 1 jump operator on the lattice box |z|_inf <= A in the τ algebra.
+
+    On the box, with zero data outside it, that operator is ``diag`` times
+    the identity plus a two-level Toeplitz matrix of the weight image.  Its
+    τ form T_τ keeps the Toeplitz weights with |z_i| <= n - 1 (n = 2A + 1,
+    the only ones that couple two box points) and is diagonalised by DST-I
+    along both axes, with eigenvalues ``diag`` + Σ_z W[z]·cos(z·θ) at
+    θ = π(j1, j2)/(n+1), j = 1..n: the real part of one FFT of the weight
+    image of length 2(n+1) per axis (Bini & Capovani, Linear Algebra Appl.
+    52/53 (1983) 99–126).  They are at most ``diag`` + ΣW < 0, so T_τ is
+    negative definite.  It agrees with the box operator on images that
+    vanish within F lattice steps of the box's faces.  Built for d = 2.
+    """
+
+    def __init__(self, conv: _LatticeConvolution, A: int):
+        n, F = 2 * A + 1, conv.far
+        L, c = 2 * (n + 1), min(F, n - 1)
+        image = np.zeros((L, L))
+        idx = np.arange(-c, c + 1) % L
+        image[np.ix_(idx, idx)] = conv.weights[F - c:F + c + 1, F - c:F + c + 1]
+        self.eigenvalues = conv.diag + np.fft.rfft2(image)[1:n + 1, 1:n + 1].real
+        self.n = n
+        # DST-I twice per axis is (n+1)/2 times the identity on each
+        self._inverse = (2.0 / (n + 1)) ** 2 / self.eigenvalues
+        lat = conv.grid.lattice
+        self.scatter = np.ravel_multi_index(tuple((lat + A).T), (n, n))
+
+    def spectral(self, image: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(S⊗S)·diag(weights)·(S⊗S) applied to an (n, n) box image, S the
+        DST-I: T_τ for weights (2/(n+1))²·``eigenvalues``, T_τ^{-1} for
+        ``_inverse``."""
+        return _dst(_dst(_dst(_dst(image, 1), 0) * weights, 0), 1)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """T_τ^{-1} of node values ``rhs``, zero at the box's other points,
+        read back at the nodes."""
+        image = np.zeros((self.n, self.n))
+        image.ravel()[self.scatter] = rhs
+        return self.spectral(image, self._inverse).ravel()[self.scatter]
+
+
+class _Inverse(spla.LinearOperator):
+    """A preconditioner's P^{-1}; ``ones`` is P^{-1} 1, made on first use."""
+
+    @functools.cached_property
+    def ones(self) -> np.ndarray:
+        return self._matvec(np.ones(self.shape[0]))
+
+
+class _TauInverse(_Inverse):
+    """P^{-1} for P = diag(``scale``)·T_τ, T_τ the ``box``'s, read on the
+    nodes: T_τ^{-1}(y / scale)."""
+
+    def __init__(self, box: _TauBox, scale: np.ndarray):
+        super().__init__(dtype=float, shape=(scale.size, scale.size))
+        self.box, self.scale = box, scale
+
+    def _matvec(self, x):
+        return self.box.solve(np.ravel(x) / self.scale)
+
+
+class _NearInverse(_Inverse):
+    """P^{-1} by a sparse LU of P."""
 
     def __init__(self, lu):
         super().__init__(dtype=float, shape=lu.shape)
@@ -160,17 +254,13 @@ class _NearInverse(spla.LinearOperator):
     def _matvec(self, x):
         return self._lu.solve(x)
 
-    @functools.cached_property
-    def ones(self) -> np.ndarray:
-        return self._lu.solve(np.ones(self.shape[0]))
-
 
 @dataclass(eq=False)
 class _NearFactor:
-    """Memo of :meth:`FrozenSystem.preconditioner`: policy bytes, P^{-1}, factors made."""
+    """Memo of :meth:`FrozenSystem.preconditioner`: policy bytes, P^{-1}, LU factors made."""
 
     key: bytes | None = None
-    inverse: _NearInverse | None = None
+    inverse: _Inverse | None = None
     count: int = 0
 
 
@@ -291,7 +381,7 @@ class FrozenSystem(spla.LinearOperator):
         holds at c = 0 too; with no jump part and c = 0 only the rows at the
         ball's edge leak.
         """
-        rows, cols, k = self.op.grid.ring
+        rows, cols, k, indptr = self.op.grid.ring
         vals = np.asarray(self.local[rows, cols]).ravel()
         if self.op.jump is not None:
             conv = self.op.jump.conv
@@ -299,34 +389,47 @@ class FrozenSystem(spla.LinearOperator):
             w = conv.weights[(slice(conv.far - 1, conv.far + 2),) * conv.grid.d].flatten()
             w[w.size // 2] = conv.diag
             vals += self.scale[rows] * w[k]
-        P = sp.csr_matrix((vals, (rows, cols)), shape=self.shape)
+        P = sp.csr_matrix((vals, cols, indptr), shape=self.shape)
         P.eliminate_zeros()
         return P
 
-    def preconditioner(self) -> spla.LinearOperator:
-        """P^{-1} for P = :meth:`near` by sparse LU, with ``ones`` = P^{-1} 1.
+    def tau(self) -> _TauInverse:
+        """P^{-1} for P = diag(k_{policy[i]}(x_i))·T_τ, T_τ the τ form of the
+        k ≡ 1 jump operator (``op.jump.conv.tau``): no factor, drift and c
+        left out.  2-d FFT operators only."""
+        return _TauInverse(self.op.jump.conv.tau, self.scale)
 
-        The one owner of the near-field factor.  Its memo (``op.near_factor``)
+    def preconditioner(self) -> spla.LinearOperator:
+        """BiCGStab's P^{-1}, with ``ones`` = P^{-1} 1: :meth:`tau` on a 2-d
+        FFT operator of at least ``_TAU_MIN_NODES`` nodes, else a sparse LU
+        of P = :meth:`near`.
+
+        The one owner of the preconditioner.  Its memo (``op.near_factor``)
         keeps one, keyed by the policy alone: ``with_alpha`` copies share it,
         so a factor made at an earlier alpha serves a later one.  Its
         diagonal is then off by the change in alpha, which moves only the
         preconditioner; the residual rules judge every answer.  On a new
-        policy the old factor is dropped before :meth:`near` is factored, so
-        at most one is alive per operator.  A symmetric minimum-degree
-        ordering with diagonal pivots: a symmetric permutation keeps the
-        strict diagonal dominance, which then holds in every Schur
-        complement, so no pivot is zero.  Raises ``RuntimeError`` when
-        ``splu`` does (a singular factor), which leaves the memo empty.
+        policy the old one is dropped before the next is built, so at most
+        one is alive per operator, and the memo counts the LU factors made.
+        The LU uses a symmetric minimum-degree ordering with diagonal pivots:
+        a symmetric permutation keeps the strict diagonal dominance, which
+        then holds in every Schur complement, so no pivot is zero.  Raises
+        ``RuntimeError`` when ``splu`` does (a singular factor), which leaves
+        the memo empty.
         """
         memo = self.op.near_factor
         key = self.policy.tobytes()
         if memo.key != key:
             memo.key = memo.inverse = None
-            memo.inverse = _NearInverse(spla.splu(
-                self.near().tocsc(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options={"SymmetricMode": True}))
+            if (self.op.jump is not None and self.op.grid.d == 2
+                    and self.shape[0] >= _TAU_MIN_NODES):
+                memo.inverse = self.tau()
+            else:
+                memo.inverse = _NearInverse(spla.splu(
+                    self.near().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True}))
+                memo.count += 1
             memo.key = key
-            memo.count += 1
         return memo.inverse
 
     def tocsr(self) -> sp.csr_matrix:
@@ -366,11 +469,15 @@ class BorderedSystem(spla.LinearOperator):
     def preconditioner(self) -> spla.LinearOperator:
         """The same bordering of P^{-1} = ``A.preconditioner()``, by
         elimination: y maps to z + m·w, with m in slot i0, for z = P^{-1} y,
-        w = P^{-1} 1 (its ``ones``) and m = -z[i0]/w[i0]; w[i0] < 0, as -P
-        is a nonsingular M-matrix.  Raises ``RuntimeError`` when ``A``'s does.
+        w = P^{-1} 1 (its ``ones``) and m = -z[i0]/w[i0].  For the near-field
+        LU w[i0] < 0, as -P is a nonsingular M-matrix; τ's inverse has no
+        sign, so a w[i0] that is not negative and finite raises
+        ``RuntimeError``, as does ``A``'s preconditioner when it fails.
         """
         P, i0 = self.A.preconditioner(), self.i0
         w = P.ones
+        if not (np.isfinite(w[i0]) and w[i0] < 0):
+            raise RuntimeError(f"P^-1 1 is {w[i0]} at the bordered node {i0}")
 
         def solve(y):
             x = P.matvec(np.ravel(y))

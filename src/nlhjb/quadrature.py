@@ -20,6 +20,7 @@ monotone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +87,12 @@ def _cell_masses_1d(y: np.ndarray, hx: float, s: float, R_far: float):
     return mass, secm
 
 
+@functools.cache
+def _leggauss24() -> tuple[np.ndarray, np.ndarray]:
+    """The 24-point Gauss-Legendre nodes and weights, computed once."""
+    return np.polynomial.legendre.leggauss(24)
+
+
 def _origin_cell_second_moment_2d(hx: float, s: float) -> float:
     """∫_{cell0} y_1² |y|^{-2-2s} dy over the square of side hx, in polar form.
 
@@ -95,7 +102,7 @@ def _origin_cell_second_moment_2d(hx: float, s: float) -> float:
     exactly rounded sum agrees with adaptive quadrature to 5e-16 relative
     for s in (1/2, 1).
     """
-    x, w = np.polynomial.legendre.leggauss(24)
+    x, w = _leggauss24()
     half = np.pi / 8.0
     ang = half * math.fsum(w * np.cos((x + 1.0) * half) ** (2 * s - 2.0))
     total = 8.0 * (0.5 * hx) ** (2 - 2 * s) / (2 - 2 * s) * ang
@@ -103,16 +110,24 @@ def _origin_cell_second_moment_2d(hx: float, s: float) -> float:
 
 
 def _subcell_quads_2d(centers: np.ndarray, hx: float, s: float, q: int):
-    """Refined mass and axis second moments of square cells centred at ``centers``."""
+    """Refined mass and axis-0 second moment of square cells centred at
+    ``centers``, from q×q midpoint sub-cells.
+
+    The squared coordinates are built per axis, (n, q) each, and (n, q·q)
+    arrays only for the density and the moment's integrand.  Both sums keep
+    the rounding of the full (n, q·q, 2) midpoint array: the mass is a plain
+    row sum, and the moment adds the sub-cells one after another, as numpy's
+    reduction over that array's middle axis does.
+    """
     t = (np.arange(q) + 0.5) / q - 0.5
-    sx, sy = np.meshgrid(t * hx, t * hx, indexing="ij")
-    sub = np.stack([sx.ravel(), sy.ravel()], axis=1)        # (q*q, 2)
-    pts = centers[:, None, :] + sub[None, :, :]             # (n, q*q, 2)
-    r2 = np.sum(pts**2, axis=2)
-    dens = r2 ** (-(2 + 2 * s) / 2.0)
+    x1 = (centers[:, 0, None] + t * hx) ** 2               # (n, q): sub-cell row a
+    x2 = (centers[:, 1, None] + t * hx) ** 2               # (n, q): sub-cell column b
+    n = centers.shape[0]
+    dens = (x1[:, :, None] + x2[:, None, :]).reshape(n, q * q) ** (-(2 + 2 * s) / 2.0)
     area = (hx / q) ** 2
     mass = dens.sum(axis=1) * area
-    secm = (pts**2 * dens[:, :, None]).sum(axis=1) * area   # (n, 2)
+    moment = (x1[:, :, None] * dens.reshape(n, q, q)).reshape(n, q * q)
+    secm = np.cumsum(moment, axis=1)[:, -1] * area
     return mass, secm
 
 
@@ -153,8 +168,7 @@ def build_quadrature(grid: Grid, s: float, R_far: float,
         mass = hx**2 * norms ** (-(2 + 2 * s))
         secm = mass * y[:, 0] ** 2
         for band, q in (((chebnorm > 1) & (chebnorm <= refine), 16), (chebnorm <= 1, 64)):
-            mass[band], sub = _subcell_quads_2d(y[band], hx, s, q)
-            secm[band] = sub[:, 0]
+            mass[band], secm[band] = _subcell_quads_2d(y[band], hx, s, q)
         core = _origin_cell_second_moment_2d(hx, s)
     # exact second moment over |y| <= r0, both signs, minus the scheme's own
     pair_weights = 2.0 * mass

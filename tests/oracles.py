@@ -48,7 +48,7 @@ __all__ = ["DenseOracle", "build_dense_oracles", "dense_apply",
            "fractional_laplacian_constant", "apply_quadrature_pointwise",
            "fractional_laplacian_reference", "jump_apply_reference",
            "stencil_matrix", "dump_stencils", "PairVerification",
-           "verify_ergodic_pair"]
+           "verify_ergodic_pair", "subcell_quads_2d_reference", "near_by_coo"]
 
 _MAX_NODES = 200
 
@@ -219,6 +219,22 @@ def manufactured_pair(op: DiscreteOperator, v: np.ndarray, m: float,
     return replace(op, const=const)
 
 
+def near_by_coo(A) -> sp.csr_matrix:
+    """``A.near()`` of a :class:`~nlhjb.operators.FrozenSystem` built through
+    COO from the ring's (row, column) pairs, as it was before it kept the
+    ring's CSR row pointer: the same values, summed and sorted by scipy."""
+    rows, cols, k, _ = A.op.grid.ring
+    vals = np.asarray(A.local[rows, cols]).ravel()
+    if A.op.jump is not None:
+        conv = A.op.jump.conv
+        w = conv.weights[(slice(conv.far - 1, conv.far + 2),) * conv.grid.d].flatten()
+        w[w.size // 2] = conv.diag
+        vals += A.scale[rows] * w[k]
+    P = sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
+    P.eliminate_zeros()
+    return P
+
+
 def stacked_policy_system(op, policy: np.ndarray) -> sp.csr_matrix:
     """The frozen-policy ``local`` CSR by stacking and permuting rows.
 
@@ -244,6 +260,21 @@ def stencil_matrix(op: DiscreteOperator, t: int) -> sp.csr_matrix:
 
 # ---------------------------------------------------------------------------
 # closed-form / adaptive-quadrature references for the jump operator
+
+
+def subcell_quads_2d_reference(centers: np.ndarray, hx: float, s: float, q: int):
+    """Refined mass and axis-0 second moment of square cells, the plain way:
+    every sub-cell midpoint as an (n, q·q, 2) array, both axis moments summed
+    and axis 0 kept.  The summation order the production function keeps."""
+    t = (np.arange(q) + 0.5) / q - 0.5
+    sx, sy = np.meshgrid(t * hx, t * hx, indexing="ij")
+    sub = np.stack([sx.ravel(), sy.ravel()], axis=1)
+    pts = centers[:, None, :] + sub[None, :, :]
+    dens = np.sum(pts**2, axis=2) ** (-(2 + 2 * s) / 2.0)
+    area = (hx / q) ** 2
+    mass = dens.sum(axis=1) * area
+    secm = (pts**2 * dens[:, :, None]).sum(axis=1) * area
+    return mass, secm[:, 0]
 
 
 def fractional_laplacian_constant(d: int, s: float) -> float:

@@ -473,11 +473,11 @@ class TestRuns:
         p = power_drift_problem(1.6, 0.1, 1, 0.9)
         domain = DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0), reg_radius=1.0,
                               inner_radius=1.0)
-        sol, trace, _ = expand_domain(p, 0.25, domain, 1e-9)
+        sol, trace, _, _ = expand_domain(p, 0.25, domain, 1e-9)
         assert np.array_equal(w, sol.u)
         assert [t["inner_change"] for t in report["radius_trace"]] == [
             None if np.isinf(c) else c for _, c in trace]
-        default, _, _ = expand_domain(
+        default, _, _, _ = expand_domain(
             p, 0.25, DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0)), 1e-9)
         assert np.max(np.abs(default.u - sol.u)) > 1e-6
 

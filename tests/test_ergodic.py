@@ -20,7 +20,7 @@ SCHED = nl.AlphaSchedule(start=0.5, factor=0.5, max_levels=20)
 class TestExpandDomain:
     def test_zero_cost_stabilizes_immediately(self):
         p = nl.constant_cost_problem(0.0, 1)
-        sol, trace, _ = nl.expand_domain(
+        sol, trace, _, _ = nl.expand_domain(
             p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(4.0, 8.0, 12.0)), 1e-10)
         assert len(trace) == 2 and trace[1][1] <= 1e-10
         assert np.max(np.abs(sol.u)) <= 1e-10
@@ -28,14 +28,14 @@ class TestExpandDomain:
     def test_constant_cost_matching_exterior_zero_change(self):
         kappa, alpha = 2.0, 0.25
         p = nl.constant_cost_problem(kappa, 1)
-        sol, trace, _ = nl.expand_domain(p, alpha, DOM1, 1e-8,
+        sol, trace, _, _ = nl.expand_domain(p, alpha, DOM1, 1e-8,
                                          ext=lambda x: kappa / alpha)
         assert trace[-1][1] <= 1e-8
         np.testing.assert_allclose(sol.u, kappa / alpha, atol=1e-7)
 
     def test_power_drift_changes_decrease(self):
         p = nl.power_drift_problem(1.6, 0.1, 1, 0.9)
-        _, trace, _ = nl.expand_domain(
+        _, trace, _, _ = nl.expand_domain(
             p, 0.25, nl.DomainConfig(d=1, hx=0.5, radii=(8.0, 16.0, 32.0)), 1e-12)
         changes = [c for _, c in trace[1:]]
         assert len(changes) == 2
@@ -73,7 +73,7 @@ class TestRadiusLadder:
 
     def test_expand_domain_never_assembles_past_the_stop(self, assembled):
         p = nl.constant_cost_problem(0.0, 1)
-        _, trace, op = nl.expand_domain(
+        _, trace, op, _ = nl.expand_domain(
             p, 0.4, nl.DomainConfig(d=1, hx=0.25, radii=(4.0, 8.0, 12.0)), 1e-10)
         assert assembled == [4.0, 8.0]
         assert trace[-1][1] <= 1e-10
@@ -302,28 +302,34 @@ class TestPredictedSweep:
         assert got.counts.krylov_iterations < was.counts.krylov_iterations
 
 
-class TestSolveCounts:
-    """``counts`` of a sweep or a ladder is the exact sum of its Howard solves."""
+def _sweep(p):
+    sol = nl.vanishing_discount(p, DOM1, SCHED, 1e-4, solver_tol=1e-8)
+    return sol, sol.counts
 
-    RUNS = {
-        "vanishing_discount": ("solve_normalized", lambda p: nl.vanishing_discount(
-            p, DOM1, SCHED, 1e-4, solver_tol=1e-8)),
-        "expand_domain": ("solve_policy_iteration", lambda p: nl.expand_domain(
-            p, 0.25, nl.DomainConfig(d=1, hx=0.5, radii=(4.0, 8.0, 16.0)), 1e-12)[0]),
-    }
+
+def _ladder(p):
+    sol, _, _, counts = nl.expand_domain(
+        p, 0.25, nl.DomainConfig(d=1, hx=0.5, radii=(4.0, 8.0, 16.0)), 1e-12)
+    return sol, counts
+
+
+class TestSolveCounts:
+    """The ``counts`` total of a sweep or a ladder is the exact sum of its Howard
+    solves, and each Howard solve's ``counts`` is its own."""
+
+    RUNS = {"vanishing_discount": ("solve_normalized", _sweep),
+            "expand_domain": ("solve_policy_iteration", _ladder)}
 
     @pytest.mark.parametrize("fail_first", [False, True])
     @pytest.mark.parametrize("driver", sorted(RUNS))
     def test_counts_sum_every_howard_solve(self, monkeypatch, driver, fail_first):
-        import copy
         import nlhjb.ergodic as erg
         name, run = self.RUNS[driver]
         solve, bicgstab, made, calls = getattr(erg, name), spla.bicgstab, [], []
 
         def recording(*args, **kwargs):
             out = solve(*args, **kwargs)
-            # a copy: expand_domain puts its total on the last solve it returns
-            made.append((out.iterations, copy.deepcopy(out.counts)))
+            made.append((out.iterations, out.counts))
             return out
 
         def fail_first_call(A, b, *args, **kwargs):
@@ -334,17 +340,17 @@ class TestSolveCounts:
 
         monkeypatch.setattr(erg, name, recording)
         monkeypatch.setattr(spla, "bicgstab", fail_first_call)
-        sol = run(nl.power_drift_problem(1.6, 0.1, 1, 0.9))
+        sol, total = run(nl.power_drift_problem(1.6, 0.1, 1, 0.9))
         assert sol.converged and len(made) >= 3
         for iterations, counts in made:
             assert sum(counts.linear_solves.values()) == iterations
-        assert vars(sol.counts) == {
+        assert vars(total) == {
             "linear_solves": {tag: sum(c.linear_solves[tag] for _, c in made)
                               for tag in ("bicgstab", "splu")},
             "krylov_iterations": sum(c.krylov_iterations for _, c in made),
             "near_factors": sum(c.near_factors for _, c in made)}
-        assert sol.counts.linear_solves["splu"] == int(fail_first)
-        assert sol.counts.krylov_iterations > made[-1][1].krylov_iterations
+        assert total.linear_solves["splu"] == int(fail_first)
+        assert total.krylov_iterations > made[-1][1].krylov_iterations
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,8 @@ explicit stencils of the same operator.  Every quantity the solvers read
 from the fast operator must agree with the oracle to 1e-10 relative, and
 the Krylov bordered (v, m) solves must agree with the augmented-system
 oracle: m within the pair's own bordered residual, which -A^{-1} >= 0 makes
-exact.  The near-field preconditioner is checked on explicit stencils too.
+exact.  The near-field preconditioner is checked on explicit stencils too,
+and the τ preconditioner of large 2-d FFT operators against dense references.
 """
 
 import dataclasses
@@ -20,15 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlhjb as nl
-from nlhjb import discounted
+from nlhjb import discounted, operators
 from nlhjb.config import build_problem, parse_config
 from nlhjb.discounted import _solve, _solve_bordered
 from nlhjb.lyapunov import _jump_on_V
-from nlhjb.operators import BorderedSystem, FrozenSystem, _stacked_inf, apply_control
+from nlhjb.operators import (BorderedSystem, FrozenSystem, _NearInverse, _TauBox, _TauInverse,
+                             _dst, _stacked_inf, apply_control)
 
 from conftest import failed_near_factor, smooth_drift, smooth_field
 from oracles import (bordered_reference, build_dense_oracles, dense_fixed_point,
-                     manufactured_pair, stencil_matrix)
+                     manufactured_pair, near_by_coo, stencil_matrix)
 
 REL = 1e-10
 
@@ -331,10 +333,10 @@ class TestSolves:
         monkeypatch.setattr(nl.DiscreteOperator, "csr", no_csr)
         p = nl.power_drift_problem(1.6, 0.1, 2, 0.9)
         domain = nl.DomainConfig(d=2, hx=0.5, radii=(2.0, 4.0))
-        sol, _, _ = nl.expand_domain(p, 0.5, domain, 1e-9)
+        sol, _, _, counts = nl.expand_domain(p, 0.5, domain, 1e-9)
         assert sol.converged
-        assert sol.counts.linear_solves["splu"] == 0
-        assert sol.counts.linear_solves["bicgstab"] >= 2
+        assert counts.linear_solves["splu"] == 0
+        assert counts.linear_solves["bicgstab"] >= 2
 
 
 class TestManufacturedDiscretePairs:
@@ -785,9 +787,9 @@ class TestNearField:
                             "problem": {"family": "constant_cost", "kappa": 1.0,
                                         "local_identity": True},
                             "grid": {"d": 2, "hx": 0.5, "radii": [2.0, 3.0]}})
-        exact, _, _ = nl.expand_domain(build_problem(cfg), 0.5, cfg.grid, 1e-9)
-        assert runs == [1] * exact.counts.linear_solves["bicgstab"]
-        assert exact.counts.krylov_iterations == len(runs) > 0
+        _, _, _, counts = nl.expand_domain(build_problem(cfg), 0.5, cfg.grid, 1e-9)
+        assert runs == [1] * counts.linear_solves["bicgstab"]
+        assert counts.krylov_iterations == len(runs) > 0
 
 
 def test_warm_started_bordered_solves_save_matvecs(monkeypatch):
@@ -969,3 +971,169 @@ class TestLyapunovConvolution:
         assert_rel_close(got, want)
         assert nl.fit_envelope(got, p.lyapunov, g).k0 == pytest.approx(
             nl.fit_envelope(want, p.lyapunov, g).k0, rel=1e-10)
+
+
+def random_policy(data, op):
+    return np.array(data.draw(st.lists(st.integers(0, op.problem.n_controls - 1),
+                                       min_size=op.n_nodes, max_size=op.n_nodes)), dtype=np.int64)
+
+
+class TestTauPreconditioner:
+    """The τ preconditioner of 2-d FFT operators: P = diag(k_tau(x_i))·T_τ, T_τ
+    the k ≡ 1 jump operator on a lattice box, diagonalised by DST-I.  The
+    size rule keeps these small grids on the LU, so the tests build τ
+    through ``FrozenSystem.tau()``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
+    def test_dst_is_the_dense_sine_product(self, n):
+        S = np.sin(np.pi * np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) / (n + 1))
+        x = np.random.default_rng(n).standard_normal((n, 4))
+        assert float(np.max(np.abs(_dst(x, 0) - S @ x))) <= 1e-13 * n
+        assert float(np.max(np.abs(_dst(x.T, 1) - x.T @ S))) <= 1e-13 * n
+
+    def test_inverse_on_the_full_box_and_the_box_operator_inside(self):
+        # T_τ^{-1}(T_τ X) = X on every box image; away from the box's faces
+        # T_τ is the k ≡ 1 jump operator with zero data outside the box,
+        # which pins its eigenvalues
+        conv = bordered_operator(5).jump.conv
+        K, F = conv.grid._halfwidth, conv.far
+        rng = np.random.default_rng(0)
+        for box in (conv.tau, _TauBox(conv, K + 2 * F + 1)):
+            n = box.n
+            forward = box.eigenvalues * (2.0 / (n + 1)) ** 2
+            X = rng.standard_normal((n, n))
+            TX = box.spectral(X, forward)
+            assert float(np.max(np.abs(box.spectral(TX, box._inverse) - X))) <= 1e-12
+            assert np.all(box.eigenvalues <= conv.diag + conv.weights.sum())
+        A = (n - 1) // 2
+        X = np.zeros((n, n))
+        inner = slice(A - K, A + K + 1)
+        X[inner, inner] = rng.standard_normal((2 * K + 1, 2 * K + 1))
+        want = conv.diag * X
+        W = conv.weights
+        for z1 in range(-F, F + 1):
+            for z2 in range(-F, F + 1):
+                want[inner, inner] += W[z1 + F, z2 + F] * X[A - K + z1:A + K + 1 + z1,
+                                                           A - K + z2:A + K + 1 + z2]
+        got = box.spectral(X, forward)
+        assert float(np.max(np.abs(got[inner, inner] - want[inner, inner]))) <= 1e-12 * np.abs(
+            want).max()
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           x_only=st.sampled_from([(True, False), (True, True), (False, False)]),
+           data=st.data())
+    def test_bordered_tau_matches_the_dense_bordered_reference(self, seed, x_only, data):
+        # the bordered elimination of τ's P^{-1} solves P with column i0 set
+        # to -1, P the dense inverse of τ's map on the nodes
+        op = bordered_operator(seed, x_only=x_only)
+        A = op.frozen(random_policy(data, op))
+        i0, n = op.grid.origin_index, op.n_nodes
+        inv = A.tau()
+        assert isinstance(inv, _TauInverse)
+        P = np.linalg.inv(inv @ np.eye(n))
+        y = np.random.default_rng(seed).standard_normal(n)
+        with mock.patch.object(FrozenSystem, "preconditioner", FrozenSystem.tau):
+            x = A.bordered(i0).preconditioner() @ y
+        v_ref, m_ref = bordered_reference(sp.csr_matrix(P), y, i0)
+        scale = max(1.0, float(np.max(np.abs(v_ref))), abs(m_ref))
+        assert abs(x[i0] - m_ref) <= 1e-10 * scale
+        v = x.copy()
+        v[i0] = 0.0
+        assert float(np.max(np.abs(v - v_ref))) <= 1e-10 * scale
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), alpha=st.floats(1e-4, 0.5), data=st.data())
+    def test_tau_preconditioned_pairs_match_the_direct_solve(self, seed, alpha, data):
+        op = bordered_operator(seed).with_alpha(alpha)
+        A = op.frozen(random_policy(data, op))
+        i0, atol = op.grid.origin_index, 1e-10
+        with mock.patch.object(FrozenSystem, "preconditioner", FrozenSystem.tau):
+            v, m, tag, _ = _solve_bordered(A, -A.const, i0, atol)
+        v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
+        assert tag == "bicgstab" and op.near_factor.count == 0
+        assert abs(m - m_ref) <= atol + 1e-12
+        assert float(np.max(np.abs(v - v_ref))) <= atol + 1e-12
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, np.nan, -np.inf])
+    def test_ones_not_negative_and_finite_at_the_border_falls_back_to_lu(self, bad):
+        op = bordered_operator(7).with_alpha(0.1)
+        A = op.frozen(np.zeros(op.n_nodes, dtype=np.int64))
+        i0 = op.grid.origin_index
+
+        def broken(self):
+            inv = self.tau()
+            inv.ones = inv.ones.copy()
+            inv.ones[i0] = bad
+            return inv
+
+        with mock.patch.object(FrozenSystem, "preconditioner", broken):
+            with pytest.raises(RuntimeError, match="bordered node"):
+                A.bordered(i0).preconditioner()
+            v, m, tag, iterations = _solve_bordered(A, -A.const, i0, 1e-10)
+        assert tag == "splu" and iterations == 0
+        v_ref, m_ref = bordered_reference(A.tocsr(), -A.const, i0)
+        assert abs(m - m_ref) <= 1e-10
+        assert float(np.max(np.abs(v - v_ref))) <= 1e-10
+
+    def test_size_rule(self, monkeypatch):
+        # a 2-d FFT operator takes τ from _TAU_MIN_NODES nodes on and the LU
+        # below; 1-d and CSR operators always take the LU
+        fft2 = bordered_operator(5).with_alpha(0.1)
+        n = fft2.n_nodes
+        policy = np.zeros(n, dtype=np.int64)
+        monkeypatch.setattr(operators, "_TAU_MIN_NODES", n + 1)
+        assert isinstance(fft2.frozen(policy).preconditioner(), _NearInverse)
+        assert fft2.near_factor.count == 1
+        monkeypatch.setattr(operators, "_TAU_MIN_NODES", n)
+        tau = bordered_operator(5).with_alpha(0.1)
+        assert isinstance(tau.frozen(policy).preconditioner(), _TauInverse)
+        assert tau.near_factor.count == 0
+        monkeypatch.setattr(operators, "_TAU_MIN_NODES", 1)
+        for op in (bordered_operator(5, d=1).with_alpha(0.1), fft2.csr()):
+            inv = op.frozen(np.zeros(op.n_nodes, dtype=np.int64)).preconditioner()
+            assert isinstance(inv, _NearInverse) and op.near_factor.count == 1
+
+    def test_manufactured_pair_above_the_size_rule(self):
+        # item 16's exact pair on an operator the size rule sends to τ: no LU
+        # factor is made and the pair comes back within 1e-10
+        p = constant_kernel_problem(11, 2, 0.8, [0.3, 0.5], x_only=(True, False))
+        g = nl.build_grid(2, 0.1, 3.0)
+        op = nl.assemble(p, g, nl.build_quadrature(g, 0.8, 4.0), None)
+        assert op.n_nodes >= operators._TAU_MIN_NODES
+        r = np.linalg.norm(g.nodes, axis=-1)
+        want = (g.nodes[:, 0] < 0).astype(np.int64)
+        v, w = 1.0 - np.exp(-r * r / 4), np.cos(r) * np.exp(-r / 4)
+        got = nl.solve_normalized(manufactured_pair(op, v, 0.3, want, 0.05, 0.0), 0.0, 1e-9)
+        disc = nl.solve_policy_iteration(
+            manufactured_pair(op, w, 0.0, want, 0.05, 0.5).with_alpha(0.5), 1e-9)
+        for sol in (got, disc):
+            assert sol.converged and np.array_equal(sol.policy, want)
+            assert sol.counts.linear_solves["splu"] == 0 and sol.counts.near_factors == 0
+        assert abs(got.m - 0.3) <= 1e-10
+        assert float(np.max(np.abs(got.u - v))) <= 1e-10
+        assert float(np.max(np.abs(disc.u - w))) <= 1e-10
+
+
+class TestNearFieldLayout:
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.one_of(fast_operators(), csr_operators()), data=st.data())
+    def test_near_equals_the_coo_build_entry_for_entry(self, case, data):
+        op, _ = case
+        A = op.frozen(random_policy(data, op))
+        got, want = A.near(), near_by_coo(A)
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_exterior_data_needs_no_transform(self, d):
+        # zero data gives the constant of a transform of zeros, bit for bit,
+        # without making that transform's plan
+        p = constant_kernel_problem(3, d, 0.75, [0.5, 0.4], x_only=(True, False))
+        g = nl.build_grid(d, 0.5, 2.5)
+        q = nl.build_quadrature(g, 0.75, 4.0)
+        none = nl.assemble(p, g, q, None)
+        zero = nl.assemble(p, g, q, lambda x: np.zeros(np.shape(x)[:-1]))
+        assert none.jump.conv._plans == {} and zero.jump.conv._plans != {}
+        assert none.const.tobytes() == zero.const.tobytes()

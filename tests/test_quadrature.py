@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 import nlhjb as nl
 from nlhjb import build_grid, build_quadrature
-from nlhjb.quadrature import _cell_masses_1d
+from nlhjb.quadrature import _cell_masses_1d, _subcell_quads_2d
 
 from oracles import (apply_quadrature_pointwise, fractional_laplacian_constant,
-                     fractional_laplacian_reference)
+                     fractional_laplacian_reference, subcell_quads_2d_reference)
 
 
 def test_tail_mass_closed_form_1d():
@@ -176,3 +176,16 @@ def test_1d_cell_masses_telescope_to_total_measure():
         total = 2.0 * np.sum(_cell_masses_1d(q.half_offsets[:, 0], hx, s, r_far)[0])
         want = 2.0 * ((hx / 2) ** (-2 * s) - r_far ** (-2 * s)) / (2 * s)
         assert total == pytest.approx(want, rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(0.51, 0.99), hx=st.floats(0.05, 0.6), q=st.sampled_from([2, 5, 16, 64]),
+       z=st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(any),
+                  min_size=1, max_size=40))
+def test_subcell_quads_match_the_plain_formula_bitwise(s, hx, q, z):
+    # the per-axis build keeps the (n, q*q, 2) formula's summation order, so
+    # the quadrature's weights do not move at all
+    centers = np.array(z, dtype=float) * hx
+    got, want = _subcell_quads_2d(centers, hx, s, q), subcell_quads_2d_reference(centers, hx, s, q)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
